@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import driver, families, oracle, residues
-from .errors import AdmissibilityError, PoleError, PreconditionError
+from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError, SingularSystemError
 from .gammaprod import log_gamma_approx
 from .hyper import (
     check_chu_vandermonde,
@@ -276,13 +276,15 @@ def _identity_rows(args) -> list[dict]:
 
     if args.params is not None:
         values = [Fraction(v) for v in args.params.split(",")]
-        checker = {
-            "chu-vandermonde": lambda v: check_chu_vandermonde(v[0], v[1], int(v[2])),
-            "kummer": lambda v: check_kummer(*v),
-            "rakha-rathie": lambda v: check_rakha_rathie(*v),
-        }.get(name)
+        arity, checker = {
+            "chu-vandermonde": (3, lambda v: check_chu_vandermonde(v[0], v[1], int(v[2]))),
+            "kummer": (5, lambda v: check_kummer(*v)),
+            "rakha-rathie": (7, lambda v: check_rakha_rathie(*v)),
+        }.get(name, (None, None))
         if checker is None:
             raise PreconditionError(f"--params is not supported for {name}")
+        if len(values) != arity:
+            raise ValueError(f"{name} takes {arity} --params values, got {len(values)}")
         try:
             ok = checker(values)
             rows.append({"params": [str(v) for v in values], "ok": bool(ok)})
@@ -473,7 +475,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (AdmissibilityError, PreconditionError, ValueError) as exc:
+    except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError,
+            IrreducibleGammaError) as exc:
         sys.stdout.write(json.dumps(
             {"command": args.command, "error": str(exc), "kind": type(exc).__name__},
             sort_keys=True,

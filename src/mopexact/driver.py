@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from . import families, oracle, residues
-from .gammaprod import pochhammer
+from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .polybasis import ScaledPolynomial, TypeIVector
 from .weights import Family, WeightSystem, total_degree
 
@@ -168,18 +168,17 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
     )
 
     if ws.family is Family.HAHN:
-        checks["jp_coefficient_relation"] = families.hahn_jp_coefficient_relation(ws, n)
+        checks["jp_coefficient_relation"] = families.hahn_jp_coefficient_relation(ws, n, poly)
         checks["weighted_series"] = all(
-            families.hahn_type2_weighted_series(ws, n, x)
-            == poly.rational_value(x) * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
-            for x in range(ws.N + 1)
+            families.hahn_type2_weighted_series(ws, n, x) == value * ws.beta_factors[x]
+            for x, value in enumerate(poly.lattice_values(ws.N))
         )
         checks["summation_identity"] = all(
             oracle.check_hahn_summation_identity(ws, n, j) for j in range(total)
         )
         if ws.p == 2:
             checks["kdf_cross_formula"] = all(
-                families.hahn_type1_p2_kdf(ws, n, i, x) == vec.components[i].rational_value(x)
+                families.hahn_type1_p2_kdf(ws, n, i, x) == vec.components[i].lattice_values(ws.N)[x]
                 for i in range(2)
                 for x in range(ws.N + 1)
             )

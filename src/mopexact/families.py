@@ -306,17 +306,18 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex, x: int) -> Fract
     return prefactor * value
 
 
-def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex) -> bool:
+def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial | None = None) -> bool:
     """Coefficientwise bridge between Hahn and Jacobi-Pineiro type II.
 
     With Q expanded in (-x)_k and P (same alpha, beta) in x^k, checks
-    Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k.
+    Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k.  Q is the given Hahn
+    polynomial, generated here when omitted.
     """
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws_hahn.validate_index(n)
     ws_jp = WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta)
-    q = hahn_type2(ws_hahn, n).coefficients
+    q = (poly if poly is not None else hahn_type2(ws_hahn, n)).coefficients
     p = jacobi_pineiro_type2(ws_jp, n).coefficients
     total = total_degree(n)
     N = ws_hahn.N

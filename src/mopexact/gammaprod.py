@@ -50,20 +50,25 @@ def pochhammer(a, n: int) -> Fraction:
     (a)_0 is the empty product 1.  Negative n extends through
     (a)_n = 1 / ((a-1)(a-2)...(a+n)) and raises ZeroDivisionError when that
     chain contains a zero factor.
+
+    With a = p/q it multiplies the integers p + j q and reduces once.  Values
+    on the Hahn lattice come from tables kept on the weight system and the
+    polynomials instead (:mod:`mopexact.weights`, :mod:`mopexact.polybasis`).
     """
     a = as_fraction(a)
+    p, q = a.numerator, a.denominator
     if n >= 0:
-        out = Fraction(1)
+        num = 1
         for j in range(n):
-            out *= a + j
-        return out
-    out = Fraction(1)
+            num *= p + j * q
+        return Fraction(num, q**n)
+    den = 1
     for j in range(1, -n + 1):
-        factor = a - j
+        factor = p - j * q
         if factor == 0:
             raise ZeroDivisionError(f"pochhammer({a}, {n}) hits a zero factor")
-        out *= factor
-    return 1 / out
+        den *= factor
+    return Fraction(q**-n, den)
 
 
 def gamma_ratio(a, m: int) -> Fraction:

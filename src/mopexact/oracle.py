@@ -11,6 +11,11 @@ conditions alone.  Agreement between these solvers and the generators in
 Residuals reported here are the rational cofactors of the per-condition
 common gamma factor; a gamma product never vanishes, so a condition holds
 exactly iff its rational cofactor is zero.
+
+Every Hahn lattice sum is one :func:`lattice_sum` of value vectors on
+{0, ..., N}: ``ws.weight_table`` rows, ``lattice_table`` basis rows and
+``poly.lattice_values``.  The tables live on the weight system and the
+polynomial that own them and last only as long as those objects.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, Precon
 from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer
 from .hyper import pfq
 from .linalg import solve_linear_system
-from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
+from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, lattice_table
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -36,15 +41,18 @@ class MomentValue:
     gamma: GammaProduct
 
 
+def lattice_sum(*vectors) -> Fraction:
+    """The one Hahn pairing: sum over x = 0..N of the product of the vectors' x-th entries."""
+    return sum(map(math.prod, zip(*vectors, strict=True)), Fraction(0))
+
+
 def _monomial_moment_rational(ws: WeightSystem, i: int, j: int) -> Fraction:
     """Rational cofactor of the j-th power moment of weight i."""
     if ws.family is Family.LAGUERRE_FIRST_KIND:
         return pochhammer(ws.alpha[i] + 1, j)
     if ws.family is Family.JACOBI_PINEIRO:
         return pochhammer(ws.alpha[i] + 1, j) / pochhammer(ws.alpha[i] + ws.beta + 2, j)
-    return sum(
-        (Fraction(x) ** j * ws.hahn_weight(i, x) for x in range(ws.N + 1)), Fraction(0)
-    )
+    return moment(ws, i, Basis.monomial(), j).rational
 
 
 def _moment_gamma(ws: WeightSystem, i: int) -> GammaProduct:
@@ -67,10 +75,7 @@ def moment(ws: WeightSystem, i: int, basis: Basis, j: int) -> MomentValue:
     if not 0 <= i < ws.p:
         raise AdmissibilityError(f"weight index {i} out of range")
     if ws.family is Family.HAHN:
-        value = sum(
-            (basis.element_value(j, x) * ws.hahn_weight(i, x) for x in range(ws.N + 1)),
-            Fraction(0),
-        )
+        value = lattice_sum(lattice_table(basis, j, ws.N)[j], ws.weight_table[i])
         return MomentValue(value, GammaProduct.one())
     if basis.kind is not BasisKind.MONOMIAL:
         raise PreconditionError("continuous families take moments in the monomial basis")
@@ -90,17 +95,6 @@ def hahn_moment_closed(ws: WeightSystem, i: int, l: int, j: int) -> Fraction:
         * pochhammer(ws.alpha[i] + ws.beta + 2 + j + l, ws.N)
         / math.factorial(ws.N)
     )
-
-
-def hahn_moment_brute(ws: WeightSystem, i: int, l: int, j: int) -> Fraction:
-    total = Fraction(0)
-    for x in range(ws.N + 1):
-        total += (
-            pochhammer(Fraction(x) + ws.alpha[i] + 1, l)
-            * pochhammer(ws.beta + ws.N - x + 1, j)
-            * ws.hahn_weight(i, x)
-        )
-    return total
 
 
 def _scale_reduction(ws: WeightSystem, scale: GammaProduct, i: int) -> Fraction:
@@ -156,12 +150,11 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
         raise IrreducibleGammaError("type II polynomials carry a rational scale")
     residuals = {}
     if ws.family is Family.HAHN:
+        values = poly.lattice_values(ws.N)
+        powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
         for i in range(ws.p):
             for j in range(n[i]):
-                value = Fraction(0)
-                for x in range(ws.N + 1):
-                    value += Fraction(x) ** j * poly.rational_value(x) * ws.hahn_weight(i, x)
-                residuals[(i, j)] = value * scale_rational
+                residuals[(i, j)] = lattice_sum(powers[j], values, ws.weight_table[i]) * scale_rational
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
@@ -175,32 +168,39 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, None, None)
 
 
-def _type1_pairing(ws: WeightSystem, vec: TypeIVector, j: int, *, power_basis: bool) -> Fraction:
-    """Row j of the type I conditions: backward rows for Hahn, powers otherwise."""
-    total = Fraction(0)
+def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> list[Fraction]:
+    """Values of sum_i scale_i * A_i(x) * w_i(x) at x = 0..N."""
+    form = [Fraction(0)] * (ws.N + 1)
+    for i, comp in enumerate(vec.components):
+        if not comp.coefficients:
+            continue
+        scale_rational, leftover = comp.scale.reduce()
+        if not leftover.is_one():
+            raise IrreducibleGammaError("Hahn type I scales are rational")
+        weighted = zip(form, comp.lattice_values(ws.N), ws.weight_table[i])
+        form = [f + scale_rational * v * w for f, v, w in weighted]
+    return form
+
+
+def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fraction]:
+    """Rows j < rows of the type I conditions: backward rows for Hahn, powers otherwise."""
     if ws.family is Family.HAHN:
-        row = Basis.backward_pochhammer(ws.beta, ws.N)
-        for i, comp in enumerate(vec.components):
-            if not comp.coefficients:
-                continue
-            scale_rational, leftover = comp.scale.reduce()
-            if not leftover.is_one():
-                raise IrreducibleGammaError("Hahn type I scales are rational")
-            for x in range(ws.N + 1):
-                element = Fraction(x) ** j if power_basis else row.element_value(j, x)
-                total += element * comp.rational_value(x) * ws.hahn_weight(i, x) * scale_rational
-        return total
+        form = _hahn_linear_form(ws, vec)
+        basis = Basis.backward_pochhammer(ws.beta, ws.N)
+        return [lattice_sum(row, form) for row in lattice_table(basis, rows - 1, ws.N)]
+    totals = [Fraction(0)] * rows
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
         if comp.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type I components live in the monomial basis")
         factor = _scale_reduction(ws, comp.scale, i)
-        total += factor * sum(
-            (c * _monomial_moment_rational(ws, i, j + k) for k, c in enumerate(comp.coefficients)),
-            Fraction(0),
-        )
-    return total
+        for j in range(rows):
+            totals[j] += factor * sum(
+                (c * _monomial_moment_rational(ws, i, j + k) for k, c in enumerate(comp.coefficients)),
+                Fraction(0),
+            )
+    return totals
 
 
 def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> OrthogonalityReport:
@@ -213,17 +213,10 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
-    residuals = {}
-    for j in range(total - 1):
-        residuals[(None, j)] = _type1_pairing(ws, vec, j, power_basis=False)
-    normalization = _type1_pairing(ws, vec, total - 1, power_basis=False)
+    *rows, normalization = _type1_pairings(ws, vec, total)
+    residuals = {(None, j): value for j, value in enumerate(rows)}
     target = Fraction(-1) ** (total - 1) if ws.family is Family.HAHN else Fraction(1)
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, normalization, target)
-
-
-def type1_power_normalization(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> Fraction:
-    """The power-basis normalization row (target 1 for every family)."""
-    return _type1_pairing(ws, vec, total_degree(n) - 1, power_basis=True)
 
 
 def check_biorthogonality(ws: WeightSystem, n: MultiIndex, m: MultiIndex) -> bool:
@@ -245,22 +238,16 @@ def check_biorthogonality(ws: WeightSystem, n: MultiIndex, m: MultiIndex) -> boo
         raise PreconditionError(f"pairing of n = {n} with m = {m} is not determined")
     poly = families.type2(ws, n)
     vec = families.type1(ws, m)
-    total = Fraction(0)
     if ws.family is Family.HAHN:
-        for i, comp in enumerate(vec.components):
-            if not comp.coefficients:
-                continue
-            for x in range(ws.N + 1):
-                total += poly.rational_value(x) * comp.rational_value(x) * ws.hahn_weight(i, x)
-    else:
-        b = poly.coefficients
-        for i, comp in enumerate(vec.components):
-            if not comp.coefficients:
-                continue
-            factor = _scale_reduction(ws, comp.scale, i)
-            for k, ck in enumerate(comp.coefficients):
-                for t, bt in enumerate(b):
-                    total += factor * ck * bt * _monomial_moment_rational(ws, i, k + t)
+        return lattice_sum(poly.lattice_values(ws.N), _hahn_linear_form(ws, vec)) == expected
+    total = Fraction(0)
+    for i, comp in enumerate(vec.components):
+        if not comp.coefficients:
+            continue
+        factor = _scale_reduction(ws, comp.scale, i)
+        for k, ck in enumerate(comp.coefficients):
+            for t, bt in enumerate(poly.coefficients):
+                total += factor * ck * bt * _monomial_moment_rational(ws, i, k + t)
     return total == expected
 
 
@@ -281,21 +268,13 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     if ws.family is Family.HAHN:
         basis = Basis.falling_factorial()
         lead = Fraction(-1) ** total
-        gram = {}
-        for i in range(ws.p):
-            for k in range(total + 1):
-                gram[(i, k)] = [
-                    sum(
-                        (Fraction(x) ** j * basis.element_value(k, x) * ws.hahn_weight(i, x)
-                         for x in range(ws.N + 1)),
-                        Fraction(0),
-                    )
-                    for j in range(n[i])
-                ]
+        falling = lattice_table(basis, total, ws.N)
+        powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
         for i in range(ws.p):
             for j in range(n[i]):
-                rows.append([gram[(i, k)][j] for k in range(total)])
-                rhs.append(-lead * gram[(i, total)][j])
+                gram = [lattice_sum(powers[j], row, ws.weight_table[i]) for row in falling]
+                rows.append(gram[:total])
+                rhs.append(-lead * gram[total])
     else:
         basis = Basis.monomial()
         lead = Fraction(1)
@@ -380,13 +359,10 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, s, poly: ScaledPolynomia
         for i in range(ws.p):
             rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i]) / pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
         return lhs == rhs
-    lhs = Fraction(0)
-    for x in range(ws.N + 1):
-        weighted = (
-            poly.rational_value(x)
-            * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
-        )
-        lhs += weighted * pochhammer(s, x) / math.factorial(x)
+    kernel = [Fraction(1)]  # (s)_x / x!
+    for x in range(ws.N):
+        kernel.append(kernel[-1] * (s + x) / (x + 1))
+    lhs = lattice_sum(poly.lattice_values(ws.N), ws.beta_factors, kernel)
     rhs = sign * pochhammer(ws.beta + 1, total) * pochhammer(s + total + ws.beta + 1, ws.N - total)
     rhs /= math.factorial(ws.N - total)
     for i in range(ws.p):

@@ -6,11 +6,16 @@ descending lattice products (beta + N - x + 1)_k used for the discrete
 orthogonality rows.  A ScaledPolynomial is a coefficient list in one of
 these bases together with a formal GammaProduct scale, so transcendental
 prefactors stay symbolic until they cancel against weight moments.
+
+On the Hahn lattice {0, ..., N} a basis is tabulated by its one-step
+recurrence (:func:`lattice_table`); a polynomial's values there are kept on
+the polynomial object and last only as long as it.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,20 +70,33 @@ class Basis:
             return pochhammer(x + self.shift, k)
         return pochhammer(self.shift - x, k)
 
+    def _step_factor(self, m: int) -> tuple[Fraction, Fraction]:
+        """(const, slope) with basis_{m+1}(x) = basis_m(x) * (const + slope * x)."""
+        if self.kind is BasisKind.MONOMIAL:
+            return Fraction(0), Fraction(1)
+        if self.kind is BasisKind.FALLING_FACTORIAL:
+            return Fraction(m), Fraction(-1)
+        if self.kind is BasisKind.SHIFTED_RISING:
+            return self.shift + m, Fraction(1)
+        return self.shift + m, Fraction(-1)
+
     def element_monomial_coefficients(self, k: int) -> tuple[Fraction, ...]:
         """The k-th basis element expanded in powers of x (length k+1)."""
         if self.kind is BasisKind.MONOMIAL:
             return tuple(Fraction(0) for _ in range(k)) + (Fraction(1),)
         coeffs = [Fraction(1)]
         for m in range(k):
-            if self.kind is BasisKind.FALLING_FACTORIAL:
-                const, slope = Fraction(m), Fraction(-1)
-            elif self.kind is BasisKind.SHIFTED_RISING:
-                const, slope = self.shift + m, Fraction(1)
-            else:
-                const, slope = self.shift + m, Fraction(-1)
-            coeffs = _multiply_linear(coeffs, const, slope)
+            coeffs = _multiply_linear(coeffs, *self._step_factor(m))
         return tuple(coeffs)
+
+
+def lattice_table(basis: Basis, degree: int, N: int) -> list[tuple[Fraction, ...]]:
+    """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence."""
+    rows = [(Fraction(1),) * (N + 1)]
+    for m in range(degree):
+        const, slope = basis._step_factor(m)
+        rows.append(tuple(value * (const + slope * x) for x, value in enumerate(rows[-1])))
+    return rows
 
 
 def _multiply_linear(coeffs, const: Fraction, slope: Fraction) -> list[Fraction]:
@@ -99,6 +117,8 @@ class ScaledPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(as_fraction(c) for c in self.coefficients))
+        # lattice size N -> values on {0..N}; not a field, so eq and hash ignore it
+        object.__setattr__(self, "_lattice_values", {})
 
     @property
     def degree(self) -> int:
@@ -115,6 +135,15 @@ class ScaledPolynomial:
         """Value of the coefficient part only, ignoring the scale."""
         return sum((c * self.basis.element_value(k, x) for k, c in enumerate(self.coefficients)),
                    Fraction(0))
+
+    def lattice_values(self, N: int) -> tuple[Fraction, ...]:
+        """rational_value at x = 0..N, computed once per N and kept on this object."""
+        if N not in self._lattice_values:
+            table = lattice_table(self.basis, len(self.coefficients) - 1, N)
+            self._lattice_values[N] = tuple(
+                sum(map(operator.mul, self.coefficients, column), Fraction(0)) for column in zip(*table)
+            )
+        return self._lattice_values[N]
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient list in the monomial basis (scale untouched)."""

@@ -98,14 +98,9 @@ def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearForm
     routes compare componentwise.
     """
     ws.validate_index(n, type_one=True)
-    x = as_fraction(x)
+    x = ws.check_point(x)
     total = total_degree(n)
     alpha, beta = ws.alpha, ws.beta
-    if ws.family is Family.HAHN:
-        if x.denominator != 1 or not 0 <= x <= ws.N:
-            raise AdmissibilityError(f"Hahn linear forms evaluate on the lattice, got x = {x}")
-    elif x <= 0:
-        raise AdmissibilityError(f"need x > 0 to evaluate x**alpha_i factors, got {x}")
 
     # the transcendental share of the prefactors (1/Gamma(beta+|n|) and the
     # per-weight gamma scales) lives in the component residuals
@@ -140,7 +135,7 @@ def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearForm
                 shifted = alpha[i] + beta + total
                 term *= pochhammer(shifted, k)
                 term /= pochhammer(shifted + n[i], ws.N + 2 - total + k - n[i])
-                term *= pochhammer(alpha[i] + 1 + k, int(x))
+                term *= pochhammer(alpha[i] + 1 + k, x.numerator)
             acc += term
         components.append(LinearFormComponent(
             i, comp_prefactor * acc,
@@ -152,7 +147,7 @@ def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearForm
 def type1_direct_decomposition(ws: WeightSystem, n: MultiIndex, x, vector: TypeIVector | None = None) -> LinearFormValue:
     """The same per-weight decomposition computed from the direct generators."""
     ws.validate_index(n, type_one=True)
-    x = as_fraction(x)
+    x = ws.check_point(x)
     if vector is None:
         vector = families.type1(ws, n)
     components = []
@@ -162,7 +157,7 @@ def type1_direct_decomposition(ws: WeightSystem, n: MultiIndex, x, vector: TypeI
             scale_rational, leftover = comp.scale.reduce()
             if not leftover.is_one():
                 raise IrreducibleGammaError("Hahn type I scales are rational")
-            value *= scale_rational * pochhammer(ws.alpha[i] + 1, int(x))
+            value *= scale_rational * pochhammer(ws.alpha[i] + 1, x.numerator)
             components.append(LinearFormComponent(i, value, GammaProduct.one()))
         else:
             components.append(LinearFormComponent(i, value, comp.scale))

@@ -10,6 +10,8 @@ Hahn weights are normalized so that their lattice values are exact
 rationals: w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!.  The
 gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
+The lattice values are tabulated on first use and kept on the weight
+system (:attr:`WeightSystem.weight_table`), so they last only as long as it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import AdmissibilityError
@@ -97,13 +100,32 @@ class WeightSystem:
         if type_one and total_degree(n) < 1:
             raise AdmissibilityError("type I polynomials need |n| >= 1")
 
-    def hahn_weight(self, i: int, x: int) -> Fraction:
-        """Exact lattice weight value w_i(x) for the Hahn family."""
+    def check_point(self, x) -> Fraction:
+        """x as a Fraction if the weights live there: an integer in [0, N] for
+        Hahn, x > 0 for the x**alpha_i factors otherwise; else AdmissibilityError."""
+        x = as_fraction(x)
+        if self.family is Family.HAHN:
+            if x.denominator != 1 or not 0 <= x <= self.N:
+                raise AdmissibilityError(f"x = {x} outside the lattice {{0,...,{self.N}}}")
+        elif x <= 0:
+            raise AdmissibilityError(f"need x > 0 to evaluate x**alpha_i factors, got {x}")
+        return x
+
+    @cached_property
+    def beta_factors(self) -> tuple[Fraction, ...]:
+        """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
+        return tuple(pochhammer(self.beta + 1, m) / math.factorial(m) for m in range(self.N, -1, -1))
+
+    @cached_property
+    def weight_table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rows i of the Hahn lattice weights w_i(x), x = 0..N, built on first use."""
         if self.family is not Family.HAHN:
             raise AdmissibilityError("lattice weights exist only for the Hahn family")
-        if not 0 <= x <= self.N:
-            raise AdmissibilityError(f"x = {x} outside the lattice {{0,...,{self.N}}}")
-        return (
-            pochhammer(self.alpha[i] + 1, x) / math.factorial(x)
-            * pochhammer(self.beta + 1, self.N - x) / math.factorial(self.N - x)
+        return tuple(
+            tuple(pochhammer(a + 1, x) / math.factorial(x) * b for x, b in enumerate(self.beta_factors))
+            for a in self.alpha
         )
+
+    def hahn_weight(self, i: int, x: int) -> Fraction:
+        """Exact lattice weight value w_i(x) for the Hahn family."""
+        return self.weight_table[i][self.check_point(x).numerator]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -90,6 +91,15 @@ class TestCoeffsCommand:
         assert code == 2
         assert json.loads(out)["kind"] == "AdmissibilityError"
 
+    def test_pole_error_exit_2(self, capsys):
+        # alpha + beta + |n| = 0: the Jacobi-Pineiro type I normalization degenerates
+        code, out = run_cli(
+            capsys, "coeffs", "--family", "jacobi-pineiro", "--alpha=-1/2", "--beta=-1/2",
+            "--n", "1", "--type", "1",
+        )
+        assert code == 2
+        assert json.loads(out)["kind"] == "PoleError"
+
 
 class TestEvalCommand:
     def test_root_evaluates_to_zero(self, capsys):
@@ -110,6 +120,17 @@ class TestEvalCommand:
         assert [row["weight"] for row in rows] == [0, 1]
         assert rows[0]["rational"] == "6" and rows[1]["rational"] == "-6"
         assert "Gamma(3/2)^-1" in rows[0]["gamma"]
+
+
+    @pytest.mark.parametrize("x", ["18/11", "5", "-1"])
+    def test_hahn_type1_off_lattice_rejected(self, capsys, x):
+        code, out = run_cli(
+            capsys, "eval", "--family", "hahn", "--alpha", "1/2", "--beta", "1/4",
+            "--N", "3", "--n", "2", "--type", "1", f"--x={x}",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "AdmissibilityError" and "lattice" in payload["error"]
 
 
 class TestVerifyCommand:
@@ -153,6 +174,12 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["fail"] == 0 and payload["summary"]["pass"] == 109
+        # golden output: any kernel rewrite must leave every record byte-identical
+        records = sorted(payload["results"], key=lambda r: r["instance"])
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "44b95b1c15c4200fe8e231bd72fbebc4708ecc62319538eca54f8f1637f25940"
+        )
 
     def test_jobs_auto(self, capsys):
         argv = ("verify", "--family", "jacobi-pineiro", "--max-total-degree", "2")
@@ -176,6 +203,12 @@ class TestIdentityCommand:
         payload = json.loads(out)
         assert "rejected" in payload["results"][0]
         assert payload["summary"]["fail"] == 0
+
+    def test_params_arity_checked(self, capsys):
+        code, out = run_cli(capsys, "identity", "--name", "kummer", "--params", "0,1/3")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and "5 --params" in payload["error"]
 
     def test_hahn_summation_grid(self, capsys):
         code, out = run_cli(

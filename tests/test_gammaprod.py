@@ -31,6 +31,27 @@ class TestPochhammer:
         with pytest.raises(ZeroDivisionError):
             pochhammer(2, -3)
 
+    @given(a=st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), n=st.integers(-8, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_fraction_product(self, a, n):
+        # the integer-numerator kernel against the factor-by-factor definition
+        if n >= 0:
+            expected = Fraction(1)
+            for j in range(n):
+                expected *= a + j
+            assert pochhammer(a, n) == expected
+            return
+        factors = [a - j for j in range(1, -n + 1)]
+        if 0 in factors:
+            with pytest.raises(ZeroDivisionError):
+                pochhammer(a, n)
+            return
+        expected = Fraction(1)
+        for factor in factors:
+            expected /= factor
+        result = pochhammer(a, n)
+        assert isinstance(result, Fraction) and result == expected
+
     @given(a=rationals, m=small_ints, n=small_ints)
     @settings(max_examples=200, deadline=None)
     def test_addition_law(self, a, m, n):

@@ -29,6 +29,28 @@ from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
 F = Fraction
 
 
+def hahn_moment_brute(ws, i: int, l: int, j: int) -> Fraction:
+    """sum_x (x+alpha_i+1)_l (beta+N-x+1)_j w_i(x), point by point."""
+    total = Fraction(0)
+    for x in range(ws.N + 1):
+        total += (
+            pochhammer(Fraction(x) + ws.alpha[i] + 1, l)
+            * pochhammer(ws.beta + ws.N - x + 1, j)
+            * ws.hahn_weight(i, x)
+        )
+    return total
+
+
+def hahn_power_normalization(ws, n, vec) -> Fraction:
+    """sum_x x^(|n|-1) sum_i A_i(x) w_i(x): the power-basis normalization row (target 1)."""
+    return sum(
+        (Fraction(x) ** (sum(n) - 1) * comp.rational_value(x) * ws.hahn_weight(i, x)
+         for i, comp in enumerate(vec.components) if comp.coefficients
+         for x in range(ws.N + 1)),
+        Fraction(0),
+    )
+
+
 class TestLinalg:
     def test_solve_exact(self):
         x = solve_linear_system([[F(1, 2), F(1, 3)], [F(1, 5), F(1)]], [F(1), F(0)])
@@ -64,7 +86,7 @@ class TestMoments:
                 for l in range(5):
                     for j in range(5):
                         assert oracle.hahn_moment_closed(ws, i, l, j) == \
-                            oracle.hahn_moment_brute(ws, i, l, j)
+                            hahn_moment_brute(ws, i, l, j)
 
     def test_continuous_non_monomial_rejected(self):
         with pytest.raises(PreconditionError):
@@ -76,8 +98,8 @@ class TestMoments:
         shifted = Basis.shifted_rising(ws.alpha[0] + 1, 0)
         value = moment(ws, 0, backward, 2)
         assert value.gamma.is_one()
-        assert value.rational == oracle.hahn_moment_brute(ws, 0, 0, 2)
-        assert moment(ws, 0, shifted, 3).rational == oracle.hahn_moment_brute(ws, 0, 3, 0)
+        assert value.rational == hahn_moment_brute(ws, 0, 0, 2)
+        assert moment(ws, 0, shifted, 3).rational == hahn_moment_brute(ws, 0, 3, 0)
 
 
 class TestType2Reports:
@@ -127,7 +149,7 @@ class TestType1Reports:
             ws = hahn_ws(p, total + 3)
             vec = families.type1(ws, n)
             assert check_type1_orthogonality(ws, n, vec).passed
-            assert oracle.type1_power_normalization(ws, n, vec) == 1
+            assert hahn_power_normalization(ws, n, vec) == 1
 
 
 class TestBiorthogonality:

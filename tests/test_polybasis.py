@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import Basis, GammaProduct, ScaledPolynomial, eval_polynomial
+from mopexact.polybasis import lattice_table
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
 
@@ -13,6 +14,33 @@ BASES = [
     Basis.shifted_rising(Fraction(3, 2), 0),
     Basis.backward_pochhammer(Fraction(1, 4), 5),
 ]
+
+
+#: All four basis kinds, with random shifts for the two shifted kinds.
+any_basis = st.one_of(
+    st.just(Basis.monomial()),
+    st.just(Basis.falling_factorial()),
+    st.builds(Basis.shifted_rising, rationals, st.integers(0, 2)),
+    st.builds(Basis.backward_pochhammer, rationals, st.integers(0, 10)),
+)
+
+
+@given(basis=any_basis, degree=st.integers(0, 7), N=st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_lattice_table_matches_element_value(basis, degree, N):
+    table = lattice_table(basis, degree, N)
+    assert len(table) == degree + 1
+    for k, row in enumerate(table):
+        assert row == tuple(basis.element_value(k, x) for x in range(N + 1))
+
+
+@given(basis=any_basis, coeffs=st.lists(rationals, max_size=7), N=st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_lattice_values_match_rational_value(basis, coeffs, N):
+    poly = ScaledPolynomial(basis, tuple(coeffs))
+    values = poly.lattice_values(N)
+    assert values == tuple(poly.rational_value(x) for x in range(N + 1))
+    assert poly.lattice_values(N) is values  # computed once per polynomial object
 
 
 @given(x=rationals, k=st.integers(0, 6), basis=st.sampled_from(BASES))

@@ -76,6 +76,15 @@ class TestType1LinearForm:
                     ), (ws.family, n, x)
 
 
+    @pytest.mark.parametrize("ws, x", [
+        (hahn_ws(1, 3), F(18, 11)), (hahn_ws(1, 3), 5), (hahn_ws(1, 3), -1), (laguerre_ws(1), -1),
+    ])
+    def test_both_routes_reject_the_same_points(self, ws, x):
+        for route in (type1_linear_form_residues, residues.type1_direct_decomposition):
+            with pytest.raises(AdmissibilityError):
+                route(ws, (2,), x)
+
+
 class TestType2Residues:
     def test_laguerre_order_zero(self):
         # residue 0 carries prod (alpha_i + 1)_{n_i} times the global sign

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, Family, WeightSystem, pochhammer
 from conftest import STANDARD_ALPHAS, STANDARD_BETA, hahn_ws
@@ -65,3 +67,30 @@ class TestHahnWeights:
         ws = hahn_ws(1, 2)
         with pytest.raises(AdmissibilityError):
             ws.hahn_weight(0, 3)
+        for x in (Fraction(1, 2), -1):
+            with pytest.raises(AdmissibilityError):
+                ws.hahn_weight(0, x)
+
+    @given(
+        alpha=st.lists(st.fractions(Fraction(-9, 10), 4, max_denominator=12), min_size=1, max_size=3),
+        beta=st.fractions(Fraction(-9, 10), 4, max_denominator=12),
+        N=st.integers(0, 10),
+    )
+    @example(alpha=[Fraction(1, 2)], beta=Fraction(1, 4), N=0)
+    @settings(max_examples=100, deadline=None)
+    def test_weight_table_matches_closed_form(self, alpha, beta, N):
+        try:
+            ws = WeightSystem.hahn(alpha, beta, N)
+        except AdmissibilityError:
+            assume(False)
+        assert len(ws.weight_table) == ws.p
+        for a, row in zip(ws.alpha, ws.weight_table):
+            assert row == tuple(
+                pochhammer(a + 1, x) / math.factorial(x)
+                * pochhammer(beta + 1, N - x) / math.factorial(N - x)
+                for x in range(N + 1)
+            )
+
+    def test_weight_table_only_for_hahn(self):
+        with pytest.raises(AdmissibilityError):
+            WeightSystem.laguerre(STANDARD_ALPHAS[:1]).weight_table
