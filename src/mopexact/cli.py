@@ -23,6 +23,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -53,6 +54,27 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+#: Options that take a rational value, possibly negative such as -1/2.
+_RATIONAL_OPTIONS = frozenset({"--alpha", "--beta", "--x", "--x-max"})
+_NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--alpha -1/2" as "--alpha=-1/2".
+
+    argparse reads a token that starts with "-" and is not a plain decimal
+    number as an option, so a negative rational after a rational option
+    would otherwise fail with "expected one argument".
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_RATIONAL.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +299,7 @@ def _identity_rows(args) -> list[dict]:
     if args.params is not None:
         values = [Fraction(v) for v in args.params.split(",")]
         arity, checker = {
-            "chu-vandermonde": (3, lambda v: check_chu_vandermonde(v[0], v[1], int(v[2]))),
+            "chu-vandermonde": (3, lambda v: check_chu_vandermonde(*v)),
             "kummer": (5, lambda v: check_kummer(*v)),
             "rakha-rathie": (7, lambda v: check_rakha_rathie(*v)),
         }.get(name, (None, None))
@@ -472,7 +494,7 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return HANDLERS[args.command](args)
     except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError,

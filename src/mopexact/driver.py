@@ -170,8 +170,10 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
     if ws.family is Family.HAHN:
         checks["jp_coefficient_relation"] = families.hahn_jp_coefficient_relation(ws, n, poly)
         checks["weighted_series"] = all(
-            families.hahn_type2_weighted_series(ws, n, x) == value * ws.beta_factors[x]
-            for x, value in enumerate(poly.lattice_values(ws.N))
+            series == value * factor
+            for series, value, factor in zip(
+                families.hahn_type2_weighted_series(ws, n), poly.lattice_values(ws.N), ws.beta_factors
+            )
         )
         checks["summation_identity"] = all(
             oracle.check_hahn_summation_identity(ws, n, j) for j in range(total)

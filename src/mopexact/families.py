@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer
+from .gammaprod import GammaProduct, pochhammer, rising_row
 from .hyper import KampeDeFerietSpec, eval_kdf
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
@@ -44,26 +44,37 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
         * prod_{q<p} (alpha_q + n_q + 1)_{T_{q+1}} / prod_q (alpha_q + 1)_{T_q}
         * [JP, Hahn] prod_q (a_q + beta + S_q + 1)_{T_q} / prod_{q<p} (a_q + beta + S_q + 1)_{T_{q+1}}
         * [Hahn] (-N)_{|n|} / (-N)_{T_1}
-    attached to degree T_1 of the family basis.
+    attached to degree T_1 of the family basis.  Every factor is read from
+    rows over T = 0..|n| built once per call: head[q][T] collects the
+    factors at T_q and tail[q][T] those at T_{q+1}.
     """
     p = ws.p
     alpha = ws.alpha
-    coeffs = [Fraction(0)] * (total_degree(n) + 1)
+    total = total_degree(n)
     prefix = list(itertools.accumulate(n))
+    head, tail = [], []
+    for q in range(p):
+        down = rising_row(alpha[q] + 1, total + 1)
+        up = rising_row(alpha[q] + n[q] + 1, total + 1)
+        if ws.family is Family.LAGUERRE_FIRST_KIND:
+            head.append([1 / d for d in down])
+            tail.append(up)
+        else:
+            shifted = rising_row(alpha[q] + ws.beta + prefix[q] + 1, total + 1)
+            head.append([s / d for s, d in zip(shifted, down)])
+            tail.append([u / s for u, s in zip(up, shifted)])
+    if ws.family is Family.HAHN:
+        lattice = rising_row(-ws.N, total + 1)
+        head[0] = [h * lattice[total] / f for h, f in zip(head[0], lattice)]
+    signed_binomials = [[(-1) ** l * math.comb(nq, l) for l in range(nq + 1)] for nq in n]
+    coeffs = [Fraction(0)] * (total + 1)
     for lvec in itertools.product(*(range(nq + 1) for nq in n)):
         tails = _suffix_sums(lvec)
         term = Fraction(1)
         for q in range(p):
-            term *= pochhammer(-n[q], lvec[q]) / math.factorial(lvec[q])
-            term /= pochhammer(alpha[q] + 1, tails[q])
+            term *= signed_binomials[q][lvec[q]] * head[q][tails[q]]
             if q < p - 1:
-                term *= pochhammer(alpha[q] + n[q] + 1, tails[q + 1])
-            if ws.family is not Family.LAGUERRE_FIRST_KIND:
-                term *= pochhammer(alpha[q] + ws.beta + prefix[q] + 1, tails[q])
-                if q < p - 1:
-                    term /= pochhammer(alpha[q] + ws.beta + prefix[q] + 1, tails[q + 1])
-        if ws.family is Family.HAHN:
-            term *= pochhammer(Fraction(-ws.N), total_degree(n)) / pochhammer(Fraction(-ws.N), tails[0])
+                term *= tail[q][tails[q + 1]]
         coeffs[tails[0]] += term
     return coeffs
 
@@ -280,30 +291,34 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int, x: int) -> Fracti
     return prefactor * series
 
 
-def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex, x: int) -> Fraction:
-    """Weighted type II lattice value via its terminating series, exactly.
+def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fraction, ...]:
+    """Weighted type II lattice values at x = 0..N via their terminating series, exactly.
 
-    Returns the rational r with Q(x) * Gamma(N-x+beta+1)/Gamma(N-x+1) equal
-    to r * Gamma(beta+1); equivalently r = Q(x) * (beta+1)_{N-x} / (N-x)!.
+    Entry x is the rational r with Q(x) * Gamma(N-x+beta+1)/Gamma(N-x+1)
+    equal to r * Gamma(beta+1); equivalently r = Q(x) * (beta+1)_{N-x} / (N-x)!.
+    It is the prefactor times sum_{l<=x} (-x)_l/l! c_l, where (-x)_l/l! is
+    (-1)^l C(x, l) and c_l = (-beta-|n|)_l/(-beta-N)_l prod_i
+    (alpha_i+n_i+1)_l/(alpha_i+1)_l does not depend on x: prefactor and c_l
+    are built once, c_l by its term ratio.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws.validate_index(n)
-    if not 0 <= x <= ws.N:
-        raise AdmissibilityError(f"x = {x} outside the lattice")
     total = total_degree(n)
     prefactor = Fraction(-1) ** total * pochhammer(ws.beta + 1, ws.N) / math.factorial(ws.N - total)
     for i in range(ws.p):
         prefactor *= pochhammer(ws.alpha[i] + 1, n[i])
         prefactor /= pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
-    value = Fraction(0)
-    for l in range(min(x, ws.N) + 1):
-        term = pochhammer(Fraction(-x), l) / math.factorial(l)
-        term *= pochhammer(-ws.beta - total, l) / pochhammer(-ws.beta - Fraction(ws.N), l)
+    series = [Fraction(1)]
+    for l in range(ws.N):
+        ratio = (-ws.beta - total + l) / (-ws.beta - ws.N + l)
         for i in range(ws.p):
-            term *= pochhammer(ws.alpha[i] + n[i] + 1, l) / pochhammer(ws.alpha[i] + 1, l)
-        value += term
-    return prefactor * value
+            ratio *= (ws.alpha[i] + n[i] + 1 + l) / (ws.alpha[i] + 1 + l)
+        series.append(series[-1] * ratio)
+    return tuple(
+        prefactor * sum(((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1])), Fraction(0))
+        for x in range(ws.N + 1)
+    )
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial | None = None) -> bool:

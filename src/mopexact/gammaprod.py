@@ -71,6 +71,19 @@ def pochhammer(a, n: int) -> Fraction:
     return Fraction(q**-n, den)
 
 
+def rising_row(a, length: int) -> list[Fraction]:
+    """(a)_0, (a)_1, ..., (a)_{length-1}: each entry is the one before times a + j."""
+    a = as_fraction(a)
+    p, q = a.numerator, a.denominator
+    row = []
+    num = den = 1
+    for j in range(length):
+        row.append(Fraction(num, den))
+        num *= p + j * q
+        den *= q
+    return row
+
+
 def gamma_ratio(a, m: int) -> Fraction:
     """Gamma(a+m)/Gamma(a) as an exact rational; equals pochhammer(a, m).
 

@@ -165,10 +165,14 @@ def eval_kdf(spec: KampeDeFerietSpec) -> Fraction:
     return total
 
 
-def check_chu_vandermonde(a, b, n: int) -> bool:
-    """(a+b)_n == sum_k C(n,k) (a)_k (b)_{n-k}, exactly."""
+def check_chu_vandermonde(a, b, n) -> bool:
+    """(a+b)_n == sum_k C(n,k) (a)_k (b)_{n-k}, exactly; n must be a nonnegative integer."""
     a = as_fraction(a)
     b = as_fraction(b)
+    order = as_fraction(n)
+    if order.denominator != 1 or order < 0:
+        raise ValueError(f"chu-vandermonde order must be a nonnegative integer, got {order}")
+    n = order.numerator
     rhs = sum(Fraction(math.comb(n, k)) * pochhammer(a, k) * pochhammer(b, n - k) for k in range(n + 1))
     return pochhammer(a + b, n) == rhs
 

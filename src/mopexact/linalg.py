@@ -1,51 +1,52 @@
 """Exact dense linear solves and interpolation over the rationals.
 
-Arithmetic is exact, so any nonsingular pivoting strategy is correct; we
-pivot on the entry of smallest integer height (max of |numerator| and
-denominator) to keep intermediate fractions small.
+Linear systems are solved fraction-free (Bareiss 1968): each row is scaled
+to integers, every elimination step divides exactly by the previous pivot,
+and back substitution runs in integers against the last pivot, which is the
+determinant of the scaled system.  Arithmetic is exact, so any nonsingular
+pivoting strategy is correct; we pivot on the nonzero entry of smallest
+magnitude.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import SingularSystemError
 
 
-def _height(x: Fraction) -> int:
-    return max(abs(x.numerator), x.denominator)
-
-
 def solve_linear_system(matrix, rhs) -> list[Fraction]:
-    """Solve A x = b exactly by Gaussian elimination with height pivoting."""
+    """Solve A x = b exactly by fraction-free Gaussian elimination."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system must be square with a matching right-hand side")
-    a = [[Fraction(v) for v in row] for row in matrix]
-    b = [Fraction(v) for v in rhs]
+    a = []
+    for row, b in zip(matrix, rhs):
+        entries = [Fraction(v) for v in (*row, b)]
+        scale = math.lcm(*(v.denominator for v in entries))
+        a.append([v.numerator * (scale // v.denominator) for v in entries])
+    prev = 1
     for col in range(n):
-        candidates = [r for r in range(col, n) if a[r][col] != 0]
+        candidates = [r for r in range(col, n) if a[r][col]]
         if not candidates:
             raise SingularSystemError(f"no pivot in column {col}")
-        pivot_row = min(candidates, key=lambda r: _height(a[r][col]))
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
+        pivot_row = min(candidates, key=lambda r: abs(a[r][col]))
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col]
+        p = pivot[col]
         for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        for c in range(row + 1, n):
-            acc -= a[row][c] * x[c]
-        x[row] = acc / a[row][row]
-    return x
+            row = a[r]
+            f = row[col]
+            row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], pivot[col + 1:])]
+        prev = p
+    # prev is now the determinant of the scaled system, so det * x is integral (Cramer)
+    num = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        acc = prev * row[n] - sum(row[c] * num[c] for c in range(r + 1, n))
+        num[r] = acc // row[r]
+    return [Fraction(v, prev) for v in num]
 
 
 def interpolate(points) -> tuple[Fraction, ...]:

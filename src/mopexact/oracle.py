@@ -15,18 +15,21 @@ exactly iff its rational cofactor is zero.
 Every Hahn lattice sum is one :func:`lattice_sum` of value vectors on
 {0, ..., N}: ``ws.weight_table`` rows, ``lattice_table`` basis rows and
 ``poly.lattice_values``.  The tables live on the weight system and the
-polynomial that own them and last only as long as those objects.
+polynomial that own them and last only as long as those objects.  Every
+continuous moment pairing reads power-moment rows (:func:`_moment_rows`)
+built once per check or solve.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer
+from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer, rising_row
 from .hyper import pfq
 from .linalg import solve_linear_system
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, lattice_table
@@ -46,13 +49,26 @@ def lattice_sum(*vectors) -> Fraction:
     return sum(map(math.prod, zip(*vectors, strict=True)), Fraction(0))
 
 
-def _monomial_moment_rational(ws: WeightSystem, i: int, j: int) -> Fraction:
-    """Rational cofactor of the j-th power moment of weight i."""
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        return pochhammer(ws.alpha[i] + 1, j)
+def _moment_row(ws: WeightSystem, i: int, length: int) -> list[Fraction]:
+    """Rational cofactors of the power moments j < length of continuous weight i.
+
+    (alpha_i+1)_j for Laguerre and (alpha_i+1)_j / (alpha_i+beta+2)_j for
+    Jacobi-Pineiro, both against the gamma factor of :func:`_moment_gamma`.
+    """
+    row = rising_row(ws.alpha[i] + 1, length)
     if ws.family is Family.JACOBI_PINEIRO:
-        return pochhammer(ws.alpha[i] + 1, j) / pochhammer(ws.alpha[i] + ws.beta + 2, j)
-    return moment(ws, i, Basis.monomial(), j).rational
+        row = [m / d for m, d in zip(row, rising_row(ws.alpha[i] + ws.beta + 2, length))]
+    return row
+
+
+def _moment_rows(ws: WeightSystem, length: int) -> list[list[Fraction]]:
+    """:func:`_moment_row` for every weight, built once per check or solve."""
+    return [_moment_row(ws, i, length) for i in range(ws.p)]
+
+
+def _power_pairing(coefficients, moments, j: int) -> Fraction:
+    """sum_k c_k m_{j+k}: a monomial-basis polynomial times x^j against one moment row."""
+    return sum(map(operator.mul, coefficients, moments[j:]), Fraction(0))
 
 
 def _moment_gamma(ws: WeightSystem, i: int) -> GammaProduct:
@@ -79,7 +95,7 @@ def moment(ws: WeightSystem, i: int, basis: Basis, j: int) -> MomentValue:
         return MomentValue(value, GammaProduct.one())
     if basis.kind is not BasisKind.MONOMIAL:
         raise PreconditionError("continuous families take moments in the monomial basis")
-    return MomentValue(_monomial_moment_rational(ws, i, j), _moment_gamma(ws, i))
+    return MomentValue(_moment_row(ws, i, j + 1)[j], _moment_gamma(ws, i))
 
 
 def hahn_moment_closed(ws: WeightSystem, i: int, l: int, j: int) -> Fraction:
@@ -158,13 +174,10 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
+        moments = _moment_rows(ws, max(n) + len(poly.coefficients) - 1)
         for i in range(ws.p):
             for j in range(n[i]):
-                value = sum(
-                    (c * _monomial_moment_rational(ws, i, j + k) for k, c in enumerate(poly.coefficients)),
-                    Fraction(0),
-                )
-                residuals[(i, j)] = value * scale_rational
+                residuals[(i, j)] = _power_pairing(poly.coefficients, moments[i], j) * scale_rational
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, None, None)
 
 
@@ -189,6 +202,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fract
         basis = Basis.backward_pochhammer(ws.beta, ws.N)
         return [lattice_sum(row, form) for row in lattice_table(basis, rows - 1, ws.N)]
     totals = [Fraction(0)] * rows
+    moments = _moment_rows(ws, rows + max(len(comp.coefficients) for comp in vec.components) - 1)
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
@@ -196,10 +210,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fract
             raise PreconditionError("continuous type I components live in the monomial basis")
         factor = _scale_reduction(ws, comp.scale, i)
         for j in range(rows):
-            totals[j] += factor * sum(
-                (c * _monomial_moment_rational(ws, i, j + k) for k, c in enumerate(comp.coefficients)),
-                Fraction(0),
-            )
+            totals[j] += factor * _power_pairing(comp.coefficients, moments[i], j)
     return totals
 
 
@@ -241,13 +252,14 @@ def check_biorthogonality(ws: WeightSystem, n: MultiIndex, m: MultiIndex) -> boo
     if ws.family is Family.HAHN:
         return lattice_sum(poly.lattice_values(ws.N), _hahn_linear_form(ws, vec)) == expected
     total = Fraction(0)
+    width = max(len(comp.coefficients) for comp in vec.components)
+    moments = _moment_rows(ws, width + len(poly.coefficients) - 1)
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
         factor = _scale_reduction(ws, comp.scale, i)
         for k, ck in enumerate(comp.coefficients):
-            for t, bt in enumerate(poly.coefficients):
-                total += factor * ck * bt * _monomial_moment_rational(ws, i, k + t)
+            total += factor * ck * _power_pairing(poly.coefficients, moments[i], k)
     return total == expected
 
 
@@ -278,10 +290,11 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     else:
         basis = Basis.monomial()
         lead = Fraction(1)
+        moments = _moment_rows(ws, max(n) + total)
         for i in range(ws.p):
             for j in range(n[i]):
-                rows.append([_monomial_moment_rational(ws, i, j + k) for k in range(total)])
-                rhs.append(-_monomial_moment_rational(ws, i, j + total))
+                rows.append(moments[i][j:j + total])
+                rhs.append(-moments[i][j + total])
     solution = solve_linear_system(rows, rhs)
     return ScaledPolynomial(basis, tuple(solution) + (lead,))
 
@@ -304,8 +317,9 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
             rhs.append(Fraction(-1) ** (total - 1) if j == total - 1 else Fraction(0))
     else:
         factors = [_scale_reduction(ws, families.type1_scale(ws, i, total), i) for i in range(ws.p)]
+        moments = _moment_rows(ws, total + max(n) - 1)
         for j in range(total):
-            rows.append([factors[i] * _monomial_moment_rational(ws, i, j + k) for i, k in unknowns])
+            rows.append([factors[i] * moments[i][j + k] for i, k in unknowns])
             rhs.append(Fraction(1) if j == total - 1 else Fraction(0))
     solution = solve_linear_system(rows, rhs)
     per_component: dict[int, list[Fraction]] = {i: [] for i in range(ws.p)}
@@ -343,18 +357,17 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, s, poly: ScaledPolynomia
     total = total_degree(n)
     sign = Fraction(-1) ** total
     if ws.family is Family.LAGUERRE_FIRST_KIND:
-        lhs = sum(
-            (c * pochhammer(s, k) for k, c in enumerate(poly.monomial_coefficients())),
-            Fraction(0),
-        )
+        coefficients = poly.monomial_coefficients()
+        lhs = sum(map(operator.mul, coefficients, rising_row(s, len(coefficients))), Fraction(0))
         rhs = sign
         for i in range(ws.p):
             rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i])
         return lhs == rhs
     if ws.family is Family.JACOBI_PINEIRO:
+        coefficients = poly.monomial_coefficients()
         lhs = Fraction(0)
-        for k, c in enumerate(poly.monomial_coefficients()):
-            lhs += c * pochhammer(s, k) * pochhammer(s + k + ws.beta + 1, total - k)
+        for k, (c, rising) in enumerate(zip(coefficients, rising_row(s, len(coefficients)))):
+            lhs += c * rising * pochhammer(s + k + ws.beta + 1, total - k)
         rhs = sign * pochhammer(ws.beta + 1, total)
         for i in range(ws.p):
             rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i]) / pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])

@@ -147,8 +147,8 @@ class ScaledPolynomial:
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient list in the monomial basis (scale untouched)."""
-        if not self.coefficients:
-            return ()
+        if self.basis.kind is BasisKind.MONOMIAL:
+            return self.coefficients
         out = [Fraction(0)] * len(self.coefficients)
         for k, c in enumerate(self.coefficients):
             if c == 0:

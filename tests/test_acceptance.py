@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
+import mopexact
 from mopexact import (
     check_chu_vandermonde,
     check_discrete_mellin_inversion,
@@ -190,14 +192,17 @@ def test_criterion_8_cross_formula_agreement():
 def test_criterion_9_fault_injection_not_vacuous():
     base = [sys.executable, "-m", "mopexact.cli", "verify",
             "--max-total-degree", "2", "--max-N", "4"]
-    clean = subprocess.run(base, capture_output=True, text=True)
+    # the child imports the same mopexact as this process, also under a bare `pytest`
+    src = os.path.dirname(os.path.dirname(mopexact.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    clean = subprocess.run(base, capture_output=True, text=True, env=env)
     ok = clean.returncode == 0
     core_checks = {
         "type1_orthogonality", "type2_orthogonality", "type1_oracle_match",
         "type2_oracle_match", "residue_duality", "series_equivalence",
     }
     for fault in ("t2:0", "t2:1", "t1:0:0"):
-        faulty = subprocess.run(base + ["--inject-fault", fault], capture_output=True, text=True)
+        faulty = subprocess.run(base + ["--inject-fault", fault], capture_output=True, text=True, env=env)
         ok &= faulty.returncode == 1
         payload = json.loads(faulty.stdout)
         tripped = {

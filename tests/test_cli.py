@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from mopexact import families
+from mopexact import families, oracle
 from mopexact.cli import main
-from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance
+from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance, weight_system
 from conftest import laguerre_ws
 
 F = Fraction
@@ -54,6 +54,28 @@ class TestDriver:
         assert result["pass"]
         assert "kdf_cross_formula" in result["checks"]
         assert "summation_identity" in result["checks"]
+
+    def test_continuous_degree_six_digest(self):
+        # golden output past the default grid: |n| <= 6 reaches 6 x 6 oracle
+        # solves that need row swaps; records and oracle solutions must not move
+        instances = iter_instances(["laguerre1", "jacobi-pineiro"], 6, 0)
+        records = sorted((run_instance(i) for i in instances), key=lambda r: r["instance"])
+        assert len(records) == 82 and all(r["pass"] for r in records)
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "c32cfb3fc666998ed905d51ec1324ba08d380a9fbb2a07270c575e7423993879"
+        )
+        solutions = []
+        for instance in instances:
+            ws, n = weight_system(instance), tuple(instance["n"])
+            solutions.append([str(c) for c in oracle.oracle_solve_type2(ws, n).coefficients])
+            solutions.append([
+                [str(c) for c in comp.coefficients] for comp in oracle.oracle_solve_type1(ws, n).components
+            ])
+        text = json.dumps(solutions, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "7a654e52042e3ced27b21a2227e66ad824492d072f4f14ca3ec6be73258c626d"
+        )
 
 
 class TestCoeffsCommand:
@@ -102,6 +124,18 @@ class TestCoeffsCommand:
 
 
 class TestEvalCommand:
+    @pytest.mark.parametrize("spaced, joined", [
+        (("--family", "laguerre1", "--alpha", "-1/2", "--n", "1", "--x", "1"),
+         ("--family", "laguerre1", "--alpha=-1/2", "--n", "1", "--x", "1")),
+        (("--family", "jacobi-pineiro", "--alpha", "1/3", "--beta", "-1/2", "--n", "1", "--x", "1/2"),
+         ("--family", "jacobi-pineiro", "--alpha", "1/3", "--beta=-1/2", "--n", "1", "--x", "1/2")),
+    ])
+    def test_negative_rational_option_value(self, capsys, spaced, joined):
+        # exponents above -1 are admissible, so "--alpha -1/2" must parse like "--alpha=-1/2"
+        code, out = run_cli(capsys, "eval", *joined)
+        assert code == 0 and '"-1/2"' in out
+        assert run_cli(capsys, "eval", *spaced) == (0, out)
+
     def test_root_evaluates_to_zero(self, capsys):
         code, out = run_cli(
             capsys, "eval", "--family", "hahn", "--alpha", "1/2", "--beta", "1/4",
@@ -209,6 +243,19 @@ class TestIdentityCommand:
         assert code == 2
         payload = json.loads(out)
         assert payload["kind"] == "ValueError" and "5 --params" in payload["error"]
+
+    @pytest.mark.parametrize("order", ["5/2", "-2"])
+    def test_chu_vandermonde_order_checked(self, capsys, order):
+        # a non-integer or negative order is an input error, not a silent truncation
+        code, out = run_cli(capsys, "identity", "--name", "chu-vandermonde", "--params", f"1/2,1/3,{order}")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and "nonnegative integer" in payload["error"]
+
+    def test_chu_vandermonde_integer_order(self, capsys):
+        code, out = run_cli(capsys, "identity", "--name", "chu-vandermonde", "--params", "1/2,1/3,4")
+        assert code == 0
+        assert json.loads(out)["results"] == [{"ok": True, "params": ["1/2", "1/3", "4"]}]
 
     def test_hahn_summation_grid(self, capsys):
         code, out = run_cli(

@@ -194,14 +194,14 @@ class TestHahnWeightedSeries:
     def test_at_zero_is_prefactor(self):
         ws = hahn_ws(2, 4)
         n = (1, 1)
-        value = hahn_type2_weighted_series(ws, n, 0)
+        value = hahn_type2_weighted_series(ws, n)[0]
         poly = hahn_type2(ws, n)
         assert value == poly.rational_value(0) * pochhammer(ws.beta + 1, ws.N) / math.factorial(ws.N)
 
     def test_zero_index_weight_factor(self):
         ws = hahn_ws(1, 3)
         for x in range(4):
-            value = hahn_type2_weighted_series(ws, (0,), x)
+            value = hahn_type2_weighted_series(ws, (0,))[x]
             assert value == pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
 
     def test_cross_check_against_direct_values(self):
@@ -210,7 +210,14 @@ class TestHahnWeightedSeries:
         poly = hahn_type2(ws, n)
         x = 2
         expected = poly.rational_value(x) * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
-        assert hahn_type2_weighted_series(ws, n, x) == expected
+        assert hahn_type2_weighted_series(ws, n)[x] == expected
+
+    def test_every_lattice_point_matches_direct_values(self):
+        for n, N in (((1,), 3), ((2, 1), 5), ((1, 2, 1), 7), ((0, 3), 4)):
+            ws = hahn_ws(len(n), N)
+            values = hahn_type2(ws, n).lattice_values(N)
+            series = hahn_type2_weighted_series(ws, n)
+            assert series == tuple(v * f for v, f in zip(values, ws.beta_factors))
 
 
 class TestHahnJacobiPineiroRelation:

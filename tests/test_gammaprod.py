@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import GammaProduct, PoleError, gamma_ratio, log_gamma_approx, pochhammer
+from mopexact.gammaprod import rising_row
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
 small_ints = st.integers(-6, 8)
@@ -62,6 +63,14 @@ class TestPochhammer:
         except ZeroDivisionError:
             return
         assert lhs == rhs
+
+
+@given(a=st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), length=st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_rising_row_matches_pochhammer(a, length):
+    row = rising_row(a, length)
+    assert row == [pochhammer(a, j) for j in range(length)]
+    assert all(isinstance(v, Fraction) for v in row)
 
 
 class TestGammaRatio:

@@ -21,7 +21,8 @@ from mopexact import (
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import families, oracle
+from mopexact import GammaProduct, WeightSystem, families, oracle
+from mopexact.gammaprod import scaled_values_equal
 from mopexact.linalg import interpolate, solve_linear_system
 from mopexact.driver import compositions
 from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
@@ -87,6 +88,31 @@ class TestMoments:
                     for j in range(5):
                         assert oracle.hahn_moment_closed(ws, i, l, j) == \
                             hahn_moment_brute(ws, i, l, j)
+
+    @given(
+        alpha=st.builds(F, st.integers(-4, 30), st.just(5)),
+        beta=st.builds(F, st.integers(-6, 30), st.just(7)),
+        length=st.integers(0, 14),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_moment_rows_match_closed_forms(self, alpha, beta, length):
+        # int x^(alpha+j) e^-x = Gamma(alpha+j+1);
+        # int_0^1 x^(alpha+j) (1-x)^beta = Gamma(alpha+j+1) Gamma(beta+1) / Gamma(alpha+beta+j+2)
+        for ws in (WeightSystem.laguerre((alpha,)), WeightSystem.jacobi_pineiro((alpha,), beta)):
+            row = oracle._moment_row(ws, 0, length)
+            assert len(row) == length
+            for j, value in enumerate(row):
+                if ws.beta is None:
+                    closed = GammaProduct.gamma(alpha + j + 1)
+                    assert value == pochhammer(alpha + 1, j)
+                else:
+                    closed = GammaProduct.from_factors(
+                        [(alpha + j + 1, 1), (beta + 1, 1), (alpha + beta + j + 2, -1)]
+                    )
+                    assert value == pochhammer(alpha + 1, j) / pochhammer(alpha + beta + 2, j)
+                mv = moment(ws, 0, Basis.monomial(), j)
+                assert mv.rational == value
+                assert scaled_values_equal(mv.rational, mv.gamma, F(1), closed)
 
     def test_continuous_non_monomial_rejected(self):
         with pytest.raises(PreconditionError):
@@ -233,7 +259,7 @@ class TestDiscreteInversion:
 
     def test_weighted_type2_values(self):
         ws = hahn_ws(2, 5)
-        values = [families.hahn_type2_weighted_series(ws, (2, 1), x) for x in range(6)]
+        values = list(families.hahn_type2_weighted_series(ws, (2, 1)))
         assert check_discrete_mellin_inversion(ws, values)
 
     @given(st.integers(0, 8), st.data())

@@ -51,6 +51,13 @@ def test_monomial_expansion_matches_direct_value(x, k, basis):
     assert direct == expanded
 
 
+@given(coeffs=st.lists(rationals, max_size=9))
+@settings(max_examples=50, deadline=None)
+def test_monomial_coefficients_identity_on_monomial_basis(coeffs):
+    poly = ScaledPolynomial(Basis.monomial(), tuple(coeffs), GammaProduct.gamma(Fraction(3, 2)))
+    assert poly.monomial_coefficients() == poly.coefficients
+
+
 def test_falling_factorial_values():
     basis = Basis.falling_factorial()
     assert basis.element_value(3, 2) == 0          # (-2)(-1)(0)

@@ -130,7 +130,7 @@ class TestType2Residues:
                     normalized, leftover = (residual * beta_unit).reduce()
                     assert leftover.is_one()
                     acc += value * normalized * pochhammer(F(-x), k)
-                assert acc == families.hahn_type2_weighted_series(ws, n, x)
+                assert acc == families.hahn_type2_weighted_series(ws, n)[x]
 
 
 class TestInterpolationRecovery:
