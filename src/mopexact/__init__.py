@@ -65,11 +65,11 @@ from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, eval_pol
 from .residues import (
     LinearFormComponent,
     LinearFormValue,
+    check_residue_duality,
     interpolation_recover_p,
     recovered_constant_closed_form,
     type1_linear_form_residues,
     type2_residue_coefficient,
-    verify_ir_lemma,
     verify_type2_series_equivalence,
 )
 from .weights import Family, MultiIndex, WeightSystem, total_degree

@@ -46,7 +46,10 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
         * [Hahn] (-N)_{|n|} / (-N)_{T_1}
     attached to degree T_1 of the family basis.  Every factor is read from
     rows over T = 0..|n| built once per call: head[q][T] collects the
-    factors at T_q and tail[q][T] those at T_{q+1}.
+    factors at T_q and tail[q][T] those at T_{q+1}.  An idle weight
+    (n_q = 0) has l_q = 0, so T_q = T_{q+1} and its head and tail factors
+    cancel; they are left out, because (a_q + beta + S_q + 1)_T can vanish
+    there and make the cancellation a 0/0.
     """
     p = ws.p
     alpha = ws.alpha
@@ -54,6 +57,10 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
     prefix = list(itertools.accumulate(n))
     head, tail = [], []
     for q in range(p):
+        if n[q] == 0:
+            head.append([1] * (total + 1))
+            tail.append([1] * (total + 1))
+            continue
         down = rising_row(alpha[q] + 1, total + 1)
         up = rising_row(alpha[q] + n[q] + 1, total + 1)
         if ws.family is Family.LAGUERRE_FIRST_KIND:

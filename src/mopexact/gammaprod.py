@@ -178,11 +178,6 @@ class GammaProduct:
             return Fraction(0), GammaProduct.one()
         return rational, GammaProduct(tuple(sorted(residual)))
 
-    def reduced_equal(self, other: "GammaProduct") -> bool:
-        r1, h1 = self.reduce()
-        r2, h2 = other.reduce()
-        return r1 == r2 and h1.factors == h2.factors
-
     def log_value(self, digits: int = 17):
         """Sum of exponent * log Gamma(argument) as an mpmath float (float path)."""
         with mpmath.workdps(digits + 10):

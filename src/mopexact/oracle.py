@@ -341,6 +341,21 @@ def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
     return [ws.alpha[i] + k for i in range(ws.p) for k in range(1, n[i] + 1)]
 
 
+def _jacobi_pineiro_mellin_lhs(coefficients, s: Fraction, beta: Fraction, total: int) -> Fraction:
+    """sum_k c_k (s)_k (s+beta+1+k)_{|n|-k}, the moment-reduced Jacobi-Pineiro transform.
+
+    (s+beta+1+k)_{|n|-k} is built backwards from the last k, one multiply
+    per step: (s+beta+k)_{|n|-k+1} = (s+beta+k) (s+beta+1+k)_{|n|-k}.
+    """
+    tail = pochhammer(s + beta + len(coefficients), total + 1 - len(coefficients))
+    rising = rising_row(s, len(coefficients))
+    lhs = Fraction(0)
+    for k in reversed(range(len(coefficients))):
+        lhs += coefficients[k] * rising[k] * tail
+        tail *= s + beta + k
+    return lhs
+
+
 def check_mellin_type2(ws: WeightSystem, n: MultiIndex, s, poly: ScaledPolynomial | None = None) -> bool:
     """Moment-reduced transform of the weighted type II polynomial vs its closed form.
 
@@ -364,10 +379,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, s, poly: ScaledPolynomia
             rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i])
         return lhs == rhs
     if ws.family is Family.JACOBI_PINEIRO:
-        coefficients = poly.monomial_coefficients()
-        lhs = Fraction(0)
-        for k, (c, rising) in enumerate(zip(coefficients, rising_row(s, len(coefficients)))):
-            lhs += c * rising * pochhammer(s + k + ws.beta + 1, total - k)
+        lhs = _jacobi_pineiro_mellin_lhs(poly.monomial_coefficients(), s, ws.beta, total)
         rhs = sign * pochhammer(ws.beta + 1, total)
         for i in range(ws.p):
             rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i]) / pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])

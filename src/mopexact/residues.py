@@ -9,6 +9,13 @@ type II inverse transforms have simple poles at the nonpositive integers
 Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term.
 
+Everything that does not depend on the sample point x or the expansion
+order k is built once per instance: the type I pole-sum terms carry their
+pole weights, prefactors and residual (:func:`_type1_pole_terms`), and the
+type II residue and series coefficients come as rows over k = 0..k_max
+(:func:`_type2_residue_row`, :func:`_type2_series_row`).  The per-point and
+per-order public functions read the same terms and rows.
+
 Normalization data: interpolating the per-pole values of a type I vector
 recovers the polynomial factor of the integrand, which the orthogonality
 conditions force to be constant; the closed forms of those constants are
@@ -23,25 +30,10 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, as_fraction, pochhammer, scaled_values_equal
-from .hyper import series_term
+from .gammaprod import GammaProduct, pochhammer, rising_row, scaled_values_equal
 from .linalg import interpolate
-from .polybasis import BasisKind, TypeIVector
+from .polybasis import BasisKind, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
-
-
-@dataclass(frozen=True)
-class ResiduePole:
-    """A pole of a type I integrand: t = alpha_i + offset.
-
-    Every pole is simple (order 1): non-integer alpha differences keep the
-    denominator factors from colliding.
-    """
-
-    weight_index: int
-    offset: int
-    location: Fraction
-    order: int = 1
 
 
 @dataclass(frozen=True)
@@ -68,14 +60,16 @@ class LinearFormValue:
         return self.components[i]
 
 
-def enumerate_poles(ws: WeightSystem, n: MultiIndex) -> list[ResiduePole]:
-    """The |n| simple poles t = alpha_i + k, k = 0..n_i-1."""
-    ws.validate_index(n, type_one=True)
-    return [
-        ResiduePole(i, k, ws.alpha[i] + k)
-        for i in range(ws.p)
-        for k in range(n[i])
-    ]
+def _scaled_rows_equal(left, left_gamma: GammaProduct, right, right_gamma: GammaProduct) -> bool:
+    """:func:`scaled_values_equal` entry by entry for two rows with one gamma factor each.
+
+    The gamma quotient is reduced once for the whole row.
+    """
+    quotient, leftover = (left_gamma / right_gamma).reduce()
+    return all(
+        a == b if a == 0 or b == 0 else leftover.is_one() and a * quotient == b
+        for a, b in zip(left, right, strict=True)
+    )
 
 
 def _pole_weight(ws: WeightSystem, n: MultiIndex, i: int, k: int) -> Fraction:
@@ -90,15 +84,16 @@ def _pole_weight(ws: WeightSystem, n: MultiIndex, i: int, k: int) -> Fraction:
     return value
 
 
-def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearFormValue:
-    """Type I linear form value as the exact sum over its pole set.
+def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fraction], GammaProduct]]:
+    """Per component i: the residues at t = alpha_i + k, k < n_i, and the residual.
 
-    Component i collects the poles sitting on alpha_i; its residual is the
-    same canonical gamma scale the direct generators carry, so the two
-    routes compare componentwise.
+    Term k has the pole weight, the family prefactor and every other
+    x-independent factor folded in; it multiplies x**k for the continuous
+    families and (alpha_i+1+k)_x for Hahn (:func:`_pole_sum`).  The residual
+    is the same canonical gamma scale the direct generators carry, so the
+    two routes compare componentwise.
     """
     ws.validate_index(n, type_one=True)
-    x = ws.check_point(x)
     total = total_degree(n)
     alpha, beta = ws.alpha, ws.beta
 
@@ -120,28 +115,66 @@ def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearForm
             for j in range(ws.p):
                 if j != i:
                     comp_prefactor *= pochhammer(alpha[j] + beta + total, n[j])
-        acc = Fraction(0)
+        terms = []
         for k in range(n[i]):
-            term = _pole_weight(ws, n, i, k)
+            term = comp_prefactor * _pole_weight(ws, n, i, k)
             if ws.family is Family.LAGUERRE_FIRST_KIND:
                 term /= pochhammer(alpha[i] + 1, k)
-                term *= x**k
             elif ws.family is Family.JACOBI_PINEIRO:
                 term *= pochhammer(alpha[i] + beta + total, k) / pochhammer(alpha[i] + 1, k)
-                term *= x**k
             else:
                 # (a)_{n_i} Gamma(a+k) / Gamma(a+k+N+2-|n|) with the vanishing
                 # boundary a = alpha_i+beta+|n| = 0 cancelled exactly
                 shifted = alpha[i] + beta + total
                 term *= pochhammer(shifted, k)
                 term /= pochhammer(shifted + n[i], ws.N + 2 - total + k - n[i])
-                term *= pochhammer(alpha[i] + 1 + k, x.numerator)
-            acc += term
-        components.append(LinearFormComponent(
-            i, comp_prefactor * acc,
-            GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total),
-        ))
-    return LinearFormValue(x, tuple(components))
+            terms.append(term)
+        residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
+        components.append((terms, residual))
+    return components
+
+
+def _pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fraction:
+    """Component i of the residue route at x: the terms against their x-dependent factors."""
+    if ws.family is Family.HAHN:
+        m = x.numerator
+        return sum((t * pochhammer(ws.alpha[i] + 1 + k, m) for k, t in enumerate(terms)), Fraction(0))
+    return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
+
+
+def _direct_scale(ws: WeightSystem, comp: ScaledPolynomial) -> tuple[Fraction, GammaProduct]:
+    """Rational factor and residual of a direct component: its scale's rational for Hahn."""
+    if ws.family is not Family.HAHN:
+        return Fraction(1), comp.scale
+    scale_rational, leftover = comp.scale.reduce()
+    if not leftover.is_one():
+        raise IrreducibleGammaError("Hahn type I scales are rational")
+    return scale_rational, GammaProduct.one()
+
+
+def _direct_value(ws: WeightSystem, i: int, comp: ScaledPolynomial, x: Fraction) -> Fraction:
+    """Component i of the direct route at x before its scale: A_i(x), times (alpha_i+1)_x for Hahn."""
+    if not comp.coefficients:
+        return Fraction(0)
+    if ws.family is Family.HAHN:
+        m = x.numerator
+        return comp.lattice_values(ws.N)[m] * pochhammer(ws.alpha[i] + 1, m)
+    return comp.rational_value(x)
+
+
+def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearFormValue:
+    """Type I linear form value as the exact sum over its pole set.
+
+    Component i collects the poles sitting on alpha_i; its residual is the
+    same canonical gamma scale the direct generators carry, so the two
+    routes compare componentwise.
+    """
+    poles = _type1_pole_terms(ws, n)
+    x = ws.check_point(x)
+    return LinearFormValue(x, tuple(
+        LinearFormComponent(i, _pole_sum(ws, i, terms, x), residual)
+        for i, (terms, residual) in enumerate(poles)
+    ))
 
 
 def type1_direct_decomposition(ws: WeightSystem, n: MultiIndex, x, vector: TypeIVector | None = None) -> LinearFormValue:
@@ -152,15 +185,8 @@ def type1_direct_decomposition(ws: WeightSystem, n: MultiIndex, x, vector: TypeI
         vector = families.type1(ws, n)
     components = []
     for i, comp in enumerate(vector.components):
-        value = comp.rational_value(x) if comp.coefficients else Fraction(0)
-        if ws.family is Family.HAHN:
-            scale_rational, leftover = comp.scale.reduce()
-            if not leftover.is_one():
-                raise IrreducibleGammaError("Hahn type I scales are rational")
-            value *= scale_rational * pochhammer(ws.alpha[i] + 1, x.numerator)
-            components.append(LinearFormComponent(i, value, GammaProduct.one()))
-        else:
-            components.append(LinearFormComponent(i, value, comp.scale))
+        factor, residual = _direct_scale(ws, comp)
+        components.append(LinearFormComponent(i, factor * _direct_value(ws, i, comp, x), residual))
     return LinearFormValue(x, tuple(components))
 
 
@@ -174,6 +200,113 @@ def linear_form_values_equal(a: LinearFormValue, b: LinearFormValue) -> bool:
     )
 
 
+def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
+    """Residue route == direct route of the type I linear form at every point.
+
+    The pole-sum terms and each component's residual-over-scale quotient
+    are built once; every point then costs one pole sum and one value of
+    the vector per component.
+    """
+    poles = _type1_pole_terms(ws, n)
+    points = [ws.check_point(x) for x in points]
+    if len(vec.components) != len(poles):
+        return False
+    for i, ((terms, residual), comp) in enumerate(zip(poles, vec.components)):
+        factor, direct_residual = _direct_scale(ws, comp)
+        if not _scaled_rows_equal(
+            [_pole_sum(ws, i, terms, x) for x in points], residual,
+            [factor * _direct_value(ws, i, comp, x) for x in points], direct_residual,
+        ):
+            return False
+    return True
+
+
+def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
+    """Residues of the type II inverse-transform integrand at its poles k = 0..k_max.
+
+    Entry k is a rational against the returned gamma product: empty for
+    the continuous families, Gamma(beta+1) for Hahn, whose pole carries
+    Gamma(beta+|n|+1) Gamma(beta+N+1-k) / Gamma(beta+|n|+1-k); against
+    Gamma(beta+1) that is the rational q_k with q_0 = (beta+1)_N and
+    q_{k+1} = q_k (beta+|n|-k) / (beta+N-k).  (alpha_i+1+k)_{n_i} is
+    row[k+n_i] / row[k] of one rising row per weight, and the scalar
+    (-1)^k/k! [times (beta+|n|+1-k)_k for Jacobi-Pineiro; 1/k! times q_k
+    for Hahn] advances by its one-step ratio.
+    """
+    total = total_degree(n)
+    alpha, beta = ws.alpha, ws.beta
+    lead = Fraction(-1) ** total
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        for i in range(ws.p):
+            lead /= pochhammer(alpha[i] + beta + total + 1, n[i])
+    if ws.family is Family.HAHN:
+        lead *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
+    leads = [lead]
+    for k in range(k_max):
+        if ws.family is Family.LAGUERRE_FIRST_KIND:
+            step = Fraction(-1, k + 1)
+        elif ws.family is Family.JACOBI_PINEIRO:
+            step = -(beta + total - k) / (k + 1)
+        else:
+            step = (beta + total - k) / ((k + 1) * (beta + ws.N - k))
+        leads.append(leads[-1] * step)
+    rows = [rising_row(alpha[i] + 1, k_max + n[i] + 1) for i in range(ws.p)]
+    values = []
+    for k, value in enumerate(leads):
+        for row, ni in zip(rows, n):
+            value *= row[k + ni] / row[k]
+        values.append(value)
+    gamma = GammaProduct.gamma(beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
+    return values, gamma
+
+
+def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
+    """Terms k = 0..k_max of the hypergeometric series form of the same expansion.
+
+    Independent route: the series parameters come straight from the
+    weighted expansions, never through the residue formulas.  The
+    prefactor is computed once and each term is the one before times the
+    term ratio.  A zero numerator factor ends the series with zeros; a zero
+    denominator factor under a nonzero numerator raises PoleError.
+    """
+    total = total_degree(n)
+    alpha, beta = ws.alpha, ws.beta
+    prefactor = Fraction(-1) ** total
+    for i in range(ws.p):
+        prefactor *= pochhammer(alpha[i] + 1, n[i])
+    numerators = [a + ni + 1 for a, ni in zip(alpha, n)]
+    denominators = [a + 1 for a in alpha]
+    argument = -1 if ws.family is Family.LAGUERRE_FIRST_KIND else 1
+    gamma = GammaProduct.one()
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        for i in range(ws.p):
+            prefactor /= pochhammer(alpha[i] + beta + total + 1, n[i])
+        numerators.append(-beta - total)
+    if ws.family is Family.HAHN:
+        prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
+        denominators.append(-beta - ws.N)
+        gamma = GammaProduct.gamma(beta + 1)
+    row = [prefactor]
+    for k in range(k_max):
+        top = argument * math.prod(a + k for a in numerators)
+        if top == 0:
+            row.extend([Fraction(0)] * (k_max - k))
+            break
+        bottom = (k + 1) * math.prod(d + k for d in denominators)
+        if bottom == 0:
+            raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
+        row.append(row[-1] * top / bottom)
+    return row, gamma
+
+
+def _check_order(ws: WeightSystem, n: MultiIndex, k: int) -> None:
+    ws.validate_index(n)
+    if k < 0:
+        raise AdmissibilityError("pole index must be nonnegative")
+    if ws.family is Family.HAHN and k > ws.N:
+        raise AdmissibilityError(f"the Hahn pole set is {{0,...,{ws.N}}}; no pole at index {k}")
+
+
 def type2_residue_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[Fraction, GammaProduct]:
     """Residue of the type II inverse-transform integrand at its k-th pole.
 
@@ -181,79 +314,30 @@ def type2_residue_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[
     function: against x^k for the continuous families (any k >= 0), against
     (-x)_k for Hahn (k <= N only; the pole set is finite).  Returned as a
     rational times a residual gamma product (empty except for the Hahn
-    beta-class factor).
+    beta-class factor Gamma(beta+1)).  Entry k of :func:`_type2_residue_row`.
     """
-    ws.validate_index(n)
-    if k < 0:
-        raise AdmissibilityError("pole index must be nonnegative")
-    total = total_degree(n)
-    alpha, beta = ws.alpha, ws.beta
-    sign = Fraction(-1) ** total
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        value = sign * Fraction(-1) ** k / math.factorial(k)
-        for i in range(ws.p):
-            value *= pochhammer(alpha[i] + 1 + k, n[i])
-        return value, GammaProduct.one()
-    if ws.family is Family.JACOBI_PINEIRO:
-        value = sign * Fraction(-1) ** k / math.factorial(k)
-        value *= pochhammer(beta + total + 1 - k, k)
-        for i in range(ws.p):
-            value *= pochhammer(alpha[i] + 1 + k, n[i]) / pochhammer(alpha[i] + beta + total + 1, n[i])
-        return value, GammaProduct.one()
-    if k > ws.N:
-        raise AdmissibilityError(f"the Hahn pole set is {{0,...,{ws.N}}}; no pole at index {k}")
-    value = sign / (math.factorial(k) * math.factorial(ws.N - total))
-    for i in range(ws.p):
-        value *= pochhammer(alpha[i] + 1 + k, n[i]) / pochhammer(alpha[i] + beta + total + 1, n[i])
-    gammas = GammaProduct.from_factors([
-        (beta + total + 1, 1), (beta + ws.N + 1 - k, 1), (beta + total + 1 - k, -1),
-    ])
-    extra, residual = gammas.reduce()
-    return value * extra, residual
+    _check_order(ws, n, k)
+    values, gamma = _type2_residue_row(ws, n, k)
+    return values[k], gamma
 
 
 def type2_series_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[Fraction, GammaProduct]:
     """The matching coefficient read off the hypergeometric series form.
 
-    Independent route: the series parameters come straight from the
-    weighted expansions, evaluated termwise, never through the residue
-    formulas.
+    Entry k of :func:`_type2_series_row`, the route independent of the
+    residue formulas.
     """
-    ws.validate_index(n)
-    total = total_degree(n)
-    alpha, beta = ws.alpha, ws.beta
-    sign = Fraction(-1) ** total
-    shifted = [a + ni + 1 for a, ni in zip(alpha, n)]
-    plain = [a + 1 for a in alpha]
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        prefactor = sign
-        for i in range(ws.p):
-            prefactor *= pochhammer(alpha[i] + 1, n[i])
-        return prefactor * series_term(shifted, plain, -1, k), GammaProduct.one()
-    prefactor = sign
-    for i in range(ws.p):
-        prefactor *= pochhammer(alpha[i] + 1, n[i]) / pochhammer(alpha[i] + beta + total + 1, n[i])
-    if ws.family is Family.JACOBI_PINEIRO:
-        return prefactor * series_term([-beta - total, *shifted], plain, 1, k), GammaProduct.one()
-    if k > ws.N:
-        raise AdmissibilityError(f"the Hahn series stops at order N = {ws.N}")
-    prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
-    value = prefactor * series_term(
-        [-beta - total, *shifted], [-beta - Fraction(ws.N), *plain], 1, k
-    )
-    return value, GammaProduct.gamma(beta + 1)
+    _check_order(ws, n, k)
+    values, gamma = _type2_series_row(ws, n, k)
+    return values[k], gamma
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
     """Residue route == series route for every expansion order k <= k_max."""
+    ws.validate_index(n)
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    for k in range(k_max + 1):
-        r_value, r_gamma = type2_residue_coefficient(ws, n, k)
-        s_value, s_gamma = type2_series_coefficient(ws, n, k)
-        if not scaled_values_equal(r_value, r_gamma, s_value, s_gamma):
-            return False
-    return True
+    return _scaled_rows_equal(*_type2_residue_row(ws, n, k_max), *_type2_series_row(ws, n, k_max))
 
 
 def _phi_inverse(ws: WeightSystem, n: MultiIndex, t: Fraction) -> GammaProduct:
@@ -321,23 +405,3 @@ def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> Fraction:
     if ws.family is Family.HAHN:
         value *= math.factorial(ws.N - total + 1)
     return value
-
-
-def verify_ir_lemma(ws: WeightSystem, n: MultiIndex, p_coeffs) -> bool:
-    """Constructive form of the constancy lemma for integrand numerators.
-
-    A polynomial of degree <= |n|-1 orthogonal (through the pole-sum
-    pairing) to every polynomial of degree <= |n|-2 takes equal values at
-    all |n| zeros of prod_i (alpha_i - t)_{n_i}; having degree below the
-    node count it is then constant.  Returns True iff the given polynomial
-    takes one single value on that node set.
-    """
-    ws.validate_index(n, type_one=True)
-    coeffs = [as_fraction(c) for c in p_coeffs]
-    degree = max((k for k, c in enumerate(coeffs) if c != 0), default=-1)
-    if degree > total_degree(n) - 1:
-        raise PreconditionError(f"degree {degree} exceeds |n|-1 = {total_degree(n) - 1}")
-    values = set()
-    for pole in enumerate_poles(ws, n):
-        values.add(sum((c * pole.location**k for k, c in enumerate(coeffs)), Fraction(0)))
-    return len(values) <= 1

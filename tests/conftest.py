@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from mopexact import WeightSystem
+from mopexact import GammaProduct, WeightSystem
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 STANDARD_BETA = Fraction(1, 4)
@@ -18,6 +19,44 @@ def jacobi_pineiro_ws(p: int) -> WeightSystem:
 
 def hahn_ws(p: int, N: int) -> WeightSystem:
     return WeightSystem.hahn(STANDARD_ALPHAS[:p], STANDARD_BETA, N)
+
+
+def prime_offset(den: int):
+    """An integer part in {-1, 0, 1} plus r/den with r coprime to den: above -1, never an integer."""
+    return st.builds(lambda whole, r: whole + Fraction(r, den), st.integers(-1, 1), st.integers(1, den - 1))
+
+
+@st.composite
+def admissible_systems(draw, max_total: int = 4):
+    """(ws, n) over all three families, drawn the way the verify driver draws.
+
+    Each alpha slot has its own prime denominator (2, 3, 5) and beta another
+    (7), so no alpha difference and no alpha_i + beta is an integer: every
+    draw is admissible by construction.  n has 1 <= |n| <= max_total and may
+    hold idle weights (n_i = 0); Hahn takes N from |n| to |n| + 3.
+    """
+    p = draw(st.integers(1, 3))
+    alpha = tuple(draw(prime_offset(den)) for den in (2, 3, 5)[:p])
+    n = []
+    for _ in range(p):
+        n.append(draw(st.integers(0, max_total - sum(n))))
+    if not any(n):
+        n[draw(st.integers(0, p - 1))] = 1
+    n = tuple(n)
+    family = draw(st.sampled_from(["laguerre", "jacobi-pineiro", "hahn"]))
+    if family == "laguerre":
+        return WeightSystem.laguerre(alpha), n
+    beta = draw(prime_offset(7))
+    if family == "jacobi-pineiro":
+        return WeightSystem.jacobi_pineiro(alpha, beta), n
+    return WeightSystem.hahn(alpha, beta, sum(n) + draw(st.integers(0, 3))), n
+
+
+def reduced_equal(left: GammaProduct, right: GammaProduct) -> bool:
+    """Whether two gamma products have the same rational part and the same normalized residual."""
+    r1, h1 = left.reduce()
+    r2, h2 = right.reduce()
+    return r1 == r2 and h1.factors == h2.factors
 
 
 @pytest.fixture

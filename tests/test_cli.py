@@ -105,6 +105,18 @@ class TestCoeffsCommand:
         expected = [str(c) for c in families.type2(jacobi_pineiro_ws(2), (1, 1)).coefficients]
         assert json.loads(out)["results"][0]["coefficients"] == expected
 
+    @pytest.mark.parametrize("family, extra", [("jacobi-pineiro", ()), ("hahn", ("--N", "3"))])
+    def test_idle_weight_on_the_corner(self, capsys, family, extra):
+        # n_1 = 0 with alpha_1 + beta + 1 = 0 used to end in a ZeroDivisionError traceback
+        code, out = run_cli(
+            capsys, "coeffs", "--family", family, "--alpha=-1/2", "--alpha=1/3",
+            "--beta=-1/2", *extra, "--n", "0", "--n", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"]["pass"] == 1
+        assert len(payload["results"][0]["coefficients"]) == 2
+
     def test_admissibility_error_exit_2(self, capsys):
         code, out = run_cli(
             capsys, "coeffs", "--family", "hahn", "--alpha", "1/2", "--alpha", "3/2",

@@ -281,6 +281,22 @@ class TestDegenerateNormalizationBoundary:
             assert ours.coefficients == theirs.coefficients
         assert oracle.check_type1_orthogonality(ws, (1, 1), vec).passed
 
+    @pytest.mark.parametrize("N", [None, 3])
+    def test_idle_weight_on_the_corner(self, N):
+        # n_1 = 0 with alpha_1 + beta + 1 = 0: the idle weight's factors are a
+        # removable 0/0 that the generator must drop, not divide by
+        from mopexact import WeightSystem
+        alpha = (F(-1, 2), F(1, 3))
+        if N is None:
+            ws = WeightSystem.jacobi_pineiro(alpha, self.BETA)
+        else:
+            ws = WeightSystem.hahn(alpha, self.BETA, N)
+        poly = families.type2(ws, (0, 1))
+        assert poly.coefficients == oracle.oracle_solve_type2(ws, (0, 1)).coefficients
+        assert oracle.check_type2_orthogonality(ws, (0, 1), poly).passed
+        if N is None:
+            assert poly.coefficients == (F(-8, 11), F(1))
+
 
 class TestStructuralInvariants:
     GRID = [((1,), 1), ((2,), 2), ((1, 1), 2), ((2, 1), 3), ((1, 1, 1), 3), ((2, 2), 4)]

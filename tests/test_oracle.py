@@ -25,7 +25,7 @@ from mopexact import GammaProduct, WeightSystem, families, oracle
 from mopexact.gammaprod import scaled_values_equal
 from mopexact.linalg import interpolate, solve_linear_system
 from mopexact.driver import compositions
-from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset
 
 F = Fraction
 
@@ -217,8 +217,33 @@ class TestOracleSolvers:
                 for a, b in zip(ours.components, theirs.components):
                     assert a.coefficients == b.coefficients
 
+    @given(admissible_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_random_systems_match(self, system):
+        ws, n = system
+        assert families.type2(ws, n).coefficients == oracle_solve_type2(ws, n).coefficients
+        ours = families.type1(ws, n)
+        theirs = oracle_solve_type1(ws, n)
+        for a, b in zip(ours.components, theirs.components):
+            assert a.coefficients == b.coefficients
+
 
 class TestMellin:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_jacobi_pineiro_lhs_built_backwards(self, data):
+        # s and beta have coprime denominators, so s + beta + m never vanishes
+        total = data.draw(st.integers(0, 8))
+        length = data.draw(st.integers(0, total + 2))
+        coefficients = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=length, max_size=length))
+        s = data.draw(st.builds(F, st.integers(1, 40), st.sampled_from([11, 13])))
+        beta = data.draw(prime_offset(7))
+        expected = sum(
+            (c * pochhammer(s, k) * pochhammer(s + k + beta + 1, total - k) for k, c in enumerate(coefficients)),
+            F(0),
+        )
+        assert oracle._jacobi_pineiro_mellin_lhs(coefficients, s, beta, total) == expected
+
     def test_laguerre_explicit_point(self):
         # s = 1: transform cofactors are Gamma(2) - (3/2) Gamma(1) = -1/2 on
         # both routes

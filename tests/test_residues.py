@@ -1,37 +1,145 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mopexact import (
     AdmissibilityError,
     GammaProduct,
     PreconditionError,
+    WeightSystem,
+    check_residue_duality,
     interpolation_recover_p,
     pochhammer,
     recovered_constant_closed_form,
     type1_linear_form_residues,
     type2_residue_coefficient,
-    verify_ir_lemma,
     verify_type2_series_equivalence,
 )
 from mopexact import families, residues
-from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, compositions
-from mopexact.weights import Family
-from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, compositions
+from mopexact.gammaprod import as_fraction, scaled_values_equal
+from mopexact.hyper import series_term
+from mopexact.weights import Family, MultiIndex, total_degree
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws
 
 F = Fraction
+
+
+# --- test-only helpers and references ---------------------------------------
+
+
+@dataclass(frozen=True)
+class ResiduePole:
+    """A pole of a type I integrand: t = alpha_i + offset.
+
+    Every pole is simple (order 1): non-integer alpha differences keep the
+    denominator factors from colliding.
+    """
+
+    weight_index: int
+    offset: int
+    location: Fraction
+    order: int = 1
+
+
+def enumerate_poles(ws: WeightSystem, n: MultiIndex) -> list[ResiduePole]:
+    """The |n| simple poles t = alpha_i + k, k = 0..n_i-1."""
+    ws.validate_index(n, type_one=True)
+    return [
+        ResiduePole(i, k, ws.alpha[i] + k)
+        for i in range(ws.p)
+        for k in range(n[i])
+    ]
+
+
+def verify_ir_lemma(ws: WeightSystem, n: MultiIndex, p_coeffs) -> bool:
+    """Constructive form of the constancy lemma for integrand numerators.
+
+    A polynomial of degree <= |n|-1 orthogonal (through the pole-sum
+    pairing) to every polynomial of degree <= |n|-2 takes equal values at
+    all |n| zeros of prod_i (alpha_i - t)_{n_i}; having degree below the
+    node count it is then constant.  Returns True iff the given polynomial
+    takes one single value on that node set.
+    """
+    ws.validate_index(n, type_one=True)
+    coeffs = [as_fraction(c) for c in p_coeffs]
+    degree = max((k for k, c in enumerate(coeffs) if c != 0), default=-1)
+    if degree > total_degree(n) - 1:
+        raise PreconditionError(f"degree {degree} exceeds |n|-1 = {total_degree(n) - 1}")
+    values = set()
+    for pole in enumerate_poles(ws, n):
+        values.add(sum((c * pole.location**k for k, c in enumerate(coeffs)), Fraction(0)))
+    return len(values) <= 1
+
+
+def reference_residue_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[Fraction, GammaProduct]:
+    """The per-order residue formula, one pochhammer per factor and the Hahn gammas reduced per k."""
+    total = total_degree(n)
+    alpha, beta = ws.alpha, ws.beta
+    sign = Fraction(-1) ** total
+    if ws.family is Family.LAGUERRE_FIRST_KIND:
+        value = sign * Fraction(-1) ** k / math.factorial(k)
+        for i in range(ws.p):
+            value *= pochhammer(alpha[i] + 1 + k, n[i])
+        return value, GammaProduct.one()
+    if ws.family is Family.JACOBI_PINEIRO:
+        value = sign * Fraction(-1) ** k / math.factorial(k)
+        value *= pochhammer(beta + total + 1 - k, k)
+        for i in range(ws.p):
+            value *= pochhammer(alpha[i] + 1 + k, n[i]) / pochhammer(alpha[i] + beta + total + 1, n[i])
+        return value, GammaProduct.one()
+    value = sign / (math.factorial(k) * math.factorial(ws.N - total))
+    for i in range(ws.p):
+        value *= pochhammer(alpha[i] + 1 + k, n[i]) / pochhammer(alpha[i] + beta + total + 1, n[i])
+    gammas = GammaProduct.from_factors([
+        (beta + total + 1, 1), (beta + ws.N + 1 - k, 1), (beta + total + 1 - k, -1),
+    ])
+    extra, residual = gammas.reduce()
+    return value * extra, residual
+
+
+def reference_series_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[Fraction, GammaProduct]:
+    """The per-order series formula: the full prefactor times one series_term."""
+    total = total_degree(n)
+    alpha, beta = ws.alpha, ws.beta
+    sign = Fraction(-1) ** total
+    shifted = [a + ni + 1 for a, ni in zip(alpha, n)]
+    plain = [a + 1 for a in alpha]
+    if ws.family is Family.LAGUERRE_FIRST_KIND:
+        prefactor = sign
+        for i in range(ws.p):
+            prefactor *= pochhammer(alpha[i] + 1, n[i])
+        return prefactor * series_term(shifted, plain, -1, k), GammaProduct.one()
+    prefactor = sign
+    for i in range(ws.p):
+        prefactor *= pochhammer(alpha[i] + 1, n[i]) / pochhammer(alpha[i] + beta + total + 1, n[i])
+    if ws.family is Family.JACOBI_PINEIRO:
+        return prefactor * series_term([-beta - total, *shifted], plain, 1, k), GammaProduct.one()
+    prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
+    value = prefactor * series_term(
+        [-beta - total, *shifted], [-beta - Fraction(ws.N), *plain], 1, k
+    )
+    return value, GammaProduct.gamma(beta + 1)
+
+
+def sample_points(ws: WeightSystem) -> list:
+    if ws.family is Family.HAHN:
+        return _hahn_sample_points(ws.N)
+    return list(CONTINUOUS_SAMPLE_POINTS[ws.family])
 
 
 class TestPoleEnumeration:
     def test_count_is_total_degree(self):
         for n in compositions(4):
             ws = laguerre_ws(len(n))
-            assert len(residues.enumerate_poles(ws, n)) == sum(n)
+            assert len(enumerate_poles(ws, n)) == sum(n)
 
     def test_locations(self):
         ws = laguerre_ws(2)
-        poles = residues.enumerate_poles(ws, (2, 1))
+        poles = enumerate_poles(ws, (2, 1))
         assert [(p.weight_index, p.location) for p in poles] == [
             (0, F(1, 2)), (0, F(3, 2)), (1, F(1, 3)),
         ]
@@ -117,6 +225,24 @@ class TestType2Residues:
             assert verify_type2_series_equivalence(jacobi_pineiro_ws(p), n, 6)
             assert verify_type2_series_equivalence(hahn_ws(p, total + 2), n, total + 2)
 
+    @pytest.mark.parametrize("beta", [F(0), F(2)])
+    def test_integer_beta_rows_end_in_zeros(self, beta):
+        # -beta-|n| is a nonpositive integer, so the series terminates, and the
+        # Hahn residue's 1/Gamma(beta+|n|+1-k) vanishes for k > beta+|n|
+        n, k_max = (1, 1), 7
+        for ws in (
+            WeightSystem.jacobi_pineiro(laguerre_ws(2).alpha, beta),
+            WeightSystem.hahn(laguerre_ws(2).alpha, beta, k_max),
+        ):
+            residue, r_gamma = residues._type2_residue_row(ws, n, k_max)
+            series, s_gamma = residues._type2_series_row(ws, n, k_max)
+            for k in range(k_max + 1):
+                value, gamma = reference_residue_coefficient(ws, n, k)
+                assert scaled_values_equal(residue[k], r_gamma, value, gamma), (ws.family, k)
+                assert (series[k], s_gamma) == reference_series_coefficient(ws, n, k), (ws.family, k)
+            assert residue[k_max] == series[k_max] == 0
+            assert verify_type2_series_equivalence(ws, n, k_max)
+
     def test_hahn_full_pole_sum_reproduces_weighted_values(self):
         # summing all N+1 residues against (-x)_k gives the weighted lattice
         # values themselves, not only the expansion coefficients
@@ -131,6 +257,35 @@ class TestType2Residues:
                     assert leftover.is_one()
                     acc += value * normalized * pochhammer(F(-x), k)
                 assert acc == families.hahn_type2_weighted_series(ws, n)[x]
+
+
+class TestRandomAdmissibleSystems:
+    """Properties over random admissible systems of all three families, |n| <= 4."""
+
+    @given(admissible_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_residue_duality_holds_and_breaks_under_a_fault(self, system):
+        ws, n = system
+        vec = families.type1(ws, n)
+        points = sample_points(ws)
+        assert check_residue_duality(ws, n, vec, points)
+        for i, ni in enumerate(n):
+            for k in range(ni):
+                _, bumped = apply_fault(None, vec, f"t1:{i}:{k}")
+                assert not check_residue_duality(ws, n, bumped, points), (i, k)
+
+    @given(admissible_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_per_order_formulas(self, system):
+        ws, n = system
+        k_max = ws.N if ws.family is Family.HAHN else max(6, sum(n))
+        residue, r_gamma = residues._type2_residue_row(ws, n, k_max)
+        series, s_gamma = residues._type2_series_row(ws, n, k_max)
+        for k in range(k_max + 1):
+            value, gamma = reference_residue_coefficient(ws, n, k)
+            assert scaled_values_equal(residue[k], r_gamma, value, gamma), k
+            assert (series[k], s_gamma) == reference_series_coefficient(ws, n, k), k
+        assert verify_type2_series_equivalence(ws, n, k_max)
 
 
 class TestInterpolationRecovery:
