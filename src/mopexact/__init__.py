@@ -19,14 +19,8 @@ from .errors import (
 )
 from .families import (
     hahn_jp_coefficient_relation,
-    hahn_type1,
     hahn_type1_p2_kdf,
-    hahn_type2,
     hahn_type2_weighted_series,
-    jacobi_pineiro_type1,
-    jacobi_pineiro_type2,
-    laguerre1_type1,
-    laguerre1_type2,
     type1,
     type2,
 )
@@ -34,7 +28,6 @@ from .gammaprod import (
     GammaProduct,
     Rational,
     as_fraction,
-    gamma_ratio,
     log_gamma_approx,
     pochhammer,
 )
@@ -63,13 +56,9 @@ from .oracle import (
 )
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, eval_polynomial
 from .residues import (
-    LinearFormComponent,
-    LinearFormValue,
     check_residue_duality,
     interpolation_recover_p,
     recovered_constant_closed_form,
-    type1_linear_form_residues,
-    type2_residue_coefficient,
     verify_type2_series_equivalence,
 )
 from .weights import Family, MultiIndex, WeightSystem, total_degree

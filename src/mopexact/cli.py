@@ -253,15 +253,11 @@ def cmd_eval(args) -> int:
         rational, gamma = eval_polynomial(families.type2(ws, n), x)
         results = [{"x": str(x), "rational": str(rational), "gamma": str(gamma)}]
     else:
-        decomposition = residues.type1_direct_decomposition(ws, n, x)
+        x = ws.check_point(x)  # an inadmissible point is reported before any generator error
+        values = residues.type1_direct_values(ws, families.type1(ws, n), x)
         results = [
-            {
-                "weight": comp.weight_index,
-                "x": str(x),
-                "rational": str(comp.coefficient),
-                "gamma": str(comp.residual),
-            }
-            for comp in decomposition.components
+            {"weight": i, "x": str(x), "rational": str(rational), "gamma": str(residual)}
+            for i, (rational, residual) in enumerate(values)
         ]
     _emit_json(_envelope("eval", args, results, passed=len(results), failed=0), args.out)
     return 0

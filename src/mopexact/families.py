@@ -86,45 +86,23 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
     return coeffs
 
 
-def laguerre1_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
-    """Monic type II polynomial for the Laguerre weights, monomial basis."""
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        raise AdmissibilityError("weight system is not Laguerre of the first kind")
-    ws.validate_index(n)
-    prefactor = Fraction(-1) ** total_degree(n)
-    for q in range(ws.p):
-        prefactor *= pochhammer(ws.alpha[q] + 1, n[q])
-    coeffs = [prefactor * c for c in _type2_coefficients(ws, n)]
-    return ScaledPolynomial(Basis.monomial(), tuple(coeffs))
+def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
+    """Monic type II polynomial: monomial basis, falling factorials (-x)_k for Hahn.
 
-
-def jacobi_pineiro_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
-    """Monic type II polynomial for the Jacobi-Pineiro weights, monomial basis."""
-    if ws.family is not Family.JACOBI_PINEIRO:
-        raise AdmissibilityError("weight system is not Jacobi-Pineiro")
-    ws.validate_index(n)
-    prefactor = Fraction(-1) ** total_degree(n)
-    for q in range(ws.p):
-        prefactor *= pochhammer(ws.alpha[q] + 1, n[q])
-        prefactor /= pochhammer(ws.alpha[q] + ws.beta + total_degree(n) + 1, n[q])
-    coeffs = [prefactor * c for c in _type2_coefficients(ws, n)]
-    return ScaledPolynomial(Basis.monomial(), tuple(coeffs))
-
-
-def hahn_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
-    """Type II polynomial for the Hahn weights, falling-factorial basis.
-
-    Monic in the sense that the leading monomial coefficient equals 1.
+    The multi-sum of :func:`_type2_coefficients` times (-1)^|n| (not for
+    Hahn) prod_q (alpha_q+1)_{n_q} / prod_q (alpha_q+beta+|n|+1)_{n_q} (not
+    for Laguerre).  The Hahn polynomial is monic in that its leading
+    monomial coefficient is 1.
     """
-    if ws.family is not Family.HAHN:
-        raise AdmissibilityError("weight system is not Hahn")
     ws.validate_index(n)
-    prefactor = Fraction(1)
+    total = total_degree(n)
+    prefactor = Fraction(1) if ws.family is Family.HAHN else Fraction(-1) ** total
     for q in range(ws.p):
         prefactor *= pochhammer(ws.alpha[q] + 1, n[q])
-        prefactor /= pochhammer(ws.alpha[q] + ws.beta + total_degree(n) + 1, n[q])
-    coeffs = [prefactor * c for c in _type2_coefficients(ws, n)]
-    return ScaledPolynomial(Basis.falling_factorial(), tuple(coeffs))
+        if ws.family is not Family.LAGUERRE_FIRST_KIND:
+            prefactor /= pochhammer(ws.alpha[q] + ws.beta + total + 1, n[q])
+    basis = Basis.falling_factorial() if ws.family is Family.HAHN else Basis.monomial()
+    return ScaledPolynomial(basis, tuple(prefactor * c for c in _type2_coefficients(ws, n)))
 
 
 def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
@@ -149,7 +127,7 @@ def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
 
 def type1_basis(ws: WeightSystem, i: int) -> Basis:
     if ws.family is Family.HAHN:
-        return Basis.shifted_rising(ws.alpha[i] + 1, i)
+        return Basis.shifted_rising(ws.alpha[i] + 1)
     return Basis.monomial()
 
 
@@ -207,7 +185,13 @@ def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int) -> li
     return coeffs
 
 
-def _type1_vector(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
+def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
+    """Type I vector; component i is the zero polynomial when n_i = 0.
+
+    Components are monomial with the gamma scales of :func:`type1_scale`
+    for Laguerre and Jacobi-Pineiro, and in the shifted rising basis
+    (x + alpha_i + 1)_k with a rational scale for Hahn.
+    """
     ws.validate_index(n, type_one=True)
     _guard_type1_normalization(ws, n)
     components = []
@@ -217,43 +201,6 @@ def _type1_vector(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
             type1_basis(ws, i), tuple(coeffs), type1_scale(ws, i, total_degree(n))
         ))
     return TypeIVector(tuple(components))
-
-
-def laguerre1_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
-    """Type I vector for the Laguerre weights; component i carries 1/Gamma(alpha_i+1)."""
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        raise AdmissibilityError("weight system is not Laguerre of the first kind")
-    return _type1_vector(ws, n)
-
-
-def jacobi_pineiro_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
-    """Type I vector for the Jacobi-Pineiro weights."""
-    if ws.family is not Family.JACOBI_PINEIRO:
-        raise AdmissibilityError("weight system is not Jacobi-Pineiro")
-    return _type1_vector(ws, n)
-
-
-def hahn_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
-    """Type I vector for the Hahn weights, shifted rising basis, rational scale."""
-    if ws.family is not Family.HAHN:
-        raise AdmissibilityError("weight system is not Hahn")
-    return _type1_vector(ws, n)
-
-
-def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
-    return {
-        Family.LAGUERRE_FIRST_KIND: laguerre1_type2,
-        Family.JACOBI_PINEIRO: jacobi_pineiro_type2,
-        Family.HAHN: hahn_type2,
-    }[ws.family](ws, n)
-
-
-def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
-    return {
-        Family.LAGUERRE_FIRST_KIND: laguerre1_type1,
-        Family.JACOBI_PINEIRO: jacobi_pineiro_type1,
-        Family.HAHN: hahn_type1,
-    }[ws.family](ws, n)
 
 
 def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int, x: int) -> Fraction:
@@ -328,23 +275,20 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fractio
     )
 
 
-def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial | None = None) -> bool:
+def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:
     """Coefficientwise bridge between Hahn and Jacobi-Pineiro type II.
 
-    With Q expanded in (-x)_k and P (same alpha, beta) in x^k, checks
-    Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k.  Q is the given Hahn
-    polynomial, generated here when omitted.
+    With Q the given Hahn polynomial in (-x)_k and P (same alpha, beta) in
+    x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k.
     """
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws_hahn.validate_index(n)
-    ws_jp = WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta)
-    q = (poly if poly is not None else hahn_type2(ws_hahn, n)).coefficients
-    p = jacobi_pineiro_type2(ws_jp, n).coefficients
+    p = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).coefficients
     total = total_degree(n)
     N = ws_hahn.N
     for k in range(total + 1):
         expected = Fraction(-1) ** k * math.factorial(N - k) / math.factorial(N - total) * p[k]
-        if q[k] != expected:
+        if poly.coefficients[k] != expected:
             return False
     return True

@@ -84,18 +84,6 @@ def rising_row(a, length: int) -> list[Fraction]:
     return row
 
 
-def gamma_ratio(a, m: int) -> Fraction:
-    """Gamma(a+m)/Gamma(a) as an exact rational; equals pochhammer(a, m).
-
-    Unlike :func:`pochhammer`, this guards both gamma arguments: a and a+m
-    must avoid the poles at the nonpositive integers.
-    """
-    a = as_fraction(a)
-    if is_nonpositive_integer(a) or is_nonpositive_integer(a + m):
-        raise PoleError(f"gamma pole in Gamma({a + m})/Gamma({a})")
-    return pochhammer(a, m)
-
-
 @dataclass(frozen=True)
 class GammaProduct:
     """Formal product prod_t Gamma(argument_t)**exponent_t, arguments rational.
@@ -195,20 +183,6 @@ class GammaProduct:
         if not self.factors:
             return "1"
         return " * ".join(f"Gamma({a})^{e}" if e != 1 else f"Gamma({a})" for a, e in self.factors)
-
-
-def scaled_values_equal(r1: Fraction, g1: GammaProduct, r2: Fraction, g2: GammaProduct) -> bool:
-    """Whether r1*g1 == r2*g2 exactly.
-
-    Requires the gamma mismatch g1/g2 to reduce to a rational; gamma factors
-    never vanish, so two zero rational parts are equal regardless of them.
-    """
-    if r1 == 0 or r2 == 0:
-        return r1 == r2
-    quotient, leftover = (g1 / g2).reduce()
-    if not leftover.is_one():
-        return False
-    return r1 * quotient == r2
 
 
 def log_gamma_approx(x, digits: int):

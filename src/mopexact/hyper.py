@@ -7,8 +7,8 @@ transformation identities used elsewhere in the package (Chu-Vandermonde,
 the 3F2 Kummer transformation, the Rakha-Rathie reduction of a Kampe de
 Feriet double sum, and the Karp-Prilepkina decomposition) are implemented
 as boolean checkers that compare both sides exactly; each restricts one
-parameter to a nonpositive integer so that every gamma prefactor reduces to
-a rational via :func:`gamma_ratio`.
+parameter to a nonpositive integer so that every gamma prefactor cancels
+to an exact rational under :meth:`GammaProduct.reduce`.
 """
 
 from __future__ import annotations
@@ -104,28 +104,6 @@ def eval_pfq(spec: HypergeometricSpec) -> Fraction:
 
 def pfq(numerator, denominator, argument) -> Fraction:
     return eval_pfq(HypergeometricSpec.of(numerator, denominator, argument))
-
-
-def series_term(numerator, denominator, argument, k: int) -> Fraction:
-    """The k-th term prod (a)_k / prod (d)_k * z^k / k! of a pFq series.
-
-    Used to compare series expansions term by term; no termination is
-    required.  A vanishing denominator under a nonzero numerator raises
-    PoleError.
-    """
-    numerator = _params(numerator)
-    denominator = _params(denominator)
-    top = Fraction(1)
-    for a in numerator:
-        top *= pochhammer(a, k)
-    if top == 0:
-        return Fraction(0)
-    bottom = Fraction(math.factorial(k))
-    for d in denominator:
-        bottom *= pochhammer(d, k)
-    if bottom == 0:
-        raise PoleError(f"denominator pochhammer vanishes in term {k}")
-    return top * as_fraction(argument) ** k / bottom
 
 
 def eval_kdf(spec: KampeDeFerietSpec) -> Fraction:

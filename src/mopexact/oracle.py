@@ -230,8 +230,10 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, normalization, target)
 
 
-def check_biorthogonality(ws: WeightSystem, n: MultiIndex, m: MultiIndex) -> bool:
-    """Pairing of the degree-n type II polynomial with the index-m type I vector.
+def check_biorthogonality(
+    ws: WeightSystem, n: MultiIndex, m: MultiIndex, poly: ScaledPolynomial, vec: TypeIVector
+) -> bool:
+    """Pairing of the degree-n type II polynomial poly with the index-m type I vector vec.
 
     The defining conditions force 0 when m <= n componentwise, 1 when
     |m| = |n| + 1, and 0 when |m| > |n| + 1; other index pairs are not
@@ -247,8 +249,6 @@ def check_biorthogonality(ws: WeightSystem, n: MultiIndex, m: MultiIndex) -> boo
         expected = Fraction(0)
     else:
         raise PreconditionError(f"pairing of n = {n} with m = {m} is not determined")
-    poly = families.type2(ws, n)
-    vec = families.type1(ws, m)
     if ws.family is Family.HAHN:
         return lattice_sum(poly.lattice_values(ws.N), _hahn_linear_form(ws, vec)) == expected
     total = Fraction(0)
@@ -356,43 +356,47 @@ def _jacobi_pineiro_mellin_lhs(coefficients, s: Fraction, beta: Fraction, total:
     return lhs
 
 
-def check_mellin_type2(ws: WeightSystem, n: MultiIndex, s, poly: ScaledPolynomial | None = None) -> bool:
+def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, points) -> bool:
     """Moment-reduced transform of the weighted type II polynomial vs its closed form.
 
-    Both sides are compared as rational cofactors of the same gamma factor:
-    Gamma(s) for Laguerre, Gamma(s) Gamma(beta+1) / Gamma(s+beta+|n|+1) for
-    Jacobi-Pineiro, and Gamma(beta+1) Gamma(s) for the discrete Hahn kernel.
+    Both sides are compared at every transform argument s in points as
+    rational cofactors of the same gamma factor: Gamma(s) for Laguerre,
+    Gamma(s) Gamma(beta+1) / Gamma(s+beta+|n|+1) for Jacobi-Pineiro, and
+    Gamma(beta+1) Gamma(s) for the discrete Hahn kernel.  The parts that do
+    not depend on s are built once; the first failing s returns False.
     """
     ws.validate_index(n)
-    s = as_fraction(s)
-    if is_nonpositive_integer(s):
-        raise PoleError(f"transform argument s = {s} sits on a gamma pole")
-    if poly is None:
-        poly = families.type2(ws, n)
     total = total_degree(n)
-    sign = Fraction(-1) ** total
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
+    head = Fraction(-1) ** total
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        head *= pochhammer(ws.beta + 1, total)
+        for i in range(ws.p):
+            head /= pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
+    if ws.family is Family.HAHN:
+        head /= math.factorial(ws.N - total)
+        weighted = [v * b for v, b in zip(poly.lattice_values(ws.N), ws.beta_factors)]
+    else:
         coefficients = poly.monomial_coefficients()
-        lhs = sum(map(operator.mul, coefficients, rising_row(s, len(coefficients))), Fraction(0))
-        rhs = sign
+    for s in points:
+        s = as_fraction(s)
+        if is_nonpositive_integer(s):
+            raise PoleError(f"transform argument s = {s} sits on a gamma pole")
+        rhs = head
         for i in range(ws.p):
             rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i])
-        return lhs == rhs
-    if ws.family is Family.JACOBI_PINEIRO:
-        lhs = _jacobi_pineiro_mellin_lhs(poly.monomial_coefficients(), s, ws.beta, total)
-        rhs = sign * pochhammer(ws.beta + 1, total)
-        for i in range(ws.p):
-            rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i]) / pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
-        return lhs == rhs
-    kernel = [Fraction(1)]  # (s)_x / x!
-    for x in range(ws.N):
-        kernel.append(kernel[-1] * (s + x) / (x + 1))
-    lhs = lattice_sum(poly.lattice_values(ws.N), ws.beta_factors, kernel)
-    rhs = sign * pochhammer(ws.beta + 1, total) * pochhammer(s + total + ws.beta + 1, ws.N - total)
-    rhs /= math.factorial(ws.N - total)
-    for i in range(ws.p):
-        rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i]) / pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
-    return lhs == rhs
+        if ws.family is Family.LAGUERRE_FIRST_KIND:
+            lhs = sum(map(operator.mul, coefficients, rising_row(s, len(coefficients))), Fraction(0))
+        elif ws.family is Family.JACOBI_PINEIRO:
+            lhs = _jacobi_pineiro_mellin_lhs(coefficients, s, ws.beta, total)
+        else:
+            kernel = [Fraction(1)]  # (s)_x / x!
+            for x in range(ws.N):
+                kernel.append(kernel[-1] * (s + x) / (x + 1))
+            lhs = lattice_sum(weighted, kernel)
+            rhs *= pochhammer(s + total + ws.beta + 1, ws.N - total)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def check_discrete_mellin_inversion(ws: WeightSystem, values) -> bool:

@@ -1,7 +1,7 @@
 """Polynomial values in the bases the explicit formulas are written in.
 
 Four bases appear: plain monomials x^k, falling factorials (-x)_k, shifted
-rising factorials (x + alpha_i + 1)_k tied to a weight index, and the
+rising factorials (x + alpha_i + 1)_k, one per weight, and the
 descending lattice products (beta + N - x + 1)_k used for the discrete
 orthogonality rows.  A ScaledPolynomial is a coefficient list in one of
 these bases together with a formal GammaProduct scale, so transcendental
@@ -35,14 +35,12 @@ class Basis:
     """Basis tag plus the shift its elements need.
 
     MONOMIAL: x^k.  FALLING_FACTORIAL: (-x)_k.  SHIFTED_RISING with shift s:
-    (x + s)_k; the generators use s = alpha_i + 1 and record which weight the
-    shift came from.  BACKWARD_POCHHAMMER with shift s: (s - x)_k; the
-    discrete orthogonality rows use s = beta + N + 1.
+    (x + s)_k; the generators use s = alpha_i + 1.  BACKWARD_POCHHAMMER with
+    shift s: (s - x)_k; the discrete orthogonality rows use s = beta + N + 1.
     """
 
     kind: BasisKind
     shift: Fraction | None = None
-    weight_index: int | None = None
 
     @staticmethod
     def monomial() -> "Basis":
@@ -53,8 +51,8 @@ class Basis:
         return Basis(BasisKind.FALLING_FACTORIAL)
 
     @staticmethod
-    def shifted_rising(shift, weight_index: int) -> "Basis":
-        return Basis(BasisKind.SHIFTED_RISING, as_fraction(shift), weight_index)
+    def shifted_rising(shift) -> "Basis":
+        return Basis(BasisKind.SHIFTED_RISING, as_fraction(shift))
 
     @staticmethod
     def backward_pochhammer(beta, N: int) -> "Basis":

@@ -13,8 +13,9 @@ Everything that does not depend on the sample point x or the expansion
 order k is built once per instance: the type I pole-sum terms carry their
 pole weights, prefactors and residual (:func:`_type1_pole_terms`), and the
 type II residue and series coefficients come as rows over k = 0..k_max
-(:func:`_type2_residue_row`, :func:`_type2_series_row`).  The per-point and
-per-order public functions read the same terms and rows.
+(:func:`_type2_residue_row`, :func:`_type2_series_row`).  The duality is
+checked by :func:`check_residue_duality` and the series equivalence by
+:func:`verify_type2_series_equivalence`, one call per instance each.
 
 Normalization data: interpolating the per-pole values of a type I vector
 recovers the polynomial factor of the integrand, which the orthogonality
@@ -25,45 +26,22 @@ exposed for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, rising_row, scaled_values_equal
+from .errors import IrreducibleGammaError, PoleError, PreconditionError
+from .gammaprod import GammaProduct, pochhammer, rising_row
 from .linalg import interpolate
 from .polybasis import BasisKind, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
-@dataclass(frozen=True)
-class LinearFormComponent:
-    """One weight's share of a linear form value.
-
-    For the continuous families the coefficient multiplies the symbolic
-    basis factor x^alpha_i and the residual gamma product; for Hahn the
-    lattice basis factor (alpha_i+1)_x is rational and already folded in,
-    leaving an empty residual.
-    """
-
-    weight_index: int
-    coefficient: Fraction
-    residual: GammaProduct
-
-
-@dataclass(frozen=True)
-class LinearFormValue:
-    point: Fraction
-    components: tuple[LinearFormComponent, ...]
-
-    def component(self, i: int) -> LinearFormComponent:
-        return self.components[i]
-
-
 def _scaled_rows_equal(left, left_gamma: GammaProduct, right, right_gamma: GammaProduct) -> bool:
-    """:func:`scaled_values_equal` entry by entry for two rows with one gamma factor each.
+    """Whether left[k] * left_gamma == right[k] * right_gamma for every k, exactly.
 
-    The gamma quotient is reduced once for the whole row.
+    The gamma quotient is reduced once for the whole row and must leave no
+    residual; gamma factors never vanish, so two zero entries are equal
+    regardless of it.
     """
     quotient, leftover = (left_gamma / right_gamma).reduce()
     return all(
@@ -162,42 +140,20 @@ def _direct_value(ws: WeightSystem, i: int, comp: ScaledPolynomial, x: Fraction)
     return comp.rational_value(x)
 
 
-def type1_linear_form_residues(ws: WeightSystem, n: MultiIndex, x) -> LinearFormValue:
-    """Type I linear form value as the exact sum over its pole set.
+def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fraction, GammaProduct]]:
+    """Per weight i, the direct route's share of the type I linear form at x.
 
-    Component i collects the poles sitting on alpha_i; its residual is the
-    same canonical gamma scale the direct generators carry, so the two
-    routes compare componentwise.
+    A rational and its residual gamma product, split as
+    :func:`check_residue_duality` compares them: for the continuous families
+    the rational multiplies x**alpha_i and the residual; for Hahn the
+    lattice factor (alpha_i+1)_x is folded in and the residual is empty.
     """
-    poles = _type1_pole_terms(ws, n)
     x = ws.check_point(x)
-    return LinearFormValue(x, tuple(
-        LinearFormComponent(i, _pole_sum(ws, i, terms, x), residual)
-        for i, (terms, residual) in enumerate(poles)
-    ))
-
-
-def type1_direct_decomposition(ws: WeightSystem, n: MultiIndex, x, vector: TypeIVector | None = None) -> LinearFormValue:
-    """The same per-weight decomposition computed from the direct generators."""
-    ws.validate_index(n, type_one=True)
-    x = ws.check_point(x)
-    if vector is None:
-        vector = families.type1(ws, n)
-    components = []
-    for i, comp in enumerate(vector.components):
+    values = []
+    for i, comp in enumerate(vec.components):
         factor, residual = _direct_scale(ws, comp)
-        components.append(LinearFormComponent(i, factor * _direct_value(ws, i, comp, x), residual))
-    return LinearFormValue(x, tuple(components))
-
-
-def linear_form_values_equal(a: LinearFormValue, b: LinearFormValue) -> bool:
-    if a.point != b.point or len(a.components) != len(b.components):
-        return False
-    return all(
-        ca.weight_index == cb.weight_index
-        and scaled_values_equal(ca.coefficient, ca.residual, cb.coefficient, cb.residual)
-        for ca, cb in zip(a.components, b.components)
-    )
+        values.append((factor * _direct_value(ws, i, comp, x), residual))
+    return values
 
 
 def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
@@ -297,39 +253,6 @@ def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list
             raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
         row.append(row[-1] * top / bottom)
     return row, gamma
-
-
-def _check_order(ws: WeightSystem, n: MultiIndex, k: int) -> None:
-    ws.validate_index(n)
-    if k < 0:
-        raise AdmissibilityError("pole index must be nonnegative")
-    if ws.family is Family.HAHN and k > ws.N:
-        raise AdmissibilityError(f"the Hahn pole set is {{0,...,{ws.N}}}; no pole at index {k}")
-
-
-def type2_residue_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[Fraction, GammaProduct]:
-    """Residue of the type II inverse-transform integrand at its k-th pole.
-
-    The value is the k-th expansion coefficient of the weighted type II
-    function: against x^k for the continuous families (any k >= 0), against
-    (-x)_k for Hahn (k <= N only; the pole set is finite).  Returned as a
-    rational times a residual gamma product (empty except for the Hahn
-    beta-class factor Gamma(beta+1)).  Entry k of :func:`_type2_residue_row`.
-    """
-    _check_order(ws, n, k)
-    values, gamma = _type2_residue_row(ws, n, k)
-    return values[k], gamma
-
-
-def type2_series_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tuple[Fraction, GammaProduct]:
-    """The matching coefficient read off the hypergeometric series form.
-
-    Entry k of :func:`_type2_series_row`, the route independent of the
-    residue formulas.
-    """
-    _check_order(ws, n, k)
-    values, gamma = _type2_series_row(ws, n, k)
-    return values[k], gamma
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:

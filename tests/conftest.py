@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from mopexact import GammaProduct, WeightSystem
+from mopexact import GammaProduct, PoleError, WeightSystem, pochhammer
+from mopexact.gammaprod import as_fraction
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 STANDARD_BETA = Fraction(1, 4)
@@ -57,6 +59,40 @@ def reduced_equal(left: GammaProduct, right: GammaProduct) -> bool:
     r1, h1 = left.reduce()
     r2, h2 = right.reduce()
     return r1 == r2 and h1.factors == h2.factors
+
+
+def scaled_values_equal(r1: Fraction, g1: GammaProduct, r2: Fraction, g2: GammaProduct) -> bool:
+    """Whether r1*g1 == r2*g2 exactly.
+
+    Requires the gamma mismatch g1/g2 to reduce to a rational; gamma factors
+    never vanish, so two zero rational parts are equal regardless of them.
+    """
+    if r1 == 0 or r2 == 0:
+        return r1 == r2
+    quotient, leftover = (g1 / g2).reduce()
+    if not leftover.is_one():
+        return False
+    return r1 * quotient == r2
+
+
+def series_term(numerator, denominator, argument, k: int) -> Fraction:
+    """The k-th term prod (a)_k / prod (d)_k * z^k / k! of a pFq series.
+
+    Used to compare series expansions term by term; no termination is
+    required.  A vanishing denominator under a nonzero numerator raises
+    PoleError.
+    """
+    top = Fraction(1)
+    for a in numerator:
+        top *= pochhammer(a, k)
+    if top == 0:
+        return Fraction(0)
+    bottom = Fraction(math.factorial(k))
+    for d in denominator:
+        bottom *= pochhammer(d, k)
+    if bottom == 0:
+        raise PoleError(f"denominator pochhammer vanishes in term {k}")
+    return top * as_fraction(argument) ** k / bottom
 
 
 @pytest.fixture

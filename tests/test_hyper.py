@@ -24,7 +24,8 @@ from mopexact.driver import (
     draw_kummer,
     draw_rakha_rathie,
 )
-from mopexact.hyper import pfq, series_term
+from mopexact.hyper import pfq
+from conftest import series_term
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
 

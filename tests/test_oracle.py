@@ -22,10 +22,9 @@ from mopexact import (
     pochhammer,
 )
 from mopexact import GammaProduct, WeightSystem, families, oracle
-from mopexact.gammaprod import scaled_values_equal
 from mopexact.linalg import interpolate, solve_linear_system
 from mopexact.driver import compositions
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, scaled_values_equal
 
 F = Fraction
 
@@ -121,7 +120,7 @@ class TestMoments:
     def test_hahn_any_basis_via_lattice_sum(self):
         ws = hahn_ws(2, 5)
         backward = Basis.backward_pochhammer(ws.beta, ws.N)
-        shifted = Basis.shifted_rising(ws.alpha[0] + 1, 0)
+        shifted = Basis.shifted_rising(ws.alpha[0] + 1)
         value = moment(ws, 0, backward, 2)
         assert value.gamma.is_one()
         assert value.rational == hahn_moment_brute(ws, 0, 0, 2)
@@ -188,11 +187,12 @@ class TestBiorthogonality:
     def test_three_cases_all_families(self):
         for n, m, _ in self.CASES:
             for ws in (laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 6)):
-                assert check_biorthogonality(ws, n, m)
+                assert check_biorthogonality(ws, n, m, families.type2(ws, n), families.type1(ws, m))
 
     def test_uncovered_pair_rejected(self):
         with pytest.raises(PreconditionError):
-            check_biorthogonality(laguerre_ws(2), (2, 0), (0, 2))
+            ws = laguerre_ws(2)
+            check_biorthogonality(ws, (2, 0), (0, 2), families.type2(ws, (2, 0)), families.type1(ws, (0, 2)))
 
 
 class TestOracleSolvers:
@@ -251,14 +251,15 @@ class TestMellin:
         poly = families.type2(ws, (1,))
         assert sum(c * pochhammer(F(1), k) for k, c in enumerate(poly.coefficients)) == F(-1, 2)
         assert F(-1) * pochhammer(ws.alpha[0] + 1 - 1, 1) == F(-1, 2)
-        assert check_mellin_type2(ws, (1,), 1)
+        assert check_mellin_type2(ws, (1,), poly, [1])
 
     def test_jp_vanishes_at_prescribed_zero(self):
         ws = jacobi_pineiro_ws(2)
-        assert check_mellin_type2(ws, (1, 1), ws.alpha[0] + 1)
+        assert check_mellin_type2(ws, (1, 1), families.type2(ws, (1, 1)), [ws.alpha[0] + 1])
 
     def test_hahn_random_argument(self):
-        assert check_mellin_type2(hahn_ws(2, 4), (1, 1), F(1, 7))
+        ws = hahn_ws(2, 4)
+        assert check_mellin_type2(ws, (1, 1), families.type2(ws, (1, 1)), [F(1, 7)])
 
     def test_zero_points_count_and_vanishing(self):
         for n in compositions(3):
@@ -268,13 +269,13 @@ class TestMellin:
                 assert len(zeros) == total
                 poly = families.type2(ws, n)
                 for s in zeros:
-                    assert check_mellin_type2(ws, n, s, poly)
+                    assert check_mellin_type2(ws, n, poly, [s])
 
     def test_perturbed_polynomial_fails(self):
         ws = laguerre_ws(1)
         poly = families.type2(ws, (1,))
         bumped = ScaledPolynomial(poly.basis, (poly.coefficients[0] + 1, poly.coefficients[1]))
-        assert not check_mellin_type2(ws, (1,), F(1, 7), bumped)
+        assert not check_mellin_type2(ws, (1,), bumped, [F(1, 7)])
 
 
 class TestDiscreteInversion:

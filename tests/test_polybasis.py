@@ -11,7 +11,7 @@ rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]
 BASES = [
     Basis.monomial(),
     Basis.falling_factorial(),
-    Basis.shifted_rising(Fraction(3, 2), 0),
+    Basis.shifted_rising(Fraction(3, 2)),
     Basis.backward_pochhammer(Fraction(1, 4), 5),
 ]
 
@@ -20,7 +20,7 @@ BASES = [
 any_basis = st.one_of(
     st.just(Basis.monomial()),
     st.just(Basis.falling_factorial()),
-    st.builds(Basis.shifted_rising, rationals, st.integers(0, 2)),
+    st.builds(Basis.shifted_rising, rationals),
     st.builds(Basis.backward_pochhammer, rationals, st.integers(0, 10)),
 )
 

@@ -14,16 +14,13 @@ from mopexact import (
     interpolation_recover_p,
     pochhammer,
     recovered_constant_closed_form,
-    type1_linear_form_residues,
-    type2_residue_coefficient,
     verify_type2_series_equivalence,
 )
 from mopexact import families, residues
 from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, compositions
-from mopexact.gammaprod import as_fraction, scaled_values_equal
-from mopexact.hyper import series_term
+from mopexact.gammaprod import as_fraction
 from mopexact.weights import Family, MultiIndex, total_degree
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, scaled_values_equal, series_term
 
 F = Fraction
 
@@ -149,25 +146,21 @@ class TestType1LinearForm:
     def test_laguerre_single_pole(self):
         # one residue: component = x^alpha / Gamma(alpha+1)
         ws = laguerre_ws(1)
-        value = type1_linear_form_residues(ws, (1,), F(2, 3))
-        comp = value.components[0]
-        assert comp.coefficient == 1
-        assert comp.residual.factors == ((F(3, 2), -1),)
+        [(terms, residual)] = residues._type1_pole_terms(ws, (1,))
+        assert residues._pole_sum(ws, 0, terms, F(2, 3)) == 1
+        assert residual.factors == ((F(3, 2), -1),)
 
     def test_matches_direct_decomposition_jp(self):
         ws = jacobi_pineiro_ws(2)
-        a = type1_linear_form_residues(ws, (1, 1), F(1, 2))
-        b = residues.type1_direct_decomposition(ws, (1, 1), F(1, 2))
-        assert residues.linear_form_values_equal(a, b)
+        assert check_residue_duality(ws, (1, 1), families.type1(ws, (1, 1)), [F(1, 2)])
 
     def test_matches_direct_decomposition_hahn(self):
         ws = hahn_ws(2, 5)
-        vec = families.hahn_type1(ws, (2, 1))
-        a = type1_linear_form_residues(ws, (2, 1), 3)
-        for i in range(2):
+        vec = families.type1(ws, (2, 1))
+        for i, (terms, residual) in enumerate(residues._type1_pole_terms(ws, (2, 1))):
             expected = vec.components[i].rational_value(3) * pochhammer(ws.alpha[i] + 1, 3)
-            assert a.components[i].coefficient == expected
-            assert a.components[i].residual.is_one()
+            assert residues._pole_sum(ws, i, terms, F(3)) == expected
+            assert residual.is_one()
 
     def test_full_grid_all_families(self):
         for n in compositions(4):
@@ -177,40 +170,35 @@ class TestType1LinearForm:
                     points = range(ws.N + 1)
                 else:
                     points = CONTINUOUS_SAMPLE_POINTS[ws.family]
+                vec = families.type1(ws, n)
                 for x in points:
-                    assert residues.linear_form_values_equal(
-                        type1_linear_form_residues(ws, n, x),
-                        residues.type1_direct_decomposition(ws, n, x),
-                    ), (ws.family, n, x)
+                    assert check_residue_duality(ws, n, vec, [x]), (ws.family, n, x)
 
 
     @pytest.mark.parametrize("ws, x", [
         (hahn_ws(1, 3), F(18, 11)), (hahn_ws(1, 3), 5), (hahn_ws(1, 3), -1), (laguerre_ws(1), -1),
     ])
     def test_both_routes_reject_the_same_points(self, ws, x):
-        for route in (type1_linear_form_residues, residues.type1_direct_decomposition):
-            with pytest.raises(AdmissibilityError):
-                route(ws, (2,), x)
+        vec = families.type1(ws, (2,))
+        with pytest.raises(AdmissibilityError):
+            check_residue_duality(ws, (2,), vec, [x])
+        with pytest.raises(AdmissibilityError):
+            residues.type1_direct_values(ws, vec, x)
 
 
 class TestType2Residues:
     def test_laguerre_order_zero(self):
         # residue 0 carries prod (alpha_i + 1)_{n_i} times the global sign
         ws = laguerre_ws(2)
-        value, residual = type2_residue_coefficient(ws, (1, 1), 0)
+        [value], residual = residues._type2_residue_row(ws, (1, 1), 0)
         assert residual.is_one()
         assert value == pochhammer(F(3, 2), 1) * pochhammer(F(4, 3), 1)
 
     def test_jp_order_zero_matches_series(self):
         ws = jacobi_pineiro_ws(2)
-        r_val, r_gamma = type2_residue_coefficient(ws, (1, 1), 0)
-        s_val, s_gamma = residues.type2_series_coefficient(ws, (1, 1), 0)
+        [r_val], r_gamma = residues._type2_residue_row(ws, (1, 1), 0)
+        [s_val], s_gamma = residues._type2_series_row(ws, (1, 1), 0)
         assert r_val == s_val and r_gamma.factors == s_gamma.factors
-
-    def test_hahn_pole_set_is_finite(self):
-        ws = hahn_ws(1, 4)
-        with pytest.raises(AdmissibilityError):
-            type2_residue_coefficient(ws, (1,), 5)
 
     def test_series_equivalence_laguerre(self):
         assert verify_type2_series_equivalence(laguerre_ws(2), (1, 1), 6)
@@ -249,10 +237,10 @@ class TestType2Residues:
         beta_unit = GammaProduct.gamma(F(1, 4) + 1, -1)
         for n, N in (((1,), 3), ((1, 1), 4), ((2, 1), 6)):
             ws = hahn_ws(len(n), N)
+            row, residual = residues._type2_residue_row(ws, n, N)
             for x in range(N + 1):
                 acc = F(0)
-                for k in range(N + 1):
-                    value, residual = type2_residue_coefficient(ws, n, k)
+                for k, value in enumerate(row):
                     normalized, leftover = (residual * beta_unit).reduce()
                     assert leftover.is_one()
                     acc += value * normalized * pochhammer(F(-x), k)
@@ -291,14 +279,14 @@ class TestRandomAdmissibleSystems:
 class TestInterpolationRecovery:
     def test_laguerre_constant(self):
         ws = laguerre_ws(2)
-        coeffs = interpolation_recover_p(ws, (1, 1), families.laguerre1_type1(ws, (1, 1)))
+        coeffs = interpolation_recover_p(ws, (1, 1), families.type1(ws, (1, 1)))
         assert coeffs[0] == F(-1) ** (2 - 1)
         assert all(c == 0 for c in coeffs[1:])
 
     def test_jp_constant(self):
         ws = jacobi_pineiro_ws(2)
         n = (2, 1)
-        coeffs = interpolation_recover_p(ws, n, families.jacobi_pineiro_type1(ws, n))
+        coeffs = interpolation_recover_p(ws, n, families.type1(ws, n))
         expected = recovered_constant_closed_form(ws, n)
         manual = F(-1) ** 2 / pochhammer(ws.beta + 1, 2)
         for i, a in enumerate(ws.alpha):
@@ -309,7 +297,7 @@ class TestInterpolationRecovery:
     def test_hahn_constant(self):
         ws = hahn_ws(3, 6)
         n = (1, 1, 1)
-        coeffs = interpolation_recover_p(ws, n, families.hahn_type1(ws, n))
+        coeffs = interpolation_recover_p(ws, n, families.type1(ws, n))
         expected = recovered_constant_closed_form(ws, n)
         manual = F(-1) ** 2 * math.factorial(ws.N - 3 + 1) / pochhammer(ws.beta + 1, 2)
         for i, a in enumerate(ws.alpha):
@@ -326,7 +314,7 @@ class TestInterpolationRecovery:
 
     def test_perturbed_vector_is_not_constant(self):
         ws = laguerre_ws(2)
-        vec = families.laguerre1_type1(ws, (2, 1))
+        vec = families.type1(ws, (2, 1))
         comp = vec.components[0]
         bumped = comp.coefficients[0] + 1, comp.coefficients[1]
         from mopexact.polybasis import ScaledPolynomial, TypeIVector
@@ -371,23 +359,23 @@ class TestFloatTailSanity:
     def test_partial_residue_sums_converge_laguerre(self):
         ws = laguerre_ws(2)
         n = (2, 1)
-        poly = families.laguerre1_type2(ws, n)
+        poly = families.type2(ws, n)
+        row, _ = residues._type2_residue_row(ws, n, 60)
         for x in (F(1, 2), F(3, 2), F(3)):
             target = float(poly.rational_value(x)) * math.exp(-float(x))
             acc = 0.0
-            for k in range(61):
-                value, _ = type2_residue_coefficient(ws, n, k)
+            for k, value in enumerate(row):
                 acc += float(value) * float(x) ** k
             assert abs(acc - target) <= 1e-10 * max(abs(target), 1e-30)
 
     def test_partial_residue_sums_converge_jp(self):
         ws = jacobi_pineiro_ws(2)
         n = (1, 1)
-        poly = families.jacobi_pineiro_type2(ws, n)
+        poly = families.type2(ws, n)
+        row, _ = residues._type2_residue_row(ws, n, 60)
         for x in (F(1, 3), F(1, 2)):
             target = float(poly.rational_value(x)) * (1 - float(x)) ** float(ws.beta)
             acc = 0.0
-            for k in range(61):
-                value, _ = type2_residue_coefficient(ws, n, k)
+            for k, value in enumerate(row):
                 acc += float(value) * float(x) ** k
             assert abs(acc - target) <= 1e-10 * max(abs(target), 1e-30)
