@@ -42,15 +42,12 @@ from .hyper import (
     eval_pfq,
 )
 from .oracle import (
-    MomentValue,
     OrthogonalityReport,
-    check_biorthogonality,
     check_discrete_mellin_inversion,
     check_hahn_summation_identity,
     check_mellin_type2,
     check_type1_orthogonality,
     check_type2_orthogonality,
-    moment,
     oracle_solve_type1,
     oracle_solve_type2,
 )

@@ -37,7 +37,7 @@ from .hyper import (
     check_rakha_rathie,
 )
 from .polybasis import BasisKind, eval_polynomial
-from .weights import Family, WeightSystem, total_degree
+from .weights import Family, WeightSystem
 
 IDENTITY_NAMES = (
     "chu-vandermonde",
@@ -151,20 +151,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _weight_system(args) -> WeightSystem:
+    """The weight system of every given option, so WeightSystem rejects one the family does not take."""
     family = Family(args.family)
     if args.weights is not None and args.weights != len(args.alpha):
         raise AdmissibilityError(
             f"--p {args.weights} does not match the {len(args.alpha)} --alpha values"
         )
-    if family is Family.LAGUERRE_FIRST_KIND:
-        return WeightSystem.laguerre(tuple(args.alpha))
-    if family is Family.JACOBI_PINEIRO:
-        if args.beta is None:
-            raise AdmissibilityError("--beta is required for jacobi-pineiro")
-        return WeightSystem.jacobi_pineiro(tuple(args.alpha), args.beta)
-    if args.beta is None or args.N is None:
+    if family is Family.JACOBI_PINEIRO and args.beta is None:
+        raise AdmissibilityError("--beta is required for jacobi-pineiro")
+    if family is Family.HAHN and (args.beta is None or args.N is None):
         raise AdmissibilityError("--beta and --N are required for hahn")
-    return WeightSystem.hahn(tuple(args.alpha), args.beta, args.N)
+    return WeightSystem(family, tuple(args.alpha), args.beta, args.N)
+
+
+def _check_counts(args) -> None:
+    """ValueError for a negative count or grid bound and for an --x-max that is not positive."""
+    for dest in ("samples", "draws", "max_N", "max_total_degree"):
+        if getattr(args, dest, 0) < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {getattr(args, dest)}")
+    if getattr(args, "x_max", 1) <= 0:
+        raise ValueError(f"--x-max must be positive, got {args.x_max}")
 
 
 def _config_echo(args) -> dict:
@@ -351,11 +357,8 @@ def _identity_rows(args) -> list[dict]:
         for n in driver.compositions(args.max_total_degree):
             for N in range(sum(n), args.max_N + 1):
                 ws = WeightSystem.hahn(driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA, N)
-                for j in range(total_degree(n)):
-                    rows.append({
-                        "params": {"n": list(n), "N": N, "j": j},
-                        "ok": oracle.check_hahn_summation_identity(ws, n, j),
-                    })
+                for j, ok in enumerate(oracle.check_hahn_summation_identity(ws, n)):
+                    rows.append({"params": {"n": list(n), "N": N, "j": j}, "ok": ok})
     elif name == "mellin-inversion":
         for _ in range(args.draws):
             N = rng.randint(0, args.max_N)
@@ -492,6 +495,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        _check_counts(args)
         return HANDLERS[args.command](args)
     except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError,
             IrreducibleGammaError) as exc:

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
 from .gammaprod import GammaProduct, pochhammer, rising_row
-from .hyper import KampeDeFerietSpec, eval_kdf
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -203,12 +202,17 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     return TypeIVector(tuple(components))
 
 
-def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int, x: int) -> Fraction:
-    """Two-weight Hahn type I component via its double-sum representation.
+def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction, ...]:
+    """Two-weight Hahn type I component i at x = 0..N via its double-sum representation.
 
-    Only defined for p = 2; evaluates component i at the lattice point x
-    through the terminating Kampe de Feriet double series, an independent
-    route to the same values as the general shifted-rising expansion.
+    Only defined for p = 2.  The terminating Kampe de Feriet double series
+    (a = alpha_i, a^ = alpha_other, likewise for n)
+        sum_{l,m} (1-n_i)_{l+m} (-N)_{l+m} / ((2-|n|)_{l+m} (a^+beta+n^+1)_{l+m}) * (a^-a-n_i+1)_l / l!
+                  * (a+beta+|n|)_m (a-a^-n^+1)_m / ((a+1)_m (-N)_m) * (-x)_m / m!
+    is an independent route to the values of the shifted-rising expansion.
+    Only (-x)_m / m! = (-1)^m C(x, m) depends on x, so the inner sums c_m over
+    l (which stops at n_i - 1 - m) are built once and entry x is the
+    prefactor times sum_m c_m C(x, m).
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
@@ -217,8 +221,6 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int, x: int) -> Fracti
     ws.validate_index(n, type_one=True)
     if min(n) < 1:
         raise AdmissibilityError("both component degrees must be >= 1")
-    if not 0 <= x <= ws.N:
-        raise AdmissibilityError(f"x = {x} outside the lattice")
     other = 1 - i
     a_i, a_hat = ws.alpha[i], ws.alpha[other]
     n_i, n_hat = n[i], n[other]
@@ -233,16 +235,22 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int, x: int) -> Fracti
     prefactor *= pochhammer(a_hat + beta + n_hat + 1, tot - 1)
     prefactor /= pochhammer(a_i - a_hat - n_hat + 1, tot - 1)
 
-    series = eval_kdf(KampeDeFerietSpec.of(
-        joint_num=(-n_i + 1, Fraction(-N)),
-        left_num=(a_hat - a_i - n_i + 1,),
-        right_num=(a_i + beta + tot, a_i - a_hat - n_hat + 1, Fraction(-x)),
-        joint_den=(Fraction(-tot + 2), a_hat + beta + n_hat + 1),
-        left_den=(),
-        right_den=(a_i + 1, Fraction(-N)),
-        x=1, y=1,
-    ))
-    return prefactor * series
+    def row(a):
+        return rising_row(a, n_i)
+
+    joint = [u * v / (w * z) for u, v, w, z in zip(
+        row(1 - n_i), row(-N), row(2 - tot), row(a_hat + beta + n_hat + 1))]
+    left = [b / math.factorial(l) for l, b in enumerate(row(a_hat - a_i - n_i + 1))]
+    right = [(-1) ** m * u * v / (w * z) for m, (u, v, w, z) in enumerate(zip(
+        row(a_i + beta + tot), row(a_i - a_hat - n_hat + 1), row(a_i + 1), row(-N)))]
+    inner = [
+        r * sum((joint[l + m] * left[l] for l in range(n_i - m)), Fraction(0))
+        for m, r in enumerate(right)
+    ]
+    return tuple(
+        prefactor * sum((math.comb(x, m) * c for m, c in enumerate(inner)), Fraction(0))
+        for x in range(N + 1)
+    )
 
 
 def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fraction, ...]:

@@ -11,7 +11,8 @@ anchored factor via rising factorials, leaving an exact rational times a
 fully normalized product.
 
 The one floating-point entry point, :func:`log_gamma_approx`, exists for
-data export and sanity checks only; nothing on the exact path calls it.
+data export and sanity checks only; nothing on the exact path calls it, and
+mpmath is imported only inside the float-path functions.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import PoleError
 
@@ -168,6 +167,7 @@ class GammaProduct:
 
     def log_value(self, digits: int = 17):
         """Sum of exponent * log Gamma(argument) as an mpmath float (float path)."""
+        import mpmath
         with mpmath.workdps(digits + 10):
             total = mpmath.mpf(0)
             for argument, exponent in self.factors:
@@ -177,6 +177,7 @@ class GammaProduct:
     def float_value(self, digits: int = 17) -> float:
         if self.is_one():
             return 1.0
+        import mpmath
         return float(mpmath.exp(self.log_value(digits)))
 
     def __str__(self) -> str:
@@ -198,6 +199,7 @@ def log_gamma_approx(x, digits: int):
     x = Fraction(x) if not isinstance(x, Fraction) else x
     if x <= 0:
         raise ValueError(f"log_gamma_approx requires x > 0, got {x}")
+    import mpmath
     with mpmath.workdps(digits + 10):
         value = mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator)
         return +value

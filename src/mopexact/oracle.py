@@ -12,12 +12,13 @@ Residuals reported here are the rational cofactors of the per-condition
 common gamma factor; a gamma product never vanishes, so a condition holds
 exactly iff its rational cofactor is zero.
 
-Every Hahn lattice sum is one :func:`lattice_sum` of value vectors on
-{0, ..., N}: ``ws.weight_table`` rows, ``lattice_table`` basis rows and
-``poly.lattice_values``.  The tables live on the weight system and the
-polynomial that own them and last only as long as those objects.  Every
-continuous moment pairing reads power-moment rows (:func:`_moment_rows`)
-built once per check or solve.
+Every Hahn lattice sum is one :func:`pair` of two integer lattice rows:
+``ws.weight_table`` rows, ``lattice_table`` basis rows, ``poly.lattice_values``
+or their entrywise products, multiplied and summed in integers and divided
+once; the type II Gram rows stay integers into the solve.  The tables live
+on the weight system and the polynomial that own them and last only as long
+as those objects.  Every continuous moment pairing reads power-moment rows
+(:func:`_moment_rows`) built once per check or solve.
 """
 
 from __future__ import annotations
@@ -32,21 +33,16 @@ from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, Precon
 from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer, rising_row
 from .hyper import pfq
 from .linalg import solve_linear_system
-from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, lattice_table
+from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
+from .polybasis import rising_over_factorial, row_product
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    """Exact weight moment: rational part times a formal gamma factor."""
+def pair(row: LatticeRow, other: LatticeRow) -> Fraction:
+    """The one Hahn pairing: sum over x = 0..N of the product of two lattice rows' values.
 
-    rational: Fraction
-    gamma: GammaProduct
-
-
-def lattice_sum(*vectors) -> Fraction:
-    """The one Hahn pairing: sum over x = 0..N of the product of the vectors' x-th entries."""
-    return sum(map(math.prod, zip(*vectors, strict=True)), Fraction(0))
+    The integer numerators are multiplied and summed, then divided once."""
+    return Fraction(sum(map(operator.mul, row[0], other[0])), row[1] * other[1])
 
 
 def _moment_row(ws: WeightSystem, i: int, length: int) -> list[Fraction]:
@@ -79,38 +75,6 @@ def _moment_gamma(ws: WeightSystem, i: int) -> GammaProduct:
             (ws.alpha[i] + 1, 1), (ws.beta + 1, 1), (ws.alpha[i] + ws.beta + 2, -1),
         ])
     return GammaProduct.one()
-
-
-def moment(ws: WeightSystem, i: int, basis: Basis, j: int) -> MomentValue:
-    """Exact moment of the j-th basis element against weight i.
-
-    Continuous families support the monomial basis; the Hahn lattice sums
-    any basis exactly.  For shifted-rising against backward rows the closed
-    product form is available as :func:`hahn_moment_closed`.
-    """
-    if not 0 <= i < ws.p:
-        raise AdmissibilityError(f"weight index {i} out of range")
-    if ws.family is Family.HAHN:
-        value = lattice_sum(lattice_table(basis, j, ws.N)[j], ws.weight_table[i])
-        return MomentValue(value, GammaProduct.one())
-    if basis.kind is not BasisKind.MONOMIAL:
-        raise PreconditionError("continuous families take moments in the monomial basis")
-    return MomentValue(_moment_row(ws, i, j + 1)[j], _moment_gamma(ws, i))
-
-
-def hahn_moment_closed(ws: WeightSystem, i: int, l: int, j: int) -> Fraction:
-    """sum_x (x+alpha_i+1)_l (beta+N-x+1)_j w_i(x) in closed form.
-
-    The lattice sum collapses through the Chu-Vandermonde convolution to
-    (beta+1)_j (alpha_i+1)_l (alpha_i+beta+2+j+l)_N / N!.
-    """
-    if ws.family is not Family.HAHN:
-        raise AdmissibilityError("closed lattice moments exist only for Hahn")
-    return (
-        pochhammer(ws.beta + 1, j) * pochhammer(ws.alpha[i] + 1, l)
-        * pochhammer(ws.alpha[i] + ws.beta + 2 + j + l, ws.N)
-        / math.factorial(ws.N)
-    )
 
 
 def _scale_reduction(ws: WeightSystem, scale: GammaProduct, i: int) -> Fraction:
@@ -169,8 +133,9 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
         values = poly.lattice_values(ws.N)
         powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
         for i in range(ws.p):
+            weighted = row_product(values, ws.weight_table[i])
             for j in range(n[i]):
-                residuals[(i, j)] = lattice_sum(powers[j], values, ws.weight_table[i]) * scale_rational
+                residuals[(i, j)] = pair(powers[j], weighted) * scale_rational
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
@@ -181,18 +146,21 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, None, None)
 
 
-def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> list[Fraction]:
-    """Values of sum_i scale_i * A_i(x) * w_i(x) at x = 0..N."""
-    form = [Fraction(0)] * (ws.N + 1)
+def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
+    """Values of sum_i scale_i * A_i(x) * w_i(x) at x = 0..N, over the lcm of the terms' denominators."""
+    form, den = (0,) * (ws.N + 1), 1
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
         scale_rational, leftover = comp.scale.reduce()
         if not leftover.is_one():
             raise IrreducibleGammaError("Hahn type I scales are rational")
-        weighted = zip(form, comp.lattice_values(ws.N), ws.weight_table[i])
-        form = [f + scale_rational * v * w for f, v, w in weighted]
-    return form
+        nums, d = row_product(comp.lattice_values(ws.N), ws.weight_table[i])
+        d *= scale_rational.denominator
+        common = math.lcm(den, d)
+        up, factor = common // den, scale_rational.numerator * (common // d)
+        form, den = tuple(f * up + factor * v for f, v in zip(form, nums)), common
+    return form, den
 
 
 def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fraction]:
@@ -200,7 +168,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fract
     if ws.family is Family.HAHN:
         form = _hahn_linear_form(ws, vec)
         basis = Basis.backward_pochhammer(ws.beta, ws.N)
-        return [lattice_sum(row, form) for row in lattice_table(basis, rows - 1, ws.N)]
+        return [pair(row, form) for row in lattice_table(basis, rows - 1, ws.N)]
     totals = [Fraction(0)] * rows
     moments = _moment_rows(ws, rows + max(len(comp.coefficients) for comp in vec.components) - 1)
     for i, comp in enumerate(vec.components):
@@ -230,39 +198,6 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, normalization, target)
 
 
-def check_biorthogonality(
-    ws: WeightSystem, n: MultiIndex, m: MultiIndex, poly: ScaledPolynomial, vec: TypeIVector
-) -> bool:
-    """Pairing of the degree-n type II polynomial poly with the index-m type I vector vec.
-
-    The defining conditions force 0 when m <= n componentwise, 1 when
-    |m| = |n| + 1, and 0 when |m| > |n| + 1; other index pairs are not
-    covered and raise PreconditionError.
-    """
-    ws.validate_index(n)
-    ws.validate_index(m, type_one=True)
-    if all(mi <= ni for mi, ni in zip(m, n)):
-        expected = Fraction(0)
-    elif total_degree(m) == total_degree(n) + 1:
-        expected = Fraction(1)
-    elif total_degree(m) > total_degree(n) + 1:
-        expected = Fraction(0)
-    else:
-        raise PreconditionError(f"pairing of n = {n} with m = {m} is not determined")
-    if ws.family is Family.HAHN:
-        return lattice_sum(poly.lattice_values(ws.N), _hahn_linear_form(ws, vec)) == expected
-    total = Fraction(0)
-    width = max(len(comp.coefficients) for comp in vec.components)
-    moments = _moment_rows(ws, width + len(poly.coefficients) - 1)
-    for i, comp in enumerate(vec.components):
-        if not comp.coefficients:
-            continue
-        factor = _scale_reduction(ws, comp.scale, i)
-        for k, ck in enumerate(comp.coefficients):
-            total += factor * ck * _power_pairing(poly.coefficients, moments[i], k)
-    return total == expected
-
-
 def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """Reconstruct the monic type II polynomial from its moment conditions.
 
@@ -278,13 +213,16 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     rows = []
     rhs = []
     if ws.family is Family.HAHN:
+        # integer Gram rows: each condition is scaled by its weight row's denominator
         basis = Basis.falling_factorial()
-        lead = Fraction(-1) ** total
-        falling = lattice_table(basis, total, ws.N)
-        powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
+        lead = (-1) ** total
+        falling = [nums for nums, _ in lattice_table(basis, total, ws.N)]
+        powers = [nums for nums, _ in lattice_table(Basis.monomial(), max(n) - 1, ws.N)]
         for i in range(ws.p):
+            weight = ws.weight_table[i][0]
+            weighted = [tuple(map(operator.mul, row, weight)) for row in falling]
             for j in range(n[i]):
-                gram = [lattice_sum(powers[j], row, ws.weight_table[i]) for row in falling]
+                gram = [sum(map(operator.mul, powers[j], row)) for row in weighted]
                 rows.append(gram[:total])
                 rhs.append(-lead * gram[total])
     else:
@@ -312,8 +250,11 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     rows = []
     rhs = []
     if ws.family is Family.HAHN:
-        for j in range(total):
-            rows.append([hahn_moment_closed(ws, i, k, j) for i, k in unknowns])
+        tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
+        columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
+        backward = lattice_table(Basis.backward_pochhammer(ws.beta, ws.N), total - 1, ws.N)
+        for j, row in enumerate(backward):
+            rows.append([pair(row, column) for column in columns])
             rhs.append(Fraction(-1) ** (total - 1) if j == total - 1 else Fraction(0))
     else:
         factors = [_scale_reduction(ws, families.type1_scale(ws, i, total), i) for i in range(ws.p)]
@@ -374,7 +315,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
             head /= pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
     if ws.family is Family.HAHN:
         head /= math.factorial(ws.N - total)
-        weighted = [v * b for v, b in zip(poly.lattice_values(ws.N), ws.beta_factors)]
+        weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
     else:
         coefficients = poly.monomial_coefficients()
     for s in points:
@@ -389,10 +330,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
         elif ws.family is Family.JACOBI_PINEIRO:
             lhs = _jacobi_pineiro_mellin_lhs(coefficients, s, ws.beta, total)
         else:
-            kernel = [Fraction(1)]  # (s)_x / x!
-            for x in range(ws.N):
-                kernel.append(kernel[-1] * (s + x) / (x + 1))
-            lhs = lattice_sum(weighted, kernel)
+            lhs = pair(weighted, rising_over_factorial(s, ws.N + 1))  # kernel (s)_x / x!
             rhs *= pochhammer(s + total + ws.beta + 1, ws.N - total)
         if lhs != rhs:
             return False
@@ -425,12 +363,14 @@ def check_discrete_mellin_inversion(ws: WeightSystem, values) -> bool:
     return True
 
 
-def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex, j: int) -> bool:
-    """The terminating-sum identity equivalent to the Hahn type I conditions.
+def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]:
+    """The terminating-sum identity equivalent to the Hahn type I conditions, row by row.
 
     The weighted lattice pairing of the type I vector with the backward
     basis element of order j collapses to a single sum of (p+2)F(p+1)
     values; it must equal 0 for j <= |n|-2 and (-1)^(|n|-1) at j = |n|-1.
+    Entry j of the result says whether row j holds.  The factors that do
+    not depend on j are built once.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("the summation identity is Hahn-specific")
@@ -438,43 +378,36 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex, j: int) -> bo
     if any(ni < 1 for ni in n):
         raise PreconditionError("all component degrees must be >= 1")
     total = total_degree(n)
-    if not 0 <= j <= total - 1:
-        raise PreconditionError(f"row index j = {j} out of range")
     alpha, beta, N = ws.alpha, ws.beta, ws.N
-    prefactor = Fraction(-1) ** (total - 1) * math.factorial(N + 1 - total)
+    # (beta+1+j)_{|n|-1-j} = (beta+1)_{|n|-1} / (beta+1)_j
+    beta_row = rising_row(beta + 1, total)
+    head = Fraction(-1) ** (total - 1) * math.factorial(N + 1 - total)
     for i in range(ws.p):
-        prefactor *= pochhammer(alpha[i] + beta + total, n[i])
-    prefactor /= math.factorial(N) * pochhammer(beta + 1 + j, total - 1 - j)
-    acc = Fraction(0)
+        head *= pochhammer(alpha[i] + beta + total, n[i])
+    head /= math.factorial(N) * beta_row[-1]
+    acc = [Fraction(0)] * total
     for i in range(ws.p):
-        # Gamma(alpha_i+beta+|n|) / Gamma(alpha_i+beta+2+j) as a signed offset
-        try:
-            gamma_quotient = 1 / pochhammer(alpha[i] + beta + total, j + 2 - total)
-        except ZeroDivisionError as exc:
-            raise PoleError(
-                f"summation identity degenerates at alpha_{i} + beta + |n| = "
-                f"{alpha[i] + beta + total}"
-            ) from exc
-        factor = pochhammer(alpha[i] + beta + N + 2, j) * gamma_quotient
-        factor /= math.factorial(n[i] - 1)
+        factor = Fraction(1, math.factorial(n[i] - 1))
         for k in range(ws.p):
             if k != i:
                 factor /= pochhammer(alpha[k] - alpha[i], n[k])
-        series = pfq(
-            (
-                -n[i] + 1,
-                alpha[i] + beta + N + 2 + j,
-                alpha[i] + beta + total,
-                *(alpha[i] + 1 - alpha[k] - n[k] for k in range(ws.p) if k != i),
-            ),
-            (
-                alpha[i] + beta + N + 2,
-                alpha[i] + beta + 2 + j,
-                *(alpha[i] + 1 - alpha[k] for k in range(ws.p) if k != i),
-            ),
-            1,
-        )
-        acc += factor * series
-    value = prefactor * acc
-    expected = Fraction(-1) ** (total - 1) if j == total - 1 else Fraction(0)
-    return value == expected
+        others_num = [alpha[i] + 1 - alpha[k] - n[k] for k in range(ws.p) if k != i]
+        others_den = [alpha[i] + 1 - alpha[k] for k in range(ws.p) if k != i]
+        lattice_row = rising_row(alpha[i] + beta + N + 2, total)
+        for j in range(total):
+            # Gamma(alpha_i+beta+|n|) / Gamma(alpha_i+beta+2+j) as a signed offset
+            try:
+                gamma_quotient = 1 / pochhammer(alpha[i] + beta + total, j + 2 - total)
+            except ZeroDivisionError as exc:
+                raise PoleError(
+                    f"summation identity degenerates at alpha_{i} + beta + |n| = "
+                    f"{alpha[i] + beta + total}"
+                ) from exc
+            series = pfq(
+                (-n[i] + 1, alpha[i] + beta + N + 2 + j, alpha[i] + beta + total, *others_num),
+                (alpha[i] + beta + N + 2, alpha[i] + beta + 2 + j, *others_den),
+                1,
+            )
+            acc[j] += factor * lattice_row[j] * gamma_quotient * series
+    normalization = Fraction(-1) ** (total - 1)
+    return [head * beta_row[j] * acc[j] == (normalization if j == total - 1 else 0) for j in range(total)]

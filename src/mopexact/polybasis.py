@@ -7,14 +7,17 @@ orthogonality rows.  A ScaledPolynomial is a coefficient list in one of
 these bases together with a formal GammaProduct scale, so transcendental
 prefactors stay symbolic until they cancel against weight moments.
 
-On the Hahn lattice {0, ..., N} a basis is tabulated by its one-step
-recurrence (:func:`lattice_table`); a polynomial's values there are kept on
-the polynomial object and last only as long as it.
+On the Hahn lattice {0, ..., N} every value vector is a :data:`LatticeRow`:
+integer numerators at x = 0..N over one positive denominator, so a lattice
+pairing is an integer dot product divided once.  A basis is tabulated by
+its one-step recurrence (:func:`lattice_table`); a polynomial's values
+there are kept on the polynomial object and last only as long as it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,12 +91,55 @@ class Basis:
         return tuple(coeffs)
 
 
-def lattice_table(basis: Basis, degree: int, N: int) -> list[tuple[Fraction, ...]]:
-    """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence."""
-    rows = [(Fraction(1),) * (N + 1)]
+#: Values at x = 0..N as (integer numerators, positive denominator); entry x
+#: is Fraction(nums[x], den).
+LatticeRow = tuple[tuple[int, ...], int]
+
+
+def reduced_row(nums, den: int) -> LatticeRow:
+    """The row nums / den with the common gcd of numerators and denominator divided out."""
+    g = math.gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def rising_over_factorial(a, length: int) -> LatticeRow:
+    """(a)_k / k! at k = 0..length-1 as one reduced row.
+
+    With a = p/q and m = length - 1 the denominator is q^m m!, and entry k
+    is prod_{j<k} (p + j q) * q^(m-k) * m!/k!, reduced by the common gcd.
+    """
+    a = as_fraction(a)
+    p, q = a.numerator, a.denominator
+    m = max(length - 1, 0)
+    den = q**m * math.factorial(m)
+    nums = []
+    num = low = 1  # prod_{j<k} (p + j q) and q^k k!
+    for k in range(length):
+        nums.append(num * (den // low))
+        num *= p + k * q
+        low *= q * (k + 1)
+    return reduced_row(nums, den)
+
+
+def row_product(row: LatticeRow, other: LatticeRow) -> LatticeRow:
+    """Entrywise product of two lattice rows."""
+    return tuple(map(operator.mul, row[0], other[0])), row[1] * other[1]
+
+
+def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
+    """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence.
+
+    Monomial and falling-factorial rows are integers (denominator 1); with
+    shift p/q the shifted-rising and backward rows have denominator q^k.
+    """
+    q = basis.shift.denominator if basis.shift is not None else 1
+    nums, den = (1,) * (N + 1), 1
+    rows = [(nums, den)]
     for m in range(degree):
         const, slope = basis._step_factor(m)
-        rows.append(tuple(value * (const + slope * x) for x, value in enumerate(rows[-1])))
+        const, slope = int(const * q), int(slope * q)
+        nums, den = tuple(value * (const + slope * x) for x, value in enumerate(nums)), den * q
+        rows.append((nums, den))
     return rows
 
 
@@ -134,13 +180,16 @@ class ScaledPolynomial:
         return sum((c * self.basis.element_value(k, x) for k, c in enumerate(self.coefficients)),
                    Fraction(0))
 
-    def lattice_values(self, N: int) -> tuple[Fraction, ...]:
-        """rational_value at x = 0..N, computed once per N and kept on this object."""
+    def lattice_values(self, N: int) -> LatticeRow:
+        """rational_value at x = 0..N as a reduced row, computed once per N and kept on this object."""
         if N not in self._lattice_values:
             table = lattice_table(self.basis, len(self.coefficients) - 1, N)
-            self._lattice_values[N] = tuple(
-                sum(map(operator.mul, self.coefficients, column), Fraction(0)) for column in zip(*table)
-            )
+            den = math.lcm(*(c.denominator * d for c, (_, d) in zip(self.coefficients, table)))
+            nums = [0] * (N + 1)
+            for c, (row, d) in zip(self.coefficients, table):
+                factor = c.numerator * (den // (c.denominator * d))
+                nums = [acc + factor * v for acc, v in zip(nums, row)]
+            self._lattice_values[N] = reduced_row(nums, den)
         return self._lattice_values[N]
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:

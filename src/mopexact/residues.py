@@ -136,7 +136,8 @@ def _direct_value(ws: WeightSystem, i: int, comp: ScaledPolynomial, x: Fraction)
         return Fraction(0)
     if ws.family is Family.HAHN:
         m = x.numerator
-        return comp.lattice_values(ws.N)[m] * pochhammer(ws.alpha[i] + 1, m)
+        nums, den = comp.lattice_values(ws.N)
+        return Fraction(nums[m], den) * pochhammer(ws.alpha[i] + 1, m)
     return comp.rational_value(x)
 
 

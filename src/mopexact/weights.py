@@ -10,20 +10,23 @@ Hahn weights are normalized so that their lattice values are exact
 rationals: w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!.  The
 gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
-The lattice values are tabulated on first use and kept on the weight
-system (:attr:`WeightSystem.weight_table`), so they last only as long as it.
+The lattice values are tabulated on first use as integer rows (numerators
+over one denominator, see :data:`mopexact.polybasis.LatticeRow`) and kept
+on the weight system (:attr:`WeightSystem.weight_table`), so they last only
+as long as it.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import AdmissibilityError
-from .gammaprod import as_fraction, pochhammer
+from .gammaprod import as_fraction
+from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
+from .polybasis import LatticeRow, reduced_row, rising_over_factorial, row_product
 
 
 class Family(enum.Enum):
@@ -112,20 +115,22 @@ class WeightSystem:
         return x
 
     @cached_property
-    def beta_factors(self) -> tuple[Fraction, ...]:
+    def beta_factors(self) -> LatticeRow:
         """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
-        return tuple(pochhammer(self.beta + 1, m) / math.factorial(m) for m in range(self.N, -1, -1))
+        nums, den = rising_over_factorial(self.beta + 1, self.N + 1)
+        return nums[::-1], den
 
     @cached_property
-    def weight_table(self) -> tuple[tuple[Fraction, ...], ...]:
+    def weight_table(self) -> tuple[LatticeRow, ...]:
         """Rows i of the Hahn lattice weights w_i(x), x = 0..N, built on first use."""
         if self.family is not Family.HAHN:
             raise AdmissibilityError("lattice weights exist only for the Hahn family")
         return tuple(
-            tuple(pochhammer(a + 1, x) / math.factorial(x) * b for x, b in enumerate(self.beta_factors))
+            reduced_row(*row_product(rising_over_factorial(a + 1, self.N + 1), self.beta_factors))
             for a in self.alpha
         )
 
     def hahn_weight(self, i: int, x: int) -> Fraction:
         """Exact lattice weight value w_i(x) for the Hahn family."""
-        return self.weight_table[i][self.check_point(x).numerator]
+        nums, den = self.weight_table[i]
+        return Fraction(nums[self.check_point(x).numerator], den)

@@ -29,15 +29,18 @@ def prime_offset(den: int):
 
 
 @st.composite
-def admissible_systems(draw, max_total: int = 4):
+def admissible_systems(draw, max_total: int = 4, family: str | None = None, p: int | None = None):
     """(ws, n) over all three families, drawn the way the verify driver draws.
 
     Each alpha slot has its own prime denominator (2, 3, 5) and beta another
     (7), so no alpha difference and no alpha_i + beta is an integer: every
     draw is admissible by construction.  n has 1 <= |n| <= max_total and may
-    hold idle weights (n_i = 0); Hahn takes N from |n| to |n| + 3.
+    hold idle weights (n_i = 0); Hahn takes N from |n| to |n| + 3.  A given
+    family ("laguerre", "jacobi-pineiro" or "hahn") or weight count p is
+    kept instead of drawn.
     """
-    p = draw(st.integers(1, 3))
+    if p is None:
+        p = draw(st.integers(1, 3))
     alpha = tuple(draw(prime_offset(den)) for den in (2, 3, 5)[:p])
     n = []
     for _ in range(p):
@@ -45,7 +48,8 @@ def admissible_systems(draw, max_total: int = 4):
     if not any(n):
         n[draw(st.integers(0, p - 1))] = 1
     n = tuple(n)
-    family = draw(st.sampled_from(["laguerre", "jacobi-pineiro", "hahn"]))
+    if family is None:
+        family = draw(st.sampled_from(["laguerre", "jacobi-pineiro", "hahn"]))
     if family == "laguerre":
         return WeightSystem.laguerre(alpha), n
     beta = draw(prime_offset(7))

@@ -135,6 +135,17 @@ class TestCoeffsCommand:
         assert json.loads(out)["kind"] == "PoleError"
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "jacobi-pineiro", "--alpha", "1/2", "--beta", "1/4", "--N", "5"),
+        ("--family", "laguerre1", "--alpha", "1/2", "--beta", "1/4"),
+        ("--family", "laguerre1", "--alpha", "1/2", "--N", "5"),
+    ], ids=["jacobi-pineiro-N", "laguerre-beta", "laguerre-N"])
+    def test_stray_weight_option_rejected(self, capsys, argv):
+        code, out = run_cli(capsys, "coeffs", *argv, "--n", "1")
+        assert code == 2
+        assert json.loads(out)["kind"] == "AdmissibilityError"
+
+
 class TestEvalCommand:
     @pytest.mark.parametrize("spaced, joined", [
         (("--family", "laguerre1", "--alpha", "-1/2", "--n", "1", "--x", "1"),
@@ -245,6 +256,14 @@ class TestVerifyCommand:
         assert json.loads(serial)["results"] == json.loads(auto)["results"]
 
 
+    @pytest.mark.parametrize("option", [("--max-N", "-3"), ("--max-total-degree", "-1")])
+    def test_negative_grid_bound_rejected(self, capsys, option):
+        code, out = run_cli(capsys, "verify", *option)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and option[0] in payload["error"]
+
+
 class TestIdentityCommand:
     def test_chu_vandermonde_draws(self, capsys):
         code, out = run_cli(capsys, "identity", "--name", "chu-vandermonde", "--draws", "50")
@@ -293,6 +312,12 @@ class TestIdentityCommand:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+
+    def test_negative_draws_rejected(self, capsys):
+        code, out = run_cli(capsys, "identity", "--name", "kummer", "--draws", "-1")
+        assert code == 2
+        assert json.loads(out)["kind"] == "ValueError"
 
 
 class TestTableCommand:
@@ -371,3 +396,15 @@ class TestPlotDataCommand:
             1 for a, b in zip(values, values[1:]) if a != 0 and b != 0 and (a < 0) != (b < 0)
         )
         assert sign_changes <= 3
+
+    @pytest.mark.parametrize("argv", [
+        ("--x-max", "0"),
+        ("--x-max", "0", "--type", "1"),
+        ("--x-max", "-1/2"),
+        ("--samples", "-3"),
+    ], ids=["x-max-0-type-2", "x-max-0-type-1", "x-max-negative", "samples-negative"])
+    def test_degenerate_window_rejected(self, capsys, argv):
+        code, out = run_cli(capsys, "plot-data", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and argv[0] in payload["error"]

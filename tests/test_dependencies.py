@@ -2,10 +2,16 @@
 
 numpy and sympy may be installed next to it, and gmpy2 or python-flint
 might be one day, but none of them is a dependency of ``src/mopexact``.
+mpmath serves only the float path and is imported when that path runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import mopexact
 
 FORBIDDEN = {"numpy", "sympy", "gmpy2", "flint"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mopexact"
@@ -34,3 +40,12 @@ def test_no_forbidden_runtime_imports():
 def test_scanner_sees_every_import_form():
     tree = ast.parse("import numpy.linalg\nfrom sympy import Rational\nfrom . import gammaprod\nimport flint as f\n")
     assert _imported_roots(tree) == {"numpy", "sympy", "flint"}
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # the child imports the same mopexact as this process, also under a bare `pytest`
+    src = os.path.dirname(os.path.dirname(mopexact.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, mopexact.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

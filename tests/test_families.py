@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from mopexact import (
     BasisKind,
@@ -15,9 +16,38 @@ from mopexact import (
     type2,
 )
 from mopexact import families, oracle
-from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from mopexact.hyper import KampeDeFerietSpec, eval_kdf
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws
 
 F = Fraction
+
+
+def kdf_per_point(ws, n, i, x) -> Fraction:
+    """Component i at one lattice point x through a full double series (the per-point route)."""
+    other = 1 - i
+    a_i, a_hat = ws.alpha[i], ws.alpha[other]
+    n_i, n_hat = n[i], n[other]
+    beta, N = ws.beta, ws.N
+    tot = n_i + n_hat
+
+    prefactor = F(-1) ** (n_i - 1)
+    prefactor *= math.factorial(N + 1 - tot) * math.factorial(tot - 2)
+    prefactor /= math.factorial(n_i - 1) * math.factorial(n_hat - 1)
+    prefactor /= pochhammer(beta + 1, tot - 1)
+    prefactor /= pochhammer(a_i + beta + tot + n_i, N + 1 - tot)
+    prefactor *= pochhammer(a_hat + beta + n_hat + 1, tot - 1)
+    prefactor /= pochhammer(a_i - a_hat - n_hat + 1, tot - 1)
+
+    series = eval_kdf(KampeDeFerietSpec.of(
+        joint_num=(-n_i + 1, F(-N)),
+        left_num=(a_hat - a_i - n_i + 1,),
+        right_num=(a_i + beta + tot, a_i - a_hat - n_hat + 1, F(-x)),
+        joint_den=(F(-tot + 2), a_hat + beta + n_hat + 1),
+        left_den=(),
+        right_den=(a_i + 1, F(-N)),
+        x=1, y=1,
+    ))
+    return prefactor * series
 
 
 class TestLaguerreType2:
@@ -142,8 +172,9 @@ class TestHahnType1:
         for ours, theirs in zip(vec.components, solved.components):
             assert ours.coefficients == theirs.coefficients
         for i in range(2):
+            row = hahn_type1_p2_kdf(ws, (1, 1), i)
             for x in range(ws.N + 1):
-                assert hahn_type1_p2_kdf(ws, (1, 1), i, x) == vec.components[i].rational_value(x)
+                assert row[x] == vec.components[i].rational_value(x)
 
     def test_leading_constant_sign_structure(self):
         # the order-zero coefficient is the full prefactor, sign (-1)^(|n|-1)
@@ -166,18 +197,29 @@ class TestHahnType1:
 class TestHahnDoubleSeries:
     def test_requires_two_weights(self):
         with pytest.raises(PreconditionError):
-            hahn_type1_p2_kdf(hahn_ws(1, 3), (1,), 0, 0)
+            hahn_type1_p2_kdf(hahn_ws(1, 3), (1,), 0)
 
     def test_matches_general_formula_deeper(self):
         ws = hahn_ws(2, 5)
-        assert hahn_type1_p2_kdf(ws, (2, 1), 1, 1) == F(2363904, 2037805)
+        assert hahn_type1_p2_kdf(ws, (2, 1), 1)[1] == F(2363904, 2037805)
         vec = type1(ws, (2, 1))
         assert vec.components[1].rational_value(1) == F(2363904, 2037805)
+
+    @given(admissible_systems(family="hahn", p=2))
+    @settings(max_examples=25, deadline=None)
+    def test_row_matches_per_point_series(self, system):
+        ws, n = system
+        assume(min(n) >= 1)
+        vec = type1(ws, n)
+        for i in range(2):
+            row = hahn_type1_p2_kdf(ws, n, i)
+            assert row == tuple(kdf_per_point(ws, n, i, x) for x in range(ws.N + 1))
+            assert row == tuple(vec.components[i].rational_value(x) for x in range(ws.N + 1))
 
     def test_single_term_structure(self):
         # n = (1,1): the first summation index is pinned at zero
         ws = hahn_ws(2, 3)
-        value = hahn_type1_p2_kdf(ws, (1, 1), 0, 2)
+        value = hahn_type1_p2_kdf(ws, (1, 1), 0)[2]
         assert isinstance(value, F)
 
 
@@ -206,9 +248,10 @@ class TestHahnWeightedSeries:
     def test_every_lattice_point_matches_direct_values(self):
         for n, N in (((1,), 3), ((2, 1), 5), ((1, 2, 1), 7), ((0, 3), 4)):
             ws = hahn_ws(len(n), N)
-            values = type2(ws, n).lattice_values(N)
+            values, den = type2(ws, n).lattice_values(N)
+            factors, factor_den = ws.beta_factors
             series = hahn_type2_weighted_series(ws, n)
-            assert series == tuple(v * f for v, f in zip(values, ws.beta_factors))
+            assert series == tuple(F(v * f, den * factor_den) for v, f in zip(values, factors))
 
 
 class TestHahnJacobiPineiroRelation:

@@ -1,3 +1,5 @@
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -6,27 +8,93 @@ from hypothesis import strategies as st
 
 from mopexact import (
     Basis,
+    BasisKind,
     PreconditionError,
     ScaledPolynomial,
     SingularSystemError,
     TypeIVector,
-    check_biorthogonality,
     check_discrete_mellin_inversion,
     check_hahn_summation_identity,
     check_mellin_type2,
     check_type1_orthogonality,
     check_type2_orthogonality,
-    moment,
     oracle_solve_type1,
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import GammaProduct, WeightSystem, families, oracle
+from mopexact import AdmissibilityError, Family, GammaProduct, WeightSystem, families, oracle
+from mopexact.weights import total_degree
 from mopexact.linalg import interpolate, solve_linear_system
 from mopexact.driver import compositions
+from mopexact.polybasis import lattice_table, row_product
 from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, scaled_values_equal
 
 F = Fraction
+
+
+def lattice_sum(*vectors) -> Fraction:
+    """The Fraction pairing the integer rows replaced: sum over x of the product of the entries."""
+    return sum(map(math.prod, zip(*vectors, strict=True)), Fraction(0))
+
+
+def entries(row) -> tuple[Fraction, ...]:
+    nums, den = row
+    return tuple(F(v, den) for v in nums)
+
+
+@dataclass(frozen=True)
+class MomentValue:
+    """Exact weight moment: rational part times a formal gamma factor."""
+
+    rational: Fraction
+    gamma: GammaProduct
+
+
+def moment(ws, i: int, basis: Basis, j: int) -> MomentValue:
+    """Exact moment of the j-th basis element against weight i.
+
+    Continuous families support the monomial basis; the Hahn lattice sums
+    any basis exactly.
+    """
+    if not 0 <= i < ws.p:
+        raise AdmissibilityError(f"weight index {i} out of range")
+    if ws.family is Family.HAHN:
+        value = oracle.pair(lattice_table(basis, j, ws.N)[j], ws.weight_table[i])
+        return MomentValue(value, GammaProduct.one())
+    if basis.kind is not BasisKind.MONOMIAL:
+        raise PreconditionError("continuous families take moments in the monomial basis")
+    return MomentValue(oracle._moment_row(ws, i, j + 1)[j], oracle._moment_gamma(ws, i))
+
+
+def check_biorthogonality(ws, n, m, poly, vec) -> bool:
+    """Pairing of the degree-n type II polynomial poly with the index-m type I vector vec.
+
+    The defining conditions force 0 when m <= n componentwise, 1 when
+    |m| = |n| + 1, and 0 when |m| > |n| + 1; other index pairs are not
+    covered and raise PreconditionError.
+    """
+    ws.validate_index(n)
+    ws.validate_index(m, type_one=True)
+    if all(mi <= ni for mi, ni in zip(m, n)):
+        expected = Fraction(0)
+    elif total_degree(m) == total_degree(n) + 1:
+        expected = Fraction(1)
+    elif total_degree(m) > total_degree(n) + 1:
+        expected = Fraction(0)
+    else:
+        raise PreconditionError(f"pairing of n = {n} with m = {m} is not determined")
+    if ws.family is Family.HAHN:
+        return oracle.pair(poly.lattice_values(ws.N), oracle._hahn_linear_form(ws, vec)) == expected
+    total = Fraction(0)
+    width = max(len(comp.coefficients) for comp in vec.components)
+    moments = oracle._moment_rows(ws, width + len(poly.coefficients) - 1)
+    for i, comp in enumerate(vec.components):
+        if not comp.coefficients:
+            continue
+        factor = oracle._scale_reduction(ws, comp.scale, i)
+        for k, ck in enumerate(comp.coefficients):
+            total += factor * ck * oracle._power_pairing(poly.coefficients, moments[i], k)
+    return total == expected
 
 
 def hahn_moment_brute(ws, i: int, l: int, j: int) -> Fraction:
@@ -39,6 +107,19 @@ def hahn_moment_brute(ws, i: int, l: int, j: int) -> Fraction:
             * ws.hahn_weight(i, x)
         )
     return total
+
+
+def hahn_moment_closed(ws, i: int, l: int, j: int) -> Fraction:
+    """sum_x (x+alpha_i+1)_l (beta+N-x+1)_j w_i(x) in closed form.
+
+    The lattice sum collapses through the Chu-Vandermonde convolution to
+    (beta+1)_j (alpha_i+1)_l (alpha_i+beta+2+j+l)_N / N!.
+    """
+    return (
+        pochhammer(ws.beta + 1, j) * pochhammer(ws.alpha[i] + 1, l)
+        * pochhammer(ws.alpha[i] + ws.beta + 2 + j + l, ws.N)
+        / math.factorial(ws.N)
+    )
 
 
 def hahn_power_normalization(ws, n, vec) -> Fraction:
@@ -85,7 +166,7 @@ class TestMoments:
             for i in range(2):
                 for l in range(5):
                     for j in range(5):
-                        assert oracle.hahn_moment_closed(ws, i, l, j) == \
+                        assert hahn_moment_closed(ws, i, l, j) == \
                             hahn_moment_brute(ws, i, l, j)
 
     @given(
@@ -125,6 +206,32 @@ class TestMoments:
         assert value.gamma.is_one()
         assert value.rational == hahn_moment_brute(ws, 0, 0, 2)
         assert moment(ws, 0, shifted, 3).rational == hahn_moment_brute(ws, 0, 3, 0)
+
+
+class TestIntegerPairing:
+    @given(admissible_systems(family="hahn"))
+    @settings(max_examples=25, deadline=None)
+    def test_pair_equals_fraction_sum(self, system):
+        ws, n = system
+        total = sum(n)
+        values = families.type2(ws, n).lattice_values(ws.N)
+        form = oracle._hahn_linear_form(ws, families.type1(ws, n))
+        bases = [Basis.monomial(), Basis.falling_factorial(), Basis.backward_pochhammer(ws.beta, ws.N)]
+        for i, weight in enumerate(ws.weight_table):
+            weighted = row_product(values, weight)
+            for basis in bases + [Basis.shifted_rising(ws.alpha[i] + 1)]:
+                for row in lattice_table(basis, total, ws.N):
+                    assert oracle.pair(row, weight) == lattice_sum(entries(row), entries(weight))
+                    assert oracle.pair(row, weighted) == lattice_sum(entries(row), entries(values), entries(weight))
+                    assert oracle.pair(row, form) == lattice_sum(entries(row), entries(form))
+
+    def test_linear_form_matches_fraction_terms(self):
+        ws = hahn_ws(3, 6)
+        vec = families.type1(ws, (2, 1, 2))
+        expected = [F(0)] * (ws.N + 1)
+        for comp, weight in zip(vec.components, ws.weight_table):
+            expected = [e + v * w for e, v, w in zip(expected, entries(comp.lattice_values(ws.N)), entries(weight))]
+        assert entries(oracle._hahn_linear_form(ws, vec)) == tuple(expected)
 
 
 class TestType2Reports:
@@ -302,13 +409,15 @@ class TestDiscreteInversion:
 class TestHahnSummation:
     def test_normalization_row(self):
         ws = hahn_ws(2, 4)
-        assert check_hahn_summation_identity(ws, (1, 1), 1)
+        assert check_hahn_summation_identity(ws, (1, 1))[1]
 
     def test_vanishing_row(self):
         ws = hahn_ws(2, 4)
-        assert check_hahn_summation_identity(ws, (1, 1), 0)
+        assert check_hahn_summation_identity(ws, (1, 1))[0]
 
     def test_three_weights_all_rows(self):
         ws = hahn_ws(3, 5)
+        rows = check_hahn_summation_identity(ws, (1, 1, 1))
+        assert len(rows) == 3
         for j in range(3):
-            assert check_hahn_summation_identity(ws, (1, 1, 1), j)
+            assert rows[j]

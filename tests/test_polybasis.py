@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopexact import Basis, GammaProduct, ScaledPolynomial, eval_polynomial
-from mopexact.polybasis import lattice_table
+from mopexact import Basis, GammaProduct, ScaledPolynomial, eval_polynomial, pochhammer
+from mopexact.polybasis import lattice_table, rising_over_factorial
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
 
@@ -30,8 +32,11 @@ any_basis = st.one_of(
 def test_lattice_table_matches_element_value(basis, degree, N):
     table = lattice_table(basis, degree, N)
     assert len(table) == degree + 1
-    for k, row in enumerate(table):
-        assert row == tuple(basis.element_value(k, x) for x in range(N + 1))
+    q = basis.shift.denominator if basis.shift is not None else 1
+    for k, (nums, den) in enumerate(table):
+        # integers over q^k: 1 for monomials and falling factorials
+        assert all(type(v) is int for v in nums) and den == q**k
+        assert tuple(Fraction(v, den) for v in nums) == tuple(basis.element_value(k, x) for x in range(N + 1))
 
 
 @given(basis=any_basis, coeffs=st.lists(rationals, max_size=7), N=st.integers(0, 10))
@@ -39,8 +44,29 @@ def test_lattice_table_matches_element_value(basis, degree, N):
 def test_lattice_values_match_rational_value(basis, coeffs, N):
     poly = ScaledPolynomial(basis, tuple(coeffs))
     values = poly.lattice_values(N)
-    assert values == tuple(poly.rational_value(x) for x in range(N + 1))
+    nums, den = values
+    assert all(type(v) is int for v in nums) and den > 0 and math.gcd(den, *nums) == 1
+    assert tuple(Fraction(v, den) for v in nums) == tuple(poly.rational_value(x) for x in range(N + 1))
     assert poly.lattice_values(N) is values  # computed once per polynomial object
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind.value)
+def test_integer_rows_at_a_single_lattice_point(basis):
+    # N = 0: every row is the one value at x = 0
+    for k, (nums, den) in enumerate(lattice_table(basis, 4, 0)):
+        assert len(nums) == 1 and Fraction(nums[0], den) == basis.element_value(k, 0)
+    poly = ScaledPolynomial(basis, (Fraction(2, 3), Fraction(-1, 5), Fraction(7)))
+    nums, den = poly.lattice_values(0)
+    assert len(nums) == 1 and Fraction(nums[0], den) == poly.rational_value(0)
+    assert ScaledPolynomial(basis, ()).lattice_values(0) == ((0,), 1)
+
+
+@given(a=st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), length=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_rising_over_factorial_matches_pochhammer(a, length):
+    nums, den = rising_over_factorial(a, length)
+    assert all(type(v) is int for v in nums) and den > 0 and math.gcd(den, *nums) == 1
+    assert [Fraction(v, den) for v in nums] == [pochhammer(a, k) / math.factorial(k) for k in range(length)]
 
 
 @given(x=rationals, k=st.integers(0, 6), basis=st.sampled_from(BASES))

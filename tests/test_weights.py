@@ -84,12 +84,17 @@ class TestHahnWeights:
         except AdmissibilityError:
             assume(False)
         assert len(ws.weight_table) == ws.p
-        for a, row in zip(ws.alpha, ws.weight_table):
-            assert row == tuple(
+        for a, (nums, den) in zip(ws.alpha, ws.weight_table):
+            assert all(type(v) is int for v in nums) and den > 0 and math.gcd(den, *nums) == 1
+            assert tuple(Fraction(v, den) for v in nums) == tuple(
                 pochhammer(a + 1, x) / math.factorial(x)
                 * pochhammer(beta + 1, N - x) / math.factorial(N - x)
                 for x in range(N + 1)
             )
+        nums, den = ws.beta_factors
+        assert tuple(Fraction(v, den) for v in nums) == tuple(
+            pochhammer(beta + 1, N - x) / math.factorial(N - x) for x in range(N + 1)
+        )
 
     def test_weight_table_only_for_hahn(self):
         with pytest.raises(AdmissibilityError):
