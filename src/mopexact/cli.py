@@ -165,8 +165,8 @@ def _weight_system(args) -> WeightSystem:
 
 
 def _check_counts(args) -> None:
-    """ValueError for a negative count or grid bound and for an --x-max that is not positive."""
-    for dest in ("samples", "draws", "max_N", "max_total_degree"):
+    """ValueError for a negative count, grid bound or worker count and for an --x-max that is not positive."""
+    for dest in ("samples", "draws", "max_N", "max_total_degree", "jobs"):
         if getattr(args, dest, 0) < 0:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {getattr(args, dest)}")
     if getattr(args, "x_max", 1) <= 0:

@@ -17,8 +17,9 @@ Every Hahn lattice sum is one :func:`pair` of two integer lattice rows:
 or their entrywise products, multiplied and summed in integers and divided
 once; the type II Gram rows stay integers into the solve.  The tables live
 on the weight system and the polynomial that own them and last only as long
-as those objects.  Every continuous moment pairing reads power-moment rows
-(:func:`_moment_rows`) built once per check or solve.
+as those objects.  Every continuous pairing is an integer dot product
+divided once too: each weight's power moments are one integer row
+(:func:`_moment_rows`) and coefficients go over one denominator.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochha
 from .hyper import pfq
 from .linalg import solve_linear_system
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
-from .polybasis import rising_over_factorial, row_product
+from .polybasis import reduced_row, rising_over_factorial, row_product
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -45,26 +46,38 @@ def pair(row: LatticeRow, other: LatticeRow) -> Fraction:
     return Fraction(sum(map(operator.mul, row[0], other[0])), row[1] * other[1])
 
 
-def _moment_row(ws: WeightSystem, i: int, length: int) -> list[Fraction]:
-    """Rational cofactors of the power moments j < length of continuous weight i.
+def _integer_row(values, factor: Fraction = Fraction(1)) -> LatticeRow:
+    """factor * values as integer numerators over one denominator (the values' lcm times factor's)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [factor.numerator * v.numerator * (den // v.denominator) for v in values], den * factor.denominator
 
-    (alpha_i+1)_j for Laguerre and (alpha_i+1)_j / (alpha_i+beta+2)_j for
-    Jacobi-Pineiro, both against the gamma factor of :func:`_moment_gamma`.
+
+def _row_sum(rows, length: int) -> LatticeRow:
+    """Entrywise sum of integer rows over the lcm of their denominators."""
+    den = math.lcm(*(d for _, d in rows))
+    scaled = [(den // d, nums) for nums, d in rows]
+    return [sum(up * nums[x] for up, nums in scaled) for x in range(length)], den
+
+
+def _moment_rows(ws: WeightSystem, length: int) -> list[LatticeRow]:
+    """Power moments j < length of every continuous weight as integer rows, against :func:`_moment_gamma`.
+
+    Entry j is (a)_j, over (b)_j for Jacobi-Pineiro (a = alpha_i+1 = p/q, b = alpha_i+beta+2 = r/s):
+    with m = length-1, prod_{l<j} (p+lq) q^(m-j) s^j prod_{j<=l<m} (r+ls) over q^m prod_{l<m} (r+ls)
+    (r+ls = s = 1 for Laguerre), the row's common gcd divided out.
     """
-    row = rising_row(ws.alpha[i] + 1, length)
-    if ws.family is Family.JACOBI_PINEIRO:
-        row = [m / d for m, d in zip(row, rising_row(ws.alpha[i] + ws.beta + 2, length))]
-    return row
-
-
-def _moment_rows(ws: WeightSystem, length: int) -> list[list[Fraction]]:
-    """:func:`_moment_row` for every weight, built once per check or solve."""
-    return [_moment_row(ws, i, length) for i in range(ws.p)]
-
-
-def _power_pairing(coefficients, moments, j: int) -> Fraction:
-    """sum_k c_k m_{j+k}: a monomial-basis polynomial times x^j against one moment row."""
-    return sum(map(operator.mul, coefficients, moments[j:]), Fraction(0))
+    m, jacobi = max(length - 1, 0), ws.family is Family.JACOBI_PINEIRO
+    rows = []
+    for alpha in ws.alpha:
+        p, q = (alpha + 1).as_integer_ratio()
+        r, s = (alpha + ws.beta + 2).as_integer_ratio() if jacobi else (1, 1)
+        step = s if jacobi else 0
+        head, tail = [1], [1]  # head[j] = prod_{l<j} (p+lq) s^j, tail[m-j] = q^(m-j) prod_{j<=l<m} (r+ls)
+        for l in range(m):
+            head.append(head[-1] * (p + l * q) * s)
+            tail.append(tail[-1] * (r + (m - 1 - l) * step) * q)
+        rows.append(reduced_row([h * t for h, t in zip(head, reversed(tail))][:length], tail[-1]))
+    return rows
 
 
 def _moment_gamma(ws: WeightSystem, i: int) -> GammaProduct:
@@ -139,16 +152,16 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        moments = _moment_rows(ws, max(n) + len(poly.coefficients) - 1)
-        for i in range(ws.p):
+        coefficients = _integer_row(poly.coefficients, scale_rational)
+        for i, (nums, den) in enumerate(_moment_rows(ws, max(n) + len(poly.coefficients) - 1)):
             for j in range(n[i]):
-                residuals[(i, j)] = _power_pairing(poly.coefficients, moments[i], j) * scale_rational
+                residuals[(i, j)] = pair(coefficients, (nums[j:], den))
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, None, None)
 
 
 def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
     """Values of sum_i scale_i * A_i(x) * w_i(x) at x = 0..N, over the lcm of the terms' denominators."""
-    form, den = (0,) * (ws.N + 1), 1
+    terms = []
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
@@ -156,11 +169,8 @@ def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
         if not leftover.is_one():
             raise IrreducibleGammaError("Hahn type I scales are rational")
         nums, d = row_product(comp.lattice_values(ws.N), ws.weight_table[i])
-        d *= scale_rational.denominator
-        common = math.lcm(den, d)
-        up, factor = common // den, scale_rational.numerator * (common // d)
-        form, den = tuple(f * up + factor * v for f, v in zip(form, nums)), common
-    return form, den
+        terms.append(([scale_rational.numerator * v for v in nums], d * scale_rational.denominator))
+    return _row_sum(terms, ws.N + 1)
 
 
 def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fraction]:
@@ -169,17 +179,18 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fract
         form = _hahn_linear_form(ws, vec)
         basis = Basis.backward_pochhammer(ws.beta, ws.N)
         return [pair(row, form) for row in lattice_table(basis, rows - 1, ws.N)]
-    totals = [Fraction(0)] * rows
     moments = _moment_rows(ws, rows + max(len(comp.coefficients) for comp in vec.components) - 1)
+    terms = []
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
         if comp.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type I components live in the monomial basis")
-        factor = _scale_reduction(ws, comp.scale, i)
-        for j in range(rows):
-            totals[j] += factor * _power_pairing(comp.coefficients, moments[i], j)
-    return totals
+        coefficients, den = _integer_row(comp.coefficients, _scale_reduction(ws, comp.scale, i))
+        nums, moment_den = moments[i]
+        terms.append(([sum(map(operator.mul, coefficients, nums[j:])) for j in range(rows)], den * moment_den))
+    totals, den = _row_sum(terms, rows)
+    return [Fraction(v, den) for v in totals]
 
 
 def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> OrthogonalityReport:
@@ -228,11 +239,10 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     else:
         basis = Basis.monomial()
         lead = Fraction(1)
-        moments = _moment_rows(ws, max(n) + total)
-        for i in range(ws.p):
+        for i, (nums, _) in enumerate(_moment_rows(ws, max(n) + total)):
             for j in range(n[i]):
-                rows.append(moments[i][j:j + total])
-                rhs.append(-moments[i][j + total])
+                rows.append(nums[j:j + total])
+                rhs.append(-nums[j + total])
     solution = solve_linear_system(rows, rhs)
     return ScaledPolynomial(basis, tuple(solution) + (lead,))
 
@@ -257,44 +267,24 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
             rows.append([pair(row, column) for column in columns])
             rhs.append(Fraction(-1) ** (total - 1) if j == total - 1 else Fraction(0))
     else:
-        factors = [_scale_reduction(ws, families.type1_scale(ws, i, total), i) for i in range(ws.p)]
+        # column (i, k) of row j is factor_i m_i[j+k]; every row is scaled by one common denominator
         moments = _moment_rows(ws, total + max(n) - 1)
+        ups, common = _integer_row([_scale_reduction(ws, families.type1_scale(ws, i, total), i) / den
+                                    for i, (_, den) in enumerate(moments)])
         for j in range(total):
-            rows.append([factors[i] * moments[i][j + k] for i, k in unknowns])
-            rhs.append(Fraction(1) if j == total - 1 else Fraction(0))
-    solution = solve_linear_system(rows, rhs)
-    per_component: dict[int, list[Fraction]] = {i: [] for i in range(ws.p)}
-    for (i, _), value in zip(unknowns, solution):
-        per_component[i].append(value)
-    components = tuple(
-        ScaledPolynomial(
-            families.type1_basis(ws, i),
-            tuple(per_component[i]),
-            families.type1_scale(ws, i, total),
-        )
+            rows.append([ups[i] * moments[i][0][j + k] for i, k in unknowns])
+            rhs.append(common if j == total - 1 else 0)
+    solution = iter(solve_linear_system(rows, rhs))  # unknowns run component by component
+    return TypeIVector(tuple(
+        ScaledPolynomial(families.type1_basis(ws, i), tuple(next(solution) for _ in range(n[i])),
+                         families.type1_scale(ws, i, total))
         for i in range(ws.p)
-    )
-    return TypeIVector(components)
+    ))
 
 
 def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
     """The |n| transform arguments where orthogonality forces the transform to vanish."""
     return [ws.alpha[i] + k for i in range(ws.p) for k in range(1, n[i] + 1)]
-
-
-def _jacobi_pineiro_mellin_lhs(coefficients, s: Fraction, beta: Fraction, total: int) -> Fraction:
-    """sum_k c_k (s)_k (s+beta+1+k)_{|n|-k}, the moment-reduced Jacobi-Pineiro transform.
-
-    (s+beta+1+k)_{|n|-k} is built backwards from the last k, one multiply
-    per step: (s+beta+k)_{|n|-k+1} = (s+beta+k) (s+beta+1+k)_{|n|-k}.
-    """
-    tail = pochhammer(s + beta + len(coefficients), total + 1 - len(coefficients))
-    rising = rising_row(s, len(coefficients))
-    lhs = Fraction(0)
-    for k in reversed(range(len(coefficients))):
-        lhs += coefficients[k] * rising[k] * tail
-        tail *= s + beta + k
-    return lhs
 
 
 def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, points) -> bool:
@@ -305,6 +295,11 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
     Gamma(s) Gamma(beta+1) / Gamma(s+beta+|n|+1) for Jacobi-Pineiro, and
     Gamma(beta+1) Gamma(s) for the discrete Hahn kernel.  The parts that do
     not depend on s are built once; the first failing s returns False.
+
+    At s = a/b each side is one Fraction of integer sums.  The continuous
+    left side sum_k c_k (s)_k [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro] is
+    nested from the top index K: with s+beta+1 = u/v and B_k = prod_{k<=m<|n|}
+    (u+mv) (B_k = v = 1 for Laguerre), acc_k = c_k B_k b^(K-k) + (a+kb) v acc_(k+1).
     """
     ws.validate_index(n)
     total = total_degree(n)
@@ -313,25 +308,37 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
         head *= pochhammer(ws.beta + 1, total)
         for i in range(ws.p):
             head /= pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
+    alpha_plus_one = [(alpha + 1).as_integer_ratio() for alpha in ws.alpha]
     if ws.family is Family.HAHN:
         head /= math.factorial(ws.N - total)
         weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
     else:
-        coefficients = poly.monomial_coefficients()
+        coefficients, den = _integer_row(poly.monomial_coefficients())
+        if not 0 < len(coefficients) <= total + 1:
+            raise PreconditionError(f"a type II polynomial at |n| = {total} has 1 to {total + 1} coefficients")
     for s in points:
         s = as_fraction(s)
         if is_nonpositive_integer(s):
             raise PoleError(f"transform argument s = {s} sits on a gamma pole")
-        rhs = head
-        for i in range(ws.p):
-            rhs *= pochhammer(ws.alpha[i] + 1 - s, n[i])
-        if ws.family is Family.LAGUERRE_FIRST_KIND:
-            lhs = sum(map(operator.mul, coefficients, rising_row(s, len(coefficients))), Fraction(0))
-        elif ws.family is Family.JACOBI_PINEIRO:
-            lhs = _jacobi_pineiro_mellin_lhs(coefficients, s, ws.beta, total)
-        else:
+        a, b = s.as_integer_ratio()
+        rhs_num, rhs_den = head.as_integer_ratio()
+        for (p, q), ni in zip(alpha_plus_one, n):  # alpha_i+1-s+m = (pb - aq + mqb) / qb
+            rhs_num *= math.prod(p * b - a * q + m * q * b for m in range(ni))
+            rhs_den *= (q * b) ** ni
+        rhs = Fraction(rhs_num, rhs_den)
+        if ws.family is Family.HAHN:
             lhs = pair(weighted, rising_over_factorial(s, ws.N + 1))  # kernel (s)_x / x!
             rhs *= pochhammer(s + total + ws.beta + 1, ws.N - total)
+        else:
+            jacobi = ws.family is Family.JACOBI_PINEIRO
+            u, v = (s + ws.beta + 1).as_integer_ratio() if jacobi else (1, 1)
+            factors = [u + m * v for m in range(total)] if jacobi else [1] * total
+            top = len(coefficients) - 1
+            acc, tail, power = 0, math.prod(factors[top:]), 1
+            for k in range(top, -1, -1):
+                acc = coefficients[k] * tail * power + (a + k * b) * v * acc
+                tail, power = tail * (factors[k - 1] if k else 1), power * b
+            lhs = Fraction(acc, den * b**top * v**total)
         if lhs != rhs:
             return False
     return True

@@ -205,11 +205,12 @@ class ScaledPolynomial:
         return tuple(out)
 
     def leading_monomial_coefficient(self) -> Fraction:
-        mono = self.monomial_coefficients()
-        for c in reversed(mono):
-            if c != 0:
-                return c
-        return Fraction(0)
+        """Top nonzero coefficient times the leading sign of its basis element: (-1)^k for (-x)_k and (s-x)_k."""
+        k = self.degree
+        if k < 0:
+            return Fraction(0)
+        falling = self.basis.kind in (BasisKind.FALLING_FACTORIAL, BasisKind.BACKWARD_POCHHAMMER)
+        return -self.coefficients[k] if falling and k % 2 else self.coefficients[k]
 
 
 def eval_polynomial(poly: ScaledPolynomial, x) -> tuple[Fraction, GammaProduct]:

@@ -17,10 +17,11 @@ type II residue and series coefficients come as rows over k = 0..k_max
 checked by :func:`check_residue_duality` and the series equivalence by
 :func:`verify_type2_series_equivalence`, one call per instance each.
 
-Normalization data: interpolating the per-pole values of a type I vector
-recovers the polynomial factor of the integrand, which the orthogonality
-conditions force to be constant; the closed forms of those constants are
-exposed for comparison.
+Normalization data: the per-pole values of a type I vector are the values
+of the integrand's polynomial factor at its |n| distinct nodes
+(:func:`recovered_nodes`), which the orthogonality conditions force to be
+one constant; the verifier checks each node against its closed form, and
+:func:`interpolation_recover_p` interpolates the same nodes.
 """
 
 from __future__ import annotations
@@ -264,31 +265,18 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
     return _scaled_rows_equal(*_type2_residue_row(ws, n, k_max), *_type2_series_row(ws, n, k_max))
 
 
-def _phi_inverse(ws: WeightSystem, n: MultiIndex, t: Fraction) -> GammaProduct:
-    """Reciprocal of the per-family analytic factor at a pole location."""
-    total = total_degree(n)
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        return GammaProduct.gamma(t + 1)
-    if ws.family is Family.JACOBI_PINEIRO:
-        return GammaProduct.from_factors([
-            (t + ws.beta + total, -1), (t + 1, 1), (ws.beta + 1, 1),
-        ])
-    return GammaProduct.from_factors([
-        (t + ws.beta + total, -1), (t + ws.beta + ws.N + 2, 1), (t + 1, 1),
-    ])
+def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[Fraction, Fraction]]:
+    """(t, p(t)) at every pole t = alpha_i + k, k < n_i: the integrand's polynomial factor read off a type I vector.
 
-
-def interpolation_recover_p(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> tuple[Fraction, ...]:
-    """Recover the integrand's polynomial factor from a type I vector.
-
-    Inverts the per-pole residue relations
-    coeff_i[k] = (-1)^k p(alpha_i+k) phi(alpha_i+k) / (k! (n_i-1-k)! prod_j ...)
-    and interpolates the |n| exact node values.  Returns monomial
-    coefficients of length |n| (degree at most |n|-1); for the vectors the
-    generators produce, everything above degree 0 vanishes.
+    Inverts coeff_i[k] = p(t) phi(t) w_i(k) (w the :func:`_pole_weight`,
+    phi the per-family analytic factor).  The component scale over phi is
+    reduced once per component, at t = alpha_i; each next node multiplies it
+    by the one-step ratio of 1/phi.  The nodes are distinct, so p is the
+    constant c exactly when every node value is c.
     """
     ws.validate_index(n, type_one=True)
-    points = []
+    total = total_degree(n)
+    nodes = []
     for i, comp in enumerate(form.components):
         if n[i] == 0:
             if comp.coefficients and not comp.is_zero():
@@ -299,22 +287,28 @@ def interpolation_recover_p(ws: WeightSystem, n: MultiIndex, form: TypeIVector) 
         expected_kind = BasisKind.SHIFTED_RISING if ws.family is Family.HAHN else BasisKind.MONOMIAL
         if comp.basis.kind is not expected_kind:
             raise PreconditionError(f"component {i} is in an unexpected basis")
-        effective_scale = comp.scale
-        if ws.family is Family.HAHN:
-            effective_scale = effective_scale * GammaProduct.gamma(ws.alpha[i] + 1, -1)
-        for k in range(n[i]):
-            node = ws.alpha[i] + k
-            product = effective_scale * _phi_inverse(ws, n, node)
-            factor, leftover = product.reduce()
-            if not leftover.is_one():
-                raise IrreducibleGammaError(f"pole value at t = {node} is not rational: {leftover}")
-            value = comp.coefficients[k] * Fraction(-1) ** k * factor
-            value *= math.factorial(k) * math.factorial(n[i] - 1 - k)
-            for j in range(ws.p):
-                if j != i and n[j] > 0:
-                    value *= pochhammer(ws.alpha[j] - ws.alpha[i] - k, n[j])
-            points.append((node, value))
-    return interpolate(points)
+        t = ws.alpha[i]
+        inverse = [(t + 1, 1)]  # 1/phi(t), and the 1/Gamma(alpha_i+1) of the Hahn lattice weight
+        if ws.family is Family.JACOBI_PINEIRO:
+            inverse += [(ws.beta + 1, 1), (t + ws.beta + total, -1)]
+        elif ws.family is Family.HAHN:
+            inverse += [(t + ws.beta + ws.N + 2, 1), (t + ws.beta + total, -1), (ws.alpha[i] + 1, -1)]
+        factor, leftover = (comp.scale * GammaProduct.from_factors(inverse)).reduce()
+        if not leftover.is_one():
+            raise IrreducibleGammaError(f"pole value at t = {t} is not rational: {leftover}")
+        for k, coefficient in enumerate(comp.coefficients):
+            if k:  # 1/phi(t+1) over 1/phi(t)
+                factor *= (t + 1) * (t + ws.beta + ws.N + 2) if ws.family is Family.HAHN else t + 1
+                if ws.family is not Family.LAGUERRE_FIRST_KIND:
+                    factor /= t + ws.beta + total
+                t += 1
+            nodes.append((t, coefficient * factor / _pole_weight(ws, n, i, k)))
+    return nodes
+
+
+def interpolation_recover_p(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> tuple[Fraction, ...]:
+    """Monomial coefficients (length |n|) of the polynomial through the nodes of :func:`recovered_nodes`."""
+    return interpolate(recovered_nodes(ws, n, form))
 
 
 def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> Fraction:

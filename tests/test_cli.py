@@ -263,6 +263,12 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["kind"] == "ValueError" and option[0] in payload["error"]
 
+    def test_negative_jobs_rejected(self, capsys):
+        code, out = run_cli(capsys, "verify", "--jobs", "-3", "--max-total-degree", "1", "--max-N", "1")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload == {"command": "verify", "error": "--jobs must be >= 0, got -3", "kind": "ValueError"}
+
 
 class TestIdentityCommand:
     def test_chu_vandermonde_draws(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from mopexact import (
 from mopexact import AdmissibilityError, Family, GammaProduct, WeightSystem, families, oracle
 from mopexact.weights import total_degree
 from mopexact.linalg import interpolate, solve_linear_system
-from mopexact.driver import compositions
+from mopexact.driver import apply_fault, compositions
+from mopexact.gammaprod import rising_row
 from mopexact.polybasis import lattice_table, row_product
 from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, scaled_values_equal
 
@@ -40,6 +42,16 @@ def lattice_sum(*vectors) -> Fraction:
 def entries(row) -> tuple[Fraction, ...]:
     nums, den = row
     return tuple(F(v, den) for v in nums)
+
+
+def moment_fractions(ws, length: int) -> list[tuple[Fraction, ...]]:
+    """The integer moment rows of every weight read as Fractions."""
+    return [entries(row) for row in oracle._moment_rows(ws, length)]
+
+
+def power_pairing(coefficients, moments, j: int) -> Fraction:
+    """sum_k c_k m_{j+k} over Fractions: a monomial-basis polynomial times x^j against one moment row."""
+    return sum(map(operator.mul, coefficients, moments[j:]), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,7 @@ def moment(ws, i: int, basis: Basis, j: int) -> MomentValue:
         return MomentValue(value, GammaProduct.one())
     if basis.kind is not BasisKind.MONOMIAL:
         raise PreconditionError("continuous families take moments in the monomial basis")
-    return MomentValue(oracle._moment_row(ws, i, j + 1)[j], oracle._moment_gamma(ws, i))
+    return MomentValue(moment_fractions(ws, j + 1)[i][j], oracle._moment_gamma(ws, i))
 
 
 def check_biorthogonality(ws, n, m, poly, vec) -> bool:
@@ -87,13 +99,13 @@ def check_biorthogonality(ws, n, m, poly, vec) -> bool:
         return oracle.pair(poly.lattice_values(ws.N), oracle._hahn_linear_form(ws, vec)) == expected
     total = Fraction(0)
     width = max(len(comp.coefficients) for comp in vec.components)
-    moments = oracle._moment_rows(ws, width + len(poly.coefficients) - 1)
+    moments = moment_fractions(ws, width + len(poly.coefficients) - 1)
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
         factor = oracle._scale_reduction(ws, comp.scale, i)
         for k, ck in enumerate(comp.coefficients):
-            total += factor * ck * oracle._power_pairing(poly.coefficients, moments[i], k)
+            total += factor * ck * power_pairing(poly.coefficients, moments[i], k)
     return total == expected
 
 
@@ -179,7 +191,9 @@ class TestMoments:
         # int x^(alpha+j) e^-x = Gamma(alpha+j+1);
         # int_0^1 x^(alpha+j) (1-x)^beta = Gamma(alpha+j+1) Gamma(beta+1) / Gamma(alpha+beta+j+2)
         for ws in (WeightSystem.laguerre((alpha,)), WeightSystem.jacobi_pineiro((alpha,), beta)):
-            row = oracle._moment_row(ws, 0, length)
+            nums, den = oracle._moment_rows(ws, length)[0]
+            assert all(isinstance(v, int) for v in nums) and isinstance(den, int) and den > 0
+            row = [F(v, den) for v in nums]
             assert len(row) == length
             for j, value in enumerate(row):
                 if ws.beta is None:
@@ -335,6 +349,82 @@ class TestOracleSolvers:
             assert a.coefficients == b.coefficients
 
 
+def jacobi_pineiro_mellin_lhs(coefficients, s: Fraction, beta: Fraction, total: int) -> Fraction:
+    """sum_k c_k (s)_k (s+beta+1+k)_{|n|-k} over Fractions, (s+beta+1+k)_{|n|-k} built backwards.
+
+    The left side the integer Mellin check replaced, kept as its reference.
+    """
+    tail = pochhammer(s + beta + len(coefficients), total + 1 - len(coefficients))
+    rising = rising_row(s, len(coefficients))
+    lhs = Fraction(0)
+    for k in reversed(range(len(coefficients))):
+        lhs += coefficients[k] * rising[k] * tail
+        tail *= s + beta + k
+    return lhs
+
+
+def reference_mellin_sides(ws, n, poly, s: Fraction) -> tuple[Fraction, Fraction]:
+    """Both sides of check_mellin_type2 at s, over Fractions and per point, for every family."""
+    total = sum(n)
+    rhs = F(-1) ** total
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        rhs *= pochhammer(ws.beta + 1, total)
+        for a, ni in zip(ws.alpha, n):
+            rhs /= pochhammer(a + ws.beta + total + 1, ni)
+    for a, ni in zip(ws.alpha, n):
+        rhs *= pochhammer(a + 1 - s, ni)
+    if ws.family is Family.HAHN:
+        rhs *= pochhammer(s + total + ws.beta + 1, ws.N - total) / math.factorial(ws.N - total)
+        lhs = sum((poly.rational_value(x) * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
+                   * pochhammer(s, x) / math.factorial(x) for x in range(ws.N + 1)), F(0))
+    elif ws.family is Family.JACOBI_PINEIRO:
+        lhs = jacobi_pineiro_mellin_lhs(poly.coefficients, s, ws.beta, total)
+    else:
+        lhs = sum((c * pochhammer(s, k) for k, c in enumerate(poly.coefficients)), F(0))
+    return lhs, rhs
+
+
+continuous_systems = st.sampled_from(["laguerre", "jacobi-pineiro"]).flatmap(
+    lambda family: admissible_systems(family=family)
+)
+
+
+class TestContinuousPairings:
+    @given(continuous_systems, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pairings_equal_fraction_reference(self, system, data):
+        # reference moments over Fractions: (alpha+1)_j, over (alpha+beta+2)_j for Jacobi-Pineiro
+        ws, n = system
+        total = sum(n)
+
+        def reference_moments(length):
+            rows = []
+            for a in ws.alpha:
+                row = rising_row(a + 1, length)
+                if ws.family is Family.JACOBI_PINEIRO:
+                    row = [m / d for m, d in zip(row, rising_row(a + ws.beta + 2, length))]
+                rows.append(row)
+            return rows
+
+        poly = families.type2(ws, n)
+        vec = families.type1(ws, n)
+        index = data.draw(st.integers(0, total))
+        component = data.draw(st.sampled_from([i for i, ni in enumerate(n) if ni]))
+        fault = f"t1:{component}:{data.draw(st.integers(0, n[component] - 1))}"
+        for p in (poly, apply_fault(poly, vec, f"t2:{index}")[0]):
+            moments = reference_moments(max(n) + len(p.coefficients) - 1)
+            assert check_type2_orthogonality(ws, n, p).residuals == {
+                (i, j): power_pairing(p.coefficients, moments[i], j) for i in range(ws.p) for j in range(n[i])
+            }
+        for v in (vec, apply_fault(poly, vec, fault)[1]):
+            moments = reference_moments(total + max(n) - 1)
+            assert oracle._type1_pairings(ws, v, total) == [
+                sum((oracle._scale_reduction(ws, c.scale, i) * power_pairing(c.coefficients, moments[i], j)
+                     for i, c in enumerate(v.components) if c.coefficients), F(0))
+                for j in range(total)
+            ]
+
+
 class TestMellin:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -349,7 +439,44 @@ class TestMellin:
             (c * pochhammer(s, k) * pochhammer(s + k + beta + 1, total - k) for k, c in enumerate(coefficients)),
             F(0),
         )
-        assert oracle._jacobi_pineiro_mellin_lhs(coefficients, s, beta, total) == expected
+        assert jacobi_pineiro_mellin_lhs(coefficients, s, beta, total) == expected
+
+    @given(continuous_systems, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_sides_match_fraction_sides(self, system, data):
+        # random monomial coefficients with c_0 moved so that the Fraction sides
+        # agree at s: the integer check must pass there and fail after c_0 + 1
+        ws, n = system
+        total = sum(n)
+        s = data.draw(st.builds(F, st.integers(1, 40), st.sampled_from([11, 13])))
+        coefficients = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=total + 1,
+                                          max_size=total + 1))
+        lhs, rhs = reference_mellin_sides(ws, n, ScaledPolynomial(Basis.monomial(), coefficients), s)
+        weight, _ = reference_mellin_sides(ws, n, ScaledPolynomial(Basis.monomial(), (F(1),)), s)
+        coefficients[0] += (rhs - lhs) / weight
+        poly = ScaledPolynomial(Basis.monomial(), coefficients)
+        assert reference_mellin_sides(ws, n, poly, s)[0] == rhs
+        assert check_mellin_type2(ws, n, poly, [s])
+        coefficients[0] += 1
+        assert not check_mellin_type2(ws, n, ScaledPolynomial(Basis.monomial(), coefficients), [s])
+
+    @given(admissible_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_every_type2_fault_matches_fraction_route(self, system):
+        ws, n = system
+        poly = families.type2(ws, n)
+        points = [F(1, 7), F(4, 11), F(9, 13)] + oracle.mellin_zero_points(ws, n)
+        for fault in [None] + [f"t2:{k}" for k in range(len(poly.coefficients))]:
+            bumped, _ = apply_fault(poly, None, fault)
+            expected = all(lhs == rhs for lhs, rhs in (reference_mellin_sides(ws, n, bumped, s) for s in points))
+            assert check_mellin_type2(ws, n, bumped, points) == expected == (fault is None), fault
+
+    @pytest.mark.parametrize("coefficients", [(), (F(1), F(0), F(1))])
+    def test_coefficient_count_outside_the_degree_rejected(self, coefficients):
+        # the integer left side is nested from an index K <= |n|
+        for ws in (laguerre_ws(1), jacobi_pineiro_ws(1)):
+            with pytest.raises(PreconditionError):
+                check_mellin_type2(ws, (1,), ScaledPolynomial(Basis.monomial(), coefficients), [F(1, 7)])
 
     def test_laguerre_explicit_point(self):
         # s = 1: transform cofactors are Gamma(2) - (3/2) Gamma(1) = -1/2 on

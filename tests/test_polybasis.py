@@ -117,3 +117,12 @@ def test_leading_monomial_coefficient_falling_basis():
     # (-x)_2 = x^2 - x, so coefficients (0, 0, 1) lead with +1
     poly = ScaledPolynomial(Basis.falling_factorial(), (Fraction(0), Fraction(0), Fraction(1)))
     assert poly.leading_monomial_coefficient() == 1
+
+
+@given(basis=any_basis, coefficients=st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_leading_monomial_coefficient_matches_full_conversion(basis, coefficients):
+    # the conversion route it replaced: the top nonzero entry of monomial_coefficients()
+    poly = ScaledPolynomial(basis, tuple(coefficients))
+    expected = next((c for c in reversed(poly.monomial_coefficients()) if c != 0), Fraction(0))
+    assert poly.leading_monomial_coefficient() == expected

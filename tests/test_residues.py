@@ -322,6 +322,24 @@ class TestInterpolationRecovery:
         coeffs = interpolation_recover_p(ws, (2, 1), vec)
         assert any(c != 0 for c in coeffs[1:])
 
+    @given(admissible_systems().filter(lambda system: sum(system[1]) >= 2))
+    @settings(max_examples=60, deadline=None)
+    def test_node_verdict_equals_interpolation_verdict(self, system):
+        # the check run_instance makes (every node value is the closed form)
+        # against the interpolant it replaced ((c, 0, ..., 0)), unperturbed and
+        # under every single-coefficient +1 fault
+        ws, n = system
+        expected = recovered_constant_closed_form(ws, n)
+        vec = families.type1(ws, n)
+        faults = [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]
+        for fault in faults:
+            _, faulty = apply_fault(None, vec, fault)
+            nodes = residues.recovered_nodes(ws, n, faulty)
+            assert [t for t, _ in nodes] == [a + k for a, ni in zip(ws.alpha, n) for k in range(ni)]
+            by_node = all(value == expected for _, value in nodes)
+            by_interpolation = interpolation_recover_p(ws, n, faulty) == (expected,) + (F(0),) * (sum(n) - 1)
+            assert by_node == by_interpolation == (fault is None), fault
+
 
 class TestConstancyLemma:
     def test_constant_passes(self):
