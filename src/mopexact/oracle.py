@@ -35,7 +35,7 @@ from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochha
 from .hyper import pfq
 from .linalg import solve_linear_system
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
-from .polybasis import reduced_row, rising_over_factorial, row_product
+from .polybasis import integer_row, reduced_row, rising_over_factorial, row_product
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -44,12 +44,6 @@ def pair(row: LatticeRow, other: LatticeRow) -> Fraction:
 
     The integer numerators are multiplied and summed, then divided once."""
     return Fraction(sum(map(operator.mul, row[0], other[0])), row[1] * other[1])
-
-
-def _integer_row(values, factor: Fraction = Fraction(1)) -> LatticeRow:
-    """factor * values as integer numerators over one denominator (the values' lcm times factor's)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [factor.numerator * v.numerator * (den // v.denominator) for v in values], den * factor.denominator
 
 
 def _row_sum(rows, length: int) -> LatticeRow:
@@ -152,7 +146,7 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        coefficients = _integer_row(poly.coefficients, scale_rational)
+        coefficients = integer_row(poly.coefficients, scale_rational)
         for i, (nums, den) in enumerate(_moment_rows(ws, max(n) + len(poly.coefficients) - 1)):
             for j in range(n[i]):
                 residuals[(i, j)] = pair(coefficients, (nums[j:], den))
@@ -186,7 +180,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fract
             continue
         if comp.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type I components live in the monomial basis")
-        coefficients, den = _integer_row(comp.coefficients, _scale_reduction(ws, comp.scale, i))
+        coefficients, den = integer_row(comp.coefficients, _scale_reduction(ws, comp.scale, i))
         nums, moment_den = moments[i]
         terms.append(([sum(map(operator.mul, coefficients, nums[j:])) for j in range(rows)], den * moment_den))
     totals, den = _row_sum(terms, rows)
@@ -269,7 +263,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     else:
         # column (i, k) of row j is factor_i m_i[j+k]; every row is scaled by one common denominator
         moments = _moment_rows(ws, total + max(n) - 1)
-        ups, common = _integer_row([_scale_reduction(ws, families.type1_scale(ws, i, total), i) / den
+        ups, common = integer_row([_scale_reduction(ws, families.type1_scale(ws, i, total), i) / den
                                     for i, (_, den) in enumerate(moments)])
         for j in range(total):
             rows.append([ups[i] * moments[i][0][j + k] for i, k in unknowns])
@@ -313,7 +307,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
         head /= math.factorial(ws.N - total)
         weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
     else:
-        coefficients, den = _integer_row(poly.monomial_coefficients())
+        coefficients, den = integer_row(poly.monomial_coefficients())
         if not 0 < len(coefficients) <= total + 1:
             raise PreconditionError(f"a type II polynomial at |n| = {total} has 1 to {total + 1} coefficients")
     for s in points:

@@ -102,6 +102,12 @@ def reduced_row(nums, den: int) -> LatticeRow:
     return tuple(v // g for v in nums), den // g
 
 
+def integer_row(values, factor: Fraction = Fraction(1)) -> LatticeRow:
+    """factor * values as integer numerators over one denominator (the values' lcm times factor's)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [factor.numerator * v.numerator * (den // v.denominator) for v in values], den * factor.denominator
+
+
 def rising_over_factorial(a, length: int) -> LatticeRow:
     """(a)_k / k! at k = 0..length-1 as one reduced row.
 

@@ -10,12 +10,12 @@ Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term.
 
 Everything that does not depend on the sample point x or the expansion
-order k is built once per instance: the type I pole-sum terms carry their
-pole weights, prefactors and residual (:func:`_type1_pole_terms`), and the
-type II residue and series coefficients come as rows over k = 0..k_max
-(:func:`_type2_residue_row`, :func:`_type2_series_row`).  The duality is
-checked by :func:`check_residue_duality` and the series equivalence by
-:func:`verify_type2_series_equivalence`, one call per instance each.
+order k is built once per instance, in integers wherever a row is summed:
+the type I pole-sum terms carry their pole weights (one :func:`_pole_weights`
+row per component), prefactors and residual (:func:`_type1_pole_terms`);
+:func:`check_residue_duality` compares one row per component and route over
+the points (:func:`_duality_rows`); the type II residue and series
+coefficients are rows over k = 0..k_max, one Fraction per entry.
 
 Normalization data: the per-pole values of a type I vector are the values
 of the integrand's polynomial factor at its |n| distinct nodes
@@ -33,7 +33,7 @@ from . import families
 from .errors import IrreducibleGammaError, PoleError, PreconditionError
 from .gammaprod import GammaProduct, pochhammer, rising_row
 from .linalg import interpolate
-from .polybasis import BasisKind, ScaledPolynomial, TypeIVector
+from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, integer_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -51,16 +51,22 @@ def _scaled_rows_equal(left, left_gamma: GammaProduct, right, right_gamma: Gamma
     )
 
 
-def _pole_weight(ws: WeightSystem, n: MultiIndex, i: int, k: int) -> Fraction:
-    """Shared residue denominator (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j})."""
-    value = Fraction(-1) ** k / (math.factorial(k) * math.factorial(n[i] - 1 - k))
-    for j in range(ws.p):
-        if j != i and n[j] > 0:
-            try:
-                value /= pochhammer(ws.alpha[j] - ws.alpha[i] - k, n[j])
-            except ZeroDivisionError as exc:
-                raise PoleError(f"colliding poles at alpha_{j} - alpha_{i} - {k}") from exc
-    return value
+def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
+    """Residue denominators (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}) for every k < n_i.
+
+    With a_j - a_i = p/q each Pochhammer is prod_{l<n_j} (p + (l-k) q) / q^{n_j}, an integer product."""
+    others = [(j, *(ws.alpha[j] - ws.alpha[i]).as_integer_ratio()) for j in range(ws.p) if j != i and n[j]]
+    top = math.prod(q ** n[j] for j, _, q in others)
+    weights = []
+    for k in range(n[i]):
+        den = math.factorial(k) * math.factorial(n[i] - 1 - k)
+        for j, p, q in others:
+            for l in range(n[j]):
+                if p + (l - k) * q == 0:
+                    raise PoleError(f"colliding poles at alpha_{j} - alpha_{i} - {k}")
+                den *= p + (l - k) * q
+        weights.append(Fraction((-1) ** k * top, den))
+    return weights
 
 
 def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fraction], GammaProduct]]:
@@ -68,9 +74,9 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fracti
 
     Term k has the pole weight, the family prefactor and every other
     x-independent factor folded in; it multiplies x**k for the continuous
-    families and (alpha_i+1+k)_x for Hahn (:func:`_pole_sum`).  The residual
-    is the same canonical gamma scale the direct generators carry, so the
-    two routes compare componentwise.
+    families and (alpha_i+1+k)_x for Hahn.  The residual is the same
+    canonical gamma scale the direct generators carry, so the two routes
+    compare componentwise.
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
@@ -90,56 +96,61 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fracti
     components = []
     for i in range(ws.p):
         comp_prefactor = prefactor
+        ups = [1] * n[i] if ws.family is Family.LAGUERRE_FIRST_KIND else rising_row(alpha[i] + beta + total, n[i])
+        downs = rising_row(alpha[i] + beta + ws.N + 2 if ws.family is Family.HAHN else alpha[i] + 1, n[i])
         if ws.family is Family.HAHN:
             for j in range(ws.p):
                 if j != i:
                     comp_prefactor *= pochhammer(alpha[j] + beta + total, n[j])
-        terms = []
-        for k in range(n[i]):
-            term = comp_prefactor * _pole_weight(ws, n, i, k)
-            if ws.family is Family.LAGUERRE_FIRST_KIND:
-                term /= pochhammer(alpha[i] + 1, k)
-            elif ws.family is Family.JACOBI_PINEIRO:
-                term *= pochhammer(alpha[i] + beta + total, k) / pochhammer(alpha[i] + 1, k)
-            else:
-                # (a)_{n_i} Gamma(a+k) / Gamma(a+k+N+2-|n|) with the vanishing
-                # boundary a = alpha_i+beta+|n| = 0 cancelled exactly
-                shifted = alpha[i] + beta + total
-                term *= pochhammer(shifted, k)
-                term /= pochhammer(shifted + n[i], ws.N + 2 - total + k - n[i])
-            terms.append(term)
+            # (a)_{n_i} Gamma(a+k) / Gamma(a+k+N+2-|n|), a = alpha_i+beta+|n|: the tail is (a+n_i)_{N+2-|n|-n_i}
+            # times downs[k], so the vanishing boundary a = 0 cancels exactly
+            comp_prefactor /= pochhammer(alpha[i] + beta + total + n[i], ws.N + 2 - total - n[i])
+        terms = [comp_prefactor * w * up / down for w, up, down in zip(_pole_weights(ws, n, i), ups, downs)]
         residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
         components.append((terms, residual))
     return components
 
 
-def _pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fraction:
-    """Component i of the residue route at x: the terms against their x-dependent factors."""
-    if ws.family is Family.HAHN:
-        m = x.numerator
-        return sum((t * pochhammer(ws.alpha[i] + 1 + k, m) for k, t in enumerate(terms)), Fraction(0))
-    return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
+def _values_at(row, points) -> list[Fraction]:
+    """sum_k nums[k] x^k / den at every x = a/b, nested in integers from the top: one Fraction per point."""
+    nums, den = row
+    values = []
+    for a, b in (x.as_integer_ratio() for x in points):
+        acc, power = 0, 1
+        for c in reversed(nums):  # ends at acc = sum_k nums[k] a^k b^(K-k), power = b^(K+1)
+            acc, power = acc * a + c * power, power * b
+        values.append(Fraction(acc * b, den * power))
+    return values
 
 
-def _direct_scale(ws: WeightSystem, comp: ScaledPolynomial) -> tuple[Fraction, GammaProduct]:
-    """Rational factor and residual of a direct component: its scale's rational for Hahn."""
+def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points):
+    """Component i of both routes at the points, as :func:`_scaled_rows_equal` takes them.
+
+    pole is the (terms, residual) of :func:`_type1_pole_terms`; the direct
+    side is A_i(x) and comp's scale.  Continuous: terms and monomial
+    coefficients each go over one denominator, one integer Horner pass per
+    point and side.  Hahn: the scale's rational and (alpha_i+1)_x join A_i(x);
+    with alpha_i+1 = p/q and P_j = prod_{l<j} (p+lq), (alpha_i+1+k)_m =
+    P_(k+m) / (P_k q^m), so 1/P_k is folded into the terms once."""
+    terms, residual = pole
     if ws.family is not Family.HAHN:
-        return Fraction(1), comp.scale
-    scale_rational, leftover = comp.scale.reduce()
+        direct = integer_row(comp.monomial_coefficients())
+        return _values_at(integer_row(terms), points), residual, _values_at(direct, points), comp.scale
+    factor, leftover = comp.scale.reduce()
     if not leftover.is_one():
         raise IrreducibleGammaError("Hahn type I scales are rational")
-    return scale_rational, GammaProduct.one()
-
-
-def _direct_value(ws: WeightSystem, i: int, comp: ScaledPolynomial, x: Fraction) -> Fraction:
-    """Component i of the direct route at x before its scale: A_i(x), times (alpha_i+1)_x for Hahn."""
-    if not comp.coefficients:
-        return Fraction(0)
-    if ws.family is Family.HAHN:
-        m = x.numerator
-        nums, den = comp.lattice_values(ws.N)
-        return Fraction(nums[m], den) * pochhammer(ws.alpha[i] + 1, m)
-    return comp.rational_value(x)
+    p, q = (ws.alpha[i] + 1).as_integer_ratio()
+    rising = [1]  # P_0, P_1, ...
+    for l in range(len(terms) + ws.N):
+        rising.append(rising[-1] * (p + l * q))
+    folded, den = integer_row([t / r for t, r in zip(terms, rising)])
+    values, values_den = comp.lattice_values(ws.N)
+    up, down = factor.as_integer_ratio()
+    poles, direct = [], []
+    for m in (x.numerator for x in points):
+        poles.append(Fraction(sum(u * rising[k + m] for k, u in enumerate(folded)), den * q**m))
+        direct.append(Fraction(up * values[m] * rising[m], down * values_den * q**m))
+    return poles, residual, direct, GammaProduct.one()
 
 
 def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fraction, GammaProduct]]:
@@ -151,32 +162,20 @@ def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fra
     lattice factor (alpha_i+1)_x is folded in and the residual is empty.
     """
     x = ws.check_point(x)
-    values = []
-    for i, comp in enumerate(vec.components):
-        factor, residual = _direct_scale(ws, comp)
-        values.append((factor * _direct_value(ws, i, comp, x), residual))
-    return values
+    rows = [_duality_rows(ws, i, ([], None), comp, [x]) for i, comp in enumerate(vec.components)]
+    return [(value, residual) for _, _, [value], residual in rows]
 
 
 def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
-    """Residue route == direct route of the type I linear form at every point.
-
-    The pole-sum terms and each component's residual-over-scale quotient
-    are built once; every point then costs one pole sum and one value of
-    the vector per component.
-    """
+    """Residue route == direct route of the type I linear form at every point, one row per component and route."""
     poles = _type1_pole_terms(ws, n)
     points = [ws.check_point(x) for x in points]
-    if len(vec.components) != len(poles):
-        return False
-    for i, ((terms, residual), comp) in enumerate(zip(poles, vec.components)):
-        factor, direct_residual = _direct_scale(ws, comp)
-        if not _scaled_rows_equal(
-            [_pole_sum(ws, i, terms, x) for x in points], residual,
-            [factor * _direct_value(ws, i, comp, x) for x in points], direct_residual,
-        ):
-            return False
-    return True
+    if not points:
+        raise PreconditionError("the residue duality needs at least one sample point")
+    return len(vec.components) == len(poles) and all(
+        _scaled_rows_equal(*_duality_rows(ws, i, pole, comp, points))
+        for i, (pole, comp) in enumerate(zip(poles, vec.components))
+    )
 
 
 def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
@@ -186,11 +185,9 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[lis
     the continuous families, Gamma(beta+1) for Hahn, whose pole carries
     Gamma(beta+|n|+1) Gamma(beta+N+1-k) / Gamma(beta+|n|+1-k); against
     Gamma(beta+1) that is the rational q_k with q_0 = (beta+1)_N and
-    q_{k+1} = q_k (beta+|n|-k) / (beta+N-k).  (alpha_i+1+k)_{n_i} is
-    row[k+n_i] / row[k] of one rising row per weight, and the scalar
-    (-1)^k/k! [times (beta+|n|+1-k)_k for Jacobi-Pineiro; 1/k! times q_k
-    for Hahn] advances by its one-step ratio.
-    """
+    q_{k+1} = q_k (beta+|n|-k) / (beta+N-k).  The scalar (-1)^k/k! [times
+    (beta+|n|+1-k)_k for Jacobi-Pineiro; 1/k! times q_k for Hahn] advances
+    in integers by its one-step ratio; (alpha_i+1+k)_{n_i} = prod_{l<n_i} (p+(k+l)q) / q^{n_i}."""
     total = total_degree(n)
     alpha, beta = ws.alpha, ws.beta
     lead = Fraction(-1) ** total
@@ -199,23 +196,20 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[lis
             lead /= pochhammer(alpha[i] + beta + total + 1, n[i])
     if ws.family is Family.HAHN:
         lead *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
-    leads = [lead]
-    for k in range(k_max):
-        if ws.family is Family.LAGUERRE_FIRST_KIND:
-            step = Fraction(-1, k + 1)
-        elif ws.family is Family.JACOBI_PINEIRO:
-            step = -(beta + total - k) / (k + 1)
-        else:
-            step = (beta + total - k) / ((k + 1) * (beta + ws.N - k))
-        leads.append(leads[-1] * step)
-    rows = [rising_row(alpha[i] + 1, k_max + n[i] + 1) for i in range(ws.p)]
+    shifts = [(*(a + 1).as_integer_ratio(), ni) for a, ni in zip(alpha, n)]
+    num, den = lead.as_integer_ratio()
+    den *= math.prod(q**ni for _, q, ni in shifts)
+    b, c = (beta or Fraction(0)).as_integer_ratio()
     values = []
-    for k, value in enumerate(leads):
-        for row, ni in zip(rows, n):
-            value *= row[k + ni] / row[k]
-        values.append(value)
-    gamma = GammaProduct.gamma(beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
-    return values, gamma
+    for k in range(k_max + 1):
+        values.append(Fraction(num * math.prod(p + (k + l) * q for p, q, ni in shifts for l in range(ni)), den))
+        if ws.family is Family.LAGUERRE_FIRST_KIND:
+            num, den = -num, den * (k + 1)
+        elif ws.family is Family.JACOBI_PINEIRO:
+            num, den = -num * (b + (total - k) * c), den * (k + 1) * c
+        else:
+            num, den = num * (b + (total - k) * c), den * (k + 1) * (b + (ws.N - k) * c)
+    return values, GammaProduct.gamma(beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
 
 
 def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
@@ -224,42 +218,46 @@ def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list
     Independent route: the series parameters come straight from the
     weighted expansions, never through the residue formulas.  The
     prefactor is computed once and each term is the one before times the
-    term ratio.  A zero numerator factor ends the series with zeros; a zero
-    denominator factor under a nonzero numerator raises PoleError.
+    term ratio, in integers: a parameter p/q gives p + kq over a constant q.
+    A zero numerator factor ends the series with zeros; a zero denominator
+    factor under a nonzero numerator raises PoleError.
     """
     total = total_degree(n)
     alpha, beta = ws.alpha, ws.beta
     prefactor = Fraction(-1) ** total
     for i in range(ws.p):
         prefactor *= pochhammer(alpha[i] + 1, n[i])
-    numerators = [a + ni + 1 for a, ni in zip(alpha, n)]
-    denominators = [a + 1 for a in alpha]
+    numerators = [(a + ni + 1).as_integer_ratio() for a, ni in zip(alpha, n)]
+    denominators = [(a + 1).as_integer_ratio() for a in alpha]
     argument = -1 if ws.family is Family.LAGUERRE_FIRST_KIND else 1
-    gamma = GammaProduct.one()
     if ws.family is not Family.LAGUERRE_FIRST_KIND:
         for i in range(ws.p):
             prefactor /= pochhammer(alpha[i] + beta + total + 1, n[i])
-        numerators.append(-beta - total)
+        numerators.append((-beta - total).as_integer_ratio())
     if ws.family is Family.HAHN:
         prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
-        denominators.append(-beta - ws.N)
-        gamma = GammaProduct.gamma(beta + 1)
+        denominators.append((-beta - ws.N).as_integer_ratio())
+    up, down = math.prod(q for _, q in denominators), math.prod(q for _, q in numerators)  # one step's q's
+    num, den = prefactor.as_integer_ratio()
     row = [prefactor]
     for k in range(k_max):
-        top = argument * math.prod(a + k for a in numerators)
+        top = argument * math.prod(p + k * q for p, q in numerators)
         if top == 0:
             row.extend([Fraction(0)] * (k_max - k))
             break
-        bottom = (k + 1) * math.prod(d + k for d in denominators)
+        bottom = (k + 1) * math.prod(p + k * q for p, q in denominators)
         if bottom == 0:
             raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
-        row.append(row[-1] * top / bottom)
-    return row, gamma
+        num, den = num * top * up, den * bottom * down
+        row.append(Fraction(num, den))
+    return row, GammaProduct.gamma(beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
     """Residue route == series route for every expansion order k <= k_max."""
     ws.validate_index(n)
+    if k_max < 0:
+        raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
     return _scaled_rows_equal(*_type2_residue_row(ws, n, k_max), *_type2_series_row(ws, n, k_max))
@@ -268,7 +266,7 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
 def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[Fraction, Fraction]]:
     """(t, p(t)) at every pole t = alpha_i + k, k < n_i: the integrand's polynomial factor read off a type I vector.
 
-    Inverts coeff_i[k] = p(t) phi(t) w_i(k) (w the :func:`_pole_weight`,
+    Inverts coeff_i[k] = p(t) phi(t) w_i(k) (w the :func:`_pole_weights` row,
     phi the per-family analytic factor).  The component scale over phi is
     reduced once per component, at t = alpha_i; each next node multiplies it
     by the one-step ratio of 1/phi.  The nodes are distinct, so p is the
@@ -296,13 +294,14 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
         factor, leftover = (comp.scale * GammaProduct.from_factors(inverse)).reduce()
         if not leftover.is_one():
             raise IrreducibleGammaError(f"pole value at t = {t} is not rational: {leftover}")
+        weights = _pole_weights(ws, n, i)
         for k, coefficient in enumerate(comp.coefficients):
             if k:  # 1/phi(t+1) over 1/phi(t)
                 factor *= (t + 1) * (t + ws.beta + ws.N + 2) if ws.family is Family.HAHN else t + 1
                 if ws.family is not Family.LAGUERRE_FIRST_KIND:
                     factor /= t + ws.beta + total
                 t += 1
-            nodes.append((t, coefficient * factor / _pole_weight(ws, n, i, k)))
+            nodes.append((t, coefficient * factor / weights[k]))
     return nodes
 
 

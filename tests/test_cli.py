@@ -77,6 +77,28 @@ class TestDriver:
             "7a654e52042e3ced27b21a2227e66ad824492d072f4f14ca3ec6be73258c626d"
         )
 
+    @pytest.mark.parametrize("key, t2_red, t1_red", [
+        ("laguerre1|n=2,1", set(), set()),
+        ("jacobi-pineiro|n=2,1", set(), set()),
+        ("hahn|n=1,1|N=2", {"jp_coefficient_relation", "weighted_series"}, {"kdf_cross_formula"}),
+    ])
+    def test_fault_to_check_map(self, key, t2_red, t1_red):
+        # which checks each single-coefficient fault turns red; a +1 on the top
+        # type II coefficient also breaks monicity; the map was recorded before
+        # the residue route moved to integer rows
+        [instance] = [i for i in iter_instances(["laguerre1", "jacobi-pineiro", "hahn"], 3, 2)
+                      if instance_key(i) == key]
+        n = instance["n"]
+        t2_red = t2_red | {"mellin_random", "mellin_zeros", "type2_oracle_match", "type2_orthogonality"}
+        t1_red = t1_red | {"recovered_constant", "residue_duality", "type1_oracle_match", "type1_orthogonality"}
+        expected = {f"t2:{j}": t2_red | ({"type2_monic"} if j == sum(n) else set()) for j in range(sum(n) + 1)}
+        expected.update({f"t1:{i}:{k}": t1_red for i, ni in enumerate(n) for k in range(ni)})
+        red = {
+            fault: {name for name, ok in run_instance(instance, fault)["checks"].items() if not ok}
+            for fault in expected
+        }
+        assert red == expected
+
 
 class TestCoeffsCommand:
     def test_hahn_type1_constant(self, capsys):

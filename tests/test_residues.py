@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopexact import (
     AdmissibilityError,
@@ -20,7 +21,9 @@ from mopexact import families, residues
 from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, compositions
 from mopexact.gammaprod import as_fraction
 from mopexact.weights import Family, MultiIndex, total_degree
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, scaled_values_equal, series_term
+from conftest import (
+    admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, scaled_values_equal, series_term,
+)
 
 F = Fraction
 
@@ -122,6 +125,43 @@ def reference_series_coefficient(ws: WeightSystem, n: MultiIndex, k: int) -> tup
     return value, GammaProduct.gamma(beta + 1)
 
 
+def pole_weight(ws: WeightSystem, n: MultiIndex, i: int, k: int) -> Fraction:
+    """The residue denominator (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}), one pochhammer per j."""
+    value = Fraction(-1) ** k / (math.factorial(k) * math.factorial(n[i] - 1 - k))
+    for j in range(ws.p):
+        if j != i and n[j] > 0:
+            value /= pochhammer(ws.alpha[j] - ws.alpha[i] - k, n[j])
+    return value
+
+
+def pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fraction:
+    """Component i of the residue route at x: the terms against their x-dependent factors."""
+    if ws.family is Family.HAHN:
+        m = x.numerator
+        return sum((t * pochhammer(ws.alpha[i] + 1 + k, m) for k, t in enumerate(terms)), Fraction(0))
+    return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
+
+
+def direct_value(ws: WeightSystem, i: int, comp, x: Fraction) -> Fraction:
+    """Component i of the direct route at x: A_i(x) times its scale's rational, and (alpha_i+1)_x for Hahn."""
+    if ws.family is not Family.HAHN:
+        return comp.rational_value(x)
+    nums, den = comp.lattice_values(ws.N)
+    factor, _ = comp.scale.reduce()
+    return factor * Fraction(nums[x.numerator], den) * pochhammer(ws.alpha[i] + 1, x.numerator)
+
+
+@st.composite
+def hahn_corner_systems(draw):
+    """Hahn systems on the corner alpha_i + beta + |n| = 0: |n| = 1, beta = -1 - alpha_i, other weights idle."""
+    p = draw(st.integers(1, 3))
+    i = draw(st.integers(0, p - 1))
+    alpha = [draw(prime_offset(den)) for den in (2, 3, 5)[:p]]
+    alpha[i] = -Fraction(draw(st.integers(1, (2, 3, 5)[i] - 1)), (2, 3, 5)[i])
+    n = tuple(int(j == i) for j in range(p))
+    return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
+
+
 def sample_points(ws: WeightSystem) -> list:
     if ws.family is Family.HAHN:
         return _hahn_sample_points(ws.N)
@@ -147,7 +187,7 @@ class TestType1LinearForm:
         # one residue: component = x^alpha / Gamma(alpha+1)
         ws = laguerre_ws(1)
         [(terms, residual)] = residues._type1_pole_terms(ws, (1,))
-        assert residues._pole_sum(ws, 0, terms, F(2, 3)) == 1
+        assert pole_sum(ws, 0, terms, F(2, 3)) == 1
         assert residual.factors == ((F(3, 2), -1),)
 
     def test_matches_direct_decomposition_jp(self):
@@ -159,7 +199,7 @@ class TestType1LinearForm:
         vec = families.type1(ws, (2, 1))
         for i, (terms, residual) in enumerate(residues._type1_pole_terms(ws, (2, 1))):
             expected = vec.components[i].rational_value(3) * pochhammer(ws.alpha[i] + 1, 3)
-            assert residues._pole_sum(ws, i, terms, F(3)) == expected
+            assert pole_sum(ws, i, terms, F(3)) == expected
             assert residual.is_one()
 
     def test_full_grid_all_families(self):
@@ -174,6 +214,13 @@ class TestType1LinearForm:
                 for x in points:
                     assert check_residue_duality(ws, n, vec, [x]), (ws.family, n, x)
 
+
+    @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 4)])
+    def test_no_sample_points_rejected(self, ws):
+        # an empty point list would make any vector, faulted or not, pass
+        _, bumped = apply_fault(None, families.type1(ws, (1, 1)), "t1:0:0")
+        with pytest.raises(PreconditionError):
+            check_residue_duality(ws, (1, 1), bumped, [])
 
     @pytest.mark.parametrize("ws, x", [
         (hahn_ws(1, 3), F(18, 11)), (hahn_ws(1, 3), 5), (hahn_ws(1, 3), -1), (laguerre_ws(1), -1),
@@ -205,6 +252,11 @@ class TestType2Residues:
 
     def test_series_equivalence_hahn(self):
         assert verify_type2_series_equivalence(hahn_ws(2, 4), (1, 1), 4)
+
+    @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 4)])
+    def test_negative_order_rejected(self, ws):
+        with pytest.raises(PreconditionError):
+            verify_type2_series_equivalence(ws, (1, 1), -1)
 
     def test_series_equivalence_grid(self):
         for n in compositions(4):
@@ -261,6 +313,31 @@ class TestRandomAdmissibleSystems:
             for k in range(ni):
                 _, bumped = apply_fault(None, vec, f"t1:{i}:{k}")
                 assert not check_residue_duality(ws, n, bumped, points), (i, k)
+
+    @given(st.one_of(admissible_systems(), hahn_corner_systems()))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_rows_match_the_per_point_route(self, system):
+        # the duality's rows and pole weights against the per-point route they
+        # replaced, unperturbed and under every t1 fault
+        ws, n = system
+        vec = families.type1(ws, n)
+        points = [ws.check_point(x) for x in sample_points(ws)]
+        poles = residues._type1_pole_terms(ws, n)
+        for i, ni in enumerate(n):
+            assert residues._pole_weights(ws, n, i) == [pole_weight(ws, n, i, k) for k in range(ni)]
+        faults = [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]
+        for fault in faults:
+            _, faulty = apply_fault(None, vec, fault)
+            verdict = True
+            for i, (pole, comp) in enumerate(zip(poles, faulty.components)):
+                terms, residual = pole
+                pole_row, _, direct_row, direct_residual = residues._duality_rows(ws, i, pole, comp, points)
+                reference_poles = [pole_sum(ws, i, terms, x) for x in points]
+                reference_direct = [direct_value(ws, i, comp, x) for x in points]
+                assert (pole_row, direct_row) == (reference_poles, reference_direct), (fault, i)
+                verdict &= all(scaled_values_equal(a, residual, b, direct_residual)
+                               for a, b in zip(reference_poles, reference_direct))
+            assert check_residue_duality(ws, n, faulty, points) == verdict == (fault is None), fault
 
     @given(admissible_systems())
     @settings(max_examples=60, deadline=None)
