@@ -28,7 +28,6 @@ from .gammaprod import (
     GammaProduct,
     Rational,
     as_fraction,
-    log_gamma_approx,
     pochhammer,
 )
 from .hyper import (

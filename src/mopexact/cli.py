@@ -1,9 +1,10 @@
 """Command-line front end: generation, evaluation, verification, data export.
 
-Exactness firewall: the verify and identity commands never touch floating
-point; every number they print is an exact "num/den" string.  Only
-plot-data runs the float path (polynomial values in double precision,
-gamma factors through the log-gamma approximation).
+Every command evaluates exactly; verify, identity, coeffs, eval and table
+print each number as an exact "num/den" string.  plot-data rounds the same
+exact values to doubles: a type II value or a Hahn type I sum is rounded
+once, and a continuous type I component is its rounded rational times its
+gamma product (through math.lgamma) times x**alpha_i.
 
 JSON envelope: {"command", "config", "results": [...], "summary":
 {"pass", "fail", "vacuous"}}, serialized with sorted keys so identical
@@ -29,7 +30,6 @@ from fractions import Fraction
 
 from . import driver, families, oracle, residues
 from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError, SingularSystemError
-from .gammaprod import log_gamma_approx
 from .hyper import (
     check_chu_vandermonde,
     check_karp_prilepkina,
@@ -140,12 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=int, choices=(1, 2), default=2)
     add_output_options(p, formats=("csv", "json"))
 
-    p = sub.add_parser("plot-data", help="float samples of one polynomial (float path)")
+    p = sub.add_parser("plot-data", help="exact values of one polynomial, rounded to floats")
     add_weight_options(p)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--x-max", type=_fraction, default=Fraction(8),
                    help="right end of the sampling window (Laguerre only)")
-    p.add_argument("--digits", type=int, default=17)
     add_output_options(p, formats=("csv",))
     return parser
 
@@ -299,7 +298,10 @@ def _identity_rows(args) -> list[dict]:
     rows = []
 
     if args.params is not None:
-        values = [Fraction(v) for v in args.params.split(",")]
+        try:
+            values = [Fraction(v) for v in args.params.split(",")]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"--params has a zero denominator: {args.params!r}") from exc
         arity, checker = {
             "chu-vandermonde": (3, lambda v: check_chu_vandermonde(*v)),
             "kummer": (5, lambda v: check_kummer(*v)),
@@ -414,52 +416,25 @@ def _sample_points(ws: WeightSystem, samples: int, x_max: Fraction, include_zero
     return [Fraction(j, samples) * x_max for j in range(start, samples + start)]
 
 
-def float_eval_type2(ws: WeightSystem, poly, x: Fraction) -> float:
-    """Double-precision value of a type II polynomial (float path)."""
-    xf = float(x)
-    if poly.basis.kind is BasisKind.MONOMIAL:
-        acc = 0.0
-        for c in reversed(poly.coefficients):
-            acc = acc * xf + float(c)
-        return acc
-    acc = 0.0
-    element = 1.0
-    for k, c in enumerate(poly.coefficients):
-        if k > 0:
-            element *= -xf + (k - 1)
-        acc += float(c) * element
-    return acc
+def _gamma_float(product) -> float:
+    """exp(sum e * lgamma(a)) over the factors Gamma(a)**e, with the sign of Gamma at a negative a by hand."""
+    log, sign = 0.0, 1
+    for argument, exponent in product.factors:
+        log += exponent * math.lgamma(argument)
+        if argument < 0 and math.ceil(-argument) * exponent % 2:
+            sign = -sign
+    return sign * math.exp(log)
 
 
-def float_eval_type1_form(ws: WeightSystem, vec, x: Fraction, digits: int) -> float:
-    """Linear form value through exp/log-gamma floats (float path)."""
-    log_x = math.log(float(x)) if ws.family is not Family.HAHN else 0.0
-    value = 0.0
-    for i, comp in enumerate(vec.components):
-        if not comp.coefficients:
-            continue
-        xf = float(x)
-        if comp.basis.kind is BasisKind.MONOMIAL:
-            part = 0.0
-            for c in reversed(comp.coefficients):
-                part = part * xf + float(c)
-        else:
-            part = 0.0
-            element = 1.0
-            for k, c in enumerate(comp.coefficients):
-                if k > 0:
-                    element *= xf + float(comp.basis.shift) + (k - 1)
-                part += float(c) * element
-        part *= comp.scale.float_value(digits)
-        if ws.family is Family.HAHN:
-            part *= math.exp(
-                float(log_gamma_approx(x + ws.alpha[i] + 1, digits))
-                - float(log_gamma_approx(ws.alpha[i] + 1, digits))
-            )
-        else:
-            part *= math.exp(float(ws.alpha[i]) * log_x)
-        value += part
-    return value
+def float_eval_type1_form(ws: WeightSystem, vec, x: Fraction) -> float:
+    """The exact type I linear form at x, rounded: once for Hahn, once per component otherwise."""
+    values = residues.type1_direct_values(ws, vec, x)
+    if ws.family is Family.HAHN:
+        return float(sum(rational for rational, _ in values))
+    return math.fsum(
+        float(rational) * _gamma_float(residual) * float(x) ** float(alpha)
+        for (rational, residual), alpha in zip(values, ws.alpha)
+    )
 
 
 def cmd_plot_data(args) -> int:
@@ -472,11 +447,11 @@ def cmd_plot_data(args) -> int:
     if args.type == 2:
         poly = families.type2(ws, n)
         for x in points:
-            rows.append([str(x), repr(float_eval_type2(ws, poly, x))])
+            rows.append([str(x), repr(float(poly.rational_value(x)))])
     else:
         vec = families.type1(ws, n)
         for x in points:
-            rows.append([str(x), repr(float_eval_type1_form(ws, vec, x, args.digits))])
+            rows.append([str(x), repr(float_eval_type1_form(ws, vec, x))])
     _emit_csv(["x", "value"], rows, args.out)
     return 0
 

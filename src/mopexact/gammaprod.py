@@ -10,9 +10,9 @@ cancellations: arguments that differ by an integer collapse onto a single
 anchored factor via rising factorials, leaving an exact rational times a
 fully normalized product.
 
-The one floating-point entry point, :func:`log_gamma_approx`, exists for
-data export and sanity checks only; nothing on the exact path calls it, and
-mpmath is imported only inside the float-path functions.
+Nothing here evaluates a gamma function in floating point; plot-data
+rounds the exact rational and evaluates the residual product itself
+(:mod:`mopexact.cli`).
 """
 
 from __future__ import annotations
@@ -165,41 +165,7 @@ class GammaProduct:
             return Fraction(0), GammaProduct.one()
         return rational, GammaProduct(tuple(sorted(residual)))
 
-    def log_value(self, digits: int = 17):
-        """Sum of exponent * log Gamma(argument) as an mpmath float (float path)."""
-        import mpmath
-        with mpmath.workdps(digits + 10):
-            total = mpmath.mpf(0)
-            for argument, exponent in self.factors:
-                total += exponent * log_gamma_approx(argument, digits)
-            return +total
-
-    def float_value(self, digits: int = 17) -> float:
-        if self.is_one():
-            return 1.0
-        import mpmath
-        return float(mpmath.exp(self.log_value(digits)))
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
         return " * ".join(f"Gamma({a})^{e}" if e != 1 else f"Gamma({a})" for a, e in self.factors)
-
-
-def log_gamma_approx(x, digits: int):
-    """log Gamma(x) for x > 0, to the requested number of correct decimal digits.
-
-    Float path only: backs data export and convergence sanity checks, never
-    the exact verification ops.  Delegates to mpmath's arbitrary-precision
-    log-gamma, which implements the usual asymptotic expansion with argument
-    shifting.
-    """
-    if digits <= 0:
-        raise ValueError("digits must be positive")
-    x = Fraction(x) if not isinstance(x, Fraction) else x
-    if x <= 0:
-        raise ValueError(f"log_gamma_approx requires x > 0, got {x}")
-    import mpmath
-    with mpmath.workdps(digits + 10):
-        value = mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator)
-        return +value

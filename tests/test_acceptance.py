@@ -271,7 +271,7 @@ def test_criterion_10_float_path_sanity():
                     if ws.family is not Family.HAHN:
                         part *= mpmath.power(_mpf(x), _mpf(ws.alpha[i]))
                     reference += part
-            value = float_eval_type1_form(ws, vec, x, digits=17)
+            value = float_eval_type1_form(ws, vec, x)
             checked += 1
             ok &= math.isclose(value, float(reference), rel_tol=1e-10, abs_tol=1e-12)
     report(10, f"float path matches exact evaluation to 10+ digits at {checked} points", ok)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mopexact import families, oracle
+from mopexact import WeightSystem, families, oracle, residues
 from mopexact.cli import main
 from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance, weight_system
 from conftest import laguerre_ws
@@ -308,6 +308,12 @@ class TestIdentityCommand:
         assert "rejected" in payload["results"][0]
         assert payload["summary"]["fail"] == 0
 
+    def test_params_zero_denominator_rejected(self, capsys):
+        code, out = run_cli(capsys, "identity", "--name", "kummer", "--params", "1/0,1,1,1,1")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and "1/0" in payload["error"]
+
     def test_params_arity_checked(self, capsys):
         code, out = run_cli(capsys, "identity", "--name", "kummer", "--params", "0,1/3")
         assert code == 2
@@ -379,7 +385,58 @@ class TestTableCommand:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _rounded_type2(ws, n):
+    poly = families.type2(ws, n)
+    return lambda x: float(poly.rational_value(x))
+
+
+def _rounded_hahn_type1(ws, n):
+    vec = families.type1(ws, n)
+    return lambda x: float(sum(rational for rational, _ in residues.type1_direct_values(ws, vec, x)))
+
+
+def _gamma_type1(ws, n):
+    # the rationals and gamma products eval --type 1 prints, evaluated by math.gamma
+    vec = families.type1(ws, n)
+
+    def value(x):
+        total = 0.0
+        for (rational, residual), alpha in zip(residues.type1_direct_values(ws, vec, x), ws.alpha):
+            gamma = math.prod(math.gamma(argument) ** exponent for argument, exponent in residual.factors)
+            total += float(rational) * gamma * float(x) ** float(alpha)
+        return total
+    return value
+
+
+_TWO_ALPHAS = ("--alpha", "1/2", "--alpha", "1/3", "--beta", "1/4", "--n", "10", "--n", "10")
+
+
 class TestPlotDataCommand:
+    # rel_tol 0 asks for equality with the correctly rounded exact value
+    @pytest.mark.parametrize("argv, reference, rel_tol", [
+        (("--family", "jacobi-pineiro", *_TWO_ALPHAS, "--samples", "101"),
+         lambda: _rounded_type2(WeightSystem.jacobi_pineiro((F(1, 2), F(1, 3)), F(1, 4)), (10, 10)), 0),
+        (("--family", "hahn", *_TWO_ALPHAS, "--N", "60"),
+         lambda: _rounded_type2(WeightSystem.hahn((F(1, 2), F(1, 3)), F(1, 4), 60), (10, 10)), 0),
+        (("--family", "hahn", "--alpha", "-1/2", "--beta", "-1/2", "--N", "3", "--n", "1", "--type", "1"),
+         lambda: _rounded_hahn_type1(WeightSystem.hahn((F(-1, 2),), F(-1, 2), 3), (1,)), 0),
+        (("--family", "hahn", "--alpha", "1/2", "--alpha", "1/3", "--beta", "1/4", "--N", "8",
+          "--n", "2", "--n", "2", "--type", "1"),
+         lambda: _rounded_hahn_type1(WeightSystem.hahn((F(1, 2), F(1, 3)), F(1, 4), 8), (2, 2)), 0),
+        (("--family", "jacobi-pineiro", "--alpha", "-9/10", "--beta", "-9/10", "--n", "1", "--type", "1",
+          "--samples", "20"),
+         lambda: _gamma_type1(WeightSystem.jacobi_pineiro((F(-9, 10),), F(-9, 10)), (1,)), 1e-13),
+    ], ids=["jp-type-2-n-10-10", "hahn-type-2-N-60", "hahn-type-1-corner", "hahn-type-1-two-weights",
+         "jp-type-1-negative-gamma"])
+    def test_samples_are_rounded_exact_values(self, capsys, argv, reference, rel_tol):
+        code, out = run_cli(capsys, "plot-data", *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        value_at = reference()
+        assert rows
+        for x_text, value_text in rows:
+            assert math.isclose(float(value_text), value_at(F(x_text)), rel_tol=rel_tol, abs_tol=0), x_text
+
     def test_hahn_row_count(self, capsys):
         code, out = run_cli(
             capsys, "plot-data", "--family", "hahn", "--alpha", "1/2", "--beta", "1/4",

@@ -1,8 +1,9 @@
-"""The package imports nothing beyond the standard library and mpmath.
+"""The package imports nothing beyond the standard library.
 
-numpy and sympy may be installed next to it, and gmpy2 or python-flint
-might be one day, but none of them is a dependency of ``src/mopexact``.
-mpmath serves only the float path and is imported when that path runs.
+numpy, sympy and mpmath may be installed next to it, and gmpy2 or
+python-flint might be one day, but none of them is a dependency of
+``src/mopexact``.  mpmath serves the tests as an independent reference;
+plot-data rounds the exact values instead of evaluating in mpmath.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import mopexact
 
-FORBIDDEN = {"numpy", "sympy", "gmpy2", "flint"}
+FORBIDDEN = {"numpy", "sympy", "gmpy2", "flint", "mpmath"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mopexact"
 
 

@@ -1,11 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopexact import GammaProduct, PoleError, log_gamma_approx, pochhammer
+from mopexact import GammaProduct, PoleError, pochhammer
 from mopexact.gammaprod import as_fraction, is_nonpositive_integer, rising_row
 from conftest import reduced_equal
 
@@ -154,32 +153,3 @@ class TestGammaProduct:
         assert not reduced_equal(left, right)
         # Gamma(7/2) == (3/2)(5/2) Gamma(3/2) is not structural equality
         assert (left / right).reduce()[0] == Fraction(15, 4)
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert float(log_gamma_approx(1, 15)) == 0.0
-
-    def test_factorial_point(self):
-        value = log_gamma_approx(5, 12)
-        assert abs(float(value) - math.log(24)) < 1e-12
-
-    def test_half(self):
-        value = log_gamma_approx(Fraction(1, 2), 12)
-        assert abs(float(value) - 0.5 * math.log(math.pi)) < 1e-12
-
-    def test_functional_equation(self):
-        x = Fraction(7, 3)
-        lhs = float(log_gamma_approx(x + 1, 15))
-        rhs = math.log(float(x)) + float(log_gamma_approx(x, 15))
-        assert abs(lhs - rhs) < 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma_approx(0, 10)
-        with pytest.raises(ValueError):
-            log_gamma_approx(Fraction(-1, 2), 10)
-
-    def test_float_value_of_product(self):
-        product = GammaProduct.gamma(5) * GammaProduct.gamma(3, -1)
-        assert abs(product.float_value() - 12.0) < 1e-12
