@@ -19,8 +19,8 @@ import random
 from fractions import Fraction
 
 from . import families, oracle, residues
-from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
-from .polybasis import LatticeRow, ScaledPolynomial, TypeIVector, row_product
+from .gammaprod import pochhammer, row_values  # noqa: F401  (perfbench traces pochhammer)
+from .polybasis import ScaledPolynomial, TypeIVector, row_product
 from .weights import Family, WeightSystem, total_degree
 
 #: Small-denominator exponents keeping pairwise and beta-shifted differences
@@ -90,18 +90,22 @@ def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):
     """Perturb one generated coefficient by +1 per the fault specification."""
     if not fault:
         return poly, vec
-    parts = fault.split(":")
-    if parts[0] == "t2" and len(parts) == 2:
-        index = int(parts[1]) % len(poly.coefficients)
+    kind, *fields = fault.split(":")
+    try:
+        indices = [int(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"unrecognized fault specification {fault!r}") from None
+    if kind == "t2" and len(indices) == 1:
+        index = indices[0] % len(poly.coefficients)
         coeffs = list(poly.coefficients)
         coeffs[index] += 1
         return ScaledPolynomial(poly.basis, tuple(coeffs), poly.scale), vec
-    if parts[0] == "t1" and len(parts) == 3:
-        component = int(parts[1]) % len(vec.components)
+    if kind == "t1" and len(indices) == 2:
+        component = indices[0] % len(vec.components)
         comp = vec.components[component]
         if not comp.coefficients:
             raise ValueError(f"component {component} has no coefficients to perturb")
-        index = int(parts[2]) % len(comp.coefficients)
+        index = indices[1] % len(comp.coefficients)
         coeffs = list(comp.coefficients)
         coeffs[index] += 1
         perturbed = ScaledPolynomial(comp.basis, tuple(coeffs), comp.scale)
@@ -109,12 +113,6 @@ def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):
         components[component] = perturbed
         return poly, TypeIVector(tuple(components))
     raise ValueError(f"unrecognized fault specification {fault!r}")
-
-
-def _entries(row: LatticeRow) -> tuple[Fraction, ...]:
-    """The values of a lattice row as Fractions."""
-    nums, den = row
-    return tuple(Fraction(v, den) for v in nums)
 
 
 def _hahn_sample_points(N: int) -> list[int]:
@@ -165,13 +163,13 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
 
     if ws.family is Family.HAHN:
         checks["jp_coefficient_relation"] = families.hahn_jp_coefficient_relation(ws, n, poly)
-        checks["weighted_series"] = families.hahn_type2_weighted_series(ws, n) == _entries(
-            row_product(poly.lattice_values(ws.N), ws.beta_factors)
+        checks["weighted_series"] = families.hahn_type2_weighted_series(ws, n) == row_values(
+            *row_product(poly.lattice_values(ws.N), ws.beta_factors)
         )
         checks["summation_identity"] = all(oracle.check_hahn_summation_identity(ws, n))
         if ws.p == 2:
             checks["kdf_cross_formula"] = all(
-                families.hahn_type1_p2_kdf(ws, n, i) == _entries(vec.components[i].lattice_values(ws.N))
+                families.hahn_type1_p2_kdf(ws, n, i) == row_values(*vec.components[i].lattice_values(ws.N))
                 for i in range(2)
             )
 

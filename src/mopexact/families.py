@@ -6,7 +6,9 @@ falling-factorial basis (-x)_k for Hahn (still monic once converted to
 monomials).  Type I vectors come from the terminating one-index series for
 each component: monomial coefficients with a gamma scale for Laguerre and
 Jacobi-Pineiro, and rational coefficients in the shifted rising basis
-(x + alpha_i + 1)_l for Hahn.
+(x + alpha_i + 1)_l for Hahn.  Every closed-form row, here and in the
+Hahn-only cross checks, is built in integers by its term ratio
+(:func:`~mopexact.gammaprod.ratio_row`) and divided once per entry.
 
 Component i of a type I vector is defined as the zero polynomial whenever
 n_i = 0; the closed forms contain (n_i - 1)! and are invoked only for
@@ -22,20 +24,13 @@ import math
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, rising_row
+from .gammaprod import GammaProduct, pochhammer, ratio_row, row_values
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
-def _suffix_sums(values) -> list[int]:
-    out = [0] * (len(values) + 1)
-    for q in range(len(values) - 1, -1, -1):
-        out[q] = out[q + 1] + values[q]
-    return out
-
-
-def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
-    """Coefficients of the nested type II sum, collected by total degree.
+def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int]:
+    """Coefficients of the nested type II sum, collected by total degree, over one denominator.
 
     Index q runs over weights; with T_q = l_q + ... + l_p and
     S_q = n_1 + ... + n_q, the term of the multi-sum is
@@ -43,46 +38,35 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
         * prod_{q<p} (alpha_q + n_q + 1)_{T_{q+1}} / prod_q (alpha_q + 1)_{T_q}
         * [JP, Hahn] prod_q (a_q + beta + S_q + 1)_{T_q} / prod_{q<p} (a_q + beta + S_q + 1)_{T_{q+1}}
         * [Hahn] (-N)_{|n|} / (-N)_{T_1}
-    attached to degree T_1 of the family basis.  Every factor is read from
-    rows over T = 0..|n| built once per call: head[q][T] collects the
-    factors at T_q and tail[q][T] those at T_{q+1}.  An idle weight
-    (n_q = 0) has l_q = 0, so T_q = T_{q+1} and its head and tail factors
-    cancel; they are left out, because (a_q + beta + S_q + 1)_T can vanish
-    there and make the cancellation a 0/0.
+    attached to degree T_1 of the family basis.  Weight q contributes an
+    integer head row (its factors at T_q) and tail row (at T_{q+1}), and the
+    sum runs from the last weight to the first: acc[T] sums the terms of
+    weights q.. with T_q = T, over the product of the rows' denominators.
+    An idle weight (n_q = 0) has l_q = 0, so T_q = T_{q+1} and its head and
+    tail factors cancel; it is skipped, because (a_q + beta + S_q + 1)_T can
+    vanish there and make the cancellation a 0/0.
     """
-    p = ws.p
     alpha = ws.alpha
     total = total_degree(n)
     prefix = list(itertools.accumulate(n))
-    head, tail = [], []
-    for q in range(p):
+    acc, den = [1] + [0] * total, 1
+    for q in reversed(range(ws.p)):
         if n[q] == 0:
-            head.append([1] * (total + 1))
-            tail.append([1] * (total + 1))
             continue
-        down = rising_row(alpha[q] + 1, total + 1)
-        up = rising_row(alpha[q] + n[q] + 1, total + 1)
-        if ws.family is Family.LAGUERRE_FIRST_KIND:
-            head.append([1 / d for d in down])
-            tail.append(up)
-        else:
-            shifted = rising_row(alpha[q] + ws.beta + prefix[q] + 1, total + 1)
-            head.append([s / d for s, d in zip(shifted, down)])
-            tail.append([u / s for u, s in zip(up, shifted)])
-    if ws.family is Family.HAHN:
-        lattice = rising_row(-ws.N, total + 1)
-        head[0] = [h * lattice[total] / f for h, f in zip(head[0], lattice)]
-    signed_binomials = [[(-1) ** l * math.comb(nq, l) for l in range(nq + 1)] for nq in n]
-    coeffs = [Fraction(0)] * (total + 1)
-    for lvec in itertools.product(*(range(nq + 1) for nq in n)):
-        tails = _suffix_sums(lvec)
-        term = Fraction(1)
-        for q in range(p):
-            term *= signed_binomials[q][lvec[q]] * head[q][tails[q]]
-            if q < p - 1:
-                term *= tail[q][tails[q + 1]]
-        coeffs[tails[0]] += term
-    return coeffs
+        rest = total - prefix[q]
+        shifted = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[q] + ws.beta + prefix[q] + 1]
+        head, head_den = ratio_row(shifted, [alpha[q] + 1], rest + n[q] + 1)
+        tail, tail_den = ratio_row([alpha[q] + n[q] + 1], shifted, rest + 1)
+        signed_binomials = [(-1) ** l * math.comb(n[q], l) for l in range(n[q] + 1)]
+        out = [0] * (total + 1)
+        for t in range(rest + 1):
+            value = acc[t] * tail[t]
+            for l, b in enumerate(signed_binomials):
+                out[t + l] += b * head[t + l] * value
+        acc, den = out, den * head_den * tail_den
+    if ws.family is Family.HAHN:  # (-N)_{|n|} / (-N)_T = prod_{T<=l<|n|} (l - N)
+        acc = [v * math.prod(range(t - ws.N, total - ws.N)) for t, v in enumerate(acc)]
+    return acc, den
 
 
 def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
@@ -90,8 +74,8 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
 
     The multi-sum of :func:`_type2_coefficients` times (-1)^|n| (not for
     Hahn) prod_q (alpha_q+1)_{n_q} / prod_q (alpha_q+beta+|n|+1)_{n_q} (not
-    for Laguerre).  The Hahn polynomial is monic in that its leading
-    monomial coefficient is 1.
+    for Laguerre), divided once per coefficient.  The Hahn polynomial is
+    monic in that its leading monomial coefficient is 1.
     """
     ws.validate_index(n)
     total = total_degree(n)
@@ -101,7 +85,7 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
         if ws.family is not Family.LAGUERRE_FIRST_KIND:
             prefactor /= pochhammer(ws.alpha[q] + ws.beta + total + 1, n[q])
     basis = Basis.falling_factorial() if ws.family is Family.HAHN else Basis.monomial()
-    return ScaledPolynomial(basis, tuple(prefactor * c for c in _type2_coefficients(ws, n)))
+    return ScaledPolynomial(basis, row_values(*_type2_coefficients(ws, n), prefactor))
 
 
 def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
@@ -148,40 +132,34 @@ def _guard_type1_normalization(ws: WeightSystem, n: MultiIndex) -> None:
             )
 
 
-def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
-    """Rational coefficients of type I component i (requires n_i >= 1)."""
+def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction, ...]:
+    """Rational coefficients of type I component i (requires n_i >= 1).
+
+    Coefficient k is a prefactor times the term
+        (1-n_i)_k / (k! (alpha_i+1)_k) prod_{j!=i} (alpha_i-alpha_j-n_j+1)_k / (alpha_i-alpha_j+1)_k
+        * [JP, Hahn] (alpha_i+beta+|n|)_k * [Hahn] / (alpha_i+beta+N+2)_k,
+    one integer :func:`ratio_row` over k < n_i.
+    """
     alpha = ws.alpha
     total = total_degree(n)
+    others = [j for j in range(ws.p) if j != i]
     prefactor = Fraction(-1) ** (total - 1) / math.factorial(n[i] - 1)
-    for j in range(ws.p):
-        if j != i:
-            prefactor /= pochhammer(alpha[j] - alpha[i], n[j])
-    if ws.family is Family.JACOBI_PINEIRO:
-        for j in range(ws.p):
+    for j in others:
+        prefactor /= pochhammer(alpha[j] - alpha[i], n[j])
+    ups = [1 - n[i], *(alpha[i] - alpha[j] - n[j] + 1 for j in others)]
+    downs = [1, alpha[i] + 1, *(alpha[i] - alpha[j] + 1 for j in others)]
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        ups.append(alpha[i] + ws.beta + total)
+        for j in others if ws.family is Family.HAHN else range(ws.p):
             prefactor *= pochhammer(alpha[j] + ws.beta + total, n[j])
     if ws.family is Family.HAHN:
-        for j in range(ws.p):
-            if j != i:
-                prefactor *= pochhammer(alpha[j] + ws.beta + total, n[j])
         prefactor *= math.factorial(ws.N + 1 - total)
         prefactor /= pochhammer(ws.beta + 1, total - 1)
         # (a)_{n_i} / (a)_{N+2-|n|} with a = alpha_i+beta+|n|, cancelled so the
         # boundary a = 0 (reachable only at |n| = 1) stays finite and exact
         prefactor /= pochhammer(alpha[i] + ws.beta + total + n[i], ws.N + 2 - total - n[i])
-
-    coeffs = []
-    for k in range(n[i]):
-        term = pochhammer(-n[i] + 1, k) / math.factorial(k) / pochhammer(alpha[i] + 1, k)
-        for j in range(ws.p):
-            if j != i:
-                term *= pochhammer(alpha[i] - alpha[j] - n[j] + 1, k)
-                term /= pochhammer(alpha[i] - alpha[j] + 1, k)
-        if ws.family is not Family.LAGUERRE_FIRST_KIND:
-            term *= pochhammer(alpha[i] + ws.beta + total, k)
-        if ws.family is Family.HAHN:
-            term /= pochhammer(alpha[i] + ws.beta + ws.N + 2, k)
-        coeffs.append(prefactor * term)
-    return coeffs
+        downs.append(alpha[i] + ws.beta + ws.N + 2)
+    return row_values(*ratio_row(ups, downs, n[i]), prefactor)
 
 
 def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
@@ -195,9 +173,9 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     _guard_type1_normalization(ws, n)
     components = []
     for i in range(ws.p):
-        coeffs = _type1_component_coefficients(ws, n, i) if n[i] >= 1 else []
+        coeffs = _type1_component_coefficients(ws, n, i) if n[i] >= 1 else ()
         components.append(ScaledPolynomial(
-            type1_basis(ws, i), tuple(coeffs), type1_scale(ws, i, total_degree(n))
+            type1_basis(ws, i), coeffs, type1_scale(ws, i, total_degree(n))
         ))
     return TypeIVector(tuple(components))
 
@@ -211,8 +189,9 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction
                   * (a+beta+|n|)_m (a-a^-n^+1)_m / ((a+1)_m (-N)_m) * (-x)_m / m!
     is an independent route to the values of the shifted-rising expansion.
     Only (-x)_m / m! = (-1)^m C(x, m) depends on x, so the inner sums c_m over
-    l (which stops at n_i - 1 - m) are built once and entry x is the
-    prefactor times sum_m c_m C(x, m).
+    l (which stops at n_i - 1 - m) are built once from the integer joint,
+    left and right rows (:func:`ratio_row`), and entry x is the prefactor
+    times the integer sum sum_m c_m C(x, m) over their denominators.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
@@ -235,22 +214,45 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction
     prefactor *= pochhammer(a_hat + beta + n_hat + 1, tot - 1)
     prefactor /= pochhammer(a_i - a_hat - n_hat + 1, tot - 1)
 
-    def row(a):
-        return rising_row(a, n_i)
-
-    joint = [u * v / (w * z) for u, v, w, z in zip(
-        row(1 - n_i), row(-N), row(2 - tot), row(a_hat + beta + n_hat + 1))]
-    left = [b / math.factorial(l) for l, b in enumerate(row(a_hat - a_i - n_i + 1))]
-    right = [(-1) ** m * u * v / (w * z) for m, (u, v, w, z) in enumerate(zip(
-        row(a_i + beta + tot), row(a_i - a_hat - n_hat + 1), row(a_i + 1), row(-N)))]
+    joint, joint_den = ratio_row([1 - n_i, -N], [2 - tot, a_hat + beta + n_hat + 1], n_i)
+    left, left_den = ratio_row([a_hat - a_i - n_i + 1], [1], n_i)
+    right, right_den = ratio_row([a_i + beta + tot, a_i - a_hat - n_hat + 1], [a_i + 1, -N], n_i)
     inner = [
-        r * sum((joint[l + m] * left[l] for l in range(n_i - m)), Fraction(0))
+        (-1) ** m * r * sum(joint[l + m] * left[l] for l in range(n_i - m))
         for m, r in enumerate(right)
     ]
-    return tuple(
-        prefactor * sum((math.comb(x, m) * c for m, c in enumerate(inner)), Fraction(0))
-        for x in range(N + 1)
-    )
+    values = [sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)]
+    return row_values(values, joint_den * left_den * right_den, prefactor)
+
+
+def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[Fraction, list[int], int]:
+    """Prefactor and terms l < length of the type II series, the terms as integers over one denominator.
+
+    Term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times
+    (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!
+    (with factorials), one :func:`ratio_row`; z is -1 for Laguerre and 1
+    otherwise.  The prefactor is (-1)^|n| prod_i (alpha_i+1)_{n_i}, over
+    prod_i (alpha_i+beta+|n|+1)_{n_i} (not for Laguerre), times
+    (beta+1)_N / (N-|n|)! (Hahn).
+    """
+    total = total_degree(n)
+    alpha, beta = ws.alpha, ws.beta
+    prefactor = Fraction(-1) ** total
+    for i in range(ws.p):
+        prefactor *= pochhammer(alpha[i] + 1, n[i])
+    ups = [a + ni + 1 for a, ni in zip(alpha, n)]
+    downs = [1] * factorials + [a + 1 for a in alpha]
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        for i in range(ws.p):
+            prefactor /= pochhammer(alpha[i] + beta + total + 1, n[i])
+        ups.append(-beta - total)
+    if ws.family is Family.HAHN:
+        prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
+        downs.append(-beta - ws.N)
+    nums, den = ratio_row(ups, downs, length)
+    if ws.family is Family.LAGUERRE_FIRST_KIND:
+        nums = [-v if l % 2 else v for l, v in enumerate(nums)]
+    return prefactor, nums, den
 
 
 def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fraction, ...]:
@@ -261,26 +263,15 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fractio
     It is the prefactor times sum_{l<=x} (-x)_l/l! c_l, where (-x)_l/l! is
     (-1)^l C(x, l) and c_l = (-beta-|n|)_l/(-beta-N)_l prod_i
     (alpha_i+n_i+1)_l/(alpha_i+1)_l does not depend on x: prefactor and c_l
-    are built once, c_l by its term ratio.
+    are built once (:func:`_type2_series` without factorials), c_l as one
+    integer row, so entry x is one signed-binomial integer sum.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws.validate_index(n)
-    total = total_degree(n)
-    prefactor = Fraction(-1) ** total * pochhammer(ws.beta + 1, ws.N) / math.factorial(ws.N - total)
-    for i in range(ws.p):
-        prefactor *= pochhammer(ws.alpha[i] + 1, n[i])
-        prefactor /= pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
-    series = [Fraction(1)]
-    for l in range(ws.N):
-        ratio = (-ws.beta - total + l) / (-ws.beta - ws.N + l)
-        for i in range(ws.p):
-            ratio *= (ws.alpha[i] + n[i] + 1 + l) / (ws.alpha[i] + 1 + l)
-        series.append(series[-1] * ratio)
-    return tuple(
-        prefactor * sum(((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1])), Fraction(0))
-        for x in range(ws.N + 1)
-    )
+    prefactor, series, den = _type2_series(ws, n, ws.N + 1, factorials=False)
+    values = [sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1])) for x in range(ws.N + 1)]
+    return row_values(values, den, prefactor)
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:

@@ -83,6 +83,40 @@ def rising_row(a, length: int) -> list[Fraction]:
     return row
 
 
+def ratio_row(ups, downs, length: int) -> tuple[list[int], int]:
+    """prod_u (u)_k / prod_d (d)_k at k = 0..length-1 as integer numerators over one positive denominator.
+
+    Each entry is the one before times the term ratio, and a parameter p/q
+    steps by (p + kq) / q: the integers p + kq multiply the numerator (for
+    u) or the denominator (for d) and the q's the other side.  A zero
+    numerator factor ends the row with zeros; a zero denominator factor
+    under a nonzero numerator raises PoleError.
+    """
+    ups = [as_fraction(u).as_integer_ratio() for u in ups]
+    downs = [as_fraction(d).as_integer_ratio() for d in downs]
+    up_q, down_q = math.prod(q for _, q in downs), math.prod(q for _, q in ups)
+    nums, dens = [1], [1]
+    for k in range(length - 1):
+        top = math.prod(p + k * q for p, q in ups)
+        if top == 0:
+            break
+        bottom = math.prod(p + k * q for p, q in downs)
+        if bottom == 0:
+            raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
+        nums.append(nums[-1] * top * up_q)
+        dens.append(dens[-1] * bottom * down_q)
+    den = dens[-1]
+    row = [v * (den // d) for v, d in zip(nums, dens)][:length]
+    row += [0] * (length - len(row))
+    return ([-v for v in row], -den) if den < 0 else (row, den)
+
+
+def row_values(nums, den: int, factor: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
+    """factor * nums / den entrywise: one Fraction, so one reduction, per entry."""
+    top, bottom = factor.as_integer_ratio()
+    return tuple(Fraction(top * v, bottom * den) for v in nums)
+
+
 @dataclass(frozen=True)
 class GammaProduct:
     """Formal product prod_t Gamma(argument_t)**exponent_t, arguments rational.

@@ -3,12 +3,15 @@
 Generalized hypergeometric series and their two-variable Kampe de Feriet
 extension are evaluated as exact finite rational sums: a series is accepted
 only when a nonpositive-integer numerator parameter truncates it.  The
-transformation identities used elsewhere in the package (Chu-Vandermonde,
+transformation identities of the ``identity`` command (Chu-Vandermonde,
 the 3F2 Kummer transformation, the Rakha-Rathie reduction of a Kampe de
 Feriet double sum, and the Karp-Prilepkina decomposition) are implemented
 as boolean checkers that compare both sides exactly; each restricts one
 parameter to a nonpositive integer so that every gamma prefactor cancels
-to an exact rational under :meth:`GammaProduct.reduce`.
+to an exact rational under :meth:`GammaProduct.reduce`.  :func:`pfq` and
+:func:`eval_kdf` serve only these checkers: the generators and the verify
+checks build their series as integer term-ratio rows
+(:func:`mopexact.gammaprod.ratio_row`).
 """
 
 from __future__ import annotations

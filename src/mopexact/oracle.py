@@ -19,7 +19,9 @@ once; the type II Gram rows stay integers into the solve.  The tables live
 on the weight system and the polynomial that own them and last only as long
 as those objects.  Every continuous pairing is an integer dot product
 divided once too: each weight's power moments are one integer row
-(:func:`_moment_rows`) and coefficients go over one denominator.
+(:func:`_moment_rows`) and coefficients go over one denominator.  The
+Hahn summation identity sums integer term-ratio rows as well; nothing here
+evaluates a :func:`mopexact.hyper.pfq` series.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer, rising_row
-from .hyper import pfq
+from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer, ratio_row, row_values
 from .linalg import solve_linear_system
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
 from .polybasis import integer_row, reduced_row, rising_over_factorial, row_product
@@ -370,8 +371,13 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     The weighted lattice pairing of the type I vector with the backward
     basis element of order j collapses to a single sum of (p+2)F(p+1)
     values; it must equal 0 for j <= |n|-2 and (-1)^(|n|-1) at j = |n|-1.
-    Entry j of the result says whether row j holds.  The factors that do
-    not depend on j are built once.
+    Entry j of the result says whether row j holds.  With A = alpha_i+beta+N+2,
+    B = alpha_i+beta+2 and C = alpha_i+beta+|n| = B+|n|-2, weight i adds
+    (B)_{|n|-2} / ((n_i-1)! prod_{k!=i} (alpha_k-alpha_i)_{n_k}) times
+    sum_{l<n_i} F_l (A)_{j+l} / (B)_{j+l} to row j, where
+    F_l = (1-n_i)_l (C)_l prod_{k!=i} (alpha_i+1-alpha_k-n_k)_l / (l! (A)_l prod_{k!=i} (alpha_i+1-alpha_k)_l);
+    F and (A)_s / (B)_s are integer rows built once per weight, and one
+    Fraction per row is compared.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("the summation identity is Hahn-specific")
@@ -381,34 +387,28 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     total = total_degree(n)
     alpha, beta, N = ws.alpha, ws.beta, ws.N
     # (beta+1+j)_{|n|-1-j} = (beta+1)_{|n|-1} / (beta+1)_j
-    beta_row = rising_row(beta + 1, total)
+    beta_row, beta_den = ratio_row([beta + 1], [], total)
     head = Fraction(-1) ** (total - 1) * math.factorial(N + 1 - total)
     for i in range(ws.p):
         head *= pochhammer(alpha[i] + beta + total, n[i])
-    head /= math.factorial(N) * beta_row[-1]
-    acc = [Fraction(0)] * total
+    head /= math.factorial(N) * pochhammer(beta + 1, total - 1)
+    rows = []  # per weight: constant times sum_l F_l (A)_{j+l} / (B)_{j+l}, j < |n|
     for i in range(ws.p):
-        factor = Fraction(1, math.factorial(n[i] - 1))
-        for k in range(ws.p):
-            if k != i:
-                factor /= pochhammer(alpha[k] - alpha[i], n[k])
-        others_num = [alpha[i] + 1 - alpha[k] - n[k] for k in range(ws.p) if k != i]
-        others_den = [alpha[i] + 1 - alpha[k] for k in range(ws.p) if k != i]
-        lattice_row = rising_row(alpha[i] + beta + N + 2, total)
-        for j in range(total):
-            # Gamma(alpha_i+beta+|n|) / Gamma(alpha_i+beta+2+j) as a signed offset
-            try:
-                gamma_quotient = 1 / pochhammer(alpha[i] + beta + total, j + 2 - total)
-            except ZeroDivisionError as exc:
-                raise PoleError(
-                    f"summation identity degenerates at alpha_{i} + beta + |n| = "
-                    f"{alpha[i] + beta + total}"
-                ) from exc
-            series = pfq(
-                (-n[i] + 1, alpha[i] + beta + N + 2 + j, alpha[i] + beta + total, *others_num),
-                (alpha[i] + beta + N + 2, alpha[i] + beta + 2 + j, *others_den),
-                1,
-            )
-            acc[j] += factor * lattice_row[j] * gamma_quotient * series
-    normalization = Fraction(-1) ** (total - 1)
-    return [head * beta_row[j] * acc[j] == (normalization if j == total - 1 else 0) for j in range(total)]
+        a, b, c = alpha[i] + beta + N + 2, alpha[i] + beta + 2, alpha[i] + beta + total
+        if c == 0:  # |n| = 1 and alpha_i + beta = -1: Gamma(C) is a pole
+            raise PoleError(f"summation identity degenerates at alpha_{i} + beta + |n| = {c}")
+        others = [k for k in range(ws.p) if k != i]
+        f, f_den = ratio_row(
+            [1 - n[i], c, *(alpha[i] + 1 - alpha[k] - n[k] for k in others)],
+            [1, a, *(alpha[i] + 1 - alpha[k] for k in others)],
+            n[i],
+        )
+        g, g_den = ratio_row([a], [b], total + n[i] - 1)
+        constant = pochhammer(b, total - 2) / (math.factorial(n[i] - 1) * f_den * g_den)
+        for k in others:
+            constant /= pochhammer(alpha[k] - alpha[i], n[k])
+        top, bottom = constant.as_integer_ratio()
+        rows.append(([top * sum(f[l] * g[j + l] for l in range(n[i])) for j in range(total)], bottom))
+    acc, den = _row_sum(rows, total)
+    values = row_values([v * w for v, w in zip(beta_row, acc)], beta_den * den, head)
+    return [value == ((-1) ** (total - 1) if j == total - 1 else 0) for j, value in enumerate(values)]

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, rising_row
+from .gammaprod import GammaProduct, pochhammer, rising_row, row_values
 from .linalg import interpolate
 from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, integer_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
@@ -216,41 +216,14 @@ def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list
     """Terms k = 0..k_max of the hypergeometric series form of the same expansion.
 
     Independent route: the series parameters come straight from the
-    weighted expansions, never through the residue formulas.  The
-    prefactor is computed once and each term is the one before times the
-    term ratio, in integers: a parameter p/q gives p + kq over a constant q.
-    A zero numerator factor ends the series with zeros; a zero denominator
-    factor under a nonzero numerator raises PoleError.
+    weighted expansions (:func:`families._type2_series`, whose Hahn terms
+    are the c_l of :func:`families.hahn_type2_weighted_series` over l!),
+    never through the residue formulas; a zero denominator factor under a
+    nonzero numerator raises PoleError.
     """
-    total = total_degree(n)
-    alpha, beta = ws.alpha, ws.beta
-    prefactor = Fraction(-1) ** total
-    for i in range(ws.p):
-        prefactor *= pochhammer(alpha[i] + 1, n[i])
-    numerators = [(a + ni + 1).as_integer_ratio() for a, ni in zip(alpha, n)]
-    denominators = [(a + 1).as_integer_ratio() for a in alpha]
-    argument = -1 if ws.family is Family.LAGUERRE_FIRST_KIND else 1
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        for i in range(ws.p):
-            prefactor /= pochhammer(alpha[i] + beta + total + 1, n[i])
-        numerators.append((-beta - total).as_integer_ratio())
-    if ws.family is Family.HAHN:
-        prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
-        denominators.append((-beta - ws.N).as_integer_ratio())
-    up, down = math.prod(q for _, q in denominators), math.prod(q for _, q in numerators)  # one step's q's
-    num, den = prefactor.as_integer_ratio()
-    row = [prefactor]
-    for k in range(k_max):
-        top = argument * math.prod(p + k * q for p, q in numerators)
-        if top == 0:
-            row.extend([Fraction(0)] * (k_max - k))
-            break
-        bottom = (k + 1) * math.prod(p + k * q for p, q in denominators)
-        if bottom == 0:
-            raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
-        num, den = num * top * up, den * bottom * down
-        row.append(Fraction(num, den))
-    return row, GammaProduct.gamma(beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
+    prefactor, nums, den = families._type2_series(ws, n, k_max + 1)
+    gamma = GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
+    return list(row_values(nums, den, prefactor)), gamma
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:

@@ -58,6 +58,17 @@ def admissible_systems(draw, max_total: int = 4, family: str | None = None, p: i
     return WeightSystem.hahn(alpha, beta, sum(n) + draw(st.integers(0, 3))), n
 
 
+@st.composite
+def hahn_corner_systems(draw):
+    """Hahn systems on the corner alpha_i + beta + |n| = 0: |n| = 1, beta = -1 - alpha_i, other weights idle."""
+    p = draw(st.integers(1, 3))
+    i = draw(st.integers(0, p - 1))
+    alpha = [draw(prime_offset(den)) for den in (2, 3, 5)[:p]]
+    alpha[i] = -Fraction(draw(st.integers(1, (2, 3, 5)[i] - 1)), (2, 3, 5)[i])
+    n = tuple(int(j == i) for j in range(p))
+    return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
+
+
 def reduced_equal(left: GammaProduct, right: GammaProduct) -> bool:
     """Whether two gamma products have the same rational part and the same normalized residual."""
     r1, h1 = left.reduce()

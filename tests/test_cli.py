@@ -291,6 +291,15 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload == {"command": "verify", "error": "--jobs must be >= 0, got -3", "kind": "ValueError"}
 
+    @pytest.mark.parametrize("fault", ["t1:x:0", "t1:0:y", "t2:x", "t2:1/2"])
+    def test_non_integer_fault_index_rejected(self, capsys, fault):
+        code, out = run_cli(capsys, "verify", "--max-total-degree", "1", "--max-N", "1", "--inject-fault", fault)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload == {
+            "command": "verify", "error": f"unrecognized fault specification {fault!r}", "kind": "ValueError",
+        }
+
 
 class TestIdentityCommand:
     def test_chu_vandermonde_draws(self, capsys):
@@ -341,6 +350,15 @@ class TestIdentityCommand:
         assert code == 0
         assert json.loads(out)["summary"]["fail"] == 0
 
+    def test_hahn_summation_digest(self, capsys):
+        # golden output of the default hahn-summation grid, recorded while every
+        # row was still one pfq per (weight, row)
+        code, out = run_cli(capsys, "identity", "--name", "hahn-summation")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f70a7b11eaa5cc9d6905b50a43097b5660a6418f2178c90dff2441dd0b219cab"
+        )
+
     def test_seeded_determinism(self, capsys):
         argv = ("identity", "--name", "karp-prilepkina", "--draws", "25", "--seed", "3")
         _, first = run_cli(capsys, *argv)
@@ -381,6 +399,17 @@ class TestTableCommand:
     def test_default_grid_digest(self, capsys, which, digest):
         # golden output: every generated coefficient on the default grid, as CSV
         code, out = run_cli(capsys, "table", "--type", which)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("which, digest", [
+        ("1", "b2f32e8e2708a5d6fe06b5af2ca2556a3fdfeb7071794c47e7503076650e21f0"),
+        ("2", "0ae7618f6c674fdcdee2a60ab063cf52d28d8e1e9f9775a0c089c4ffb786548d"),
+    ], ids=["type1", "type2"])
+    def test_degree_five_digest(self, capsys, which, digest):
+        # golden output past the default grid (|n| <= 5, N <= 10), recorded
+        # from the per-term Fraction generators
+        code, out = run_cli(capsys, "table", "--type", which, "--max-total-degree", "5", "--max-N", "10")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

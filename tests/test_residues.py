@@ -22,7 +22,8 @@ from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply
 from mopexact.gammaprod import as_fraction
 from mopexact.weights import Family, MultiIndex, total_degree
 from conftest import (
-    admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, scaled_values_equal, series_term,
+    admissible_systems, hahn_corner_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, scaled_values_equal,
+    series_term,
 )
 
 F = Fraction
@@ -149,17 +150,6 @@ def direct_value(ws: WeightSystem, i: int, comp, x: Fraction) -> Fraction:
     nums, den = comp.lattice_values(ws.N)
     factor, _ = comp.scale.reduce()
     return factor * Fraction(nums[x.numerator], den) * pochhammer(ws.alpha[i] + 1, x.numerator)
-
-
-@st.composite
-def hahn_corner_systems(draw):
-    """Hahn systems on the corner alpha_i + beta + |n| = 0: |n| = 1, beta = -1 - alpha_i, other weights idle."""
-    p = draw(st.integers(1, 3))
-    i = draw(st.integers(0, p - 1))
-    alpha = [draw(prime_offset(den)) for den in (2, 3, 5)[:p]]
-    alpha[i] = -Fraction(draw(st.integers(1, (2, 3, 5)[i] - 1)), (2, 3, 5)[i])
-    n = tuple(int(j == i) for j in range(p))
-    return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
 
 
 def sample_points(ws: WeightSystem) -> list:
