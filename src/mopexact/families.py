@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, ratio_row, row_values
+from .gammaprod import GammaProduct, pochhammer, ratio_row, ratio_terms, row_values
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -95,17 +95,23 @@ def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
     rational: 1/Gamma(alpha_i+1) for Laguerre,
     Gamma(alpha_i+beta+|n|) / (Gamma(beta+|n|) Gamma(alpha_i+1)) for
     Jacobi-Pineiro, and the empty product for Hahn (whose normalized weights
-    are already rational on the lattice).
+    are already rational on the lattice).  Built once per weight system,
+    weight and |n| (:meth:`WeightSystem.kept`).
     """
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        return GammaProduct.gamma(ws.alpha[i] + 1, -1)
-    if ws.family is Family.JACOBI_PINEIRO:
-        return GammaProduct.from_factors([
-            (ws.alpha[i] + ws.beta + total, 1),
-            (ws.beta + total, -1),
-            (ws.alpha[i] + 1, -1),
-        ])
-    return GammaProduct.one()
+    if ws.family is Family.HAHN:
+        return GammaProduct.one()
+    return ws.kept(("type1_scale", i, total), lambda: GammaProduct.from_factors([(ws.alpha[i] + 1, -1)] + (
+        [(ws.alpha[i] + ws.beta + total, 1), (ws.beta + total, -1)] if ws.family is Family.JACOBI_PINEIRO else [])))
+
+
+def require_type1_scales(ws: WeightSystem, vec: TypeIVector, total: int) -> None:
+    """PreconditionError unless every component with coefficients carries :func:`type1_scale`.
+
+    The checks read a component's scale as a rational against this canonical
+    gamma, so the factor tuples are compared and nothing is reduced."""
+    for i, comp in enumerate(vec.components):
+        if comp.coefficients and comp.scale != type1_scale(ws, i, total):
+            raise PreconditionError(f"component {i} does not carry the canonical type I scale")
 
 
 def type1_basis(ws: WeightSystem, i: int) -> Basis:
@@ -225,13 +231,13 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction
     return row_values(values, joint_den * left_den * right_den, prefactor)
 
 
-def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[Fraction, list[int], int]:
-    """Prefactor and terms l < length of the type II series, the terms as integers over one denominator.
+def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[Fraction, list[int], list[int]]:
+    """Prefactor and terms l < length of the type II series, term l as integers nums[l] / dens[l].
 
     Term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times
     (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!
-    (with factorials), one :func:`ratio_row`; z is -1 for Laguerre and 1
-    otherwise.  The prefactor is (-1)^|n| prod_i (alpha_i+1)_{n_i}, over
+    (with factorials), the running terms of :func:`ratio_terms`; z is -1
+    for Laguerre and 1 otherwise.  The prefactor is (-1)^|n| prod_i (alpha_i+1)_{n_i}, over
     prod_i (alpha_i+beta+|n|+1)_{n_i} (not for Laguerre), times
     (beta+1)_N / (N-|n|)! (Hahn).
     """
@@ -249,10 +255,10 @@ def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool
     if ws.family is Family.HAHN:
         prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
         downs.append(-beta - ws.N)
-    nums, den = ratio_row(ups, downs, length)
+    nums, dens = ratio_terms(ups, downs, length)
     if ws.family is Family.LAGUERRE_FIRST_KIND:
         nums = [-v if l % 2 else v for l, v in enumerate(nums)]
-    return prefactor, nums, den
+    return prefactor, nums, dens
 
 
 def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fraction, ...]:
@@ -269,7 +275,9 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fractio
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws.validate_index(n)
-    prefactor, series, den = _type2_series(ws, n, ws.N + 1, factorials=False)
+    prefactor, nums, dens = _type2_series(ws, n, ws.N + 1, factorials=False)
+    den = dens[-1]  # each running denominator divides the last
+    series = [v * (den // d) for v, d in zip(nums, dens)]
     values = [sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1])) for x in range(ws.N + 1)]
     return row_values(values, den, prefactor)
 

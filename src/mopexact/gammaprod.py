@@ -10,9 +10,11 @@ cancellations: arguments that differ by an integer collapse onto a single
 anchored factor via rising factorials, leaving an exact rational times a
 fully normalized product.
 
-Nothing here evaluates a gamma function in floating point; plot-data
-rounds the exact rational and evaluates the residual product itself
-(:mod:`mopexact.cli`).
+The verify path compares type I scales, never reducing them, so
+``reduce()`` serves its type II scale check, the ``coeffs``, ``eval`` and
+``plot-data`` output and the identity prefactors.  Nothing here evaluates a
+gamma function in floating point; plot-data rounds the exact rational and
+evaluates the residual product itself (:mod:`mopexact.cli`).
 """
 
 from __future__ import annotations
@@ -83,14 +85,15 @@ def rising_row(a, length: int) -> list[Fraction]:
     return row
 
 
-def ratio_row(ups, downs, length: int) -> tuple[list[int], int]:
-    """prod_u (u)_k / prod_d (d)_k at k = 0..length-1 as integer numerators over one positive denominator.
+def ratio_terms(ups, downs, length: int) -> tuple[list[int], list[int]]:
+    """prod_u (u)_k / prod_d (d)_k at k = 0..length-1 as running integer numerators and denominators.
 
     Each entry is the one before times the term ratio, and a parameter p/q
     steps by (p + kq) / q: the integers p + kq multiply the numerator (for
-    u) or the denominator (for d) and the q's the other side.  A zero
-    numerator factor ends the row with zeros; a zero denominator factor
-    under a nonzero numerator raises PoleError.
+    u) or the denominator (for d) and the q's the other side, so every
+    denominator divides the next.  A zero numerator factor ends the row with
+    zeros over the last denominator; a zero denominator factor under a
+    nonzero numerator raises PoleError.
     """
     ups = [as_fraction(u).as_integer_ratio() for u in ups]
     downs = [as_fraction(d).as_integer_ratio() for d in downs]
@@ -105,9 +108,15 @@ def ratio_row(ups, downs, length: int) -> tuple[list[int], int]:
             raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
         nums.append(nums[-1] * top * up_q)
         dens.append(dens[-1] * bottom * down_q)
-    den = dens[-1]
-    row = [v * (den // d) for v, d in zip(nums, dens)][:length]
-    row += [0] * (length - len(row))
+    pad = length - len(nums)
+    return nums[:length] + [0] * pad, dens[:length] + dens[-1:] * pad
+
+
+def ratio_row(ups, downs, length: int) -> tuple[list[int], int]:
+    """The :func:`ratio_terms` row as integer numerators over one positive denominator, the last one."""
+    nums, dens = ratio_terms(ups, downs, length)
+    den = dens[-1] if dens else 1
+    row = [v * (den // d) for v, d in zip(nums, dens)]
     return ([-v for v in row], -den) if den < 0 else (row, den)
 
 

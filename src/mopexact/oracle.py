@@ -8,9 +8,11 @@ the polynomials themselves can be reconstructed from the defining linear
 conditions alone.  Agreement between these solvers and the generators in
 :mod:`mopexact.families` is the package's central correctness claim.
 
-Residuals reported here are the rational cofactors of the per-condition
-common gamma factor; a gamma product never vanishes, so a condition holds
-exactly iff its rational cofactor is zero.
+Residuals reported here are rational cofactors of the weight's moment gamma,
+which never vanishes.  A type I component must carry the canonical scale of
+:func:`families.type1_scale` (compared, never reduced); the moment gamma
+times that scale is the rational :func:`_moment_scale`, derived here from
+the moment functional, so these checks reduce no gamma product.
 
 Every Hahn lattice sum is one :func:`pair` of two integer lattice rows:
 ``ws.weight_table`` rows, ``lattice_table`` basis rows, ``poly.lattice_values``
@@ -19,7 +21,8 @@ once; the type II Gram rows stay integers into the solve.  The tables live
 on the weight system and the polynomial that own them and last only as long
 as those objects.  Every continuous pairing is an integer dot product
 divided once too: each weight's power moments are one integer row
-(:func:`_moment_rows`) and coefficients go over one denominator.  The
+(``ws.moment_rows``, built once per weight system at the longest length
+asked for) and coefficients go over one denominator.  The
 Hahn summation identity sums integer term-ratio rows as well; nothing here
 evaluates a :func:`mopexact.hyper.pfq` series.
 """
@@ -33,10 +36,10 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer, ratio_row, row_values
+from .gammaprod import as_fraction, is_nonpositive_integer, pochhammer, ratio_row, row_values
 from .linalg import solve_linear_system
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
-from .polybasis import integer_row, reduced_row, rising_over_factorial, row_product
+from .polybasis import integer_row, rising_over_factorial, row_product
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -54,45 +57,19 @@ def _row_sum(rows, length: int) -> LatticeRow:
     return [sum(up * nums[x] for up, nums in scaled) for x in range(length)], den
 
 
-def _moment_rows(ws: WeightSystem, length: int) -> list[LatticeRow]:
-    """Power moments j < length of every continuous weight as integer rows, against :func:`_moment_gamma`.
+def _moment_scale(ws: WeightSystem, i: int, total: int) -> Fraction:
+    """Weight i's moment gamma times the canonical type I scale at |n| = total, as the rational it is.
 
-    Entry j is (a)_j, over (b)_j for Jacobi-Pineiro (a = alpha_i+1 = p/q, b = alpha_i+beta+2 = r/s):
-    with m = length-1, prod_{l<j} (p+lq) q^(m-j) s^j prod_{j<=l<m} (r+ls) over q^m prod_{l<m} (r+ls)
-    (r+ls = s = 1 for Laguerre), the row's common gcd divided out.
+    The moment gamma is Gamma(alpha_i+1), times Gamma(beta+1) / Gamma(alpha_i+beta+2)
+    for Jacobi-Pineiro (:meth:`WeightSystem.moment_rows`); times :func:`families.type1_scale`
+    that is 1 and (alpha_i+beta+2)_{|n|-2} / (beta+1)_{|n|-1}, which is 1/(alpha_i+beta+1)
+    at |n| = 1 and a pole on the corner alpha_i+beta+|n| = 0.  Hahn weights are rational.
     """
-    m, jacobi = max(length - 1, 0), ws.family is Family.JACOBI_PINEIRO
-    rows = []
-    for alpha in ws.alpha:
-        p, q = (alpha + 1).as_integer_ratio()
-        r, s = (alpha + ws.beta + 2).as_integer_ratio() if jacobi else (1, 1)
-        step = s if jacobi else 0
-        head, tail = [1], [1]  # head[j] = prod_{l<j} (p+lq) s^j, tail[m-j] = q^(m-j) prod_{j<=l<m} (r+ls)
-        for l in range(m):
-            head.append(head[-1] * (p + l * q) * s)
-            tail.append(tail[-1] * (r + (m - 1 - l) * step) * q)
-        rows.append(reduced_row([h * t for h, t in zip(head, reversed(tail))][:length], tail[-1]))
-    return rows
-
-
-def _moment_gamma(ws: WeightSystem, i: int) -> GammaProduct:
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        return GammaProduct.gamma(ws.alpha[i] + 1)
-    if ws.family is Family.JACOBI_PINEIRO:
-        return GammaProduct.from_factors([
-            (ws.alpha[i] + 1, 1), (ws.beta + 1, 1), (ws.alpha[i] + ws.beta + 2, -1),
-        ])
-    return GammaProduct.one()
-
-
-def _scale_reduction(ws: WeightSystem, scale: GammaProduct, i: int) -> Fraction:
-    """Rational value of component-scale times moment-gamma; must fully cancel."""
-    rational, leftover = (scale * _moment_gamma(ws, i)).reduce()
-    if not leftover.is_one():
-        raise IrreducibleGammaError(
-            f"scale x moment gamma did not reduce to a rational: {leftover}"
-        )
-    return rational
+    if ws.family is not Family.JACOBI_PINEIRO:
+        return Fraction(1)
+    if ws.alpha[i] + ws.beta + total == 0:
+        raise PoleError(f"degenerate type I normalization: alpha_{i} + beta + |n| = 0")
+    return pochhammer(ws.alpha[i] + ws.beta + 2, total - 2) / pochhammer(ws.beta + 1, total - 1)
 
 
 @dataclass(frozen=True)
@@ -148,43 +125,39 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
         coefficients = integer_row(poly.coefficients, scale_rational)
-        for i, (nums, den) in enumerate(_moment_rows(ws, max(n) + len(poly.coefficients) - 1)):
+        for i, (nums, den) in enumerate(ws.moment_rows(max(n) + len(poly.coefficients) - 1)):
             for j in range(n[i]):
                 residuals[(i, j)] = pair(coefficients, (nums[j:], den))
     return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, None, None)
 
 
 def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
-    """Values of sum_i scale_i * A_i(x) * w_i(x) at x = 0..N, over the lcm of the terms' denominators."""
-    terms = []
-    for i, comp in enumerate(vec.components):
-        if not comp.coefficients:
-            continue
-        scale_rational, leftover = comp.scale.reduce()
-        if not leftover.is_one():
-            raise IrreducibleGammaError("Hahn type I scales are rational")
-        nums, d = row_product(comp.lattice_values(ws.N), ws.weight_table[i])
-        terms.append(([scale_rational.numerator * v for v in nums], d * scale_rational.denominator))
+    """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
+    terms = [row_product(comp.lattice_values(ws.N), ws.weight_table[i])
+             for i, comp in enumerate(vec.components) if comp.coefficients]
     return _row_sum(terms, ws.N + 1)
 
 
-def _type1_pairings(ws: WeightSystem, vec: TypeIVector, rows: int) -> list[Fraction]:
-    """Rows j < rows of the type I conditions: backward rows for Hahn, powers otherwise."""
+def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[Fraction]:
+    """Rows j < |n| of the type I conditions: backward rows for Hahn, powers otherwise.
+
+    Components carry the canonical scale; continuous ones pair through :func:`_moment_scale`."""
+    families.require_type1_scales(ws, vec, total)
     if ws.family is Family.HAHN:
         form = _hahn_linear_form(ws, vec)
         basis = Basis.backward_pochhammer(ws.beta, ws.N)
-        return [pair(row, form) for row in lattice_table(basis, rows - 1, ws.N)]
-    moments = _moment_rows(ws, rows + max(len(comp.coefficients) for comp in vec.components) - 1)
+        return [pair(row, form) for row in lattice_table(basis, total - 1, ws.N)]
+    moments = ws.moment_rows(total + max(len(comp.coefficients) for comp in vec.components) - 1)
     terms = []
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
         if comp.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type I components live in the monomial basis")
-        coefficients, den = integer_row(comp.coefficients, _scale_reduction(ws, comp.scale, i))
+        coefficients, den = integer_row(comp.coefficients, _moment_scale(ws, i, total))
         nums, moment_den = moments[i]
-        terms.append(([sum(map(operator.mul, coefficients, nums[j:])) for j in range(rows)], den * moment_den))
-    totals, den = _row_sum(terms, rows)
+        terms.append(([sum(map(operator.mul, coefficients, nums[j:])) for j in range(total)], den * moment_den))
+    totals, den = _row_sum(terms, total)
     return [Fraction(v, den) for v in totals]
 
 
@@ -234,7 +207,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     else:
         basis = Basis.monomial()
         lead = Fraction(1)
-        for i, (nums, _) in enumerate(_moment_rows(ws, max(n) + total)):
+        for i, (nums, _) in enumerate(ws.moment_rows(max(n) + total)):
             for j in range(n[i]):
                 rows.append(nums[j:j + total])
                 rhs.append(-nums[j + total])
@@ -263,8 +236,8 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
             rhs.append(Fraction(-1) ** (total - 1) if j == total - 1 else Fraction(0))
     else:
         # column (i, k) of row j is factor_i m_i[j+k]; every row is scaled by one common denominator
-        moments = _moment_rows(ws, total + max(n) - 1)
-        ups, common = integer_row([_scale_reduction(ws, families.type1_scale(ws, i, total), i) / den
+        moments = ws.moment_rows(total + max(n) - 1)
+        ups, common = integer_row([_moment_scale(ws, i, total) / den if n[i] else Fraction(1)
                                     for i, (_, den) in enumerate(moments)])
         for j in range(total):
             rows.append([ups[i] * moments[i][0][j + k] for i, k in unknowns])
@@ -371,9 +344,11 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     The weighted lattice pairing of the type I vector with the backward
     basis element of order j collapses to a single sum of (p+2)F(p+1)
     values; it must equal 0 for j <= |n|-2 and (-1)^(|n|-1) at j = |n|-1.
-    Entry j of the result says whether row j holds.  With A = alpha_i+beta+N+2,
-    B = alpha_i+beta+2 and C = alpha_i+beta+|n| = B+|n|-2, weight i adds
-    (B)_{|n|-2} / ((n_i-1)! prod_{k!=i} (alpha_k-alpha_i)_{n_k}) times
+    Entry j of the result says whether row j holds.  Idle weights (n_i = 0)
+    have zero components and factors 1, so i and k run over the active weights.
+    With A = alpha_i+beta+N+2, B = alpha_i+beta+2 and C = alpha_i+beta+|n| = B+|n|-2,
+    weight i adds (B)_{|n|-2+n_i} = (B)_{|n|-2} (C)_{n_i} (finite on the corner C = 0)
+    times prod_{k!=i} (C_k)_{n_k} / ((n_i-1)! prod_{k!=i} (alpha_k-alpha_i)_{n_k}) times
     sum_{l<n_i} F_l (A)_{j+l} / (B)_{j+l} to row j, where
     F_l = (1-n_i)_l (C)_l prod_{k!=i} (alpha_i+1-alpha_k-n_k)_l / (l! (A)_l prod_{k!=i} (alpha_i+1-alpha_k)_l);
     F and (A)_s / (B)_s are integer rows built once per weight, and one
@@ -382,31 +357,26 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("the summation identity is Hahn-specific")
     ws.validate_index(n, type_one=True)
-    if any(ni < 1 for ni in n):
-        raise PreconditionError("all component degrees must be >= 1")
     total = total_degree(n)
     alpha, beta, N = ws.alpha, ws.beta, ws.N
+    active = [i for i in range(ws.p) if n[i]]
     # (beta+1+j)_{|n|-1-j} = (beta+1)_{|n|-1} / (beta+1)_j
     beta_row, beta_den = ratio_row([beta + 1], [], total)
     head = Fraction(-1) ** (total - 1) * math.factorial(N + 1 - total)
-    for i in range(ws.p):
-        head *= pochhammer(alpha[i] + beta + total, n[i])
     head /= math.factorial(N) * pochhammer(beta + 1, total - 1)
     rows = []  # per weight: constant times sum_l F_l (A)_{j+l} / (B)_{j+l}, j < |n|
-    for i in range(ws.p):
-        a, b, c = alpha[i] + beta + N + 2, alpha[i] + beta + 2, alpha[i] + beta + total
-        if c == 0:  # |n| = 1 and alpha_i + beta = -1: Gamma(C) is a pole
-            raise PoleError(f"summation identity degenerates at alpha_{i} + beta + |n| = {c}")
-        others = [k for k in range(ws.p) if k != i]
+    for i in active:
+        a, b = alpha[i] + beta + N + 2, alpha[i] + beta + 2
+        others = [k for k in active if k != i]
         f, f_den = ratio_row(
-            [1 - n[i], c, *(alpha[i] + 1 - alpha[k] - n[k] for k in others)],
+            [1 - n[i], b + total - 2, *(alpha[i] + 1 - alpha[k] - n[k] for k in others)],
             [1, a, *(alpha[i] + 1 - alpha[k] for k in others)],
             n[i],
         )
         g, g_den = ratio_row([a], [b], total + n[i] - 1)
-        constant = pochhammer(b, total - 2) / (math.factorial(n[i] - 1) * f_den * g_den)
+        constant = pochhammer(b, total - 2 + n[i]) / (math.factorial(n[i] - 1) * f_den * g_den)
         for k in others:
-            constant /= pochhammer(alpha[k] - alpha[i], n[k])
+            constant *= pochhammer(alpha[k] + beta + total, n[k]) / pochhammer(alpha[k] - alpha[i], n[k])
         top, bottom = constant.as_integer_ratio()
         rows.append(([top * sum(f[l] * g[j + l] for l in range(n[i])) for j in range(total)], bottom))
     acc, den = _row_sum(rows, total)

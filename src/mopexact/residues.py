@@ -17,6 +17,11 @@ row per component), prefactors and residual (:func:`_type1_pole_terms`);
 the points (:func:`_duality_rows`); the type II residue and series
 coefficients are rows over k = 0..k_max, one Fraction per entry.
 
+Both sides of every comparison carry the same gamma: the canonical type I
+scale (:func:`families.require_type1_scales` rejects others), Gamma(beta+1)
+for the Hahn type II rows, none otherwise.  So rational rows are compared
+directly, and the recovered nodes take their factor in closed form.
+
 Normalization data: the per-pole values of a type I vector are the values
 of the integrand's polynomial factor at its |n| distinct nodes
 (:func:`recovered_nodes`), which the orthogonality conditions force to be
@@ -30,25 +35,11 @@ import math
 from fractions import Fraction
 
 from . import families
-from .errors import IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, rising_row, row_values
+from .errors import PoleError, PreconditionError
+from .gammaprod import GammaProduct, pochhammer, rising_row
 from .linalg import interpolate
 from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, integer_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
-
-
-def _scaled_rows_equal(left, left_gamma: GammaProduct, right, right_gamma: GammaProduct) -> bool:
-    """Whether left[k] * left_gamma == right[k] * right_gamma for every k, exactly.
-
-    The gamma quotient is reduced once for the whole row and must leave no
-    residual; gamma factors never vanish, so two zero entries are equal
-    regardless of it.
-    """
-    quotient, leftover = (left_gamma / right_gamma).reduce()
-    return all(
-        a == b if a == 0 or b == 0 else leftover.is_one() and a * quotient == b
-        for a, b in zip(left, right, strict=True)
-    )
 
 
 def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
@@ -124,58 +115,58 @@ def _values_at(row, points) -> list[Fraction]:
 
 
 def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points):
-    """Component i of both routes at the points, as :func:`_scaled_rows_equal` takes them.
+    """Component i of both routes at the points: (pole row, residual, direct row, comp's scale).
 
     pole is the (terms, residual) of :func:`_type1_pole_terms`; the direct
-    side is A_i(x) and comp's scale.  Continuous: terms and monomial
-    coefficients each go over one denominator, one integer Horner pass per
-    point and side.  Hahn: the scale's rational and (alpha_i+1)_x join A_i(x);
-    with alpha_i+1 = p/q and P_j = prod_{l<j} (p+lq), (alpha_i+1+k)_m =
-    P_(k+m) / (P_k q^m), so 1/P_k is folded into the terms once."""
+    side is A_i(x).  Continuous: terms and monomial coefficients each go over
+    one denominator, one integer Horner pass per point and side.  Hahn:
+    (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/q and P_j = prod_{l<j}
+    (p+lq), (alpha_i+1+k)_m = P_(k+m) / (P_k q^m), so 1/P_k is folded into
+    the terms once."""
     terms, residual = pole
     if ws.family is not Family.HAHN:
         direct = integer_row(comp.monomial_coefficients())
         return _values_at(integer_row(terms), points), residual, _values_at(direct, points), comp.scale
-    factor, leftover = comp.scale.reduce()
-    if not leftover.is_one():
-        raise IrreducibleGammaError("Hahn type I scales are rational")
     p, q = (ws.alpha[i] + 1).as_integer_ratio()
     rising = [1]  # P_0, P_1, ...
     for l in range(len(terms) + ws.N):
         rising.append(rising[-1] * (p + l * q))
     folded, den = integer_row([t / r for t, r in zip(terms, rising)])
     values, values_den = comp.lattice_values(ws.N)
-    up, down = factor.as_integer_ratio()
     poles, direct = [], []
     for m in (x.numerator for x in points):
         poles.append(Fraction(sum(u * rising[k + m] for k, u in enumerate(folded)), den * q**m))
-        direct.append(Fraction(up * values[m] * rising[m], down * values_den * q**m))
-    return poles, residual, direct, GammaProduct.one()
+        direct.append(Fraction(values[m] * rising[m], values_den * q**m))
+    return poles, residual, direct, comp.scale
 
 
 def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fraction, GammaProduct]]:
     """Per weight i, the direct route's share of the type I linear form at x.
 
-    A rational and its residual gamma product, split as
+    A rational and the component's scale, split as
     :func:`check_residue_duality` compares them: for the continuous families
-    the rational multiplies x**alpha_i and the residual; for Hahn the
-    lattice factor (alpha_i+1)_x is folded in and the residual is empty.
+    the rational multiplies x**alpha_i and the scale; for Hahn the lattice
+    factor (alpha_i+1)_x is folded in and the canonical scale is empty.
     """
     x = ws.check_point(x)
     rows = [_duality_rows(ws, i, ([], None), comp, [x]) for i, comp in enumerate(vec.components)]
-    return [(value, residual) for _, _, [value], residual in rows]
+    return [(value, scale) for _, _, [value], scale in rows]
 
 
 def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
-    """Residue route == direct route of the type I linear form at every point, one row per component and route."""
+    """Residue route == direct route of the type I linear form at every point, one row per component and route.
+
+    Both routes carry the canonical scale (:func:`families.require_type1_scales`),
+    so their rational rows are compared directly."""
     poles = _type1_pole_terms(ws, n)
     points = [ws.check_point(x) for x in points]
     if not points:
         raise PreconditionError("the residue duality needs at least one sample point")
-    return len(vec.components) == len(poles) and all(
-        _scaled_rows_equal(*_duality_rows(ws, i, pole, comp, points))
-        for i, (pole, comp) in enumerate(zip(poles, vec.components))
-    )
+    if len(vec.components) != len(poles):
+        return False
+    families.require_type1_scales(ws, vec, total_degree(n))
+    rows = (_duality_rows(ws, i, pole, comp, points) for i, (pole, comp) in enumerate(zip(poles, vec.components)))
+    return all(pole_row == direct_row for pole_row, _, direct_row, _ in rows)
 
 
 def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
@@ -219,11 +210,12 @@ def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list
     weighted expansions (:func:`families._type2_series`, whose Hahn terms
     are the c_l of :func:`families.hahn_type2_weighted_series` over l!),
     never through the residue formulas; a zero denominator factor under a
-    nonzero numerator raises PoleError.
+    nonzero numerator raises PoleError.  Each entry keeps its running denominator.
     """
-    prefactor, nums, den = families._type2_series(ws, n, k_max + 1)
+    prefactor, nums, dens = families._type2_series(ws, n, k_max + 1)
+    top, bottom = prefactor.as_integer_ratio()
     gamma = GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
-    return list(row_values(nums, den, prefactor)), gamma
+    return [Fraction(top * v, bottom * d) for v, d in zip(nums, dens)], gamma
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
@@ -233,20 +225,23 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    return _scaled_rows_equal(*_type2_residue_row(ws, n, k_max), *_type2_series_row(ws, n, k_max))
+    return _type2_residue_row(ws, n, k_max)[0] == _type2_series_row(ws, n, k_max)[0]  # both against one gamma
 
 
 def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[Fraction, Fraction]]:
     """(t, p(t)) at every pole t = alpha_i + k, k < n_i: the integrand's polynomial factor read off a type I vector.
 
     Inverts coeff_i[k] = p(t) phi(t) w_i(k) (w the :func:`_pole_weights` row,
-    phi the per-family analytic factor).  The component scale over phi is
-    reduced once per component, at t = alpha_i; each next node multiplies it
-    by the one-step ratio of 1/phi.  The nodes are distinct, so p is the
-    constant c exactly when every node value is c.
+    phi the per-family analytic factor).  Against the canonical scale the
+    factor at t = alpha_i is 1 for Laguerre, 1/(beta+1)_{|n|-1} for
+    Jacobi-Pineiro and (alpha_i+beta+|n|)_{N+2-|n|} for Hahn; each next node
+    multiplies it by the one-step ratio of 1/phi.  The nodes are distinct, so
+    p is the constant c exactly when every node value is c.
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
+    families._guard_type1_normalization(ws, n)
+    families.require_type1_scales(ws, form, total)
     nodes = []
     for i, comp in enumerate(form.components):
         if n[i] == 0:
@@ -259,14 +254,11 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
         if comp.basis.kind is not expected_kind:
             raise PreconditionError(f"component {i} is in an unexpected basis")
         t = ws.alpha[i]
-        inverse = [(t + 1, 1)]  # 1/phi(t), and the 1/Gamma(alpha_i+1) of the Hahn lattice weight
+        factor = Fraction(1)  # 1/phi(alpha_i) times the canonical scale
         if ws.family is Family.JACOBI_PINEIRO:
-            inverse += [(ws.beta + 1, 1), (t + ws.beta + total, -1)]
+            factor = 1 / pochhammer(ws.beta + 1, total - 1)
         elif ws.family is Family.HAHN:
-            inverse += [(t + ws.beta + ws.N + 2, 1), (t + ws.beta + total, -1), (ws.alpha[i] + 1, -1)]
-        factor, leftover = (comp.scale * GammaProduct.from_factors(inverse)).reduce()
-        if not leftover.is_one():
-            raise IrreducibleGammaError(f"pole value at t = {t} is not rational: {leftover}")
+            factor = pochhammer(t + ws.beta + total, ws.N + 2 - total)
         weights = _pole_weights(ws, n, i)
         for k, coefficient in enumerate(comp.coefficients):
             if k:  # 1/phi(t+1) over 1/phi(t)

@@ -12,8 +12,8 @@ gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
 The lattice values are tabulated on first use as integer rows (numerators
 over one denominator, see :data:`mopexact.polybasis.LatticeRow`) and kept
-on the weight system (:attr:`WeightSystem.weight_table`), so they last only
-as long as it.
+on the weight system (:attr:`WeightSystem.weight_table`; the continuous
+moments in :meth:`WeightSystem.moment_rows`), so they last only as long as it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import AdmissibilityError
-from .gammaprod import as_fraction
+from .gammaprod import as_fraction, ratio_row
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .polybasis import LatticeRow, reduced_row, rising_over_factorial, row_product
 
@@ -129,6 +129,27 @@ class WeightSystem:
             reduced_row(*row_product(rising_over_factorial(a + 1, self.N + 1), self.beta_factors))
             for a in self.alpha
         )
+
+    def kept(self, key, build):
+        """build() once per weight system and key, kept on the weight system so it lasts only as long as it."""
+        store = self.__dict__.setdefault("_kept", {})
+        if key not in store:
+            store[key] = build()
+        return store[key]
+
+    def moment_rows(self, length: int) -> tuple[LatticeRow, ...]:
+        """Power moments j < length of every continuous weight as integer rows.
+
+        Entry j is (alpha_i+1)_j against Gamma(alpha_i+1), over (alpha_i+beta+2)_j and times
+        Gamma(beta+1) / Gamma(alpha_i+beta+2) for Jacobi-Pineiro.  Built at the longest length
+        asked for and kept on the weight system: a shorter request reads a prefix of longer rows.
+        """
+        kept = self.__dict__.get("_moment_rows")
+        if kept is None or len(kept[0][0]) < length:
+            shift = [self.beta + 2] if self.family is Family.JACOBI_PINEIRO else []
+            kept = tuple(reduced_row(*ratio_row([a + 1], [a + s for s in shift], length)) for a in self.alpha)
+            object.__setattr__(self, "_moment_rows", kept)
+        return kept
 
     def hahn_weight(self, i: int, x: int) -> Fraction:
         """Exact lattice weight value w_i(x) for the Hahn family."""

@@ -23,7 +23,7 @@ from mopexact import (
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import AdmissibilityError, Family, GammaProduct, WeightSystem, families, oracle
+from mopexact import AdmissibilityError, Family, GammaProduct, IrreducibleGammaError, WeightSystem, families, oracle
 from mopexact.weights import total_degree
 from mopexact.linalg import interpolate, solve_linear_system
 from mopexact.driver import apply_fault, compositions
@@ -46,7 +46,26 @@ def entries(row) -> tuple[Fraction, ...]:
 
 def moment_fractions(ws, length: int) -> list[tuple[Fraction, ...]]:
     """The integer moment rows of every weight read as Fractions."""
-    return [entries(row) for row in oracle._moment_rows(ws, length)]
+    return [entries(row) for row in ws.moment_rows(length)]
+
+
+def moment_gamma(ws, i: int) -> GammaProduct:
+    """The gamma factor the integer moment rows of weight i are taken against."""
+    if ws.family is Family.LAGUERRE_FIRST_KIND:
+        return GammaProduct.gamma(ws.alpha[i] + 1)
+    if ws.family is Family.JACOBI_PINEIRO:
+        return GammaProduct.from_factors([
+            (ws.alpha[i] + 1, 1), (ws.beta + 1, 1), (ws.alpha[i] + ws.beta + 2, -1),
+        ])
+    return GammaProduct.one()
+
+
+def scale_reduction(ws, scale: GammaProduct, i: int) -> Fraction:
+    """Rational value of component-scale times moment-gamma, by reducing the gamma product."""
+    rational, leftover = (scale * moment_gamma(ws, i)).reduce()
+    if not leftover.is_one():
+        raise IrreducibleGammaError(f"scale x moment gamma did not reduce to a rational: {leftover}")
+    return rational
 
 
 def power_pairing(coefficients, moments, j: int) -> Fraction:
@@ -75,7 +94,7 @@ def moment(ws, i: int, basis: Basis, j: int) -> MomentValue:
         return MomentValue(value, GammaProduct.one())
     if basis.kind is not BasisKind.MONOMIAL:
         raise PreconditionError("continuous families take moments in the monomial basis")
-    return MomentValue(moment_fractions(ws, j + 1)[i][j], oracle._moment_gamma(ws, i))
+    return MomentValue(moment_fractions(ws, j + 1)[i][j], moment_gamma(ws, i))
 
 
 def check_biorthogonality(ws, n, m, poly, vec) -> bool:
@@ -103,7 +122,7 @@ def check_biorthogonality(ws, n, m, poly, vec) -> bool:
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
-        factor = oracle._scale_reduction(ws, comp.scale, i)
+        factor = scale_reduction(ws, comp.scale, i)
         for k, ck in enumerate(comp.coefficients):
             total += factor * ck * power_pairing(poly.coefficients, moments[i], k)
     return total == expected
@@ -191,7 +210,7 @@ class TestMoments:
         # int x^(alpha+j) e^-x = Gamma(alpha+j+1);
         # int_0^1 x^(alpha+j) (1-x)^beta = Gamma(alpha+j+1) Gamma(beta+1) / Gamma(alpha+beta+j+2)
         for ws in (WeightSystem.laguerre((alpha,)), WeightSystem.jacobi_pineiro((alpha,), beta)):
-            nums, den = oracle._moment_rows(ws, length)[0]
+            nums, den = ws.moment_rows(length)[0]
             assert all(isinstance(v, int) for v in nums) and isinstance(den, int) and den > 0
             row = [F(v, den) for v in nums]
             assert len(row) == length
@@ -419,7 +438,7 @@ class TestContinuousPairings:
         for v in (vec, apply_fault(poly, vec, fault)[1]):
             moments = reference_moments(total + max(n) - 1)
             assert oracle._type1_pairings(ws, v, total) == [
-                sum((oracle._scale_reduction(ws, c.scale, i) * power_pairing(c.coefficients, moments[i], j)
+                sum((scale_reduction(ws, c.scale, i) * power_pairing(c.coefficients, moments[i], j)
                      for i, c in enumerate(v.components) if c.coefficients), F(0))
                 for j in range(total)
             ]
