@@ -8,7 +8,8 @@ each component: monomial coefficients with a gamma scale for Laguerre and
 Jacobi-Pineiro, and rational coefficients in the shifted rising basis
 (x + alpha_i + 1)_l for Hahn.  Every closed-form row, here and in the
 Hahn-only cross checks, is built in integers by its term ratio
-(:func:`~mopexact.gammaprod.ratio_row`) and divided once per entry.
+(:func:`~mopexact.gammaprod.ratio_row`) and divided once per entry; its parameters are
+integers over one denominator Q, and each prefactor is one :func:`~mopexact.gammaprod.rising_product`.
 
 Component i of a type I vector is defined as the zero polynomial whenever
 n_i = 0; the closed forms contain (n_i - 1)! and are invoked only for
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, ratio_row, ratio_terms, row_values
+from .gammaprod import GammaProduct, ratio_row, ratio_terms, rising, rising_product, row_values
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -46,7 +47,7 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int
     tail factors cancel; it is skipped, because (a_q + beta + S_q + 1)_T can
     vanish there and make the cancellation a 0/0.
     """
-    alpha = ws.alpha
+    Q, alpha, beta = ws.integer_parameters
     total = total_degree(n)
     prefix = list(itertools.accumulate(n))
     acc, den = [1] + [0] * total, 1
@@ -54,9 +55,9 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int
         if n[q] == 0:
             continue
         rest = total - prefix[q]
-        shifted = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[q] + ws.beta + prefix[q] + 1]
-        head, head_den = ratio_row(shifted, [alpha[q] + 1], rest + n[q] + 1)
-        tail, tail_den = ratio_row([alpha[q] + n[q] + 1], shifted, rest + 1)
+        shifted = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[q] + beta + (prefix[q] + 1) * Q]
+        head, head_den = ratio_row(shifted, [alpha[q] + Q], rest + n[q] + 1, Q)
+        tail, tail_den = ratio_row([alpha[q] + (n[q] + 1) * Q], shifted, rest + 1, Q)
         signed_binomials = [(-1) ** l * math.comb(n[q], l) for l in range(n[q] + 1)]
         out = [0] * (total + 1)
         for t in range(rest + 1):
@@ -79,13 +80,14 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """
     ws.validate_index(n)
     total = total_degree(n)
-    prefactor = Fraction(1) if ws.family is Family.HAHN else Fraction(-1) ** total
-    for q in range(ws.p):
-        prefactor *= pochhammer(ws.alpha[q] + 1, n[q])
-        if ws.family is not Family.LAGUERRE_FIRST_KIND:
-            prefactor /= pochhammer(ws.alpha[q] + ws.beta + total + 1, n[q])
+    Q, alpha, beta = ws.integer_parameters
+    top, bottom = rising_product(
+        Q, [(a + Q, ni) for a, ni in zip(alpha, n)],
+        [] if ws.family is Family.LAGUERRE_FIRST_KIND else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
+        1 if ws.family is Family.HAHN else (-1) ** total)
+    nums, den = _type2_coefficients(ws, n)
     basis = Basis.falling_factorial() if ws.family is Family.HAHN else Basis.monomial()
-    return ScaledPolynomial(basis, row_values(*_type2_coefficients(ws, n), prefactor))
+    return ScaledPolynomial(basis, row_values(nums, den * bottom, top))
 
 
 def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
@@ -138,34 +140,46 @@ def _guard_type1_normalization(ws: WeightSystem, n: MultiIndex) -> None:
             )
 
 
-def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction, ...]:
+def _type1_factors(ws: WeightSystem, n: MultiIndex) -> tuple[list, list]:
+    """Integer pairs (alpha_i+beta+|n|)_{n_i} per weight i and, per i, (alpha_j-alpha_i)_{n_j} over j != i:
+    built once per :func:`type1` call for the prefactors of all its components."""
+    Q, alpha, beta = ws.integer_parameters
+    total = total_degree(n)
+    shifted = [rising(a + beta + total * Q, Q, m) for a, m in zip(alpha, n)]
+    gaps = [[rising(alpha[j] - a, Q, n[j]) for j in range(ws.p) if j != i] for i, a in enumerate(alpha)]
+    return shifted, gaps
+
+
+def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int, factors=None) -> tuple[Fraction, ...]:
     """Rational coefficients of type I component i (requires n_i >= 1).
 
     Coefficient k is a prefactor times the term
         (1-n_i)_k / (k! (alpha_i+1)_k) prod_{j!=i} (alpha_i-alpha_j-n_j+1)_k / (alpha_i-alpha_j+1)_k
         * [JP, Hahn] (alpha_i+beta+|n|)_k * [Hahn] / (alpha_i+beta+N+2)_k,
-    one integer :func:`ratio_row` over k < n_i.
+    one integer :func:`ratio_row` over k < n_i.  The prefactor is (-1)^(|n|-1) / (n_i-1)! over
+    prod_{j!=i} (alpha_j-alpha_i)_{n_j}, times prod_j (alpha_j+beta+|n|)_{n_j} (JP; j != i for
+    Hahn), times (N+1-|n|)! / ((beta+1)_{|n|-1} (a+n_i)_{N+2-|n|-n_i}) for Hahn, a = alpha_i+beta+|n|:
+    (a)_{n_i} / (a)_{N+2-|n|} cancelled, so the boundary a = 0 (only at |n| = 1) stays finite.
     """
-    alpha = ws.alpha
+    Q, alpha, beta = ws.integer_parameters
     total = total_degree(n)
+    shifted, gaps = factors or _type1_factors(ws, n)
     others = [j for j in range(ws.p) if j != i]
-    prefactor = Fraction(-1) ** (total - 1) / math.factorial(n[i] - 1)
-    for j in others:
-        prefactor /= pochhammer(alpha[j] - alpha[i], n[j])
-    ups = [1 - n[i], *(alpha[i] - alpha[j] - n[j] + 1 for j in others)]
-    downs = [1, alpha[i] + 1, *(alpha[i] - alpha[j] + 1 for j in others)]
+    ups = [(1 - n[i]) * Q, *(alpha[i] - alpha[j] - (n[j] - 1) * Q for j in others)]
+    downs = [Q, alpha[i] + Q, *(alpha[i] - alpha[j] + Q for j in others)]
+    picked, lattice = [], []
     if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        ups.append(alpha[i] + ws.beta + total)
-        for j in others if ws.family is Family.HAHN else range(ws.p):
-            prefactor *= pochhammer(alpha[j] + ws.beta + total, n[j])
+        ups.append(alpha[i] + beta + total * Q)
+        picked = [shifted[j] for j in (others if ws.family is Family.HAHN else range(ws.p))]
+    top = (-1) ** (total - 1) * math.prod(v for v, _ in picked) * math.prod(d for _, d in gaps[i])
+    bottom = math.factorial(n[i] - 1) * math.prod(d for _, d in picked) * math.prod(v for v, _ in gaps[i])
     if ws.family is Family.HAHN:
-        prefactor *= math.factorial(ws.N + 1 - total)
-        prefactor /= pochhammer(ws.beta + 1, total - 1)
-        # (a)_{n_i} / (a)_{N+2-|n|} with a = alpha_i+beta+|n|, cancelled so the
-        # boundary a = 0 (reachable only at |n| = 1) stays finite and exact
-        prefactor /= pochhammer(alpha[i] + ws.beta + total + n[i], ws.N + 2 - total - n[i])
-        downs.append(alpha[i] + ws.beta + ws.N + 2)
-    return row_values(*ratio_row(ups, downs, n[i]), prefactor)
+        top *= math.factorial(ws.N + 1 - total)
+        lattice = [(beta + Q, total - 1), (alpha[i] + beta + (total + n[i]) * Q, ws.N + 2 - total - n[i])]
+        downs.append(alpha[i] + beta + (ws.N + 2) * Q)
+    top, bottom = rising_product(Q, (), lattice, top, bottom)
+    nums, den = ratio_row(ups, downs, n[i], Q)
+    return row_values(nums, den * bottom, top)
 
 
 def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
@@ -177,9 +191,10 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     """
     ws.validate_index(n, type_one=True)
     _guard_type1_normalization(ws, n)
+    factors = _type1_factors(ws, n)
     components = []
     for i in range(ws.p):
-        coeffs = _type1_component_coefficients(ws, n, i) if n[i] >= 1 else ()
+        coeffs = _type1_component_coefficients(ws, n, i, factors) if n[i] >= 1 else ()
         components.append(ScaledPolynomial(
             type1_basis(ws, i), coeffs, type1_scale(ws, i, total_degree(n))
         ))
@@ -207,58 +222,53 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction
     if min(n) < 1:
         raise AdmissibilityError("both component degrees must be >= 1")
     other = 1 - i
-    a_i, a_hat = ws.alpha[i], ws.alpha[other]
+    Q, alpha, beta = ws.integer_parameters
+    a_i, a_hat = alpha[i], alpha[other]
     n_i, n_hat = n[i], n[other]
-    beta, N = ws.beta, ws.N
-    tot = n_i + n_hat
+    N, tot = ws.N, n[0] + n[1]
+    top, bottom = rising_product(
+        Q, [(a_hat + beta + (n_hat + 1) * Q, tot - 1)],
+        [(beta + Q, tot - 1), (a_i + beta + (tot + n_i) * Q, N + 1 - tot), (a_i - a_hat - (n_hat - 1) * Q, tot - 1)],
+        (-1) ** (n_i - 1) * math.factorial(N + 1 - tot) * math.factorial(tot - 2),
+        math.factorial(n_i - 1) * math.factorial(n_hat - 1))
 
-    prefactor = Fraction(-1) ** (n_i - 1)
-    prefactor *= math.factorial(N + 1 - tot) * math.factorial(tot - 2)
-    prefactor /= math.factorial(n_i - 1) * math.factorial(n_hat - 1)
-    prefactor /= pochhammer(beta + 1, tot - 1)
-    prefactor /= pochhammer(a_i + beta + tot + n_i, N + 1 - tot)
-    prefactor *= pochhammer(a_hat + beta + n_hat + 1, tot - 1)
-    prefactor /= pochhammer(a_i - a_hat - n_hat + 1, tot - 1)
-
-    joint, joint_den = ratio_row([1 - n_i, -N], [2 - tot, a_hat + beta + n_hat + 1], n_i)
-    left, left_den = ratio_row([a_hat - a_i - n_i + 1], [1], n_i)
-    right, right_den = ratio_row([a_i + beta + tot, a_i - a_hat - n_hat + 1], [a_i + 1, -N], n_i)
+    joint, joint_den = ratio_row([(1 - n_i) * Q, -N * Q], [(2 - tot) * Q, a_hat + beta + (n_hat + 1) * Q], n_i, Q)
+    left, left_den = ratio_row([a_hat - a_i - (n_i - 1) * Q], [Q], n_i, Q)
+    right, right_den = ratio_row([a_i + beta + tot * Q, a_i - a_hat - (n_hat - 1) * Q], [a_i + Q, -N * Q], n_i, Q)
     inner = [
         (-1) ** m * r * sum(joint[l + m] * left[l] for l in range(n_i - m))
         for m, r in enumerate(right)
     ]
     values = [sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)]
-    return row_values(values, joint_den * left_den * right_den, prefactor)
+    return row_values(values, joint_den * left_den * right_den * bottom, top)
 
 
-def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[Fraction, list[int], list[int]]:
+def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[tuple[int, int], list[int], list[int]]:
     """Prefactor and terms l < length of the type II series, term l as integers nums[l] / dens[l].
 
     Term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times
     (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!
     (with factorials), the running terms of :func:`ratio_terms`; z is -1
-    for Laguerre and 1 otherwise.  The prefactor is (-1)^|n| prod_i (alpha_i+1)_{n_i}, over
-    prod_i (alpha_i+beta+|n|+1)_{n_i} (not for Laguerre), times
-    (beta+1)_N / (N-|n|)! (Hahn).
+    for Laguerre and 1 otherwise.  The prefactor, an integer pair, is
+    (-1)^|n| prod_i (alpha_i+1)_{n_i}, over prod_i (alpha_i+beta+|n|+1)_{n_i}
+    (not for Laguerre), times (beta+1)_N / (N-|n|)! (Hahn).
     """
     total = total_degree(n)
-    alpha, beta = ws.alpha, ws.beta
-    prefactor = Fraction(-1) ** total
-    for i in range(ws.p):
-        prefactor *= pochhammer(alpha[i] + 1, n[i])
-    ups = [a + ni + 1 for a, ni in zip(alpha, n)]
-    downs = [1] * factorials + [a + 1 for a in alpha]
+    Q, alpha, beta = ws.integer_parameters
+    ups = [a + (ni + 1) * Q for a, ni in zip(alpha, n)]
+    downs = [Q] * factorials + [a + Q for a in alpha]
+    above, below, bottom = [(a + Q, ni) for a, ni in zip(alpha, n)], [], 1
     if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        for i in range(ws.p):
-            prefactor /= pochhammer(alpha[i] + beta + total + 1, n[i])
-        ups.append(-beta - total)
+        below = [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)]
+        ups.append(-beta - total * Q)
     if ws.family is Family.HAHN:
-        prefactor *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
-        downs.append(-beta - ws.N)
-    nums, dens = ratio_terms(ups, downs, length)
+        above.append((beta + Q, ws.N))
+        bottom = math.factorial(ws.N - total)
+        downs.append(-beta - ws.N * Q)
+    nums, dens = ratio_terms(ups, downs, length, Q)
     if ws.family is Family.LAGUERRE_FIRST_KIND:
         nums = [-v if l % 2 else v for l, v in enumerate(nums)]
-    return prefactor, nums, dens
+    return rising_product(Q, above, below, (-1) ** total, bottom), nums, dens
 
 
 def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fraction, ...]:
@@ -275,11 +285,11 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fractio
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws.validate_index(n)
-    prefactor, nums, dens = _type2_series(ws, n, ws.N + 1, factorials=False)
+    (top, bottom), nums, dens = _type2_series(ws, n, ws.N + 1, factorials=False)
     den = dens[-1]  # each running denominator divides the last
     series = [v * (den // d) for v, d in zip(nums, dens)]
     values = [sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1])) for x in range(ws.N + 1)]
-    return row_values(values, den, prefactor)
+    return row_values(values, den * bottom, top)
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:
@@ -294,8 +304,9 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
     p = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).coefficients
     total = total_degree(n)
     N = ws_hahn.N
-    for k in range(total + 1):
-        expected = Fraction(-1) ** k * math.factorial(N - k) / math.factorial(N - total) * p[k]
-        if poly.coefficients[k] != expected:
+    for k in range(total + 1):  # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied
+        hahn, jacobi = poly.coefficients[k], p[k]
+        if hahn.numerator * jacobi.denominator * math.factorial(N - total) != (
+                (-1) ** k * math.factorial(N - k) * jacobi.numerator * hahn.denominator):
             return False
     return True

@@ -12,7 +12,10 @@ fully normalized product.
 
 The verify path compares type I scales, never reducing them, so
 ``reduce()`` serves its type II scale check, the ``coeffs``, ``eval`` and
-``plot-data`` output and the identity prefactors.  Nothing here evaluates a
+``plot-data`` output and the identity prefactors.  Its parameters are
+integers over one denominator: :func:`rising` is the one Pochhammer kernel
+(:func:`pochhammer` reduces it to a Fraction), and :func:`rising_product`
+multiplies out a prefactor and reduces it once.  Nothing here evaluates a
 gamma function in floating point; plot-data rounds the exact rational and
 evaluates the residual product itself (:mod:`mopexact.cli`).
 """
@@ -45,65 +48,64 @@ def is_nonpositive_integer(x) -> bool:
     return x.denominator == 1 and x.numerator <= 0
 
 
+def rising(p: int, q: int, n: int) -> tuple[int, int]:
+    """(p/q)_n for q > 0 as the unreduced integers prod_{j<n} (p + jq) and q^n.
+
+    For n < 0 they are q^-n and prod_{1<=j<=-n} (p - jq), which is 0 when that chain holds a zero factor."""
+    if n >= 0:
+        return math.prod(range(p, p + n * q, q)), q**n
+    return q**-n, math.prod(range(p - q, p + (n - 1) * q, -q))
+
+
 def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), exactly.
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1) as a Fraction: :func:`rising` reduced once.
 
     (a)_0 is the empty product 1.  Negative n extends through
     (a)_n = 1 / ((a-1)(a-2)...(a+n)) and raises ZeroDivisionError when that
-    chain contains a zero factor.
-
-    With a = p/q it multiplies the integers p + j q and reduces once.  Values
-    on the Hahn lattice come from tables kept on the weight system and the
-    polynomials instead (:mod:`mopexact.weights`, :mod:`mopexact.polybasis`).
+    chain contains a zero factor.  The verify path multiplies integer pairs instead.
     """
     a = as_fraction(a)
-    p, q = a.numerator, a.denominator
-    if n >= 0:
-        num = 1
-        for j in range(n):
-            num *= p + j * q
-        return Fraction(num, q**n)
-    den = 1
-    for j in range(1, -n + 1):
-        factor = p - j * q
-        if factor == 0:
-            raise ZeroDivisionError(f"pochhammer({a}, {n}) hits a zero factor")
-        den *= factor
-    return Fraction(q**-n, den)
+    num, den = rising(a.numerator, a.denominator, n)
+    if den == 0:
+        raise ZeroDivisionError(f"pochhammer({a}, {n}) hits a zero factor")
+    return Fraction(num, den)
 
 
-def rising_row(a, length: int) -> list[Fraction]:
-    """(a)_0, (a)_1, ..., (a)_{length-1}: each entry is the one before times a + j."""
-    a = as_fraction(a)
-    p, q = a.numerator, a.denominator
-    row = []
-    num = den = 1
-    for j in range(length):
-        row.append(Fraction(num, den))
-        num *= p + j * q
-        den *= q
-    return row
+def rising_product(q: int, ups=(), downs=(), top: int = 1, bottom: int = 1) -> tuple[int, int]:
+    """top/bottom * prod (p/q)_n over the (p, n) pairs of ups / the same over downs, all over one q.
+
+    Multiplied out in integers and reduced once to (numerator, positive denominator);
+    a vanishing divisor raises PoleError."""
+    for p, n in ups:
+        num, den = rising(p, q, n)
+        top, bottom = top * num, bottom * den
+    for p, n in downs:
+        num, den = rising(p, q, n)
+        top, bottom = top * den, bottom * num
+    if bottom == 0:
+        raise PoleError("a Pochhammer divisor vanishes")
+    g = math.gcd(top, bottom)
+    return (top // g, bottom // g) if bottom > 0 else (-top // g, -bottom // g)
 
 
-def ratio_terms(ups, downs, length: int) -> tuple[list[int], list[int]]:
+def ratio_terms(ups, downs, length: int, q: int) -> tuple[list[int], list[int]]:
     """prod_u (u)_k / prod_d (d)_k at k = 0..length-1 as running integer numerators and denominators.
 
-    Each entry is the one before times the term ratio, and a parameter p/q
-    steps by (p + kq) / q: the integers p + kq multiply the numerator (for
-    u) or the denominator (for d) and the q's the other side, so every
-    denominator divides the next.  A zero numerator factor ends the row with
-    zeros over the last denominator; a zero denominator factor under a
-    nonzero numerator raises PoleError.
+    The parameters are integers over one denominator q > 0.  Each entry is
+    the one before times the term ratio: p steps by (p + kq) / q, the integers
+    p + kq multiply the numerator (for u) or the denominator (for d) and the
+    surplus q's the other side, so every denominator divides the next.  A zero
+    numerator factor ends the row with zeros over the last denominator; a zero
+    denominator factor under a nonzero numerator raises PoleError.
     """
-    ups = [as_fraction(u).as_integer_ratio() for u in ups]
-    downs = [as_fraction(d).as_integer_ratio() for d in downs]
-    up_q, down_q = math.prod(q for _, q in downs), math.prod(q for _, q in ups)
+    extra = len(downs) - len(ups)
+    up_q, down_q = q ** max(extra, 0), q ** max(-extra, 0)
     nums, dens = [1], [1]
     for k in range(length - 1):
-        top = math.prod(p + k * q for p, q in ups)
+        top = math.prod(p + k * q for p in ups)
         if top == 0:
             break
-        bottom = math.prod(p + k * q for p, q in downs)
+        bottom = math.prod(p + k * q for p in downs)
         if bottom == 0:
             raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
         nums.append(nums[-1] * top * up_q)
@@ -112,15 +114,15 @@ def ratio_terms(ups, downs, length: int) -> tuple[list[int], list[int]]:
     return nums[:length] + [0] * pad, dens[:length] + dens[-1:] * pad
 
 
-def ratio_row(ups, downs, length: int) -> tuple[list[int], int]:
+def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
     """The :func:`ratio_terms` row as integer numerators over one positive denominator, the last one."""
-    nums, dens = ratio_terms(ups, downs, length)
+    nums, dens = ratio_terms(ups, downs, length, q)
     den = dens[-1] if dens else 1
     row = [v * (den // d) for v, d in zip(nums, dens)]
     return ([-v for v in row], -den) if den < 0 else (row, den)
 
 
-def row_values(nums, den: int, factor: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
+def row_values(nums, den: int, factor=1) -> tuple[Fraction, ...]:
     """factor * nums / den entrywise: one Fraction, so one reduction, per entry."""
     top, bottom = factor.as_integer_ratio()
     return tuple(Fraction(top * v, bottom * den) for v in nums)

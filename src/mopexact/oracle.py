@@ -36,7 +36,8 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
-from .gammaprod import as_fraction, is_nonpositive_integer, pochhammer, ratio_row, row_values
+from .gammaprod import as_fraction, is_nonpositive_integer, ratio_row, rising_product
+from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import solve_linear_system
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
 from .polybasis import integer_row, rising_over_factorial, row_product
@@ -57,8 +58,8 @@ def _row_sum(rows, length: int) -> LatticeRow:
     return [sum(up * nums[x] for up, nums in scaled) for x in range(length)], den
 
 
-def _moment_scale(ws: WeightSystem, i: int, total: int) -> Fraction:
-    """Weight i's moment gamma times the canonical type I scale at |n| = total, as the rational it is.
+def _moment_scale(ws: WeightSystem, i: int, total: int) -> tuple[int, int]:
+    """Weight i's moment gamma times the canonical type I scale at |n| = total, as the integer pair it is.
 
     The moment gamma is Gamma(alpha_i+1), times Gamma(beta+1) / Gamma(alpha_i+beta+2)
     for Jacobi-Pineiro (:meth:`WeightSystem.moment_rows`); times :func:`families.type1_scale`
@@ -66,10 +67,11 @@ def _moment_scale(ws: WeightSystem, i: int, total: int) -> Fraction:
     at |n| = 1 and a pole on the corner alpha_i+beta+|n| = 0.  Hahn weights are rational.
     """
     if ws.family is not Family.JACOBI_PINEIRO:
-        return Fraction(1)
-    if ws.alpha[i] + ws.beta + total == 0:
+        return 1, 1
+    Q, alpha, beta = ws.integer_parameters
+    if alpha[i] + beta + total * Q == 0:
         raise PoleError(f"degenerate type I normalization: alpha_{i} + beta + |n| = 0")
-    return pochhammer(ws.alpha[i] + ws.beta + 2, total - 2) / pochhammer(ws.beta + 1, total - 1)
+    return rising_product(Q, [(alpha[i] + beta + 2 * Q, total - 2)], [(beta + Q, total - 1)])
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        coefficients = integer_row(poly.coefficients, scale_rational)
+        coefficients = integer_row(poly.coefficients, scale_rational.as_integer_ratio())
         for i, (nums, den) in enumerate(ws.moment_rows(max(n) + len(poly.coefficients) - 1)):
             for j in range(n[i]):
                 residuals[(i, j)] = pair(coefficients, (nums[j:], den))
@@ -237,8 +239,9 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     else:
         # column (i, k) of row j is factor_i m_i[j+k]; every row is scaled by one common denominator
         moments = ws.moment_rows(total + max(n) - 1)
-        ups, common = integer_row([_moment_scale(ws, i, total) / den if n[i] else Fraction(1)
-                                    for i, (_, den) in enumerate(moments)])
+        scales = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
+        common = math.lcm(*(bottom * moments[i][1] for i, (_, bottom) in scales.items()))
+        ups = {i: top * (common // (bottom * moments[i][1])) for i, (top, bottom) in scales.items()}
         for j in range(total):
             rows.append([ups[i] * moments[i][0][j + k] for i, k in unknowns])
             rhs.append(common if j == total - 1 else 0)
@@ -264,21 +267,21 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
     Gamma(beta+1) Gamma(s) for the discrete Hahn kernel.  The parts that do
     not depend on s are built once; the first failing s returns False.
 
-    At s = a/b each side is one Fraction of integer sums.  The continuous
-    left side sum_k c_k (s)_k [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro] is
-    nested from the top index K: with s+beta+1 = u/v and B_k = prod_{k<=m<|n|}
-    (u+mv) (B_k = v = 1 for Laguerre), acc_k = c_k B_k b^(K-k) + (a+kb) v acc_(k+1).
+    At s = a/b both sides are integer pairs, cross-multiplied; the right one is
+    one :func:`rising_product` over bQ.  The continuous left side sum_k c_k (s)_k
+    [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro] is nested from the top index K:
+    with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv) (B_k = v = 1 for
+    Laguerre), acc_k = c_k B_k b^(K-k) + (a+kb) v acc_(k+1).
     """
     ws.validate_index(n)
     total = total_degree(n)
-    head = Fraction(-1) ** total
+    Q, alpha, beta = ws.integer_parameters
+    head = (-1) ** total, 1
     if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        head *= pochhammer(ws.beta + 1, total)
-        for i in range(ws.p):
-            head /= pochhammer(ws.alpha[i] + ws.beta + total + 1, n[i])
-    alpha_plus_one = [(alpha + 1).as_integer_ratio() for alpha in ws.alpha]
+        bottom = math.factorial(ws.N - total) if ws.family is Family.HAHN else 1
+        head = rising_product(Q, [(beta + Q, total)], [(c + beta + (total + 1) * Q, ni) for c, ni in zip(alpha, n)],
+                              (-1) ** total, bottom)
     if ws.family is Family.HAHN:
-        head /= math.factorial(ws.N - total)
         weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
     else:
         coefficients, den = integer_row(poly.monomial_coefficients())
@@ -289,25 +292,23 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
         if is_nonpositive_integer(s):
             raise PoleError(f"transform argument s = {s} sits on a gamma pole")
         a, b = s.as_integer_ratio()
-        rhs_num, rhs_den = head.as_integer_ratio()
-        for (p, q), ni in zip(alpha_plus_one, n):  # alpha_i+1-s+m = (pb - aq + mqb) / qb
-            rhs_num *= math.prod(p * b - a * q + m * q * b for m in range(ni))
-            rhs_den *= (q * b) ** ni
-        rhs = Fraction(rhs_num, rhs_den)
+        ups = [(c * b - a * Q + Q * b, ni) for c, ni in zip(alpha, n)]  # alpha_i+1-s over bQ
         if ws.family is Family.HAHN:
-            lhs = pair(weighted, rising_over_factorial(s, ws.N + 1))  # kernel (s)_x / x!
-            rhs *= pochhammer(s + total + ws.beta + 1, ws.N - total)
+            ups.append((a * Q + (beta + (total + 1) * Q) * b, ws.N - total))
+            kernel = rising_over_factorial(s, ws.N + 1)  # (s)_x / x!
+            lhs = sum(map(operator.mul, weighted[0], kernel[0])), weighted[1] * kernel[1]
         else:
             jacobi = ws.family is Family.JACOBI_PINEIRO
-            u, v = (s + ws.beta + 1).as_integer_ratio() if jacobi else (1, 1)
+            u, v = (a * Q + (beta + Q) * b, b * Q) if jacobi else (1, 1)
             factors = [u + m * v for m in range(total)] if jacobi else [1] * total
             top = len(coefficients) - 1
             acc, tail, power = 0, math.prod(factors[top:]), 1
             for k in range(top, -1, -1):
                 acc = coefficients[k] * tail * power + (a + k * b) * v * acc
                 tail, power = tail * (factors[k - 1] if k else 1), power * b
-            lhs = Fraction(acc, den * b**top * v**total)
-        if lhs != rhs:
+            lhs = acc, den * b**top * v**total
+        rhs = rising_product(b * Q, ups, (), *head)
+        if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
             return False
     return True
 
@@ -351,34 +352,34 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     times prod_{k!=i} (C_k)_{n_k} / ((n_i-1)! prod_{k!=i} (alpha_k-alpha_i)_{n_k}) times
     sum_{l<n_i} F_l (A)_{j+l} / (B)_{j+l} to row j, where
     F_l = (1-n_i)_l (C)_l prod_{k!=i} (alpha_i+1-alpha_k-n_k)_l / (l! (A)_l prod_{k!=i} (alpha_i+1-alpha_k)_l);
-    F and (A)_s / (B)_s are integer rows built once per weight, and one
-    Fraction per row is compared.
+    F and (A)_s / (B)_s are integer rows built once per weight, each constant is
+    one :func:`rising_product`, and rows meet their targets cross-multiplied.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("the summation identity is Hahn-specific")
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
-    alpha, beta, N = ws.alpha, ws.beta, ws.N
+    (Q, alpha, beta), N = ws.integer_parameters, ws.N
     active = [i for i in range(ws.p) if n[i]]
     # (beta+1+j)_{|n|-1-j} = (beta+1)_{|n|-1} / (beta+1)_j
-    beta_row, beta_den = ratio_row([beta + 1], [], total)
-    head = Fraction(-1) ** (total - 1) * math.factorial(N + 1 - total)
-    head /= math.factorial(N) * pochhammer(beta + 1, total - 1)
+    beta_row, beta_den = ratio_row([beta + Q], [], total, Q)
+    head_top, head_bottom = rising_product(
+        Q, (), [(beta + Q, total - 1)], (-1) ** (total - 1) * math.factorial(N + 1 - total), math.factorial(N))
     rows = []  # per weight: constant times sum_l F_l (A)_{j+l} / (B)_{j+l}, j < |n|
     for i in active:
-        a, b = alpha[i] + beta + N + 2, alpha[i] + beta + 2
+        a, b = alpha[i] + beta + (N + 2) * Q, alpha[i] + beta + 2 * Q
         others = [k for k in active if k != i]
         f, f_den = ratio_row(
-            [1 - n[i], b + total - 2, *(alpha[i] + 1 - alpha[k] - n[k] for k in others)],
-            [1, a, *(alpha[i] + 1 - alpha[k] for k in others)],
-            n[i],
+            [(1 - n[i]) * Q, b + (total - 2) * Q, *(alpha[i] + Q - alpha[k] - n[k] * Q for k in others)],
+            [Q, a, *(alpha[i] + Q - alpha[k] for k in others)],
+            n[i], Q,
         )
-        g, g_den = ratio_row([a], [b], total + n[i] - 1)
-        constant = pochhammer(b, total - 2 + n[i]) / (math.factorial(n[i] - 1) * f_den * g_den)
-        for k in others:
-            constant *= pochhammer(alpha[k] + beta + total, n[k]) / pochhammer(alpha[k] - alpha[i], n[k])
-        top, bottom = constant.as_integer_ratio()
+        g, g_den = ratio_row([a], [b], total + n[i] - 1, Q)
+        top, bottom = rising_product(
+            Q, [(b, total - 2 + n[i]), *((alpha[k] + beta + total * Q, n[k]) for k in others)],
+            [(alpha[k] - alpha[i], n[k]) for k in others], 1, math.factorial(n[i] - 1) * f_den * g_den)
         rows.append(([top * sum(f[l] * g[j + l] for l in range(n[i])) for j in range(total)], bottom))
     acc, den = _row_sum(rows, total)
-    values = row_values([v * w for v, w in zip(beta_row, acc)], beta_den * den, head)
-    return [value == ((-1) ** (total - 1) if j == total - 1 else 0) for j, value in enumerate(values)]
+    den *= beta_den * head_bottom
+    return [head_top * v * w == ((-1) ** (total - 1) * den if j == total - 1 else 0)
+            for j, (v, w) in enumerate(zip(beta_row, acc))]

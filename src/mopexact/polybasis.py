@@ -71,15 +71,16 @@ class Basis:
             return pochhammer(x + self.shift, k)
         return pochhammer(self.shift - x, k)
 
-    def _step_factor(self, m: int) -> tuple[Fraction, Fraction]:
-        """(const, slope) with basis_{m+1}(x) = basis_m(x) * (const + slope * x)."""
+    def _step_factor(self, m: int) -> tuple[int, int, int]:
+        """Integers (const, slope, q) with basis_{m+1}(x) = basis_m(x) * (const + slope * x) / q.
+
+        q is the shift's denominator (1 without a shift), so const is its numerator plus m q."""
         if self.kind is BasisKind.MONOMIAL:
-            return Fraction(0), Fraction(1)
+            return 0, 1, 1
         if self.kind is BasisKind.FALLING_FACTORIAL:
-            return Fraction(m), Fraction(-1)
-        if self.kind is BasisKind.SHIFTED_RISING:
-            return self.shift + m, Fraction(1)
-        return self.shift + m, Fraction(-1)
+            return m, -1, 1
+        p, q = self.shift.numerator, self.shift.denominator
+        return p + m * q, q if self.kind is BasisKind.SHIFTED_RISING else -q, q
 
     def element_monomial_coefficients(self, k: int) -> tuple[Fraction, ...]:
         """The k-th basis element expanded in powers of x (length k+1)."""
@@ -87,7 +88,8 @@ class Basis:
             return tuple(Fraction(0) for _ in range(k)) + (Fraction(1),)
         coeffs = [Fraction(1)]
         for m in range(k):
-            coeffs = _multiply_linear(coeffs, *self._step_factor(m))
+            const, slope, q = self._step_factor(m)
+            coeffs = _multiply_linear(coeffs, Fraction(const, q), Fraction(slope, q))
         return tuple(coeffs)
 
 
@@ -102,10 +104,11 @@ def reduced_row(nums, den: int) -> LatticeRow:
     return tuple(v // g for v in nums), den // g
 
 
-def integer_row(values, factor: Fraction = Fraction(1)) -> LatticeRow:
-    """factor * values as integer numerators over one denominator (the values' lcm times factor's)."""
+def integer_row(values, factor: tuple[int, int] = (1, 1)) -> LatticeRow:
+    """values times factor = (top, bottom) as integer numerators over one denominator, the values' lcm times bottom."""
+    top, bottom = factor
     den = math.lcm(*(v.denominator for v in values))
-    return [factor.numerator * v.numerator * (den // v.denominator) for v in values], den * factor.denominator
+    return [top * v.numerator * (den // v.denominator) for v in values], den * bottom
 
 
 def rising_over_factorial(a, length: int) -> LatticeRow:
@@ -138,12 +141,10 @@ def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
     Monomial and falling-factorial rows are integers (denominator 1); with
     shift p/q the shifted-rising and backward rows have denominator q^k.
     """
-    q = basis.shift.denominator if basis.shift is not None else 1
     nums, den = (1,) * (N + 1), 1
     rows = [(nums, den)]
     for m in range(degree):
-        const, slope = basis._step_factor(m)
-        const, slope = int(const * q), int(slope * q)
+        const, slope, q = basis._step_factor(m)
         nums, den = tuple(value * (const + slope * x) for x, value in enumerate(nums)), den * q
         rows.append((nums, den))
     return rows

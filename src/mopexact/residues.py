@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, rising_row
+from .gammaprod import GammaProduct, pochhammer, rising, rising_product
 from .linalg import interpolate
 from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, integer_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
@@ -45,19 +45,24 @@ from .weights import Family, MultiIndex, WeightSystem, total_degree
 def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
     """Residue denominators (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}) for every k < n_i.
 
-    With a_j - a_i = p/q each Pochhammer is prod_{l<n_j} (p + (l-k) q) / q^{n_j}, an integer product."""
-    others = [(j, *(ws.alpha[j] - ws.alpha[i]).as_integer_ratio()) for j in range(ws.p) if j != i and n[j]]
-    top = math.prod(q ** n[j] for j, _, q in others)
-    weights = []
-    for k in range(n[i]):
-        den = math.factorial(k) * math.factorial(n[i] - 1 - k)
-        for j, p, q in others:
-            for l in range(n[j]):
-                if p + (l - k) * q == 0:
-                    raise PoleError(f"colliding poles at alpha_{j} - alpha_{i} - {k}")
-                den *= p + (l - k) * q
-        weights.append(Fraction((-1) ** k * top, den))
-    return weights
+    With a_j - a_i = p/Q each Pochhammer is prod_{l<n_j} (p + (l-k) Q) / Q^{n_j}.  Built once per
+    weight system, n and i (:meth:`WeightSystem.kept`) for the duality and the recovered nodes."""
+    def build():
+        Q, alpha, _ = ws.integer_parameters
+        others = [(j, alpha[j] - alpha[i]) for j in range(ws.p) if j != i and n[j]]
+        top = Q ** sum(n[j] for j, _ in others)
+        weights = []
+        for k in range(n[i]):
+            den = math.factorial(k) * math.factorial(n[i] - 1 - k)
+            for j, p in others:
+                for l in range(n[j]):
+                    if p + (l - k) * Q == 0:
+                        raise PoleError(f"colliding poles at alpha_{j} - alpha_{i} - {k}")
+                    den *= p + (l - k) * Q
+            weights.append(Fraction((-1) ** k * top, den))
+        return weights
+
+    return ws.kept(("pole_weights", tuple(n), i), build)
 
 
 def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fraction], GammaProduct]]:
@@ -67,36 +72,37 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fracti
     x-independent factor folded in; it multiplies x**k for the continuous
     families and (alpha_i+1+k)_x for Hahn.  The residual is the same
     canonical gamma scale the direct generators carry, so the two routes
-    compare componentwise.
+    compare componentwise.  The prefactors are integer pairs (each
+    (alpha_j+beta+|n|)_{n_j} built once per call); each term is one Fraction.
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
-    alpha, beta = ws.alpha, ws.beta
+    Q, alpha, beta = ws.integer_parameters
 
     # the transcendental share of the prefactors (1/Gamma(beta+|n|) and the
     # per-weight gamma scales) lives in the component residuals
     families._guard_type1_normalization(ws, n)
-    prefactor = Fraction(-1) ** (total - 1)
-    if ws.family is Family.JACOBI_PINEIRO:
-        for j in range(ws.p):
-            prefactor *= pochhammer(alpha[j] + beta + total, n[j])
-    if ws.family is Family.HAHN:
-        prefactor *= math.factorial(ws.N - total + 1)
-        prefactor /= pochhammer(beta + 1, total - 1)
-
+    shifted = [rising(a + beta + total * Q, Q, m) for a, m in zip(alpha, n)]
     components = []
     for i in range(ws.p):
-        comp_prefactor = prefactor
-        ups = [1] * n[i] if ws.family is Family.LAGUERRE_FIRST_KIND else rising_row(alpha[i] + beta + total, n[i])
-        downs = rising_row(alpha[i] + beta + ws.N + 2 if ws.family is Family.HAHN else alpha[i] + 1, n[i])
-        if ws.family is Family.HAHN:
-            for j in range(ws.p):
-                if j != i:
-                    comp_prefactor *= pochhammer(alpha[j] + beta + total, n[j])
+        picked, lattice, top = [], [], (-1) ** (total - 1)
+        if ws.family is Family.JACOBI_PINEIRO:
+            picked = shifted
+        elif ws.family is Family.HAHN:
             # (a)_{n_i} Gamma(a+k) / Gamma(a+k+N+2-|n|), a = alpha_i+beta+|n|: the tail is (a+n_i)_{N+2-|n|-n_i}
-            # times downs[k], so the vanishing boundary a = 0 cancels exactly
-            comp_prefactor /= pochhammer(alpha[i] + beta + total + n[i], ws.N + 2 - total - n[i])
-        terms = [comp_prefactor * w * up / down for w, up, down in zip(_pole_weights(ws, n, i), ups, downs)]
+            # times the k-th down factor, so the vanishing boundary a = 0 cancels exactly
+            picked = shifted[:i] + shifted[i + 1:]
+            lattice = [(beta + Q, total - 1), (alpha[i] + beta + (total + n[i]) * Q, ws.N + 2 - total - n[i])]
+            top *= math.factorial(ws.N - total + 1)
+        top, bottom = rising_product(Q, (), lattice, top * math.prod(v for v, _ in picked),
+                                     math.prod(d for _, d in picked))
+        # term k carries (up/Q)_k / (down/Q)_k, the up factor (alpha_i+beta+|n|)_k being 1 for Laguerre
+        up, slope = (Q, 0) if ws.family is Family.LAGUERRE_FIRST_KIND else (alpha[i] + beta + total * Q, Q)
+        down = alpha[i] + beta + (ws.N + 2) * Q if ws.family is Family.HAHN else alpha[i] + Q
+        terms, ups, downs = [], 1, 1
+        for k, w in enumerate(_pole_weights(ws, n, i)):
+            terms.append(Fraction(top * w.numerator * ups, bottom * w.denominator * downs))
+            ups, downs = ups * (up + k * slope), downs * (down + k * Q)
         residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
         components.append((terms, residual))
     return components
@@ -120,23 +126,25 @@ def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points
     pole is the (terms, residual) of :func:`_type1_pole_terms`; the direct
     side is A_i(x).  Continuous: terms and monomial coefficients each go over
     one denominator, one integer Horner pass per point and side.  Hahn:
-    (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/q and P_j = prod_{l<j}
-    (p+lq), (alpha_i+1+k)_m = P_(k+m) / (P_k q^m), so 1/P_k is folded into
+    (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and P_j = prod_{l<j}
+    (p+lQ), (alpha_i+1+k)_m = P_(k+m) / (P_k Q^m), so 1/P_k is folded into
     the terms once."""
     terms, residual = pole
     if ws.family is not Family.HAHN:
         direct = integer_row(comp.monomial_coefficients())
         return _values_at(integer_row(terms), points), residual, _values_at(direct, points), comp.scale
-    p, q = (ws.alpha[i] + 1).as_integer_ratio()
-    rising = [1]  # P_0, P_1, ...
+    Q, alpha, _ = ws.integer_parameters
+    p = alpha[i] + Q
+    products = [1]  # P_0, P_1, ...
     for l in range(len(terms) + ws.N):
-        rising.append(rising[-1] * (p + l * q))
-    folded, den = integer_row([t / r for t, r in zip(terms, rising)])
+        products.append(products[-1] * (p + l * Q))
+    den = math.lcm(*(t.denominator * r for t, r in zip(terms, products)))
+    folded = [t.numerator * (den // (t.denominator * r)) for t, r in zip(terms, products)]
     values, values_den = comp.lattice_values(ws.N)
     poles, direct = [], []
     for m in (x.numerator for x in points):
-        poles.append(Fraction(sum(u * rising[k + m] for k, u in enumerate(folded)), den * q**m))
-        direct.append(Fraction(values[m] * rising[m], values_den * q**m))
+        poles.append(Fraction(sum(u * products[k + m] for k, u in enumerate(folded)), den * Q**m))
+        direct.append(Fraction(values[m] * products[m], values_den * Q**m))
     return poles, residual, direct, comp.scale
 
 
@@ -178,29 +186,24 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[lis
     Gamma(beta+1) that is the rational q_k with q_0 = (beta+1)_N and
     q_{k+1} = q_k (beta+|n|-k) / (beta+N-k).  The scalar (-1)^k/k! [times
     (beta+|n|+1-k)_k for Jacobi-Pineiro; 1/k! times q_k for Hahn] advances
-    in integers by its one-step ratio; (alpha_i+1+k)_{n_i} = prod_{l<n_i} (p+(k+l)q) / q^{n_i}."""
+    in integers by its one-step ratio; over Q, (alpha_i+1+k)_{n_i} = prod_{l<n_i} (a_i+(k+l+1)Q) / Q^{n_i}."""
     total = total_degree(n)
-    alpha, beta = ws.alpha, ws.beta
-    lead = Fraction(-1) ** total
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        for i in range(ws.p):
-            lead /= pochhammer(alpha[i] + beta + total + 1, n[i])
-    if ws.family is Family.HAHN:
-        lead *= pochhammer(beta + 1, ws.N) / math.factorial(ws.N - total)
-    shifts = [(*(a + 1).as_integer_ratio(), ni) for a, ni in zip(alpha, n)]
-    num, den = lead.as_integer_ratio()
-    den *= math.prod(q**ni for _, q, ni in shifts)
-    b, c = (beta or Fraction(0)).as_integer_ratio()
+    Q, alpha, beta = ws.integer_parameters
+    num, den = rising_product(
+        Q, [(beta + Q, ws.N)] if ws.family is Family.HAHN else (),
+        () if ws.family is Family.LAGUERRE_FIRST_KIND else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
+        (-1) ** total, math.factorial(ws.N - total) if ws.family is Family.HAHN else 1)
+    den *= Q**total
     values = []
     for k in range(k_max + 1):
-        values.append(Fraction(num * math.prod(p + (k + l) * q for p, q, ni in shifts for l in range(ni)), den))
+        values.append(Fraction(num * math.prod(a + (k + l + 1) * Q for a, ni in zip(alpha, n) for l in range(ni)), den))
         if ws.family is Family.LAGUERRE_FIRST_KIND:
             num, den = -num, den * (k + 1)
         elif ws.family is Family.JACOBI_PINEIRO:
-            num, den = -num * (b + (total - k) * c), den * (k + 1) * c
+            num, den = -num * (beta + (total - k) * Q), den * (k + 1) * Q
         else:
-            num, den = num * (b + (total - k) * c), den * (k + 1) * (b + (ws.N - k) * c)
-    return values, GammaProduct.gamma(beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
+            num, den = num * (beta + (total - k) * Q), den * (k + 1) * (beta + (ws.N - k) * Q)
+    return values, GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
 
 
 def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
@@ -212,8 +215,7 @@ def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list
     never through the residue formulas; a zero denominator factor under a
     nonzero numerator raises PoleError.  Each entry keeps its running denominator.
     """
-    prefactor, nums, dens = families._type2_series(ws, n, k_max + 1)
-    top, bottom = prefactor.as_integer_ratio()
+    (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
     gamma = GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
     return [Fraction(top * v, bottom * d) for v, d in zip(nums, dens)], gamma
 
@@ -242,6 +244,7 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     total = total_degree(n)
     families._guard_type1_normalization(ws, n)
     families.require_type1_scales(ws, form, total)
+    Q, alpha, beta = ws.integer_parameters
     nodes = []
     for i, comp in enumerate(form.components):
         if n[i] == 0:
@@ -253,20 +256,21 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
         expected_kind = BasisKind.SHIFTED_RISING if ws.family is Family.HAHN else BasisKind.MONOMIAL
         if comp.basis.kind is not expected_kind:
             raise PreconditionError(f"component {i} is in an unexpected basis")
-        t = ws.alpha[i]
-        factor = Fraction(1)  # 1/phi(alpha_i) times the canonical scale
+        top, bottom = 1, 1  # 1/phi(alpha_i) times the canonical scale, over Q
         if ws.family is Family.JACOBI_PINEIRO:
-            factor = 1 / pochhammer(ws.beta + 1, total - 1)
+            top, bottom = rising_product(Q, (), [(beta + Q, total - 1)])
         elif ws.family is Family.HAHN:
-            factor = pochhammer(t + ws.beta + total, ws.N + 2 - total)
-        weights = _pole_weights(ws, n, i)
-        for k, coefficient in enumerate(comp.coefficients):
-            if k:  # 1/phi(t+1) over 1/phi(t)
-                factor *= (t + 1) * (t + ws.beta + ws.N + 2) if ws.family is Family.HAHN else t + 1
-                if ws.family is not Family.LAGUERRE_FIRST_KIND:
-                    factor /= t + ws.beta + total
-                t += 1
-            nodes.append((t, coefficient * factor / weights[k]))
+            top, bottom = rising_product(Q, [(alpha[i] + beta + total * Q, ws.N + 2 - total)])
+        for k, (coefficient, weight) in enumerate(zip(comp.coefficients, _pole_weights(ws, n, i))):
+            t = alpha[i] + k * Q
+            if k:  # 1/phi(t) over 1/phi(s), s = t-1: t/Q, t/(s+beta+|n|) or t (s+beta+N+2) / (Q (s+beta+|n|))
+                s = t - Q
+                top *= t * (s + beta + (ws.N + 2) * Q) if ws.family is Family.HAHN else t
+                bottom *= Q if ws.family is Family.LAGUERRE_FIRST_KIND else (s + beta + total * Q) * (
+                    Q if ws.family is Family.HAHN else 1)
+            value = Fraction(coefficient.numerator * top * weight.denominator,
+                             coefficient.denominator * bottom * weight.numerator)
+            nodes.append((Fraction(t, Q), value))
     return nodes
 
 

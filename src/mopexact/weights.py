@@ -14,11 +14,14 @@ The lattice values are tabulated on first use as integer rows (numerators
 over one denominator, see :data:`mopexact.polybasis.LatticeRow`) and kept
 on the weight system (:attr:`WeightSystem.weight_table`; the continuous
 moments in :meth:`WeightSystem.moment_rows`), so they last only as long as it.
+Every Pochhammer argument the checks build is an integer over the one
+denominator of :attr:`WeightSystem.integer_parameters`, formed by integer adds.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -115,6 +118,13 @@ class WeightSystem:
         return x
 
     @cached_property
+    def integer_parameters(self) -> tuple[int, tuple[int, ...], int]:
+        """(Q, (alpha_i Q), beta Q) with Q the lcm of their denominators (beta = 0 for Laguerre), built on first use."""
+        beta = self.beta or Fraction(0)
+        q = math.lcm(beta.denominator, *(a.denominator for a in self.alpha))
+        return q, tuple(int(a * q) for a in self.alpha), int(beta * q)
+
+    @cached_property
     def beta_factors(self) -> LatticeRow:
         """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
         nums, den = rising_over_factorial(self.beta + 1, self.N + 1)
@@ -146,8 +156,9 @@ class WeightSystem:
         """
         kept = self.__dict__.get("_moment_rows")
         if kept is None or len(kept[0][0]) < length:
-            shift = [self.beta + 2] if self.family is Family.JACOBI_PINEIRO else []
-            kept = tuple(reduced_row(*ratio_row([a + 1], [a + s for s in shift], length)) for a in self.alpha)
+            q, alpha, beta = self.integer_parameters
+            shift = [beta + 2 * q] if self.family is Family.JACOBI_PINEIRO else []
+            kept = tuple(reduced_row(*ratio_row([a + q], [a + s for s in shift], length, q)) for a in alpha)
             object.__setattr__(self, "_moment_rows", kept)
         return kept
 

@@ -69,6 +69,16 @@ def hahn_corner_systems(draw):
     return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
 
 
+def rising_row(a, length: int) -> list[Fraction]:
+    """(a)_0, (a)_1, ..., (a)_{length-1} as Fractions: each entry is the one before times a + j."""
+    a = as_fraction(a)
+    row, value = [], Fraction(1)
+    for j in range(length):
+        row.append(value)
+        value *= a + j
+    return row
+
+
 def reduced_equal(left: GammaProduct, right: GammaProduct) -> bool:
     """Whether two gamma products have the same rational part and the same normalized residual."""
     r1, h1 = left.reduce()

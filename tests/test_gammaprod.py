@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import GammaProduct, PoleError, pochhammer
-from mopexact.gammaprod import as_fraction, is_nonpositive_integer, rising_row
-from conftest import reduced_equal
+from mopexact.gammaprod import as_fraction, is_nonpositive_integer
+from conftest import reduced_equal, rising_row
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
 small_ints = st.integers(-6, 8)

@@ -27,9 +27,8 @@ from mopexact import AdmissibilityError, Family, GammaProduct, IrreducibleGammaE
 from mopexact.weights import total_degree
 from mopexact.linalg import interpolate, solve_linear_system
 from mopexact.driver import apply_fault, compositions
-from mopexact.gammaprod import rising_row
 from mopexact.polybasis import lattice_table, row_product
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, scaled_values_equal
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, scaled_values_equal
 
 F = Fraction
 

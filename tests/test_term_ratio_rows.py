@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, PoleError, PreconditionError, WeightSystem, families, hyper, oracle
 from mopexact import check_type1_orthogonality
-from mopexact.gammaprod import pochhammer, ratio_row, rising_row, row_values
+from mopexact.gammaprod import pochhammer, ratio_row, row_values
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, hahn_corner_systems
+from conftest import admissible_systems, hahn_corner_systems, rising_row
 
 F = Fraction
 
@@ -201,6 +201,13 @@ def outcome(function, *args):
 small_parameters = st.lists(st.fractions(-6, 6, max_denominator=4), max_size=3)
 
 
+def rational_ratio_row(ups, downs, length):
+    """ratio_row of rational parameters, put over the lcm of their denominators."""
+    ups, downs = [F(u) for u in ups], [F(d) for d in downs]
+    q = math.lcm(*(v.denominator for v in ups + downs))
+    return ratio_row([int(u * q) for u in ups], [int(d * q) for d in downs], length, q)
+
+
 @given(ups=small_parameters, downs=small_parameters, length=st.integers(0, 8))
 @settings(max_examples=300, deadline=None)
 def test_ratio_row_matches_pochhammer_products(ups, downs, length):
@@ -219,19 +226,19 @@ def test_ratio_row_matches_pochhammer_products(ups, downs, length):
         expected.append(top / bottom)
     if expected is PoleError:
         with pytest.raises(PoleError):
-            ratio_row(ups, downs, length)
+            rational_ratio_row(ups, downs, length)
         return
-    nums, den = ratio_row(ups, downs, length)
+    nums, den = rational_ratio_row(ups, downs, length)
     assert den > 0 and all(isinstance(v, int) for v in nums)
     assert list(row_values(nums, den)) == expected
 
 
 def test_ratio_row_examples():
-    assert ratio_row([], [], 3) == ([1, 1, 1], 1)
-    assert list(row_values(*ratio_row([F(1, 2)], [1], 4))) == [1, F(1, 2), F(3, 8), F(5, 16)]
-    assert ratio_row([-1], [], 4) == ([1, -1, 0, 0], 1)
+    assert rational_ratio_row([], [], 3) == ([1, 1, 1], 1)
+    assert list(row_values(*rational_ratio_row([F(1, 2)], [1], 4))) == [1, F(1, 2), F(3, 8), F(5, 16)]
+    assert rational_ratio_row([-1], [], 4) == ([1, -1, 0, 0], 1)
     with pytest.raises(PoleError):
-        ratio_row([1], [-1], 3)
+        rational_ratio_row([1], [-1], 3)
     assert list(row_values([3, 6], 4, F(2, 3))) == [F(1, 2), F(1)]
 
 
