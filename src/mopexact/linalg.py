@@ -1,11 +1,12 @@
 """Exact dense linear solves and interpolation over the rationals.
 
-Linear systems are solved fraction-free (Bareiss 1968): each row is scaled
-to integers, every elimination step divides exactly by the previous pivot,
-and back substitution runs in integers against the last pivot, which is the
-determinant of the scaled system.  Arithmetic is exact, so any nonsingular
-pivoting strategy is correct; we pivot on the nonzero entry of smallest
-magnitude.
+Linear systems are solved fraction-free (Bareiss 1968): every elimination
+step divides exactly by the previous pivot, and back substitution runs in
+integers against the last pivot, the determinant of the scaled system.  An
+integer row is taken as it is, a row with Fractions is scaled by its
+denominators' lcm, and only the results are built as Fractions.  The pivots
+carry the rows' common factors, so the oracle hands in primitive rows.  Any
+nonsingular pivot is exact; we take the nonzero entry of smallest magnitude.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ def solve_linear_system(matrix, rhs) -> list[Fraction]:
         raise ValueError("system must be square with a matching right-hand side")
     a = []
     for row, b in zip(matrix, rhs):
-        entries = [Fraction(v) for v in (*row, b)]
+        entries = (*row, b)
         scale = math.lcm(*(v.denominator for v in entries))
-        a.append([v.numerator * (scale // v.denominator) for v in entries])
+        a.append([v.numerator * (scale // v.denominator) for v in entries] if scale > 1
+                 else [v.numerator for v in entries])
     prev = 1
     for col in range(n):
         candidates = [r for r in range(col, n) if a[r][col]]

@@ -14,17 +14,16 @@ which never vanishes.  A type I component must carry the canonical scale of
 times that scale is the rational :func:`_moment_scale`, derived here from
 the moment functional, so these checks reduce no gamma product.
 
-Every Hahn lattice sum is one :func:`pair` of two integer lattice rows:
-``ws.weight_table`` rows, ``lattice_table`` basis rows, ``poly.lattice_values``
-or their entrywise products, multiplied and summed in integers and divided
-once; the type II Gram rows stay integers into the solve.  The tables live
-on the weight system and the polynomial that own them and last only as long
-as those objects.  Every continuous pairing is an integer dot product
-divided once too: each weight's power moments are one integer row
-(``ws.moment_rows``, built once per weight system at the longest length
-asked for) and coefficients go over one denominator.  The
-Hahn summation identity sums integer term-ratio rows as well; nothing here
-evaluates a :func:`mopexact.hyper.pfq` series.
+Every Hahn lattice sum is an integer dot product of two lattice rows
+(``ws.weight_table``, ``lattice_table`` or ``poly.lattice_values`` rows or
+their products) divided once (:func:`pair`), and so is every continuous
+pairing, against each weight's power moments (``ws.moment_rows``, one integer
+row per weight built once per weight system); the tables last only as long as
+the objects that own them.  Both solves take primitive integer rows
+(:func:`primitive`): type II conditions each over its content; type I columns,
+then rows, over theirs, with the contents, the moment scale and denominators
+folded into one rational back-scale per unknown.  The Hahn summation identity
+sums integer term-ratio rows; nothing here evaluates a :func:`mopexact.hyper.pfq` series.
 """
 
 from __future__ import annotations
@@ -49,6 +48,12 @@ def pair(row: LatticeRow, other: LatticeRow) -> Fraction:
 
     The integer numerators are multiplied and summed, then divided once."""
     return Fraction(sum(map(operator.mul, row[0], other[0])), row[1] * other[1])
+
+
+def primitive(row) -> list[int]:
+    """An integer row divided by its content, the gcd of its entries; a zero row stays as it is."""
+    content = math.gcd(*row) or 1
+    return [v // content for v in row]
 
 
 def _row_sum(rows, length: int) -> LatticeRow:
@@ -188,32 +193,21 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """
     ws.validate_index(n)
     total = total_degree(n)
-    if total == 0:
-        basis = Basis.falling_factorial() if ws.family is Family.HAHN else Basis.monomial()
-        return ScaledPolynomial(basis, (Fraction(1),))
-    rows = []
-    rhs = []
     if ws.family is Family.HAHN:
         # integer Gram rows: each condition is scaled by its weight row's denominator
-        basis = Basis.falling_factorial()
-        lead = (-1) ** total
+        basis, lead = Basis.falling_factorial(), (-1) ** total
         falling = [nums for nums, _ in lattice_table(basis, total, ws.N)]
         powers = [nums for nums, _ in lattice_table(Basis.monomial(), max(n) - 1, ws.N)]
+        conditions = []
         for i in range(ws.p):
-            weight = ws.weight_table[i][0]
-            weighted = [tuple(map(operator.mul, row, weight)) for row in falling]
-            for j in range(n[i]):
-                gram = [sum(map(operator.mul, powers[j], row)) for row in weighted]
-                rows.append(gram[:total])
-                rhs.append(-lead * gram[total])
+            weighted = [tuple(map(operator.mul, row, ws.weight_table[i][0])) for row in falling]
+            conditions += ([sum(map(operator.mul, powers[j], row)) for row in weighted] for j in range(n[i]))
     else:
-        basis = Basis.monomial()
-        lead = Fraction(1)
-        for i, (nums, _) in enumerate(ws.moment_rows(max(n) + total)):
-            for j in range(n[i]):
-                rows.append(nums[j:j + total])
-                rhs.append(-nums[j + total])
-    solution = solve_linear_system(rows, rhs)
+        basis, lead = Basis.monomial(), 1
+        conditions = [row[j:j + total + 1] for (row, _), m in zip(ws.moment_rows(max(n) + total), n) for j in range(m)]
+    # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
+    rows = [primitive(row) for row in conditions]
+    solution = solve_linear_system([row[:total] for row in rows], [-lead * row[total] for row in rows])
     return ScaledPolynomial(basis, tuple(solution) + (lead,))
 
 
@@ -227,25 +221,27 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
     unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
-    rows = []
-    rhs = []
+    # an integer matrix against e_last whose unknown (i, k) is the coefficient over its scale (top, bottom)
     if ws.family is Family.HAHN:
+        # entry (j, (i, k)): backward row j paired with weighted column (i, k), times row j's denominator
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
         columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
         backward = lattice_table(Basis.backward_pochhammer(ws.beta, ws.N), total - 1, ws.N)
-        for j, row in enumerate(backward):
-            rows.append([pair(row, column) for column in columns])
-            rhs.append(Fraction(-1) ** (total - 1) if j == total - 1 else Fraction(0))
+        matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns] for nums, _ in backward]
+        scales = [((-1) ** (total - 1) * den * backward[-1][1], 1) for _, den in columns]
     else:
-        # column (i, k) of row j is factor_i m_i[j+k]; every row is scaled by one common denominator
+        # entry (j, (i, k)): the moment numerator m_i[j+k]; the moment scale and denominator go to the unknown
         moments = ws.moment_rows(total + max(n) - 1)
-        scales = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
-        common = math.lcm(*(bottom * moments[i][1] for i, (_, bottom) in scales.items()))
-        ups = {i: top * (common // (bottom * moments[i][1])) for i, (top, bottom) in scales.items()}
-        for j in range(total):
-            rows.append([ups[i] * moments[i][0][j + k] for i, k in unknowns])
-            rhs.append(common if j == total - 1 else 0)
-    solution = iter(solve_linear_system(rows, rhs))  # unknowns run component by component
+        weights = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
+        matrix = list(zip(*(moments[i][0][k:k + total] for i, k in unknowns)))
+        scales = [(weights[i][1] * moments[i][1], weights[i][0]) for i, _ in unknowns]
+    # each column, then each row over its content; only the last row's reaches the solution
+    contents = [math.gcd(*column) or 1 for column in zip(*matrix)]
+    rows = [[v // g for v, g in zip(row, contents)] for row in matrix]
+    last = math.gcd(*rows[-1]) or 1
+    solved = solve_linear_system([primitive(row) for row in rows], [0] * (total - 1) + [1])
+    solution = iter(Fraction(x.numerator * top, x.denominator * bottom * g * last)
+                    for x, (top, bottom), g in zip(solved, scales, contents))
     return TypeIVector(tuple(
         ScaledPolynomial(families.type1_basis(ws, i), tuple(next(solution) for _ in range(n[i])),
                          families.type1_scale(ws, i, total))

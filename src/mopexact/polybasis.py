@@ -112,10 +112,10 @@ def integer_row(values, factor: tuple[int, int] = (1, 1)) -> LatticeRow:
 
 
 def rising_over_factorial(a, length: int) -> LatticeRow:
-    """(a)_k / k! at k = 0..length-1 as one reduced row.
+    """(a)_k / k! at k = 0..length-1 as one row, not reduced (:func:`reduced_row` reduces it).
 
     With a = p/q and m = length - 1 the denominator is q^m m!, and entry k
-    is prod_{j<k} (p + j q) * q^(m-k) * m!/k!, reduced by the common gcd.
+    is prod_{j<k} (p + j q) * q^(m-k) * m!/k!.
     """
     a = as_fraction(a)
     p, q = a.numerator, a.denominator
@@ -127,7 +127,7 @@ def rising_over_factorial(a, length: int) -> LatticeRow:
         nums.append(num * (den // low))
         num *= p + k * q
         low *= q * (k + 1)
-    return reduced_row(nums, den)
+    return nums, den
 
 
 def row_product(row: LatticeRow, other: LatticeRow) -> LatticeRow:

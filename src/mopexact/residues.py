@@ -11,8 +11,8 @@ this module certifies that duality term by term.
 
 Everything that does not depend on the sample point x or the expansion
 order k is built once per instance, in integers wherever a row is summed:
-the type I pole-sum terms carry their pole weights (one :func:`_pole_weights`
-row per component), prefactors and residual (:func:`_type1_pole_terms`);
+the type I pole-sum terms, one integer row per component, carry their pole
+weights (:func:`_pole_weights`), prefactors and residual (:func:`_type1_pole_terms`);
 :func:`check_residue_duality` compares one row per component and route over
 the points (:func:`_duality_rows`); the type II residue and series
 coefficients are rows over k = 0..k_max, one Fraction per entry.
@@ -38,7 +38,7 @@ from . import families
 from .errors import PoleError, PreconditionError
 from .gammaprod import GammaProduct, pochhammer, rising, rising_product
 from .linalg import interpolate
-from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, integer_row
+from .polybasis import BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, integer_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -65,15 +65,15 @@ def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
     return ws.kept(("pole_weights", tuple(n), i), build)
 
 
-def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fraction], GammaProduct]]:
-    """Per component i: the residues at t = alpha_i + k, k < n_i, and the residual.
+def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[LatticeRow, GammaProduct]]:
+    """Per component i: the residues at t = alpha_i + k, k < n_i, as one integer row, and the residual.
 
     Term k has the pole weight, the family prefactor and every other
     x-independent factor folded in; it multiplies x**k for the continuous
     families and (alpha_i+1+k)_x for Hahn.  The residual is the same
     canonical gamma scale the direct generators carry, so the two routes
-    compare componentwise.  The prefactors are integer pairs (each
-    (alpha_j+beta+|n|)_{n_j} built once per call); each term is one Fraction.
+    compare componentwise.  The terms share one denominator: the prefactor's
+    times the pole weights' lcm times Q^(n_i-1) (down/Q)_{n_i-1}.
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
@@ -99,12 +99,14 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[list[Fracti
         # term k carries (up/Q)_k / (down/Q)_k, the up factor (alpha_i+beta+|n|)_k being 1 for Laguerre
         up, slope = (Q, 0) if ws.family is Family.LAGUERRE_FIRST_KIND else (alpha[i] + beta + total * Q, Q)
         down = alpha[i] + beta + (ws.N + 2) * Q if ws.family is Family.HAHN else alpha[i] + Q
-        terms, ups, downs = [], 1, 1
-        for k, w in enumerate(_pole_weights(ws, n, i)):
-            terms.append(Fraction(top * w.numerator * ups, bottom * w.denominator * downs))
-            ups, downs = ups * (up + k * slope), downs * (down + k * Q)
+        weights, ups, downs = _pole_weights(ws, n, i), [top], [1]
+        for k in range(n[i] - 1):  # Q^k (up/Q)_k and Q^k (down/Q)_k for k < n_i
+            ups.append(ups[-1] * (up + k * slope))
+            downs.append(downs[-1] * (down + k * Q))
+        common = math.lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (common // w.denominator) * u * (downs[-1] // d) for w, u, d in zip(weights, ups, downs)]
         residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
-        components.append((terms, residual))
+        components.append(((nums, bottom * common * downs[-1]), residual))
     return components
 
 
@@ -123,23 +125,23 @@ def _values_at(row, points) -> list[Fraction]:
 def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points):
     """Component i of both routes at the points: (pole row, residual, direct row, comp's scale).
 
-    pole is the (terms, residual) of :func:`_type1_pole_terms`; the direct
-    side is A_i(x).  Continuous: terms and monomial coefficients each go over
-    one denominator, one integer Horner pass per point and side.  Hahn:
-    (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and P_j = prod_{l<j}
-    (p+lQ), (alpha_i+1+k)_m = P_(k+m) / (P_k Q^m), so 1/P_k is folded into
-    the terms once."""
-    terms, residual = pole
+    pole is the (integer terms row, residual) of :func:`_type1_pole_terms`;
+    the direct side is A_i(x).  Continuous: the terms and the monomial
+    coefficients over one denominator, one integer Horner pass per point and
+    side.  Hahn: (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and
+    P_j = prod_{l<j} (p+lQ), (alpha_i+1+k)_m = P_(k+m) / (P_k Q^m), so term k
+    is multiplied by P_K / P_k (K = n_i - 1) and the denominator by P_K once."""
+    (terms, den), residual = pole
     if ws.family is not Family.HAHN:
         direct = integer_row(comp.monomial_coefficients())
-        return _values_at(integer_row(terms), points), residual, _values_at(direct, points), comp.scale
+        return _values_at((terms, den), points), residual, _values_at(direct, points), comp.scale
     Q, alpha, _ = ws.integer_parameters
     p = alpha[i] + Q
     products = [1]  # P_0, P_1, ...
     for l in range(len(terms) + ws.N):
         products.append(products[-1] * (p + l * Q))
-    den = math.lcm(*(t.denominator * r for t, r in zip(terms, products)))
-    folded = [t.numerator * (den // (t.denominator * r)) for t, r in zip(terms, products)]
+    reach = products[max(len(terms) - 1, 0)]
+    folded, den = [u * (reach // r) for u, r in zip(terms, products)], den * reach
     values, values_den = comp.lattice_values(ws.N)
     poles, direct = [], []
     for m in (x.numerator for x in points):
@@ -157,7 +159,7 @@ def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fra
     factor (alpha_i+1)_x is folded in and the canonical scale is empty.
     """
     x = ws.check_point(x)
-    rows = [_duality_rows(ws, i, ([], None), comp, [x]) for i, comp in enumerate(vec.components)]
+    rows = [_duality_rows(ws, i, (([], 1), None), comp, [x]) for i, comp in enumerate(vec.components)]
     return [(value, scale) for _, _, [value], scale in rows]
 
 

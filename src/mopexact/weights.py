@@ -127,7 +127,7 @@ class WeightSystem:
     @cached_property
     def beta_factors(self) -> LatticeRow:
         """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
-        nums, den = rising_over_factorial(self.beta + 1, self.N + 1)
+        nums, den = reduced_row(*rising_over_factorial(self.beta + 1, self.N + 1))
         return nums[::-1], den
 
     @cached_property

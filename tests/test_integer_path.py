@@ -3,13 +3,17 @@
 Their parameters are integers over the weight system's one denominator, so
 no ``pochhammer`` call (a Fraction per factor) is left inside them.  The
 fixture counts calls through every binding these modules could use.
+
+The oracle hands the exact solve primitive integer rows, and the solve
+builds no Fraction but its results; the last pivot's height is pinned.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from mopexact import families, gammaprod, oracle, residues
+from mopexact import WeightSystem, families, gammaprod, linalg, oracle, residues
 from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points
 from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
 
@@ -73,3 +77,76 @@ def test_residue_duality_calls_no_pochhammer(ws, pochhammer_calls):
 def test_series_equivalence_calls_no_pochhammer(ws, pochhammer_calls):
     assert residues.verify_type2_series_equivalence(ws, N, 8)
     assert pochhammer_calls == []
+
+
+# --- the oracle's primitive integer systems ------------------------------------
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """The (args) of every Fraction that linalg builds, each still built as a Fraction."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counted)
+    return calls
+
+
+@pytest.fixture
+def solved_systems(monkeypatch):
+    """The (matrix, rhs) of every solve the oracle hands to solve_linear_system."""
+    systems = []
+
+    def recorded(matrix, rhs):
+        systems.append((matrix, rhs))
+        return linalg.solve_linear_system(matrix, rhs)
+
+    monkeypatch.setattr(oracle, "solve_linear_system", recorded)
+    return systems
+
+
+def test_integer_rows_build_no_fraction_but_the_results(fraction_calls):
+    solution = linalg.solve_linear_system([[2, 1, 0], [4, 3, 1], [0, 5, 7]], [1, 0, -3])
+    assert len(fraction_calls) == len(solution) == 3
+    assert all(type(v) is Fraction for v in solution)
+
+
+@systems(LAGUERRE, JACOBI_PINEIRO, HAHN)
+@pytest.mark.parametrize("solve", [oracle.oracle_solve_type1, oracle.oracle_solve_type2], ids=["type1", "type2"])
+def test_oracle_solves_build_no_fraction_but_the_results(ws, solve, fraction_calls):
+    solve(ws, N)
+    assert len(fraction_calls) == sum(N)
+
+
+@systems(LAGUERRE, JACOBI_PINEIRO, HAHN)
+def test_type1_rows_and_columns_are_primitive_integers(ws, solved_systems):
+    oracle.oracle_solve_type1(ws, N)
+    [(matrix, rhs)] = solved_systems
+    assert all(type(v) is int for row in matrix for v in row) and all(type(v) is int for v in rhs)
+    assert [math.gcd(*column) for column in zip(*matrix)] == [1] * sum(N)
+    assert [math.gcd(*row) for row in matrix] == [1] * sum(N)
+
+
+@systems(LAGUERRE, JACOBI_PINEIRO, HAHN)
+def test_type2_rows_are_primitive_integers(ws, solved_systems):
+    oracle.oracle_solve_type2(ws, N)
+    [(matrix, rhs)] = solved_systems
+    assert all(type(v) is int for row in matrix for v in row) and all(type(v) is int for v in rhs)
+    assert [math.gcd(*row, b) for row, b in zip(matrix, rhs)] == [1] * sum(N)
+
+
+#: Bit length of the last Bareiss pivot (the determinant of the system handed in) on
+#: Jacobi-Pineiro n = (6, 6, 6), alpha (1/2, 4/3, 1/5), beta 1/7.  With each row's and each
+#: column's content carried through the elimination these were 7133 (type I) and 1483 (type II).
+PIVOT_BITS = {"type1": 556, "type2": 1151}
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_final_pivot_stays_small(kind, fraction_calls):
+    ws = WeightSystem.jacobi_pineiro((Fraction(1, 2), Fraction(4, 3), Fraction(1, 5)), Fraction(1, 7))
+    solve = oracle.oracle_solve_type1 if kind == "type1" else oracle.oracle_solve_type2
+    solve(ws, (6, 6, 6))
+    pivots = {den for _, den in fraction_calls}  # every result is a numerator over the last pivot
+    assert len(pivots) == 1 and abs(pivots.pop()).bit_length() <= PIVOT_BITS[kind]

@@ -74,6 +74,26 @@ def test_bareiss_matches_fraction_gauss(system):
         assert sum(a * v for a, v in zip(row, solution)) == b
 
 
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_rows_match_their_fraction_copies(n, data):
+    # an int system as it is, and as Fractions with each row and its right-hand side divided by a drawn positive integer
+    ints = st.one_of(st.just(0), st.integers(-1000, 1000))
+    matrix = [data.draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
+    rhs = data.draw(st.lists(ints, min_size=n, max_size=n))
+    divisors = data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    fractions = [[F(v, d) for v in row] for row, d in zip(matrix, divisors)]
+    fraction_rhs = [F(b, d) for b, d in zip(rhs, divisors)]
+    try:
+        expected = solve_linear_system(fractions, fraction_rhs)
+    except SingularSystemError as exc:
+        with pytest.raises(SingularSystemError, match=str(exc)):
+            solve_linear_system(matrix, rhs)
+        return
+    assert solve_linear_system(matrix, rhs) == expected
+    assert expected == gauss_reference(matrix, rhs)
+
+
 @given(st.integers(2, 8), st.data())
 @settings(max_examples=60, deadline=None)
 def test_row_swap_nonsingular(n, data):

@@ -65,7 +65,9 @@ def test_integer_rows_at_a_single_lattice_point(basis):
 @settings(max_examples=60, deadline=None)
 def test_rising_over_factorial_matches_pochhammer(a, length):
     nums, den = rising_over_factorial(a, length)
-    assert all(type(v) is int for v in nums) and den > 0 and math.gcd(den, *nums) == 1
+    # the row is left unreduced: its denominator is q^m m! with a = p/q and m = length - 1
+    m = max(length - 1, 0)
+    assert all(type(v) is int for v in nums) and den == a.denominator**m * math.factorial(m)
     assert [Fraction(v, den) for v in nums] == [pochhammer(a, k) / math.factorial(k) for k in range(length)]
 
 

@@ -143,6 +143,12 @@ def pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fr
     return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
 
 
+def term_fractions(row) -> list[Fraction]:
+    """A pole-terms row of residues._type1_pole_terms (integers over one denominator) as Fractions."""
+    nums, den = row
+    return [Fraction(v, den) for v in nums]
+
+
 def direct_value(ws: WeightSystem, i: int, comp, x: Fraction) -> Fraction:
     """Component i of the direct route at x: A_i(x) times its scale's rational, and (alpha_i+1)_x for Hahn."""
     if ws.family is not Family.HAHN:
@@ -177,7 +183,7 @@ class TestType1LinearForm:
         # one residue: component = x^alpha / Gamma(alpha+1)
         ws = laguerre_ws(1)
         [(terms, residual)] = residues._type1_pole_terms(ws, (1,))
-        assert pole_sum(ws, 0, terms, F(2, 3)) == 1
+        assert pole_sum(ws, 0, term_fractions(terms), F(2, 3)) == 1
         assert residual.factors == ((F(3, 2), -1),)
 
     def test_matches_direct_decomposition_jp(self):
@@ -189,7 +195,7 @@ class TestType1LinearForm:
         vec = families.type1(ws, (2, 1))
         for i, (terms, residual) in enumerate(residues._type1_pole_terms(ws, (2, 1))):
             expected = vec.components[i].rational_value(3) * pochhammer(ws.alpha[i] + 1, 3)
-            assert pole_sum(ws, i, terms, F(3)) == expected
+            assert pole_sum(ws, i, term_fractions(terms), F(3)) == expected
             assert residual.is_one()
 
     def test_full_grid_all_families(self):
@@ -322,7 +328,7 @@ class TestRandomAdmissibleSystems:
             for i, (pole, comp) in enumerate(zip(poles, faulty.components)):
                 terms, residual = pole
                 pole_row, _, direct_row, direct_residual = residues._duality_rows(ws, i, pole, comp, points)
-                reference_poles = [pole_sum(ws, i, terms, x) for x in points]
+                reference_poles = [pole_sum(ws, i, term_fractions(terms), x) for x in points]
                 reference_direct = [direct_value(ws, i, comp, x) for x in points]
                 assert (pole_row, direct_row) == (reference_poles, reference_direct), (fault, i)
                 verdict &= all(scaled_values_equal(a, residual, b, direct_residual)
