@@ -11,7 +11,6 @@ machine-checked, exactly, never approximately.
 
 from .errors import (
     AdmissibilityError,
-    IrreducibleGammaError,
     NonTerminatingSeriesError,
     PoleError,
     PreconditionError,
@@ -31,14 +30,12 @@ from .gammaprod import (
     pochhammer,
 )
 from .hyper import (
-    HypergeometricSpec,
-    KampeDeFerietSpec,
     check_chu_vandermonde,
     check_karp_prilepkina,
     check_kummer,
     check_rakha_rathie,
-    eval_kdf,
-    eval_pfq,
+    kdf,
+    pfq,
 )
 from .oracle import (
     OrthogonalityReport,

@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 
 from . import driver, families, oracle, residues
-from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError, SingularSystemError
+from .errors import AdmissibilityError, PoleError, PreconditionError, SingularSystemError
 from .hyper import (
     check_chu_vandermonde,
     check_karp_prilepkina,
@@ -38,16 +38,6 @@ from .hyper import (
 )
 from .polybasis import BasisKind, eval_polynomial
 from .weights import Family, WeightSystem
-
-IDENTITY_NAMES = (
-    "chu-vandermonde",
-    "kummer",
-    "rakha-rathie",
-    "karp-prilepkina",
-    "hahn-summation",
-    "mellin-inversion",
-)
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -123,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_options(p, formats=("json",))
 
     p = sub.add_parser("identity", help="check a transformation identity on random draws")
-    p.add_argument("--name", required=True, choices=IDENTITY_NAMES)
+    p.add_argument("--name", required=True, choices=tuple(IDENTITIES))
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-total-degree", type=int, default=4)
@@ -292,85 +282,88 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _identity_rows(args) -> list[dict]:
-    rng = random.Random(args.seed)
-    name = args.name
-    rows = []
+def _flat(draw, checker, arity: int):
+    """Table entry of an identity with one flat parameter list: one checked draw per row, and --params."""
+    def rows(args, rng):
+        return [{"params": [str(v) for v in params], "ok": checker(*params)}
+                for params in (draw(rng) for _ in range(args.draws))]
+    return rows, (arity, checker)
 
-    if args.params is not None:
-        try:
-            values = [Fraction(v) for v in args.params.split(",")]
-        except ZeroDivisionError as exc:
-            raise ValueError(f"--params has a zero denominator: {args.params!r}") from exc
-        arity, checker = {
-            "chu-vandermonde": (3, lambda v: check_chu_vandermonde(*v)),
-            "kummer": (5, lambda v: check_kummer(*v)),
-            "rakha-rathie": (7, lambda v: check_rakha_rathie(*v)),
-        }.get(name, (None, None))
-        if checker is None:
-            raise PreconditionError(f"--params is not supported for {name}")
-        if len(values) != arity:
-            raise ValueError(f"{name} takes {arity} --params values, got {len(values)}")
-        try:
-            ok = checker(values)
-            rows.append({"params": [str(v) for v in values], "ok": bool(ok)})
-        except (PreconditionError, PoleError) as exc:
-            rows.append({
-                "params": [str(v) for v in values],
-                "rejected": str(exc),
-            })
-        return rows
 
-    if name == "chu-vandermonde":
-        for _ in range(args.draws):
-            a, b, order = driver.draw_chu_vandermonde(rng)
-            rows.append({"params": [str(a), str(b), str(order)],
-                         "ok": check_chu_vandermonde(a, b, order)})
-    elif name == "kummer":
-        for _ in range(args.draws):
-            params = driver.draw_kummer(rng)
-            rows.append({"params": [str(v) for v in params], "ok": check_kummer(*params)})
-    elif name == "rakha-rathie":
-        for _ in range(args.draws):
-            params = driver.draw_rakha_rathie(rng)
-            rows.append({"params": [str(v) for v in params], "ok": check_rakha_rathie(*params)})
-    elif name == "karp-prilepkina":
-        for _ in range(args.draws):
-            a, f, m, b, k = driver.draw_karp_prilepkina(rng)
-            rows.append({
-                "params": [str(a), [str(v) for v in f], m, [str(v) for v in b], k],
-                "ok": check_karp_prilepkina(a, f, m, b, k),
-            })
-        for n in driver.compositions(min(args.max_total_degree, 4)):
-            ws = WeightSystem.hahn(
-                driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA,
-                min(sum(n) + 2, args.max_N),
-            )
-            for params in driver.kp_orthogonality_instances(ws, n):
-                a, f, m, b, k = params
-                rows.append({
-                    "params": [str(a), [str(v) for v in f], m, [str(v) for v in b], k],
-                    "instantiation": driver.instance_key(
-                        {"family": "hahn", "n": list(n), "N": ws.N}
-                    ),
-                    "ok": check_karp_prilepkina(a, f, m, b, k),
-                })
-    elif name == "hahn-summation":
-        for n in driver.compositions(args.max_total_degree):
-            for N in range(sum(n), args.max_N + 1):
-                ws = WeightSystem.hahn(driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA, N)
-                for j, ok in enumerate(oracle.check_hahn_summation_identity(ws, n)):
-                    rows.append({"params": {"n": list(n), "N": N, "j": j}, "ok": ok})
-    elif name == "mellin-inversion":
-        for _ in range(args.draws):
-            N = rng.randint(0, args.max_N)
-            ws = WeightSystem.hahn(driver.DEFAULT_ALPHAS[:1], driver.DEFAULT_BETA, N)
-            values = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(N + 1)]
-            rows.append({
-                "params": {"N": N, "values": [str(v) for v in values]},
-                "ok": oracle.check_discrete_mellin_inversion(ws, values),
-            })
+def _karp_prilepkina_row(params, **extra) -> dict:
+    a, f, m, b, k = params
+    return {"params": [str(a), [str(v) for v in f], m, [str(v) for v in b], k],
+            "ok": check_karp_prilepkina(a, f, m, b, k), **extra}
+
+
+def _karp_prilepkina_rows(args, rng) -> list[dict]:
+    """Random draws, then the parameters of the Hahn orthogonality rows on the default exponents."""
+    rows = [_karp_prilepkina_row(driver.draw_karp_prilepkina(rng)) for _ in range(args.draws)]
+    for n in driver.compositions(min(args.max_total_degree, 4)):
+        ws = WeightSystem.hahn(
+            driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA, min(sum(n) + 2, args.max_N),
+        )
+        key = driver.instance_key({"family": "hahn", "n": list(n), "N": ws.N})
+        rows += (_karp_prilepkina_row(params, instantiation=key)
+                 for params in driver.kp_orthogonality_instances(ws, n))
     return rows
+
+
+def _hahn_summation_rows(args, rng) -> list[dict]:
+    """One row per (n, N, j) of the grid; the draws and the seed are not read."""
+    rows = []
+    for n in driver.compositions(args.max_total_degree):
+        for N in range(sum(n), args.max_N + 1):
+            ws = WeightSystem.hahn(driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA, N)
+            rows += ({"params": {"n": list(n), "N": N, "j": j}, "ok": ok}
+                     for j, ok in enumerate(oracle.check_hahn_summation_identity(ws, n)))
+    return rows
+
+
+def _mellin_inversion_rows(args, rng) -> list[dict]:
+    rows = []
+    for _ in range(args.draws):
+        N = rng.randint(0, args.max_N)
+        ws = WeightSystem.hahn(driver.DEFAULT_ALPHAS[:1], driver.DEFAULT_BETA, N)
+        values = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(N + 1)]
+        rows.append({
+            "params": {"N": N, "values": [str(v) for v in values]},
+            "ok": oracle.check_discrete_mellin_inversion(ws, values),
+        })
+    return rows
+
+
+#: Every identity name, in the order the command lists them: its rows builder
+#: (args, rng) -> rows, and (arity, checker) where --params may give the parameters.
+IDENTITIES = {
+    "chu-vandermonde": _flat(driver.draw_chu_vandermonde, check_chu_vandermonde, 3),
+    "kummer": _flat(driver.draw_kummer, check_kummer, 5),
+    "rakha-rathie": _flat(driver.draw_rakha_rathie, check_rakha_rathie, 7),
+    "karp-prilepkina": (_karp_prilepkina_rows, None),
+    "hahn-summation": (_hahn_summation_rows, None),
+    "mellin-inversion": (_mellin_inversion_rows, None),
+}
+
+
+def _identity_rows(args) -> list[dict]:
+    name = args.name
+    rows, flat = IDENTITIES[name]
+    if args.params is None:
+        return rows(args, random.Random(args.seed))
+    try:
+        values = [Fraction(v) for v in args.params.split(",")]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"--params has a zero denominator: {args.params!r}") from exc
+    if flat is None:
+        raise PreconditionError(f"--params is not supported for {name}")
+    arity, checker = flat
+    if len(values) != arity:
+        raise ValueError(f"{name} takes {arity} --params values, got {len(values)}")
+    params = [str(v) for v in values]
+    try:
+        return [{"params": params, "ok": bool(checker(*values))}]
+    except (PreconditionError, PoleError) as exc:
+        return [{"params": params, "rejected": str(exc)}]
 
 
 def cmd_identity(args) -> int:
@@ -472,8 +465,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return HANDLERS[args.command](args)
-    except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError,
-            IrreducibleGammaError) as exc:
+    except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError) as exc:
         sys.stdout.write(json.dumps(
             {"command": args.command, "error": str(exc), "kind": type(exc).__name__},
             sort_keys=True,

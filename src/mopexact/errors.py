@@ -19,7 +19,3 @@ class PreconditionError(ValueError):
 
 class SingularSystemError(ArithmeticError):
     """An orthogonality linear system turned out singular; admissible systems never do."""
-
-
-class IrreducibleGammaError(ArithmeticError):
-    """A value expected to reduce to a rational kept a transcendental gamma factor."""

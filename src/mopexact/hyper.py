@@ -9,23 +9,21 @@ Feriet double sum, and the Karp-Prilepkina decomposition) are implemented
 as boolean checkers that compare both sides exactly; each restricts one
 parameter to a nonpositive integer so that every gamma prefactor cancels
 to an exact rational under :meth:`GammaProduct.reduce`.  :func:`pfq` and
-:func:`eval_kdf` serve only these checkers: the generators and the verify
+:func:`kdf` serve only these checkers: the generators and the verify
 checks build their series as integer term-ratio rows
-(:func:`mopexact.gammaprod.ratio_row`).
+(:func:`mopexact.gammaprod.ratio_row`).  The two stay plain Fraction loops,
+one term at a time, on purpose: the tests compare the term-ratio rows
+against them, and rebuilt on ``ratio_row`` they would compare that code
+with itself.  No module on the verify path imports this one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonTerminatingSeriesError, PoleError, PreconditionError
 from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer
-
-
-def _params(values) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
 
 
 def _cutoff(params) -> int | None:
@@ -34,51 +32,7 @@ def _cutoff(params) -> int | None:
     return min(orders) if orders else None
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """A pFq series: numerator/denominator parameter lists and argument."""
-
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
-    argument: Fraction
-
-    @staticmethod
-    def of(numerator, denominator, argument) -> "HypergeometricSpec":
-        return HypergeometricSpec(_params(numerator), _params(denominator), as_fraction(argument))
-
-    def truncation_order(self) -> int | None:
-        return _cutoff(self.numerator)
-
-
-@dataclass(frozen=True)
-class KampeDeFerietSpec:
-    """A Kampe de Feriet double series.
-
-    Joint parameters enter as (a)_{l+m}; the left groups follow the first
-    summation index l, the right groups the second index m.  Both indices
-    must be cut off by a nonpositive integer in the joint or the matching
-    one-sided numerator group.
-    """
-
-    joint_num: tuple[Fraction, ...]
-    left_num: tuple[Fraction, ...]
-    right_num: tuple[Fraction, ...]
-    joint_den: tuple[Fraction, ...]
-    left_den: tuple[Fraction, ...]
-    right_den: tuple[Fraction, ...]
-    x: Fraction
-    y: Fraction
-
-    @staticmethod
-    def of(joint_num, left_num, right_num, joint_den, left_den, right_den, x, y) -> "KampeDeFerietSpec":
-        return KampeDeFerietSpec(
-            _params(joint_num), _params(left_num), _params(right_num),
-            _params(joint_den), _params(left_den), _params(right_den),
-            as_fraction(x), as_fraction(y),
-        )
-
-
-def eval_pfq(spec: HypergeometricSpec) -> Fraction:
+def pfq(numerator, denominator, argument) -> Fraction:
     """Exact value of a terminating pFq series.
 
     Raises NonTerminatingSeriesError when no numerator parameter truncates
@@ -86,63 +40,70 @@ def eval_pfq(spec: HypergeometricSpec) -> Fraction:
     summed range (a zero denominator is a hard parameter error, never a
     silently skipped term).
     """
-    order = spec.truncation_order()
+    numerator = tuple(as_fraction(a) for a in numerator)
+    denominator = tuple(as_fraction(d) for d in denominator)
+    argument = as_fraction(argument)
+    order = _cutoff(numerator)
     if order is None:
-        raise NonTerminatingSeriesError(f"no nonpositive-integer numerator parameter in {spec.numerator}")
+        raise NonTerminatingSeriesError(f"no nonpositive-integer numerator parameter in {numerator}")
     total = Fraction(1)
     term = Fraction(1)
     for l in range(order):
         top = Fraction(1)
-        for a in spec.numerator:
+        for a in numerator:
             top *= a + l
         bottom = Fraction(l + 1)
-        for d in spec.denominator:
+        for d in denominator:
             bottom *= d + l
         if bottom == 0:
-            raise PoleError(f"denominator pochhammer vanishes at term {l + 1} of {spec.denominator}")
-        term = term * top * spec.argument / bottom
+            raise PoleError(f"denominator pochhammer vanishes at term {l + 1} of {denominator}")
+        term = term * top * argument / bottom
         total += term
     return total
 
 
-def pfq(numerator, denominator, argument) -> Fraction:
-    return eval_pfq(HypergeometricSpec.of(numerator, denominator, argument))
-
-
-def eval_kdf(spec: KampeDeFerietSpec) -> Fraction:
+def kdf(joint_num, left_num, right_num, joint_den, left_den, right_den, x, y) -> Fraction:
     """Exact value of a doubly terminating Kampe de Feriet series.
 
-    Terms outside the support of the joint numerator factors vanish through
-    a zero numerator and are skipped before any division; a zero denominator
-    under a nonzero numerator raises PoleError.  A zero argument truncates
-    its index on its own.
+    Joint parameters enter as (a)_{l+m}; the left groups follow the first
+    summation index l, the right groups the second index m.  Both indices
+    must be cut off by a nonpositive integer in the joint or the matching
+    one-sided numerator group; a zero argument truncates its index on its
+    own.  Terms outside the support of the joint numerator factors vanish
+    through a zero numerator and are skipped before any division; a zero
+    denominator under a nonzero numerator raises PoleError.
     """
-    l_max = 0 if spec.x == 0 else _cutoff(spec.joint_num + spec.left_num)
-    m_max = 0 if spec.y == 0 else _cutoff(spec.joint_num + spec.right_num)
+    joint_num, left_num, right_num, joint_den, left_den, right_den = (
+        tuple(as_fraction(v) for v in group)
+        for group in (joint_num, left_num, right_num, joint_den, left_den, right_den)
+    )
+    x, y = as_fraction(x), as_fraction(y)
+    l_max = 0 if x == 0 else _cutoff(joint_num + left_num)
+    m_max = 0 if y == 0 else _cutoff(joint_num + right_num)
     if l_max is None or m_max is None:
         raise NonTerminatingSeriesError("both summation indices must be cut off by a nonpositive integer")
     total = Fraction(0)
     for l in range(l_max + 1):
         for m in range(m_max + 1):
             top = Fraction(1)
-            for a in spec.joint_num:
+            for a in joint_num:
                 top *= pochhammer(a, l + m)
-            for b in spec.left_num:
+            for b in left_num:
                 top *= pochhammer(b, l)
-            for c in spec.right_num:
+            for c in right_num:
                 top *= pochhammer(c, m)
             if top == 0:
                 continue
             bottom = Fraction(math.factorial(l)) * math.factorial(m)
-            for d in spec.joint_den:
+            for d in joint_den:
                 bottom *= pochhammer(d, l + m)
-            for e in spec.left_den:
+            for e in left_den:
                 bottom *= pochhammer(e, l)
-            for f in spec.right_den:
+            for f in right_den:
                 bottom *= pochhammer(f, m)
             if bottom == 0:
                 raise PoleError(f"denominator pochhammer vanishes at (l, m) = ({l}, {m})")
-            total += top * spec.x**l * spec.y**m / bottom
+            total += top * x**l * y**m / bottom
     return total
 
 
@@ -197,7 +158,7 @@ def check_rakha_rathie(alpha, lam, eps, beta, gamma, mu, delta) -> bool:
     )
     if not is_nonpositive_integer(alpha):
         raise PreconditionError("alpha must be a nonpositive integer")
-    lhs = eval_kdf(KampeDeFerietSpec.of(
+    lhs = kdf(
         joint_num=(alpha, lam),
         left_num=(eps,),
         right_num=(beta - eps, gamma),
@@ -205,7 +166,7 @@ def check_rakha_rathie(alpha, lam, eps, beta, gamma, mu, delta) -> bool:
         left_den=(),
         right_den=(delta,),
         x=1, y=1,
-    ))
+    )
     prefactor = _rational_gamma_quotient((mu, mu - alpha - lam), (mu - alpha, mu - lam))
     rhs = prefactor * pfq(
         (alpha, lam, beta - eps, delta - gamma),

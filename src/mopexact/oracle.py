@@ -18,11 +18,13 @@ Every Hahn lattice sum is an integer dot product of two lattice rows
 (``ws.weight_table``, ``lattice_table`` or ``poly.lattice_values`` rows or
 their products) divided once (:func:`pair`), and so is every continuous
 pairing, against each weight's power moments (``ws.moment_rows``, one integer
-row per weight built once per weight system); the tables last only as long as
-the objects that own them.  Both solves take primitive integer rows
-(:func:`primitive`): type II conditions each over its content; type I columns,
-then rows, over theirs, with the contents, the moment scale and denominators
-folded into one rational back-scale per unknown.  The Hahn summation identity
+row per weight built once per weight system).  The monomial and backward
+tables the checks share with the solves are kept on the weight system too
+(:func:`_table`); every table lasts only as long as the object that owns it.
+Both solves take primitive integer rows (:func:`primitive`): type II
+conditions each over its content; type I columns, then rows, over theirs,
+with the contents, the moment scale and denominators folded into one
+rational back-scale per unknown.  The Hahn summation identity
 sums integer term-ratio rows; nothing here evaluates a :func:`mopexact.hyper.pfq` series.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .errors import AdmissibilityError, IrreducibleGammaError, PoleError, PreconditionError
+from .errors import AdmissibilityError, PoleError, PreconditionError
 from .gammaprod import as_fraction, is_nonpositive_integer, ratio_row, rising_product
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import solve_linear_system
@@ -89,9 +91,6 @@ class OrthogonalityReport:
     target.
     """
 
-    family: str
-    n: MultiIndex
-    parameters: tuple
     residuals: dict
     normalization: Fraction | None
     normalization_target: Fraction | None
@@ -105,37 +104,32 @@ class OrthogonalityReport:
         return self.normalization == self.normalization_target
 
 
-def _ws_parameters(ws: WeightSystem) -> tuple:
-    parameters = [("alpha", ",".join(str(a) for a in ws.alpha))]
-    if ws.beta is not None:
-        parameters.append(("beta", str(ws.beta)))
-    if ws.N is not None:
-        parameters.append(("N", str(ws.N)))
-    return tuple(parameters)
+def _table(ws: WeightSystem, basis: Basis, degree: int) -> list[LatticeRow]:
+    """:func:`lattice_table` of basis up to degree on the Hahn lattice, built once per weight system."""
+    return ws.kept(("lattice_table", basis, degree), lambda: lattice_table(basis, degree, ws.N))
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
-    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly."""
+    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly; the polynomial carries the empty scale 1."""
     ws.validate_index(n)
-    scale_rational, scale_gamma = poly.scale.reduce()
-    if not scale_gamma.is_one():
-        raise IrreducibleGammaError("type II polynomials carry a rational scale")
+    if not poly.scale.is_one():
+        raise PreconditionError("type II polynomials carry the scale 1")
     residuals = {}
     if ws.family is Family.HAHN:
         values = poly.lattice_values(ws.N)
-        powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
+        powers = _table(ws, Basis.monomial(), max(n) - 1)
         for i in range(ws.p):
             weighted = row_product(values, ws.weight_table[i])
             for j in range(n[i]):
-                residuals[(i, j)] = pair(powers[j], weighted) * scale_rational
+                residuals[(i, j)] = pair(powers[j], weighted)
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        coefficients = integer_row(poly.coefficients, scale_rational.as_integer_ratio())
+        coefficients = integer_row(poly.coefficients)
         for i, (nums, den) in enumerate(ws.moment_rows(max(n) + len(poly.coefficients) - 1)):
             for j in range(n[i]):
                 residuals[(i, j)] = pair(coefficients, (nums[j:], den))
-    return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, None, None)
+    return OrthogonalityReport(residuals, None, None)
 
 
 def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
@@ -152,8 +146,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[Frac
     families.require_type1_scales(ws, vec, total)
     if ws.family is Family.HAHN:
         form = _hahn_linear_form(ws, vec)
-        basis = Basis.backward_pochhammer(ws.beta, ws.N)
-        return [pair(row, form) for row in lattice_table(basis, total - 1, ws.N)]
+        return [pair(row, form) for row in _table(ws, Basis.backward_pochhammer(ws.beta, ws.N), total - 1)]
     moments = ws.moment_rows(total + max(len(comp.coefficients) for comp in vec.components) - 1)
     terms = []
     for i, comp in enumerate(vec.components):
@@ -181,7 +174,7 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     *rows, normalization = _type1_pairings(ws, vec, total)
     residuals = {(None, j): value for j, value in enumerate(rows)}
     target = Fraction(-1) ** (total - 1) if ws.family is Family.HAHN else Fraction(1)
-    return OrthogonalityReport(ws.family.value, tuple(n), _ws_parameters(ws), residuals, normalization, target)
+    return OrthogonalityReport(residuals, normalization, target)
 
 
 def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
@@ -197,7 +190,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
         # integer Gram rows: each condition is scaled by its weight row's denominator
         basis, lead = Basis.falling_factorial(), (-1) ** total
         falling = [nums for nums, _ in lattice_table(basis, total, ws.N)]
-        powers = [nums for nums, _ in lattice_table(Basis.monomial(), max(n) - 1, ws.N)]
+        powers = [nums for nums, _ in _table(ws, Basis.monomial(), max(n) - 1)]
         conditions = []
         for i in range(ws.p):
             weighted = [tuple(map(operator.mul, row, ws.weight_table[i][0])) for row in falling]
@@ -226,7 +219,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
         # entry (j, (i, k)): backward row j paired with weighted column (i, k), times row j's denominator
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
         columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-        backward = lattice_table(Basis.backward_pochhammer(ws.beta, ws.N), total - 1, ws.N)
+        backward = _table(ws, Basis.backward_pochhammer(ws.beta, ws.N), total - 1)
         matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns] for nums, _ in backward]
         scales = [((-1) ** (total - 1) * den * backward[-1][1], 1) for _, den in columns]
     else:

@@ -350,14 +350,26 @@ class TestIdentityCommand:
         assert code == 0
         assert json.loads(out)["summary"]["fail"] == 0
 
-    def test_hahn_summation_digest(self, capsys):
-        # golden output of the default hahn-summation grid, recorded while every
-        # row was still one pfq per (weight, row)
-        code, out = run_cli(capsys, "identity", "--name", "hahn-summation")
+    @pytest.mark.parametrize("argv, digest", [
+        (("chu-vandermonde",), "48f5eb4d3bd73859f4987da07dd123f5bf627dfd6e4db3e850889ca95beb0a22"),
+        (("kummer",), "9db0199fc0dc9870a8bfcb8e30e2d130ec427cbce751046b3a932a3d43b4c698"),
+        (("rakha-rathie",), "e9e5ba784c07f06d8f1c91b39b16458db53e31f99b8626a243ccc0993f0cdcc6"),
+        (("karp-prilepkina",), "7eb2e7b8033cac9832358a73b3c4b62083f29581a34d6dd11c0ad9f7748a8ca7"),
+        # recorded while every row was still one pfq per (weight, row)
+        (("hahn-summation",), "f70a7b11eaa5cc9d6905b50a43097b5660a6418f2178c90dff2441dd0b219cab"),
+        (("mellin-inversion",), "49a5fa90d017e1ac7840d1f61dfae86a6c8790717f08656507423e9a037f8c12"),
+        (("kummer", "--params=-2,1/5,2/5,3/2,9/2"),
+         "9a63e2e453bd7457dd15272f212814844d05c2ec122dfea566c78cddc48c77da"),
+        (("kummer", "--params=1/2,1/3,1/5,5/4,7/3"),
+         "53756ffd3694f9dcab487b37384a8ace549d697326b76420deb58cd887dba5f4"),
+    ], ids=["chu-vandermonde", "kummer", "rakha-rathie", "karp-prilepkina", "hahn-summation",
+            "mellin-inversion", "params-accepted", "params-rejected"])
+    def test_identity_digest(self, capsys, argv, digest):
+        # golden output of every identity name's default draws and of one accepted
+        # and one rejected --params row
+        code, out = run_cli(capsys, "identity", "--name", *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "f70a7b11eaa5cc9d6905b50a43097b5660a6418f2178c90dff2441dd0b219cab"
-        )
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_seeded_determinism(self, capsys):
         argv = ("identity", "--name", "karp-prilepkina", "--draws", "25", "--seed", "3")

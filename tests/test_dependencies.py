@@ -43,6 +43,45 @@ def test_scanner_sees_every_import_form():
     assert _imported_roots(tree) == {"numpy", "sympy", "flint"}
 
 
+#: The modules `verify` runs; the hypergeometric series of `hyper` serve the identity command only.
+VERIFY_PATH = ("driver", "oracle", "families", "residues", "weights", "polybasis", "linalg", "gammaprod")
+
+
+def _imported_package_modules(tree: ast.AST) -> set[str]:
+    """Modules of this package that a source imports: relative imports and mopexact.* imports."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[1] for alias in node.names
+                           if alias.name.startswith("mopexact."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "mopexact" and not module.startswith("mopexact."):
+                    continue
+                module = module.removeprefix("mopexact").removeprefix(".")
+            if module:
+                modules.add(module.split(".")[0])
+            else:
+                modules.update(alias.name for alias in node.names)
+    return modules
+
+
+def test_verify_path_does_not_import_hyper():
+    importers = [
+        name for name in VERIFY_PATH
+        if "hyper" in _imported_package_modules(ast.parse((PACKAGE / f"{name}.py").read_text()))
+    ]
+    assert importers == []
+
+
+def test_package_import_scanner_sees_every_form():
+    for source in ("from .hyper import pfq", "from . import hyper", "from mopexact.hyper import kdf",
+                   "from mopexact import hyper", "import mopexact.hyper"):
+        assert _imported_package_modules(ast.parse(source)) == {"hyper"}, source
+    assert _imported_package_modules(ast.parse("from .gammaprod import ratio_row\nimport math")) == {"gammaprod"}
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     # the child imports the same mopexact as this process, also under a bare `pytest`
     src = os.path.dirname(os.path.dirname(mopexact.__file__))

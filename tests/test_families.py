@@ -16,7 +16,7 @@ from mopexact import (
     type2,
 )
 from mopexact import families, oracle
-from mopexact.hyper import KampeDeFerietSpec, eval_kdf
+from mopexact.hyper import kdf
 from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws
 
 F = Fraction
@@ -38,7 +38,7 @@ def kdf_per_point(ws, n, i, x) -> Fraction:
     prefactor *= pochhammer(a_hat + beta + n_hat + 1, tot - 1)
     prefactor /= pochhammer(a_i - a_hat - n_hat + 1, tot - 1)
 
-    series = eval_kdf(KampeDeFerietSpec.of(
+    series = kdf(
         joint_num=(-n_i + 1, F(-N)),
         left_num=(a_hat - a_i - n_i + 1,),
         right_num=(a_i + beta + tot, a_i - a_hat - n_hat + 1, F(-x)),
@@ -46,7 +46,7 @@ def kdf_per_point(ws, n, i, x) -> Fraction:
         left_den=(),
         right_den=(a_i + 1, F(-N)),
         x=1, y=1,
-    ))
+    )
     return prefactor * series
 
 

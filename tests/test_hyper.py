@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import (
-    HypergeometricSpec,
-    KampeDeFerietSpec,
     NonTerminatingSeriesError,
     PoleError,
     PreconditionError,
@@ -15,8 +13,8 @@ from mopexact import (
     check_karp_prilepkina,
     check_kummer,
     check_rakha_rathie,
-    eval_kdf,
-    eval_pfq,
+    kdf,
+    pfq,
 )
 from mopexact.driver import (
     draw_chu_vandermonde,
@@ -24,7 +22,6 @@ from mopexact.driver import (
     draw_kummer,
     draw_rakha_rathie,
 )
-from mopexact.hyper import pfq
 from conftest import series_term
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
@@ -59,8 +56,7 @@ class TestEvalPfq:
            order=st.integers(0, 6))
     @settings(max_examples=100, deadline=None)
     def test_argument_zero_gives_one(self, num, den, order):
-        spec = HypergeometricSpec.of(tuple(num) + (-order,), tuple(den), 0)
-        assert eval_pfq(spec) == 1
+        assert pfq(tuple(num) + (-order,), tuple(den), 0) == 1
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -83,32 +79,23 @@ class TestEvalPfq:
 class TestEvalKdf:
     def test_all_empty_at_origin(self):
         # only the (l, m) = (0, 0) term survives
-        spec = KampeDeFerietSpec.of((), (), (), (), (), (), 0, 0)
-        assert eval_kdf(spec) == 1
+        assert kdf((), (), (), (), (), (), 0, 0) == 1
 
     def test_non_terminating(self):
-        spec = KampeDeFerietSpec.of((Fraction(1, 2),), (), (), (), (), (), 1, 1)
         with pytest.raises(NonTerminatingSeriesError):
-            eval_kdf(spec)
+            kdf((Fraction(1, 2),), (), (), (), (), (), 1, 1)
 
     def test_zero_on_both_sides(self):
-        spec = KampeDeFerietSpec.of(
-            (Fraction(5, 2),), (0,), (0,), (Fraction(1, 2),), (), (), 1, 1
-        )
-        assert eval_kdf(spec) == 1
+        assert kdf((Fraction(5, 2),), (0,), (0,), (Fraction(1, 2),), (), (), 1, 1) == 1
 
     def test_degenerates_to_pfq(self):
         # empty joint and right groups with y = 0 leave a single pFq in x
         num = (-5, Fraction(2, 3))
         den = (Fraction(7, 5),)
-        spec = KampeDeFerietSpec.of((), num, (), (), den, (), Fraction(3, 4), 0)
-        assert eval_kdf(spec) == pfq(num, den, Fraction(3, 4))
+        assert kdf((), num, (), (), den, (), Fraction(3, 4), 0) == pfq(num, den, Fraction(3, 4))
 
     def test_joint_termination_bounds_both_indices(self):
-        spec = KampeDeFerietSpec.of(
-            (-2, Fraction(1, 2)), (), (), (Fraction(4, 3),), (), (), 1, 1
-        )
-        value = eval_kdf(spec)
+        value = kdf((-2, Fraction(1, 2)), (), (), (Fraction(4, 3),), (), (), 1, 1)
         assert isinstance(value, Fraction)
 
 

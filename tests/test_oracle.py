@@ -23,10 +23,10 @@ from mopexact import (
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import AdmissibilityError, Family, GammaProduct, IrreducibleGammaError, WeightSystem, families, oracle
+from mopexact import AdmissibilityError, Family, GammaProduct, WeightSystem, families, oracle
 from mopexact.weights import total_degree
 from mopexact.linalg import interpolate, solve_linear_system
-from mopexact.driver import apply_fault, compositions
+from mopexact.driver import apply_fault, compositions, run_instance
 from mopexact.polybasis import lattice_table, row_product
 from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, scaled_values_equal
 
@@ -63,7 +63,7 @@ def scale_reduction(ws, scale: GammaProduct, i: int) -> Fraction:
     """Rational value of component-scale times moment-gamma, by reducing the gamma product."""
     rational, leftover = (scale * moment_gamma(ws, i)).reduce()
     if not leftover.is_one():
-        raise IrreducibleGammaError(f"scale x moment gamma did not reduce to a rational: {leftover}")
+        raise AssertionError(f"scale x moment gamma did not reduce to a rational: {leftover}")
     return rational
 
 
@@ -289,6 +289,30 @@ class TestType2Reports:
         report = check_type2_orthogonality(ws, (1, 1), bumped)
         assert not report.passed
         assert any(v != 0 for v in report.residuals.values())
+
+    @pytest.mark.parametrize("ws", [jacobi_pineiro_ws(2), hahn_ws(2, 4)], ids=["jacobi-pineiro", "hahn"])
+    def test_scale_other_than_one_rejected(self, ws):
+        # Gamma(3/2) / Gamma(1/2) is the rational 1/2, but the check compares the scale, it does not reduce it
+        poly = families.type2(ws, (1, 1))
+        halved = ScaledPolynomial(poly.basis, poly.coefficients,
+                                  GammaProduct.from_factors([(F(3, 2), 1), (F(1, 2), -1)]))
+        with pytest.raises(PreconditionError, match="scale 1"):
+            check_type2_orthogonality(ws, (1, 1), halved)
+
+    def test_hahn_tables_built_once_per_instance(self, monkeypatch):
+        # the checks and the solves share the monomial and backward tables of the weight system
+        built = []
+
+        def counting(basis, degree, N):
+            built.append((basis, degree))
+            return lattice_table(basis, degree, N)
+
+        monkeypatch.setattr(oracle, "lattice_table", counting)
+        record = run_instance({"family": "hahn", "alpha": ["1/2", "1/3"], "beta": "1/4", "n": [2, 1], "N": 5})
+        assert record["pass"]
+        kinds = [basis.kind for basis, _ in built]
+        assert kinds.count(BasisKind.MONOMIAL) == kinds.count(BasisKind.BACKWARD_POCHHAMMER) == 1
+        assert len(built) == len(set(built))
 
 
 class TestType1Reports:
