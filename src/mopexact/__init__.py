@@ -25,7 +25,6 @@ from .families import (
 )
 from .gammaprod import (
     GammaProduct,
-    Rational,
     as_fraction,
     pochhammer,
 )
@@ -50,7 +49,6 @@ from .oracle import (
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, eval_polynomial
 from .residues import (
     check_residue_duality,
-    interpolation_recover_p,
     recovered_constant_closed_form,
     verify_type2_series_equivalence,
 )

@@ -297,9 +297,9 @@ def _karp_prilepkina_row(params, **extra) -> dict:
 
 
 def _karp_prilepkina_rows(args, rng) -> list[dict]:
-    """Random draws, then the parameters of the Hahn orthogonality rows on the default exponents."""
+    """Random draws, then the parameters of the Hahn orthogonality rows on the default exponents, |n| <= --max-N."""
     rows = [_karp_prilepkina_row(driver.draw_karp_prilepkina(rng)) for _ in range(args.draws)]
-    for n in driver.compositions(min(args.max_total_degree, 4)):
+    for n in driver.compositions(min(args.max_total_degree, 4, args.max_N)):
         ws = WeightSystem.hahn(
             driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA, min(sum(n) + 2, args.max_N),
         )

@@ -8,8 +8,10 @@ each component: monomial coefficients with a gamma scale for Laguerre and
 Jacobi-Pineiro, and rational coefficients in the shifted rising basis
 (x + alpha_i + 1)_l for Hahn.  Every closed-form row, here and in the
 Hahn-only cross checks, is built in integers by its term ratio
-(:func:`~mopexact.gammaprod.ratio_row`) and divided once per entry; its parameters are
-integers over one denominator Q, and each prefactor is one :func:`~mopexact.gammaprod.rising_product`.
+(:func:`~mopexact.gammaprod.ratio_row`) and kept as integers over one
+denominator: a polynomial carries it as its row, a cross check returns it as
+a lattice row.  Its parameters are integers over one denominator Q, and each
+prefactor is one :func:`~mopexact.gammaprod.rising_product`.
 
 Component i of a type I vector is defined as the zero polynomial whenever
 n_i = 0; the closed forms contain (n_i - 1)! and are invoked only for
@@ -25,8 +27,8 @@ import math
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, ratio_row, ratio_terms, rising, rising_product, row_values
-from .polybasis import Basis, ScaledPolynomial, TypeIVector
+from .gammaprod import GammaProduct, ratio_row, ratio_terms, rising, rising_product
+from .polybasis import Basis, LatticeRow, ScaledPolynomial, TypeIVector, reduced_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -75,7 +77,7 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
 
     The multi-sum of :func:`_type2_coefficients` times (-1)^|n| (not for
     Hahn) prod_q (alpha_q+1)_{n_q} / prod_q (alpha_q+beta+|n|+1)_{n_q} (not
-    for Laguerre), divided once per coefficient.  The Hahn polynomial is
+    for Laguerre), as one integer row.  The Hahn polynomial is
     monic in that its leading monomial coefficient is 1.
     """
     ws.validate_index(n)
@@ -87,7 +89,7 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
         1 if ws.family is Family.HAHN else (-1) ** total)
     nums, den = _type2_coefficients(ws, n)
     basis = Basis.falling_factorial() if ws.family is Family.HAHN else Basis.monomial()
-    return ScaledPolynomial(basis, row_values(nums, den * bottom, top))
+    return ScaledPolynomial(basis, row=([top * v for v in nums], den * bottom))
 
 
 def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
@@ -98,27 +100,39 @@ def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
     Gamma(alpha_i+beta+|n|) / (Gamma(beta+|n|) Gamma(alpha_i+1)) for
     Jacobi-Pineiro, and the empty product for Hahn (whose normalized weights
     are already rational on the lattice).  Built once per weight system,
-    weight and |n| (:meth:`WeightSystem.kept`).
+    weight and |n| (:meth:`WeightSystem.kept`), its arguments merged and
+    sorted as integers over Q, in the canonical order :meth:`GammaProduct.from_factors` gives.
     """
     if ws.family is Family.HAHN:
         return GammaProduct.one()
-    return ws.kept(("type1_scale", i, total), lambda: GammaProduct.from_factors([(ws.alpha[i] + 1, -1)] + (
-        [(ws.alpha[i] + ws.beta + total, 1), (ws.beta + total, -1)] if ws.family is Family.JACOBI_PINEIRO else [])))
+
+    def build():
+        Q, alpha, beta = ws.integer_parameters
+        merged = {alpha[i] + Q: -1}
+        if ws.family is Family.JACOBI_PINEIRO:
+            for argument, exponent in ((alpha[i] + beta + total * Q, 1), (beta + total * Q, -1)):
+                merged[argument] = merged.get(argument, 0) + exponent
+        return GammaProduct(tuple((Fraction(a, Q), e) for a, e in sorted(merged.items()) if e))
+
+    return ws.kept(("type1_scale", i, total), build)
 
 
 def require_type1_scales(ws: WeightSystem, vec: TypeIVector, total: int) -> None:
     """PreconditionError unless every component with coefficients carries :func:`type1_scale`.
 
     The checks read a component's scale as a rational against this canonical
-    gamma, so the factor tuples are compared and nothing is reduced."""
+    gamma, so the factor tuples are compared (the generators' own scale object
+    first) and nothing is reduced."""
     for i, comp in enumerate(vec.components):
-        if comp.coefficients and comp.scale != type1_scale(ws, i, total):
+        canonical = type1_scale(ws, i, total) if comp.row[0] else comp.scale
+        if comp.scale is not canonical and comp.scale != canonical:
             raise PreconditionError(f"component {i} does not carry the canonical type I scale")
 
 
 def type1_basis(ws: WeightSystem, i: int) -> Basis:
+    """Basis of type I component i, built once per weight system and weight."""
     if ws.family is Family.HAHN:
-        return Basis.shifted_rising(ws.alpha[i] + 1)
+        return ws.kept(("type1_basis", i), lambda: Basis.shifted_rising(ws.alpha[i] + 1))
     return Basis.monomial()
 
 
@@ -132,9 +146,10 @@ def _guard_type1_normalization(ws: WeightSystem, n: MultiIndex) -> None:
     """
     if ws.family is not Family.JACOBI_PINEIRO:
         return
+    Q, alpha, beta = ws.integer_parameters
     total = total_degree(n)
     for i in range(ws.p):
-        if n[i] >= 1 and ws.alpha[i] + ws.beta + total == 0:
+        if n[i] >= 1 and alpha[i] + beta + total * Q == 0:
             raise PoleError(
                 f"degenerate type I normalization: alpha_{i} + beta + |n| = 0"
             )
@@ -150,8 +165,8 @@ def _type1_factors(ws: WeightSystem, n: MultiIndex) -> tuple[list, list]:
     return shifted, gaps
 
 
-def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int, factors=None) -> tuple[Fraction, ...]:
-    """Rational coefficients of type I component i (requires n_i >= 1).
+def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int, factors=None) -> tuple[list[int], int]:
+    """Coefficients of type I component i (requires n_i >= 1) as integers over one denominator.
 
     Coefficient k is a prefactor times the term
         (1-n_i)_k / (k! (alpha_i+1)_k) prod_{j!=i} (alpha_i-alpha_j-n_j+1)_k / (alpha_i-alpha_j+1)_k
@@ -179,7 +194,7 @@ def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int, facto
         downs.append(alpha[i] + beta + (ws.N + 2) * Q)
     top, bottom = rising_product(Q, (), lattice, top, bottom)
     nums, den = ratio_row(ups, downs, n[i], Q)
-    return row_values(nums, den * bottom, top)
+    return [top * v for v in nums], den * bottom
 
 
 def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
@@ -194,15 +209,13 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     factors = _type1_factors(ws, n)
     components = []
     for i in range(ws.p):
-        coeffs = _type1_component_coefficients(ws, n, i, factors) if n[i] >= 1 else ()
-        components.append(ScaledPolynomial(
-            type1_basis(ws, i), coeffs, type1_scale(ws, i, total_degree(n))
-        ))
+        row = _type1_component_coefficients(ws, n, i, factors) if n[i] >= 1 else ((), 1)
+        components.append(ScaledPolynomial(type1_basis(ws, i), scale=type1_scale(ws, i, total_degree(n)), row=row))
     return TypeIVector(tuple(components))
 
 
-def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction, ...]:
-    """Two-weight Hahn type I component i at x = 0..N via its double-sum representation.
+def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
+    """Two-weight Hahn type I component i at x = 0..N via its double-sum representation, as one lattice row.
 
     Only defined for p = 2.  The terminating Kampe de Feriet double series
     (a = alpha_i, a^ = alpha_other, likewise for n)
@@ -239,8 +252,8 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[Fraction
         (-1) ** m * r * sum(joint[l + m] * left[l] for l in range(n_i - m))
         for m, r in enumerate(right)
     ]
-    values = [sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)]
-    return row_values(values, joint_den * left_den * right_den * bottom, top)
+    return ([top * sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)],
+            joint_den * left_den * right_den * bottom)
 
 
 def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[tuple[int, int], list[int], list[int]]:
@@ -271,8 +284,8 @@ def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool
     return rising_product(Q, above, below, (-1) ** total, bottom), nums, dens
 
 
-def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fraction, ...]:
-    """Weighted type II lattice values at x = 0..N via their terminating series, exactly.
+def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> LatticeRow:
+    """Weighted type II lattice values at x = 0..N via their terminating series, as one lattice row.
 
     Entry x is the rational r with Q(x) * Gamma(N-x+beta+1)/Gamma(N-x+1)
     equal to r * Gamma(beta+1); equivalently r = Q(x) * (beta+1)_{N-x} / (N-x)!.
@@ -288,8 +301,8 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> tuple[Fractio
     (top, bottom), nums, dens = _type2_series(ws, n, ws.N + 1, factorials=False)
     den = dens[-1]  # each running denominator divides the last
     series = [v * (den // d) for v, d in zip(nums, dens)]
-    values = [sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1])) for x in range(ws.N + 1)]
-    return row_values(values, den * bottom, top)
+    return reduced_row([top * sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1]))
+                        for x in range(ws.N + 1)], den * bottom)  # den, a running denominator, may be negative
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:
@@ -301,12 +314,10 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws_hahn.validate_index(n)
-    p = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).coefficients
+    jacobi, jacobi_den = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).row
+    hahn, hahn_den = poly.row
     total = total_degree(n)
     N = ws_hahn.N
-    for k in range(total + 1):  # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied
-        hahn, jacobi = poly.coefficients[k], p[k]
-        if hahn.numerator * jacobi.denominator * math.factorial(N - total) != (
-                (-1) ** k * math.factorial(N - k) * jacobi.numerator * hahn.denominator):
-            return False
-    return True
+    # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied
+    return all(hahn[k] * jacobi_den * math.factorial(N - total)
+               == (-1) ** k * math.factorial(N - k) * jacobi[k] * hahn_den for k in range(total + 1))

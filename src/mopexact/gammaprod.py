@@ -28,10 +28,6 @@ from fractions import Fraction
 
 from .errors import PoleError
 
-#: The universal exact scalar type of the package.
-Rational = Fraction
-
-
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -122,12 +118,6 @@ def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
     return ([-v for v in row], -den) if den < 0 else (row, den)
 
 
-def row_values(nums, den: int, factor=1) -> tuple[Fraction, ...]:
-    """factor * nums / den entrywise: one Fraction, so one reduction, per entry."""
-    top, bottom = factor.as_integer_ratio()
-    return tuple(Fraction(top * v, bottom * den) for v in nums)
-
-
 @dataclass(frozen=True)
 class GammaProduct:
     """Formal product prod_t Gamma(argument_t)**exponent_t, arguments rational.
@@ -155,15 +145,6 @@ class GammaProduct:
             merged[argument] = merged.get(argument, 0) + exponent
         kept = tuple(sorted((a, e) for a, e in merged.items() if e != 0))
         return GammaProduct(kept)
-
-    def __mul__(self, other: "GammaProduct") -> "GammaProduct":
-        return GammaProduct.from_factors(self.factors + other.factors)
-
-    def __pow__(self, k: int) -> "GammaProduct":
-        return GammaProduct.from_factors((a, e * k) for a, e in self.factors)
-
-    def __truediv__(self, other: "GammaProduct") -> "GammaProduct":
-        return self * other**-1
 
     def is_one(self) -> bool:
         return not self.factors

@@ -1,4 +1,4 @@
-"""Exact dense linear solves and interpolation over the rationals.
+"""Exact dense linear solves over the rationals.
 
 Linear systems are solved fraction-free (Bareiss 1968): every elimination
 step divides exactly by the previous pivot, and back substitution runs in
@@ -50,29 +50,3 @@ def solve_linear_system(matrix, rhs) -> list[Fraction]:
         num[r] = acc // row[r]
     return [Fraction(v, prev) for v in num]
 
-
-def interpolate(points) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the unique polynomial through the given points.
-
-    Newton's divided differences over exact rationals; nodes must be
-    distinct.  Returns len(points) coefficients (degree <= len(points) - 1).
-    """
-    nodes = [Fraction(x) for x, _ in points]
-    values = [Fraction(y) for _, y in points]
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("interpolation nodes must be distinct")
-    n = len(nodes)
-    divided = list(values)
-    for level in range(1, n):
-        for j in range(n - 1, level - 1, -1):
-            divided[j] = (divided[j] - divided[j - 1]) / (nodes[j] - nodes[j - level])
-    coeffs = [Fraction(0)] * n
-    for level in range(n - 1, -1, -1):
-        # multiply accumulated polynomial by (x - nodes[level]) and add divided[level]
-        carry = [Fraction(0)] * n
-        for j in range(n - 1):
-            carry[j + 1] += coeffs[j]
-            carry[j] -= nodes[level] * coeffs[j]
-        coeffs = carry
-        coeffs[0] += divided[level]
-    return tuple(coeffs)

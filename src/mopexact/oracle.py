@@ -9,7 +9,8 @@ conditions alone.  Agreement between these solvers and the generators in
 :mod:`mopexact.families` is the package's central correctness claim.
 
 Residuals reported here are rational cofactors of the weight's moment gamma,
-which never vanishes.  A type I component must carry the canonical scale of
+which never vanishes; an exact zero is the int 0, so a passing check builds
+no Fraction for it.  A type I component must carry the canonical scale of
 :func:`families.type1_scale` (compared, never reduced); the moment gamma
 times that scale is the rational :func:`_moment_scale`, derived here from
 the moment functional, so these checks reduce no gamma product.
@@ -24,7 +25,9 @@ tables the checks share with the solves are kept on the weight system too
 Both solves take primitive integer rows (:func:`primitive`): type II
 conditions each over its content; type I columns, then rows, over theirs,
 with the contents, the moment scale and denominators folded into one
-rational back-scale per unknown.  The Hahn summation identity
+rational back-scale per unknown.  Polynomials are read and returned as their
+integer coefficient rows (``poly.row``), so the Fractions the solve returns
+are the only ones a solve builds.  The Hahn summation identity
 sums integer term-ratio rows; nothing here evaluates a :func:`mopexact.hyper.pfq` series.
 """
 
@@ -45,11 +48,12 @@ from .polybasis import integer_row, rising_over_factorial, row_product
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
-def pair(row: LatticeRow, other: LatticeRow) -> Fraction:
+def pair(row: LatticeRow, other: LatticeRow) -> Fraction | int:
     """The one Hahn pairing: sum over x = 0..N of the product of two lattice rows' values.
 
-    The integer numerators are multiplied and summed, then divided once."""
-    return Fraction(sum(map(operator.mul, row[0], other[0])), row[1] * other[1])
+    The integer numerators are multiplied and summed, then divided once; an exact zero stays the int 0."""
+    total = sum(map(operator.mul, row[0], other[0]))
+    return Fraction(total, row[1] * other[1]) if total else 0
 
 
 def primitive(row) -> list[int]:
@@ -104,9 +108,10 @@ class OrthogonalityReport:
         return self.normalization == self.normalization_target
 
 
-def _table(ws: WeightSystem, basis: Basis, degree: int) -> list[LatticeRow]:
-    """:func:`lattice_table` of basis up to degree on the Hahn lattice, built once per weight system."""
-    return ws.kept(("lattice_table", basis, degree), lambda: lattice_table(basis, degree, ws.N))
+def _table(ws: WeightSystem, backward: bool, degree: int) -> list[LatticeRow]:
+    """:func:`lattice_table` of the monomial or backward basis up to degree on the Hahn lattice, built once per weight system."""
+    return ws.kept(("lattice_table", backward, degree), lambda: lattice_table(
+        Basis.backward_pochhammer(ws.beta, ws.N) if backward else Basis.monomial(), degree, ws.N))
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
@@ -117,7 +122,7 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     residuals = {}
     if ws.family is Family.HAHN:
         values = poly.lattice_values(ws.N)
-        powers = _table(ws, Basis.monomial(), max(n) - 1)
+        powers = _table(ws, False, max(n) - 1)
         for i in range(ws.p):
             weighted = row_product(values, ws.weight_table[i])
             for j in range(n[i]):
@@ -125,8 +130,8 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     else:
         if poly.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        coefficients = integer_row(poly.coefficients)
-        for i, (nums, den) in enumerate(ws.moment_rows(max(n) + len(poly.coefficients) - 1)):
+        coefficients = poly.row
+        for i, (nums, den) in enumerate(ws.moment_rows(max(n) + len(coefficients[0]) - 1)):
             for j in range(n[i]):
                 residuals[(i, j)] = pair(coefficients, (nums[j:], den))
     return OrthogonalityReport(residuals, None, None)
@@ -135,30 +140,31 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
 def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
     """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
     terms = [row_product(comp.lattice_values(ws.N), ws.weight_table[i])
-             for i, comp in enumerate(vec.components) if comp.coefficients]
+             for i, comp in enumerate(vec.components) if comp.row[0]]
     return _row_sum(terms, ws.N + 1)
 
 
-def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[Fraction]:
-    """Rows j < |n| of the type I conditions: backward rows for Hahn, powers otherwise.
+def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[Fraction | int]:
+    """Rows j < |n| of the type I conditions, an exact zero as the int 0: backward rows for Hahn, powers otherwise.
 
     Components carry the canonical scale; continuous ones pair through :func:`_moment_scale`."""
     families.require_type1_scales(ws, vec, total)
     if ws.family is Family.HAHN:
         form = _hahn_linear_form(ws, vec)
-        return [pair(row, form) for row in _table(ws, Basis.backward_pochhammer(ws.beta, ws.N), total - 1)]
-    moments = ws.moment_rows(total + max(len(comp.coefficients) for comp in vec.components) - 1)
+        return [pair(row, form) for row in _table(ws, True, total - 1)]
+    moments = ws.moment_rows(total + max(len(comp.row[0]) for comp in vec.components) - 1)
     terms = []
     for i, comp in enumerate(vec.components):
-        if not comp.coefficients:
+        coefficients, den = comp.row
+        if not coefficients:
             continue
         if comp.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type I components live in the monomial basis")
-        coefficients, den = integer_row(comp.coefficients, _moment_scale(ws, i, total))
+        top, bottom = _moment_scale(ws, i, total)
         nums, moment_den = moments[i]
-        terms.append(([sum(map(operator.mul, coefficients, nums[j:])) for j in range(total)], den * moment_den))
+        terms.append(([top * sum(map(operator.mul, coefficients, nums[j:])) for j in range(total)], den * bottom * moment_den))
     totals, den = _row_sum(terms, total)
-    return [Fraction(v, den) for v in totals]
+    return [Fraction(v, den) if v else 0 for v in totals]
 
 
 def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> OrthogonalityReport:
@@ -173,7 +179,7 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     total = total_degree(n)
     *rows, normalization = _type1_pairings(ws, vec, total)
     residuals = {(None, j): value for j, value in enumerate(rows)}
-    target = Fraction(-1) ** (total - 1) if ws.family is Family.HAHN else Fraction(1)
+    target = (-1) ** (total - 1) if ws.family is Family.HAHN else 1
     return OrthogonalityReport(residuals, normalization, target)
 
 
@@ -190,7 +196,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
         # integer Gram rows: each condition is scaled by its weight row's denominator
         basis, lead = Basis.falling_factorial(), (-1) ** total
         falling = [nums for nums, _ in lattice_table(basis, total, ws.N)]
-        powers = [nums for nums, _ in _table(ws, Basis.monomial(), max(n) - 1)]
+        powers = [nums for nums, _ in _table(ws, False, max(n) - 1)]
         conditions = []
         for i in range(ws.p):
             weighted = [tuple(map(operator.mul, row, ws.weight_table[i][0])) for row in falling]
@@ -201,7 +207,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
     rows = [primitive(row) for row in conditions]
     solution = solve_linear_system([row[:total] for row in rows], [-lead * row[total] for row in rows])
-    return ScaledPolynomial(basis, tuple(solution) + (lead,))
+    return ScaledPolynomial(basis, row=integer_row([*solution, lead]))
 
 
 def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
@@ -219,7 +225,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
         # entry (j, (i, k)): backward row j paired with weighted column (i, k), times row j's denominator
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
         columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-        backward = _table(ws, Basis.backward_pochhammer(ws.beta, ws.N), total - 1)
+        backward = _table(ws, True, total - 1)
         matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns] for nums, _ in backward]
         scales = [((-1) ** (total - 1) * den * backward[-1][1], 1) for _, den in columns]
     else:
@@ -233,18 +239,21 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     rows = [[v // g for v, g in zip(row, contents)] for row in matrix]
     last = math.gcd(*rows[-1]) or 1
     solved = solve_linear_system([primitive(row) for row in rows], [0] * (total - 1) + [1])
-    solution = iter(Fraction(x.numerator * top, x.denominator * bottom * g * last)
+    solution = iter((x.numerator * top, x.denominator * bottom * g * last)
                     for x, (top, bottom), g in zip(solved, scales, contents))
-    return TypeIVector(tuple(
-        ScaledPolynomial(families.type1_basis(ws, i), tuple(next(solution) for _ in range(n[i])),
-                         families.type1_scale(ws, i, total))
-        for i in range(ws.p)
-    ))
+    components = []
+    for i in range(ws.p):  # component i's unknowns over their lcm (a negative divisor flips its quotient)
+        entries = [next(solution) for _ in range(n[i])]
+        den = math.lcm(*(d for _, d in entries))
+        components.append(ScaledPolynomial(families.type1_basis(ws, i), scale=families.type1_scale(ws, i, total),
+                                           row=([v * (den // d) for v, d in entries], den)))
+    return TypeIVector(tuple(components))
 
 
 def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
-    """The |n| transform arguments where orthogonality forces the transform to vanish."""
-    return [ws.alpha[i] + k for i in range(ws.p) for k in range(1, n[i] + 1)]
+    """The |n| transform arguments alpha_i + k, 1 <= k <= n_i, where orthogonality forces the transform to vanish."""
+    Q, alpha, _ = ws.integer_parameters
+    return [Fraction(alpha[i] + k * Q, Q) for i in range(ws.p) for k in range(1, n[i] + 1)]
 
 
 def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, points) -> bool:
@@ -273,7 +282,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
     if ws.family is Family.HAHN:
         weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
     else:
-        coefficients, den = integer_row(poly.monomial_coefficients())
+        coefficients, den = poly.monomial_row()
         if not 0 < len(coefficients) <= total + 1:
             raise PreconditionError(f"a type II polynomial at |n| = {total} has 1 to {total + 1} coefficients")
     for s in points:

@@ -3,9 +3,11 @@
 Four bases appear: plain monomials x^k, falling factorials (-x)_k, shifted
 rising factorials (x + alpha_i + 1)_k, one per weight, and the
 descending lattice products (beta + N - x + 1)_k used for the discrete
-orthogonality rows.  A ScaledPolynomial is a coefficient list in one of
-these bases together with a formal GammaProduct scale, so transcendental
-prefactors stay symbolic until they cancel against weight moments.
+orthogonality rows.  A ScaledPolynomial is a coefficient row in one of
+these bases (integer numerators over one positive denominator, reduced, so
+rows compare exactly) together with a formal GammaProduct scale, so
+transcendental prefactors stay symbolic until they cancel against weight
+moments.  Its Fraction coefficients are built only when read.
 
 On the Hahn lattice {0, ..., N} every value vector is a :data:`LatticeRow`:
 integer numerators at x = 0..N over one positive denominator, so a lattice
@@ -19,8 +21,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import AdmissibilityError
 from .gammaprod import GammaProduct, as_fraction, pochhammer
@@ -99,16 +102,15 @@ LatticeRow = tuple[tuple[int, ...], int]
 
 
 def reduced_row(nums, den: int) -> LatticeRow:
-    """The row nums / den with the common gcd of numerators and denominator divided out."""
-    g = math.gcd(den, *nums)
+    """The row nums / den (den nonzero) with the common gcd of numerators and denominator divided out, den > 0."""
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     return tuple(v // g for v in nums), den // g
 
 
-def integer_row(values, factor: tuple[int, int] = (1, 1)) -> LatticeRow:
-    """values times factor = (top, bottom) as integer numerators over one denominator, the values' lcm times bottom."""
-    top, bottom = factor
+def integer_row(values) -> LatticeRow:
+    """Exact rationals as integer numerators over their denominators' lcm; reduced Fractions give a reduced row."""
     den = math.lcm(*(v.denominator for v in values))
-    return [top * v.numerator * (den // v.denominator) for v in values], den * bottom
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def rising_over_factorial(a, length: int) -> LatticeRow:
@@ -158,24 +160,39 @@ def _multiply_linear(coeffs, const: Fraction, slope: Fraction) -> list[Fraction]
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScaledPolynomial:
-    """scale * sum_k coefficients[k] * basis_k(x), all parts exact."""
+    """scale * sum_k c_k * basis_k(x), all parts exact, with c_k = row[0][k] / row[1].
+
+    The row is reduced (no factor common to the positive denominator and all
+    numerators), so two rows are equal exactly when the coefficients are.  It
+    is given as ``row=`` or built from positional exact rationals; the Fraction
+    :attr:`coefficients` are built on first read.
+    """
 
     basis: Basis
-    coefficients: tuple[Fraction, ...]
-    scale: GammaProduct = field(default_factory=GammaProduct.one)
+    row: LatticeRow
+    scale: GammaProduct
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(as_fraction(c) for c in self.coefficients))
+    def __init__(self, basis: Basis, coefficients=(), scale: GammaProduct = GammaProduct(), *, row=None):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "row", reduced_row(*(integer_row([as_fraction(c) for c in coefficients])
+                                                       if row is None else row)))
+        object.__setattr__(self, "scale", scale)
         # lattice size N -> values on {0..N}; not a field, so eq and hash ignore it
         object.__setattr__(self, "_lattice_values", {})
+
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        nums, den = self.row
+        return tuple(Fraction(v, den) for v in nums)
 
     @property
     def degree(self) -> int:
         """Largest index with nonzero coefficient; -1 for the zero polynomial."""
-        for k in range(len(self.coefficients) - 1, -1, -1):
-            if self.coefficients[k] != 0:
+        nums = self.row[0]
+        for k in range(len(nums) - 1, -1, -1):
+            if nums[k]:
                 return k
         return -1
 
@@ -190,13 +207,14 @@ class ScaledPolynomial:
     def lattice_values(self, N: int) -> LatticeRow:
         """rational_value at x = 0..N as a reduced row, computed once per N and kept on this object."""
         if N not in self._lattice_values:
-            table = lattice_table(self.basis, len(self.coefficients) - 1, N)
-            den = math.lcm(*(c.denominator * d for c, (_, d) in zip(self.coefficients, table)))
-            nums = [0] * (N + 1)
-            for c, (row, d) in zip(self.coefficients, table):
-                factor = c.numerator * (den // (c.denominator * d))
-                nums = [acc + factor * v for acc, v in zip(nums, row)]
-            self._lattice_values[N] = reduced_row(nums, den)
+            nums, den = self.row
+            table = lattice_table(self.basis, len(nums) - 1, N)
+            common = math.lcm(*(d for _, d in table))
+            values = [0] * (N + 1)
+            for c, (basis_row, d) in zip(nums, table):
+                factor = c * (common // d)
+                values = [acc + factor * v for acc, v in zip(values, basis_row)]
+            self._lattice_values[N] = reduced_row(values, den * common)
         return self._lattice_values[N]
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:
@@ -211,13 +229,20 @@ class ScaledPolynomial:
                 out[j] += c * e
         return tuple(out)
 
+    def monomial_row(self) -> LatticeRow:
+        """:meth:`monomial_coefficients` as one reduced row; the row itself in the monomial basis."""
+        if self.basis.kind is BasisKind.MONOMIAL:
+            return self.row
+        return integer_row(self.monomial_coefficients())
+
     def leading_monomial_coefficient(self) -> Fraction:
         """Top nonzero coefficient times the leading sign of its basis element: (-1)^k for (-x)_k and (s-x)_k."""
         k = self.degree
         if k < 0:
             return Fraction(0)
+        nums, den = self.row
         falling = self.basis.kind in (BasisKind.FALLING_FACTORIAL, BasisKind.BACKWARD_POCHHAMMER)
-        return -self.coefficients[k] if falling and k % 2 else self.coefficients[k]
+        return Fraction(-nums[k] if falling and k % 2 else nums[k], den)
 
 
 def eval_polynomial(poly: ScaledPolynomial, x) -> tuple[Fraction, GammaProduct]:

@@ -10,12 +10,14 @@ Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term.
 
 Everything that does not depend on the sample point x or the expansion
-order k is built once per instance, in integers wherever a row is summed:
-the type I pole-sum terms, one integer row per component, carry their pole
-weights (:func:`_pole_weights`), prefactors and residual (:func:`_type1_pole_terms`);
-:func:`check_residue_duality` compares one row per component and route over
-the points (:func:`_duality_rows`); the type II residue and series
-coefficients are rows over k = 0..k_max, one Fraction per entry.
+order k is built once per instance, and every rational is an integer pair
+(numerator, nonzero denominator), never reduced: the type I pole-sum terms,
+one integer row per component, carry their pole weights (:func:`_pole_weights`),
+prefactors and residual (:func:`_type1_pole_terms`); :func:`check_residue_duality`
+compares one row of pairs per component and route over the points
+(:func:`_duality_rows`); the type II residue and series coefficients are
+rows of pairs over k = 0..k_max.  Two rows agree when every pair of entries
+does cross-multiplied.
 
 Both sides of every comparison carry the same gamma: the canonical type I
 scale (:func:`families.require_type1_scales` rejects others), Gamma(beta+1)
@@ -25,8 +27,7 @@ directly, and the recovered nodes take their factor in closed form.
 Normalization data: the per-pole values of a type I vector are the values
 of the integrand's polynomial factor at its |n| distinct nodes
 (:func:`recovered_nodes`), which the orthogonality conditions force to be
-one constant; the verifier checks each node against its closed form, and
-:func:`interpolation_recover_p` interpolates the same nodes.
+one constant; the verifier checks each node against its closed form.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ from fractions import Fraction
 from . import families
 from .errors import PoleError, PreconditionError
 from .gammaprod import GammaProduct, pochhammer, rising, rising_product
-from .linalg import interpolate
-from .polybasis import BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, integer_row
+from .polybasis import BasisKind, LatticeRow, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
-def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
+def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[tuple[int, int]]:
     """Residue denominators (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}) for every k < n_i.
 
-    With a_j - a_i = p/Q each Pochhammer is prod_{l<n_j} (p + (l-k) Q) / Q^{n_j}.  Built once per
-    weight system, n and i (:meth:`WeightSystem.kept`) for the duality and the recovered nodes."""
+    With a_j - a_i = p/Q each Pochhammer is prod_{l<n_j} (p + (l-k) Q) / Q^{n_j}; each weight is an
+    unreduced integer pair over a positive denominator.  Built once per weight system, n and i
+    (:meth:`WeightSystem.kept`) for the duality and the recovered nodes."""
     def build():
         Q, alpha, _ = ws.integer_parameters
         others = [(j, alpha[j] - alpha[i]) for j in range(ws.p) if j != i and n[j]]
@@ -59,7 +60,7 @@ def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[Fraction]:
                     if p + (l - k) * Q == 0:
                         raise PoleError(f"colliding poles at alpha_{j} - alpha_{i} - {k}")
                     den *= p + (l - k) * Q
-            weights.append(Fraction((-1) ** k * top, den))
+            weights.append(((-1) ** k * top, den) if den > 0 else ((-1) ** (k + 1) * top, -den))
         return weights
 
     return ws.kept(("pole_weights", tuple(n), i), build)
@@ -103,38 +104,42 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[LatticeRow,
         for k in range(n[i] - 1):  # Q^k (up/Q)_k and Q^k (down/Q)_k for k < n_i
             ups.append(ups[-1] * (up + k * slope))
             downs.append(downs[-1] * (down + k * Q))
-        common = math.lcm(*(w.denominator for w in weights))
-        nums = [w.numerator * (common // w.denominator) * u * (downs[-1] // d) for w, u, d in zip(weights, ups, downs)]
+        common = math.lcm(*(w_den for _, w_den in weights))
+        nums = [w * (common // w_den) * u * (downs[-1] // d) for (w, w_den), u, d in zip(weights, ups, downs)]
         residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
         components.append(((nums, bottom * common * downs[-1]), residual))
     return components
 
 
-def _values_at(row, points) -> list[Fraction]:
-    """sum_k nums[k] x^k / den at every x = a/b, nested in integers from the top: one Fraction per point."""
+def _values_at(row, points) -> list[tuple[int, int]]:
+    """sum_k nums[k] x^k / den at every x = a/b, nested in integers from the top: one integer pair per point."""
     nums, den = row
     values = []
     for a, b in (x.as_integer_ratio() for x in points):
         acc, power = 0, 1
         for c in reversed(nums):  # ends at acc = sum_k nums[k] a^k b^(K-k), power = b^(K+1)
             acc, power = acc * a + c * power, power * b
-        values.append(Fraction(acc * b, den * power))
+        values.append((acc * b, den * power))
     return values
+
+
+def _same_values(left, right) -> bool:
+    """Whether two lists of integer pairs (numerator, nonzero denominator) agree entry by entry, cross-multiplied."""
+    return len(left) == len(right) and all(a * d == c * b for (a, b), (c, d) in zip(left, right))
 
 
 def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points):
     """Component i of both routes at the points: (pole row, residual, direct row, comp's scale).
 
-    pole is the (integer terms row, residual) of :func:`_type1_pole_terms`;
-    the direct side is A_i(x).  Continuous: the terms and the monomial
+    Both rows hold one integer pair per point.  pole is the (integer terms row, residual)
+    of :func:`_type1_pole_terms`; the direct side is A_i(x).  Continuous: the terms and the monomial
     coefficients over one denominator, one integer Horner pass per point and
     side.  Hahn: (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and
     P_j = prod_{l<j} (p+lQ), (alpha_i+1+k)_m = P_(k+m) / (P_k Q^m), so term k
     is multiplied by P_K / P_k (K = n_i - 1) and the denominator by P_K once."""
     (terms, den), residual = pole
     if ws.family is not Family.HAHN:
-        direct = integer_row(comp.monomial_coefficients())
-        return _values_at((terms, den), points), residual, _values_at(direct, points), comp.scale
+        return _values_at((terms, den), points), residual, _values_at(comp.monomial_row(), points), comp.scale
     Q, alpha, _ = ws.integer_parameters
     p = alpha[i] + Q
     products = [1]  # P_0, P_1, ...
@@ -145,8 +150,8 @@ def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points
     values, values_den = comp.lattice_values(ws.N)
     poles, direct = [], []
     for m in (x.numerator for x in points):
-        poles.append(Fraction(sum(u * products[k + m] for k, u in enumerate(folded)), den * Q**m))
-        direct.append(Fraction(values[m] * products[m], values_den * Q**m))
+        poles.append((sum(u * products[k + m] for k, u in enumerate(folded)), den * Q**m))
+        direct.append((values[m] * products[m], values_den * Q**m))
     return poles, residual, direct, comp.scale
 
 
@@ -160,7 +165,7 @@ def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fra
     """
     x = ws.check_point(x)
     rows = [_duality_rows(ws, i, (([], 1), None), comp, [x]) for i, comp in enumerate(vec.components)]
-    return [(value, scale) for _, _, [value], scale in rows]
+    return [(Fraction(*value), scale) for _, _, [value], scale in rows]
 
 
 def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
@@ -176,13 +181,13 @@ def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, poi
         return False
     families.require_type1_scales(ws, vec, total_degree(n))
     rows = (_duality_rows(ws, i, pole, comp, points) for i, (pole, comp) in enumerate(zip(poles, vec.components)))
-    return all(pole_row == direct_row for pole_row, _, direct_row, _ in rows)
+    return all(_same_values(pole_row, direct_row) for pole_row, _, direct_row, _ in rows)
 
 
-def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
+def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[tuple[int, int]], GammaProduct]:
     """Residues of the type II inverse-transform integrand at its poles k = 0..k_max.
 
-    Entry k is a rational against the returned gamma product: empty for
+    Entry k is a rational, an integer pair, against the returned gamma product: empty for
     the continuous families, Gamma(beta+1) for Hahn, whose pole carries
     Gamma(beta+|n|+1) Gamma(beta+N+1-k) / Gamma(beta+|n|+1-k); against
     Gamma(beta+1) that is the rational q_k with q_0 = (beta+1)_N and
@@ -198,7 +203,7 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[lis
     den *= Q**total
     values = []
     for k in range(k_max + 1):
-        values.append(Fraction(num * math.prod(a + (k + l + 1) * Q for a, ni in zip(alpha, n) for l in range(ni)), den))
+        values.append((num * math.prod(a + (k + l + 1) * Q for a, ni in zip(alpha, n) for l in range(ni)), den))
         if ws.family is Family.LAGUERRE_FIRST_KIND:
             num, den = -num, den * (k + 1)
         elif ws.family is Family.JACOBI_PINEIRO:
@@ -208,18 +213,18 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[lis
     return values, GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
 
 
-def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
+def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[tuple[int, int]], GammaProduct]:
     """Terms k = 0..k_max of the hypergeometric series form of the same expansion.
 
     Independent route: the series parameters come straight from the
     weighted expansions (:func:`families._type2_series`, whose Hahn terms
     are the c_l of :func:`families.hahn_type2_weighted_series` over l!),
     never through the residue formulas; a zero denominator factor under a
-    nonzero numerator raises PoleError.  Each entry keeps its running denominator.
+    nonzero numerator raises PoleError.  Each entry is an integer pair over its running denominator.
     """
     (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
     gamma = GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
-    return [Fraction(top * v, bottom * d) for v, d in zip(nums, dens)], gamma
+    return [(top * v, bottom * d) for v, d in zip(nums, dens)], gamma
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
@@ -229,11 +234,12 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    return _type2_residue_row(ws, n, k_max)[0] == _type2_series_row(ws, n, k_max)[0]  # both against one gamma
+    return _same_values(_type2_residue_row(ws, n, k_max)[0], _type2_series_row(ws, n, k_max)[0])  # against one gamma
 
 
-def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[Fraction, Fraction]]:
-    """(t, p(t)) at every pole t = alpha_i + k, k < n_i: the integrand's polynomial factor read off a type I vector.
+def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """(t, p(t)) at every pole t = alpha_i + k, k < n_i, each an integer pair (numerator, nonzero denominator):
+    the integrand's polynomial factor read off a type I vector.
 
     Inverts coeff_i[k] = p(t) phi(t) w_i(k) (w the :func:`_pole_weights` row,
     phi the per-family analytic factor).  Against the canonical scale the
@@ -249,11 +255,12 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     Q, alpha, beta = ws.integer_parameters
     nodes = []
     for i, comp in enumerate(form.components):
+        coefficients, den = comp.row
         if n[i] == 0:
-            if comp.coefficients and not comp.is_zero():
+            if not comp.is_zero():
                 raise PreconditionError(f"component {i} must vanish when n_i = 0")
             continue
-        if len(comp.coefficients) != n[i]:
+        if len(coefficients) != n[i]:
             raise PreconditionError(f"component {i} needs exactly n_i = {n[i]} coefficients")
         expected_kind = BasisKind.SHIFTED_RISING if ws.family is Family.HAHN else BasisKind.MONOMIAL
         if comp.basis.kind is not expected_kind:
@@ -263,22 +270,15 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
             top, bottom = rising_product(Q, (), [(beta + Q, total - 1)])
         elif ws.family is Family.HAHN:
             top, bottom = rising_product(Q, [(alpha[i] + beta + total * Q, ws.N + 2 - total)])
-        for k, (coefficient, weight) in enumerate(zip(comp.coefficients, _pole_weights(ws, n, i))):
+        for k, (coefficient, (weight, weight_den)) in enumerate(zip(coefficients, _pole_weights(ws, n, i))):
             t = alpha[i] + k * Q
             if k:  # 1/phi(t) over 1/phi(s), s = t-1: t/Q, t/(s+beta+|n|) or t (s+beta+N+2) / (Q (s+beta+|n|))
                 s = t - Q
                 top *= t * (s + beta + (ws.N + 2) * Q) if ws.family is Family.HAHN else t
                 bottom *= Q if ws.family is Family.LAGUERRE_FIRST_KIND else (s + beta + total * Q) * (
                     Q if ws.family is Family.HAHN else 1)
-            value = Fraction(coefficient.numerator * top * weight.denominator,
-                             coefficient.denominator * bottom * weight.numerator)
-            nodes.append((Fraction(t, Q), value))
+            nodes.append(((t, Q), (coefficient * top * weight_den, den * bottom * weight)))
     return nodes
-
-
-def interpolation_recover_p(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> tuple[Fraction, ...]:
-    """Monomial coefficients (length |n|) of the polynomial through the nodes of :func:`recovered_nodes`."""
-    return interpolate(recovered_nodes(ws, n, form))
 
 
 def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> Fraction:

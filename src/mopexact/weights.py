@@ -62,9 +62,9 @@ class WeightSystem:
         for a in self.alpha:
             if a <= -1:
                 raise AdmissibilityError(f"alpha = {a} must exceed -1")
-        for i in range(len(self.alpha)):
-            for j in range(i + 1, len(self.alpha)):
-                if (self.alpha[i] - self.alpha[j]).denominator == 1:
+        for i, a in enumerate(self.alpha):
+            for j, b in enumerate(self.alpha[i + 1:], i + 1):
+                if (a.numerator * b.denominator - b.numerator * a.denominator) % (a.denominator * b.denominator) == 0:
                     raise AdmissibilityError(
                         f"alpha[{i}] - alpha[{j}] = {self.alpha[i] - self.alpha[j]} is an integer"
                     )
@@ -106,10 +106,10 @@ class WeightSystem:
         if type_one and total_degree(n) < 1:
             raise AdmissibilityError("type I polynomials need |n| >= 1")
 
-    def check_point(self, x) -> Fraction:
-        """x as a Fraction if the weights live there: an integer in [0, N] for
-        Hahn, x > 0 for the x**alpha_i factors otherwise; else AdmissibilityError."""
-        x = as_fraction(x)
+    def check_point(self, x) -> Fraction | int:
+        """x if the weights live there, an int kept as it is and anything else as a Fraction: an
+        integer in [0, N] for Hahn, x > 0 for the x**alpha_i factors otherwise; else AdmissibilityError."""
+        x = x if isinstance(x, int) else as_fraction(x)
         if self.family is Family.HAHN:
             if x.denominator != 1 or not 0 <= x <= self.N:
                 raise AdmissibilityError(f"x = {x} outside the lattice {{0,...,{self.N}}}")
@@ -120,9 +120,9 @@ class WeightSystem:
     @cached_property
     def integer_parameters(self) -> tuple[int, tuple[int, ...], int]:
         """(Q, (alpha_i Q), beta Q) with Q the lcm of their denominators (beta = 0 for Laguerre), built on first use."""
-        beta = self.beta or Fraction(0)
+        beta = self.beta or 0
         q = math.lcm(beta.denominator, *(a.denominator for a in self.alpha))
-        return q, tuple(int(a * q) for a in self.alpha), int(beta * q)
+        return q, tuple(a.numerator * (q // a.denominator) for a in self.alpha), beta.numerator * (q // beta.denominator)
 
     @cached_property
     def beta_factors(self) -> LatticeRow:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from mopexact import GammaProduct, PoleError, WeightSystem, pochhammer
+from mopexact import GammaProduct, PoleError, WeightSystem, pochhammer, residues
 from mopexact.gammaprod import as_fraction
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
@@ -86,6 +86,15 @@ def reduced_equal(left: GammaProduct, right: GammaProduct) -> bool:
     return r1 == r2 and h1.factors == h2.factors
 
 
+def times(*products: GammaProduct) -> GammaProduct:
+    """The product of gamma products: their factors merged."""
+    return GammaProduct.from_factors(factor for product in products for factor in product.factors)
+
+
+def inverse(product: GammaProduct) -> GammaProduct:
+    return GammaProduct.from_factors((a, -e) for a, e in product.factors)
+
+
 def scaled_values_equal(r1: Fraction, g1: GammaProduct, r2: Fraction, g2: GammaProduct) -> bool:
     """Whether r1*g1 == r2*g2 exactly.
 
@@ -94,7 +103,7 @@ def scaled_values_equal(r1: Fraction, g1: GammaProduct, r2: Fraction, g2: GammaP
     """
     if r1 == 0 or r2 == 0:
         return r1 == r2
-    quotient, leftover = (g1 / g2).reduce()
+    quotient, leftover = times(g1, inverse(g2)).reduce()
     if not leftover.is_one():
         return False
     return r1 * quotient == r2
@@ -118,6 +127,54 @@ def series_term(numerator, denominator, argument, k: int) -> Fraction:
     if bottom == 0:
         raise PoleError(f"denominator pochhammer vanishes in term {k}")
     return top * as_fraction(argument) ** k / bottom
+
+
+def row_values(nums, den: int, factor=1) -> tuple[Fraction, ...]:
+    """factor * nums / den entrywise: one Fraction, so one reduction, per entry."""
+    top, bottom = factor.as_integer_ratio()
+    return tuple(Fraction(top * v, bottom * den) for v in nums)
+
+
+def pair_values(pairs) -> list[Fraction]:
+    """A list of integer pairs (numerator, nonzero denominator) read as Fractions."""
+    return [Fraction(*pair) for pair in pairs]
+
+
+def interpolate(points) -> tuple[Fraction, ...]:
+    """Monomial coefficients of the unique polynomial through the given points.
+
+    Newton's divided differences over exact rationals; nodes must be
+    distinct.  Returns len(points) coefficients (degree <= len(points) - 1).
+    """
+    nodes = [Fraction(x) for x, _ in points]
+    values = [Fraction(y) for _, y in points]
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("interpolation nodes must be distinct")
+    n = len(nodes)
+    divided = list(values)
+    for level in range(1, n):
+        for j in range(n - 1, level - 1, -1):
+            divided[j] = (divided[j] - divided[j - 1]) / (nodes[j] - nodes[j - level])
+    coeffs = [Fraction(0)] * n
+    for level in range(n - 1, -1, -1):
+        # multiply accumulated polynomial by (x - nodes[level]) and add divided[level]
+        carry = [Fraction(0)] * n
+        for j in range(n - 1):
+            carry[j + 1] += coeffs[j]
+            carry[j] -= nodes[level] * coeffs[j]
+        coeffs = carry
+        coeffs[0] += divided[level]
+    return tuple(coeffs)
+
+
+def recovered_node_values(ws, n, form) -> list[tuple[Fraction, Fraction]]:
+    """residues.recovered_nodes with each node's integer pairs read as Fractions."""
+    return [(Fraction(*t), Fraction(*value)) for t, value in residues.recovered_nodes(ws, n, form)]
+
+
+def interpolation_recover_p(ws, n, form) -> tuple[Fraction, ...]:
+    """Monomial coefficients (length |n|) of the polynomial through the nodes of residues.recovered_nodes."""
+    return interpolate(recovered_node_values(ws, n, form))
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ from mopexact.driver import (
     kp_orthogonality_instances,
 )
 from mopexact.weights import Family, WeightSystem, total_degree
-from conftest import reduced_equal
+from conftest import interpolation_recover_p, reduced_equal, row_values
 
 F = Fraction
 MAX_TOTAL = 4
@@ -125,7 +125,7 @@ def test_criterion_4_recovered_contour_constants():
         if total_degree(n) < 2:
             continue
         count += 1
-        coeffs = residues.interpolation_recover_p(ws, n, families.type1(ws, n))
+        coeffs = interpolation_recover_p(ws, n, families.type1(ws, n))
         ok &= coeffs[0] == residues.recovered_constant_closed_form(ws, n)
         ok &= all(c == 0 for c in coeffs[1:])
     report(4, f"recovered integrand constants exact on {count} instances with |n| >= 2", ok)
@@ -178,7 +178,7 @@ def test_criterion_8_cross_formula_agreement():
             continue
         vec = families.type1(ws, n)
         for i in range(2):
-            row = families.hahn_type1_p2_kdf(ws, n, i)
+            row = row_values(*families.hahn_type1_p2_kdf(ws, n, i))
             for x in range(ws.N + 1):
                 pairs += 1
                 ok &= row[x] == vec.components[i].rational_value(x)

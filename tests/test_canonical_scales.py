@@ -30,7 +30,9 @@ from mopexact import (
     weights,
 )
 from mopexact.weights import Family
-from conftest import admissible_systems, hahn_corner_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from conftest import (
+    admissible_systems, hahn_corner_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, recovered_node_values, times,
+)
 
 F = Fraction
 
@@ -71,7 +73,7 @@ def test_continuous_type1_checks_reduce_no_gamma(ws, reduce_calls):
     assert check_residue_duality(ws, n, vec, points)
     assert residues.verify_type2_series_equivalence(ws, n, 8)
     expected = residues.recovered_constant_closed_form(ws, n)
-    assert all(value == expected for _, value in residues.recovered_nodes(ws, n, vec))
+    assert all(value == expected for _, value in recovered_node_values(ws, n, vec))
     assert reduce_calls == []
 
 
@@ -82,7 +84,7 @@ def test_non_canonical_scale_is_refused(ws):
     n = (2, 1)
     vec = families.type1(ws, n)
     first = vec.components[0]
-    shifted = first.scale * GammaProduct.from_factors([(F(7, 3), 1), (F(4, 3), -1)])
+    shifted = times(first.scale, GammaProduct.from_factors([(F(7, 3), 1), (F(4, 3), -1)]))
     odd = TypeIVector((ScaledPolynomial(first.basis, first.coefficients, shifted), vec.components[1]))
     points = list(driver._hahn_sample_points(ws.N)) if ws.N is not None else driver.CONTINUOUS_SAMPLE_POINTS[ws.family]
     for check in (

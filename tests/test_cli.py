@@ -271,6 +271,18 @@ class TestVerifyCommand:
             "44b95b1c15c4200fe8e231bd72fbebc4708ecc62319538eca54f8f1637f25940"
         )
 
+    @pytest.mark.parametrize("fault, digest", [
+        ("t2:1", "1da06570045f38a1743da349c69a9c58db627f6cc16aaba40c887f4ac88348c4"),
+        ("t1:0:0", "53d5cf8e8e8b0837cc92d6042573b1e6cab1be6ba47097dd4a7143b290f36f68"),
+        ("t1:1:1", "73e921f3e1e20349144c32717a239658d91bda0ee4fbc1b5785aec8a9b7e3ea0"),
+    ])
+    def test_faulted_default_grid_digest(self, capsys, fault, digest):
+        # golden output of the default grid under one fault, recorded while every check
+        # still compared Fraction lists: each record's red checks must not move
+        code, out = run_cli(capsys, "verify", "--inject-fault", fault)
+        assert code == 1 and json.loads(out)["summary"]["fail"] == 109
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_jobs_auto(self, capsys):
         argv = ("verify", "--family", "jacobi-pineiro", "--max-total-degree", "2")
         _, serial = run_cli(capsys, *argv)
@@ -370,6 +382,14 @@ class TestIdentityCommand:
         code, out = run_cli(capsys, "identity", "--name", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_karp_prilepkina_skips_compositions_beyond_the_lattice(self, capsys):
+        # no Hahn system admits |n| > N, so --max-N 0 leaves no instantiation row
+        code, out = run_cli(capsys, "identity", "--name", "karp-prilepkina", "--max-N", "0", "--draws", "0")
+        assert code == 0 and json.loads(out)["results"] == []
+        _, out = run_cli(capsys, "identity", "--name", "karp-prilepkina", "--max-N", "3", "--draws", "0")
+        keys = {row["instantiation"] for row in json.loads(out)["results"]}
+        assert keys and all(sum(map(int, key.split("|")[1][2:].split(","))) <= 3 for key in keys)
 
     def test_seeded_determinism(self, capsys):
         argv = ("identity", "--name", "karp-prilepkina", "--draws", "25", "--seed", "3")

@@ -17,7 +17,7 @@ from mopexact import (
 )
 from mopexact import families, oracle
 from mopexact.hyper import kdf
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, row_values
 
 F = Fraction
 
@@ -172,7 +172,7 @@ class TestHahnType1:
         for ours, theirs in zip(vec.components, solved.components):
             assert ours.coefficients == theirs.coefficients
         for i in range(2):
-            row = hahn_type1_p2_kdf(ws, (1, 1), i)
+            row = row_values(*hahn_type1_p2_kdf(ws, (1, 1), i))
             for x in range(ws.N + 1):
                 assert row[x] == vec.components[i].rational_value(x)
 
@@ -201,7 +201,7 @@ class TestHahnDoubleSeries:
 
     def test_matches_general_formula_deeper(self):
         ws = hahn_ws(2, 5)
-        assert hahn_type1_p2_kdf(ws, (2, 1), 1)[1] == F(2363904, 2037805)
+        assert row_values(*hahn_type1_p2_kdf(ws, (2, 1), 1))[1] == F(2363904, 2037805)
         vec = type1(ws, (2, 1))
         assert vec.components[1].rational_value(1) == F(2363904, 2037805)
 
@@ -212,14 +212,14 @@ class TestHahnDoubleSeries:
         assume(min(n) >= 1)
         vec = type1(ws, n)
         for i in range(2):
-            row = hahn_type1_p2_kdf(ws, n, i)
+            row = row_values(*hahn_type1_p2_kdf(ws, n, i))
             assert row == tuple(kdf_per_point(ws, n, i, x) for x in range(ws.N + 1))
             assert row == tuple(vec.components[i].rational_value(x) for x in range(ws.N + 1))
 
     def test_single_term_structure(self):
         # n = (1,1): the first summation index is pinned at zero
         ws = hahn_ws(2, 3)
-        value = hahn_type1_p2_kdf(ws, (1, 1), 0)[2]
+        value = row_values(*hahn_type1_p2_kdf(ws, (1, 1), 0))[2]
         assert isinstance(value, F)
 
 
@@ -227,14 +227,14 @@ class TestHahnWeightedSeries:
     def test_at_zero_is_prefactor(self):
         ws = hahn_ws(2, 4)
         n = (1, 1)
-        value = hahn_type2_weighted_series(ws, n)[0]
+        value = row_values(*hahn_type2_weighted_series(ws, n))[0]
         poly = type2(ws, n)
         assert value == poly.rational_value(0) * pochhammer(ws.beta + 1, ws.N) / math.factorial(ws.N)
 
     def test_zero_index_weight_factor(self):
         ws = hahn_ws(1, 3)
         for x in range(4):
-            value = hahn_type2_weighted_series(ws, (0,))[x]
+            value = row_values(*hahn_type2_weighted_series(ws, (0,)))[x]
             assert value == pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
 
     def test_cross_check_against_direct_values(self):
@@ -243,14 +243,14 @@ class TestHahnWeightedSeries:
         poly = type2(ws, n)
         x = 2
         expected = poly.rational_value(x) * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
-        assert hahn_type2_weighted_series(ws, n)[x] == expected
+        assert row_values(*hahn_type2_weighted_series(ws, n))[x] == expected
 
     def test_every_lattice_point_matches_direct_values(self):
         for n, N in (((1,), 3), ((2, 1), 5), ((1, 2, 1), 7), ((0, 3), 4)):
             ws = hahn_ws(len(n), N)
             values, den = type2(ws, n).lattice_values(N)
             factors, factor_den = ws.beta_factors
-            series = hahn_type2_weighted_series(ws, n)
+            series = row_values(*hahn_type2_weighted_series(ws, n))
             assert series == tuple(F(v * f, den * factor_den) for v, f in zip(values, factors))
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mopexact import GammaProduct, PoleError, pochhammer
 from mopexact.gammaprod import as_fraction, is_nonpositive_integer
-from conftest import reduced_equal, rising_row
+from conftest import inverse, reduced_equal, rising_row, times
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
 small_ints = st.integers(-6, 8)
@@ -104,7 +104,7 @@ class TestGammaProduct:
         assert rational == 1 and residual.is_one()
 
     def test_simple_cancellation(self):
-        product = GammaProduct.gamma(Fraction(5, 2)) * GammaProduct.gamma(Fraction(1, 2), -1)
+        product = times(GammaProduct.gamma(Fraction(5, 2)), GammaProduct.gamma(Fraction(1, 2), -1))
         assert product.reduce() == (Fraction(3, 4), GammaProduct.one())
 
     def test_no_partner_stays(self):
@@ -117,16 +117,16 @@ class TestGammaProduct:
         # Gamma(a+b+|n|) / Gamma(a+b+2+j) at a=1/2, b=1/4, |n|=3, j=0
         top = Fraction(1, 2) + Fraction(1, 4) + 3
         bottom = Fraction(1, 2) + Fraction(1, 4) + 2
-        product = GammaProduct.gamma(top) * GammaProduct.gamma(bottom, -1)
+        product = times(GammaProduct.gamma(top), GammaProduct.gamma(bottom, -1))
         assert product.reduce() == (Fraction(11, 4), GammaProduct.one())
 
     def test_integer_class_factorials(self):
-        product = GammaProduct.gamma(5) * GammaProduct.gamma(3, -1)
+        product = times(GammaProduct.gamma(5), GammaProduct.gamma(3, -1))
         assert product.reduce() == (Fraction(12), GammaProduct.one())
 
     def test_pole_positive_exponent(self):
         with pytest.raises(PoleError):
-            (GammaProduct.gamma(0) * GammaProduct.gamma(Fraction(1, 2))).reduce()
+            times(GammaProduct.gamma(0), GammaProduct.gamma(Fraction(1, 2))).reduce()
         with pytest.raises(PoleError):
             GammaProduct.gamma(-3).reduce()
 
@@ -152,4 +152,4 @@ class TestGammaProduct:
         right = GammaProduct.gamma(Fraction(3, 2))
         assert not reduced_equal(left, right)
         # Gamma(7/2) == (3/2)(5/2) Gamma(3/2) is not structural equality
-        assert (left / right).reduce()[0] == Fraction(15, 4)
+        assert times(left, inverse(right)).reduce()[0] == Fraction(15, 4)

@@ -25,10 +25,13 @@ from mopexact import (
 )
 from mopexact import AdmissibilityError, Family, GammaProduct, WeightSystem, families, oracle
 from mopexact.weights import total_degree
-from mopexact.linalg import interpolate, solve_linear_system
+from mopexact.linalg import solve_linear_system
 from mopexact.driver import apply_fault, compositions, run_instance
 from mopexact.polybasis import lattice_table, row_product
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, scaled_values_equal
+from conftest import (
+    admissible_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values,
+    scaled_values_equal, times,
+)
 
 F = Fraction
 
@@ -61,7 +64,7 @@ def moment_gamma(ws, i: int) -> GammaProduct:
 
 def scale_reduction(ws, scale: GammaProduct, i: int) -> Fraction:
     """Rational value of component-scale times moment-gamma, by reducing the gamma product."""
-    rational, leftover = (scale * moment_gamma(ws, i)).reduce()
+    rational, leftover = times(scale, moment_gamma(ws, i)).reduce()
     if not leftover.is_one():
         raise AssertionError(f"scale x moment gamma did not reduce to a rational: {leftover}")
     return rational
@@ -561,7 +564,7 @@ class TestDiscreteInversion:
 
     def test_weighted_type2_values(self):
         ws = hahn_ws(2, 5)
-        values = list(families.hahn_type2_weighted_series(ws, (2, 1)))
+        values = list(row_values(*families.hahn_type2_weighted_series(ws, (2, 1))))
         assert check_discrete_mellin_inversion(ws, values)
 
     @given(st.integers(0, 8), st.data())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mopexact import Basis, GammaProduct, ScaledPolynomial, eval_polynomial, pochhammer
 from mopexact.polybasis import lattice_table, rising_over_factorial
+from conftest import times
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
 
@@ -103,7 +104,7 @@ def test_root_evaluation():
 
 
 def test_scale_reduction_in_eval():
-    scale = GammaProduct.gamma(Fraction(5, 2)) * GammaProduct.gamma(Fraction(1, 2), -1)
+    scale = times(GammaProduct.gamma(Fraction(5, 2)), GammaProduct.gamma(Fraction(1, 2), -1))
     poly = ScaledPolynomial(Basis.monomial(), (Fraction(2),), scale)
     assert eval_polynomial(poly, 0) == (Fraction(3, 2), GammaProduct.one())
 

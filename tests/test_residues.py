@@ -12,7 +12,6 @@ from mopexact import (
     PreconditionError,
     WeightSystem,
     check_residue_duality,
-    interpolation_recover_p,
     pochhammer,
     recovered_constant_closed_form,
     verify_type2_series_equivalence,
@@ -22,8 +21,8 @@ from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply
 from mopexact.gammaprod import as_fraction
 from mopexact.weights import Family, MultiIndex, total_degree
 from conftest import (
-    admissible_systems, hahn_corner_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, scaled_values_equal,
-    series_term,
+    admissible_systems, hahn_corner_systems, hahn_ws, interpolation_recover_p, jacobi_pineiro_ws, laguerre_ws,
+    pair_values, recovered_node_values, row_values, scaled_values_equal, series_term, times,
 )
 
 F = Fraction
@@ -143,6 +142,18 @@ def pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fr
     return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
 
 
+def residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
+    """residues._type2_residue_row with its integer pairs read as Fractions."""
+    row, gamma = residues._type2_residue_row(ws, n, k_max)
+    return pair_values(row), gamma
+
+
+def series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
+    """residues._type2_series_row with its integer pairs read as Fractions."""
+    row, gamma = residues._type2_series_row(ws, n, k_max)
+    return pair_values(row), gamma
+
+
 def term_fractions(row) -> list[Fraction]:
     """A pole-terms row of residues._type1_pole_terms (integers over one denominator) as Fractions."""
     nums, den = row
@@ -233,14 +244,14 @@ class TestType2Residues:
     def test_laguerre_order_zero(self):
         # residue 0 carries prod (alpha_i + 1)_{n_i} times the global sign
         ws = laguerre_ws(2)
-        [value], residual = residues._type2_residue_row(ws, (1, 1), 0)
+        [value], residual = residue_row(ws, (1, 1), 0)
         assert residual.is_one()
         assert value == pochhammer(F(3, 2), 1) * pochhammer(F(4, 3), 1)
 
     def test_jp_order_zero_matches_series(self):
         ws = jacobi_pineiro_ws(2)
-        [r_val], r_gamma = residues._type2_residue_row(ws, (1, 1), 0)
-        [s_val], s_gamma = residues._type2_series_row(ws, (1, 1), 0)
+        [r_val], r_gamma = residue_row(ws, (1, 1), 0)
+        [s_val], s_gamma = series_row(ws, (1, 1), 0)
         assert r_val == s_val and r_gamma.factors == s_gamma.factors
 
     def test_series_equivalence_laguerre(self):
@@ -270,8 +281,8 @@ class TestType2Residues:
             WeightSystem.jacobi_pineiro(laguerre_ws(2).alpha, beta),
             WeightSystem.hahn(laguerre_ws(2).alpha, beta, k_max),
         ):
-            residue, r_gamma = residues._type2_residue_row(ws, n, k_max)
-            series, s_gamma = residues._type2_series_row(ws, n, k_max)
+            residue, r_gamma = residue_row(ws, n, k_max)
+            series, s_gamma = series_row(ws, n, k_max)
             for k in range(k_max + 1):
                 value, gamma = reference_residue_coefficient(ws, n, k)
                 assert scaled_values_equal(residue[k], r_gamma, value, gamma), (ws.family, k)
@@ -285,14 +296,14 @@ class TestType2Residues:
         beta_unit = GammaProduct.gamma(F(1, 4) + 1, -1)
         for n, N in (((1,), 3), ((1, 1), 4), ((2, 1), 6)):
             ws = hahn_ws(len(n), N)
-            row, residual = residues._type2_residue_row(ws, n, N)
+            row, residual = residue_row(ws, n, N)
             for x in range(N + 1):
                 acc = F(0)
                 for k, value in enumerate(row):
-                    normalized, leftover = (residual * beta_unit).reduce()
+                    normalized, leftover = times(residual, beta_unit).reduce()
                     assert leftover.is_one()
                     acc += value * normalized * pochhammer(F(-x), k)
-                assert acc == families.hahn_type2_weighted_series(ws, n)[x]
+                assert acc == row_values(*families.hahn_type2_weighted_series(ws, n))[x]
 
 
 class TestRandomAdmissibleSystems:
@@ -320,7 +331,7 @@ class TestRandomAdmissibleSystems:
         points = [ws.check_point(x) for x in sample_points(ws)]
         poles = residues._type1_pole_terms(ws, n)
         for i, ni in enumerate(n):
-            assert residues._pole_weights(ws, n, i) == [pole_weight(ws, n, i, k) for k in range(ni)]
+            assert pair_values(residues._pole_weights(ws, n, i)) == [pole_weight(ws, n, i, k) for k in range(ni)]
         faults = [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]
         for fault in faults:
             _, faulty = apply_fault(None, vec, fault)
@@ -330,7 +341,7 @@ class TestRandomAdmissibleSystems:
                 pole_row, _, direct_row, direct_residual = residues._duality_rows(ws, i, pole, comp, points)
                 reference_poles = [pole_sum(ws, i, term_fractions(terms), x) for x in points]
                 reference_direct = [direct_value(ws, i, comp, x) for x in points]
-                assert (pole_row, direct_row) == (reference_poles, reference_direct), (fault, i)
+                assert (pair_values(pole_row), pair_values(direct_row)) == (reference_poles, reference_direct), (fault, i)
                 verdict &= all(scaled_values_equal(a, residual, b, direct_residual)
                                for a, b in zip(reference_poles, reference_direct))
             assert check_residue_duality(ws, n, faulty, points) == verdict == (fault is None), fault
@@ -340,8 +351,8 @@ class TestRandomAdmissibleSystems:
     def test_rows_match_the_per_order_formulas(self, system):
         ws, n = system
         k_max = ws.N if ws.family is Family.HAHN else max(6, sum(n))
-        residue, r_gamma = residues._type2_residue_row(ws, n, k_max)
-        series, s_gamma = residues._type2_series_row(ws, n, k_max)
+        residue, r_gamma = residue_row(ws, n, k_max)
+        series, s_gamma = series_row(ws, n, k_max)
         for k in range(k_max + 1):
             value, gamma = reference_residue_coefficient(ws, n, k)
             assert scaled_values_equal(residue[k], r_gamma, value, gamma), k
@@ -407,7 +418,7 @@ class TestInterpolationRecovery:
         faults = [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]
         for fault in faults:
             _, faulty = apply_fault(None, vec, fault)
-            nodes = residues.recovered_nodes(ws, n, faulty)
+            nodes = recovered_node_values(ws, n, faulty)
             assert [t for t, _ in nodes] == [a + k for a, ni in zip(ws.alpha, n) for k in range(ni)]
             by_node = all(value == expected for _, value in nodes)
             by_interpolation = interpolation_recover_p(ws, n, faulty) == (expected,) + (F(0),) * (sum(n) - 1)
@@ -451,7 +462,7 @@ class TestFloatTailSanity:
         ws = laguerre_ws(2)
         n = (2, 1)
         poly = families.type2(ws, n)
-        row, _ = residues._type2_residue_row(ws, n, 60)
+        row, _ = residue_row(ws, n, 60)
         for x in (F(1, 2), F(3, 2), F(3)):
             target = float(poly.rational_value(x)) * math.exp(-float(x))
             acc = 0.0
@@ -463,7 +474,7 @@ class TestFloatTailSanity:
         ws = jacobi_pineiro_ws(2)
         n = (1, 1)
         poly = families.type2(ws, n)
-        row, _ = residues._type2_residue_row(ws, n, 60)
+        row, _ = residue_row(ws, n, 60)
         for x in (F(1, 3), F(1, 2)):
             target = float(poly.rational_value(x)) * (1 - float(x)) ** float(ws.beta)
             acc = 0.0

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, PoleError, PreconditionError, WeightSystem, families, hyper, oracle
 from mopexact import check_type1_orthogonality
-from mopexact.gammaprod import pochhammer, ratio_row, row_values
+from mopexact.gammaprod import pochhammer, ratio_row
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, hahn_corner_systems, rising_row
+from conftest import admissible_systems, hahn_corner_systems, rising_row, row_values
 
 F = Fraction
 
@@ -272,13 +272,13 @@ def assert_rows_match(ws, n):
     if any(n):
         for i, ni in enumerate(n):
             if ni:
-                assert list(families._type1_component_coefficients(ws, n, i)) == type1_component(ws, n, i)
+                assert list(row_values(*families._type1_component_coefficients(ws, n, i))) == type1_component(ws, n, i)
     if ws.family is not Family.HAHN:
         return
-    assert families.hahn_type2_weighted_series(ws, n) == weighted_series(ws, n)
+    assert row_values(*families.hahn_type2_weighted_series(ws, n)) == weighted_series(ws, n)
     if ws.p == 2 and min(n) >= 1:
         for i in range(2):
-            assert families.hahn_type1_p2_kdf(ws, n, i) == kdf_values(ws, n, i)
+            assert row_values(*families.hahn_type1_p2_kdf(ws, n, i)) == kdf_values(ws, n, i)
     verdicts = oracle.check_hahn_summation_identity(ws, n)
     active = [i for i, ni in enumerate(n) if ni]
     reduced = WeightSystem.hahn([ws.alpha[i] for i in active], ws.beta, ws.N)
