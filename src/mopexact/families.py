@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, ratio_row, ratio_terms, rising, rising_product
+from .gammaprod import GammaProduct, LazyGammaProduct, ratio_row, ratio_terms, rising, rising_product
 from .polybasis import Basis, LatticeRow, ScaledPolynomial, TypeIVector, reduced_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -92,29 +91,28 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     return ScaledPolynomial(basis, row=([top * v for v in nums], den * bottom))
 
 
-def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
+def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct | LazyGammaProduct:
     """Canonical gamma scale of type I component i at total degree |n|.
 
     Chosen so that pairing the component with the weight moments is exactly
     rational: 1/Gamma(alpha_i+1) for Laguerre,
     Gamma(alpha_i+beta+|n|) / (Gamma(beta+|n|) Gamma(alpha_i+1)) for
     Jacobi-Pineiro, and the empty product for Hahn (whose normalized weights
-    are already rational on the lattice).  Built once per weight system,
-    weight and |n| (:meth:`WeightSystem.kept`), its arguments merged and
-    sorted as integers over Q, in the canonical order :meth:`GammaProduct.from_factors` gives.
+    are already rational on the lattice).  Kept once per weight system,
+    weight and |n| (:meth:`WeightSystem.kept`) and built on first read
+    (:class:`LazyGammaProduct`), so the verify path, which compares it by
+    identity, builds none.
     """
     if ws.family is Family.HAHN:
         return GammaProduct.one()
 
     def build():
-        Q, alpha, beta = ws.integer_parameters
-        merged = {alpha[i] + Q: -1}
+        factors = [(ws.alpha[i] + 1, -1)]
         if ws.family is Family.JACOBI_PINEIRO:
-            for argument, exponent in ((alpha[i] + beta + total * Q, 1), (beta + total * Q, -1)):
-                merged[argument] = merged.get(argument, 0) + exponent
-        return GammaProduct(tuple((Fraction(a, Q), e) for a, e in sorted(merged.items()) if e))
+            factors += [(ws.alpha[i] + ws.beta + total, 1), (ws.beta + total, -1)]
+        return GammaProduct.from_factors(factors)
 
-    return ws.kept(("type1_scale", i, total), build)
+    return ws.kept(("type1_scale", i, total), lambda: LazyGammaProduct(build))
 
 
 def require_type1_scales(ws: WeightSystem, vec: TypeIVector, total: int) -> None:

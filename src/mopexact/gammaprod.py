@@ -1,23 +1,19 @@
 """Exact Pochhammer and gamma-product arithmetic over the rationals.
 
 Every quantity this package verifies reduces to a rational number once the
-gamma factors appearing in it are cancelled against each other, so we never
-evaluate a gamma function numerically on the verification path.  Rationals
-are plain ``fractions.Fraction`` values, and the transcendental leftovers of
-a formula are carried formally as a :class:`GammaProduct` (a multiset of
-``Gamma(argument)**exponent`` factors).  ``reduce()`` performs the
-cancellations: arguments that differ by an integer collapse onto a single
-anchored factor via rising factorials, leaving an exact rational times a
-fully normalized product.
-
-The verify path compares type I scales, never reducing them, so
-``reduce()`` serves its type II scale check, the ``coeffs``, ``eval`` and
-``plot-data`` output and the identity prefactors.  Its parameters are
-integers over one denominator: :func:`rising` is the one Pochhammer kernel
-(:func:`pochhammer` reduces it to a Fraction), and :func:`rising_product`
-multiplies out a prefactor and reduces it once.  Nothing here evaluates a
-gamma function in floating point; plot-data rounds the exact rational and
-evaluates the residual product itself (:mod:`mopexact.cli`).
+gamma factors appearing in it are cancelled against each other, so no gamma
+function is evaluated numerically on the verification path.  The
+transcendental leftovers of a formula are carried formally as a
+:class:`GammaProduct` (a multiset of ``Gamma(argument)**exponent`` factors).
+``reduce()`` collapses arguments that differ by an integer onto one anchored
+factor via rising factorials, leaving an exact rational times a normalized
+product; it serves the ``coeffs``, ``eval`` and ``plot-data`` output and the
+identity prefactors.  The verify path reduces none and builds none: the empty
+product is one object (:data:`ONE`) and a type I scale is built only when
+read (:class:`LazyGammaProduct`).  Pochhammer parameters are integers over
+one denominator: :func:`rising` is the one kernel (:func:`pochhammer`
+reduces it to a Fraction), and :func:`rising_product` multiplies out a
+prefactor and reduces it once.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PoleError
 
@@ -131,7 +128,8 @@ class GammaProduct:
 
     @staticmethod
     def one() -> "GammaProduct":
-        return GammaProduct()
+        """The empty product, one module-level object."""
+        return ONE
 
     @staticmethod
     def gamma(argument, exponent: int = 1) -> "GammaProduct":
@@ -188,10 +186,42 @@ class GammaProduct:
             if net != 0:
                 residual.append((anchor, net))
         if vanishes:
-            return Fraction(0), GammaProduct.one()
+            return Fraction(0), ONE
         return rational, GammaProduct(tuple(sorted(residual)))
 
     def __str__(self) -> str:
         if not self.factors:
             return "1"
         return " * ".join(f"Gamma({a})^{e}" if e != 1 else f"Gamma({a})" for a, e in self.factors)
+
+
+ONE = GammaProduct()
+
+
+class LazyGammaProduct:
+    """The :class:`GammaProduct` ``build()`` returns, built on first read.  Attributes, equality, hashing
+    and printing are the product's, so a scale only carried along and compared by identity is never built."""
+
+    def __init__(self, build) -> None:
+        self._build = build
+
+    @cached_property
+    def product(self) -> GammaProduct:
+        return self._build()
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.product, name)
+
+    def __eq__(self, other) -> bool:
+        return self.product == getattr(other, "product", other)
+
+    def __hash__(self) -> int:
+        return hash(self.product)
+
+    def __str__(self) -> str:
+        return str(self.product)
+
+    def __repr__(self) -> str:
+        return repr(self.product)

@@ -2,33 +2,23 @@
 
 Nothing here looks at the closed-form coefficient formulas.  Weight moments
 come from the classical integral transforms (gamma and beta moments for the
-continuous families, finite lattice sums for Hahn), orthogonality and
-biorthogonality are checked by exact summation against those moments, and
-the polynomials themselves can be reconstructed from the defining linear
-conditions alone.  Agreement between these solvers and the generators in
-:mod:`mopexact.families` is the package's central correctness claim.
+continuous families, finite lattice sums for Hahn); orthogonality is checked
+by exact summation against them, and the polynomials are reconstructed from
+the defining linear conditions alone.  Agreement between these solvers and
+the generators in :mod:`mopexact.families` is the package's central claim.
 
-Residuals reported here are rational cofactors of the weight's moment gamma,
-which never vanishes; an exact zero is the int 0, so a passing check builds
-no Fraction for it.  A type I component must carry the canonical scale of
-:func:`families.type1_scale` (compared, never reduced); the moment gamma
-times that scale is the rational :func:`_moment_scale`, derived here from
-the moment functional, so these checks reduce no gamma product.
-
-Every Hahn lattice sum is an integer dot product of two lattice rows
-(``ws.weight_table``, ``lattice_table`` or ``poly.lattice_values`` rows or
-their products) divided once (:func:`pair`), and so is every continuous
-pairing, against each weight's power moments (``ws.moment_rows``, one integer
-row per weight built once per weight system).  The monomial and backward
-tables the checks share with the solves are kept on the weight system too
-(:func:`_table`); every table lasts only as long as the object that owns it.
-Both solves take primitive integer rows (:func:`primitive`): type II
-conditions each over its content; type I columns, then rows, over theirs,
-with the contents, the moment scale and denominators folded into one
-rational back-scale per unknown.  Polynomials are read and returned as their
-integer coefficient rows (``poly.row``), so the Fractions the solve returns
-are the only ones a solve builds.  The Hahn summation identity
-sums integer term-ratio rows; nothing here evaluates a :func:`mopexact.hyper.pfq` series.
+Everything is an integer or an integer pair (numerator, nonzero
+denominator).  Residuals are rational cofactors of the weight's moment
+gamma; an exact zero is the int 0 and the type I normalization row a pair,
+so a passing check builds no Fraction.  A type I component must carry
+:func:`families.type1_scale` (compared, never reduced), and the moment gamma
+times that scale is the rational :func:`_moment_scale`.  Every lattice or
+moment pairing is an integer dot product of rows (``ws.weight_table``,
+``ws.moment_rows``, :func:`_table`, ``poly.lattice_values``), each built once
+per weight system or polynomial.  Both solves hand primitive integer rows
+(:func:`primitive`) to :func:`linalg.bareiss` and read its numerators over
+the determinant back into coefficient rows (``poly.row``).  Every Mellin
+transform argument is an integer pair (a, b), b > 0, not necessarily reduced.
 """
 
 from __future__ import annotations
@@ -40,16 +30,16 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import as_fraction, is_nonpositive_integer, ratio_row, rising_product
+from .gammaprod import as_fraction, ratio_row, rising_product
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
-from .linalg import solve_linear_system
+from .linalg import bareiss
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
-from .polybasis import integer_row, rising_over_factorial, row_product
+from .polybasis import rising_over_factorial, row_product
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
 def pair(row: LatticeRow, other: LatticeRow) -> Fraction | int:
-    """The one Hahn pairing: sum over x = 0..N of the product of two lattice rows' values.
+    """A type II residual: the sum of the products of two integer rows' values, lattice or moment rows.
 
     The integer numerators are multiplied and summed, then divided once; an exact zero stays the int 0."""
     total = sum(map(operator.mul, row[0], other[0]))
@@ -90,14 +80,15 @@ class OrthogonalityReport:
     """Exact residuals of the defining conditions, plus the normalization row.
 
     residuals maps (weight index, power) to the rational cofactor for
-    type II checks and (None, row index) for type I checks; pass means every
-    residual is exactly zero and the normalization row exactly hits its
-    target.
+    type II checks and (None, row index) for type I checks; the normalization
+    row is an integer pair (numerator, nonzero denominator) against an int
+    target.  Pass means every residual is exactly zero and the normalization
+    row exactly hits its target.
     """
 
     residuals: dict
-    normalization: Fraction | None
-    normalization_target: Fraction | None
+    normalization: tuple[int, int] | None
+    normalization_target: int | None
 
     @property
     def passed(self) -> bool:
@@ -105,7 +96,8 @@ class OrthogonalityReport:
             return False
         if self.normalization_target is None:
             return self.normalization is None
-        return self.normalization == self.normalization_target
+        num, den = self.normalization
+        return num == self.normalization_target * den
 
 
 def _table(ws: WeightSystem, backward: bool, degree: int) -> list[LatticeRow]:
@@ -144,14 +136,14 @@ def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
     return _row_sum(terms, ws.N + 1)
 
 
-def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[Fraction | int]:
-    """Rows j < |n| of the type I conditions, an exact zero as the int 0: backward rows for Hahn, powers otherwise.
+def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[tuple[int, int]]:
+    """Rows j < |n| of the type I conditions as integer pairs: backward rows for Hahn, powers otherwise.
 
     Components carry the canonical scale; continuous ones pair through :func:`_moment_scale`."""
     families.require_type1_scales(ws, vec, total)
     if ws.family is Family.HAHN:
-        form = _hahn_linear_form(ws, vec)
-        return [pair(row, form) for row in _table(ws, True, total - 1)]
+        nums, den = _hahn_linear_form(ws, vec)
+        return [(sum(map(operator.mul, row, nums)), row_den * den) for row, row_den in _table(ws, True, total - 1)]
     moments = ws.moment_rows(total + max(len(comp.row[0]) for comp in vec.components) - 1)
     terms = []
     for i, comp in enumerate(vec.components):
@@ -164,7 +156,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[Frac
         nums, moment_den = moments[i]
         terms.append(([top * sum(map(operator.mul, coefficients, nums[j:])) for j in range(total)], den * bottom * moment_den))
     totals, den = _row_sum(terms, total)
-    return [Fraction(v, den) if v else 0 for v in totals]
+    return [(v, den) for v in totals]
 
 
 def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> OrthogonalityReport:
@@ -178,7 +170,7 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
     *rows, normalization = _type1_pairings(ws, vec, total)
-    residuals = {(None, j): value for j, value in enumerate(rows)}
+    residuals = {(None, j): Fraction(v, den) if v else 0 for j, (v, den) in enumerate(rows)}
     target = (-1) ** (total - 1) if ws.family is Family.HAHN else 1
     return OrthogonalityReport(residuals, normalization, target)
 
@@ -206,8 +198,8 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
         conditions = [row[j:j + total + 1] for (row, _), m in zip(ws.moment_rows(max(n) + total), n) for j in range(m)]
     # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
     rows = [primitive(row) for row in conditions]
-    solution = solve_linear_system([row[:total] for row in rows], [-lead * row[total] for row in rows])
-    return ScaledPolynomial(basis, row=integer_row([*solution, lead]))
+    nums, det = bareiss([row[:total] for row in rows], [-lead * row[total] for row in rows])
+    return ScaledPolynomial(basis, row=([*nums, lead * det], det))
 
 
 def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
@@ -238,34 +230,35 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     contents = [math.gcd(*column) or 1 for column in zip(*matrix)]
     rows = [[v // g for v, g in zip(row, contents)] for row in matrix]
     last = math.gcd(*rows[-1]) or 1
-    solved = solve_linear_system([primitive(row) for row in rows], [0] * (total - 1) + [1])
-    solution = iter((x.numerator * top, x.denominator * bottom * g * last)
-                    for x, (top, bottom), g in zip(solved, scales, contents))
+    solved, det = bareiss([primitive(row) for row in rows], [0] * (total - 1) + [1])
+    solution = iter((v * top, bottom * g * last) for v, (top, bottom), g in zip(solved, scales, contents))
     components = []
-    for i in range(ws.p):  # component i's unknowns over their lcm (a negative divisor flips its quotient)
+    for i in range(ws.p):  # component i's unknowns over their lcm times det (a negative divisor flips its quotient)
         entries = [next(solution) for _ in range(n[i])]
         den = math.lcm(*(d for _, d in entries))
         components.append(ScaledPolynomial(families.type1_basis(ws, i), scale=families.type1_scale(ws, i, total),
-                                           row=([v * (den // d) for v, d in entries], den)))
+                                           row=([v * (den // d) for v, d in entries], den * det)))
     return TypeIVector(tuple(components))
 
 
-def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[Fraction]:
-    """The |n| transform arguments alpha_i + k, 1 <= k <= n_i, where orthogonality forces the transform to vanish."""
+def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[tuple[int, int]]:
+    """The |n| transform arguments alpha_i + k, 1 <= k <= n_i, where orthogonality forces the transform to vanish,
+    each the integer pair (alpha_i Q + k Q, Q)."""
     Q, alpha, _ = ws.integer_parameters
-    return [Fraction(alpha[i] + k * Q, Q) for i in range(ws.p) for k in range(1, n[i] + 1)]
+    return [(alpha[i] + k * Q, Q) for i in range(ws.p) for k in range(1, n[i] + 1)]
 
 
 def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, points) -> bool:
     """Moment-reduced transform of the weighted type II polynomial vs its closed form.
 
-    Both sides are compared at every transform argument s in points as
+    Both sides are compared at every transform argument s = a/b in points,
+    given as the integer pair (a, b) with b > 0 (not necessarily reduced), as
     rational cofactors of the same gamma factor: Gamma(s) for Laguerre,
     Gamma(s) Gamma(beta+1) / Gamma(s+beta+|n|+1) for Jacobi-Pineiro, and
     Gamma(beta+1) Gamma(s) for the discrete Hahn kernel.  The parts that do
     not depend on s are built once; the first failing s returns False.
 
-    At s = a/b both sides are integer pairs, cross-multiplied; the right one is
+    Both sides are integer pairs, cross-multiplied; the right one is
     one :func:`rising_product` over bQ.  The continuous left side sum_k c_k (s)_k
     [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro] is nested from the top index K:
     with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv) (B_k = v = 1 for
@@ -285,15 +278,15 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
         coefficients, den = poly.monomial_row()
         if not 0 < len(coefficients) <= total + 1:
             raise PreconditionError(f"a type II polynomial at |n| = {total} has 1 to {total + 1} coefficients")
-    for s in points:
-        s = as_fraction(s)
-        if is_nonpositive_integer(s):
-            raise PoleError(f"transform argument s = {s} sits on a gamma pole")
-        a, b = s.as_integer_ratio()
+    for a, b in points:
+        if b <= 0:
+            raise PreconditionError(f"transform argument {a}/{b} needs a positive denominator")
+        if a <= 0 and a % b == 0:
+            raise PoleError(f"transform argument s = {a // b} sits on a gamma pole")
         ups = [(c * b - a * Q + Q * b, ni) for c, ni in zip(alpha, n)]  # alpha_i+1-s over bQ
         if ws.family is Family.HAHN:
             ups.append((a * Q + (beta + (total + 1) * Q) * b, ws.N - total))
-            kernel = rising_over_factorial(s, ws.N + 1)  # (s)_x / x!
+            kernel = rising_over_factorial(a, b, ws.N + 1)  # (s)_x / x!
             lhs = sum(map(operator.mul, weighted[0], kernel[0])), weighted[1] * kernel[1]
         else:
             jacobi = ws.family is Family.JACOBI_PINEIRO
@@ -315,26 +308,17 @@ def check_discrete_mellin_inversion(ws: WeightSystem, values) -> bool:
     """Exact lattice inversion of the discrete transform for arbitrary data.
 
     The pole sum of the inversion kernel collapses to the double sum
-    sum_{k<=x} sum_{l=k}^{x} f(k)/k! (-1)^{l-k}/(l-k)! x!/(x-l)! which must
-    reproduce f(x) at every lattice point.
+    sum_{k<=x} sum_{l=k}^{x} f(k)/k! (-1)^{l-k}/(l-k)! x!/(x-l)!, that is
+    f(k) (-1)^{l-k} C(x, l) C(l, k), which must reproduce f(x) at every lattice point.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("the lattice inversion is a Hahn-side check")
     values = [as_fraction(v) for v in values]
     if len(values) != ws.N + 1:
         raise PreconditionError(f"need one value per lattice point, got {len(values)}")
-    for x in range(ws.N + 1):
-        acc = Fraction(0)
-        for k in range(x + 1):
-            for l in range(k, x + 1):
-                acc += (
-                    values[k] / math.factorial(k)
-                    * Fraction(-1) ** (l - k) / math.factorial(l - k)
-                    * math.factorial(x) / math.factorial(x - l)
-                )
-        if acc != values[x]:
-            return False
-    return True
+    return all(sum((values[k] * (-1) ** (l - k) * math.comb(x, l) * math.comb(l, k)
+                    for k in range(x + 1) for l in range(k, x + 1)), Fraction(0)) == values[x]
+               for x in range(ws.N + 1))
 
 
 def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]:

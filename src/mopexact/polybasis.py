@@ -3,17 +3,15 @@
 Four bases appear: plain monomials x^k, falling factorials (-x)_k, shifted
 rising factorials (x + alpha_i + 1)_k, one per weight, and the
 descending lattice products (beta + N - x + 1)_k used for the discrete
-orthogonality rows.  A ScaledPolynomial is a coefficient row in one of
-these bases (integer numerators over one positive denominator, reduced, so
-rows compare exactly) together with a formal GammaProduct scale, so
+orthogonality rows.  A ScaledPolynomial is a reduced integer coefficient
+row in one of these bases together with a formal gamma scale, so
 transcendental prefactors stay symbolic until they cancel against weight
 moments.  Its Fraction coefficients are built only when read.
 
-On the Hahn lattice {0, ..., N} every value vector is a :data:`LatticeRow`:
-integer numerators at x = 0..N over one positive denominator, so a lattice
-pairing is an integer dot product divided once.  A basis is tabulated by
-its one-step recurrence (:func:`lattice_table`); a polynomial's values
-there are kept on the polynomial object and last only as long as it.
+On the Hahn lattice {0, ..., N} every value vector is a :data:`LatticeRow`,
+integer numerators at x = 0..N over one positive denominator, tabulated by
+its basis's one-step recurrence (:func:`lattice_table`); a polynomial keeps
+its values there for as long as it lives.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ class Basis:
 
     @staticmethod
     def backward_pochhammer(beta, N: int) -> "Basis":
-        return Basis(BasisKind.BACKWARD_POCHHAMMER, as_fraction(beta) + N + 1)
+        return Basis(BasisKind.BACKWARD_POCHHAMMER, as_fraction(beta) + (N + 1))
 
     def element_value(self, k: int, x) -> Fraction:
         x = as_fraction(x)
@@ -87,12 +85,10 @@ class Basis:
 
     def element_monomial_coefficients(self, k: int) -> tuple[Fraction, ...]:
         """The k-th basis element expanded in powers of x (length k+1)."""
-        if self.kind is BasisKind.MONOMIAL:
-            return tuple(Fraction(0) for _ in range(k)) + (Fraction(1),)
         coeffs = [Fraction(1)]
-        for m in range(k):
+        for m in range(k):  # times (const + slope x) / q
             const, slope, q = self._step_factor(m)
-            coeffs = _multiply_linear(coeffs, Fraction(const, q), Fraction(slope, q))
+            coeffs = [(c * const + d * slope) / q for c, d in zip([*coeffs, 0], [0, *coeffs])]
         return tuple(coeffs)
 
 
@@ -113,14 +109,12 @@ def integer_row(values) -> LatticeRow:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def rising_over_factorial(a, length: int) -> LatticeRow:
-    """(a)_k / k! at k = 0..length-1 as one row, not reduced (:func:`reduced_row` reduces it).
+def rising_over_factorial(p: int, q: int, length: int) -> LatticeRow:
+    """(p/q)_k / k! at k = 0..length-1, p and q > 0 integers, as one row, not reduced (:func:`reduced_row` reduces it).
 
-    With a = p/q and m = length - 1 the denominator is q^m m!, and entry k
+    With m = length - 1 the denominator is q^m m!, and entry k
     is prod_{j<k} (p + j q) * q^(m-k) * m!/k!.
     """
-    a = as_fraction(a)
-    p, q = a.numerator, a.denominator
     m = max(length - 1, 0)
     den = q**m * math.factorial(m)
     nums = []
@@ -152,14 +146,6 @@ def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
     return rows
 
 
-def _multiply_linear(coeffs, const: Fraction, slope: Fraction) -> list[Fraction]:
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for j, c in enumerate(coeffs):
-        out[j] += c * const
-        out[j + 1] += c * slope
-    return out
-
-
 @dataclass(frozen=True, init=False)
 class ScaledPolynomial:
     """scale * sum_k c_k * basis_k(x), all parts exact, with c_k = row[0][k] / row[1].
@@ -167,14 +153,15 @@ class ScaledPolynomial:
     The row is reduced (no factor common to the positive denominator and all
     numerators), so two rows are equal exactly when the coefficients are.  It
     is given as ``row=`` or built from positional exact rationals; the Fraction
-    :attr:`coefficients` are built on first read.
+    :attr:`coefficients` are built on first read.  The scale is a
+    :class:`GammaProduct` or a :class:`LazyGammaProduct`.
     """
 
     basis: Basis
     row: LatticeRow
     scale: GammaProduct
 
-    def __init__(self, basis: Basis, coefficients=(), scale: GammaProduct = GammaProduct(), *, row=None):
+    def __init__(self, basis: Basis, coefficients=(), scale: GammaProduct = GammaProduct.one(), *, row=None):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "row", reduced_row(*(integer_row([as_fraction(c) for c in coefficients])
                                                        if row is None else row)))
@@ -235,14 +222,15 @@ class ScaledPolynomial:
             return self.row
         return integer_row(self.monomial_coefficients())
 
-    def leading_monomial_coefficient(self) -> Fraction:
-        """Top nonzero coefficient times the leading sign of its basis element: (-1)^k for (-x)_k and (s-x)_k."""
+    def leading_monomial_coefficient(self) -> tuple[int, int]:
+        """Top nonzero coefficient times the leading sign of its basis element, (-1)^k for (-x)_k and (s-x)_k,
+        as the integer pair (numerator, positive denominator); (0, 1) for the zero polynomial."""
         k = self.degree
         if k < 0:
-            return Fraction(0)
+            return 0, 1
         nums, den = self.row
         falling = self.basis.kind in (BasisKind.FALLING_FACTORIAL, BasisKind.BACKWARD_POCHHAMMER)
-        return Fraction(-nums[k] if falling and k % 2 else nums[k], den)
+        return -nums[k] if falling and k % 2 else nums[k], den
 
 
 def eval_polynomial(poly: ScaledPolynomial, x) -> tuple[Fraction, GammaProduct]:

@@ -9,25 +9,15 @@ type II inverse transforms have simple poles at the nonpositive integers
 Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term.
 
-Everything that does not depend on the sample point x or the expansion
-order k is built once per instance, and every rational is an integer pair
-(numerator, nonzero denominator), never reduced: the type I pole-sum terms,
-one integer row per component, carry their pole weights (:func:`_pole_weights`),
-prefactors and residual (:func:`_type1_pole_terms`); :func:`check_residue_duality`
-compares one row of pairs per component and route over the points
-(:func:`_duality_rows`); the type II residue and series coefficients are
-rows of pairs over k = 0..k_max.  Two rows agree when every pair of entries
-does cross-multiplied.
-
-Both sides of every comparison carry the same gamma: the canonical type I
-scale (:func:`families.require_type1_scales` rejects others), Gamma(beta+1)
-for the Hahn type II rows, none otherwise.  So rational rows are compared
-directly, and the recovered nodes take their factor in closed form.
-
-Normalization data: the per-pole values of a type I vector are the values
-of the integrand's polynomial factor at its |n| distinct nodes
-(:func:`recovered_nodes`), which the orthogonality conditions force to be
-one constant; the verifier checks each node against its closed form.
+What does not depend on the sample point x or the expansion order k is
+built once per instance, and every rational is an integer pair (numerator,
+nonzero denominator), never reduced; two rows of pairs agree when every
+entry does cross-multiplied.  Both sides of every comparison carry the same
+gamma: the canonical type I scale (:func:`families.require_type1_scales`
+rejects others), Gamma(beta+1) for the Hahn type II rows, none otherwise.
+The per-pole values of a type I vector are the values of the integrand's
+polynomial factor at its |n| distinct nodes (:func:`recovered_nodes`), which
+orthogonality forces to be one constant, checked against its closed form.
 """
 
 from __future__ import annotations
@@ -37,7 +27,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import PoleError, PreconditionError
-from .gammaprod import GammaProduct, pochhammer, rising, rising_product
+from .gammaprod import GammaProduct, rising, rising_product
 from .polybasis import BasisKind, LatticeRow, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -106,8 +96,7 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[LatticeRow,
             downs.append(downs[-1] * (down + k * Q))
         common = math.lcm(*(w_den for _, w_den in weights))
         nums = [w * (common // w_den) * u * (downs[-1] // d) for (w, w_den), u, d in zip(weights, ups, downs)]
-        residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
-        components.append(((nums, bottom * common * downs[-1]), residual))
+        components.append(((nums, bottom * common * downs[-1]), families.type1_scale(ws, i, total)))
     return components
 
 
@@ -184,10 +173,10 @@ def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, poi
     return all(_same_values(pole_row, direct_row) for pole_row, _, direct_row, _ in rows)
 
 
-def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[tuple[int, int]], GammaProduct]:
+def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
     """Residues of the type II inverse-transform integrand at its poles k = 0..k_max.
 
-    Entry k is a rational, an integer pair, against the returned gamma product: empty for
+    Entry k is a rational, an integer pair, against a gamma product: empty for
     the continuous families, Gamma(beta+1) for Hahn, whose pole carries
     Gamma(beta+|n|+1) Gamma(beta+N+1-k) / Gamma(beta+|n|+1-k); against
     Gamma(beta+1) that is the rational q_k with q_0 = (beta+1)_N and
@@ -210,11 +199,11 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[lis
             num, den = -num * (beta + (total - k) * Q), den * (k + 1) * Q
         else:
             num, den = num * (beta + (total - k) * Q), den * (k + 1) * (beta + (ws.N - k) * Q)
-    return values, GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
+    return values
 
 
-def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[tuple[int, int]], GammaProduct]:
-    """Terms k = 0..k_max of the hypergeometric series form of the same expansion.
+def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
+    """Terms k = 0..k_max of the hypergeometric series form of the same expansion, against the same gamma.
 
     Independent route: the series parameters come straight from the
     weighted expansions (:func:`families._type2_series`, whose Hahn terms
@@ -223,8 +212,7 @@ def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list
     nonzero numerator raises PoleError.  Each entry is an integer pair over its running denominator.
     """
     (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
-    gamma = GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
-    return [(top * v, bottom * d) for v, d in zip(nums, dens)], gamma
+    return [(top * v, bottom * d) for v, d in zip(nums, dens)]
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
@@ -234,7 +222,7 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    return _same_values(_type2_residue_row(ws, n, k_max)[0], _type2_series_row(ws, n, k_max)[0])  # against one gamma
+    return _same_values(_type2_residue_row(ws, n, k_max), _type2_series_row(ws, n, k_max))  # against one gamma
 
 
 def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -281,15 +269,12 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     return nodes
 
 
-def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> Fraction:
-    """Closed form of the constant the recovery must return for the true vectors."""
+def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> tuple[int, int]:
+    """Closed form of the constant the recovery must return for the true vectors, as a reduced integer pair:
+    (-1)^(|n|-1), times prod_i (alpha_i+beta+|n|)_{n_i} / (beta+1)_{|n|-1} unless Laguerre, times (N+1-|n|)! for Hahn."""
     total = total_degree(n)
-    value = Fraction(-1) ** (total - 1)
     if ws.family is Family.LAGUERRE_FIRST_KIND:
-        return value
-    for i in range(ws.p):
-        value *= pochhammer(ws.alpha[i] + ws.beta + total, n[i])
-    value /= pochhammer(ws.beta + 1, total - 1)
-    if ws.family is Family.HAHN:
-        value *= math.factorial(ws.N - total + 1)
-    return value
+        return (-1) ** (total - 1), 1
+    Q, alpha, beta = ws.integer_parameters
+    top = (-1) ** (total - 1) * (math.factorial(ws.N - total + 1) if ws.family is Family.HAHN else 1)
+    return rising_product(Q, [(a + beta + total * Q, ni) for a, ni in zip(alpha, n)], [(beta + Q, total - 1)], top)

@@ -10,12 +10,12 @@ Hahn weights are normalized so that their lattice values are exact
 rationals: w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!.  The
 gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
-The lattice values are tabulated on first use as integer rows (numerators
-over one denominator, see :data:`mopexact.polybasis.LatticeRow`) and kept
-on the weight system (:attr:`WeightSystem.weight_table`; the continuous
-moments in :meth:`WeightSystem.moment_rows`), so they last only as long as it.
-Every Pochhammer argument the checks build is an integer over the one
-denominator of :attr:`WeightSystem.integer_parameters`, formed by integer adds.
+The lattice values (:attr:`WeightSystem.weight_table`) and the continuous
+moments (:meth:`WeightSystem.moment_rows`) are integer rows over one
+denominator (:data:`mopexact.polybasis.LatticeRow`), built on first use and
+kept on the weight system.  Every Pochhammer argument they and the checks
+build is an integer over the one denominator Q of
+:attr:`WeightSystem.integer_parameters`, formed by integer adds.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class WeightSystem:
     @cached_property
     def beta_factors(self) -> LatticeRow:
         """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
-        nums, den = reduced_row(*rising_over_factorial(self.beta + 1, self.N + 1))
+        q, _, beta = self.integer_parameters
+        nums, den = reduced_row(*rising_over_factorial(beta + q, q, self.N + 1))
         return nums[::-1], den
 
     @cached_property
@@ -135,10 +136,9 @@ class WeightSystem:
         """Rows i of the Hahn lattice weights w_i(x), x = 0..N, built on first use."""
         if self.family is not Family.HAHN:
             raise AdmissibilityError("lattice weights exist only for the Hahn family")
-        return tuple(
-            reduced_row(*row_product(rising_over_factorial(a + 1, self.N + 1), self.beta_factors))
-            for a in self.alpha
-        )
+        q, alpha, _ = self.integer_parameters
+        return tuple(reduced_row(*row_product(rising_over_factorial(a + q, q, self.N + 1), self.beta_factors))
+                     for a in alpha)
 
     def kept(self, key, build):
         """build() once per weight system and key, kept on the weight system so it lasts only as long as it."""

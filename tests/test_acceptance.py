@@ -93,7 +93,7 @@ def test_criterion_1_hahn_type1_orthogonality():
         rep = check_type1_orthogonality(ws, n, families.type1(ws, n))
         ok &= rep.passed
         ok &= all(value == 0 for value in rep.residuals.values())
-        ok &= rep.normalization == F(-1) ** (total_degree(n) - 1)
+        ok &= F(*rep.normalization) == F(-1) ** (total_degree(n) - 1)
     report(1, f"Hahn type I orthogonality exact on {len(hahn_instances())} instances", ok)
 
 
@@ -126,7 +126,7 @@ def test_criterion_4_recovered_contour_constants():
             continue
         count += 1
         coeffs = interpolation_recover_p(ws, n, families.type1(ws, n))
-        ok &= coeffs[0] == residues.recovered_constant_closed_form(ws, n)
+        ok &= coeffs[0] == F(*residues.recovered_constant_closed_form(ws, n))
         ok &= all(c == 0 for c in coeffs[1:])
     report(4, f"recovered integrand constants exact on {count} instances with |n| >= 2", ok)
 
@@ -136,7 +136,7 @@ def test_criterion_5_mellin_closed_forms():
     ok = True
     for ws, n in all_instances():
         poly = families.type2(ws, n)
-        samples = [F(rng.randint(1, 9), rng.choice((7, 11, 13))) for _ in range(5)]
+        samples = [(rng.randint(1, 9), rng.choice((7, 11, 13))) for _ in range(5)]
         ok &= check_mellin_type2(ws, n, poly, samples)
         zeros = oracle.mellin_zero_points(ws, n)
         ok &= len(zeros) == total_degree(n)

@@ -72,7 +72,7 @@ def test_continuous_type1_checks_reduce_no_gamma(ws, reduce_calls):
                for a, b in zip(vec.components, oracle.oracle_solve_type1(ws, n).components))
     assert check_residue_duality(ws, n, vec, points)
     assert residues.verify_type2_series_equivalence(ws, n, 8)
-    expected = residues.recovered_constant_closed_form(ws, n)
+    expected = Fraction(*residues.recovered_constant_closed_form(ws, n))
     assert all(value == expected for _, value in recovered_node_values(ws, n, vec))
     assert reduce_calls == []
 

@@ -329,12 +329,12 @@ def assert_sites_match(ws, n):
     (top, bottom), nums, dens = families._type2_series(ws, n, max(6, total) + 1)
     assert (F(top, bottom), [F(v, d) for v, d in zip(nums, dens)]) == type2_series(ws, n, max(6, total) + 1)
     k_max = min(max(6, total), ws.N) if ws.family is Family.HAHN else max(6, total)
-    assert pair_values(residues._type2_residue_row(ws, n, k_max)[0]) == type2_residue_row(ws, n, k_max)
-    points = MELLIN_POINTS + oracle.mellin_zero_points(ws, n)
+    assert pair_values(residues._type2_residue_row(ws, n, k_max)) == type2_residue_row(ws, n, k_max)
+    points = [s.as_integer_ratio() for s in MELLIN_POINTS] + oracle.mellin_zero_points(ws, n)
     for fault in [None] + [f"t2:{k}" for k in range(total + 1)]:
         faulty, _ = apply_fault(poly, None, fault)
         for s in points:
-            lhs, rhs = mellin_sides(ws, n, faulty, s)
+            lhs, rhs = mellin_sides(ws, n, faulty, F(*s))
             assert oracle.check_mellin_type2(ws, n, faulty, [s]) == (lhs == rhs), (fault, s)
         if ws.family is Family.HAHN:
             assert families.hahn_jp_coefficient_relation(ws, n, faulty) == jp_relation(ws, n, faulty), fault

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import SingularSystemError
-from mopexact.linalg import solve_linear_system
+from mopexact.linalg import bareiss, solve_linear_system
 
 F = Fraction
 
@@ -46,6 +46,23 @@ def gauss_reference(matrix, rhs) -> list[Fraction]:
             acc -= a[row][c] * x[c]
         x[row] = acc / a[row][row]
     return x
+
+
+def determinant_reference(matrix) -> Fraction:
+    """det(A) by Fraction elimination: the product of the pivots, negated once per row swap."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(a)):
+        pivot_row = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            a[col], a[pivot_row], det = a[pivot_row], a[col], -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
 
 
 @st.composite
@@ -136,3 +153,52 @@ def test_empty_system():
 def test_shape_checked():
     with pytest.raises(ValueError):
         solve_linear_system([[F(1), F(2)]], [F(1)])
+
+
+@st.composite
+def integer_systems(draw):
+    n = draw(st.integers(1, 8))
+    ints = st.one_of(st.just(0), st.integers(-1000, 1000))
+    matrix = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        matrix[0][0] = 0  # the first column's pivot must come from a row swap
+    return matrix, draw(st.lists(ints, min_size=n, max_size=n))
+
+
+@given(integer_systems())
+@settings(max_examples=100, deadline=None)
+def test_integer_core_matches_fraction_gauss(system):
+    matrix, rhs = system
+    try:
+        expected = gauss_reference(matrix, rhs)
+    except SingularSystemError as exc:
+        with pytest.raises(SingularSystemError, match=str(exc)):
+            bareiss(matrix, rhs)
+        return
+    num, det = bareiss(matrix, rhs)
+    assert all(type(v) is int for v in num) and type(det) is int
+    assert det == determinant_reference(matrix)
+    assert [Fraction(v, det) for v in num] == expected == solve_linear_system(matrix, rhs)
+
+
+def test_integer_core_pivot_swap_makes_det_negative():
+    # det [[0, 2], [3, 1]] = -6 and x = (1, 2); the numerators are Cramer's det(A_i)
+    assert bareiss([[0, 2], [3, 1]], [4, 5]) == ([-6, -12], -6)
+
+
+def test_integer_core_names_the_singular_column():
+    # column 1 is twice column 0
+    with pytest.raises(SingularSystemError, match="no pivot in column 1"):
+        bareiss([[1, 2, 0], [2, 4, 1], [0, 0, 1]], [1, 2, 3])
+
+
+def test_integer_core_empty_system():
+    assert bareiss([], []) == ([], 1)
+
+
+@pytest.mark.parametrize("solve", [bareiss, solve_linear_system])
+@pytest.mark.parametrize("matrix, rhs", [([[1, 2]], [1]), ([[1], [2]], [1]), ([[1], [2]], [1, 2]),
+                                         ([[1, 0], [0, 1]], [1])])
+def test_non_square_systems_raise_value_error(solve, matrix, rhs):
+    with pytest.raises(ValueError, match="square"):
+        solve(matrix, rhs)

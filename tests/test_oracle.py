@@ -23,14 +23,14 @@ from mopexact import (
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import AdmissibilityError, Family, GammaProduct, WeightSystem, families, oracle
+from mopexact import AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle
 from mopexact.weights import total_degree
 from mopexact.linalg import solve_linear_system
 from mopexact.driver import apply_fault, compositions, run_instance
 from mopexact.polybasis import lattice_table, row_product
 from conftest import (
-    admissible_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values,
-    scaled_values_equal, times,
+    admissible_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, pair_values, prime_offset, rising_row,
+    row_values, scaled_values_equal, times,
 )
 
 F = Fraction
@@ -330,7 +330,7 @@ class TestType1Reports:
         zero = TypeIVector((ScaledPolynomial(Basis.monomial(), (F(0),),
                                              families.type1_scale(ws, 0, 1)),))
         report = check_type1_orthogonality(ws, (1,), zero)
-        assert not report.passed and report.normalization == 0
+        assert not report.passed and F(*report.normalization) == 0
 
     def test_power_and_backward_rows_agree_for_hahn(self):
         # the backward lattice rows and the plain power rows define the same
@@ -463,7 +463,7 @@ class TestContinuousPairings:
             }
         for v in (vec, apply_fault(poly, vec, fault)[1]):
             moments = reference_moments(total + max(n) - 1)
-            assert oracle._type1_pairings(ws, v, total) == [
+            assert pair_values(oracle._type1_pairings(ws, v, total)) == [
                 sum((scale_reduction(ws, c.scale, i) * power_pairing(c.coefficients, moments[i], j)
                      for i, c in enumerate(v.components) if c.coefficients), F(0))
                 for j in range(total)
@@ -501,19 +501,19 @@ class TestMellin:
         coefficients[0] += (rhs - lhs) / weight
         poly = ScaledPolynomial(Basis.monomial(), coefficients)
         assert reference_mellin_sides(ws, n, poly, s)[0] == rhs
-        assert check_mellin_type2(ws, n, poly, [s])
+        assert check_mellin_type2(ws, n, poly, [s.as_integer_ratio()])
         coefficients[0] += 1
-        assert not check_mellin_type2(ws, n, ScaledPolynomial(Basis.monomial(), coefficients), [s])
+        assert not check_mellin_type2(ws, n, ScaledPolynomial(Basis.monomial(), coefficients), [s.as_integer_ratio()])
 
     @given(admissible_systems())
     @settings(max_examples=40, deadline=None)
     def test_every_type2_fault_matches_fraction_route(self, system):
         ws, n = system
         poly = families.type2(ws, n)
-        points = [F(1, 7), F(4, 11), F(9, 13)] + oracle.mellin_zero_points(ws, n)
+        points = [(1, 7), (4, 11), (9, 13)] + oracle.mellin_zero_points(ws, n)
         for fault in [None] + [f"t2:{k}" for k in range(len(poly.coefficients))]:
             bumped, _ = apply_fault(poly, None, fault)
-            expected = all(lhs == rhs for lhs, rhs in (reference_mellin_sides(ws, n, bumped, s) for s in points))
+            expected = all(lhs == rhs for lhs, rhs in (reference_mellin_sides(ws, n, bumped, F(*s)) for s in points))
             assert check_mellin_type2(ws, n, bumped, points) == expected == (fault is None), fault
 
     @pytest.mark.parametrize("coefficients", [(), (F(1), F(0), F(1))])
@@ -521,7 +521,7 @@ class TestMellin:
         # the integer left side is nested from an index K <= |n|
         for ws in (laguerre_ws(1), jacobi_pineiro_ws(1)):
             with pytest.raises(PreconditionError):
-                check_mellin_type2(ws, (1,), ScaledPolynomial(Basis.monomial(), coefficients), [F(1, 7)])
+                check_mellin_type2(ws, (1,), ScaledPolynomial(Basis.monomial(), coefficients), [(1, 7)])
 
     def test_laguerre_explicit_point(self):
         # s = 1: transform cofactors are Gamma(2) - (3/2) Gamma(1) = -1/2 on
@@ -530,31 +530,58 @@ class TestMellin:
         poly = families.type2(ws, (1,))
         assert sum(c * pochhammer(F(1), k) for k, c in enumerate(poly.coefficients)) == F(-1, 2)
         assert F(-1) * pochhammer(ws.alpha[0] + 1 - 1, 1) == F(-1, 2)
-        assert check_mellin_type2(ws, (1,), poly, [1])
+        assert check_mellin_type2(ws, (1,), poly, [(1, 1)])
 
     def test_jp_vanishes_at_prescribed_zero(self):
         ws = jacobi_pineiro_ws(2)
-        assert check_mellin_type2(ws, (1, 1), families.type2(ws, (1, 1)), [ws.alpha[0] + 1])
+        assert check_mellin_type2(ws, (1, 1), families.type2(ws, (1, 1)), [(ws.alpha[0] + 1).as_integer_ratio()])
 
     def test_hahn_random_argument(self):
         ws = hahn_ws(2, 4)
-        assert check_mellin_type2(ws, (1, 1), families.type2(ws, (1, 1)), [F(1, 7)])
+        assert check_mellin_type2(ws, (1, 1), families.type2(ws, (1, 1)), [(1, 7)])
 
     def test_zero_points_count_and_vanishing(self):
         for n in compositions(3):
             p, total = len(n), sum(n)
             for ws in (laguerre_ws(p), jacobi_pineiro_ws(p), hahn_ws(p, total + 2)):
                 zeros = oracle.mellin_zero_points(ws, n)
-                assert len(zeros) == total
+                assert len(zeros) == total and all(b > 0 for _, b in zeros)
+                assert [F(*s) for s in zeros] == [a + k for a, ni in zip(ws.alpha, n) for k in range(1, ni + 1)]
                 poly = families.type2(ws, n)
                 for s in zeros:
                     assert check_mellin_type2(ws, n, poly, [s])
+
+    @pytest.mark.parametrize("point", [(-4, 2), (0, 3), (0, 1), (-3, 1), (-12, 4)])
+    def test_pole_raises_in_any_form(self, point):
+        # s = a/b is a pole exactly when it is a nonpositive integer, whether or not the pair is reduced
+        for ws in (laguerre_ws(1), jacobi_pineiro_ws(1), hahn_ws(1, 3)):
+            with pytest.raises(PoleError):
+                check_mellin_type2(ws, (1,), families.type2(ws, (1,)), [point])
+
+    @pytest.mark.parametrize("point", [(1, 0), (0, 0), (-3, 0), (1, -7), (-4, -2)])
+    def test_nonpositive_denominator_is_a_precondition_error(self, point):
+        for ws in (laguerre_ws(1), jacobi_pineiro_ws(1), hahn_ws(1, 3)):
+            with pytest.raises(PreconditionError, match="positive denominator"):
+                check_mellin_type2(ws, (1,), families.type2(ws, (1,)), [point])
+
+    @given(admissible_systems(), st.integers(-20, 40), st.sampled_from([1, 2, 7, 11]), st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unreduced_pairs_give_the_reduced_verdict(self, system, a, b, m, data):
+        ws, n = system
+        if a <= 0 and a % b == 0:
+            a = b  # s = 1 instead of a pole
+        poly = families.type2(ws, n)
+        bumped, _ = apply_fault(poly, None, f"t2:{data.draw(st.integers(0, sum(n)))}")
+        for p in (poly, bumped):
+            lhs, rhs = reference_mellin_sides(ws, n, p, F(a, b))
+            unreduced, reduced = ((a * m, b * m),), (F(a, b).as_integer_ratio(),)
+            assert check_mellin_type2(ws, n, p, unreduced) == check_mellin_type2(ws, n, p, reduced) == (lhs == rhs)
 
     def test_perturbed_polynomial_fails(self):
         ws = laguerre_ws(1)
         poly = families.type2(ws, (1,))
         bumped = ScaledPolynomial(poly.basis, (poly.coefficients[0] + 1, poly.coefficients[1]))
-        assert not check_mellin_type2(ws, (1,), bumped, [F(1, 7)])
+        assert not check_mellin_type2(ws, (1,), bumped, [(1, 7)])
 
 
 class TestDiscreteInversion:

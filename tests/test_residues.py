@@ -142,16 +142,19 @@ def pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fr
     return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
 
 
+def row_gamma(ws: WeightSystem) -> GammaProduct:
+    """The gamma both type II rows are against: Gamma(beta+1) for Hahn, none otherwise."""
+    return GammaProduct.gamma(ws.beta + 1) if ws.family is Family.HAHN else GammaProduct.one()
+
+
 def residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
-    """residues._type2_residue_row with its integer pairs read as Fractions."""
-    row, gamma = residues._type2_residue_row(ws, n, k_max)
-    return pair_values(row), gamma
+    """residues._type2_residue_row with its integer pairs read as Fractions, and its gamma."""
+    return pair_values(residues._type2_residue_row(ws, n, k_max)), row_gamma(ws)
 
 
 def series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
-    """residues._type2_series_row with its integer pairs read as Fractions."""
-    row, gamma = residues._type2_series_row(ws, n, k_max)
-    return pair_values(row), gamma
+    """residues._type2_series_row with its integer pairs read as Fractions, and its gamma."""
+    return pair_values(residues._type2_series_row(ws, n, k_max)), row_gamma(ws)
 
 
 def term_fractions(row) -> list[Fraction]:
@@ -361,6 +364,23 @@ class TestRandomAdmissibleSystems:
 
 
 class TestInterpolationRecovery:
+    @given(st.one_of(admissible_systems(), hahn_corner_systems()))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_is_the_reduced_pair_of_the_fraction_form(self, system):
+        # against the Fraction product the integer pair replaced
+        ws, n = system
+        total = sum(n)
+        expected = F(-1) ** (total - 1)
+        if ws.family is not Family.LAGUERRE_FIRST_KIND:
+            for a, ni in zip(ws.alpha, n):
+                expected *= pochhammer(a + ws.beta + total, ni)
+            expected /= pochhammer(ws.beta + 1, total - 1)
+        if ws.family is Family.HAHN:
+            expected *= math.factorial(ws.N - total + 1)
+        top, bottom = recovered_constant_closed_form(ws, n)
+        assert type(top) is int and bottom > 0 and math.gcd(top, bottom) == 1
+        assert F(top, bottom) == expected
+
     def test_laguerre_constant(self):
         ws = laguerre_ws(2)
         coeffs = interpolation_recover_p(ws, (1, 1), families.type1(ws, (1, 1)))
@@ -371,7 +391,7 @@ class TestInterpolationRecovery:
         ws = jacobi_pineiro_ws(2)
         n = (2, 1)
         coeffs = interpolation_recover_p(ws, n, families.type1(ws, n))
-        expected = recovered_constant_closed_form(ws, n)
+        expected = F(*recovered_constant_closed_form(ws, n))
         manual = F(-1) ** 2 / pochhammer(ws.beta + 1, 2)
         for i, a in enumerate(ws.alpha):
             manual *= pochhammer(a + ws.beta + 3, n[i])
@@ -382,7 +402,7 @@ class TestInterpolationRecovery:
         ws = hahn_ws(3, 6)
         n = (1, 1, 1)
         coeffs = interpolation_recover_p(ws, n, families.type1(ws, n))
-        expected = recovered_constant_closed_form(ws, n)
+        expected = F(*recovered_constant_closed_form(ws, n))
         manual = F(-1) ** 2 * math.factorial(ws.N - 3 + 1) / pochhammer(ws.beta + 1, 2)
         for i, a in enumerate(ws.alpha):
             manual *= pochhammer(a + ws.beta + 3, n[i])
@@ -394,7 +414,7 @@ class TestInterpolationRecovery:
         # that the recovery still returns the same constants
         for ws in (laguerre_ws(1), jacobi_pineiro_ws(1), hahn_ws(1, 3)):
             coeffs = interpolation_recover_p(ws, (1,), families.type1(ws, (1,)))
-            assert coeffs == (recovered_constant_closed_form(ws, (1,)),)
+            assert coeffs == (F(*recovered_constant_closed_form(ws, (1,))),)
 
     def test_perturbed_vector_is_not_constant(self):
         ws = laguerre_ws(2)
@@ -413,7 +433,7 @@ class TestInterpolationRecovery:
         # against the interpolant it replaced ((c, 0, ..., 0)), unperturbed and
         # under every single-coefficient +1 fault
         ws, n = system
-        expected = recovered_constant_closed_form(ws, n)
+        expected = F(*recovered_constant_closed_form(ws, n))
         vec = families.type1(ws, n)
         faults = [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]
         for fault in faults:
