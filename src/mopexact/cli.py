@@ -16,15 +16,14 @@ or admissibility errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
-import functools
 import io
 import json
 import math
 import os
 import random
 import re
+import signal
 import sys
 from fractions import Fraction
 
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all"] + [f.value for f in Family])
     p.add_argument("--max-total-degree", type=int, default=4)
     p.add_argument("--max-N", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1, help="0 = one per cpu")
+    p.add_argument("--jobs", type=int, default=1, help="processes to split the grid over; 0 = one per usable cpu")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", default=None, metavar="SPEC",
                    help="perturb one coefficient by +1: 't2:IDX' or 't1:I:K'")
@@ -225,7 +224,7 @@ def _poly_record(ws: WeightSystem, n, which: int) -> dict:
             "coefficients": [str(c) for c in comp.coefficients],
         }
         if comp.basis.kind is BasisKind.SHIFTED_RISING:
-            entry["basis_shift"] = str(comp.basis.shift)
+            entry["basis_shift"] = str(Fraction(*comp.basis.shift))
         components.append(entry)
     return {"type": 1, "components": components}
 
@@ -264,17 +263,70 @@ def _verify_families(selector: str) -> list[str]:
     return [selector]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shares(run_share, shares: list[list]) -> list[dict]:
+    """The records of every share: shares[1:] each in a forked child, shares[0] in this process.
+
+    A child sends its records through a pipe as one JSON document and leaves
+    by os._exit, so it never flushes the stdout buffer it inherited and runs
+    no atexit handler.  A child that exits nonzero has its share run again
+    here, so an exception raised there surfaces here as on the serial path.
+    Every child is reaped before this returns or raises; one still running
+    when this raises is killed first.  Forking assumes this process runs no
+    other thread, as the command line does.
+    """
+    children = {}  # pid -> (read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(json.dumps(run_share(share)).encode())
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = (open(read, "rb"), share)
+        results = run_share(shares[0])
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            results += json.loads(data) if status == 0 else run_share(share)
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def cmd_verify(args) -> int:
+    """Run every grid instance; with --jobs above 1, interleaved shares of the grid run in forked children."""
     instances = driver.iter_instances(
         _verify_families(args.family), args.max_total_degree, args.max_N
     )
-    runner = functools.partial(driver.run_instance, fault=args.inject_fault, seed=args.seed)
-    if args.jobs == 1 or len(instances) <= 1:
-        results = [runner(instance) for instance in instances]
+
+    def run_share(share: list) -> list[dict]:
+        return [driver.run_instance(instance, fault=args.inject_fault, seed=args.seed) for instance in share]
+
+    jobs = min(args.jobs or _cpu_count(), len(instances))
+    if jobs <= 1 or not hasattr(os, "fork"):
+        results = run_share(instances)
     else:
-        workers = args.jobs if args.jobs > 0 else os.cpu_count() or 1
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, instances, chunksize=4))
+        # the grid runs in cost order, so interleaved shares take about equal time
+        results = _run_shares(run_share, [instances[w::jobs] for w in range(jobs)])
     results.sort(key=lambda r: r["instance"])
     passed = sum(1 for r in results if r["pass"])
     failed = len(results) - passed

@@ -1,10 +1,10 @@
 """Verification grid enumeration and per-instance check bundles.
 
 The CLI dispatches one self-contained verification job per grid instance
-(family, multi-index, lattice size), so instances can run on a process pool
-and merge deterministically.  Everything here works on plain dicts and
-strings: instances and results are picklable and JSON-ready, and rationals
-cross the boundary as "num/den" strings.
+(family, multi-index, lattice size), so instances can run in forked
+processes and merge deterministically.  Everything here works on plain dicts
+and strings: instances and results are JSON-ready, and rationals cross the
+boundary as "num/den" strings.
 
 A fault specification ("t2:IDX" or "t1:I:K") perturbs one generated
 coefficient by +1 before the checks run; the verifier must then report a

@@ -130,7 +130,8 @@ def require_type1_scales(ws: WeightSystem, vec: TypeIVector, total: int) -> None
 def type1_basis(ws: WeightSystem, i: int) -> Basis:
     """Basis of type I component i, built once per weight system and weight."""
     if ws.family is Family.HAHN:
-        return ws.kept(("type1_basis", i), lambda: Basis.shifted_rising(ws.alpha[i] + 1))
+        Q, alpha, _ = ws.integer_parameters
+        return ws.kept(("type1_basis", i), lambda: Basis.shifted_rising(alpha[i] + Q, Q))
     return Basis.monomial()
 
 

@@ -102,8 +102,9 @@ class OrthogonalityReport:
 
 def _table(ws: WeightSystem, backward: bool, degree: int) -> list[LatticeRow]:
     """:func:`lattice_table` of the monomial or backward basis up to degree on the Hahn lattice, built once per weight system."""
+    Q, _, beta = ws.integer_parameters
     return ws.kept(("lattice_table", backward, degree), lambda: lattice_table(
-        Basis.backward_pochhammer(ws.beta, ws.N) if backward else Basis.monomial(), degree, ws.N))
+        Basis.backward_pochhammer(beta, Q, ws.N) if backward else Basis.monomial(), degree, ws.N))
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:

@@ -36,7 +36,7 @@ class BasisKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Basis:
-    """Basis tag plus the shift its elements need.
+    """Basis tag plus the shift its elements need, as a reduced integer pair (p, q), q > 0, for s = p/q.
 
     MONOMIAL: x^k.  FALLING_FACTORIAL: (-x)_k.  SHIFTED_RISING with shift s:
     (x + s)_k; the generators use s = alpha_i + 1.  BACKWARD_POCHHAMMER with
@@ -44,7 +44,7 @@ class Basis:
     """
 
     kind: BasisKind
-    shift: Fraction | None = None
+    shift: tuple[int, int] | None = None
 
     @staticmethod
     def monomial() -> "Basis":
@@ -55,12 +55,17 @@ class Basis:
         return Basis(BasisKind.FALLING_FACTORIAL)
 
     @staticmethod
-    def shifted_rising(shift) -> "Basis":
-        return Basis(BasisKind.SHIFTED_RISING, as_fraction(shift))
+    def shifted_rising(p: int, q: int) -> "Basis":
+        """Shift s = p/q, integers with q > 0."""
+        g = math.gcd(p, q)
+        return Basis(BasisKind.SHIFTED_RISING, (p // g, q // g))
 
     @staticmethod
-    def backward_pochhammer(beta, N: int) -> "Basis":
-        return Basis(BasisKind.BACKWARD_POCHHAMMER, as_fraction(beta) + (N + 1))
+    def backward_pochhammer(b: int, q: int, N: int) -> "Basis":
+        """Shift s = beta + N + 1 for beta = b/q, integers with q > 0."""
+        p = b + (N + 1) * q
+        g = math.gcd(p, q)
+        return Basis(BasisKind.BACKWARD_POCHHAMMER, (p // g, q // g))
 
     def element_value(self, k: int, x) -> Fraction:
         x = as_fraction(x)
@@ -68,9 +73,10 @@ class Basis:
             return x**k
         if self.kind is BasisKind.FALLING_FACTORIAL:
             return pochhammer(-x, k)
+        shift = Fraction(*self.shift)
         if self.kind is BasisKind.SHIFTED_RISING:
-            return pochhammer(x + self.shift, k)
-        return pochhammer(self.shift - x, k)
+            return pochhammer(x + shift, k)
+        return pochhammer(shift - x, k)
 
     def _step_factor(self, m: int) -> tuple[int, int, int]:
         """Integers (const, slope, q) with basis_{m+1}(x) = basis_m(x) * (const + slope * x) / q.
@@ -80,7 +86,7 @@ class Basis:
             return 0, 1, 1
         if self.kind is BasisKind.FALLING_FACTORIAL:
             return m, -1, 1
-        p, q = self.shift.numerator, self.shift.denominator
+        p, q = self.shift
         return p + m * q, q if self.kind is BasisKind.SHIFTED_RISING else -q, q
 
     def element_monomial_coefficients(self, k: int) -> tuple[Fraction, ...]:

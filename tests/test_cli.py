@@ -3,11 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
-from mopexact import WeightSystem, families, oracle, residues
+from mopexact import WeightSystem, driver, families, oracle, residues
 from mopexact.cli import main
 from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance, weight_system
 from conftest import laguerre_ws
@@ -18,6 +19,30 @@ F = Fraction
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+#: sha256 of the default grid's records, sorted by instance and printed compactly.
+DEFAULT_GRID_DIGEST = "44b95b1c15c4200fe8e231bd72fbebc4708ecc62319538eca54f8f1637f25940"
+
+
+def records_digest(payload: dict) -> str:
+    records = sorted(payload["results"], key=lambda r: r["instance"])
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A one-entry list counting the os.fork calls made in this process while the test runs."""
+    original = os.fork
+    count = [0]
+
+    def counted():
+        count[0] += 1
+        return original()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
 
 
 class TestDriver:
@@ -109,6 +134,7 @@ class TestCoeffsCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["results"][0]["components"][0]["coefficients"] == ["32/165"]
+        assert payload["results"][0]["components"][0]["basis_shift"] == "3/2"
 
     def test_laguerre_zero_index(self, capsys):
         code, out = run_cli(
@@ -265,11 +291,60 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["summary"]["fail"] == 0 and payload["summary"]["pass"] == 109
         # golden output: any kernel rewrite must leave every record byte-identical
-        records = sorted(payload["results"], key=lambda r: r["instance"])
-        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "44b95b1c15c4200fe8e231bd72fbebc4708ecc62319538eca54f8f1637f25940"
-        )
+        assert records_digest(payload) == DEFAULT_GRID_DIGEST
+
+    def test_parallel_default_grid_is_the_serial_output(self, capsys, forks):
+        _, serial = run_cli(capsys, "verify")
+        code, parallel = run_cli(capsys, "verify", "--jobs", "2")
+        assert code == 0 and forks[0] == 1
+        assert records_digest(json.loads(parallel)) == DEFAULT_GRID_DIGEST
+        # byte for byte, but for the echoed job count
+        assert parallel.count('"jobs": 2') == 1
+        assert parallel.replace('"jobs": 2', '"jobs": 1') == serial
+
+    def test_parallel_faulted_default_grid_is_the_serial_results(self, capsys):
+        serial = run_cli(capsys, "verify", "--inject-fault", "t2:1")
+        parallel = run_cli(capsys, "verify", "--inject-fault", "t2:1", "--jobs", "2")
+        assert serial[0] == parallel[0] == 1
+        assert json.loads(serial[1])["results"] == json.loads(parallel[1])["results"]
+
+    @pytest.mark.parametrize("share", [0, 1])
+    def test_failure_in_a_share_is_the_serial_error(self, capfd, monkeypatch, share):
+        # with --jobs 2 share 1 runs in the forked child and share 0 in the calling process
+        argv = ["verify", "--family", "laguerre1", "--max-total-degree", "3"]
+        failing = instance_key(iter_instances(["laguerre1"], 3, 8)[share])
+        run_instance = driver.run_instance
+
+        def raising(instance, **options):
+            if instance_key(instance) == failing:
+                raise ValueError(f"no record for {failing}")
+            return run_instance(instance, **options)
+
+        monkeypatch.setattr(driver, "run_instance", raising)
+        serial = main(argv), capfd.readouterr()
+        parallel = main(argv + ["--jobs", "2"]), capfd.readouterr()
+        assert serial[0] == parallel[0] == 2
+        assert serial[1].out == parallel[1].out
+        assert json.loads(parallel[1].out) == {
+            "command": "verify", "error": f"no record for {failing}", "kind": "ValueError"}
+        assert serial[1].err == parallel[1].err == ""
+        with pytest.raises(ChildProcessError):  # every forked child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_more_jobs_than_instances(self, capsys, forks):
+        argv = ("verify", "--family", "laguerre1", "--max-total-degree", "2")
+        _, serial = run_cli(capsys, *argv)
+        code, parallel = run_cli(capsys, *argv, "--jobs", "8")
+        assert code == 0 and len(json.loads(serial)["results"]) == 3
+        assert json.loads(serial)["results"] == json.loads(parallel)["results"]
+        assert forks[0] == 2  # one share per instance, the first run in this process
+
+    def test_jobs_auto_counts_the_cpus_this_process_may_use(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, out = run_cli(capsys, "verify", "--family", "laguerre1", "--max-total-degree", "2", "--jobs", "0")
+        assert code == 0 and json.loads(out)["summary"]["pass"] == 3
+        assert forks[0] == 0
 
     @pytest.mark.parametrize("fault, digest", [
         ("t2:1", "1da06570045f38a1743da349c69a9c58db627f6cc16aaba40c887f4ac88348c4"),

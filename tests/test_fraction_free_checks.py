@@ -67,7 +67,7 @@ def type1_rows(ws, n, vec) -> list[Fraction]:
         form = [sum((row_values(*comp.lattice_values(ws.N))[x] * row_values(*ws.weight_table[i])[x]
                      for i, comp in enumerate(vec.components) if comp.coefficients), F(0))
                 for x in range(ws.N + 1)]
-        backward = lattice_table(Basis.backward_pochhammer(ws.beta, ws.N), total - 1, ws.N)
+        backward = lattice_table(Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N), total - 1, ws.N)
         return [sum((v * f for v, f in zip(row_values(*row), form)), F(0)) for row in backward]
     rows = [F(0)] * total
     for i, comp in enumerate(vec.components):
@@ -215,13 +215,13 @@ def fractions_built():
 
 #: The instance and the most Fractions one run_instance call may build.  The Fraction hand-offs
 #: between the integer rows built 160, 202, 197 and 195; the solves' results, the Mellin
-#: arguments and the closed-form constants as Fractions still 39, 61, 55 and 45.  What is left
-#: is parsing the instance and the Hahn basis shifts (3, 4, 8 and 6).
+#: arguments and the closed-form constants as Fractions still 39, 61, 55 and 45, and the Hahn
+#: basis shifts as Fractions 3, 4, 8 and 6.  What is left is parsing the instance (3, 4, 4 and 3).
 FRACTION_BUDGET = [
     ({"family": "laguerre1", "alpha": ["1/2", "1/3", "1/5"], "n": [3, 3, 2]}, 10),
     ({"family": "jacobi-pineiro", "alpha": ["1/2", "1/3", "1/5"], "beta": "1/4", "n": [3, 3, 2]}, 10),
-    ({"family": "hahn", "alpha": ["1/2", "1/3", "1/5"], "beta": "1/4", "n": [2, 1, 2], "N": 8}, 10),
-    ({"family": "hahn", "alpha": ["1/2", "1/3"], "beta": "1/4", "n": [2, 2], "N": 8}, 10),
+    ({"family": "hahn", "alpha": ["1/2", "1/3", "1/5"], "beta": "1/4", "n": [2, 1, 2], "N": 8}, 4),
+    ({"family": "hahn", "alpha": ["1/2", "1/3"], "beta": "1/4", "n": [2, 2], "N": 8}, 3),
 ]
 
 

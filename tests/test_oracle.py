@@ -235,8 +235,8 @@ class TestMoments:
 
     def test_hahn_any_basis_via_lattice_sum(self):
         ws = hahn_ws(2, 5)
-        backward = Basis.backward_pochhammer(ws.beta, ws.N)
-        shifted = Basis.shifted_rising(ws.alpha[0] + 1)
+        backward = Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N)
+        shifted = Basis.shifted_rising(*(ws.alpha[0] + 1).as_integer_ratio())
         value = moment(ws, 0, backward, 2)
         assert value.gamma.is_one()
         assert value.rational == hahn_moment_brute(ws, 0, 0, 2)
@@ -251,10 +251,11 @@ class TestIntegerPairing:
         total = sum(n)
         values = families.type2(ws, n).lattice_values(ws.N)
         form = oracle._hahn_linear_form(ws, families.type1(ws, n))
-        bases = [Basis.monomial(), Basis.falling_factorial(), Basis.backward_pochhammer(ws.beta, ws.N)]
+        backward = Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N)
+        bases = [Basis.monomial(), Basis.falling_factorial(), backward]
         for i, weight in enumerate(ws.weight_table):
             weighted = row_product(values, weight)
-            for basis in bases + [Basis.shifted_rising(ws.alpha[i] + 1)]:
+            for basis in bases + [Basis.shifted_rising(*(ws.alpha[i] + 1).as_integer_ratio())]:
                 for row in lattice_table(basis, total, ws.N):
                     assert oracle.pair(row, weight) == lattice_sum(entries(row), entries(weight))
                     assert oracle.pair(row, weighted) == lattice_sum(entries(row), entries(values), entries(weight))

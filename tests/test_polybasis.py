@@ -14,8 +14,8 @@ rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]
 BASES = [
     Basis.monomial(),
     Basis.falling_factorial(),
-    Basis.shifted_rising(Fraction(3, 2)),
-    Basis.backward_pochhammer(Fraction(1, 4), 5),
+    Basis.shifted_rising(3, 2),
+    Basis.backward_pochhammer(1, 4, 5),
 ]
 
 
@@ -23,9 +23,17 @@ BASES = [
 any_basis = st.one_of(
     st.just(Basis.monomial()),
     st.just(Basis.falling_factorial()),
-    st.builds(Basis.shifted_rising, rationals),
-    st.builds(Basis.backward_pochhammer, rationals, st.integers(0, 10)),
+    st.builds(lambda s: Basis.shifted_rising(*s.as_integer_ratio()), rationals),
+    st.builds(lambda b, N: Basis.backward_pochhammer(*b.as_integer_ratio(), N), rationals, st.integers(0, 10)),
 )
+
+
+def test_shift_is_kept_as_the_reduced_pair():
+    # the verify path passes shifts over a weight system's common denominator
+    assert Basis.shifted_rising(18, 12) == Basis.shifted_rising(3, 2)
+    assert Basis.shifted_rising(18, 12).shift == (3, 2)
+    assert Basis.backward_pochhammer(3, 12, 5).shift == (25, 4)  # 1/4 + 6
+    assert lattice_table(Basis.shifted_rising(18, 12), 2, 1)[2] == ((15, 35), 4)
 
 
 @given(basis=any_basis, degree=st.integers(0, 7), N=st.integers(0, 10))
@@ -33,7 +41,7 @@ any_basis = st.one_of(
 def test_lattice_table_matches_element_value(basis, degree, N):
     table = lattice_table(basis, degree, N)
     assert len(table) == degree + 1
-    q = basis.shift.denominator if basis.shift is not None else 1
+    q = basis.shift[1] if basis.shift is not None else 1
     for k, (nums, den) in enumerate(table):
         # integers over q^k: 1 for monomials and falling factorials
         assert all(type(v) is int for v in nums) and den == q**k

@@ -41,7 +41,7 @@ def type1_reference(ws, n) -> TypeIVector:
     if ws.family is Family.HAHN:
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
         columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-        for row in lattice_table(Basis.backward_pochhammer(ws.beta, ws.N), total - 1, ws.N):
+        for row in lattice_table(Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N), total - 1, ws.N):
             rows.append([oracle.pair(row, column) for column in columns])
         target = F(-1) ** (total - 1)
     else:
