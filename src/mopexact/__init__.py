@@ -2,7 +2,8 @@
 
 Three weight families (Laguerre of the first kind, Jacobi-Pineiro, Hahn)
 with an arbitrary number of weights, both polynomial types, every value an
-exact rational times a formal gamma product.  Generators come from the
+exact rational (a type I component against a formal gamma scale fixed by
+its family, weight and |n|).  Generators come from the
 explicit hypergeometric formulas; an independent moment-based oracle
 reconstructs the same polynomials from their defining conditions; the
 contour representations are realized as exact residue sums.  Agreement is
@@ -46,7 +47,7 @@ from .oracle import (
     oracle_solve_type1,
     oracle_solve_type2,
 )
-from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, eval_polynomial
+from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
 from .residues import (
     check_residue_duality,
     recovered_constant_closed_form,

@@ -4,7 +4,11 @@ Every command evaluates exactly; verify, identity, coeffs, eval and table
 print each number as an exact "num/den" string.  plot-data rounds the same
 exact values to doubles: a type II value or a Hahn type I sum is rounded
 once, and a continuous type I component is its rounded rational times its
-gamma product (through math.lgamma) times x**alpha_i.
+gamma scale (through math.lgamma) times x**alpha_i.  Type I values leave out
+the weight factor all components share: e^-x (Laguerre), (1-x)^beta
+(Jacobi-Pineiro), (beta+1)_{N-x} / (x! (N-x)!) (Hahn, whose (alpha_i+1)_x is
+folded in).  A type I scale depends only on the family, weight and |n|
+(:func:`families.type1_scale`); a type II scale is 1.
 
 JSON envelope: {"command", "config", "results": [...], "summary":
 {"pass", "fail", "vacuous"}}, serialized with sorted keys so identical
@@ -35,7 +39,7 @@ from .hyper import (
     check_kummer,
     check_rakha_rathie,
 )
-from .polybasis import BasisKind, eval_polynomial
+from .polybasis import BasisKind
 from .weights import Family, WeightSystem
 
 def _fraction(text: str) -> Fraction:
@@ -211,7 +215,7 @@ def _poly_record(ws: WeightSystem, n, which: int) -> dict:
         return {
             "type": 2,
             "basis": poly.basis.kind.value,
-            "scale": str(poly.scale),
+            "scale": "1",
             "coefficients": [str(c) for c in poly.coefficients],
         }
     vec = families.type1(ws, n)
@@ -220,7 +224,7 @@ def _poly_record(ws: WeightSystem, n, which: int) -> dict:
         entry = {
             "weight": i,
             "basis": comp.basis.kind.value,
-            "scale": str(comp.scale),
+            "scale": str(families.type1_scale(ws, i, sum(n))),
             "coefficients": [str(c) for c in comp.coefficients],
         }
         if comp.basis.kind is BasisKind.SHIFTED_RISING:
@@ -244,14 +248,13 @@ def cmd_eval(args) -> int:
     ws.validate_index(n, type_one=args.type == 1)
     x = args.x
     if args.type == 2:
-        rational, gamma = eval_polynomial(families.type2(ws, n), x)
-        results = [{"x": str(x), "rational": str(rational), "gamma": str(gamma)}]
+        results = [{"x": str(x), "rational": str(families.type2(ws, n).rational_value(x)), "gamma": "1"}]
     else:
         x = ws.check_point(x)  # an inadmissible point is reported before any generator error
         values = residues.type1_direct_values(ws, families.type1(ws, n), x)
         results = [
-            {"weight": i, "x": str(x), "rational": str(rational), "gamma": str(residual)}
-            for i, (rational, residual) in enumerate(values)
+            {"weight": i, "x": str(x), "rational": str(rational), "gamma": str(families.type1_scale(ws, i, sum(n)))}
+            for i, rational in enumerate(values)
         ]
     _emit_json(_envelope("eval", args, results, passed=len(results), failed=0), args.out)
     return 0
@@ -471,14 +474,15 @@ def _gamma_float(product) -> float:
     return sign * math.exp(log)
 
 
-def float_eval_type1_form(ws: WeightSystem, vec, x: Fraction) -> float:
-    """The exact type I linear form at x, rounded: once for Hahn, once per component otherwise."""
+def float_eval_type1_form(ws: WeightSystem, n, vec, x: Fraction) -> float:
+    """The exact type I linear form of :func:`residues.type1_direct_values` at x, rounded: once for Hahn,
+    once per component times its scale and x**alpha_i otherwise; the shared weight factor stays out."""
     values = residues.type1_direct_values(ws, vec, x)
     if ws.family is Family.HAHN:
-        return float(sum(rational for rational, _ in values))
+        return float(sum(values))
     return math.fsum(
-        float(rational) * _gamma_float(residual) * float(x) ** float(alpha)
-        for (rational, residual), alpha in zip(values, ws.alpha)
+        float(rational) * _gamma_float(families.type1_scale(ws, i, sum(n))) * float(x) ** float(alpha)
+        for i, (rational, alpha) in enumerate(zip(values, ws.alpha))
     )
 
 
@@ -496,7 +500,7 @@ def cmd_plot_data(args) -> int:
     else:
         vec = families.type1(ws, n)
         for x in points:
-            rows.append([str(x), repr(float_eval_type1_form(ws, vec, x))])
+            rows.append([str(x), repr(float_eval_type1_form(ws, n, vec, x))])
     _emit_csv(["x", "value"], rows, args.out)
     return 0
 
@@ -517,7 +521,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return HANDLERS[args.command](args)
-    except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError) as exc:
+    except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError, OSError) as exc:
         sys.stdout.write(json.dumps(
             {"command": args.command, "error": str(exc), "kind": type(exc).__name__},
             sort_keys=True,

@@ -91,7 +91,7 @@ def _bumped(poly: ScaledPolynomial, index: int) -> ScaledPolynomial:
     nums, den = poly.row
     nums = list(nums)
     nums[index % len(nums)] += den
-    return ScaledPolynomial(poly.basis, scale=poly.scale, row=(nums, den))
+    return ScaledPolynomial(poly.basis, row=(nums, den))
 
 
 def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):

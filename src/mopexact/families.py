@@ -4,9 +4,10 @@ Type II polynomials are produced from their nested finite sums: monic of
 degree |n| in the monomial basis for the continuous families, and in the
 falling-factorial basis (-x)_k for Hahn (still monic once converted to
 monomials).  Type I vectors come from the terminating one-index series for
-each component: monomial coefficients with a gamma scale for Laguerre and
-Jacobi-Pineiro, and rational coefficients in the shifted rising basis
-(x + alpha_i + 1)_l for Hahn.  Every closed-form row, here and in the
+each component: monomial coefficients for Laguerre and Jacobi-Pineiro, read
+against the gamma scale :func:`type1_scale` fixes by family, weight and |n|,
+and rational coefficients in the shifted rising basis (x + alpha_i + 1)_l for
+Hahn, whose scale is empty.  Every closed-form row, here and in the
 Hahn-only cross checks, is built in integers by its term ratio
 (:func:`~mopexact.gammaprod.ratio_row`) and kept as integers over one
 denominator: a polynomial carries it as its row, a cross check returns it as
@@ -26,7 +27,7 @@ import itertools
 import math
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, LazyGammaProduct, ratio_row, ratio_terms, rising, rising_product
+from .gammaprod import GammaProduct, ratio_row, ratio_terms, rising, rising_product
 from .polybasis import Basis, LatticeRow, ScaledPolynomial, TypeIVector, reduced_row
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -91,40 +92,21 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     return ScaledPolynomial(basis, row=([top * v for v in nums], den * bottom))
 
 
-def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct | LazyGammaProduct:
+def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
     """Canonical gamma scale of type I component i at total degree |n|.
 
-    Chosen so that pairing the component with the weight moments is exactly
-    rational: 1/Gamma(alpha_i+1) for Laguerre,
-    Gamma(alpha_i+beta+|n|) / (Gamma(beta+|n|) Gamma(alpha_i+1)) for
-    Jacobi-Pineiro, and the empty product for Hahn (whose normalized weights
-    are already rational on the lattice).  Kept once per weight system,
-    weight and |n| (:meth:`WeightSystem.kept`) and built on first read
-    (:class:`LazyGammaProduct`), so the verify path, which compares it by
-    identity, builds none.
+    Every type I component's coefficients are read against it: pairing them
+    with the weight moments is then exactly rational.  It is 1/Gamma(alpha_i+1)
+    for Laguerre, Gamma(alpha_i+beta+|n|) / (Gamma(beta+|n|) Gamma(alpha_i+1))
+    for Jacobi-Pineiro, and the empty product for Hahn (whose normalized
+    weights are already rational on the lattice).  Only the output edge builds it.
     """
     if ws.family is Family.HAHN:
         return GammaProduct.one()
-
-    def build():
-        factors = [(ws.alpha[i] + 1, -1)]
-        if ws.family is Family.JACOBI_PINEIRO:
-            factors += [(ws.alpha[i] + ws.beta + total, 1), (ws.beta + total, -1)]
-        return GammaProduct.from_factors(factors)
-
-    return ws.kept(("type1_scale", i, total), lambda: LazyGammaProduct(build))
-
-
-def require_type1_scales(ws: WeightSystem, vec: TypeIVector, total: int) -> None:
-    """PreconditionError unless every component with coefficients carries :func:`type1_scale`.
-
-    The checks read a component's scale as a rational against this canonical
-    gamma, so the factor tuples are compared (the generators' own scale object
-    first) and nothing is reduced."""
-    for i, comp in enumerate(vec.components):
-        canonical = type1_scale(ws, i, total) if comp.row[0] else comp.scale
-        if comp.scale is not canonical and comp.scale != canonical:
-            raise PreconditionError(f"component {i} does not carry the canonical type I scale")
+    factors = [(ws.alpha[i] + 1, -1)]
+    if ws.family is Family.JACOBI_PINEIRO:
+        factors += [(ws.alpha[i] + ws.beta + total, 1), (ws.beta + total, -1)]
+    return GammaProduct.from_factors(factors)
 
 
 def type1_basis(ws: WeightSystem, i: int) -> Basis:
@@ -199,9 +181,9 @@ def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int, facto
 def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     """Type I vector; component i is the zero polynomial when n_i = 0.
 
-    Components are monomial with the gamma scales of :func:`type1_scale`
-    for Laguerre and Jacobi-Pineiro, and in the shifted rising basis
-    (x + alpha_i + 1)_k with a rational scale for Hahn.
+    Components are monomial for Laguerre and Jacobi-Pineiro, read against
+    the gamma scales of :func:`type1_scale`, and in the shifted rising basis
+    (x + alpha_i + 1)_k for Hahn, whose scale is empty.
     """
     ws.validate_index(n, type_one=True)
     _guard_type1_normalization(ws, n)
@@ -209,7 +191,7 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     components = []
     for i in range(ws.p):
         row = _type1_component_coefficients(ws, n, i, factors) if n[i] >= 1 else ((), 1)
-        components.append(ScaledPolynomial(type1_basis(ws, i), scale=type1_scale(ws, i, total_degree(n)), row=row))
+        components.append(ScaledPolynomial(type1_basis(ws, i), row=row))
     return TypeIVector(tuple(components))
 
 

@@ -7,10 +7,12 @@ transcendental leftovers of a formula are carried formally as a
 :class:`GammaProduct` (a multiset of ``Gamma(argument)**exponent`` factors).
 ``reduce()`` collapses arguments that differ by an integer onto one anchored
 factor via rising factorials, leaving an exact rational times a normalized
-product; it serves the ``coeffs``, ``eval`` and ``plot-data`` output and the
-identity prefactors.  The verify path reduces none and builds none: the empty
-product is one object (:data:`ONE`) and a type I scale is built only when
-read (:class:`LazyGammaProduct`).  Pochhammer parameters are integers over
+product; only the identity prefactors of :mod:`mopexact.hyper` reduce one.
+The verify path builds no product: a polynomial is a basis and one integer
+row, and the gamma scale a type I component is read against depends only on
+its family, weight and |n|, so the output edge (``coeffs``, ``eval``,
+``plot-data``) builds it where it prints or rounds it
+(:func:`mopexact.families.type1_scale`).  Pochhammer parameters are integers over
 one denominator: :func:`rising` is the one kernel (:func:`pochhammer`
 reduces it to a Fraction), and :func:`rising_product` multiplies out a
 prefactor and reduces it once.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import PoleError
 
@@ -196,32 +197,3 @@ class GammaProduct:
 
 
 ONE = GammaProduct()
-
-
-class LazyGammaProduct:
-    """The :class:`GammaProduct` ``build()`` returns, built on first read.  Attributes, equality, hashing
-    and printing are the product's, so a scale only carried along and compared by identity is never built."""
-
-    def __init__(self, build) -> None:
-        self._build = build
-
-    @cached_property
-    def product(self) -> GammaProduct:
-        return self._build()
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.product, name)
-
-    def __eq__(self, other) -> bool:
-        return self.product == getattr(other, "product", other)
-
-    def __hash__(self) -> int:
-        return hash(self.product)
-
-    def __str__(self) -> str:
-        return str(self.product)
-
-    def __repr__(self) -> str:
-        return repr(self.product)

@@ -10,9 +10,11 @@ the generators in :mod:`mopexact.families` is the package's central claim.
 Everything is an integer or an integer pair (numerator, nonzero
 denominator).  Residuals are rational cofactors of the weight's moment
 gamma; an exact zero is the int 0 and the type I normalization row a pair,
-so a passing check builds no Fraction.  A type I component must carry
-:func:`families.type1_scale` (compared, never reduced), and the moment gamma
-times that scale is the rational :func:`_moment_scale`.  Every lattice or
+so a passing check builds no Fraction.  A type I component's row is read
+against the canonical scale :func:`families.type1_scale`, never built here:
+the moment gamma times that scale is the rational :func:`_moment_scale`.
+Continuous polynomials are read in the monomial basis, their row as it is;
+another basis is refused with PreconditionError.  Every lattice or
 moment pairing is an integer dot product of rows (``ws.weight_table``,
 ``ws.moment_rows``, :func:`_table`, ``poly.lattice_values``), each built once
 per weight system or polynomial.  Both solves hand primitive integer rows
@@ -108,10 +110,8 @@ def _table(ws: WeightSystem, backward: bool, degree: int) -> list[LatticeRow]:
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
-    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly; the polynomial carries the empty scale 1."""
+    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly."""
     ws.validate_index(n)
-    if not poly.scale.is_one():
-        raise PreconditionError("type II polynomials carry the scale 1")
     residuals = {}
     if ws.family is Family.HAHN:
         values = poly.lattice_values(ws.N)
@@ -140,8 +140,7 @@ def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
 def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[tuple[int, int]]:
     """Rows j < |n| of the type I conditions as integer pairs: backward rows for Hahn, powers otherwise.
 
-    Components carry the canonical scale; continuous ones pair through :func:`_moment_scale`."""
-    families.require_type1_scales(ws, vec, total)
+    Components are read against the canonical scale; continuous ones pair through :func:`_moment_scale`."""
     if ws.family is Family.HAHN:
         nums, den = _hahn_linear_form(ws, vec)
         return [(sum(map(operator.mul, row, nums)), row_den * den) for row, row_den in _table(ws, True, total - 1)]
@@ -207,7 +206,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     """Reconstruct the type I vector from orthogonality plus normalization.
 
     One joint |n| x |n| system over all component coefficients, in the
-    canonical per-family basis and scale, so the outputs compare
+    canonical per-family basis, against the canonical scale, so the outputs compare
     coefficient-for-coefficient with the generators.
     """
     ws.validate_index(n, type_one=True)
@@ -237,7 +236,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     for i in range(ws.p):  # component i's unknowns over their lcm times det (a negative divisor flips its quotient)
         entries = [next(solution) for _ in range(n[i])]
         den = math.lcm(*(d for _, d in entries))
-        components.append(ScaledPolynomial(families.type1_basis(ws, i), scale=families.type1_scale(ws, i, total),
+        components.append(ScaledPolynomial(families.type1_basis(ws, i),
                                            row=([v * (den // d) for v, d in entries], den * det)))
     return TypeIVector(tuple(components))
 
@@ -276,7 +275,9 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
     if ws.family is Family.HAHN:
         weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
     else:
-        coefficients, den = poly.monomial_row()
+        if poly.basis.kind is not BasisKind.MONOMIAL:
+            raise PreconditionError("continuous type II polynomials live in the monomial basis")
+        coefficients, den = poly.row
         if not 0 < len(coefficients) <= total + 1:
             raise PreconditionError(f"a type II polynomial at |n| = {total} has 1 to {total + 1} coefficients")
     for a, b in points:

@@ -3,15 +3,16 @@
 Four bases appear: plain monomials x^k, falling factorials (-x)_k, shifted
 rising factorials (x + alpha_i + 1)_k, one per weight, and the
 descending lattice products (beta + N - x + 1)_k used for the discrete
-orthogonality rows.  A ScaledPolynomial is a reduced integer coefficient
-row in one of these bases together with a formal gamma scale, so
-transcendental prefactors stay symbolic until they cancel against weight
-moments.  Its Fraction coefficients are built only when read.
-
-On the Hahn lattice {0, ..., N} every value vector is a :data:`LatticeRow`,
-integer numerators at x = 0..N over one positive denominator, tabulated by
-its basis's one-step recurrence (:func:`lattice_table`); a polynomial keeps
-its values there for as long as it lives.
+orthogonality rows.  A ScaledPolynomial is a basis and one reduced integer
+coefficient row.  The gamma prefactor of a type I closed form depends only
+on the family, the weight and |n| (:func:`mopexact.families.type1_scale`),
+so it is not stored here; its Fraction coefficients are built only when read.
+Every value is computed through the basis's one-step factor
+(:meth:`Basis._step_factor`): nested in integers at one point
+(:meth:`ScaledPolynomial.rational_value`) and tabulated on the Hahn lattice
+{0, ..., N} as a :data:`LatticeRow`, integer numerators at x = 0..N over one
+positive denominator (:func:`lattice_table`); a polynomial keeps its lattice
+values for as long as it lives.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import AdmissibilityError
-from .gammaprod import GammaProduct, as_fraction, pochhammer
+from .gammaprod import as_fraction
 
 
 class BasisKind(enum.Enum):
@@ -67,17 +68,6 @@ class Basis:
         g = math.gcd(p, q)
         return Basis(BasisKind.BACKWARD_POCHHAMMER, (p // g, q // g))
 
-    def element_value(self, k: int, x) -> Fraction:
-        x = as_fraction(x)
-        if self.kind is BasisKind.MONOMIAL:
-            return x**k
-        if self.kind is BasisKind.FALLING_FACTORIAL:
-            return pochhammer(-x, k)
-        shift = Fraction(*self.shift)
-        if self.kind is BasisKind.SHIFTED_RISING:
-            return pochhammer(x + shift, k)
-        return pochhammer(shift - x, k)
-
     def _step_factor(self, m: int) -> tuple[int, int, int]:
         """Integers (const, slope, q) with basis_{m+1}(x) = basis_m(x) * (const + slope * x) / q.
 
@@ -89,14 +79,6 @@ class Basis:
         p, q = self.shift
         return p + m * q, q if self.kind is BasisKind.SHIFTED_RISING else -q, q
 
-    def element_monomial_coefficients(self, k: int) -> tuple[Fraction, ...]:
-        """The k-th basis element expanded in powers of x (length k+1)."""
-        coeffs = [Fraction(1)]
-        for m in range(k):  # times (const + slope x) / q
-            const, slope, q = self._step_factor(m)
-            coeffs = [(c * const + d * slope) / q for c, d in zip([*coeffs, 0], [0, *coeffs])]
-        return tuple(coeffs)
-
 
 #: Values at x = 0..N as (integer numerators, positive denominator); entry x
 #: is Fraction(nums[x], den).
@@ -107,12 +89,6 @@ def reduced_row(nums, den: int) -> LatticeRow:
     """The row nums / den (den nonzero) with the common gcd of numerators and denominator divided out, den > 0."""
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     return tuple(v // g for v in nums), den // g
-
-
-def integer_row(values) -> LatticeRow:
-    """Exact rationals as integer numerators over their denominators' lcm; reduced Fractions give a reduced row."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def rising_over_factorial(p: int, q: int, length: int) -> LatticeRow:
@@ -154,24 +130,26 @@ def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
 
 @dataclass(frozen=True, init=False)
 class ScaledPolynomial:
-    """scale * sum_k c_k * basis_k(x), all parts exact, with c_k = row[0][k] / row[1].
+    """sum_k c_k * basis_k(x), exact, with c_k = row[0][k] / row[1].
 
     The row is reduced (no factor common to the positive denominator and all
     numerators), so two rows are equal exactly when the coefficients are.  It
     is given as ``row=`` or built from positional exact rationals; the Fraction
-    :attr:`coefficients` are built on first read.  The scale is a
-    :class:`GammaProduct` or a :class:`LazyGammaProduct`.
+    :attr:`coefficients` are built on first read.  A type I component is read
+    against the canonical gamma scale of its family, weight and |n|, which
+    only the output edge builds (:func:`mopexact.families.type1_scale`).
     """
 
     basis: Basis
     row: LatticeRow
-    scale: GammaProduct
 
-    def __init__(self, basis: Basis, coefficients=(), scale: GammaProduct = GammaProduct.one(), *, row=None):
+    def __init__(self, basis: Basis, coefficients=(), *, row=None):
+        if row is None:  # exact rationals over their denominators' lcm
+            values = [as_fraction(c) for c in coefficients]
+            den = math.lcm(*(v.denominator for v in values))
+            row = [v.numerator * (den // v.denominator) for v in values], den
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "row", reduced_row(*(integer_row([as_fraction(c) for c in coefficients])
-                                                       if row is None else row)))
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "row", reduced_row(*row))
         # lattice size N -> values on {0..N}; not a field, so eq and hash ignore it
         object.__setattr__(self, "_lattice_values", {})
 
@@ -193,9 +171,21 @@ class ScaledPolynomial:
         return self.degree < 0
 
     def rational_value(self, x) -> Fraction:
-        """Value of the coefficient part only, ignoring the scale."""
-        return sum((c * self.basis.element_value(k, x) for k, c in enumerate(self.coefficients)),
-                   Fraction(0))
+        """The value at the exact rational x = a/b, nested in integers from the top coefficient K.
+
+        With basis_{k+1} = basis_k (const_k + slope_k x) / q (:meth:`Basis._step_factor`),
+        acc_K = nums[K] and acc_k = nums[k] (q b)^(K-k) + (const_k b + slope_k a) acc_{k+1};
+        the value is acc_0 over the row's denominator times (q b)^K."""
+        nums, den = self.row
+        if not nums:
+            return Fraction(0)
+        a, b = as_fraction(x).as_integer_ratio()
+        acc, power = nums[-1], 1
+        for k in range(len(nums) - 2, -1, -1):
+            const, slope, q = self.basis._step_factor(k)
+            power *= q * b
+            acc = nums[k] * power + (const * b + slope * a) * acc
+        return Fraction(acc, den * power)
 
     def lattice_values(self, N: int) -> LatticeRow:
         """rational_value at x = 0..N as a reduced row, computed once per N and kept on this object."""
@@ -210,24 +200,6 @@ class ScaledPolynomial:
             self._lattice_values[N] = reduced_row(values, den * common)
         return self._lattice_values[N]
 
-    def monomial_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficient list in the monomial basis (scale untouched)."""
-        if self.basis.kind is BasisKind.MONOMIAL:
-            return self.coefficients
-        out = [Fraction(0)] * len(self.coefficients)
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            for j, e in enumerate(self.basis.element_monomial_coefficients(k)):
-                out[j] += c * e
-        return tuple(out)
-
-    def monomial_row(self) -> LatticeRow:
-        """:meth:`monomial_coefficients` as one reduced row; the row itself in the monomial basis."""
-        if self.basis.kind is BasisKind.MONOMIAL:
-            return self.row
-        return integer_row(self.monomial_coefficients())
-
     def leading_monomial_coefficient(self) -> tuple[int, int]:
         """Top nonzero coefficient times the leading sign of its basis element, (-1)^k for (-x)_k and (s-x)_k,
         as the integer pair (numerator, positive denominator); (0, 1) for the zero polynomial."""
@@ -237,16 +209,6 @@ class ScaledPolynomial:
         nums, den = self.row
         falling = self.basis.kind in (BasisKind.FALLING_FACTORIAL, BasisKind.BACKWARD_POCHHAMMER)
         return -nums[k] if falling and k % 2 else nums[k], den
-
-
-def eval_polynomial(poly: ScaledPolynomial, x) -> tuple[Fraction, GammaProduct]:
-    """Exact value split as rational part times a residual gamma product.
-
-    The residual is empty whenever the scale reduces to a rational.
-    Propagates PoleError from the scale reduction.
-    """
-    rational, residual = poly.scale.reduce()
-    return poly.rational_value(x) * rational, residual
 
 
 @dataclass(frozen=True)

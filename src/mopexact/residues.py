@@ -12,9 +12,10 @@ this module certifies that duality term by term.
 What does not depend on the sample point x or the expansion order k is
 built once per instance, and every rational is an integer pair (numerator,
 nonzero denominator), never reduced; two rows of pairs agree when every
-entry does cross-multiplied.  Both sides of every comparison carry the same
-gamma: the canonical type I scale (:func:`families.require_type1_scales`
-rejects others), Gamma(beta+1) for the Hahn type II rows, none otherwise.
+entry does cross-multiplied.  Both sides of every comparison are read
+against the same gamma, which is never built here: the canonical type I scale
+of :func:`families.type1_scale`, Gamma(beta+1) for the Hahn type II rows, none
+otherwise.
 The per-pole values of a type I vector are the values of the integrand's
 polynomial factor at its |n| distinct nodes (:func:`recovered_nodes`), which
 orthogonality forces to be one constant, checked against its closed form.
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import PoleError, PreconditionError
-from .gammaprod import GammaProduct, rising, rising_product
+from .gammaprod import rising, rising_product
 from .polybasis import BasisKind, LatticeRow, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -56,22 +57,22 @@ def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[tuple[int, in
     return ws.kept(("pole_weights", tuple(n), i), build)
 
 
-def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[LatticeRow, GammaProduct]]:
-    """Per component i: the residues at t = alpha_i + k, k < n_i, as one integer row, and the residual.
+def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
+    """Per component i: the residues at t = alpha_i + k, k < n_i, as one integer row.
 
     Term k has the pole weight, the family prefactor and every other
     x-independent factor folded in; it multiplies x**k for the continuous
-    families and (alpha_i+1+k)_x for Hahn.  The residual is the same
-    canonical gamma scale the direct generators carry, so the two routes
-    compare componentwise.  The terms share one denominator: the prefactor's
-    times the pole weights' lcm times Q^(n_i-1) (down/Q)_{n_i-1}.
+    families and (alpha_i+1+k)_x for Hahn.  The row is read against the
+    canonical gamma scale the direct generators are read against, so the two
+    routes compare componentwise.  The terms share one denominator: the
+    prefactor's times the pole weights' lcm times Q^(n_i-1) (down/Q)_{n_i-1}.
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
     Q, alpha, beta = ws.integer_parameters
 
     # the transcendental share of the prefactors (1/Gamma(beta+|n|) and the
-    # per-weight gamma scales) lives in the component residuals
+    # per-weight gamma factors) is the canonical scale, left out of the rows
     families._guard_type1_normalization(ws, n)
     shifted = [rising(a + beta + total * Q, Q, m) for a, m in zip(alpha, n)]
     components = []
@@ -96,7 +97,7 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[tuple[LatticeRow,
             downs.append(downs[-1] * (down + k * Q))
         common = math.lcm(*(w_den for _, w_den in weights))
         nums = [w * (common // w_den) * u * (downs[-1] // d) for (w, w_den), u, d in zip(weights, ups, downs)]
-        components.append(((nums, bottom * common * downs[-1]), families.type1_scale(ws, i, total)))
+        components.append((nums, bottom * common * downs[-1]))
     return components
 
 
@@ -117,18 +118,19 @@ def _same_values(left, right) -> bool:
     return len(left) == len(right) and all(a * d == c * b for (a, b), (c, d) in zip(left, right))
 
 
-def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points):
-    """Component i of both routes at the points: (pole row, residual, direct row, comp's scale).
+def _duality_rows(ws: WeightSystem, i: int, terms: LatticeRow, comp: ScaledPolynomial, points):
+    """Component i of both routes at the points: (pole row, direct row), each one integer pair per point.
 
-    Both rows hold one integer pair per point.  pole is the (integer terms row, residual)
-    of :func:`_type1_pole_terms`; the direct side is A_i(x).  Continuous: the terms and the monomial
-    coefficients over one denominator, one integer Horner pass per point and
-    side.  Hahn: (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and
+    terms is component i's row of :func:`_type1_pole_terms`; the direct side is A_i(x).
+    Continuous: the terms and A_i's monomial row, one integer Horner pass per
+    point and side.  Hahn: (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and
     P_j = prod_{l<j} (p+lQ), (alpha_i+1+k)_m = P_(k+m) / (P_k Q^m), so term k
     is multiplied by P_K / P_k (K = n_i - 1) and the denominator by P_K once."""
-    (terms, den), residual = pole
+    terms, den = terms
     if ws.family is not Family.HAHN:
-        return _values_at((terms, den), points), residual, _values_at(comp.monomial_row(), points), comp.scale
+        if comp.basis.kind is not BasisKind.MONOMIAL:
+            raise PreconditionError("continuous type I components live in the monomial basis")
+        return _values_at((terms, den), points), _values_at(comp.row, points)
     Q, alpha, _ = ws.integer_parameters
     p = alpha[i] + Q
     products = [1]  # P_0, P_1, ...
@@ -141,36 +143,31 @@ def _duality_rows(ws: WeightSystem, i: int, pole, comp: ScaledPolynomial, points
     for m in (x.numerator for x in points):
         poles.append((sum(u * products[k + m] for k, u in enumerate(folded)), den * Q**m))
         direct.append((values[m] * products[m], values_den * Q**m))
-    return poles, residual, direct, comp.scale
+    return poles, direct
 
 
-def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[tuple[Fraction, GammaProduct]]:
-    """Per weight i, the direct route's share of the type I linear form at x.
-
-    A rational and the component's scale, split as
-    :func:`check_residue_duality` compares them: for the continuous families
-    the rational multiplies x**alpha_i and the scale; for Hahn the lattice
-    factor (alpha_i+1)_x is folded in and the canonical scale is empty.
-    """
+def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[Fraction]:
+    """Per weight i, the direct route's share of the type I linear form at x, the rational
+    :func:`check_residue_duality` compares.  Laguerre and Jacobi-Pineiro: A_i(x), which multiplies
+    x**alpha_i and the canonical scale :func:`families.type1_scale`; Hahn: A_i(x) (alpha_i+1)_x, the
+    scale being empty.  The weight factor all components share is left out: e^-x for Laguerre,
+    (1-x)^beta for Jacobi-Pineiro and (beta+1)_{N-x} / (x! (N-x)!) for Hahn."""
     x = ws.check_point(x)
-    rows = [_duality_rows(ws, i, (([], 1), None), comp, [x]) for i, comp in enumerate(vec.components)]
-    return [(Fraction(*value), scale) for _, _, [value], scale in rows]
+    return [Fraction(*_duality_rows(ws, i, ([], 1), comp, [x])[1][0]) for i, comp in enumerate(vec.components)]
 
 
 def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
     """Residue route == direct route of the type I linear form at every point, one row per component and route.
 
-    Both routes carry the canonical scale (:func:`families.require_type1_scales`),
-    so their rational rows are compared directly."""
+    Both routes are read against the canonical scale, so their rational rows are compared directly."""
     poles = _type1_pole_terms(ws, n)
     points = [ws.check_point(x) for x in points]
     if not points:
         raise PreconditionError("the residue duality needs at least one sample point")
     if len(vec.components) != len(poles):
         return False
-    families.require_type1_scales(ws, vec, total_degree(n))
-    rows = (_duality_rows(ws, i, pole, comp, points) for i, (pole, comp) in enumerate(zip(poles, vec.components)))
-    return all(_same_values(pole_row, direct_row) for pole_row, _, direct_row, _ in rows)
+    rows = (_duality_rows(ws, i, terms, comp, points) for i, (terms, comp) in enumerate(zip(poles, vec.components)))
+    return all(_same_values(pole_row, direct_row) for pole_row, direct_row in rows)
 
 
 def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
@@ -202,19 +199,6 @@ def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tupl
     return values
 
 
-def _type2_series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
-    """Terms k = 0..k_max of the hypergeometric series form of the same expansion, against the same gamma.
-
-    Independent route: the series parameters come straight from the
-    weighted expansions (:func:`families._type2_series`, whose Hahn terms
-    are the c_l of :func:`families.hahn_type2_weighted_series` over l!),
-    never through the residue formulas; a zero denominator factor under a
-    nonzero numerator raises PoleError.  Each entry is an integer pair over its running denominator.
-    """
-    (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
-    return [(top * v, bottom * d) for v, d in zip(nums, dens)]
-
-
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
     """Residue route == series route for every expansion order k <= k_max."""
     ws.validate_index(n)
@@ -222,7 +206,12 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    return _same_values(_type2_residue_row(ws, n, k_max), _type2_series_row(ws, n, k_max))  # against one gamma
+    # the series route takes its parameters straight from the weighted expansions (families._type2_series,
+    # whose Hahn terms are the c_l of families.hahn_type2_weighted_series over l!), never from the residue
+    # formulas; a zero denominator factor under a nonzero numerator raises PoleError
+    (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
+    series = [(top * v, bottom * d) for v, d in zip(nums, dens)]
+    return _same_values(_type2_residue_row(ws, n, k_max), series)  # against one gamma
 
 
 def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -239,7 +228,6 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
     families._guard_type1_normalization(ws, n)
-    families.require_type1_scales(ws, form, total)
     Q, alpha, beta = ws.integer_parameters
     nodes = []
     for i, comp in enumerate(form.components):

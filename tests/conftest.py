@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from mopexact import GammaProduct, PoleError, WeightSystem, pochhammer, residues
+from mopexact import BasisKind, GammaProduct, PoleError, WeightSystem, pochhammer, residues
 from mopexact.gammaprod import as_fraction
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
@@ -175,6 +175,37 @@ def recovered_node_values(ws, n, form) -> list[tuple[Fraction, Fraction]]:
 def interpolation_recover_p(ws, n, form) -> tuple[Fraction, ...]:
     """Monomial coefficients (length |n|) of the polynomial through the nodes of residues.recovered_nodes."""
     return interpolate(recovered_node_values(ws, n, form))
+
+
+def element_value(basis, k: int, x) -> Fraction:
+    """basis_k(x) as a Pochhammer symbol: the reference the one-step basis recurrences are checked against."""
+    x = as_fraction(x)
+    if basis.kind is BasisKind.MONOMIAL:
+        return x**k
+    if basis.kind is BasisKind.FALLING_FACTORIAL:
+        return pochhammer(-x, k)
+    shift = Fraction(*basis.shift)
+    if basis.kind is BasisKind.SHIFTED_RISING:
+        return pochhammer(x + shift, k)
+    return pochhammer(shift - x, k)
+
+
+def element_monomial_coefficients(basis, k: int) -> tuple[Fraction, ...]:
+    """basis_k expanded in powers of x (length k+1), one factor (const + slope x) / q at a time."""
+    coeffs = [Fraction(1)]
+    for m in range(k):
+        const, slope, q = basis._step_factor(m)
+        coeffs = [(c * const + d * slope) / q for c, d in zip([*coeffs, 0], [0, *coeffs])]
+    return tuple(coeffs)
+
+
+def monomial_coefficients(poly) -> tuple[Fraction, ...]:
+    """A polynomial's coefficients in the monomial basis, by expanding every basis element."""
+    out = [Fraction(0)] * len(poly.coefficients)
+    for k, c in enumerate(poly.coefficients):
+        for j, e in enumerate(element_monomial_coefficients(poly.basis, k)):
+            out[j] += c * e
+    return tuple(out)
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """The type I checks read canonical scales as rationals, and every admissible system verifies.
 
-The continuous checks compare a component's scale with the canonical one
-factor by factor and take the rational it leaves against the moment gamma
-in closed form, so no gamma product is reduced on them.  A component with
-any other scale is refused.  The moment rows are built once per instance.
+A type I component is read against the canonical scale of its family,
+weight and |n|; the continuous checks take the rational that scale leaves
+against the moment gamma in closed form, so no gamma product is reduced on
+them.  The moment rows are built once per instance.
 And every system the generators take, idle weights and the Hahn corner
 included, runs through ``run_instance`` with every check green.
 """
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from mopexact import (
     GammaProduct,
     PoleError,
-    PreconditionError,
     ScaledPolynomial,
     TypeIVector,
     WeightSystem,
@@ -31,7 +30,7 @@ from mopexact import (
 )
 from mopexact.weights import Family
 from conftest import (
-    admissible_systems, hahn_corner_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, recovered_node_values, times,
+    admissible_systems, hahn_corner_systems, jacobi_pineiro_ws, laguerre_ws, recovered_node_values,
 )
 
 F = Fraction
@@ -77,25 +76,6 @@ def test_continuous_type1_checks_reduce_no_gamma(ws, reduce_calls):
     assert reduce_calls == []
 
 
-@pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 5)],
-                         ids=["laguerre", "jacobi-pineiro", "hahn"])
-def test_non_canonical_scale_is_refused(ws):
-    # Gamma(a+1) / Gamma(a) = a: a rational factor that a reducing check would have absorbed
-    n = (2, 1)
-    vec = families.type1(ws, n)
-    first = vec.components[0]
-    shifted = times(first.scale, GammaProduct.from_factors([(F(7, 3), 1), (F(4, 3), -1)]))
-    odd = TypeIVector((ScaledPolynomial(first.basis, first.coefficients, shifted), vec.components[1]))
-    points = list(driver._hahn_sample_points(ws.N)) if ws.N is not None else driver.CONTINUOUS_SAMPLE_POINTS[ws.family]
-    for check in (
-        lambda: check_type1_orthogonality(ws, n, odd),
-        lambda: check_residue_duality(ws, n, odd, points),
-        lambda: residues.recovered_nodes(ws, n, odd),
-    ):
-        with pytest.raises(PreconditionError, match="canonical type I scale"):
-            check()
-
-
 @pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro"])
 def test_moment_rows_are_built_once_per_instance(family, monkeypatch):
     built, systems = [], []
@@ -123,9 +103,9 @@ def test_longer_moment_request_rebuilds_and_shorter_reads_a_prefix(ws):
 
 
 def test_jacobi_pineiro_corner_stays_a_pole():
-    # alpha + beta + |n| = 0: the canonical scale holds Gamma(0), so no rational is read off it
+    # alpha + beta + |n| = 0: the canonical scale holds Gamma(0), so no rational is read against it
     ws = WeightSystem.jacobi_pineiro((F(-1, 2),), F(-1, 2))
-    corner = TypeIVector((ScaledPolynomial(families.type1_basis(ws, 0), (F(1),), families.type1_scale(ws, 0, 1)),))
+    corner = TypeIVector((ScaledPolynomial(families.type1_basis(ws, 0), (F(1),)),))
     for check in (
         lambda: check_type1_orthogonality(ws, (1,), corner),
         lambda: oracle.oracle_solve_type1(ws, (1,)),

@@ -528,7 +528,7 @@ def _rounded_type2(ws, n):
 
 def _rounded_hahn_type1(ws, n):
     vec = families.type1(ws, n)
-    return lambda x: float(sum(rational for rational, _ in residues.type1_direct_values(ws, vec, x)))
+    return lambda x: float(sum(residues.type1_direct_values(ws, vec, x)))
 
 
 def _gamma_type1(ws, n):
@@ -537,8 +537,9 @@ def _gamma_type1(ws, n):
 
     def value(x):
         total = 0.0
-        for (rational, residual), alpha in zip(residues.type1_direct_values(ws, vec, x), ws.alpha):
-            gamma = math.prod(math.gamma(argument) ** exponent for argument, exponent in residual.factors)
+        for i, (rational, alpha) in enumerate(zip(residues.type1_direct_values(ws, vec, x), ws.alpha)):
+            scale = families.type1_scale(ws, i, sum(n))
+            gamma = math.prod(math.gamma(argument) ** exponent for argument, exponent in scale.factors)
             total += float(rational) * gamma * float(x) ** float(alpha)
         return total
     return value
@@ -629,3 +630,23 @@ class TestPlotDataCommand:
         assert code == 2
         payload = json.loads(out)
         assert payload["kind"] == "ValueError" and argv[0] in payload["error"]
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be opened is a configuration error: exit 2 and one JSON line, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--family", "laguerre1", "--alpha", "1/2", "--n", "1"),
+        ("verify", "--family", "laguerre1", "--max-total-degree", "1"),
+    ], ids=["coeffs", "verify"])
+    @pytest.mark.parametrize("target, kind", [
+        ("directory", "IsADirectoryError"), ("missing-parent", "FileNotFoundError"),
+    ], ids=["directory", "missing-parent"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, target, kind):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        code = main([*argv, "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        [line] = out.splitlines()
+        payload = json.loads(line)
+        assert payload["command"] == argv[0] and payload["kind"] == kind and str(path) in payload["error"]

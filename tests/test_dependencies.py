@@ -75,6 +75,35 @@ def test_verify_path_does_not_import_hyper():
     assert importers == []
 
 
+#: The modules that may name GammaProduct: where it is defined, the canonical type I scale
+#: (families.type1_scale), the identity prefactors, the output edge and the package namespace.
+GAMMA_PRODUCT_USERS = {"gammaprod", "families", "hyper", "cli", "__init__"}
+
+
+def _names_gamma_product(tree: ast.AST) -> bool:
+    """Whether a source imports GammaProduct by name or reads it as a module attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "GammaProduct" for alias in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "GammaProduct":
+            return True
+    return False
+
+
+def test_gamma_product_stays_at_the_output_edge():
+    users = {source.stem for source in PACKAGE.glob("*.py")
+             if _names_gamma_product(ast.parse(source.read_text(), str(source)))}
+    assert users <= GAMMA_PRODUCT_USERS
+    assert {"families", "hyper", "__init__"} <= users  # the scanner sees the imports it allows
+
+
+def test_gamma_product_scanner_sees_every_form():
+    for source in ("from .gammaprod import GammaProduct", "from mopexact.gammaprod import as_fraction, GammaProduct",
+                   "from . import gammaprod\ngammaprod.GammaProduct.one()", "import mopexact\nmopexact.GammaProduct"):
+        assert _names_gamma_product(ast.parse(source)), source
+    assert not _names_gamma_product(ast.parse("from .gammaprod import rising_product\nGammaProducts = 1"))
+
+
 def test_package_import_scanner_sees_every_form():
     for source in ("from .hyper import pfq", "from . import hyper", "from mopexact.hyper import kdf",
                    "from mopexact import hyper", "import mopexact.hyper"):

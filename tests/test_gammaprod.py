@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import GammaProduct, PoleError, pochhammer
-from mopexact.gammaprod import LazyGammaProduct, as_fraction, is_nonpositive_integer
+from mopexact.gammaprod import as_fraction, is_nonpositive_integer
 from conftest import inverse, reduced_equal, rising_row, times
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
@@ -153,24 +153,6 @@ class TestGammaProduct:
         assert not reduced_equal(left, right)
         # Gamma(7/2) == (3/2)(5/2) Gamma(3/2) is not structural equality
         assert times(left, inverse(right)).reduce()[0] == Fraction(15, 4)
-
-
-def test_lazy_product_is_built_on_first_read_and_acts_as_the_product():
-    built = []
-
-    def build():
-        built.append(1)
-        return GammaProduct.from_factors([(Fraction(1, 3), 1), (Fraction(5, 2), -1)])
-
-    lazy, twin = LazyGammaProduct(build), LazyGammaProduct(build)
-    assert built == []
-    product = GammaProduct.from_factors([(Fraction(1, 3), 1), (Fraction(5, 2), -1)])
-    assert lazy == product and product == lazy and lazy == twin and lazy != GammaProduct.one()
-    assert hash(lazy) == hash(product) and str(lazy) == str(product) and repr(lazy) == repr(product)
-    assert lazy.factors == product.factors and lazy.reduce() == product.reduce() and not lazy.is_one()
-    assert len(built) == 2  # once per lazy product, however often it is read
-    with pytest.raises(AttributeError):
-        lazy._missing
 
 
 def test_empty_product_is_one_object():

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, PoleError, PreconditionError, WeightSystem, families, oracle, residues
 from mopexact.driver import apply_fault
-from mopexact.gammaprod import GammaProduct, pochhammer, rising, rising_product
+from mopexact.gammaprod import pochhammer, rising, rising_product
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, hahn_corner_systems, pair_values, recovered_node_values, row_values
+from conftest import (
+    admissible_systems, hahn_corner_systems, monomial_coefficients, pair_values, recovered_node_values, row_values,
+)
 
 F = Fraction
 
@@ -201,7 +203,7 @@ def mellin_sides(ws, n, poly, s) -> tuple[Fraction, Fraction]:
         lhs = sum((v * poch(s, x) / math.factorial(x) for x, v in enumerate(hahn_weighted(ws, poly))), F(0))
         return lhs, rhs
     lhs = F(0)
-    for k, c in enumerate(poly.monomial_coefficients()):
+    for k, c in enumerate(monomial_coefficients(poly)):
         shifted = poch(s + ws.beta + 1 + k, total - k) if ws.family is Family.JACOBI_PINEIRO else 1
         lhs += c * poch(s, k) * shifted
     return lhs, rhs
@@ -238,12 +240,12 @@ def pole_weights(ws, n, i) -> list[Fraction]:
     return weights
 
 
-def pole_term_fractions(ws, n) -> list[tuple[list[Fraction], GammaProduct]]:
+def pole_term_fractions(ws, n) -> list[list[Fraction]]:
     """residues._type1_pole_terms with each integer terms row read as Fractions."""
-    return [([F(v, den) for v in nums], residual) for (nums, den), residual in residues._type1_pole_terms(ws, n)]
+    return [[F(v, den) for v in nums] for nums, den in residues._type1_pole_terms(ws, n)]
 
 
-def pole_terms(ws, n) -> list[tuple[list[Fraction], GammaProduct]]:
+def pole_terms(ws, n) -> list[list[Fraction]]:
     total = total_degree(n)
     alpha, beta = ws.alpha, ws.beta
     families._guard_type1_normalization(ws, n)
@@ -264,10 +266,8 @@ def pole_terms(ws, n) -> list[tuple[list[Fraction], GammaProduct]]:
                 if j != i:
                     comp_prefactor *= poch(alpha[j] + beta + total, n[j])
             comp_prefactor /= poch(alpha[i] + beta + total + n[i], ws.N + 2 - total - n[i])
-        row = [comp_prefactor * w * (1 if up is None else poch(up, k)) / poch(down, k)
-               for k, w in enumerate(pole_weights(ws, n, i))]
-        residual = GammaProduct.one() if ws.family is Family.HAHN else families.type1_scale(ws, i, total)
-        components.append((row, residual))
+        components.append([comp_prefactor * w * (1 if up is None else poch(up, k)) / poch(down, k)
+                           for k, w in enumerate(pole_weights(ws, n, i))])
     return components
 
 

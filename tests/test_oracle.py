@@ -23,7 +23,7 @@ from mopexact import (
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle
+from mopexact import AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, residues
 from mopexact.weights import total_degree
 from mopexact.linalg import solve_linear_system
 from mopexact.driver import apply_fault, compositions, run_instance
@@ -62,9 +62,9 @@ def moment_gamma(ws, i: int) -> GammaProduct:
     return GammaProduct.one()
 
 
-def scale_reduction(ws, scale: GammaProduct, i: int) -> Fraction:
-    """Rational value of component-scale times moment-gamma, by reducing the gamma product."""
-    rational, leftover = times(scale, moment_gamma(ws, i)).reduce()
+def scale_reduction(ws, i: int, total: int) -> Fraction:
+    """Rational value of the canonical type I scale at |n| = total times moment-gamma, by reducing the product."""
+    rational, leftover = times(families.type1_scale(ws, i, total), moment_gamma(ws, i)).reduce()
     if not leftover.is_one():
         raise AssertionError(f"scale x moment gamma did not reduce to a rational: {leftover}")
     return rational
@@ -124,7 +124,7 @@ def check_biorthogonality(ws, n, m, poly, vec) -> bool:
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
             continue
-        factor = scale_reduction(ws, comp.scale, i)
+        factor = scale_reduction(ws, i, total_degree(m))
         for k, ck in enumerate(comp.coefficients):
             total += factor * ck * power_pairing(poly.coefficients, moments[i], k)
     return total == expected
@@ -287,21 +287,10 @@ class TestType2Reports:
     def test_perturbation_breaks_orthogonality(self):
         ws = jacobi_pineiro_ws(2)
         poly = families.type2(ws, (1, 1))
-        bumped = ScaledPolynomial(
-            poly.basis, (poly.coefficients[0] + 1,) + poly.coefficients[1:], poly.scale
-        )
+        bumped = ScaledPolynomial(poly.basis, (poly.coefficients[0] + 1,) + poly.coefficients[1:])
         report = check_type2_orthogonality(ws, (1, 1), bumped)
         assert not report.passed
         assert any(v != 0 for v in report.residuals.values())
-
-    @pytest.mark.parametrize("ws", [jacobi_pineiro_ws(2), hahn_ws(2, 4)], ids=["jacobi-pineiro", "hahn"])
-    def test_scale_other_than_one_rejected(self, ws):
-        # Gamma(3/2) / Gamma(1/2) is the rational 1/2, but the check compares the scale, it does not reduce it
-        poly = families.type2(ws, (1, 1))
-        halved = ScaledPolynomial(poly.basis, poly.coefficients,
-                                  GammaProduct.from_factors([(F(3, 2), 1), (F(1, 2), -1)]))
-        with pytest.raises(PreconditionError, match="scale 1"):
-            check_type2_orthogonality(ws, (1, 1), halved)
 
     def test_hahn_tables_built_once_per_instance(self, monkeypatch):
         # the checks and the solves share the monomial and backward tables of the weight system
@@ -328,8 +317,7 @@ class TestType1Reports:
 
     def test_zero_vector_fails_normalization(self):
         ws = laguerre_ws(1)
-        zero = TypeIVector((ScaledPolynomial(Basis.monomial(), (F(0),),
-                                             families.type1_scale(ws, 0, 1)),))
+        zero = TypeIVector((ScaledPolynomial(Basis.monomial(), (F(0),)),))
         report = check_type1_orthogonality(ws, (1,), zero)
         assert not report.passed and F(*report.normalization) == 0
 
@@ -465,10 +453,28 @@ class TestContinuousPairings:
         for v in (vec, apply_fault(poly, vec, fault)[1]):
             moments = reference_moments(total + max(n) - 1)
             assert pair_values(oracle._type1_pairings(ws, v, total)) == [
-                sum((scale_reduction(ws, c.scale, i) * power_pairing(c.coefficients, moments[i], j)
+                sum((scale_reduction(ws, i, total) * power_pairing(c.coefficients, moments[i], j)
                      for i, c in enumerate(v.components) if c.coefficients), F(0))
                 for j in range(total)
             ]
+
+
+@pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2)], ids=["laguerre", "jacobi-pineiro"])
+def test_continuous_checks_refuse_a_non_monomial_basis(ws):
+    # the continuous checks read poly.row as monomial coefficients; the same row in another basis is refused
+    n = (1, 1)
+    falling = ScaledPolynomial(Basis.falling_factorial(), row=families.type2(ws, n).row)
+    rising = TypeIVector(tuple(ScaledPolynomial(Basis.shifted_rising(3, 2), row=comp.row)
+                               for comp in families.type1(ws, n).components))
+    for check in (
+        lambda: check_type2_orthogonality(ws, n, falling),
+        lambda: check_mellin_type2(ws, n, falling, [(1, 2)]),
+        lambda: check_type1_orthogonality(ws, n, rising),
+        lambda: residues.check_residue_duality(ws, n, rising, [F(1, 2)]),
+        lambda: residues.type1_direct_values(ws, rising, F(1, 2)),
+    ):
+        with pytest.raises(PreconditionError, match="monomial basis"):
+            check()
 
 
 class TestMellin:

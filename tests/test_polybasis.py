@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopexact import Basis, GammaProduct, ScaledPolynomial, eval_polynomial, pochhammer
+from mopexact import Basis, ScaledPolynomial, pochhammer
 from mopexact.polybasis import lattice_table, rising_over_factorial
-from conftest import times
+from conftest import element_monomial_coefficients, element_value, monomial_coefficients
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
 
@@ -45,7 +45,7 @@ def test_lattice_table_matches_element_value(basis, degree, N):
     for k, (nums, den) in enumerate(table):
         # integers over q^k: 1 for monomials and falling factorials
         assert all(type(v) is int for v in nums) and den == q**k
-        assert tuple(Fraction(v, den) for v in nums) == tuple(basis.element_value(k, x) for x in range(N + 1))
+        assert tuple(Fraction(v, den) for v in nums) == tuple(element_value(basis, k, x) for x in range(N + 1))
 
 
 @given(basis=any_basis, coeffs=st.lists(rationals, max_size=7), N=st.integers(0, 10))
@@ -63,7 +63,7 @@ def test_lattice_values_match_rational_value(basis, coeffs, N):
 def test_integer_rows_at_a_single_lattice_point(basis):
     # N = 0: every row is the one value at x = 0
     for k, (nums, den) in enumerate(lattice_table(basis, 4, 0)):
-        assert len(nums) == 1 and Fraction(nums[0], den) == basis.element_value(k, 0)
+        assert len(nums) == 1 and Fraction(nums[0], den) == element_value(basis, k, 0)
     poly = ScaledPolynomial(basis, (Fraction(2, 3), Fraction(-1, 5), Fraction(7)))
     nums, den = poly.lattice_values(0)
     assert len(nums) == 1 and Fraction(nums[0], den) == poly.rational_value(0)
@@ -83,38 +83,48 @@ def test_rising_over_factorial_matches_pochhammer(a, length):
 @given(x=rationals, k=st.integers(0, 6), basis=st.sampled_from(BASES))
 @settings(max_examples=150, deadline=None)
 def test_monomial_expansion_matches_direct_value(x, k, basis):
-    direct = basis.element_value(k, x)
-    expanded = sum(c * x**j for j, c in enumerate(basis.element_monomial_coefficients(k)))
+    direct = element_value(basis, k, x)
+    expanded = sum(c * x**j for j, c in enumerate(element_monomial_coefficients(basis, k)))
     assert direct == expanded
+    assert ScaledPolynomial(basis, (0,) * k + (1,)).rational_value(x) == direct
+
+
+@given(basis=any_basis, coeffs=st.lists(rationals, max_size=8),
+       x=st.one_of(rationals, st.fractions(-20, 20, max_denominator=60), st.integers(-30, 30)))
+@settings(max_examples=200, deadline=None)
+def test_rational_value_matches_the_pochhammer_sum(basis, coeffs, x):
+    # the integer nested evaluation against sum_k c_k basis_k(x), each element a Pochhammer symbol
+    poly = ScaledPolynomial(basis, tuple(coeffs))
+    expected = sum((c * element_value(basis, k, x) for k, c in enumerate(coeffs)), Fraction(0))
+    value = poly.rational_value(x)
+    assert type(value) is Fraction and value == expected
+    assert poly.rational_value(str(Fraction(x))) == expected
 
 
 @given(coeffs=st.lists(rationals, max_size=9))
 @settings(max_examples=50, deadline=None)
 def test_monomial_coefficients_identity_on_monomial_basis(coeffs):
-    poly = ScaledPolynomial(Basis.monomial(), tuple(coeffs), GammaProduct.gamma(Fraction(3, 2)))
-    assert poly.monomial_coefficients() == poly.coefficients
+    poly = ScaledPolynomial(Basis.monomial(), tuple(coeffs))
+    assert monomial_coefficients(poly) == poly.coefficients
 
 
 def test_falling_factorial_values():
     basis = Basis.falling_factorial()
-    assert basis.element_value(3, 2) == 0          # (-2)(-1)(0)
-    assert basis.element_value(2, Fraction(1, 2)) == Fraction(-1, 4)
+    assert element_value(basis, 3, 2) == 0          # (-2)(-1)(0)
+    assert element_value(basis, 2, Fraction(1, 2)) == Fraction(-1, 4)
+    poly = ScaledPolynomial(basis, (0, 0, 0, 1))
+    assert poly.rational_value(2) == 0 and poly.rational_value(Fraction(-1, 2)) == Fraction(15, 8)
 
 
 def test_constant_polynomial():
     poly = ScaledPolynomial(Basis.monomial(), (Fraction(7, 3),))
-    assert eval_polynomial(poly, Fraction(123, 7)) == (Fraction(7, 3), GammaProduct.one())
+    assert poly.rational_value(Fraction(123, 7)) == Fraction(7, 3)
+    assert ScaledPolynomial(Basis.monomial(), ()).rational_value(5) == 0
 
 
 def test_root_evaluation():
     poly = ScaledPolynomial(Basis.monomial(), (Fraction(-3, 2), Fraction(1)))
-    assert eval_polynomial(poly, Fraction(3, 2)) == (Fraction(0), GammaProduct.one())
-
-
-def test_scale_reduction_in_eval():
-    scale = times(GammaProduct.gamma(Fraction(5, 2)), GammaProduct.gamma(Fraction(1, 2), -1))
-    poly = ScaledPolynomial(Basis.monomial(), (Fraction(2),), scale)
-    assert eval_polynomial(poly, 0) == (Fraction(3, 2), GammaProduct.one())
+    assert poly.rational_value(Fraction(3, 2)) == 0
 
 
 def test_degree_and_zero():
@@ -133,7 +143,7 @@ def test_leading_monomial_coefficient_falling_basis():
 @given(basis=any_basis, coefficients=st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_leading_monomial_coefficient_matches_full_conversion(basis, coefficients):
-    # the conversion route it replaced: the top nonzero entry of monomial_coefficients()
+    # the conversion route it replaced: the top nonzero entry of the full monomial expansion
     poly = ScaledPolynomial(basis, tuple(coefficients))
-    expected = next((c for c in reversed(poly.monomial_coefficients()) if c != 0), Fraction(0))
+    expected = next((c for c in reversed(monomial_coefficients(poly)) if c != 0), Fraction(0))
     assert Fraction(*poly.leading_monomial_coefficient()) == expected

@@ -3,8 +3,8 @@
 ``oracle_solve_type1`` and ``oracle_solve_type2`` hand the solve integer rows
 with their content divided out and fold the factors they took back into the
 solution.  The references here build each condition as a row of Fractions
-(the plain pairing values), solve that, and must give the same polynomials,
-bases and scales, or raise the same error class.
+(the plain pairing values), solve that, and must give the same polynomials
+in the same bases, or raise the same error class.
 """
 
 from fractions import Fraction
@@ -53,8 +53,7 @@ def type1_reference(ws, n) -> TypeIVector:
     rhs = [F(0)] * (total - 1) + [target]
     solution = iter(solve_linear_system(rows, rhs))
     return TypeIVector(tuple(
-        ScaledPolynomial(families.type1_basis(ws, i), tuple(next(solution) for _ in range(n[i])),
-                         families.type1_scale(ws, i, total))
+        ScaledPolynomial(families.type1_basis(ws, i), tuple(next(solution) for _ in range(n[i])))
         for i in range(ws.p)
     ))
 
@@ -101,7 +100,7 @@ def test_type1_solve_matches_fraction_rows(system):
     assert solved == expected
     if isinstance(expected, TypeIVector):
         for got, want in zip(solved.components, expected.components):
-            assert (got.basis, got.coefficients, got.scale) == (want.basis, want.coefficients, want.scale)
+            assert (got.basis, got.coefficients) == (want.basis, want.coefficients)
 
 
 @given(SYSTEMS)
@@ -111,8 +110,7 @@ def test_type2_solve_matches_fraction_rows(system):
     solved, expected = outcome(oracle.oracle_solve_type2, ws, n), outcome(type2_reference, ws, n)
     assert solved == expected
     if isinstance(expected, ScaledPolynomial):
-        assert (solved.basis, solved.coefficients, solved.scale) == (expected.basis, expected.coefficients,
-                                                                      expected.scale)
+        assert (solved.basis, solved.coefficients) == (expected.basis, expected.coefficients)
 
 
 #: Beyond the |n| <= 8 of the verify grids; each oracle solve takes milliseconds on primitive rows.
@@ -128,4 +126,4 @@ def test_generators_and_oracle_agree_at_high_degree(ws, n):
     solved, generated = oracle.oracle_solve_type2(ws, n), families.type2(ws, n)
     assert (solved.basis, solved.coefficients) == (generated.basis, generated.coefficients)
     solved, generated = oracle.oracle_solve_type1(ws, n), families.type1(ws, n)
-    assert solved == generated  # bases, coefficients and canonical scales
+    assert solved == generated  # bases and coefficients

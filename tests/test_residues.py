@@ -153,8 +153,9 @@ def residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fract
 
 
 def series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
-    """residues._type2_series_row with its integer pairs read as Fractions, and its gamma."""
-    return pair_values(residues._type2_series_row(ws, n, k_max)), row_gamma(ws)
+    """The series terms k <= k_max the series route compares (families._type2_series) as Fractions, and its gamma."""
+    (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
+    return [Fraction(top * v, bottom * d) for v, d in zip(nums, dens)], row_gamma(ws)
 
 
 def term_fractions(row) -> list[Fraction]:
@@ -164,12 +165,11 @@ def term_fractions(row) -> list[Fraction]:
 
 
 def direct_value(ws: WeightSystem, i: int, comp, x: Fraction) -> Fraction:
-    """Component i of the direct route at x: A_i(x) times its scale's rational, and (alpha_i+1)_x for Hahn."""
+    """Component i of the direct route at x: A_i(x), times (alpha_i+1)_x for Hahn."""
     if ws.family is not Family.HAHN:
         return comp.rational_value(x)
     nums, den = comp.lattice_values(ws.N)
-    factor, _ = comp.scale.reduce()
-    return factor * Fraction(nums[x.numerator], den) * pochhammer(ws.alpha[i] + 1, x.numerator)
+    return Fraction(nums[x.numerator], den) * pochhammer(ws.alpha[i] + 1, x.numerator)
 
 
 def sample_points(ws: WeightSystem) -> list:
@@ -196,9 +196,9 @@ class TestType1LinearForm:
     def test_laguerre_single_pole(self):
         # one residue: component = x^alpha / Gamma(alpha+1)
         ws = laguerre_ws(1)
-        [(terms, residual)] = residues._type1_pole_terms(ws, (1,))
+        [terms] = residues._type1_pole_terms(ws, (1,))
         assert pole_sum(ws, 0, term_fractions(terms), F(2, 3)) == 1
-        assert residual.factors == ((F(3, 2), -1),)
+        assert families.type1_scale(ws, 0, 1).factors == ((F(3, 2), -1),)
 
     def test_matches_direct_decomposition_jp(self):
         ws = jacobi_pineiro_ws(2)
@@ -207,10 +207,9 @@ class TestType1LinearForm:
     def test_matches_direct_decomposition_hahn(self):
         ws = hahn_ws(2, 5)
         vec = families.type1(ws, (2, 1))
-        for i, (terms, residual) in enumerate(residues._type1_pole_terms(ws, (2, 1))):
+        for i, terms in enumerate(residues._type1_pole_terms(ws, (2, 1))):
             expected = vec.components[i].rational_value(3) * pochhammer(ws.alpha[i] + 1, 3)
             assert pole_sum(ws, i, term_fractions(terms), F(3)) == expected
-            assert residual.is_one()
 
     def test_full_grid_all_families(self):
         for n in compositions(4):
@@ -339,14 +338,12 @@ class TestRandomAdmissibleSystems:
         for fault in faults:
             _, faulty = apply_fault(None, vec, fault)
             verdict = True
-            for i, (pole, comp) in enumerate(zip(poles, faulty.components)):
-                terms, residual = pole
-                pole_row, _, direct_row, direct_residual = residues._duality_rows(ws, i, pole, comp, points)
+            for i, (terms, comp) in enumerate(zip(poles, faulty.components)):
+                pole_row, direct_row = residues._duality_rows(ws, i, terms, comp, points)
                 reference_poles = [pole_sum(ws, i, term_fractions(terms), x) for x in points]
                 reference_direct = [direct_value(ws, i, comp, x) for x in points]
                 assert (pair_values(pole_row), pair_values(direct_row)) == (reference_poles, reference_direct), (fault, i)
-                verdict &= all(scaled_values_equal(a, residual, b, direct_residual)
-                               for a, b in zip(reference_poles, reference_direct))
+                verdict &= reference_poles == reference_direct  # both against the canonical scale
             assert check_residue_duality(ws, n, faulty, points) == verdict == (fault is None), fault
 
     @given(admissible_systems())
@@ -422,7 +419,7 @@ class TestInterpolationRecovery:
         comp = vec.components[0]
         bumped = comp.coefficients[0] + 1, comp.coefficients[1]
         from mopexact.polybasis import ScaledPolynomial, TypeIVector
-        vec = TypeIVector((ScaledPolynomial(comp.basis, bumped, comp.scale), vec.components[1]))
+        vec = TypeIVector((ScaledPolynomial(comp.basis, bumped), vec.components[1]))
         coeffs = interpolation_recover_p(ws, (2, 1), vec)
         assert any(c != 0 for c in coeffs[1:])
 
