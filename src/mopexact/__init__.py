@@ -29,14 +29,6 @@ from .gammaprod import (
     as_fraction,
     pochhammer,
 )
-from .hyper import (
-    check_chu_vandermonde,
-    check_karp_prilepkina,
-    check_kummer,
-    check_rakha_rathie,
-    kdf,
-    pfq,
-)
 from .oracle import (
     OrthogonalityReport,
     check_discrete_mellin_inversion,
@@ -57,4 +49,14 @@ from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: The hypergeometric names, which only the identity checks use: :mod:`.hyper` is imported on first use.
+_HYPER = ("check_chu_vandermonde", "check_karp_prilepkina", "check_kummer", "check_rakha_rathie", "kdf", "pfq")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HYPER))
+
+
+def __getattr__(name: str):
+    if name in _HYPER:
+        from . import hyper
+        return getattr(hyper, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ or admissibility errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -33,12 +32,6 @@ from fractions import Fraction
 
 from . import driver, families, oracle, residues
 from .errors import AdmissibilityError, PoleError, PreconditionError, SingularSystemError
-from .hyper import (
-    check_chu_vandermonde,
-    check_karp_prilepkina,
-    check_kummer,
-    check_rakha_rathie,
-)
 from .polybasis import BasisKind
 from .weights import Family, WeightSystem
 
@@ -202,6 +195,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list[str]], out: str | None) -> None:
+    import csv  # only table and plot-data write csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -337,10 +332,16 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _flat(draw, checker, arity: int):
-    """Table entry of an identity with one flat parameter list: one checked draw per row, and --params."""
+def _hyper(name: str):
+    """The checker of that name in :mod:`.hyper`, which is imported when an identity runs, not with the command line."""
+    from . import hyper
+    return getattr(hyper, name)
+
+
+def _flat(draw, checker: str, arity: int):
+    """Table entry of an identity with one flat parameter list checked by hyper.<checker>: one draw per row, --params."""
     def rows(args, rng):
-        return [{"params": [str(v) for v in params], "ok": checker(*params)}
+        return [{"params": [str(v) for v in params], "ok": _hyper(checker)(*params)}
                 for params in (draw(rng) for _ in range(args.draws))]
     return rows, (arity, checker)
 
@@ -348,7 +349,7 @@ def _flat(draw, checker, arity: int):
 def _karp_prilepkina_row(params, **extra) -> dict:
     a, f, m, b, k = params
     return {"params": [str(a), [str(v) for v in f], m, [str(v) for v in b], k],
-            "ok": check_karp_prilepkina(a, f, m, b, k), **extra}
+            "ok": _hyper("check_karp_prilepkina")(a, f, m, b, k), **extra}
 
 
 def _karp_prilepkina_rows(args, rng) -> list[dict]:
@@ -389,11 +390,11 @@ def _mellin_inversion_rows(args, rng) -> list[dict]:
 
 
 #: Every identity name, in the order the command lists them: its rows builder
-#: (args, rng) -> rows, and (arity, checker) where --params may give the parameters.
+#: (args, rng) -> rows, and (arity, checker name) where --params may give the parameters.
 IDENTITIES = {
-    "chu-vandermonde": _flat(driver.draw_chu_vandermonde, check_chu_vandermonde, 3),
-    "kummer": _flat(driver.draw_kummer, check_kummer, 5),
-    "rakha-rathie": _flat(driver.draw_rakha_rathie, check_rakha_rathie, 7),
+    "chu-vandermonde": _flat(driver.draw_chu_vandermonde, "check_chu_vandermonde", 3),
+    "kummer": _flat(driver.draw_kummer, "check_kummer", 5),
+    "rakha-rathie": _flat(driver.draw_rakha_rathie, "check_rakha_rathie", 7),
     "karp-prilepkina": (_karp_prilepkina_rows, None),
     "hahn-summation": (_hahn_summation_rows, None),
     "mellin-inversion": (_mellin_inversion_rows, None),
@@ -416,7 +417,7 @@ def _identity_rows(args) -> list[dict]:
         raise ValueError(f"{name} takes {arity} --params values, got {len(values)}")
     params = [str(v) for v in values]
     try:
-        return [{"params": params, "ok": bool(checker(*values))}]
+        return [{"params": params, "ok": bool(_hyper(checker)(*values))}]
     except (PreconditionError, PoleError) as exc:
         return [{"params": params, "rejected": str(exc)}]
 
@@ -480,9 +481,9 @@ def float_eval_type1_form(ws: WeightSystem, n, vec, x: Fraction) -> float:
     values = residues.type1_direct_values(ws, vec, x)
     if ws.family is Family.HAHN:
         return float(sum(values))
-    return math.fsum(
+    return math.fsum(  # a zero component adds nothing, and an idle one's scale may hold a pole
         float(rational) * _gamma_float(families.type1_scale(ws, i, sum(n))) * float(x) ** float(alpha)
-        for i, (rational, alpha) in enumerate(zip(values, ws.alpha))
+        for i, (rational, alpha) in enumerate(zip(values, ws.alpha)) if rational
     )
 
 

@@ -21,7 +21,6 @@ prefactor and reduces it once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError
@@ -116,8 +115,27 @@ def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
     return ([-v for v in row], -den) if den < 0 else (row, den)
 
 
-@dataclass(frozen=True)
-class GammaProduct:
+class Frozen:
+    """Base of the package's value classes: immutable, and equal to and hashed like another object of its
+    class with the same values of the fields named in ``_fields``.  ``__init__`` stores the fields in
+    ``__dict__``; the other entries there are caches, which comparison and hashing ignore."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+
+class GammaProduct(Frozen):
     """Formal product prod_t Gamma(argument_t)**exponent_t, arguments rational.
 
     The empty product is the scalar 1.  Construction merges repeated
@@ -125,7 +143,10 @@ class GammaProduct:
     factors have arguments differing by an integer.
     """
 
-    factors: tuple[tuple[Fraction, int], ...] = ()
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Fraction, int], ...] = ()):
+        self.__dict__["factors"] = factors
 
     @staticmethod
     def one() -> "GammaProduct":

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import as_fraction, ratio_row, rising_product
+from .gammaprod import Frozen, as_fraction, ratio_row, rising_product
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss
 from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
@@ -77,8 +76,7 @@ def _moment_scale(ws: WeightSystem, i: int, total: int) -> tuple[int, int]:
     return rising_product(Q, [(alpha[i] + beta + 2 * Q, total - 2)], [(beta + Q, total - 1)])
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(Frozen):
     """Exact residuals of the defining conditions, plus the normalization row.
 
     residuals maps (weight index, power) to the rational cofactor for
@@ -88,9 +86,11 @@ class OrthogonalityReport:
     row exactly hits its target.
     """
 
-    residuals: dict
-    normalization: tuple[int, int] | None
-    normalization_target: int | None
+    _fields = ("residuals", "normalization", "normalization_target")
+
+    def __init__(self, residuals: dict, normalization: tuple[int, int] | None, normalization_target: int | None):
+        self.__dict__.update(residuals=residuals, normalization=normalization,
+                             normalization_target=normalization_target)
 
     @property
     def passed(self) -> bool:

@@ -20,12 +20,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import AdmissibilityError
-from .gammaprod import as_fraction
+from .gammaprod import Frozen, as_fraction
 
 
 class BasisKind(enum.Enum):
@@ -35,8 +34,7 @@ class BasisKind(enum.Enum):
     BACKWARD_POCHHAMMER = "backward-pochhammer"
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Frozen):
     """Basis tag plus the shift its elements need, as a reduced integer pair (p, q), q > 0, for s = p/q.
 
     MONOMIAL: x^k.  FALLING_FACTORIAL: (-x)_k.  SHIFTED_RISING with shift s:
@@ -44,8 +42,10 @@ class Basis:
     shift s: (s - x)_k; the discrete orthogonality rows use s = beta + N + 1.
     """
 
-    kind: BasisKind
-    shift: tuple[int, int] | None = None
+    _fields = ("kind", "shift")
+
+    def __init__(self, kind: BasisKind, shift: tuple[int, int] | None = None):
+        self.__dict__.update(kind=kind, shift=shift)
 
     @staticmethod
     def monomial() -> "Basis":
@@ -128,8 +128,7 @@ def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
     return rows
 
 
-@dataclass(frozen=True, init=False)
-class ScaledPolynomial:
+class ScaledPolynomial(Frozen):
     """sum_k c_k * basis_k(x), exact, with c_k = row[0][k] / row[1].
 
     The row is reduced (no factor common to the positive denominator and all
@@ -140,18 +139,15 @@ class ScaledPolynomial:
     only the output edge builds (:func:`mopexact.families.type1_scale`).
     """
 
-    basis: Basis
-    row: LatticeRow
+    _fields = ("basis", "row")
 
     def __init__(self, basis: Basis, coefficients=(), *, row=None):
         if row is None:  # exact rationals over their denominators' lcm
             values = [as_fraction(c) for c in coefficients]
             den = math.lcm(*(v.denominator for v in values))
             row = [v.numerator * (den // v.denominator) for v in values], den
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "row", reduced_row(*row))
-        # lattice size N -> values on {0..N}; not a field, so eq and hash ignore it
-        object.__setattr__(self, "_lattice_values", {})
+        # _lattice_values maps a lattice size N to the values on {0..N}; not a field, so eq and hash ignore it
+        self.__dict__.update(basis=basis, row=reduced_row(*row), _lattice_values={})
 
     @cached_property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -211,20 +207,19 @@ class ScaledPolynomial:
         return -nums[k] if falling and k % 2 else nums[k], den
 
 
-@dataclass(frozen=True)
-class TypeIVector:
+class TypeIVector(Frozen):
     """One polynomial per weight; component i has degree <= n_i - 1.
 
     Components with n_i = 0 are the zero polynomial (empty coefficient
     list): their weight contributes nothing to the linear form.
     """
 
-    components: tuple[ScaledPolynomial, ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
-        for comp in self.components:
-            if comp.basis.kind is BasisKind.BACKWARD_POCHHAMMER:
-                raise AdmissibilityError("type I components never use the backward basis")
+    def __init__(self, components: tuple[ScaledPolynomial, ...]):
+        if any(comp.basis.kind is BasisKind.BACKWARD_POCHHAMMER for comp in components):
+            raise AdmissibilityError("type I components never use the backward basis")
+        self.__dict__["components"] = components
 
     @property
     def p(self) -> int:

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import AdmissibilityError
-from .gammaprod import as_fraction, ratio_row
+from .gammaprod import Frozen, as_fraction, ratio_row
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .polybasis import LatticeRow, reduced_row, rising_over_factorial, row_product
 
@@ -46,17 +45,12 @@ def total_degree(n: MultiIndex) -> int:
     return sum(n)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    family: Family
-    alpha: tuple[Fraction, ...]
-    beta: Fraction | None = None
-    N: int | None = None
+class WeightSystem(Frozen):
+    _fields = ("family", "alpha", "beta", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(as_fraction(a) for a in self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", as_fraction(self.beta))
+    def __init__(self, family: Family, alpha, beta=None, N: int | None = None):
+        self.__dict__.update(family=family, alpha=tuple(map(as_fraction, alpha)),
+                             beta=None if beta is None else as_fraction(beta), N=N)
         if not self.alpha:
             raise AdmissibilityError("need at least one weight")
         for a in self.alpha:
@@ -107,8 +101,9 @@ class WeightSystem:
             raise AdmissibilityError("type I polynomials need |n| >= 1")
 
     def check_point(self, x) -> Fraction | int:
-        """x if the weights live there, an int kept as it is and anything else as a Fraction: an
-        integer in [0, N] for Hahn, x > 0 for the x**alpha_i factors otherwise; else AdmissibilityError."""
+        """x as a type I evaluation point, an int kept and anything else as a Fraction: an integer in [0, N] for
+        Hahn, any x > 0 (the x**alpha_i factors) otherwise, else AdmissibilityError.  Jacobi-Pineiro points x > 1
+        lie outside its support: there the left-out weight factor (1-x)^beta is not real for a non-integer beta."""
         x = x if isinstance(x, int) else as_fraction(x)
         if self.family is Family.HAHN:
             if x.denominator != 1 or not 0 <= x <= self.N:
@@ -159,7 +154,7 @@ class WeightSystem:
             q, alpha, beta = self.integer_parameters
             shift = [beta + 2 * q] if self.family is Family.JACOBI_PINEIRO else []
             kept = tuple(reduced_row(*ratio_row([a + q], [a + s for s in shift], length, q)) for a in alpha)
-            object.__setattr__(self, "_moment_rows", kept)
+            self.__dict__["_moment_rows"] = kept
         return kept
 
     def hahn_weight(self, i: int, x: int) -> Fraction:

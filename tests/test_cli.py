@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mopexact import WeightSystem, driver, families, oracle, residues
-from mopexact.cli import main
+from mopexact.cli import _gamma_float, main
 from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance, weight_system
 from conftest import laguerre_ws
 
@@ -573,6 +573,22 @@ class TestPlotDataCommand:
         assert rows
         for x_text, value_text in rows:
             assert math.isclose(float(value_text), value_at(F(x_text)), rel_tol=rel_tol, abs_tol=0), x_text
+
+    def test_idle_weight_on_the_corner(self, capsys):
+        # the idle weight's scale holds Gamma(0): plot-data used to round it and exit 2 where eval passed
+        corner = ("--family", "jacobi-pineiro", "--alpha=-1/2", "--alpha=1/3", "--beta=-1/2",
+                  "--n", "0", "--n", "1", "--type", "1")
+        assert run_cli(capsys, "eval", *corner, "--x", "1/2")[0] == 0
+        code, out = run_cli(capsys, "plot-data", *corner, "--samples", "5")
+        assert code == 0
+        ws = WeightSystem.jacobi_pineiro((F(-1, 2), F(1, 3)), F(-1, 2))
+        vec = families.type1(ws, (0, 1))
+        scale = _gamma_float(families.type1_scale(ws, 1, 1))
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 5
+        for x_text, value_text in rows:  # the active weight's term alone
+            x = F(x_text)
+            assert float(value_text) == float(residues.type1_direct_values(ws, vec, x)[1]) * scale * float(x) ** (1 / 3)
 
     def test_hahn_row_count(self, capsys):
         code, out = run_cli(

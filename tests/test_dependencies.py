@@ -7,6 +7,7 @@ plot-data rounds the exact values instead of evaluating in mpmath.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -111,10 +112,36 @@ def test_package_import_scanner_sees_every_form():
     assert _imported_package_modules(ast.parse("from .gammaprod import ratio_row\nimport math")) == {"gammaprod"}
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # the child imports the same mopexact as this process, also under a bare `pytest`
+def _run_fresh(probe: str) -> str:
+    """stdout of a fresh interpreter running probe; it imports the same mopexact as this process, also under a bare `pytest`."""
     src = os.path.dirname(os.path.dirname(mopexact.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import sys, mopexact.cli; print('mpmath' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True).stdout
+
+
+#: Modules that importing the command line, which every command pays, must not load: a reference
+#: library, the class generator and the introspection it pulls in, what only identity, table or
+#: plot-data run, and the process pools and logging verify once used.
+COLD_UNLOADED = ("mpmath", "dataclasses", "inspect", "csv", "mopexact.hyper", "multiprocessing", "logging",
+                 "concurrent.futures")
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    probe = f"import sys, mopexact.cli; print([name for name in {COLD_UNLOADED!r} if name in sys.modules])"
+    assert _run_fresh(probe).strip() == "[]"
+
+
+def test_names_loaded_on_first_use_resolve_in_a_fresh_process():
+    probe = """if True:
+        import contextlib, io, json, sys, mopexact, mopexact.cli
+        report = {"pfq": mopexact.pfq.__module__, "all": "kdf" in mopexact.__all__}
+        for argv in (["identity", "--name", "kummer", "--draws", "3"], ["table", "--format", "csv"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                report[argv[0]] = [mopexact.cli.main(argv), out.getvalue()]
+        print(json.dumps(report))"""
+    report = json.loads(_run_fresh(probe))
+    assert report["pfq"] == "mopexact.hyper" and report["all"]
+    code, out = report["identity"]
+    assert code == 0 and json.loads(out)["summary"] == {"pass": 3, "fail": 0, "vacuous": False}
+    code, out = report["table"]
+    assert code == 0 and out.startswith("instance,type,weight,basis,k,coefficient\nlaguerre1|n=1,2,,monomial,")

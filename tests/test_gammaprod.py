@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopexact import GammaProduct, PoleError, pochhammer
+from mopexact import Basis, GammaProduct, PoleError, ScaledPolynomial, TypeIVector, WeightSystem, pochhammer
 from mopexact.gammaprod import as_fraction, is_nonpositive_integer
 from conftest import inverse, reduced_equal, rising_row, times
 
@@ -157,3 +157,42 @@ class TestGammaProduct:
 
 def test_empty_product_is_one_object():
     assert GammaProduct.one() is GammaProduct.one() and GammaProduct.one() == GammaProduct()
+    assert hash(GammaProduct.one()) == hash(GammaProduct())
+
+
+def _warm(value):
+    """value with its caches filled, so its __dict__ holds more than its fields."""
+    if isinstance(value, ScaledPolynomial):
+        value.lattice_values(4)
+    elif isinstance(value, WeightSystem):
+        value.weight_table
+    return value
+
+
+_RISING = Basis.shifted_rising(3, 2)
+
+#: Per value class: a value with its caches filled, the same value built apart from other inputs, a value
+#: that differs, and a field.
+VALUE_CLASSES = {
+    "GammaProduct": (GammaProduct.from_factors([("1/2", 2), ("1/3", -1)]),
+                     GammaProduct.from_factors([("1/3", -1), ("1/2", 1), (Fraction(1, 2), 1)]), GammaProduct.gamma("1/2"),
+                     "factors"),
+    "Basis": (Basis.shifted_rising(18, 12), Basis.shifted_rising(3, 2), Basis.shifted_rising(1, 2), "shift"),
+    "ScaledPolynomial": (_warm(ScaledPolynomial(_RISING, (Fraction(2, 6), -1))), ScaledPolynomial(_RISING, row=([1, -3], 3)),
+                         _warm(ScaledPolynomial(_RISING, (Fraction(1, 3), 1))), "row"),
+    "TypeIVector": (TypeIVector((_warm(ScaledPolynomial(_RISING, (1,))), ScaledPolynomial(Basis.monomial(), ()))),
+                    TypeIVector((ScaledPolynomial(_RISING, (1,)), ScaledPolynomial(Basis.monomial(), ()))),
+                    TypeIVector((ScaledPolynomial(_RISING, (1,)),)), "components"),
+    "WeightSystem": (_warm(WeightSystem.hahn(("1/2", "1/3"), "1/4", 4)), WeightSystem.hahn((Fraction(1, 2), "2/6"), "1/4", 4),
+                     WeightSystem.hahn(("1/2", "1/3"), "1/5", 4), "beta"),
+}
+
+
+@pytest.mark.parametrize("value, same, other, field", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
+def test_value_classes_compare_and_hash_by_their_fields(value, same, other, field):
+    assert value is not same and value == same and hash(value) == hash(same)
+    assert value != other and {value, same, other} == {value, other}
+    assert value.__eq__(getattr(value, field)) is NotImplemented  # only its own class compares
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(other, field))
+    assert value == same

@@ -271,6 +271,17 @@ class TestIntegerPairing:
 
 
 class TestType2Reports:
+    def test_report_passes_on_zero_residuals_and_its_target(self):
+        assert oracle.OrthogonalityReport({(0, 1): F(0)}, None, None).passed
+        assert not oracle.OrthogonalityReport({(0, 1): F(1, 3)}, None, None).passed
+        assert oracle.OrthogonalityReport({(None, 0): 0}, (6, -3), -2).passed
+        assert not oracle.OrthogonalityReport({(None, 0): 0}, (6, 3), -2).passed
+        assert not oracle.OrthogonalityReport({}, (1, 1), None).passed
+        report = oracle.OrthogonalityReport({}, (1, 1), 1)
+        with pytest.raises(AttributeError):
+            report.normalization_target = 2
+        assert report == oracle.OrthogonalityReport({}, (1, 1), 1) and report.passed
+
     def test_vacuous_zero_index(self):
         ws = laguerre_ws(2)
         report = check_type2_orthogonality(ws, (0, 0), families.type2(ws, (0, 0)))
