@@ -8,13 +8,14 @@ gamma scale (through math.lgamma) times x**alpha_i.  Type I values leave out
 the weight factor all components share: e^-x (Laguerre), (1-x)^beta
 (Jacobi-Pineiro), (beta+1)_{N-x} / (x! (N-x)!) (Hahn, whose (alpha_i+1)_x is
 folded in).  A type I scale depends only on the family, weight and |n|
-(:func:`families.type1_scale`); a type II scale is 1.
+(:func:`families.type1_scale`); a type II scale is 1, and so is the scale of
+an idle component (n_i = 0), which is the zero polynomial.
 
 JSON envelope: {"command", "config", "results": [...], "summary":
 {"pass", "fail", "vacuous"}}, serialized with sorted keys so identical
 configurations produce byte-identical output.  Exit codes: 0 all checks
 passed, 1 at least one identity or verification failure, 2 configuration
-or admissibility errors.
+or admissibility errors and usage errors, each reported as one JSON line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import os
 import random
 import re
-import signal
 import sys
 from fractions import Fraction
 
@@ -63,39 +63,36 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so main reports them as one JSON line."""
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mopexact",
         description="Exact engine for classical multiple orthogonal polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_weight_options(p, need_n=True):
+    def add_weight_options(p):
         p.add_argument("--family", required=True,
                        choices=[f.value for f in Family])
-        p.add_argument("--p", type=int, default=None, dest="weights",
-                       help="number of weights; must match the repeated --alpha")
         p.add_argument("--alpha", action="append", type=_fraction, required=True,
                        metavar="NUM/DEN", help="one exponent per weight (repeat)")
         p.add_argument("--beta", type=_fraction, default=None)
         p.add_argument("--N", type=int, default=None)
-        if need_n:
-            p.add_argument("--n", action="append", type=int, required=True,
-                           metavar="NI", help="multi-index entry per weight (repeat)")
+        p.add_argument("--n", action="append", type=int, required=True,
+                       metavar="NI", help="multi-index entry per weight (repeat)")
         p.add_argument("--type", type=int, choices=(1, 2), default=2)
-
-    def add_output_options(p, formats=("json", "csv")):
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", default=None, metavar="PATH")
 
     p = sub.add_parser("coeffs", help="exact coefficients of one polynomial")
     add_weight_options(p)
-    add_output_options(p)
 
     p = sub.add_parser("eval", help="exact evaluation at a rational point")
     add_weight_options(p)
     p.add_argument("--x", type=_fraction, required=True)
-    add_output_options(p)
 
     p = sub.add_parser("verify", help="run the exact property grid")
     p.add_argument("--family", default="all",
@@ -106,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", default=None, metavar="SPEC",
                    help="perturb one coefficient by +1: 't2:IDX' or 't1:I:K'")
-    add_output_options(p, formats=("json",))
 
     p = sub.add_parser("identity", help="check a transformation identity on random draws")
     p.add_argument("--name", required=True, choices=tuple(IDENTITIES))
@@ -116,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-N", type=int, default=8)
     p.add_argument("--params", default=None, metavar="V1,V2,...",
                    help="explicit parameters for a single check instead of draws")
-    add_output_options(p, formats=("json",))
 
     p = sub.add_parser("table", help="coefficient table over a grid")
     p.add_argument("--family", default="all",
@@ -124,24 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total-degree", type=int, default=3)
     p.add_argument("--max-N", type=int, default=6)
     p.add_argument("--type", type=int, choices=(1, 2), default=2)
-    add_output_options(p, formats=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("plot-data", help="exact values of one polynomial, rounded to floats")
     add_weight_options(p)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--x-max", type=_fraction, default=Fraction(8),
                    help="right end of the sampling window (Laguerre only)")
-    add_output_options(p, formats=("csv",))
+    for p in sub.choices.values():  # every command prints to stdout unless given a path
+        p.add_argument("--out", default=None, metavar="PATH")
     return parser
 
 
 def _weight_system(args) -> WeightSystem:
     """The weight system of every given option, so WeightSystem rejects one the family does not take."""
     family = Family(args.family)
-    if args.weights is not None and args.weights != len(args.alpha):
-        raise AdmissibilityError(
-            f"--p {args.weights} does not match the {len(args.alpha)} --alpha values"
-        )
     if family is Family.JACOBI_PINEIRO and args.beta is None:
         raise AdmissibilityError("--beta is required for jacobi-pineiro")
     if family is Family.HAHN and (args.beta is None or args.N is None):
@@ -204,6 +196,11 @@ def _emit_csv(header: list[str], rows: list[list[str]], out: str | None) -> None
     _emit(buffer.getvalue(), out)
 
 
+def _scale_text(ws: WeightSystem, n, i: int) -> str:
+    """The printed gamma scale of type I component i: 1 for an idle one (n_i = 0), which is the zero polynomial."""
+    return str(families.type1_scale(ws, i, sum(n))) if n[i] else "1"
+
+
 def _poly_record(ws: WeightSystem, n, which: int) -> dict:
     if which == 2:
         poly = families.type2(ws, n)
@@ -219,7 +216,7 @@ def _poly_record(ws: WeightSystem, n, which: int) -> dict:
         entry = {
             "weight": i,
             "basis": comp.basis.kind.value,
-            "scale": str(families.type1_scale(ws, i, sum(n))),
+            "scale": _scale_text(ws, n, i),
             "coefficients": [str(c) for c in comp.coefficients],
         }
         if comp.basis.kind is BasisKind.SHIFTED_RISING:
@@ -248,7 +245,7 @@ def cmd_eval(args) -> int:
         x = ws.check_point(x)  # an inadmissible point is reported before any generator error
         values = residues.type1_direct_values(ws, families.type1(ws, n), x)
         results = [
-            {"weight": i, "x": str(x), "rational": str(rational), "gamma": str(families.type1_scale(ws, i, sum(n)))}
+            {"weight": i, "x": str(x), "rational": str(rational), "gamma": _scale_text(ws, n, i)}
             for i, rational in enumerate(values)
         ]
     _emit_json(_envelope("eval", args, results, passed=len(results), failed=0), args.out)
@@ -305,6 +302,7 @@ def _run_shares(run_share, shares: list[list]) -> list[dict]:
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
+            import signal  # only to kill a child left running when this raises
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return results
@@ -517,12 +515,14 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    # argparse sets .command before it parses the subcommand's options, so a usage error can name it
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)), args)
         _check_counts(args)
         return HANDLERS[args.command](args)
-    except (AdmissibilityError, PreconditionError, ValueError, PoleError, SingularSystemError, OSError) as exc:
+    except (argparse.ArgumentError, AdmissibilityError, PreconditionError, ValueError, PoleError,
+            SingularSystemError, OSError) as exc:
         sys.stdout.write(json.dumps(
             {"command": args.command, "error": str(exc), "kind": type(exc).__name__},
             sort_keys=True,

@@ -4,12 +4,13 @@ import io
 import json
 import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
 from mopexact import WeightSystem, driver, families, oracle, residues
-from mopexact.cli import _gamma_float, main
+from mopexact.cli import _gamma_float, build_parser, main
 from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance, weight_system
 from conftest import laguerre_ws
 
@@ -164,6 +165,27 @@ class TestCoeffsCommand:
         payload = json.loads(out)
         assert payload["summary"]["pass"] == 1
         assert len(payload["results"][0]["coefficients"]) == 2
+
+    @pytest.mark.parametrize("argv, ws, x", [
+        (("--family", "jacobi-pineiro", "--alpha=-1/2", "--alpha=1/3", "--beta=-1/2", "--n", "0", "--n", "1"),
+         WeightSystem.jacobi_pineiro((F(-1, 2), F(1, 3)), F(-1, 2)), "1/2"),
+        (("--family", "laguerre1", "--alpha", "1/2", "--alpha", "1/3", "--n", "0", "--n", "1"),
+         WeightSystem.laguerre((F(1, 2), F(1, 3))), "1/2"),
+        (("--family", "hahn", "--alpha", "1/2", "--alpha", "1/3", "--beta", "1/4", "--N", "4", "--n", "0", "--n", "1"),
+         WeightSystem.hahn((F(1, 2), F(1, 3)), F(1, 4), 4), "2"),
+    ], ids=["jacobi-pineiro-corner", "laguerre1", "hahn"])
+    def test_idle_component_scale_is_1(self, capsys, argv, ws, x):
+        # an idle component is the zero polynomial, so its scale is 1, not a gamma product (Gamma(0) on the corner)
+        code, out = run_cli(capsys, "coeffs", *argv, "--type", "1")
+        assert code == 0
+        idle, active = json.loads(out)["results"][0]["components"]
+        assert (idle["coefficients"], idle["scale"]) == ([], "1")
+        assert active["scale"] == str(families.type1_scale(ws, 1, 1))
+        code, out = run_cli(capsys, "eval", *argv, "--type", "1", "--x", x)
+        assert code == 0
+        idle, active = json.loads(out)["results"]
+        assert (idle["rational"], idle["gamma"]) == ("0", "1")
+        assert active["gamma"] == str(families.type1_scale(ws, 1, 1))
 
     def test_admissibility_error_exit_2(self, capsys):
         code, out = run_cli(
@@ -330,6 +352,36 @@ class TestVerifyCommand:
         assert serial[1].err == parallel[1].err == ""
         with pytest.raises(ChildProcessError):  # every forked child was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_this_process_kills_the_running_child(self, capfd, monkeypatch):
+        # share 0 raises here while the forked child, which would sleep a minute, still runs share 1
+        parent, children = os.getpid(), []
+        fork, run_instance = os.fork, driver.run_instance
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def raising(instance, **options):
+            if os.getpid() == parent:
+                raise ValueError("share 0 failed")
+            time.sleep(60)
+            return run_instance(instance, **options)
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(driver, "run_instance", raising)
+        start = time.monotonic()
+        code = main(["verify", "--family", "laguerre1", "--max-total-degree", "2", "--jobs", "2"])
+        out, err = capfd.readouterr()
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert code == 2 and err == ""
+        [line] = out.splitlines()
+        assert json.loads(line) == {"command": "verify", "error": "share 0 failed", "kind": "ValueError"}
+        [child] = children
+        with pytest.raises(ChildProcessError):  # the child was reaped
+            os.waitpid(child, os.WNOHANG)
 
     def test_more_jobs_than_instances(self, capsys, forks):
         argv = ("verify", "--family", "laguerre1", "--max-total-degree", "2")
@@ -498,6 +550,18 @@ class TestTableCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert ["hahn|n=1|N=2", "1", "0", "shifted-rising", "0", "32/165"] in rows
 
+    @pytest.mark.parametrize("which, digest", [
+        ("1", "8bd951101219cd5498269f70c90d81bcf005e0df13b27c272d3c81f4a136ac09"),
+        ("2", "03f22e67969590dfcd757149ab4b8e3dc1681269cc299840b757ce0a2aecb582"),
+    ], ids=["type1", "type2"])
+    def test_format_json_digest(self, capsys, which, digest):
+        # golden output: the default grid's table as one JSON envelope
+        code, out = run_cli(capsys, "table", "--type", which, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_format_csv_is_the_default(self, capsys):
+        assert run_cli(capsys, "table", "--type", "1", "--format", "csv") == run_cli(capsys, "table", "--type", "1")
 
     @pytest.mark.parametrize("which, digest", [
         ("1", "e244f246f383bc7a1402fc56542bf0fef41b3d5a56078624ae78c8256de89d42"),
@@ -617,11 +681,13 @@ class TestPlotDataCommand:
         assert abs(float(rows[0][1]) - float(poly.coefficients[0])) < 1e-12 * abs(float(poly.coefficients[0]))
 
     def test_weight_count_flag_checked(self, capsys):
+        # the weights are counted from the repeated --alpha; there is no --p to restate their number
         code, out = run_cli(
-            capsys, "coeffs", "--family", "laguerre1", "--p", "2", "--alpha", "1/2", "--n", "1",
+            capsys, "plot-data", "--family", "laguerre1", "--p", "1", "--alpha", "1/2", "--n", "1",
         )
         assert code == 2
-        assert json.loads(out)["kind"] == "AdmissibilityError"
+        assert json.loads(out) == {
+            "command": "plot-data", "error": "unrecognized arguments: --p 1", "kind": "ArgumentError"}
 
     def test_laguerre_sign_change_bound(self, capsys):
         code, out = run_cli(
@@ -666,3 +732,60 @@ class TestUnwritableOut:
         [line] = out.splitlines()
         payload = json.loads(line)
         assert payload["command"] == argv[0] and payload["kind"] == kind and str(path) in payload["error"]
+
+
+class TestUsageErrors:
+    """A command line argparse refuses exits 2 with one JSON line, like every other configuration error."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("coeffs", "--family", "laguerre1", "--alpha", "abc", "--n", "1"), "argument --alpha: not a rational: 'abc'"),
+        (("coeffs", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", "--bogus"),
+         "unrecognized arguments: --bogus"),
+        (("coeffs", "--family", "legendre", "--alpha", "1/2", "--n", "1"),
+         "argument --family: invalid choice: 'legendre' (choose from 'laguerre1', 'jacobi-pineiro', 'hahn')"),
+        (("coeffs", "--family", "laguerre1", "--alpha", "1/2"), "the following arguments are required: --n"),
+    ], ids=["bad-rational", "unknown-option", "invalid-family", "missing-n"])
+    def test_usage_error_is_one_json_line(self, capfd, argv, error):
+        code = main(list(argv))
+        out, err = capfd.readouterr()
+        assert code == 2 and err == ""
+        [line] = out.splitlines()
+        assert json.loads(line) == {"command": "coeffs", "error": error, "kind": "ArgumentError"}
+
+    @pytest.mark.parametrize("argv", [(), ("frobnicate",)], ids=["none", "unknown"])
+    def test_usage_error_without_a_command(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["command"] is None and payload["kind"] == "ArgumentError"
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", "--format", "csv"),
+        ("eval", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", "--x", "1", "--format", "csv"),
+        ("verify", "--family", "laguerre1", "--max-total-degree", "1", "--format", "json"),
+        ("identity", "--name", "kummer", "--draws", "1", "--format", "json"),
+        ("plot-data", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", "--format", "csv"),
+        ("coeffs", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", "--p", "1"),
+        ("eval", "--family", "laguerre1", "--alpha", "1/2", "--n", "1", "--x", "1", "--p", "1"),
+    ], ids=["coeffs-format", "eval-format", "verify-format", "identity-format", "plot-data-format",
+            "coeffs-p", "eval-p"])
+    def test_removed_option_refused(self, capsys, argv):
+        # plot-data's --p: TestPlotDataCommand.test_weight_count_flag_checked
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {
+            "command": argv[0], "error": f"unrecognized arguments: {' '.join(argv[-2:])}", "kind": "ArgumentError"}
+
+    def test_format_is_an_option_of_table_only(self):
+        [commands] = [action.choices for action in build_parser()._actions if action.dest == "command"]
+        options = {name: {s for action in parser._actions for s in action.option_strings}
+                   for name, parser in commands.items()}
+        assert [name for name in options if "--format" in options[name]] == ["table"]
+        assert not any("--p" in names for names in options.values())
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "-h"])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 0 and err == ""
+        assert out.startswith("usage: mopexact verify")

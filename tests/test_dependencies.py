@@ -121,9 +121,10 @@ def _run_fresh(probe: str) -> str:
 
 #: Modules that importing the command line, which every command pays, must not load: a reference
 #: library, the class generator and the introspection it pulls in, what only identity, table or
-#: plot-data run, and the process pools and logging verify once used.
+#: plot-data run, the process pools and logging verify once used, and the signal module that only
+#: `verify --jobs` needs, to kill a child still running when its own share raises.
 COLD_UNLOADED = ("mpmath", "dataclasses", "inspect", "csv", "mopexact.hyper", "multiprocessing", "logging",
-                 "concurrent.futures")
+                 "concurrent.futures", "signal")
 
 
 def test_cli_import_leaves_mpmath_unloaded():
