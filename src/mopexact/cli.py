@@ -123,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="exact values of one polynomial, rounded to floats")
     add_weight_options(p)
-    p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--x-max", type=_fraction, default=Fraction(8),
-                   help="right end of the sampling window (Laguerre only)")
+    # left unset unless given, so that _sample_points can refuse one the family does not read
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="sample points, not for Hahn (default 40)")
+    p.add_argument("--x-max", type=_fraction, default=argparse.SUPPRESS,
+                   help="right end of the sampling window, Laguerre only (default 8)")
     for p in sub.choices.values():  # every command prints to stdout unless given a path
         p.add_argument("--out", default=None, metavar="PATH")
     return parser
@@ -331,16 +332,17 @@ def cmd_verify(args) -> int:
 
 
 def _hyper(name: str):
-    """The checker of that name in :mod:`.hyper`, which is imported when an identity runs, not with the command line."""
+    """The function of that name in :mod:`.hyper`, which is imported when an identity runs, not with the command line."""
     from . import hyper
     return getattr(hyper, name)
 
 
-def _flat(draw, checker: str, arity: int):
-    """Table entry of an identity with one flat parameter list checked by hyper.<checker>: one draw per row, --params."""
+def _flat(draw: str, checker: str, arity: int):
+    """Table entry of an identity with one flat parameter list drawn by hyper.<draw> and checked by
+    hyper.<checker>: one draw per row, --params."""
     def rows(args, rng):
         return [{"params": [str(v) for v in params], "ok": _hyper(checker)(*params)}
-                for params in (draw(rng) for _ in range(args.draws))]
+                for params in (_hyper(draw)(rng) for _ in range(args.draws))]
     return rows, (arity, checker)
 
 
@@ -352,14 +354,14 @@ def _karp_prilepkina_row(params, **extra) -> dict:
 
 def _karp_prilepkina_rows(args, rng) -> list[dict]:
     """Random draws, then the parameters of the Hahn orthogonality rows on the default exponents, |n| <= --max-N."""
-    rows = [_karp_prilepkina_row(driver.draw_karp_prilepkina(rng)) for _ in range(args.draws)]
+    rows = [_karp_prilepkina_row(_hyper("draw_karp_prilepkina")(rng)) for _ in range(args.draws)]
     for n in driver.compositions(min(args.max_total_degree, 4, args.max_N)):
         ws = WeightSystem.hahn(
             driver.DEFAULT_ALPHAS[: len(n)], driver.DEFAULT_BETA, min(sum(n) + 2, args.max_N),
         )
         key = driver.instance_key({"family": "hahn", "n": list(n), "N": ws.N})
         rows += (_karp_prilepkina_row(params, instantiation=key)
-                 for params in driver.kp_orthogonality_instances(ws, n))
+                 for params in _hyper("kp_orthogonality_instances")(ws, n))
     return rows
 
 
@@ -389,10 +391,11 @@ def _mellin_inversion_rows(args, rng) -> list[dict]:
 
 #: Every identity name, in the order the command lists them: its rows builder
 #: (args, rng) -> rows, and (arity, checker name) where --params may give the parameters.
+#: Draws and checkers are named here and looked up in :mod:`.hyper` when an identity runs.
 IDENTITIES = {
-    "chu-vandermonde": _flat(driver.draw_chu_vandermonde, "check_chu_vandermonde", 3),
-    "kummer": _flat(driver.draw_kummer, "check_kummer", 5),
-    "rakha-rathie": _flat(driver.draw_rakha_rathie, "check_rakha_rathie", 7),
+    "chu-vandermonde": _flat("draw_chu_vandermonde", "check_chu_vandermonde", 3),
+    "kummer": _flat("draw_kummer", "check_kummer", 5),
+    "rakha-rathie": _flat("draw_rakha_rathie", "check_rakha_rathie", 7),
     "karp-prilepkina": (_karp_prilepkina_rows, None),
     "hahn-summation": (_hahn_summation_rows, None),
     "mellin-inversion": (_mellin_inversion_rows, None),
@@ -454,13 +457,20 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _sample_points(ws: WeightSystem, samples: int, x_max: Fraction, include_zero: bool) -> list[Fraction]:
+def _sample_points(ws: WeightSystem, args) -> list[Fraction]:
+    """plot-data's points: the Hahn lattice, or --samples (40) points spaced over [0, 1) for Jacobi-Pineiro and
+    [0, --x-max) (8) for Laguerre, one step off zero for a type I form, whose x**alpha_i factors vanish there.
+    An option the family does not read is a ValueError."""
+    if ws.family is Family.HAHN and hasattr(args, "samples"):
+        raise ValueError("--samples does not apply to hahn, which is sampled at every lattice point")
+    if ws.family is not Family.LAGUERRE_FIRST_KIND and hasattr(args, "x_max"):
+        raise ValueError(f"--x-max does not apply to {ws.family.value}: only the laguerre1 window has a free right end")
     if ws.family is Family.HAHN:
         return [Fraction(x) for x in range(ws.N + 1)]
-    start = 0 if include_zero else 1
+    samples, start = getattr(args, "samples", 40), int(args.type == 1)
     if ws.family is Family.JACOBI_PINEIRO:
         return [Fraction(j, samples + 1) for j in range(start, samples + start)]
-    return [Fraction(j, samples) * x_max for j in range(start, samples + start)]
+    return [Fraction(j, samples) * getattr(args, "x_max", Fraction(8)) for j in range(start, samples + start)]
 
 
 def _gamma_float(product) -> float:
@@ -489,8 +499,7 @@ def cmd_plot_data(args) -> int:
     ws = _weight_system(args)
     n = tuple(args.n)
     ws.validate_index(n, type_one=args.type == 1)
-    # type I forms carry x**alpha_i factors, so their window stays off zero
-    points = _sample_points(ws, args.samples, args.x_max, include_zero=args.type == 2)
+    points = _sample_points(ws, args)
     rows = []
     if args.type == 2:
         poly = families.type2(ws, n)

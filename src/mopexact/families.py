@@ -8,11 +8,11 @@ each component: monomial coefficients for Laguerre and Jacobi-Pineiro, read
 against the gamma scale :func:`type1_scale` fixes by family, weight and |n|,
 and rational coefficients in the shifted rising basis (x + alpha_i + 1)_l for
 Hahn, whose scale is empty.  Every closed-form row, here and in the
-Hahn-only cross checks, is built in integers by its term ratio
-(:func:`~mopexact.gammaprod.ratio_row`) and kept as integers over one
-denominator: a polynomial carries it as its row, a cross check returns it as
-a lattice row.  Its parameters are integers over one denominator Q, and each
-prefactor is one :func:`~mopexact.gammaprod.rising_product`.
+Hahn-only cross checks, is an integer row (:mod:`mopexact.gammaprod`) built
+by its term ratio (:func:`~mopexact.gammaprod.ratio_row`), with parameters
+over the one denominator Q: a polynomial carries it as its row, a cross check
+returns it as a reduced lattice row.  Each prefactor is one
+:func:`~mopexact.gammaprod.rising_product`.
 
 Component i of a type I vector is defined as the zero polynomial whenever
 n_i = 0; the closed forms contain (n_i - 1)! and are invoked only for
@@ -27,8 +27,8 @@ import itertools
 import math
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import GammaProduct, ratio_row, ratio_terms, rising, rising_product
-from .polybasis import Basis, LatticeRow, ScaledPolynomial, TypeIVector, reduced_row
+from .gammaprod import GammaProduct, LatticeRow, ratio_row, reduced_row, rising, rising_product
+from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -196,7 +196,7 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
 
 
 def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
-    """Two-weight Hahn type I component i at x = 0..N via its double-sum representation, as one lattice row.
+    """Two-weight Hahn type I component i at x = 0..N via its double-sum representation, as one reduced row.
 
     Only defined for p = 2.  The terminating Kampe de Feriet double series
     (a = alpha_i, a^ = alpha_other, likewise for n)
@@ -233,16 +233,16 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
         (-1) ** m * r * sum(joint[l + m] * left[l] for l in range(n_i - m))
         for m, r in enumerate(right)
     ]
-    return ([top * sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)],
-            joint_den * left_den * right_den * bottom)
+    return reduced_row([top * sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)],
+                       joint_den * left_den * right_den * bottom)
 
 
-def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[tuple[int, int], list[int], list[int]]:
-    """Prefactor and terms l < length of the type II series, term l as integers nums[l] / dens[l].
+def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[tuple[int, int], list[int], int]:
+    """Prefactor and terms l < length of the type II series, term l as the integer nums[l] over one denominator.
 
     Term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times
     (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!
-    (with factorials), the running terms of :func:`ratio_terms`; z is -1
+    (with factorials), one :func:`ratio_row`; z is -1
     for Laguerre and 1 otherwise.  The prefactor, an integer pair, is
     (-1)^|n| prod_i (alpha_i+1)_{n_i}, over prod_i (alpha_i+beta+|n|+1)_{n_i}
     (not for Laguerre), times (beta+1)_N / (N-|n|)! (Hahn).
@@ -259,14 +259,14 @@ def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool
         above.append((beta + Q, ws.N))
         bottom = math.factorial(ws.N - total)
         downs.append(-beta - ws.N * Q)
-    nums, dens = ratio_terms(ups, downs, length, Q)
+    nums, den = ratio_row(ups, downs, length, Q)
     if ws.family is Family.LAGUERRE_FIRST_KIND:
         nums = [-v if l % 2 else v for l, v in enumerate(nums)]
-    return rising_product(Q, above, below, (-1) ** total, bottom), nums, dens
+    return rising_product(Q, above, below, (-1) ** total, bottom), nums, den
 
 
 def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> LatticeRow:
-    """Weighted type II lattice values at x = 0..N via their terminating series, as one lattice row.
+    """Weighted type II lattice values at x = 0..N via their terminating series, as one reduced row.
 
     Entry x is the rational r with Q(x) * Gamma(N-x+beta+1)/Gamma(N-x+1)
     equal to r * Gamma(beta+1); equivalently r = Q(x) * (beta+1)_{N-x} / (N-x)!.
@@ -279,11 +279,9 @@ def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> LatticeRow:
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     ws.validate_index(n)
-    (top, bottom), nums, dens = _type2_series(ws, n, ws.N + 1, factorials=False)
-    den = dens[-1]  # each running denominator divides the last
-    series = [v * (den // d) for v, d in zip(nums, dens)]
+    (top, bottom), series, den = _type2_series(ws, n, ws.N + 1, factorials=False)
     return reduced_row([top * sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1]))
-                        for x in range(ws.N + 1)], den * bottom)  # den, a running denominator, may be negative
+                        for x in range(ws.N + 1)], den * bottom)
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:

@@ -1,4 +1,4 @@
-"""Exact Pochhammer and gamma-product arithmetic over the rationals.
+"""Exact Pochhammer and gamma-product arithmetic over the rationals, and the integer-row layer.
 
 Every quantity this package verifies reduces to a rational number once the
 gamma factors appearing in it are cancelled against each other, so no gamma
@@ -12,18 +12,32 @@ The verify path builds no product: a polynomial is a basis and one integer
 row, and the gamma scale a type I component is read against depends only on
 its family, weight and |n|, so the output edge (``coeffs``, ``eval``,
 ``plot-data``) builds it where it prints or rounds it
-(:func:`mopexact.families.type1_scale`).  Pochhammer parameters are integers over
-one denominator: :func:`rising` is the one kernel (:func:`pochhammer`
-reduces it to a Fraction), and :func:`rising_product` multiplies out a
-prefactor and reduces it once.
+(:func:`mopexact.families.type1_scale`).
+
+The verify path computes in one format, defined here.  A rational is an
+integer pair (numerator, nonzero denominator) and a sequence of rationals
+(lattice values, moments, series terms) an integer row (:data:`LatticeRow`):
+integer numerators over one denominator, positive once built.  Only
+:func:`reduced_row` reduces a row, after which equal values mean equal rows;
+other rows and pairs are compared cross-multiplied (:func:`same`).
+Pochhammer parameters are integers over one denominator: :func:`rising` is
+the one kernel (:func:`pochhammer` reduces it to a Fraction),
+:func:`rising_product` multiplies out a prefactor and reduces it once, and
+:func:`ratio_row` builds a series row by its term ratio.  No other module
+defines a row kernel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import PoleError
+
+#: An integer row: entry k is Fraction(nums[k], den).
+LatticeRow = tuple[tuple[int, ...], int]
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to an exact Fraction."""
@@ -81,38 +95,76 @@ def rising_product(q: int, ups=(), downs=(), top: int = 1, bottom: int = 1) -> t
     return (top // g, bottom // g) if bottom > 0 else (-top // g, -bottom // g)
 
 
-def ratio_terms(ups, downs, length: int, q: int) -> tuple[list[int], list[int]]:
-    """prod_u (u)_k / prod_d (d)_k at k = 0..length-1 as running integer numerators and denominators.
+def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
+    """prod_u (u/q)_k / prod_d (d/q)_k at k = 0..length-1 as one integer row over one positive denominator.
 
     The parameters are integers over one denominator q > 0.  Each entry is
     the one before times the term ratio: p steps by (p + kq) / q, the integers
     p + kq multiply the numerator (for u) or the denominator (for d) and the
-    surplus q's the other side, so every denominator divides the next.  A zero
-    numerator factor ends the row with zeros over the last denominator; a zero
+    surplus q's the other side; the later denominator factors, multiplied
+    from the end, put every entry over the last denominator.  A zero numerator
+    factor ends the row with zeros over the denominator reached there; a zero
     denominator factor under a nonzero numerator raises PoleError.
     """
     extra = len(downs) - len(ups)
     up_q, down_q = q ** max(extra, 0), q ** max(-extra, 0)
-    nums, dens = [1], [1]
+    nums, bottoms = [1], []
     for k in range(length - 1):
-        top = math.prod(p + k * q for p in ups)
+        top = up_q
+        for p in ups:
+            top *= p + k * q
         if top == 0:
             break
-        bottom = math.prod(p + k * q for p in downs)
+        bottom = down_q
+        for p in downs:
+            bottom *= p + k * q
         if bottom == 0:
             raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
-        nums.append(nums[-1] * top * up_q)
-        dens.append(dens[-1] * bottom * down_q)
-    pad = length - len(nums)
-    return nums[:length] + [0] * pad, dens[:length] + dens[-1:] * pad
+        nums.append(nums[-1] * top)
+        bottoms.append(bottom)
+    den = 1
+    for k in range(len(bottoms) - 1, -1, -1):
+        den *= bottoms[k]
+        nums[k] *= den
+    nums = nums[:length] + [0] * (length - len(nums))
+    return ([-v for v in nums], -den) if den < 0 else (nums, den)
 
 
-def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
-    """The :func:`ratio_terms` row as integer numerators over one positive denominator, the last one."""
-    nums, dens = ratio_terms(ups, downs, length, q)
-    den = dens[-1] if dens else 1
-    row = [v * (den // d) for v, d in zip(nums, dens)]
-    return ([-v for v in row], -den) if den < 0 else (row, den)
+def reduced_row(nums, den: int) -> LatticeRow:
+    """The row nums / den (den nonzero) with the common gcd of numerators and denominator divided out, den > 0."""
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def row_product(row: LatticeRow, other: LatticeRow) -> LatticeRow:
+    """Entrywise product of two rows."""
+    return tuple(map(operator.mul, row[0], other[0])), row[1] * other[1]
+
+
+def row_sum(rows, length: int) -> tuple[list[int], int]:
+    """Entrywise sum of integer rows over the lcm of their denominators."""
+    den = math.lcm(*(d for _, d in rows))
+    scaled = [(den // d, nums) for nums, d in rows]
+    return [sum(up * nums[x] for up, nums in scaled) for x in range(length)], den
+
+
+def pair(row: LatticeRow, other: LatticeRow) -> Fraction | int:
+    """A type II residual: the sum of the products of two integer rows' values, lattice or moment rows.
+
+    The integer numerators are multiplied and summed, then divided once; an exact zero stays the int 0."""
+    total = sum(map(operator.mul, row[0], other[0]))
+    return Fraction(total, row[1] * other[1]) if total else 0
+
+
+def primitive(row) -> list[int]:
+    """An integer row divided by its content, the gcd of its entries; a zero row stays as it is."""
+    content = math.gcd(*row) or 1
+    return [v // content for v in row]
+
+
+def same(left, right) -> bool:
+    """Whether two lists of integer pairs (numerator, nonzero denominator) agree entry by entry, cross-multiplied."""
+    return len(left) == len(right) and all(a * d == c * b for (a, b), (c, d) in zip(left, right))
 
 
 class Frozen:

@@ -14,12 +14,14 @@ checks build their series as integer term-ratio rows
 (:func:`mopexact.gammaprod.ratio_row`).  The two stay plain Fraction loops,
 one term at a time, on purpose: the tests compare the term-ratio rows
 against them, and rebuilt on ``ratio_row`` they would compare that code
-with itself.  No module on the verify path imports this one.
+with itself.  The random parameter draws the command checks them on live
+here too.  No module on the verify path imports this one.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from .errors import NonTerminatingSeriesError, PoleError, PreconditionError
@@ -238,3 +240,81 @@ def check_karp_prilepkina(a, f, m, b, k) -> bool:
     for fj, mj in pairs:
         rhs /= pochhammer(fj, mj)
     return lhs == rhs
+
+
+# --- identity draw samplers -------------------------------------------------
+#
+# Each slot draws from its own prime denominator with a numerator coprime to
+# it, so every mixed sum or difference the identities put inside a Pochhammer
+# or gamma argument stays a non-integer: draws are automatically admissible
+# (no factor can vanish inside the terminating range, no gamma pole).
+
+def _offset_fraction(rng: random.Random, den: int, lo: int = 0, hi: int = 3) -> Fraction:
+    residue = rng.choice([r for r in range(1, den) if math.gcd(r, den) == 1])
+    return rng.randint(lo, hi) + Fraction(residue, den)
+
+
+def draw_chu_vandermonde(rng: random.Random) -> tuple:
+    a = Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5)))
+    b = Fraction(rng.randint(-9, 9), rng.choice((3, 5, 7)))
+    return a, b, rng.randint(0, 12)
+
+
+def draw_kummer(rng: random.Random) -> tuple:
+    a1 = -rng.randint(0, 3)
+    a2 = _offset_fraction(rng, 3)
+    a3 = _offset_fraction(rng, 5)
+    b1 = _offset_fraction(rng, 7)
+    b2 = _offset_fraction(rng, 11)
+    return a1, a2, a3, b1, b2
+
+
+def draw_rakha_rathie(rng: random.Random) -> tuple:
+    alpha = -rng.randint(0, 2)
+    lam = _offset_fraction(rng, 3)
+    eps = _offset_fraction(rng, 5)
+    beta = _offset_fraction(rng, 7)
+    gamma = _offset_fraction(rng, 11)
+    mu = _offset_fraction(rng, 13)
+    delta = _offset_fraction(rng, 4)
+    return alpha, lam, eps, beta, gamma, mu, delta
+
+
+def draw_karp_prilepkina(rng: random.Random) -> tuple:
+    r = rng.randint(0, 2)
+    l = rng.randint(0 if r else 1, 2)
+    f = [_offset_fraction(rng, den) for den in (4, 9)[:r]]
+    m = [rng.randint(1, 2) for _ in range(r)]
+    b = [_offset_fraction(rng, den) for den in (2, 3)[:l]]
+    k = [rng.randint(1, 2) for _ in range(l)]
+    floor = max(1, sum(m) - sum(k) + 1)
+    a = -(floor + rng.randint(0, 2))
+    return a, f, m, b, k
+
+
+def kp_orthogonality_instances(ws, n) -> list[tuple]:
+    """The exact parameter identifications used for the summation rows of the Hahn weight system ws.
+
+    For every admissible row j the summand-recombination step instantiates
+    the decomposition identity with these (a, f, m, b, k); pairs with m = 0
+    degenerate away inside the checker.
+    """
+    total = sum(n)
+    alpha, beta, N = ws.alpha, ws.beta, ws.N
+    out = []
+    for j in range(total - 1):
+        out.append((
+            -n[0] + 1,
+            [alpha[0] + beta + N + 2, alpha[0] + beta + 2 + j],
+            [j, total - 2 - j],
+            [alpha[0] - alpha[q] - n[q] + 1 for q in range(1, ws.p)],
+            [n[q] for q in range(1, ws.p)],
+        ))
+    out.append((
+        -n[0] + 1,
+        [alpha[0] + beta + N + 2],
+        [total - 1],
+        [alpha[0] + beta + total] + [alpha[0] - alpha[q] - n[q] + 1 for q in range(1, ws.p)],
+        [1] + [n[q] for q in range(1, ws.p)],
+    ))
+    return out

@@ -7,20 +7,21 @@ by exact summation against them, and the polynomials are reconstructed from
 the defining linear conditions alone.  Agreement between these solvers and
 the generators in :mod:`mopexact.families` is the package's central claim.
 
-Everything is an integer or an integer pair (numerator, nonzero
-denominator).  Residuals are rational cofactors of the weight's moment
-gamma; an exact zero is the int 0 and the type I normalization row a pair,
-so a passing check builds no Fraction.  A type I component's row is read
-against the canonical scale :func:`families.type1_scale`, never built here:
-the moment gamma times that scale is the rational :func:`_moment_scale`.
-Continuous polynomials are read in the monomial basis, their row as it is;
-another basis is refused with PreconditionError.  Every lattice or
-moment pairing is an integer dot product of rows (``ws.weight_table``,
-``ws.moment_rows``, :func:`_table`, ``poly.lattice_values``), each built once
-per weight system or polynomial.  Both solves hand primitive integer rows
-(:func:`primitive`) to :func:`linalg.bareiss` and read its numerators over
-the determinant back into coefficient rows (``poly.row``).  Every Mellin
-transform argument is an integer pair (a, b), b > 0, not necessarily reduced.
+Everything is an integer, an integer pair or an integer row
+(:mod:`mopexact.gammaprod`).  Residuals are rational cofactors of the
+weight's moment gamma; an exact zero is the int 0 and the type I
+normalization row a pair, so a passing check builds no Fraction.  A type I
+component's row is read against the canonical scale
+:func:`families.type1_scale`, never built here: the moment gamma times that
+scale is the rational :func:`_moment_scale`.  Continuous polynomials are read
+in the monomial basis, their row as it is; another basis is refused with
+PreconditionError.  Every lattice or moment pairing is an integer dot product
+of rows (``ws.weight_table``, ``ws.moment_rows``, :func:`_table`,
+``poly.lattice_values``), each built once per weight system or polynomial.
+Both solves hand primitive integer rows to :func:`linalg.bareiss` and read
+its numerators over the determinant back into coefficient rows
+(``poly.row``).  Every Mellin transform argument is an integer pair (a, b),
+b > 0, not necessarily reduced.
 """
 
 from __future__ import annotations
@@ -31,33 +32,11 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import Frozen, as_fraction, ratio_row, rising_product
+from .gammaprod import Frozen, LatticeRow, as_fraction, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss
-from .polybasis import Basis, BasisKind, LatticeRow, ScaledPolynomial, TypeIVector, lattice_table
-from .polybasis import rising_over_factorial, row_product
+from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, lattice_table
 from .weights import Family, MultiIndex, WeightSystem, total_degree
-
-
-def pair(row: LatticeRow, other: LatticeRow) -> Fraction | int:
-    """A type II residual: the sum of the products of two integer rows' values, lattice or moment rows.
-
-    The integer numerators are multiplied and summed, then divided once; an exact zero stays the int 0."""
-    total = sum(map(operator.mul, row[0], other[0]))
-    return Fraction(total, row[1] * other[1]) if total else 0
-
-
-def primitive(row) -> list[int]:
-    """An integer row divided by its content, the gcd of its entries; a zero row stays as it is."""
-    content = math.gcd(*row) or 1
-    return [v // content for v in row]
-
-
-def _row_sum(rows, length: int) -> LatticeRow:
-    """Entrywise sum of integer rows over the lcm of their denominators."""
-    den = math.lcm(*(d for _, d in rows))
-    scaled = [(den // d, nums) for nums, d in rows]
-    return [sum(up * nums[x] for up, nums in scaled) for x in range(length)], den
 
 
 def _moment_scale(ws: WeightSystem, i: int, total: int) -> tuple[int, int]:
@@ -134,7 +113,7 @@ def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
     """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
     terms = [row_product(comp.lattice_values(ws.N), ws.weight_table[i])
              for i, comp in enumerate(vec.components) if comp.row[0]]
-    return _row_sum(terms, ws.N + 1)
+    return row_sum(terms, ws.N + 1)
 
 
 def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[tuple[int, int]]:
@@ -155,7 +134,7 @@ def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[tupl
         top, bottom = _moment_scale(ws, i, total)
         nums, moment_den = moments[i]
         terms.append(([top * sum(map(operator.mul, coefficients, nums[j:])) for j in range(total)], den * bottom * moment_den))
-    totals, den = _row_sum(terms, total)
+    totals, den = row_sum(terms, total)
     return [(v, den) for v in totals]
 
 
@@ -288,7 +267,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
         ups = [(c * b - a * Q + Q * b, ni) for c, ni in zip(alpha, n)]  # alpha_i+1-s over bQ
         if ws.family is Family.HAHN:
             ups.append((a * Q + (beta + (total + 1) * Q) * b, ws.N - total))
-            kernel = rising_over_factorial(a, b, ws.N + 1)  # (s)_x / x!
+            kernel = ratio_row([a], [b], ws.N + 1, b)  # (s)_x / x!
             lhs = sum(map(operator.mul, weighted[0], kernel[0])), weighted[1] * kernel[1]
         else:
             jacobi = ws.family is Family.JACOBI_PINEIRO
@@ -301,7 +280,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
                 tail, power = tail * (factors[k - 1] if k else 1), power * b
             lhs = acc, den * b**top * v**total
         rhs = rising_product(b * Q, ups, (), *head)
-        if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
+        if not same([lhs], [rhs]):
             return False
     return True
 
@@ -363,7 +342,7 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
             Q, [(b, total - 2 + n[i]), *((alpha[k] + beta + total * Q, n[k]) for k in others)],
             [(alpha[k] - alpha[i], n[k]) for k in others], 1, math.factorial(n[i] - 1) * f_den * g_den)
         rows.append(([top * sum(f[l] * g[j + l] for l in range(n[i])) for j in range(total)], bottom))
-    acc, den = _row_sum(rows, total)
+    acc, den = row_sum(rows, total)
     den *= beta_den * head_bottom
     return [head_top * v * w == ((-1) ** (total - 1) * den if j == total - 1 else 0)
             for j, (v, w) in enumerate(zip(beta_row, acc))]

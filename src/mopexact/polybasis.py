@@ -8,23 +8,21 @@ coefficient row.  The gamma prefactor of a type I closed form depends only
 on the family, the weight and |n| (:func:`mopexact.families.type1_scale`),
 so it is not stored here; its Fraction coefficients are built only when read.
 Every value is computed through the basis's one-step factor
-(:meth:`Basis._step_factor`): nested in integers at one point
-(:meth:`ScaledPolynomial.rational_value`) and tabulated on the Hahn lattice
-{0, ..., N} as a :data:`LatticeRow`, integer numerators at x = 0..N over one
-positive denominator (:func:`lattice_table`); a polynomial keeps its lattice
-values for as long as it lives.
+(:meth:`Basis._step_factor`): nested in integers at rational points
+(:func:`values_at`) and tabulated on the Hahn lattice {0, ..., N} as integer
+rows (:func:`lattice_table`; the row format is :mod:`mopexact.gammaprod`'s);
+a polynomial keeps its lattice values for as long as it lives.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import AdmissibilityError
-from .gammaprod import Frozen, as_fraction
+from .gammaprod import Frozen, LatticeRow, as_fraction, reduced_row, row_sum
 
 
 class BasisKind(enum.Enum):
@@ -80,39 +78,6 @@ class Basis(Frozen):
         return p + m * q, q if self.kind is BasisKind.SHIFTED_RISING else -q, q
 
 
-#: Values at x = 0..N as (integer numerators, positive denominator); entry x
-#: is Fraction(nums[x], den).
-LatticeRow = tuple[tuple[int, ...], int]
-
-
-def reduced_row(nums, den: int) -> LatticeRow:
-    """The row nums / den (den nonzero) with the common gcd of numerators and denominator divided out, den > 0."""
-    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-    return tuple(v // g for v in nums), den // g
-
-
-def rising_over_factorial(p: int, q: int, length: int) -> LatticeRow:
-    """(p/q)_k / k! at k = 0..length-1, p and q > 0 integers, as one row, not reduced (:func:`reduced_row` reduces it).
-
-    With m = length - 1 the denominator is q^m m!, and entry k
-    is prod_{j<k} (p + j q) * q^(m-k) * m!/k!.
-    """
-    m = max(length - 1, 0)
-    den = q**m * math.factorial(m)
-    nums = []
-    num = low = 1  # prod_{j<k} (p + j q) and q^k k!
-    for k in range(length):
-        nums.append(num * (den // low))
-        num *= p + k * q
-        low *= q * (k + 1)
-    return nums, den
-
-
-def row_product(row: LatticeRow, other: LatticeRow) -> LatticeRow:
-    """Entrywise product of two lattice rows."""
-    return tuple(map(operator.mul, row[0], other[0])), row[1] * other[1]
-
-
 def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
     """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence.
 
@@ -126,6 +91,25 @@ def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
         nums, den = tuple(value * (const + slope * x) for x, value in enumerate(nums)), den * q
         rows.append((nums, den))
     return rows
+
+
+def values_at(basis: Basis, row, points) -> list[tuple[int, int]]:
+    """sum_k nums[k] basis_k(x) / den at every exact rational x in points, one integer pair per point.
+
+    Nested from the top index K: with basis_{k+1} = basis_k (const_k + slope_k x) / q_k
+    (:meth:`Basis._step_factor`) and x = a/b, acc_K = nums[K] and
+    acc_k = nums[k] (q_k b)...(q_(K-1) b) + (const_k b + slope_k a) acc_(k+1); the value is acc_0
+    over den times prod_k q_k b.  The step factors are built once for all points."""
+    nums, den = row
+    steps = [basis._step_factor(k) for k in range(len(nums) - 2, -1, -1)]
+    values = []
+    for a, b in (as_fraction(x).as_integer_ratio() for x in points):
+        acc, power = nums[-1] if nums else 0, 1
+        for c, (const, slope, q) in zip(nums[-2::-1], steps):
+            power *= q * b
+            acc = c * power + (const * b + slope * a) * acc
+        values.append((acc, den * power))
+    return values
 
 
 class ScaledPolynomial(Frozen):
@@ -167,32 +151,15 @@ class ScaledPolynomial(Frozen):
         return self.degree < 0
 
     def rational_value(self, x) -> Fraction:
-        """The value at the exact rational x = a/b, nested in integers from the top coefficient K.
-
-        With basis_{k+1} = basis_k (const_k + slope_k x) / q (:meth:`Basis._step_factor`),
-        acc_K = nums[K] and acc_k = nums[k] (q b)^(K-k) + (const_k b + slope_k a) acc_{k+1};
-        the value is acc_0 over the row's denominator times (q b)^K."""
-        nums, den = self.row
-        if not nums:
-            return Fraction(0)
-        a, b = as_fraction(x).as_integer_ratio()
-        acc, power = nums[-1], 1
-        for k in range(len(nums) - 2, -1, -1):
-            const, slope, q = self.basis._step_factor(k)
-            power *= q * b
-            acc = nums[k] * power + (const * b + slope * a) * acc
-        return Fraction(acc, den * power)
+        """The value at the exact rational x, nested in integers (:func:`values_at`)."""
+        return Fraction(*values_at(self.basis, self.row, [x])[0])
 
     def lattice_values(self, N: int) -> LatticeRow:
         """rational_value at x = 0..N as a reduced row, computed once per N and kept on this object."""
         if N not in self._lattice_values:
             nums, den = self.row
             table = lattice_table(self.basis, len(nums) - 1, N)
-            common = math.lcm(*(d for _, d in table))
-            values = [0] * (N + 1)
-            for c, (basis_row, d) in zip(nums, table):
-                factor = c * (common // d)
-                values = [acc + factor * v for acc, v in zip(values, basis_row)]
+            values, common = row_sum([([c * v for v in row], d) for c, (row, d) in zip(nums, table)], N + 1)
             self._lattice_values[N] = reduced_row(values, den * common)
         return self._lattice_values[N]
 

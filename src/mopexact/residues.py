@@ -10,12 +10,11 @@ Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term.
 
 What does not depend on the sample point x or the expansion order k is
-built once per instance, and every rational is an integer pair (numerator,
-nonzero denominator), never reduced; two rows of pairs agree when every
-entry does cross-multiplied.  Both sides of every comparison are read
-against the same gamma, which is never built here: the canonical type I scale
-of :func:`families.type1_scale`, Gamma(beta+1) for the Hahn type II rows, none
-otherwise.
+built once per instance, and every rational is an integer pair, never
+reduced, compared cross-multiplied (:mod:`mopexact.gammaprod`).  Both sides
+of every comparison are read against the same gamma, which is never built
+here: the canonical type I scale of :func:`families.type1_scale`,
+Gamma(beta+1) for the Hahn type II rows, none otherwise.
 The per-pole values of a type I vector are the values of the integrand's
 polynomial factor at its |n| distinct nodes (:func:`recovered_nodes`), which
 orthogonality forces to be one constant, checked against its closed form.
@@ -27,34 +26,23 @@ import math
 from fractions import Fraction
 
 from . import families
-from .errors import PoleError, PreconditionError
-from .gammaprod import rising, rising_product
-from .polybasis import BasisKind, LatticeRow, ScaledPolynomial, TypeIVector
+from .errors import PreconditionError
+from .gammaprod import LatticeRow, ratio_row, rising, rising_product, same
+from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, values_at
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
 def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[tuple[int, int]]:
     """Residue denominators (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}) for every k < n_i.
 
-    With a_j - a_i = p/Q each Pochhammer is prod_{l<n_j} (p + (l-k) Q) / Q^{n_j}; each weight is an
-    unreduced integer pair over a positive denominator.  Built once per weight system, n and i
+    Each weight is one :func:`rising_product`, a reduced integer pair; a Pochhammer that vanishes
+    would make two poles collide and raises PoleError.  Built once per weight system, n and i
     (:meth:`WeightSystem.kept`) for the duality and the recovered nodes."""
-    def build():
-        Q, alpha, _ = ws.integer_parameters
-        others = [(j, alpha[j] - alpha[i]) for j in range(ws.p) if j != i and n[j]]
-        top = Q ** sum(n[j] for j, _ in others)
-        weights = []
-        for k in range(n[i]):
-            den = math.factorial(k) * math.factorial(n[i] - 1 - k)
-            for j, p in others:
-                for l in range(n[j]):
-                    if p + (l - k) * Q == 0:
-                        raise PoleError(f"colliding poles at alpha_{j} - alpha_{i} - {k}")
-                    den *= p + (l - k) * Q
-            weights.append(((-1) ** k * top, den) if den > 0 else ((-1) ** (k + 1) * top, -den))
-        return weights
-
-    return ws.kept(("pole_weights", tuple(n), i), build)
+    Q, alpha, _ = ws.integer_parameters
+    others = [(alpha[j] - alpha[i], n[j]) for j in range(ws.p) if j != i and n[j]]
+    return ws.kept(("pole_weights", tuple(n), i), lambda: [
+        rising_product(Q, (), [(p - k * Q, m) for p, m in others], (-1) ** k,
+                       math.factorial(k) * math.factorial(n[i] - 1 - k)) for k in range(n[i])])
 
 
 def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
@@ -88,34 +76,14 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
             top *= math.factorial(ws.N - total + 1)
         top, bottom = rising_product(Q, (), lattice, top * math.prod(v for v, _ in picked),
                                      math.prod(d for _, d in picked))
-        # term k carries (up/Q)_k / (down/Q)_k, the up factor (alpha_i+beta+|n|)_k being 1 for Laguerre
-        up, slope = (Q, 0) if ws.family is Family.LAGUERRE_FIRST_KIND else (alpha[i] + beta + total * Q, Q)
+        # term k carries (up/Q)_k / (down/Q)_k, with no up factor (alpha_i+beta+|n|)_k for Laguerre
+        ups = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[i] + beta + total * Q]
         down = alpha[i] + beta + (ws.N + 2) * Q if ws.family is Family.HAHN else alpha[i] + Q
-        weights, ups, downs = _pole_weights(ws, n, i), [top], [1]
-        for k in range(n[i] - 1):  # Q^k (up/Q)_k and Q^k (down/Q)_k for k < n_i
-            ups.append(ups[-1] * (up + k * slope))
-            downs.append(downs[-1] * (down + k * Q))
+        weights, (ratios, ratios_den) = _pole_weights(ws, n, i), ratio_row(ups, [down], n[i], Q)
         common = math.lcm(*(w_den for _, w_den in weights))
-        nums = [w * (common // w_den) * u * (downs[-1] // d) for (w, w_den), u, d in zip(weights, ups, downs)]
-        components.append((nums, bottom * common * downs[-1]))
+        components.append(([w * (common // w_den) * top * v for (w, w_den), v in zip(weights, ratios)],
+                           bottom * common * ratios_den))
     return components
-
-
-def _values_at(row, points) -> list[tuple[int, int]]:
-    """sum_k nums[k] x^k / den at every x = a/b, nested in integers from the top: one integer pair per point."""
-    nums, den = row
-    values = []
-    for a, b in (x.as_integer_ratio() for x in points):
-        acc, power = 0, 1
-        for c in reversed(nums):  # ends at acc = sum_k nums[k] a^k b^(K-k), power = b^(K+1)
-            acc, power = acc * a + c * power, power * b
-        values.append((acc * b, den * power))
-    return values
-
-
-def _same_values(left, right) -> bool:
-    """Whether two lists of integer pairs (numerator, nonzero denominator) agree entry by entry, cross-multiplied."""
-    return len(left) == len(right) and all(a * d == c * b for (a, b), (c, d) in zip(left, right))
 
 
 def _duality_rows(ws: WeightSystem, i: int, terms: LatticeRow, comp: ScaledPolynomial, points):
@@ -130,7 +98,7 @@ def _duality_rows(ws: WeightSystem, i: int, terms: LatticeRow, comp: ScaledPolyn
     if ws.family is not Family.HAHN:
         if comp.basis.kind is not BasisKind.MONOMIAL:
             raise PreconditionError("continuous type I components live in the monomial basis")
-        return _values_at((terms, den), points), _values_at(comp.row, points)
+        return values_at(comp.basis, (terms, den), points), values_at(comp.basis, comp.row, points)
     Q, alpha, _ = ws.integer_parameters
     p = alpha[i] + Q
     products = [1]  # P_0, P_1, ...
@@ -167,7 +135,7 @@ def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, poi
     if len(vec.components) != len(poles):
         return False
     rows = (_duality_rows(ws, i, terms, comp, points) for i, (terms, comp) in enumerate(zip(poles, vec.components)))
-    return all(_same_values(pole_row, direct_row) for pole_row, direct_row in rows)
+    return all(same(pole_row, direct_row) for pole_row, direct_row in rows)
 
 
 def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
@@ -209,9 +177,8 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
     # the series route takes its parameters straight from the weighted expansions (families._type2_series,
     # whose Hahn terms are the c_l of families.hahn_type2_weighted_series over l!), never from the residue
     # formulas; a zero denominator factor under a nonzero numerator raises PoleError
-    (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
-    series = [(top * v, bottom * d) for v, d in zip(nums, dens)]
-    return _same_values(_type2_residue_row(ws, n, k_max), series)  # against one gamma
+    (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)
+    return same(_type2_residue_row(ws, n, k_max), [(top * v, bottom * den) for v in nums])  # against one gamma
 
 
 def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[tuple[int, int], tuple[int, int]]]:

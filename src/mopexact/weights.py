@@ -11,9 +11,9 @@ rationals: w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!.  The
 gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
 The lattice values (:attr:`WeightSystem.weight_table`) and the continuous
-moments (:meth:`WeightSystem.moment_rows`) are integer rows over one
-denominator (:data:`mopexact.polybasis.LatticeRow`), built on first use and
-kept on the weight system.  Every Pochhammer argument they and the checks
+moments (:meth:`WeightSystem.moment_rows`) are reduced integer rows
+(:mod:`mopexact.gammaprod`), built on first use and kept on the weight
+system.  Every Pochhammer argument they and the checks
 build is an integer over the one denominator Q of
 :attr:`WeightSystem.integer_parameters`, formed by integer adds.
 """
@@ -26,9 +26,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import AdmissibilityError
-from .gammaprod import Frozen, as_fraction, ratio_row
+from .gammaprod import Frozen, LatticeRow, as_fraction, ratio_row, reduced_row, row_product
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
-from .polybasis import LatticeRow, reduced_row, rising_over_factorial, row_product
 
 
 class Family(enum.Enum):
@@ -123,7 +122,7 @@ class WeightSystem(Frozen):
     def beta_factors(self) -> LatticeRow:
         """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
         q, _, beta = self.integer_parameters
-        nums, den = reduced_row(*rising_over_factorial(beta + q, q, self.N + 1))
+        nums, den = reduced_row(*ratio_row([beta + q], [q], self.N + 1, q))
         return nums[::-1], den
 
     @cached_property
@@ -132,7 +131,7 @@ class WeightSystem(Frozen):
         if self.family is not Family.HAHN:
             raise AdmissibilityError("lattice weights exist only for the Hahn family")
         q, alpha, _ = self.integer_parameters
-        return tuple(reduced_row(*row_product(rising_over_factorial(a + q, q, self.N + 1), self.beta_factors))
+        return tuple(reduced_row(*row_product(ratio_row([a + q], [q], self.N + 1, q), self.beta_factors))
                      for a in alpha)
 
     def kept(self, key, build):

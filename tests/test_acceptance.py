@@ -39,6 +39,8 @@ from mopexact.driver import (
     DEFAULT_ALPHAS,
     DEFAULT_BETA,
     compositions,
+)
+from mopexact.hyper import (
     draw_chu_vandermonde,
     draw_karp_prilepkina,
     draw_kummer,
@@ -232,7 +234,7 @@ def test_criterion_10_float_path_sanity():
           "--beta", "1/4", "--n", "1", "--n", "1", "--samples", "20"],
          WeightSystem.jacobi_pineiro(DEFAULT_ALPHAS[:2], DEFAULT_BETA), (1, 1)),
         (["plot-data", "--family", "hahn", "--alpha", "1/2", "--beta", "1/4",
-          "--N", "19", "--n", "2", "--samples", "20"],
+          "--N", "19", "--n", "2"],
          WeightSystem.hahn(DEFAULT_ALPHAS[:1], DEFAULT_BETA, 19), (2,)),
     ]
     for argv, ws, n in cases:

@@ -701,6 +701,22 @@ class TestPlotDataCommand:
         )
         assert sign_changes <= 3
 
+    @pytest.mark.parametrize("argv, option", [
+        (("--family", "hahn", "--alpha", "1/2", "--beta", "1/4", "--N", "3", "--n", "1", "--samples", "7"), "--samples"),
+        (("--family", "hahn", "--alpha", "1/2", "--beta", "1/4", "--N", "3", "--n", "1", "--x-max", "50"), "--x-max"),
+        (("--family", "jacobi-pineiro", "--alpha", "1/2", "--beta", "1/4", "--n", "1", "--samples", "3",
+          "--x-max", "50"), "--x-max"),
+    ], ids=["hahn-samples", "hahn-x-max", "jacobi-pineiro-x-max"])
+    def test_option_the_family_ignores_is_refused(self, capsys, argv, option):
+        code, out = run_cli(capsys, "plot-data", *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and payload["error"].startswith(f"{option} does not apply to")
+        # without the option the defaults sample the family's points
+        stripped = argv[:argv.index(option)] + argv[argv.index(option) + 2:]
+        code, out = run_cli(capsys, "plot-data", *stripped)
+        assert code == 0 and len(list(csv.reader(io.StringIO(out)))) > 1
+
     @pytest.mark.parametrize("argv", [
         ("--x-max", "0"),
         ("--x-max", "0", "--type", "1"),

@@ -105,6 +105,30 @@ def test_gamma_product_scanner_sees_every_form():
     assert not _names_gamma_product(ast.parse("from .gammaprod import rising_product\nGammaProducts = 1"))
 
 
+#: The integer-row kernels: each is defined once, in gammaprod, and every other module calls that one.
+ROW_KERNELS = {"ratio_row", "reduced_row", "row_product", "row_sum", "pair", "primitive", "same", "rising",
+               "rising_product"}
+
+
+def _defined_functions(tree: ast.AST) -> set[str]:
+    """Names of the functions a source defines, at module level, in a class or nested."""
+    return {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_row_kernels_are_defined_only_in_gammaprod():
+    defined = {source.stem: _defined_functions(ast.parse(source.read_text(), str(source)))
+               for source in PACKAGE.glob("*.py")}
+    assert ROW_KERNELS <= defined["gammaprod"]
+    assert {name: sorted(names & ROW_KERNELS) for name, names in defined.items()
+            if name != "gammaprod" and names & ROW_KERNELS} == {}
+
+
+def test_function_scanner_sees_every_form():
+    source = "def same(a): pass\nclass C:\n    def pair(self): pass\ndef f():\n    def primitive(): pass\nasync def rising(): pass"
+    assert _defined_functions(ast.parse(source)) == {"same", "pair", "f", "primitive", "rising"}
+    assert _defined_functions(ast.parse("from .gammaprod import same\npair = same")) == set()
+
+
 def test_package_import_scanner_sees_every_form():
     for source in ("from .hyper import pfq", "from . import hyper", "from mopexact.hyper import kdf",
                    "from mopexact import hyper", "import mopexact.hyper"):

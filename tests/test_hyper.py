@@ -16,7 +16,7 @@ from mopexact import (
     kdf,
     pfq,
 )
-from mopexact.driver import (
+from mopexact.hyper import (
     draw_chu_vandermonde,
     draw_karp_prilepkina,
     draw_kummer,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import Basis, ScaledPolynomial, pochhammer
-from mopexact.polybasis import lattice_table, rising_over_factorial
+from mopexact.gammaprod import ratio_row
+from mopexact.polybasis import lattice_table, values_at
 from conftest import element_monomial_coefficients, element_value, monomial_coefficients
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
@@ -73,11 +74,23 @@ def test_integer_rows_at_a_single_lattice_point(basis):
 @given(a=st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), length=st.integers(0, 12))
 @settings(max_examples=60, deadline=None)
 def test_rising_over_factorial_matches_pochhammer(a, length):
-    nums, den = rising_over_factorial(*a.as_integer_ratio(), length)
-    # the row is left unreduced: its denominator is q^m m! with a = p/q and m = length - 1
+    p, q = a.as_integer_ratio()
+    nums, den = ratio_row([p], [q], length, q)  # (a)_k / (1)_k
+    # the row is left unreduced: its denominator is q^m m! with m = length - 1, unless it stops at a zero factor
     m = max(length - 1, 0)
-    assert all(type(v) is int for v in nums) and den == a.denominator**m * math.factorial(m)
+    assert all(type(v) is int for v in nums)
+    assert den == q**m * math.factorial(m) if all(p + j * q for j in range(m)) else den > 0
     assert [Fraction(v, den) for v in nums] == [pochhammer(a, k) / math.factorial(k) for k in range(length)]
+
+
+@given(basis=any_basis, nums=st.lists(st.integers(-50, 50), max_size=7), den=st.integers(1, 30),
+       points=st.lists(st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_values_at_matches_element_value_sums(basis, nums, den, points):
+    values = values_at(basis, (nums, den), points)
+    assert all(type(v) is int and type(d) is int for v, d in values)
+    assert [Fraction(v, d) for v, d in values] == [
+        sum((Fraction(c, den) * element_value(basis, k, x) for k, c in enumerate(nums)), Fraction(0)) for x in points]
 
 
 @given(x=rationals, k=st.integers(0, 6), basis=st.sampled_from(BASES))

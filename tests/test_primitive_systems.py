@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from mopexact import AdmissibilityError, PoleError, PreconditionError, SingularSystemError, WeightSystem
 from mopexact import families, oracle
 from mopexact.linalg import solve_linear_system
-from mopexact.polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table, row_product
+from mopexact.gammaprod import pair, row_product
+from mopexact.polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
 from mopexact.weights import Family, total_degree
 from conftest import admissible_systems, hahn_corner_systems
 
@@ -42,7 +43,7 @@ def type1_reference(ws, n) -> TypeIVector:
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
         columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
         for row in lattice_table(Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N), total - 1, ws.N):
-            rows.append([oracle.pair(row, column) for column in columns])
+            rows.append([pair(row, column) for column in columns])
         target = F(-1) ** (total - 1)
     else:
         moments = ws.moment_rows(total + max(n) - 1)
@@ -73,7 +74,7 @@ def type2_reference(ws, n) -> ScaledPolynomial:
         powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
         for i in range(ws.p):
             weighted = [row_product(row, ws.weight_table[i]) for row in falling]
-            conditions += ([oracle.pair(powers[j], row) for row in weighted] for j in range(n[i]))
+            conditions += ([pair(powers[j], row) for row in weighted] for j in range(n[i]))
     else:
         for (nums, den), ni in zip(ws.moment_rows(max(n) + total), n):
             conditions += ([F(v, den) for v in nums[j:j + total + 1]] for j in range(ni))

@@ -154,8 +154,8 @@ def residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fract
 
 def series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
     """The series terms k <= k_max the series route compares (families._type2_series) as Fractions, and its gamma."""
-    (top, bottom), nums, dens = families._type2_series(ws, n, k_max + 1)
-    return [Fraction(top * v, bottom * d) for v, d in zip(nums, dens)], row_gamma(ws)
+    (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)
+    return [Fraction(top * v, bottom * den) for v in nums], row_gamma(ws)
 
 
 def term_fractions(row) -> list[Fraction]:
