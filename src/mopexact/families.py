@@ -28,7 +28,7 @@ import math
 
 from .errors import AdmissibilityError, PoleError, PreconditionError
 from .gammaprod import GammaProduct, LatticeRow, ratio_row, reduced_row, rising, rising_product
-from .polybasis import Basis, ScaledPolynomial, TypeIVector
+from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -212,6 +212,8 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
         raise AdmissibilityError("weight system is not Hahn")
     if ws.p != 2:
         raise PreconditionError("the double-series form exists for p = 2 only")
+    if not isinstance(i, int) or i not in (0, 1):
+        raise PreconditionError(f"the double-series form has components 0 and 1, not {i!r}")
     ws.validate_index(n, type_one=True)
     if min(n) < 1:
         raise AdmissibilityError("both component degrees must be >= 1")
@@ -288,15 +290,19 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
     """Coefficientwise bridge between Hahn and Jacobi-Pineiro type II.
 
     With Q the given Hahn polynomial in (-x)_k and P (same alpha, beta) in
-    x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k.
+    x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k, both zero-padded.
     """
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
+    if poly.basis.kind is not BasisKind.FALLING_FACTORIAL:
+        raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis")
     ws_hahn.validate_index(n)
     jacobi, jacobi_den = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).row
     hahn, hahn_den = poly.row
     total = total_degree(n)
     N = ws_hahn.N
+    hahn = [*hahn, *[0] * (total + 1 - len(hahn))]
     # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied
-    return all(hahn[k] * jacobi_den * math.factorial(N - total)
-               == (-1) ** k * math.factorial(N - k) * jacobi[k] * hahn_den for k in range(total + 1))
+    return not any(hahn[total + 1:]) and all(
+        hahn[k] * jacobi_den * math.factorial(N - total) == (-1) ** k * math.factorial(N - k) * jacobi[k] * hahn_den
+        for k in range(total + 1))

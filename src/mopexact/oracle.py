@@ -8,19 +8,20 @@ the defining linear conditions alone.  Agreement between these solvers and
 the generators in :mod:`mopexact.families` is the package's central claim.
 
 Everything is an integer, an integer pair or an integer row
-(:mod:`mopexact.gammaprod`).  Residuals are rational cofactors of the
-weight's moment gamma; an exact zero is the int 0 and the type I
+(:mod:`mopexact.gammaprod`).  Each polynomial type's defining conditions are
+one integer system over the weight and moment rows (``ws.weight_table``,
+``ws.moment_rows``), built once per weight system and multi-index
+(:func:`_type2_conditions`, :func:`_type1_conditions`): the check multiplies
+the generated row by it, and the solve hands its primitive rows to
+:func:`linalg.bareiss` and reads the numerators over the determinant back
+into a coefficient row (``poly.row``).  Residuals are rational cofactors of
+the weight's moment gamma; an exact zero is the int 0 and the type I
 normalization row a pair, so a passing check builds no Fraction.  A type I
 component's row is read against the canonical scale
 :func:`families.type1_scale`, never built here: the moment gamma times that
-scale is the rational :func:`_moment_scale`.  Continuous polynomials are read
-in the monomial basis, their row as it is; another basis is refused with
-PreconditionError.  Every lattice or moment pairing is an integer dot product
-of rows (``ws.weight_table``, ``ws.moment_rows``, :func:`_table`,
-``poly.lattice_values``), each built once per weight system or polynomial.
-Both solves hand primitive integer rows to :func:`linalg.bareiss` and read
-its numerators over the determinant back into coefficient rows
-(``poly.row``).  Every Mellin transform argument is an integer pair (a, b),
+scale is the rational :func:`_moment_scale`.  The checks read a polynomial
+in the basis its generator uses; another basis is refused with
+PreconditionError.  Every Mellin transform argument is an integer pair (a, b),
 b > 0, not necessarily reduced.
 """
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import Frozen, LatticeRow, as_fraction, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
+from .gammaprod import Frozen, as_fraction, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, lattice_table
@@ -45,13 +46,11 @@ def _moment_scale(ws: WeightSystem, i: int, total: int) -> tuple[int, int]:
     The moment gamma is Gamma(alpha_i+1), times Gamma(beta+1) / Gamma(alpha_i+beta+2)
     for Jacobi-Pineiro (:meth:`WeightSystem.moment_rows`); times :func:`families.type1_scale`
     that is 1 and (alpha_i+beta+2)_{|n|-2} / (beta+1)_{|n|-1}, which is 1/(alpha_i+beta+1)
-    at |n| = 1 and a pole on the corner alpha_i+beta+|n| = 0.  Hahn weights are rational.
+    at |n| = 1 and a pole (PoleError) on the corner alpha_i+beta+|n| = 0.  Hahn weights are rational.
     """
     if ws.family is not Family.JACOBI_PINEIRO:
         return 1, 1
     Q, alpha, beta = ws.integer_parameters
-    if alpha[i] + beta + total * Q == 0:
-        raise PoleError(f"degenerate type I normalization: alpha_{i} + beta + |n| = 0")
     return rising_product(Q, [(alpha[i] + beta + 2 * Q, total - 2)], [(beta + Q, total - 1)])
 
 
@@ -81,77 +80,83 @@ class OrthogonalityReport(Frozen):
         return num == self.normalization_target * den
 
 
-def _table(ws: WeightSystem, backward: bool, degree: int) -> list[LatticeRow]:
-    """:func:`lattice_table` of the monomial or backward basis up to degree on the Hahn lattice, built once per weight system."""
-    Q, _, beta = ws.integer_parameters
-    return ws.kept(("lattice_table", backward, degree), lambda: lattice_table(
-        Basis.backward_pochhammer(beta, Q, ws.N) if backward else Basis.monomial(), degree, ws.N))
+def _type2_conditions(ws: WeightSystem, n: MultiIndex, width: int) -> dict:
+    """The type II conditions <x^j B, w_i>, j < n_i, as integer rows (i, j) over basis elements k < width, built once
+    per weight system, multi-index and width.  Hahn pairs falling factorials: entry k is sum_x x^j (-x)_k w_i(x) over
+    w_i's denominator; the continuous families pair monomials: row (i, j) is the moment window m_i[j..j+width)."""
+    def build():
+        if ws.family is not Family.HAHN:
+            moments = ws.moment_rows(max(n) + width - 1)
+            return {(i, j): (moments[i][0][j:j + width], moments[i][1]) for i, m in enumerate(n) for j in range(m)}
+        falling = lattice_table(Basis.falling_factorial(), width - 1, ws.N)
+        powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
+        weighted = [[tuple(map(operator.mul, row, weight)) for row, _ in falling] for weight, _ in ws.weight_table]
+        return {(i, j): ([sum(map(operator.mul, powers[j][0], row)) for row in weighted[i]], ws.weight_table[i][1])
+                for i, m in enumerate(n) for j in range(m)}
+    return ws.kept(("type2_conditions", n, width), build)
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
-    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly."""
+    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly: the polynomial's row paired with each condition row."""
     ws.validate_index(n)
-    residuals = {}
-    if ws.family is Family.HAHN:
-        values = poly.lattice_values(ws.N)
-        powers = _table(ws, False, max(n) - 1)
-        for i in range(ws.p):
-            weighted = row_product(values, ws.weight_table[i])
-            for j in range(n[i]):
-                residuals[(i, j)] = pair(powers[j], weighted)
-    else:
-        if poly.basis.kind is not BasisKind.MONOMIAL:
-            raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        coefficients = poly.row
-        for i, (nums, den) in enumerate(ws.moment_rows(max(n) + len(coefficients[0]) - 1)):
-            for j in range(n[i]):
-                residuals[(i, j)] = pair(coefficients, (nums[j:], den))
-    return OrthogonalityReport(residuals, None, None)
+    if ws.family is Family.HAHN and poly.basis.kind is not BasisKind.FALLING_FACTORIAL:
+        raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis")
+    if ws.family is not Family.HAHN and poly.basis.kind is not BasisKind.MONOMIAL:
+        raise PreconditionError("continuous type II polynomials live in the monomial basis")
+    conditions = _type2_conditions(ws, n, len(poly.row[0]))
+    return OrthogonalityReport({key: pair(poly.row, row) for key, row in conditions.items()}, None, None)
 
 
-def _hahn_linear_form(ws: WeightSystem, vec: TypeIVector) -> LatticeRow:
-    """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
-    terms = [row_product(comp.lattice_values(ws.N), ws.weight_table[i])
-             for i, comp in enumerate(vec.components) if comp.row[0]]
-    return row_sum(terms, ws.N + 1)
-
-
-def _type1_pairings(ws: WeightSystem, vec: TypeIVector, total: int) -> list[tuple[int, int]]:
-    """Rows j < |n| of the type I conditions as integer pairs: backward rows for Hahn, powers otherwise.
-
-    Components are read against the canonical scale; continuous ones pair through :func:`_moment_scale`."""
-    if ws.family is Family.HAHN:
-        nums, den = _hahn_linear_form(ws, vec)
-        return [(sum(map(operator.mul, row, nums)), row_den * den) for row, row_den in _table(ws, True, total - 1)]
-    moments = ws.moment_rows(total + max(len(comp.row[0]) for comp in vec.components) - 1)
-    terms = []
-    for i, comp in enumerate(vec.components):
-        coefficients, den = comp.row
-        if not coefficients:
-            continue
-        if comp.basis.kind is not BasisKind.MONOMIAL:
-            raise PreconditionError("continuous type I components live in the monomial basis")
-        top, bottom = _moment_scale(ws, i, total)
-        nums, moment_den = moments[i]
-        terms.append(([top * sum(map(operator.mul, coefficients, nums[j:])) for j in range(total)], den * bottom * moment_den))
-    totals, den = row_sum(terms, total)
-    return [(v, den) for v in totals]
+def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[int], list[tuple[int, int]]]:
+    """The type I system over the unknowns (i, k), k < n_i, built once per weight system and multi-index: an |n| x |n|
+    integer matrix, its row denominators and one scale (top, bottom) per unknown, so that row j pairs the basis element
+    of unknown (i, k) exactly to entry * top / (bottom * row_den[j]).  Hahn pairs the backward lattice rows with the
+    weighted shifted rising columns, whose denominators are the bottoms; continuous entry (j, (i, k)) is the moment
+    m_i[j+k], its denominator and :func:`_moment_scale` the unknown's."""
+    def build():
+        families._guard_type1_normalization(ws, n)
+        total = total_degree(n)
+        unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
+        if ws.family is Family.HAHN:
+            Q, _, beta = ws.integer_parameters
+            tables = {i: lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p) if n[i]}
+            columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
+            backward = lattice_table(Basis.backward_pochhammer(beta, Q, ws.N), total - 1, ws.N)
+            matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns] for nums, _ in backward]
+            return matrix, [den for _, den in backward], [(1, den) for _, den in columns]
+        moments = ws.moment_rows(total + max(n) - 1)
+        weights = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
+        matrix = list(zip(*(moments[i][0][k:k + total] for i, k in unknowns)))
+        return matrix, [1] * total, [(weights[i][0], weights[i][1] * moments[i][1]) for i, _ in unknowns]
+    return ws.kept(("type1_conditions", n), build)
 
 
 def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> OrthogonalityReport:
-    """Vanishing rows j <= |n|-2 plus the exact normalization row.
+    """Vanishing rows j <= |n|-2 plus the exact normalization row: :func:`_type1_conditions` times the scaled row.
 
     The Hahn rows are taken in the backward lattice basis, whose top row
     must equal (-1)^(|n|-1); the continuous rows are plain powers with the
     top row normalized to 1.  The two Hahn formulations are related by a
-    triangular change of basis, checked separately in the tests.
+    triangular change of basis, checked separately in the tests.  Component i
+    must be in :func:`families.type1_basis` with degree below n_i.
     """
     ws.validate_index(n, type_one=True)
-    total = total_degree(n)
-    *rows, normalization = _type1_pairings(ws, vec, total)
+    for i, (comp, m) in enumerate(zip(vec.components, n, strict=True)):
+        basis = families.type1_basis(ws, i)  # compared field by field, about 15x cheaper than Frozen's ==
+        if comp.degree >= m:
+            raise PreconditionError(f"component {i} has degree {comp.degree}, above n_i - 1 = {m - 1}")
+        if comp.row[0] and (comp.basis.kind, comp.basis.shift) != (basis.kind, basis.shift):
+            raise PreconditionError(f"Hahn type I component {i} lives in the shifted rising basis (x + alpha_{i} + 1)_k"
+                                    if ws.family is Family.HAHN else "continuous type I components live in the monomial basis")
+    matrix, row_dens, scales = _type1_conditions(ws, n)
+    # the coefficient of unknown (i, k), zero-padded to n_i, times its scale, over one denominator
+    coefficients = [(c, comp.row[1]) for comp, m in zip(vec.components, n) for c in [*comp.row[0], *[0] * m][:m]]
+    scaled = [(c * top, den * bottom) for (c, den), (top, bottom) in zip(coefficients, scales)]
+    common = math.lcm(*(d for _, d in scaled))
+    row = [v * (common // d) for v, d in scaled]
+    *rows, normalization = [(sum(map(operator.mul, entries, row)), common * den) for entries, den in zip(matrix, row_dens)]
     residuals = {(None, j): Fraction(v, den) if v else 0 for j, (v, den) in enumerate(rows)}
-    target = (-1) ** (total - 1) if ws.family is Family.HAHN else 1
-    return OrthogonalityReport(residuals, normalization, target)
+    return OrthogonalityReport(residuals, normalization, (-1) ** (total_degree(n) - 1) if ws.family is Family.HAHN else 1)
 
 
 def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
@@ -163,20 +168,9 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """
     ws.validate_index(n)
     total = total_degree(n)
-    if ws.family is Family.HAHN:
-        # integer Gram rows: each condition is scaled by its weight row's denominator
-        basis, lead = Basis.falling_factorial(), (-1) ** total
-        falling = [nums for nums, _ in lattice_table(basis, total, ws.N)]
-        powers = [nums for nums, _ in _table(ws, False, max(n) - 1)]
-        conditions = []
-        for i in range(ws.p):
-            weighted = [tuple(map(operator.mul, row, ws.weight_table[i][0])) for row in falling]
-            conditions += ([sum(map(operator.mul, powers[j], row)) for row in weighted] for j in range(n[i]))
-    else:
-        basis, lead = Basis.monomial(), 1
-        conditions = [row[j:j + total + 1] for (row, _), m in zip(ws.moment_rows(max(n) + total), n) for j in range(m)]
+    basis, lead = (Basis.falling_factorial(), (-1) ** total) if ws.family is Family.HAHN else (Basis.monomial(), 1)
     # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
-    rows = [primitive(row) for row in conditions]
+    rows = [primitive(row) for row, _ in _type2_conditions(ws, n, total + 1).values()]
     nums, det = bareiss([row[:total] for row in rows], [-lead * row[total] for row in rows])
     return ScaledPolynomial(basis, row=([*nums, lead * det], det))
 
@@ -190,27 +184,15 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
-    unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
-    # an integer matrix against e_last whose unknown (i, k) is the coefficient over its scale (top, bottom)
-    if ws.family is Family.HAHN:
-        # entry (j, (i, k)): backward row j paired with weighted column (i, k), times row j's denominator
-        tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
-        columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-        backward = _table(ws, True, total - 1)
-        matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns] for nums, _ in backward]
-        scales = [((-1) ** (total - 1) * den * backward[-1][1], 1) for _, den in columns]
-    else:
-        # entry (j, (i, k)): the moment numerator m_i[j+k]; the moment scale and denominator go to the unknown
-        moments = ws.moment_rows(total + max(n) - 1)
-        weights = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
-        matrix = list(zip(*(moments[i][0][k:k + total] for i, k in unknowns)))
-        scales = [(weights[i][1] * moments[i][1], weights[i][0]) for i, _ in unknowns]
+    matrix, row_dens, scales = _type1_conditions(ws, n)
     # each column, then each row over its content; only the last row's reaches the solution
     contents = [math.gcd(*column) or 1 for column in zip(*matrix)]
     rows = [[v // g for v, g in zip(row, contents)] for row in matrix]
     last = math.gcd(*rows[-1]) or 1
     solved, det = bareiss([primitive(row) for row in rows], [0] * (total - 1) + [1])
-    solution = iter((v * top, bottom * g * last) for v, (top, bottom), g in zip(solved, scales, contents))
+    # solved against e_last: the last condition's target is (-1)^(|n|-1) (Hahn) or 1 times its row denominator
+    lift = ((-1) ** (total - 1) if ws.family is Family.HAHN else 1) * row_dens[-1]
+    solution = iter((v * bottom * lift, top * g * last) for v, (top, bottom), g in zip(solved, scales, contents))
     components = []
     for i in range(ws.p):  # component i's unknowns over their lcm times det (a negative divisor flips its quotient)
         entries = [next(solution) for _ in range(n[i])]

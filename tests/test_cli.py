@@ -399,6 +399,7 @@ class TestVerifyCommand:
         assert forks[0] == 0
 
     @pytest.mark.parametrize("fault, digest", [
+        ("t2:0", "d4b429b8f4014041344876f837b9237e71b521e5bc8eb0ade3500d332631c53b"),
         ("t2:1", "1da06570045f38a1743da349c69a9c58db627f6cc16aaba40c887f4ac88348c4"),
         ("t1:0:0", "53d5cf8e8e8b0837cc92d6042573b1e6cab1be6ba47097dd4a7143b290f36f68"),
         ("t1:1:1", "73e921f3e1e20349144c32717a239658d91bda0ee4fbc1b5785aec8a9b7e3ea0"),

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 
 from mopexact import (
+    Basis,
     BasisKind,
     PreconditionError,
+    ScaledPolynomial,
     hahn_jp_coefficient_relation,
     hahn_type1_p2_kdf,
     hahn_type2_weighted_series,
@@ -197,6 +199,11 @@ class TestHahnDoubleSeries:
         with pytest.raises(PreconditionError):
             hahn_type1_p2_kdf(hahn_ws(1, 3), (1,), 0)
 
+    @pytest.mark.parametrize("i", [2, -1, 1.0])
+    def test_component_index_is_0_or_1(self, i):
+        with pytest.raises(PreconditionError, match="components 0 and 1"):
+            hahn_type1_p2_kdf(hahn_ws(2, 6), (1, 1), i)
+
     def test_matches_general_formula_deeper(self):
         ws = hahn_ws(2, 5)
         assert row_values(*hahn_type1_p2_kdf(ws, (2, 1), 1))[1] == F(2363904, 2037805)
@@ -267,6 +274,19 @@ class TestHahnJacobiPineiroRelation:
         ws = hahn_ws(2, 5)
         q = type2(ws, (2, 1)).coefficients
         assert q[-1] == F(-1) ** 3
+
+    def test_rows_of_another_length_fail(self):
+        # the rows are compared zero-padded: an extra nonzero coefficient or a missing one is a mismatch
+        ws, n = hahn_ws(2, 6), (1, 1)
+        nums, den = type2(ws, n).row
+        assert hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=([*nums, 0], den)))
+        assert not hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=([*nums, 5], den)))
+        assert not hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=(nums[:2], den)))
+
+    def test_another_basis_is_refused(self):
+        ws, n = hahn_ws(2, 6), (1, 1)
+        with pytest.raises(PreconditionError, match="falling-factorial basis"):
+            hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.monomial(), row=type2(ws, n).row))
 
 
 class TestTypeDispatch:

@@ -27,10 +27,10 @@ from mopexact import AdmissibilityError, Family, GammaProduct, PoleError, Weight
 from mopexact.weights import total_degree
 from mopexact.linalg import solve_linear_system
 from mopexact.driver import apply_fault, compositions, run_instance
-from mopexact.gammaprod import pair, row_product
+from mopexact.gammaprod import pair, row_product, row_sum
 from mopexact.polybasis import lattice_table
 from conftest import (
-    admissible_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, pair_values, prime_offset, rising_row,
+    admissible_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row,
     row_values, scaled_values_equal, times,
 )
 
@@ -69,6 +69,13 @@ def scale_reduction(ws, i: int, total: int) -> Fraction:
     if not leftover.is_one():
         raise AssertionError(f"scale x moment gamma did not reduce to a rational: {leftover}")
     return rational
+
+
+def hahn_linear_form(ws, vec):
+    """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
+    terms = [row_product(comp.lattice_values(ws.N), ws.weight_table[i])
+             for i, comp in enumerate(vec.components) if comp.row[0]]
+    return row_sum(terms, ws.N + 1)
 
 
 def power_pairing(coefficients, moments, j: int) -> Fraction:
@@ -118,7 +125,7 @@ def check_biorthogonality(ws, n, m, poly, vec) -> bool:
     else:
         raise PreconditionError(f"pairing of n = {n} with m = {m} is not determined")
     if ws.family is Family.HAHN:
-        return pair(poly.lattice_values(ws.N), oracle._hahn_linear_form(ws, vec)) == expected
+        return pair(poly.lattice_values(ws.N), hahn_linear_form(ws, vec)) == expected
     total = Fraction(0)
     width = max(len(comp.coefficients) for comp in vec.components)
     moments = moment_fractions(ws, width + len(poly.coefficients) - 1)
@@ -251,7 +258,7 @@ class TestIntegerPairing:
         ws, n = system
         total = sum(n)
         values = families.type2(ws, n).lattice_values(ws.N)
-        form = oracle._hahn_linear_form(ws, families.type1(ws, n))
+        form = hahn_linear_form(ws, families.type1(ws, n))
         backward = Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N)
         bases = [Basis.monomial(), Basis.falling_factorial(), backward]
         for i, weight in enumerate(ws.weight_table):
@@ -268,7 +275,7 @@ class TestIntegerPairing:
         expected = [F(0)] * (ws.N + 1)
         for comp, weight in zip(vec.components, ws.weight_table):
             expected = [e + v * w for e, v, w in zip(expected, entries(comp.lattice_values(ws.N)), entries(weight))]
-        assert entries(oracle._hahn_linear_form(ws, vec)) == tuple(expected)
+        assert entries(hahn_linear_form(ws, vec)) == tuple(expected)
 
 
 class TestType2Reports:
@@ -464,11 +471,14 @@ class TestContinuousPairings:
             }
         for v in (vec, apply_fault(poly, vec, fault)[1]):
             moments = reference_moments(total + max(n) - 1)
-            assert pair_values(oracle._type1_pairings(ws, v, total)) == [
+            *rows, normalization = [
                 sum((scale_reduction(ws, i, total) * power_pairing(c.coefficients, moments[i], j)
                      for i, c in enumerate(v.components) if c.coefficients), F(0))
                 for j in range(total)
             ]
+            report = check_type1_orthogonality(ws, n, v)
+            assert report.residuals == {(None, j): value for j, value in enumerate(rows)}
+            assert F(*report.normalization) == normalization
 
 
 @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2)], ids=["laguerre", "jacobi-pineiro"])
@@ -487,6 +497,33 @@ def test_continuous_checks_refuse_a_non_monomial_basis(ws):
     ):
         with pytest.raises(PreconditionError, match="monomial basis"):
             check()
+    assert_type1_check_refuses_a_long_component(ws, n)
+
+
+def assert_type1_check_refuses_a_long_component(ws, n):
+    # a component of degree n_i has no unknown in the type I system; it is refused, not truncated
+    vec = families.type1(ws, n)
+    nums, den = vec.components[1].row
+    long = TypeIVector((vec.components[0], ScaledPolynomial(vec.components[1].basis, row=([*nums, 1], den))))
+    with pytest.raises(PreconditionError, match=r"component 1 has degree 1, above n_i - 1 = 0"):
+        check_type1_orthogonality(ws, n, long)
+    padded = TypeIVector((vec.components[0], ScaledPolynomial(vec.components[1].basis, row=([*nums, 0], den))))
+    assert check_type1_orthogonality(ws, n, padded).passed  # trailing zeros are the same polynomial
+
+
+def test_hahn_checks_refuse_another_basis():
+    # the Hahn checks read poly.row against falling factorials and each component against its shifted rising basis
+    ws, n = hahn_ws(2, 4), (1, 1)
+    monomial = ScaledPolynomial(Basis.monomial(), row=families.type2(ws, n).row)
+    with pytest.raises(PreconditionError, match="falling-factorial basis"):
+        check_type2_orthogonality(ws, n, monomial)
+    vec = families.type1(ws, n)
+    swapped = TypeIVector((vec.components[0], ScaledPolynomial(vec.components[0].basis, row=vec.components[1].row)))
+    with pytest.raises(PreconditionError, match=r"component 1 lives in the shifted rising basis"):
+        check_type1_orthogonality(ws, n, swapped)
+    with pytest.raises(ValueError):  # one component per weight, or the components do not line up with n
+        check_type1_orthogonality(ws, n, TypeIVector(vec.components[:1]))
+    assert_type1_check_refuses_a_long_component(ws, n)
 
 
 class TestMellin:
