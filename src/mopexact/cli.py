@@ -244,7 +244,7 @@ def cmd_eval(args) -> int:
         results = [{"x": str(x), "rational": str(families.type2(ws, n).rational_value(x)), "gamma": "1"}]
     else:
         x = ws.check_point(x)  # an inadmissible point is reported before any generator error
-        values = residues.type1_direct_values(ws, families.type1(ws, n), x)
+        values = residues.type1_direct_values(ws, n, families.type1(ws, n), x)
         results = [
             {"weight": i, "x": str(x), "rational": str(rational), "gamma": _scale_text(ws, n, i)}
             for i, rational in enumerate(values)
@@ -486,7 +486,7 @@ def _gamma_float(product) -> float:
 def float_eval_type1_form(ws: WeightSystem, n, vec, x: Fraction) -> float:
     """The exact type I linear form of :func:`residues.type1_direct_values` at x, rounded: once for Hahn,
     once per component times its scale and x**alpha_i otherwise; the shared weight factor stays out."""
-    values = residues.type1_direct_values(ws, vec, x)
+    values = residues.type1_direct_values(ws, n, vec, x)
     if ws.family is Family.HAHN:
         return float(sum(values))
     return math.fsum(  # a zero component adds nothing, and an idle one's scale may hold a pole

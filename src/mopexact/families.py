@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import AdmissibilityError, PoleError, PreconditionError
+from .errors import AdmissibilityError, PreconditionError
 from .gammaprod import GammaProduct, LatticeRow, ratio_row, reduced_row, rising, rising_product
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
@@ -117,23 +117,39 @@ def type1_basis(ws: WeightSystem, i: int) -> Basis:
     return Basis.monomial()
 
 
-def _guard_type1_normalization(ws: WeightSystem, n: MultiIndex) -> None:
-    """Reject the degenerate corner alpha_i + beta + |n| = 0 for Jacobi-Pineiro.
-
-    Reachable only at |n| = 1 with alpha_i + beta = -1: the coefficient
-    formula vanishes against a gamma pole in the scale, so the value exists
-    only as a limit and leaves the exact rational-times-gamma-product
-    calculus.  (The Hahn analogue cancels rationally and is supported.)
+def type2_row(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> LatticeRow:
+    """The one admission of a type II polynomial for (ws, n): nonzero, of degree at most |n| and in the family basis,
+    falling factorials (-x)_k for Hahn and monomials otherwise, or PreconditionError.  Its row, as exactly |n|+1 numerators.
     """
-    if ws.family is not Family.JACOBI_PINEIRO:
-        return
-    Q, alpha, beta = ws.integer_parameters
-    total = total_degree(n)
-    for i in range(ws.p):
-        if n[i] >= 1 and alpha[i] + beta + total * Q == 0:
-            raise PoleError(
-                f"degenerate type I normalization: alpha_{i} + beta + |n| = 0"
-            )
+    ws.validate_index(n)
+    hahn, total, (nums, den) = ws.family is Family.HAHN, total_degree(n), poly.row
+    if poly.basis.kind is not (BasisKind.FALLING_FACTORIAL if hahn else BasisKind.MONOMIAL):
+        raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis" if hahn
+                                else "continuous type II polynomials live in the monomial basis")
+    if not any(nums) or any(nums[total + 1:]):
+        raise PreconditionError(f"type II at |n| = {total} takes a nonzero polynomial of degree <= {total}, not {poly.degree}")
+    return poly.row if len(nums) == total + 1 else ((*nums, *[0] * total)[:total + 1], den)
+
+
+def type1_rows(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> list[LatticeRow]:
+    """The one admission of a type I vector for (ws, n): one component per weight, component i of degree below n_i
+    (zero when n_i = 0) and, unless zero, in :func:`type1_basis`, or PreconditionError.  Row i has exactly n_i numerators.
+    """
+    ws.validate_index(n, type_one=True)
+    if len(vec.components) != ws.p:
+        raise PreconditionError(f"a type I vector has one component per weight, p = {ws.p}, not {len(vec.components)}")
+    # each basis as (kind, shift), once per weight system: compared field by field, about 15x cheaper than ==
+    shapes = ws.kept("type1_shapes", lambda: [(b.kind, b.shift) for b in map(type1_basis, [ws] * ws.p, range(ws.p))])
+    rows = []
+    for i, (comp, m, shape) in enumerate(zip(vec.components, n, shapes)):
+        nums, den = comp.row
+        if any(nums[m:]):
+            raise PreconditionError(f"component {i} has degree {comp.degree}, above n_i - 1 = {m - 1}")
+        if any(nums) and (comp.basis.kind, comp.basis.shift) != shape:
+            raise PreconditionError(f"Hahn type I component {i} lives in the shifted rising basis (x + alpha_{i} + 1)_k"
+                                    if ws.family is Family.HAHN else "continuous type I components live in the monomial basis")
+        rows.append(comp.row if len(nums) == m else ((*nums, *[0] * m)[:m], den))
+    return rows
 
 
 def _type1_factors(ws: WeightSystem, n: MultiIndex) -> tuple[list, list]:
@@ -186,7 +202,6 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     (x + alpha_i + 1)_k for Hahn, whose scale is empty.
     """
     ws.validate_index(n, type_one=True)
-    _guard_type1_normalization(ws, n)
     factors = _type1_factors(ws, n)
     components = []
     for i in range(ws.p):
@@ -290,19 +305,15 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
     """Coefficientwise bridge between Hahn and Jacobi-Pineiro type II.
 
     With Q the given Hahn polynomial in (-x)_k and P (same alpha, beta) in
-    x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k, both zero-padded.
+    x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k <= |n|, Q as :func:`type2_row` admits it.
     """
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
-    if poly.basis.kind is not BasisKind.FALLING_FACTORIAL:
-        raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis")
-    ws_hahn.validate_index(n)
+    hahn, hahn_den = type2_row(ws_hahn, n, poly)
     jacobi, jacobi_den = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).row
-    hahn, hahn_den = poly.row
     total = total_degree(n)
     N = ws_hahn.N
-    hahn = [*hahn, *[0] * (total + 1 - len(hahn))]
     # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied
-    return not any(hahn[total + 1:]) and all(
+    return all(
         hahn[k] * jacobi_den * math.factorial(N - total) == (-1) ** k * math.factorial(N - k) * jacobi[k] * hahn_den
         for k in range(total + 1))

@@ -19,9 +19,10 @@ the weight's moment gamma; an exact zero is the int 0 and the type I
 normalization row a pair, so a passing check builds no Fraction.  A type I
 component's row is read against the canonical scale
 :func:`families.type1_scale`, never built here: the moment gamma times that
-scale is the rational :func:`_moment_scale`.  The checks read a polynomial
-in the basis its generator uses; another basis is refused with
-PreconditionError.  Every Mellin transform argument is an integer pair (a, b),
+scale is the rational :func:`_moment_scale`.  Every check reads a type II
+polynomial or a type I vector only as :func:`families.type2_row` or
+:func:`families.type1_rows` admits it, so every route refuses the same inputs
+(PreconditionError).  Every Mellin transform argument is an integer pair (a, b),
 b > 0, not necessarily reduced.
 """
 
@@ -36,7 +37,7 @@ from .errors import AdmissibilityError, PoleError, PreconditionError
 from .gammaprod import Frozen, as_fraction, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss
-from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector, lattice_table
+from .polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -97,14 +98,10 @@ def _type2_conditions(ws: WeightSystem, n: MultiIndex, width: int) -> dict:
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
-    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly: the polynomial's row paired with each condition row."""
-    ws.validate_index(n)
-    if ws.family is Family.HAHN and poly.basis.kind is not BasisKind.FALLING_FACTORIAL:
-        raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis")
-    if ws.family is not Family.HAHN and poly.basis.kind is not BasisKind.MONOMIAL:
-        raise PreconditionError("continuous type II polynomials live in the monomial basis")
-    conditions = _type2_conditions(ws, n, len(poly.row[0]))
-    return OrthogonalityReport({key: pair(poly.row, row) for key, row in conditions.items()}, None, None)
+    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly: the admitted row paired with each condition row."""
+    row = families.type2_row(ws, n, poly)
+    conditions = _type2_conditions(ws, n, len(row[0]))
+    return OrthogonalityReport({key: pair(row, condition) for key, condition in conditions.items()}, None, None)
 
 
 def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[int], list[tuple[int, int]]]:
@@ -114,7 +111,6 @@ def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[int],
     weighted shifted rising columns, whose denominators are the bottoms; continuous entry (j, (i, k)) is the moment
     m_i[j+k], its denominator and :func:`_moment_scale` the unknown's."""
     def build():
-        families._guard_type1_normalization(ws, n)
         total = total_degree(n)
         unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
         if ws.family is Family.HAHN:
@@ -137,20 +133,13 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     The Hahn rows are taken in the backward lattice basis, whose top row
     must equal (-1)^(|n|-1); the continuous rows are plain powers with the
     top row normalized to 1.  The two Hahn formulations are related by a
-    triangular change of basis, checked separately in the tests.  Component i
-    must be in :func:`families.type1_basis` with degree below n_i.
+    triangular change of basis, checked separately in the tests.  The vector
+    is read as :func:`families.type1_rows` admits it.
     """
-    ws.validate_index(n, type_one=True)
-    for i, (comp, m) in enumerate(zip(vec.components, n, strict=True)):
-        basis = families.type1_basis(ws, i)  # compared field by field, about 15x cheaper than Frozen's ==
-        if comp.degree >= m:
-            raise PreconditionError(f"component {i} has degree {comp.degree}, above n_i - 1 = {m - 1}")
-        if comp.row[0] and (comp.basis.kind, comp.basis.shift) != (basis.kind, basis.shift):
-            raise PreconditionError(f"Hahn type I component {i} lives in the shifted rising basis (x + alpha_{i} + 1)_k"
-                                    if ws.family is Family.HAHN else "continuous type I components live in the monomial basis")
+    rows = families.type1_rows(ws, n, vec)
     matrix, row_dens, scales = _type1_conditions(ws, n)
-    # the coefficient of unknown (i, k), zero-padded to n_i, times its scale, over one denominator
-    coefficients = [(c, comp.row[1]) for comp, m in zip(vec.components, n) for c in [*comp.row[0], *[0] * m][:m]]
+    # the coefficient of unknown (i, k) times its scale, over one denominator
+    coefficients = [(c, den) for nums, den in rows for c in nums]
     scaled = [(c * top, den * bottom) for (c, den), (top, bottom) in zip(coefficients, scales)]
     common = math.lcm(*(d for _, d in scaled))
     row = [v * (common // d) for v, d in scaled]
@@ -221,11 +210,11 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
 
     Both sides are integer pairs, cross-multiplied; the right one is
     one :func:`rising_product` over bQ.  The continuous left side sum_k c_k (s)_k
-    [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro] is nested from the top index K:
-    with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv) (B_k = v = 1 for
-    Laguerre), acc_k = c_k B_k b^(K-k) + (a+kb) v acc_(k+1).
+    [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro], over the row :func:`families.type2_row`
+    admits, is nested from k = |n|: with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv)
+    (B_k = v = 1 for Laguerre), acc_k = c_k B_k b^(|n|-k) + (a+kb) v acc_(k+1).
     """
-    ws.validate_index(n)
+    coefficients, den = families.type2_row(ws, n, poly)
     total = total_degree(n)
     Q, alpha, beta = ws.integer_parameters
     head = (-1) ** total, 1
@@ -235,12 +224,6 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
                               (-1) ** total, bottom)
     if ws.family is Family.HAHN:
         weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
-    else:
-        if poly.basis.kind is not BasisKind.MONOMIAL:
-            raise PreconditionError("continuous type II polynomials live in the monomial basis")
-        coefficients, den = poly.row
-        if not 0 < len(coefficients) <= total + 1:
-            raise PreconditionError(f"a type II polynomial at |n| = {total} has 1 to {total + 1} coefficients")
     for a, b in points:
         if b <= 0:
             raise PreconditionError(f"transform argument {a}/{b} needs a positive denominator")
@@ -255,12 +238,11 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
             jacobi = ws.family is Family.JACOBI_PINEIRO
             u, v = (a * Q + (beta + Q) * b, b * Q) if jacobi else (1, 1)
             factors = [u + m * v for m in range(total)] if jacobi else [1] * total
-            top = len(coefficients) - 1
-            acc, tail, power = 0, math.prod(factors[top:]), 1
-            for k in range(top, -1, -1):
+            acc, tail, power = 0, 1, 1
+            for k in range(total, -1, -1):
                 acc = coefficients[k] * tail * power + (a + k * b) * v * acc
                 tail, power = tail * (factors[k - 1] if k else 1), power * b
-            lhs = acc, den * b**top * v**total
+            lhs = acc, den * (b * v) ** total
         rhs = rising_product(b * Q, ups, (), *head)
         if not same([lhs], [rhs]):
             return False

@@ -21,7 +21,6 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import AdmissibilityError
 from .gammaprod import Frozen, LatticeRow, as_fraction, reduced_row, row_sum
 
 
@@ -147,9 +146,6 @@ class ScaledPolynomial(Frozen):
                 return k
         return -1
 
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
     def rational_value(self, x) -> Fraction:
         """The value at the exact rational x, nested in integers (:func:`values_at`)."""
         return Fraction(*values_at(self.basis, self.row, [x])[0])
@@ -175,7 +171,7 @@ class ScaledPolynomial(Frozen):
 
 
 class TypeIVector(Frozen):
-    """One polynomial per weight; component i has degree <= n_i - 1.
+    """One polynomial per weight; component i has degree <= n_i - 1 (:func:`mopexact.families.type1_rows`).
 
     Components with n_i = 0 are the zero polynomial (empty coefficient
     list): their weight contributes nothing to the linear form.
@@ -184,8 +180,6 @@ class TypeIVector(Frozen):
     _fields = ("components",)
 
     def __init__(self, components: tuple[ScaledPolynomial, ...]):
-        if any(comp.basis.kind is BasisKind.BACKWARD_POCHHAMMER for comp in components):
-            raise AdmissibilityError("type I components never use the backward basis")
         self.__dict__["components"] = components
 
     @property

@@ -18,6 +18,8 @@ Gamma(beta+1) for the Hahn type II rows, none otherwise.
 The per-pole values of a type I vector are the values of the integrand's
 polynomial factor at its |n| distinct nodes (:func:`recovered_nodes`), which
 orthogonality forces to be one constant, checked against its closed form.
+Every reader here takes a type I vector only as :func:`families.type1_rows`
+admits it, the gate the oracle's checks go through too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from . import families
 from .errors import PreconditionError
 from .gammaprod import LatticeRow, ratio_row, rising, rising_product, same
-from .polybasis import BasisKind, ScaledPolynomial, TypeIVector, values_at
+from .polybasis import Basis, ScaledPolynomial, TypeIVector, values_at
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -61,7 +63,6 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
 
     # the transcendental share of the prefactors (1/Gamma(beta+|n|) and the
     # per-weight gamma factors) is the canonical scale, left out of the rows
-    families._guard_type1_normalization(ws, n)
     shifted = [rising(a + beta + total * Q, Q, m) for a, m in zip(alpha, n)]
     components = []
     for i in range(ws.p):
@@ -96,9 +97,7 @@ def _duality_rows(ws: WeightSystem, i: int, terms: LatticeRow, comp: ScaledPolyn
     is multiplied by P_K / P_k (K = n_i - 1) and the denominator by P_K once."""
     terms, den = terms
     if ws.family is not Family.HAHN:
-        if comp.basis.kind is not BasisKind.MONOMIAL:
-            raise PreconditionError("continuous type I components live in the monomial basis")
-        return values_at(comp.basis, (terms, den), points), values_at(comp.basis, comp.row, points)
+        return values_at(Basis.monomial(), (terms, den), points), values_at(comp.basis, comp.row, points)
     Q, alpha, _ = ws.integer_parameters
     p = alpha[i] + Q
     products = [1]  # P_0, P_1, ...
@@ -114,12 +113,13 @@ def _duality_rows(ws: WeightSystem, i: int, terms: LatticeRow, comp: ScaledPolyn
     return poles, direct
 
 
-def type1_direct_values(ws: WeightSystem, vec: TypeIVector, x) -> list[Fraction]:
+def type1_direct_values(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, x) -> list[Fraction]:
     """Per weight i, the direct route's share of the type I linear form at x, the rational
     :func:`check_residue_duality` compares.  Laguerre and Jacobi-Pineiro: A_i(x), which multiplies
     x**alpha_i and the canonical scale :func:`families.type1_scale`; Hahn: A_i(x) (alpha_i+1)_x, the
     scale being empty.  The weight factor all components share is left out: e^-x for Laguerre,
     (1-x)^beta for Jacobi-Pineiro and (beta+1)_{N-x} / (x! (N-x)!) for Hahn."""
+    families.type1_rows(ws, n, vec)
     x = ws.check_point(x)
     return [Fraction(*_duality_rows(ws, i, ([], 1), comp, [x])[1][0]) for i, comp in enumerate(vec.components)]
 
@@ -128,12 +128,11 @@ def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, poi
     """Residue route == direct route of the type I linear form at every point, one row per component and route.
 
     Both routes are read against the canonical scale, so their rational rows are compared directly."""
+    families.type1_rows(ws, n, vec)
     poles = _type1_pole_terms(ws, n)
     points = [ws.check_point(x) for x in points]
     if not points:
         raise PreconditionError("the residue duality needs at least one sample point")
-    if len(vec.components) != len(poles):
-        return False
     rows = (_duality_rows(ws, i, terms, comp, points) for i, (terms, comp) in enumerate(zip(poles, vec.components)))
     return all(same(pole_row, direct_row) for pole_row, direct_row in rows)
 
@@ -192,22 +191,11 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     multiplies it by the one-step ratio of 1/phi.  The nodes are distinct, so
     p is the constant c exactly when every node value is c.
     """
-    ws.validate_index(n, type_one=True)
+    rows = families.type1_rows(ws, n, form)
     total = total_degree(n)
-    families._guard_type1_normalization(ws, n)
     Q, alpha, beta = ws.integer_parameters
     nodes = []
-    for i, comp in enumerate(form.components):
-        coefficients, den = comp.row
-        if n[i] == 0:
-            if not comp.is_zero():
-                raise PreconditionError(f"component {i} must vanish when n_i = 0")
-            continue
-        if len(coefficients) != n[i]:
-            raise PreconditionError(f"component {i} needs exactly n_i = {n[i]} coefficients")
-        expected_kind = BasisKind.SHIFTED_RISING if ws.family is Family.HAHN else BasisKind.MONOMIAL
-        if comp.basis.kind is not expected_kind:
-            raise PreconditionError(f"component {i} is in an unexpected basis")
+    for i, (coefficients, den) in enumerate(rows):
         top, bottom = 1, 1  # 1/phi(alpha_i) times the canonical scale, over Q
         if ws.family is Family.JACOBI_PINEIRO:
             top, bottom = rising_product(Q, (), [(beta + Q, total - 1)])

@@ -25,7 +25,7 @@ import math
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, PoleError
 from .gammaprod import Frozen, LatticeRow, as_fraction, ratio_row, reduced_row, row_product
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 
@@ -90,14 +90,24 @@ class WeightSystem(Frozen):
         return len(self.alpha)
 
     def validate_index(self, n: MultiIndex, *, type_one: bool = False) -> None:
+        """AdmissibilityError unless n has p nonnegative entries (|n| <= N for Hahn, |n| >= 1 for type I); PoleError
+        on the Jacobi-Pineiro type I corner alpha_i + beta + |n| = 0, n_i >= 1 (only at |n| = 1, as alpha_i, beta > -1),
+        where the coefficient vanishes against a gamma pole of its scale and exists only as a limit (the Hahn analogue
+        cancels rationally)."""
         if len(n) != self.p:
             raise AdmissibilityError(f"multi-index {n} does not match p = {self.p}")
-        if any(ni < 0 for ni in n):
+        if min(n) < 0:
             raise AdmissibilityError(f"multi-index {n} has negative entries")
-        if self.family is Family.HAHN and total_degree(n) > self.N:
-            raise AdmissibilityError(f"|n| = {total_degree(n)} exceeds the lattice size N = {self.N}")
-        if type_one and total_degree(n) < 1:
+        total = total_degree(n)
+        if self.family is Family.HAHN and total > self.N:
+            raise AdmissibilityError(f"|n| = {total} exceeds the lattice size N = {self.N}")
+        if type_one and total < 1:
             raise AdmissibilityError("type I polynomials need |n| >= 1")
+        if type_one and total == 1 and self.family is Family.JACOBI_PINEIRO:
+            q, alpha, beta = self.integer_parameters
+            for i, (a, ni) in enumerate(zip(alpha, n)):
+                if ni and a + beta + q == 0:
+                    raise PoleError(f"degenerate type I normalization: alpha_{i} + beta + |n| = 0")
 
     def check_point(self, x) -> Fraction | int:
         """x as a type I evaluation point, an int kept and anything else as a Fraction: an integer in [0, N] for

@@ -265,7 +265,7 @@ def test_criterion_10_float_path_sanity():
         for x in points:
             with mpmath.workdps(30):
                 reference = mpmath.mpf(0)
-                for i, rational in enumerate(residues.type1_direct_values(ws, vec, x)):
+                for i, rational in enumerate(residues.type1_direct_values(ws, n, vec, x)):
                     part = _mpf(rational)
                     for argument, exponent in families.type1_scale(ws, i, sum(n)).factors:
                         part *= mpmath.gamma(_mpf(argument)) ** exponent

@@ -593,7 +593,7 @@ def _rounded_type2(ws, n):
 
 def _rounded_hahn_type1(ws, n):
     vec = families.type1(ws, n)
-    return lambda x: float(sum(residues.type1_direct_values(ws, vec, x)))
+    return lambda x: float(sum(residues.type1_direct_values(ws, n, vec, x)))
 
 
 def _gamma_type1(ws, n):
@@ -602,7 +602,7 @@ def _gamma_type1(ws, n):
 
     def value(x):
         total = 0.0
-        for i, (rational, alpha) in enumerate(zip(residues.type1_direct_values(ws, vec, x), ws.alpha)):
+        for i, (rational, alpha) in enumerate(zip(residues.type1_direct_values(ws, n, vec, x), ws.alpha)):
             scale = families.type1_scale(ws, i, sum(n))
             gamma = math.prod(math.gamma(argument) ** exponent for argument, exponent in scale.factors)
             total += float(rational) * gamma * float(x) ** float(alpha)
@@ -653,7 +653,7 @@ class TestPlotDataCommand:
         assert len(rows) == 5
         for x_text, value_text in rows:  # the active weight's term alone
             x = F(x_text)
-            assert float(value_text) == float(residues.type1_direct_values(ws, vec, x)[1]) * scale * float(x) ** (1 / 3)
+            assert float(value_text) == float(residues.type1_direct_values(ws, (0, 1), vec, x)[1]) * scale * float(x) ** (1 / 3)
 
     def test_hahn_row_count(self, capsys):
         code, out = run_cli(

@@ -81,19 +81,23 @@ def test_verify_path_does_not_import_hyper():
 GAMMA_PRODUCT_USERS = {"gammaprod", "families", "hyper", "cli", "__init__"}
 
 
-def _names_gamma_product(tree: ast.AST) -> bool:
-    """Whether a source imports GammaProduct by name or reads it as a module attribute."""
+def _names(tree: ast.AST, name: str) -> bool:
+    """Whether a source imports name by name or reads it as a module attribute."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and any(alias.name == "GammaProduct" for alias in node.names):
+        if isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names):
             return True
-        if isinstance(node, ast.Attribute) and node.attr == "GammaProduct":
+        if isinstance(node, ast.Attribute) and node.attr == name:
             return True
     return False
 
 
+def _users(name: str) -> set[str]:
+    """The package modules that name name."""
+    return {source.stem for source in PACKAGE.glob("*.py") if _names(ast.parse(source.read_text(), str(source)), name)}
+
+
 def test_gamma_product_stays_at_the_output_edge():
-    users = {source.stem for source in PACKAGE.glob("*.py")
-             if _names_gamma_product(ast.parse(source.read_text(), str(source)))}
+    users = _users("GammaProduct")
     assert users <= GAMMA_PRODUCT_USERS
     assert {"families", "hyper", "__init__"} <= users  # the scanner sees the imports it allows
 
@@ -101,8 +105,27 @@ def test_gamma_product_stays_at_the_output_edge():
 def test_gamma_product_scanner_sees_every_form():
     for source in ("from .gammaprod import GammaProduct", "from mopexact.gammaprod import as_fraction, GammaProduct",
                    "from . import gammaprod\ngammaprod.GammaProduct.one()", "import mopexact\nmopexact.GammaProduct"):
-        assert _names_gamma_product(ast.parse(source)), source
-    assert not _names_gamma_product(ast.parse("from .gammaprod import rising_product\nGammaProducts = 1"))
+        assert _names(ast.parse(source), "GammaProduct"), source
+    assert not _names(ast.parse("from .gammaprod import rising_product\nGammaProducts = 1"), "GammaProduct")
+
+
+#: The modules that may name BasisKind: where it is defined, the one admission of each polynomial type
+#: (families.type2_row and families.type1_rows), the output edge and the package namespace.  Every other
+#: reader takes a polynomial through those gates and never asks for its basis itself.
+BASIS_KIND_USERS = {"polybasis", "families", "cli", "__init__"}
+
+
+def test_basis_kind_is_read_only_by_the_gates():
+    users = _users("BasisKind")
+    assert users <= BASIS_KIND_USERS
+    assert {"families", "cli", "__init__"} <= users  # the scanner sees the imports it allows
+
+
+def test_basis_kind_scanner_sees_every_form():
+    for source in ("from .polybasis import BasisKind", "from mopexact.polybasis import Basis, BasisKind",
+                   "from . import polybasis\npolybasis.BasisKind.MONOMIAL", "import mopexact\nmopexact.BasisKind"):
+        assert _names(ast.parse(source), "BasisKind"), source
+    assert not _names(ast.parse("from .polybasis import Basis\nBasisKinds = Basis.monomial().kind"), "BasisKind")
 
 
 #: The integer-row kernels: each is defined once, in gammaprod, and every other module calls that one.

@@ -276,11 +276,12 @@ class TestHahnJacobiPineiroRelation:
         assert q[-1] == F(-1) ** 3
 
     def test_rows_of_another_length_fail(self):
-        # the rows are compared zero-padded: an extra nonzero coefficient or a missing one is a mismatch
+        # the rows are compared zero-padded: a missing coefficient is a mismatch, a degree above |n| is refused
         ws, n = hahn_ws(2, 6), (1, 1)
         nums, den = type2(ws, n).row
         assert hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=([*nums, 0], den)))
-        assert not hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=([*nums, 5], den)))
+        with pytest.raises(PreconditionError, match="degree <= 2, not 3"):
+            hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=([*nums, 5], den)))
         assert not hahn_jp_coefficient_relation(ws, n, ScaledPolynomial(Basis.falling_factorial(), row=(nums[:2], den)))
 
     def test_another_basis_is_refused(self):

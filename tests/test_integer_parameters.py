@@ -248,7 +248,7 @@ def pole_term_fractions(ws, n) -> list[list[Fraction]]:
 def pole_terms(ws, n) -> list[list[Fraction]]:
     total = total_degree(n)
     alpha, beta = ws.alpha, ws.beta
-    families._guard_type1_normalization(ws, n)
+    ws.validate_index(n, type_one=True)
     prefactor = F(-1) ** (total - 1)
     if ws.family is Family.JACOBI_PINEIRO:
         for j in range(ws.p):
@@ -273,7 +273,7 @@ def pole_terms(ws, n) -> list[list[Fraction]]:
 
 def recovered_nodes(ws, n, form) -> list[tuple[Fraction, Fraction]]:
     total = total_degree(n)
-    families._guard_type1_normalization(ws, n)
+    ws.validate_index(n, type_one=True)
     nodes = []
     for i, comp in enumerate(form.components):
         if n[i] == 0:

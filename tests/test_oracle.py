@@ -493,7 +493,7 @@ def test_continuous_checks_refuse_a_non_monomial_basis(ws):
         lambda: check_mellin_type2(ws, n, falling, [(1, 2)]),
         lambda: check_type1_orthogonality(ws, n, rising),
         lambda: residues.check_residue_duality(ws, n, rising, [F(1, 2)]),
-        lambda: residues.type1_direct_values(ws, rising, F(1, 2)),
+        lambda: residues.type1_direct_values(ws, n, rising, F(1, 2)),
     ):
         with pytest.raises(PreconditionError, match="monomial basis"):
             check()

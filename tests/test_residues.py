@@ -239,7 +239,7 @@ class TestType1LinearForm:
         with pytest.raises(AdmissibilityError):
             check_residue_duality(ws, (2,), vec, [x])
         with pytest.raises(AdmissibilityError):
-            residues.type1_direct_values(ws, vec, x)
+            residues.type1_direct_values(ws, (2,), vec, x)
 
 
 class TestType2Residues:
