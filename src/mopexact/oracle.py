@@ -14,7 +14,9 @@ one integer system over the weight and moment rows (``ws.weight_table``,
 (:func:`_type2_conditions`, :func:`_type1_conditions`): the check multiplies
 the generated row by it, and the solve hands its primitive rows to
 :func:`linalg.bareiss` and reads the numerators over the determinant back
-into a coefficient row (``poly.row``).  Residuals are rational cofactors of
+into a coefficient row (``poly.row``).  The type I rows are the powers x^j,
+j < |n|, the top one normalized to 1, in every family (:func:`_lattice_powers` on
+the Hahn lattice).  Residuals are rational cofactors of
 the weight's moment gamma; an exact zero is the int 0 and the type I
 normalization row a pair, so a passing check builds no Fraction.  A type I
 component's row is read against the canonical scale
@@ -59,26 +61,27 @@ class OrthogonalityReport(Frozen):
     """Exact residuals of the defining conditions, plus the normalization row.
 
     residuals maps (weight index, power) to the rational cofactor for
-    type II checks and (None, row index) for type I checks; the normalization
-    row is an integer pair (numerator, nonzero denominator) against an int
-    target.  Pass means every residual is exactly zero and the normalization
-    row exactly hits its target.
+    type II checks and (None, row index) for type I checks; the type I
+    normalization row is an integer pair (numerator, nonzero denominator), and
+    a type II report has none.  Pass means every residual is exactly zero and
+    the normalization row, if any, is exactly 1.
     """
 
-    _fields = ("residuals", "normalization", "normalization_target")
+    _fields = ("residuals", "normalization")
 
-    def __init__(self, residuals: dict, normalization: tuple[int, int] | None, normalization_target: int | None):
-        self.__dict__.update(residuals=residuals, normalization=normalization,
-                             normalization_target=normalization_target)
+    def __init__(self, residuals: dict, normalization: tuple[int, int] | None):
+        self.__dict__.update(residuals=residuals, normalization=normalization)
 
     @property
     def passed(self) -> bool:
         if any(value != 0 for value in self.residuals.values()):
             return False
-        if self.normalization_target is None:
-            return self.normalization is None
-        num, den = self.normalization
-        return num == self.normalization_target * den
+        return self.normalization is None or self.normalization[0] == self.normalization[1]
+
+
+def _lattice_powers(ws: WeightSystem, total: int) -> list:
+    """x^j at x = 0..N, j < |n|, kept per weight system and |n|: the Hahn type I rows; type II reads max(n) of them."""
+    return ws.kept(("lattice_powers", total), lambda: lattice_table(Basis.monomial(), total - 1, ws.N))
 
 
 def _type2_conditions(ws: WeightSystem, n: MultiIndex, width: int) -> dict:
@@ -90,7 +93,7 @@ def _type2_conditions(ws: WeightSystem, n: MultiIndex, width: int) -> dict:
             moments = ws.moment_rows(max(n) + width - 1)
             return {(i, j): (moments[i][0][j:j + width], moments[i][1]) for i, m in enumerate(n) for j in range(m)}
         falling = lattice_table(Basis.falling_factorial(), width - 1, ws.N)
-        powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
+        powers = _lattice_powers(ws, total_degree(n))
         weighted = [[tuple(map(operator.mul, row, weight)) for row, _ in falling] for weight, _ in ws.weight_table]
         return {(i, j): ([sum(map(operator.mul, powers[j][0], row)) for row in weighted[i]], ws.weight_table[i][1])
                 for i, m in enumerate(n) for j in range(m)}
@@ -101,51 +104,47 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
     """All conditions <x^j B, w_i> = 0 for j < n_i, exactly: the admitted row paired with each condition row."""
     row = families.type2_row(ws, n, poly)
     conditions = _type2_conditions(ws, n, len(row[0]))
-    return OrthogonalityReport({key: pair(row, condition) for key, condition in conditions.items()}, None, None)
+    return OrthogonalityReport({key: pair(row, condition) for key, condition in conditions.items()}, None)
 
 
-def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[int], list[tuple[int, int]]]:
+def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[tuple[int, int]]]:
     """The type I system over the unknowns (i, k), k < n_i, built once per weight system and multi-index: an |n| x |n|
-    integer matrix, its row denominators and one scale (top, bottom) per unknown, so that row j pairs the basis element
-    of unknown (i, k) exactly to entry * top / (bottom * row_den[j]).  Hahn pairs the backward lattice rows with the
-    weighted shifted rising columns, whose denominators are the bottoms; continuous entry (j, (i, k)) is the moment
-    m_i[j+k], its denominator and :func:`_moment_scale` the unknown's."""
+    integer matrix and one scale (top, bottom) per unknown, so that row j, the power x^j, pairs the basis element of
+    unknown (i, k) exactly to entry * top / bottom.  Hahn pairs the lattice power rows with the weighted shifted rising
+    columns, whose denominators are the bottoms; continuous entry (j, (i, k)) is the moment m_i[j+k], its denominator
+    and :func:`_moment_scale` the unknown's."""
     def build():
         total = total_degree(n)
         unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
         if ws.family is Family.HAHN:
-            Q, _, beta = ws.integer_parameters
             tables = {i: lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p) if n[i]}
             columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-            backward = lattice_table(Basis.backward_pochhammer(beta, Q, ws.N), total - 1, ws.N)
-            matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns] for nums, _ in backward]
-            return matrix, [den for _, den in backward], [(1, den) for _, den in columns]
+            matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns]
+                      for nums, _ in _lattice_powers(ws, total)]
+            return matrix, [(1, den) for _, den in columns]
         moments = ws.moment_rows(total + max(n) - 1)
         weights = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
         matrix = list(zip(*(moments[i][0][k:k + total] for i, k in unknowns)))
-        return matrix, [1] * total, [(weights[i][0], weights[i][1] * moments[i][1]) for i, _ in unknowns]
+        return matrix, [(weights[i][0], weights[i][1] * moments[i][1]) for i, _ in unknowns]
     return ws.kept(("type1_conditions", n), build)
 
 
 def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> OrthogonalityReport:
     """Vanishing rows j <= |n|-2 plus the exact normalization row: :func:`_type1_conditions` times the scaled row.
 
-    The Hahn rows are taken in the backward lattice basis, whose top row
-    must equal (-1)^(|n|-1); the continuous rows are plain powers with the
-    top row normalized to 1.  The two Hahn formulations are related by a
-    triangular change of basis, checked separately in the tests.  The vector
-    is read as :func:`families.type1_rows` admits it.
+    The rows are the powers x^j, j < |n|, and the top one is normalized to 1
+    in every family.  The vector is read as :func:`families.type1_rows` admits it.
     """
     rows = families.type1_rows(ws, n, vec)
-    matrix, row_dens, scales = _type1_conditions(ws, n)
+    matrix, scales = _type1_conditions(ws, n)
     # the coefficient of unknown (i, k) times its scale, over one denominator
     coefficients = [(c, den) for nums, den in rows for c in nums]
     scaled = [(c * top, den * bottom) for (c, den), (top, bottom) in zip(coefficients, scales)]
     common = math.lcm(*(d for _, d in scaled))
     row = [v * (common // d) for v, d in scaled]
-    *rows, normalization = [(sum(map(operator.mul, entries, row)), common * den) for entries, den in zip(matrix, row_dens)]
-    residuals = {(None, j): Fraction(v, den) if v else 0 for j, (v, den) in enumerate(rows)}
-    return OrthogonalityReport(residuals, normalization, (-1) ** (total_degree(n) - 1) if ws.family is Family.HAHN else 1)
+    *rows, normalization = [sum(map(operator.mul, entries, row)) for entries in matrix]
+    residuals = {(None, j): Fraction(v, common) if v else 0 for j, v in enumerate(rows)}
+    return OrthogonalityReport(residuals, (normalization, common))
 
 
 def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
@@ -173,15 +172,13 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
-    matrix, row_dens, scales = _type1_conditions(ws, n)
+    matrix, scales = _type1_conditions(ws, n)
     # each column, then each row over its content; only the last row's reaches the solution
     contents = [math.gcd(*column) or 1 for column in zip(*matrix)]
     rows = [[v // g for v, g in zip(row, contents)] for row in matrix]
     last = math.gcd(*rows[-1]) or 1
-    solved, det = bareiss([primitive(row) for row in rows], [0] * (total - 1) + [1])
-    # solved against e_last: the last condition's target is (-1)^(|n|-1) (Hahn) or 1 times its row denominator
-    lift = ((-1) ** (total - 1) if ws.family is Family.HAHN else 1) * row_dens[-1]
-    solution = iter((v * bottom * lift, top * g * last) for v, (top, bottom), g in zip(solved, scales, contents))
+    solved, det = bareiss([primitive(row) for row in rows], [0] * (total - 1) + [1])  # the last condition's target is 1
+    solution = iter((v * bottom, top * g * last) for v, (top, bottom), g in zip(solved, scales, contents))
     components = []
     for i in range(ws.p):  # component i's unknowns over their lcm times det (a negative divisor flips its quotient)
         entries = [next(solution) for _ in range(n[i])]

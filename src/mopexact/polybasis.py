@@ -1,12 +1,12 @@
 """Polynomial values in the bases the explicit formulas are written in.
 
-Four bases appear: plain monomials x^k, falling factorials (-x)_k, shifted
-rising factorials (x + alpha_i + 1)_k, one per weight, and the
-descending lattice products (beta + N - x + 1)_k used for the discrete
-orthogonality rows.  A ScaledPolynomial is a basis and one reduced integer
-coefficient row.  The gamma prefactor of a type I closed form depends only
-on the family, the weight and |n| (:func:`mopexact.families.type1_scale`),
-so it is not stored here; its Fraction coefficients are built only when read.
+Three bases appear: plain monomials x^k, which also give the moment and
+lattice power rows, falling factorials (-x)_k, and shifted rising factorials
+(x + alpha_i + 1)_k, one per weight.  A ScaledPolynomial is a basis and one
+reduced integer coefficient row.  The gamma prefactor of a type I closed
+form depends only on the family, the weight and |n|
+(:func:`mopexact.families.type1_scale`), so it is not stored here; its
+Fraction coefficients are built only when read.
 Every value is computed through the basis's one-step factor
 (:meth:`Basis._step_factor`): nested in integers at rational points
 (:func:`values_at`) and tabulated on the Hahn lattice {0, ..., N} as integer
@@ -28,15 +28,13 @@ class BasisKind(enum.Enum):
     MONOMIAL = "monomial"
     FALLING_FACTORIAL = "falling-factorial"
     SHIFTED_RISING = "shifted-rising"
-    BACKWARD_POCHHAMMER = "backward-pochhammer"
 
 
 class Basis(Frozen):
     """Basis tag plus the shift its elements need, as a reduced integer pair (p, q), q > 0, for s = p/q.
 
     MONOMIAL: x^k.  FALLING_FACTORIAL: (-x)_k.  SHIFTED_RISING with shift s:
-    (x + s)_k; the generators use s = alpha_i + 1.  BACKWARD_POCHHAMMER with
-    shift s: (s - x)_k; the discrete orthogonality rows use s = beta + N + 1.
+    (x + s)_k; the generators use s = alpha_i + 1.
     """
 
     _fields = ("kind", "shift")
@@ -58,13 +56,6 @@ class Basis(Frozen):
         g = math.gcd(p, q)
         return Basis(BasisKind.SHIFTED_RISING, (p // g, q // g))
 
-    @staticmethod
-    def backward_pochhammer(b: int, q: int, N: int) -> "Basis":
-        """Shift s = beta + N + 1 for beta = b/q, integers with q > 0."""
-        p = b + (N + 1) * q
-        g = math.gcd(p, q)
-        return Basis(BasisKind.BACKWARD_POCHHAMMER, (p // g, q // g))
-
     def _step_factor(self, m: int) -> tuple[int, int, int]:
         """Integers (const, slope, q) with basis_{m+1}(x) = basis_m(x) * (const + slope * x) / q.
 
@@ -74,14 +65,14 @@ class Basis(Frozen):
         if self.kind is BasisKind.FALLING_FACTORIAL:
             return m, -1, 1
         p, q = self.shift
-        return p + m * q, q if self.kind is BasisKind.SHIFTED_RISING else -q, q
+        return p + m * q, q, q
 
 
 def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
     """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence.
 
     Monomial and falling-factorial rows are integers (denominator 1); with
-    shift p/q the shifted-rising and backward rows have denominator q^k.
+    shift p/q the shifted-rising rows have denominator q^k.
     """
     nums, den = (1,) * (N + 1), 1
     rows = [(nums, den)]
@@ -98,11 +89,12 @@ def values_at(basis: Basis, row, points) -> list[tuple[int, int]]:
     Nested from the top index K: with basis_{k+1} = basis_k (const_k + slope_k x) / q_k
     (:meth:`Basis._step_factor`) and x = a/b, acc_K = nums[K] and
     acc_k = nums[k] (q_k b)...(q_(K-1) b) + (const_k b + slope_k a) acc_(k+1); the value is acc_0
-    over den times prod_k q_k b.  The step factors are built once for all points."""
+    over den times prod_k q_k b.  The step factors are built once for all points, and an int point
+    is read as it is, without a Fraction."""
     nums, den = row
     steps = [basis._step_factor(k) for k in range(len(nums) - 2, -1, -1)]
     values = []
-    for a, b in (as_fraction(x).as_integer_ratio() for x in points):
+    for a, b in ((x, 1) if isinstance(x, int) else as_fraction(x).as_integer_ratio() for x in points):
         acc, power = nums[-1] if nums else 0, 1
         for c, (const, slope, q) in zip(nums[-2::-1], steps):
             power *= q * b
@@ -160,14 +152,13 @@ class ScaledPolynomial(Frozen):
         return self._lattice_values[N]
 
     def leading_monomial_coefficient(self) -> tuple[int, int]:
-        """Top nonzero coefficient times the leading sign of its basis element, (-1)^k for (-x)_k and (s-x)_k,
+        """Top nonzero coefficient times the leading sign of its basis element, (-1)^k for (-x)_k,
         as the integer pair (numerator, positive denominator); (0, 1) for the zero polynomial."""
         k = self.degree
         if k < 0:
             return 0, 1
         nums, den = self.row
-        falling = self.basis.kind in (BasisKind.FALLING_FACTORIAL, BasisKind.BACKWARD_POCHHAMMER)
-        return -nums[k] if falling and k % 2 else nums[k], den
+        return -nums[k] if self.basis.kind is BasisKind.FALLING_FACTORIAL and k % 2 else nums[k], den
 
 
 class TypeIVector(Frozen):

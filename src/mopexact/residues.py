@@ -7,7 +7,8 @@ pole set.  Type I linear forms collect |n| simple poles at t = alpha_i + k
 type II inverse transforms have simple poles at the nonpositive integers
 (all of them for the continuous families, the lattice window {0,...,N} for
 Hahn).  Summing residues reproduces the direct coefficient formulas, and
-this module certifies that duality term by term.
+this module certifies that duality term by term, both routes of a type I
+component as coefficient rows in its basis :func:`families.type1_basis`.
 
 What does not depend on the sample point x or the expansion order k is
 built once per instance, and every rational is an integer pair, never
@@ -30,7 +31,7 @@ from fractions import Fraction
 from . import families
 from .errors import PreconditionError
 from .gammaprod import LatticeRow, ratio_row, rising, rising_product, same
-from .polybasis import Basis, ScaledPolynomial, TypeIVector, values_at
+from .polybasis import TypeIVector, values_at
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -51,11 +52,12 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
     """Per component i: the residues at t = alpha_i + k, k < n_i, as one integer row.
 
     Term k has the pole weight, the family prefactor and every other
-    x-independent factor folded in; it multiplies x**k for the continuous
-    families and (alpha_i+1+k)_x for Hahn.  The row is read against the
-    canonical gamma scale the direct generators are read against, so the two
-    routes compare componentwise.  The terms share one denominator: the
-    prefactor's times the pole weights' lcm times Q^(n_i-1) (down/Q)_{n_i-1}.
+    x-independent factor folded in; it multiplies basis element k of
+    :func:`families.type1_basis`, x**k or, for Hahn, (x+alpha_i+1)_k: the
+    residue's (alpha_i+1+k)_x over the shared (alpha_i+1)_x, times (alpha_i+1)_k.
+    The row is read against the canonical gamma scale the direct generators are
+    read against, so the two routes compare componentwise.  The terms share one
+    denominator: the prefactor's times the pole weights' lcm times Q^(n_i-1) prod_d (d/Q)_{n_i-1}.
     """
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
@@ -77,40 +79,14 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
             top *= math.factorial(ws.N - total + 1)
         top, bottom = rising_product(Q, (), lattice, top * math.prod(v for v, _ in picked),
                                      math.prod(d for _, d in picked))
-        # term k carries (up/Q)_k / (down/Q)_k, with no up factor (alpha_i+beta+|n|)_k for Laguerre
+        # term k carries (up/Q)_k / prod_d (d/Q)_k, with no up factor (alpha_i+beta+|n|)_k for Laguerre
         ups = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[i] + beta + total * Q]
-        down = alpha[i] + beta + (ws.N + 2) * Q if ws.family is Family.HAHN else alpha[i] + Q
-        weights, (ratios, ratios_den) = _pole_weights(ws, n, i), ratio_row(ups, [down], n[i], Q)
+        downs = [alpha[i] + Q] + ([alpha[i] + beta + (ws.N + 2) * Q] if ws.family is Family.HAHN else [])
+        weights, (ratios, ratios_den) = _pole_weights(ws, n, i), ratio_row(ups, downs, n[i], Q)
         common = math.lcm(*(w_den for _, w_den in weights))
         components.append(([w * (common // w_den) * top * v for (w, w_den), v in zip(weights, ratios)],
                            bottom * common * ratios_den))
     return components
-
-
-def _duality_rows(ws: WeightSystem, i: int, terms: LatticeRow, comp: ScaledPolynomial, points):
-    """Component i of both routes at the points: (pole row, direct row), each one integer pair per point.
-
-    terms is component i's row of :func:`_type1_pole_terms`; the direct side is A_i(x).
-    Continuous: the terms and A_i's monomial row, one integer Horner pass per
-    point and side.  Hahn: (alpha_i+1)_x joins A_i(x); with alpha_i+1 = p/Q and
-    P_j = prod_{l<j} (p+lQ), (alpha_i+1+k)_m = P_(k+m) / (P_k Q^m), so term k
-    is multiplied by P_K / P_k (K = n_i - 1) and the denominator by P_K once."""
-    terms, den = terms
-    if ws.family is not Family.HAHN:
-        return values_at(Basis.monomial(), (terms, den), points), values_at(comp.basis, comp.row, points)
-    Q, alpha, _ = ws.integer_parameters
-    p = alpha[i] + Q
-    products = [1]  # P_0, P_1, ...
-    for l in range(len(terms) + ws.N):
-        products.append(products[-1] * (p + l * Q))
-    reach = products[max(len(terms) - 1, 0)]
-    folded, den = [u * (reach // r) for u, r in zip(terms, products)], den * reach
-    values, values_den = comp.lattice_values(ws.N)
-    poles, direct = [], []
-    for m in (x.numerator for x in points):
-        poles.append((sum(u * products[k + m] for k, u in enumerate(folded)), den * Q**m))
-        direct.append((values[m] * products[m], values_den * Q**m))
-    return poles, direct
 
 
 def type1_direct_values(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, x) -> list[Fraction]:
@@ -119,22 +95,29 @@ def type1_direct_values(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, x) ->
     x**alpha_i and the canonical scale :func:`families.type1_scale`; Hahn: A_i(x) (alpha_i+1)_x, the
     scale being empty.  The weight factor all components share is left out: e^-x for Laguerre,
     (1-x)^beta for Jacobi-Pineiro and (beta+1)_{N-x} / (x! (N-x)!) for Hahn."""
-    families.type1_rows(ws, n, vec)
+    rows = families.type1_rows(ws, n, vec)
     x = ws.check_point(x)
-    return [Fraction(*_duality_rows(ws, i, ([], 1), comp, [x])[1][0]) for i, comp in enumerate(vec.components)]
+    Q, alpha, _ = ws.integer_parameters
+    values = []
+    for i, row in enumerate(rows):
+        [(num, den)] = values_at(families.type1_basis(ws, i), row, [x])
+        top, bottom = rising(alpha[i] + Q, Q, x.numerator) if ws.family is Family.HAHN else (1, 1)  # (alpha_i+1)_x
+        values.append(Fraction(num * top, den * bottom))
+    return values
 
 
 def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
     """Residue route == direct route of the type I linear form at every point, one row per component and route.
 
-    Both routes are read against the canonical scale, so their rational rows are compared directly."""
-    families.type1_rows(ws, n, vec)
+    Both are coefficient rows in :func:`families.type1_basis` against the canonical scale: values compare directly."""
+    rows = families.type1_rows(ws, n, vec)
     poles = _type1_pole_terms(ws, n)
     points = [ws.check_point(x) for x in points]
     if not points:
         raise PreconditionError("the residue duality needs at least one sample point")
-    rows = (_duality_rows(ws, i, terms, comp, points) for i, (terms, comp) in enumerate(zip(poles, vec.components)))
-    return all(same(pole_row, direct_row) for pole_row, direct_row in rows)
+    bases = [families.type1_basis(ws, i) for i in range(ws.p)]
+    return all(same(values_at(basis, terms, points), values_at(basis, row, points))
+               for basis, terms, row in zip(bases, poles, rows))
 
 
 def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:

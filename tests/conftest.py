@@ -184,10 +184,16 @@ def element_value(basis, k: int, x) -> Fraction:
         return x**k
     if basis.kind is BasisKind.FALLING_FACTORIAL:
         return pochhammer(-x, k)
-    shift = Fraction(*basis.shift)
-    if basis.kind is BasisKind.SHIFTED_RISING:
-        return pochhammer(x + shift, k)
-    return pochhammer(shift - x, k)
+    return pochhammer(x + Fraction(*basis.shift), k)
+
+
+def backward_rows(ws, degree: int) -> list[list[Fraction]]:
+    """Rows j = 0..degree of the backward lattice products (beta+N+1-x)_j at x = 0..N, as Fractions.
+
+    (beta+N+1-x)_j = (-1)^j x^j + lower powers, so pairing a type I vector with
+    them gives (0, ..., 0, (-1)^(|n|-1)) exactly when the power rows give (0, ..., 0, 1):
+    the form of the Hahn type I conditions the paper's summation identity reads."""
+    return [[pochhammer(ws.beta + ws.N + 1 - x, j) for x in range(ws.N + 1)] for j in range(degree + 1)]
 
 
 def element_monomial_coefficients(basis, k: int) -> tuple[Fraction, ...]:

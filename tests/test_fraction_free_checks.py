@@ -22,9 +22,9 @@ from mopexact.driver import (
     CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, instance_key, run_instance, weight_system,
 )
 from mopexact.gammaprod import row_product
-from mopexact.polybasis import Basis, BasisKind, ScaledPolynomial, lattice_table
+from mopexact.polybasis import Basis, BasisKind, ScaledPolynomial, values_at
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, hahn_corner_systems, pair_values, row_values
+from conftest import admissible_systems, backward_rows, hahn_corner_systems, pair_values, row_values
 
 F = Fraction
 
@@ -68,8 +68,7 @@ def type1_rows(ws, n, vec) -> list[Fraction]:
         form = [sum((row_values(*comp.lattice_values(ws.N))[x] * row_values(*ws.weight_table[i])[x]
                      for i, comp in enumerate(vec.components) if comp.coefficients), F(0))
                 for x in range(ws.N + 1)]
-        backward = lattice_table(Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N), total - 1, ws.N)
-        return [sum((v * f for v, f in zip(row_values(*row), form)), F(0)) for row in backward]
+        return [sum((v * f for v, f in zip(row, form)), F(0)) for row in backward_rows(ws, total - 1)]
     rows = [F(0)] * total
     for i, comp in enumerate(vec.components):
         if not comp.coefficients:
@@ -109,8 +108,8 @@ def reference_checks(instance: dict, fault, seed: int = 0) -> dict:
     points = [ws.check_point(x) for x in points]
     duality = True
     for i, (terms, comp) in enumerate(zip(residues._type1_pole_terms(ws, n), vec.components)):
-        pole_row, direct_row = residues._duality_rows(ws, i, terms, comp, points)
-        duality &= pair_values(pole_row) == pair_values(direct_row)
+        basis = families.type1_basis(ws, i)
+        duality &= pair_values(values_at(basis, terms, points)) == pair_values(values_at(basis, comp.row, points))
     checks["residue_duality"] = duality
     k_max = ws.N if ws.family is Family.HAHN else max(6, total)
     (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)

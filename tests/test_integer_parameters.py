@@ -266,7 +266,9 @@ def pole_terms(ws, n) -> list[list[Fraction]]:
                 if j != i:
                     comp_prefactor *= poch(alpha[j] + beta + total, n[j])
             comp_prefactor /= poch(alpha[i] + beta + total + n[i], ws.N + 2 - total - n[i])
+        # Hahn term k multiplies (x+alpha_i+1)_k, the residue's (alpha_i+1+k)_x over (alpha_i+1)_x / (alpha_i+1)_k
         components.append([comp_prefactor * w * (1 if up is None else poch(up, k)) / poch(down, k)
+                           / (poch(alpha[i] + 1, k) if ws.family is Family.HAHN else 1)
                            for k, w in enumerate(pole_weights(ws, n, i))])
     return components
 

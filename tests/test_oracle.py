@@ -26,12 +26,12 @@ from mopexact import (
 from mopexact import AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, residues
 from mopexact.weights import total_degree
 from mopexact.linalg import solve_linear_system
-from mopexact.driver import apply_fault, compositions, run_instance
+from mopexact.driver import _hahn_sample_points, apply_fault, compositions, run_instance
 from mopexact.gammaprod import pair, row_product, row_sum
 from mopexact.polybasis import lattice_table
 from conftest import (
-    admissible_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row,
-    row_values, scaled_values_equal, times,
+    admissible_systems, backward_rows, hahn_corner_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws,
+    prime_offset, rising_row, row_values, scaled_values_equal, times,
 )
 
 F = Fraction
@@ -45,6 +45,12 @@ def lattice_sum(*vectors) -> Fraction:
 def entries(row) -> tuple[Fraction, ...]:
     nums, den = row
     return tuple(F(v, den) for v in nums)
+
+
+def integer_row(values) -> tuple[tuple[int, ...], int]:
+    """Fractions as one integer row over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def moment_fractions(ws, length: int) -> list[tuple[Fraction, ...]]:
@@ -163,14 +169,10 @@ def hahn_moment_closed(ws, i: int, l: int, j: int) -> Fraction:
     )
 
 
-def hahn_power_normalization(ws, n, vec) -> Fraction:
-    """sum_x x^(|n|-1) sum_i A_i(x) w_i(x): the power-basis normalization row (target 1)."""
-    return sum(
-        (Fraction(x) ** (sum(n) - 1) * comp.rational_value(x) * ws.hahn_weight(i, x)
-         for i, comp in enumerate(vec.components) if comp.coefficients
-         for x in range(ws.N + 1)),
-        Fraction(0),
-    )
+def hahn_backward_pairings(ws, n, vec) -> list[Fraction]:
+    """sum_x (beta+N+1-x)_j sum_i A_i(x) w_i(x) for j < |n|: the type I rows in the backward lattice form."""
+    form = entries(hahn_linear_form(ws, vec))
+    return [lattice_sum(row, form) for row in backward_rows(ws, sum(n) - 1)]
 
 
 class TestLinalg:
@@ -243,12 +245,11 @@ class TestMoments:
 
     def test_hahn_any_basis_via_lattice_sum(self):
         ws = hahn_ws(2, 5)
-        backward = Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N)
         shifted = Basis.shifted_rising(*(ws.alpha[0] + 1).as_integer_ratio())
-        value = moment(ws, 0, backward, 2)
+        assert pair(integer_row(backward_rows(ws, 2)[2]), ws.weight_table[0]) == hahn_moment_brute(ws, 0, 0, 2)
+        value = moment(ws, 0, shifted, 3)
         assert value.gamma.is_one()
-        assert value.rational == hahn_moment_brute(ws, 0, 0, 2)
-        assert moment(ws, 0, shifted, 3).rational == hahn_moment_brute(ws, 0, 3, 0)
+        assert value.rational == hahn_moment_brute(ws, 0, 3, 0)
 
 
 class TestIntegerPairing:
@@ -259,12 +260,12 @@ class TestIntegerPairing:
         total = sum(n)
         values = families.type2(ws, n).lattice_values(ws.N)
         form = hahn_linear_form(ws, families.type1(ws, n))
-        backward = Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N)
-        bases = [Basis.monomial(), Basis.falling_factorial(), backward]
+        backward = [integer_row(row) for row in backward_rows(ws, total)]
+        bases = [Basis.monomial(), Basis.falling_factorial()]
         for i, weight in enumerate(ws.weight_table):
             weighted = row_product(values, weight)
             for basis in bases + [Basis.shifted_rising(*(ws.alpha[i] + 1).as_integer_ratio())]:
-                for row in lattice_table(basis, total, ws.N):
+                for row in lattice_table(basis, total, ws.N) + backward:
                     assert pair(row, weight) == lattice_sum(entries(row), entries(weight))
                     assert pair(row, weighted) == lattice_sum(entries(row), entries(values), entries(weight))
                     assert pair(row, form) == lattice_sum(entries(row), entries(form))
@@ -280,15 +281,17 @@ class TestIntegerPairing:
 
 class TestType2Reports:
     def test_report_passes_on_zero_residuals_and_its_target(self):
-        assert oracle.OrthogonalityReport({(0, 1): F(0)}, None, None).passed
-        assert not oracle.OrthogonalityReport({(0, 1): F(1, 3)}, None, None).passed
-        assert oracle.OrthogonalityReport({(None, 0): 0}, (6, -3), -2).passed
-        assert not oracle.OrthogonalityReport({(None, 0): 0}, (6, 3), -2).passed
-        assert not oracle.OrthogonalityReport({}, (1, 1), None).passed
-        report = oracle.OrthogonalityReport({}, (1, 1), 1)
+        # type II: no normalization row, so the residuals alone decide
+        assert oracle.OrthogonalityReport({(0, 1): F(0)}, None).passed
+        assert not oracle.OrthogonalityReport({(0, 1): F(1, 3)}, None).passed
+        # type I: the normalization row is an unreduced pair that must equal 1
+        assert oracle.OrthogonalityReport({(None, 0): 0}, (-3, -3)).passed
+        assert not oracle.OrthogonalityReport({(None, 0): 0}, (6, -3)).passed
+        assert not oracle.OrthogonalityReport({(None, 0): F(1, 2)}, (1, 1)).passed
+        report = oracle.OrthogonalityReport({}, (1, 1))
         with pytest.raises(AttributeError):
-            report.normalization_target = 2
-        assert report == oracle.OrthogonalityReport({}, (1, 1), 1) and report.passed
+            report.normalization = (2, 1)
+        assert report == oracle.OrthogonalityReport({}, (1, 1)) and report.passed
 
     def test_vacuous_zero_index(self):
         ws = laguerre_ws(2)
@@ -312,7 +315,7 @@ class TestType2Reports:
         assert any(v != 0 for v in report.residuals.values())
 
     def test_hahn_tables_built_once_per_instance(self, monkeypatch):
-        # the checks and the solves share the monomial and backward tables of the weight system
+        # the checks and the solves of both types share one monomial table of the weight system
         built = []
 
         def counting(basis, degree, N):
@@ -323,7 +326,7 @@ class TestType2Reports:
         record = run_instance({"family": "hahn", "alpha": ["1/2", "1/3"], "beta": "1/4", "n": [2, 1], "N": 5})
         assert record["pass"]
         kinds = [basis.kind for basis, _ in built]
-        assert kinds.count(BasisKind.MONOMIAL) == kinds.count(BasisKind.BACKWARD_POCHHAMMER) == 1
+        assert kinds.count(BasisKind.MONOMIAL) == 1
         assert len(built) == len(set(built))
 
 
@@ -331,7 +334,7 @@ class TestType1Reports:
     def test_hahn_normalization_target(self):
         ws = hahn_ws(2, 4)
         report = check_type1_orthogonality(ws, (1, 1), families.type1(ws, (1, 1)))
-        assert report.normalization_target == F(-1) ** (2 - 1)
+        assert F(*report.normalization) == 1
         assert report.passed
 
     def test_zero_vector_fails_normalization(self):
@@ -346,9 +349,30 @@ class TestType1Reports:
         for n in compositions(3):
             p, total = len(n), sum(n)
             ws = hahn_ws(p, total + 3)
-            vec = families.type1(ws, n)
-            assert check_type1_orthogonality(ws, n, vec).passed
-            assert hahn_power_normalization(ws, n, vec) == 1
+            target = [F(0)] * (total - 1) + [F(-1) ** (total - 1)]
+            for vec in (families.type1(ws, n), oracle_solve_type1(ws, n)):
+                assert check_type1_orthogonality(ws, n, vec).passed
+                assert hahn_backward_pairings(ws, n, vec) == target
+
+    @given(st.one_of(admissible_systems(family="hahn"), hahn_corner_systems()))
+    @settings(max_examples=40, deadline=None)
+    def test_power_rows_give_the_backward_verdict_under_faults(self, system):
+        # the power-row report is the Fraction pairing with x^j, its verdict is the
+        # backward rows' verdict, and the residue duality turns red exactly under a fault
+        ws, n = system
+        total = sum(n)
+        target = [F(0)] * (total - 1) + [F(-1) ** (total - 1)]
+        vec = families.type1(ws, n)
+        points = _hahn_sample_points(ws.N)
+        for fault in [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]:
+            _, faulty = apply_fault(None, vec, fault)
+            report = check_type1_orthogonality(ws, n, faulty)
+            form = entries(hahn_linear_form(ws, faulty))
+            *rows, normalization = [lattice_sum([F(x) ** j for x in range(ws.N + 1)], form) for j in range(total)]
+            assert report.residuals == {(None, j): value for j, value in enumerate(rows)}, fault
+            assert F(*report.normalization) == normalization, fault
+            assert report.passed == (hahn_backward_pairings(ws, n, faulty) == target) == (fault is None), fault
+            assert residues.check_residue_duality(ws, n, faulty, points) == (fault is None), fault
 
 
 class TestBiorthogonality:

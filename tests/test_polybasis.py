@@ -16,16 +16,14 @@ BASES = [
     Basis.monomial(),
     Basis.falling_factorial(),
     Basis.shifted_rising(3, 2),
-    Basis.backward_pochhammer(1, 4, 5),
 ]
 
 
-#: All four basis kinds, with random shifts for the two shifted kinds.
+#: All three basis kinds, with random shifts for the shifted one.
 any_basis = st.one_of(
     st.just(Basis.monomial()),
     st.just(Basis.falling_factorial()),
     st.builds(lambda s: Basis.shifted_rising(*s.as_integer_ratio()), rationals),
-    st.builds(lambda b, N: Basis.backward_pochhammer(*b.as_integer_ratio(), N), rationals, st.integers(0, 10)),
 )
 
 
@@ -33,7 +31,6 @@ def test_shift_is_kept_as_the_reduced_pair():
     # the verify path passes shifts over a weight system's common denominator
     assert Basis.shifted_rising(18, 12) == Basis.shifted_rising(3, 2)
     assert Basis.shifted_rising(18, 12).shift == (3, 2)
-    assert Basis.backward_pochhammer(3, 12, 5).shift == (25, 4)  # 1/4 + 6
     assert lattice_table(Basis.shifted_rising(18, 12), 2, 1)[2] == ((15, 35), 4)
 
 
@@ -84,7 +81,7 @@ def test_rising_over_factorial_matches_pochhammer(a, length):
 
 
 @given(basis=any_basis, nums=st.lists(st.integers(-50, 50), max_size=7), den=st.integers(1, 30),
-       points=st.lists(st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), max_size=5))
+       points=st.lists(st.one_of(rationals, st.fractions(-20, 20, max_denominator=60), st.integers(-20, 20)), max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_values_at_matches_element_value_sums(basis, nums, den, points):
     values = values_at(basis, (nums, den), points)

@@ -7,6 +7,7 @@ solution.  The references here build each condition as a row of Fractions
 in the same bases, or raise the same error class.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from mopexact.linalg import solve_linear_system
 from mopexact.gammaprod import pair, row_product
 from mopexact.polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, hahn_corner_systems
+from conftest import admissible_systems, backward_rows, hahn_corner_systems, row_values
 
 F = Fraction
 
@@ -33,8 +34,8 @@ def outcome(function, *args):
 
 
 def type1_reference(ws, n) -> TypeIVector:
-    """Type I rows as Fractions: the backward rows paired with each weighted column for Hahn, the
-    moments times the moment scale otherwise, against the normalization on the last row."""
+    """Type I rows as Fractions: the backward rows (beta+N+1-x)_j paired with each weighted column for Hahn,
+    against (-1)^(|n|-1), the moments times the moment scale otherwise, against 1, the normalization on the last row."""
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
     unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
@@ -42,8 +43,8 @@ def type1_reference(ws, n) -> TypeIVector:
     if ws.family is Family.HAHN:
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
         columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-        for row in lattice_table(Basis.backward_pochhammer(*ws.beta.as_integer_ratio(), ws.N), total - 1, ws.N):
-            rows.append([pair(row, column) for column in columns])
+        for row in backward_rows(ws, total - 1):
+            rows.append([sum(map(operator.mul, row, row_values(*column)), F(0)) for column in columns])
         target = F(-1) ** (total - 1)
     else:
         moments = ws.moment_rows(total + max(n) - 1)

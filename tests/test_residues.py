@@ -19,6 +19,7 @@ from mopexact import (
 from mopexact import families, residues
 from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, compositions
 from mopexact.gammaprod import as_fraction
+from mopexact.polybasis import values_at
 from mopexact.weights import Family, MultiIndex, total_degree
 from conftest import (
     admissible_systems, hahn_corner_systems, hahn_ws, interpolation_recover_p, jacobi_pineiro_ws, laguerre_ws,
@@ -135,10 +136,11 @@ def pole_weight(ws: WeightSystem, n: MultiIndex, i: int, k: int) -> Fraction:
 
 
 def pole_sum(ws: WeightSystem, i: int, terms: list[Fraction], x: Fraction) -> Fraction:
-    """Component i of the residue route at x: the terms against their x-dependent factors."""
+    """Component i of the residue route at x: the terms against their x-dependent factors, for Hahn
+    t_k (x+alpha_i+1)_k (alpha_i+1)_x, the residue's (alpha_i+1+k)_x times (alpha_i+1)_k."""
     if ws.family is Family.HAHN:
-        m = x.numerator
-        return sum((t * pochhammer(ws.alpha[i] + 1 + k, m) for k, t in enumerate(terms)), Fraction(0))
+        shift, m = ws.alpha[i] + 1, x.numerator
+        return sum((t * pochhammer(x + shift, k) * pochhammer(shift, m) for k, t in enumerate(terms)), Fraction(0))
     return sum((t * x**k for k, t in enumerate(terms)), Fraction(0))
 
 
@@ -339,10 +341,14 @@ class TestRandomAdmissibleSystems:
             _, faulty = apply_fault(None, vec, fault)
             verdict = True
             for i, (terms, comp) in enumerate(zip(poles, faulty.components)):
-                pole_row, direct_row = residues._duality_rows(ws, i, terms, comp, points)
+                basis = families.type1_basis(ws, i)
+                # both rows' values times the factor (alpha_i+1)_x the Hahn rows leave out
+                factors = [pochhammer(ws.alpha[i] + 1, x.numerator) if ws.family is Family.HAHN else 1 for x in points]
+                pole_row, direct_row = ([v * f for v, f in zip(pair_values(values_at(basis, row, points)), factors)]
+                                        for row in (terms, comp.row))
                 reference_poles = [pole_sum(ws, i, term_fractions(terms), x) for x in points]
                 reference_direct = [direct_value(ws, i, comp, x) for x in points]
-                assert (pair_values(pole_row), pair_values(direct_row)) == (reference_poles, reference_direct), (fault, i)
+                assert (pole_row, direct_row) == (reference_poles, reference_direct), (fault, i)
                 verdict &= reference_poles == reference_direct  # both against the canonical scale
             assert check_residue_duality(ws, n, faulty, points) == verdict == (fault is None), fault
 
