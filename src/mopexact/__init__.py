@@ -31,7 +31,6 @@ from .gammaprod import (
 )
 from .oracle import (
     OrthogonalityReport,
-    check_discrete_mellin_inversion,
     check_hahn_summation_identity,
     check_mellin_type2,
     check_type1_orthogonality,
@@ -50,7 +49,8 @@ from .weights import Family, MultiIndex, WeightSystem, total_degree
 __version__ = "0.1.0"
 
 #: The hypergeometric names, which only the identity checks use: :mod:`.hyper` is imported on first use.
-_HYPER = ("check_chu_vandermonde", "check_karp_prilepkina", "check_kummer", "check_rakha_rathie", "kdf", "pfq")
+_HYPER = ("check_chu_vandermonde", "check_discrete_mellin_inversion", "check_karp_prilepkina", "check_kummer",
+          "check_rakha_rathie", "kdf", "pfq")
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HYPER))
 

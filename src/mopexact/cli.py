@@ -311,6 +311,7 @@ def _run_shares(run_share, shares: list[list]) -> list[dict]:
 
 def cmd_verify(args) -> int:
     """Run every grid instance; with --jobs above 1, interleaved shares of the grid run in forked children."""
+    driver.parse_fault(args.inject_fault)  # a bad specification is refused before any instance runs
     instances = driver.iter_instances(
         _verify_families(args.family), args.max_total_degree, args.max_N
     )
@@ -384,7 +385,7 @@ def _mellin_inversion_rows(args, rng) -> list[dict]:
         values = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(N + 1)]
         rows.append({
             "params": {"N": N, "values": [str(v) for v in values]},
-            "ok": oracle.check_discrete_mellin_inversion(ws, values),
+            "ok": _hyper("check_discrete_mellin_inversion")(ws, values),
         })
     return rows
 
@@ -500,15 +501,16 @@ def cmd_plot_data(args) -> int:
     n = tuple(args.n)
     ws.validate_index(n, type_one=args.type == 1)
     points = _sample_points(ws, args)
+    generated = families.type2(ws, n) if args.type == 2 else families.type1(ws, n)
     rows = []
-    if args.type == 2:
-        poly = families.type2(ws, n)
-        for x in points:
-            rows.append([str(x), repr(float(poly.rational_value(x)))])
-    else:
-        vec = families.type1(ws, n)
-        for x in points:
-            rows.append([str(x), repr(float_eval_type1_form(ws, n, vec, x))])
+    for x in points:  # every row is rounded before any is written
+        try:
+            value = float(generated.rational_value(x)) if args.type == 2 else float_eval_type1_form(ws, n, generated, x)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"the value at x = {x} is beyond the double range")
+        rows.append([str(x), repr(value)])
     _emit_csv(["x", "value"], rows, args.out)
     return 0
 

@@ -94,25 +94,33 @@ def _bumped(poly: ScaledPolynomial, index: int) -> ScaledPolynomial:
     return ScaledPolynomial(poly.basis, row=(nums, den))
 
 
-def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):
-    """Perturb one generated coefficient by +1 per the fault specification."""
+def parse_fault(fault: str | None) -> tuple[str, list[int]] | None:
+    """The kind and indices of a fault specification, None for no fault, or ValueError."""
     if not fault:
-        return poly, vec
+        return None
     kind, *fields = fault.split(":")
     try:
         indices = [int(v) for v in fields]
     except ValueError:
-        raise ValueError(f"unrecognized fault specification {fault!r}") from None
-    if kind == "t2" and len(indices) == 1:
+        indices = []
+    if (kind, len(indices)) not in (("t2", 1), ("t1", 2)):
+        raise ValueError(f"unrecognized fault specification {fault!r}")
+    return kind, indices
+
+
+def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):
+    """Perturb one generated coefficient by +1 per the fault specification."""
+    kind, indices = parse_fault(fault) or (None, ())
+    if kind is None:
+        return poly, vec
+    if kind == "t2":
         return _bumped(poly, indices[0]), vec
-    if kind == "t1" and len(indices) == 2:
-        components = list(vec.components)
-        component = indices[0] % len(components)
-        if not components[component].row[0]:
-            raise ValueError(f"component {component} has no coefficients to perturb")
-        components[component] = _bumped(components[component], indices[1])
-        return poly, TypeIVector(tuple(components))
-    raise ValueError(f"unrecognized fault specification {fault!r}")
+    components = list(vec.components)
+    component = indices[0] % len(components)
+    if not components[component].row[0]:
+        raise ValueError(f"component {component} has no coefficients to perturb")
+    components[component] = _bumped(components[component], indices[1])
+    return poly, TypeIVector(tuple(components))
 
 
 def _hahn_sample_points(N: int) -> list[int]:

@@ -3,12 +3,13 @@
 Generalized hypergeometric series and their two-variable Kampe de Feriet
 extension are evaluated as exact finite rational sums: a series is accepted
 only when a nonpositive-integer numerator parameter truncates it.  The
-transformation identities of the ``identity`` command (Chu-Vandermonde,
-the 3F2 Kummer transformation, the Rakha-Rathie reduction of a Kampe de
-Feriet double sum, and the Karp-Prilepkina decomposition) are implemented
-as boolean checkers that compare both sides exactly; each restricts one
-parameter to a nonpositive integer so that every gamma prefactor cancels
-to an exact rational under :meth:`GammaProduct.reduce`.  :func:`pfq` and
+transformation identities of the ``identity`` command (Chu-Vandermonde, the
+3F2 Kummer transformation, the Rakha-Rathie reduction of a Kampe de Feriet
+double sum, the Karp-Prilepkina decomposition, and the discrete Mellin
+inversion on the Hahn lattice) are boolean checkers that compare both sides
+exactly; each series identity restricts one parameter to a nonpositive
+integer so that every gamma prefactor cancels to an exact rational under
+:meth:`GammaProduct.reduce`.  :func:`pfq` and
 :func:`kdf` serve only these checkers: the generators and the verify
 checks build their series as integer term-ratio rows
 (:func:`mopexact.gammaprod.ratio_row`).  The two stay plain Fraction loops,
@@ -24,8 +25,9 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import NonTerminatingSeriesError, PoleError, PreconditionError
+from .errors import AdmissibilityError, NonTerminatingSeriesError, PoleError, PreconditionError
 from .gammaprod import GammaProduct, as_fraction, is_nonpositive_integer, pochhammer
+from .weights import Family
 
 
 def _cutoff(params) -> int | None:
@@ -240,6 +242,23 @@ def check_karp_prilepkina(a, f, m, b, k) -> bool:
     for fj, mj in pairs:
         rhs /= pochhammer(fj, mj)
     return lhs == rhs
+
+
+def check_discrete_mellin_inversion(ws, values) -> bool:
+    """Exact lattice inversion of the discrete transform for arbitrary data on the Hahn lattice of ws.
+
+    The pole sum of the inversion kernel collapses to the double sum
+    sum_{k<=x} sum_{l=k}^{x} f(k)/k! (-1)^{l-k}/(l-k)! x!/(x-l)!, that is
+    f(k) (-1)^{l-k} C(x, l) C(l, k), which must reproduce f(x) at every lattice point.
+    """
+    if ws.family is not Family.HAHN:
+        raise AdmissibilityError("the lattice inversion is a Hahn-side check")
+    values = [as_fraction(v) for v in values]
+    if len(values) != ws.N + 1:
+        raise PreconditionError(f"need one value per lattice point, got {len(values)}")
+    return all(sum((values[k] * (-1) ** (l - k) * math.comb(x, l) * math.comb(l, k)
+                    for k in range(x + 1) for l in range(k, x + 1)), Fraction(0)) == values[x]
+               for x in range(ws.N + 1))
 
 
 # --- identity draw samplers -------------------------------------------------

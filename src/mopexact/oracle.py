@@ -25,7 +25,9 @@ scale is the rational :func:`_moment_scale`.  Every check reads a type II
 polynomial or a type I vector only as :func:`families.type2_row` or
 :func:`families.type1_rows` admits it, so every route refuses the same inputs
 (PreconditionError).  Every Mellin transform argument is an integer pair (a, b),
-b > 0, not necessarily reduced.
+b > 0, not necessarily reduced, and the Mellin check reads the admitted row
+alone in every family: Chu-Vandermonde turns the Hahn lattice transform into
+the Jacobi-Pineiro sum over the coefficients, so no lattice value is read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import Frozen, as_fraction, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
+from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss
 from .polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
@@ -198,69 +200,45 @@ def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[tuple[int, int]]
 def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, points) -> bool:
     """Moment-reduced transform of the weighted type II polynomial vs its closed form.
 
-    Both sides are compared at every transform argument s = a/b in points,
-    given as the integer pair (a, b) with b > 0 (not necessarily reduced), as
-    rational cofactors of the same gamma factor: Gamma(s) for Laguerre,
-    Gamma(s) Gamma(beta+1) / Gamma(s+beta+|n|+1) for Jacobi-Pineiro, and
-    Gamma(beta+1) Gamma(s) for the discrete Hahn kernel.  The parts that do
-    not depend on s are built once; the first failing s returns False.
+    Both sides are compared at every transform argument s = a/b in points, a
+    nonempty list of integer pairs (a, b), b > 0, not necessarily reduced, as
+    rational cofactors of one gamma factor: Gamma(s) for Laguerre, Gamma(s) Gamma(beta+1)
+    / Gamma(s+beta+|n|+1) for Jacobi-Pineiro and Gamma(beta+1) Gamma(s) X for the discrete
+    Hahn kernel, X = (s+beta+|n|+1)_{N-|n|} / (N-|n|)!.  The first failing s returns False.
 
-    Both sides are integer pairs, cross-multiplied; the right one is
-    one :func:`rising_product` over bQ.  The continuous left side sum_k c_k (s)_k
-    [(s+beta+1+k)_{|n|-k} for Jacobi-Pineiro], over the row :func:`families.type2_row`
-    admits, is nested from k = |n|: with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv)
-    (B_k = v = 1 for Laguerre), acc_k = c_k B_k b^(|n|-k) + (a+kb) v acc_(k+1).
+    Both sides are integer pairs, cross-multiplied; the right one is one :func:`rising_product`
+    over bQ.  The left side sum_k c_k (s)_k [(s+beta+1+k)_{|n|-k} with beta] over the admitted row
+    is nested from k = |n|: with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv) (B_k = v = 1 for
+    Laguerre), acc_k = c_k B_k b^(|n|-k) + (a+kb) v acc_(k+1).  For Hahn, Chu-Vandermonde gives
+    sum_x (-x)_k (s)_x/x! (beta+1)_{N-x}/(N-x)! = (-1)^k (s)_k (s+beta+1+k)_{N-k}/(N-k)!: X times the
+    Jacobi-Pineiro term on c_k (-1)^k (N-|n|)!/(N-k)!, that is c_k (-1)^k N!/(N-k)! over N!/(N-|n|)!.
     """
     coefficients, den = families.type2_row(ws, n, poly)
+    if not points:
+        raise PreconditionError("the Mellin check needs at least one transform argument")
     total = total_degree(n)
     Q, alpha, beta = ws.integer_parameters
-    head = (-1) ** total, 1
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        bottom = math.factorial(ws.N - total) if ws.family is Family.HAHN else 1
-        head = rising_product(Q, [(beta + Q, total)], [(c + beta + (total + 1) * Q, ni) for c, ni in zip(alpha, n)],
-                              (-1) ** total, bottom)
+    shifted = ws.family is not Family.LAGUERRE_FIRST_KIND  # the two families with beta
+    head = rising_product(Q, [(beta + Q, total)] if shifted else (),
+                          [(c + beta + (total + 1) * Q, ni) for c, ni in zip(alpha, n) if shifted], (-1) ** total)
     if ws.family is Family.HAHN:
-        weighted = row_product(poly.lattice_values(ws.N), ws.beta_factors)
+        coefficients = [(-1) ** k * math.perm(ws.N, k) * c for k, c in enumerate(coefficients)]
+        den *= math.perm(ws.N, total)
     for a, b in points:
         if b <= 0:
             raise PreconditionError(f"transform argument {a}/{b} needs a positive denominator")
         if a <= 0 and a % b == 0:
             raise PoleError(f"transform argument s = {a // b} sits on a gamma pole")
         ups = [(c * b - a * Q + Q * b, ni) for c, ni in zip(alpha, n)]  # alpha_i+1-s over bQ
-        if ws.family is Family.HAHN:
-            ups.append((a * Q + (beta + (total + 1) * Q) * b, ws.N - total))
-            kernel = ratio_row([a], [b], ws.N + 1, b)  # (s)_x / x!
-            lhs = sum(map(operator.mul, weighted[0], kernel[0])), weighted[1] * kernel[1]
-        else:
-            jacobi = ws.family is Family.JACOBI_PINEIRO
-            u, v = (a * Q + (beta + Q) * b, b * Q) if jacobi else (1, 1)
-            factors = [u + m * v for m in range(total)] if jacobi else [1] * total
-            acc, tail, power = 0, 1, 1
-            for k in range(total, -1, -1):
-                acc = coefficients[k] * tail * power + (a + k * b) * v * acc
-                tail, power = tail * (factors[k - 1] if k else 1), power * b
-            lhs = acc, den * (b * v) ** total
-        rhs = rising_product(b * Q, ups, (), *head)
-        if not same([lhs], [rhs]):
+        u, v = (a * Q + (beta + Q) * b, b * Q) if shifted else (1, 1)
+        factors = [u + m * v for m in range(total)] if shifted else [1] * total
+        acc, tail, power = 0, 1, 1
+        for k in range(total, -1, -1):
+            acc = coefficients[k] * tail * power + (a + k * b) * v * acc
+            tail, power = tail * (factors[k - 1] if k else 1), power * b
+        if not same([(acc, den * (b * v) ** total)], [rising_product(b * Q, ups, (), *head)]):
             return False
     return True
-
-
-def check_discrete_mellin_inversion(ws: WeightSystem, values) -> bool:
-    """Exact lattice inversion of the discrete transform for arbitrary data.
-
-    The pole sum of the inversion kernel collapses to the double sum
-    sum_{k<=x} sum_{l=k}^{x} f(k)/k! (-1)^{l-k}/(l-k)! x!/(x-l)!, that is
-    f(k) (-1)^{l-k} C(x, l) C(l, k), which must reproduce f(x) at every lattice point.
-    """
-    if ws.family is not Family.HAHN:
-        raise AdmissibilityError("the lattice inversion is a Hahn-side check")
-    values = [as_fraction(v) for v in values]
-    if len(values) != ws.N + 1:
-        raise PreconditionError(f"need one value per lattice point, got {len(values)}")
-    return all(sum((values[k] * (-1) ** (l - k) * math.comb(x, l) * math.comb(l, k)
-                    for k in range(x + 1) for l in range(k, x + 1)), Fraction(0)) == values[x]
-               for x in range(ws.N + 1))
 
 
 def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]:

@@ -10,8 +10,7 @@ Fraction coefficients are built only when read.
 Every value is computed through the basis's one-step factor
 (:meth:`Basis._step_factor`): nested in integers at rational points
 (:func:`values_at`) and tabulated on the Hahn lattice {0, ..., N} as integer
-rows (:func:`lattice_table`; the row format is :mod:`mopexact.gammaprod`'s);
-a polynomial keeps its lattice values for as long as it lives.
+rows (:func:`lattice_table`; the row format is :mod:`mopexact.gammaprod`'s).
 """
 
 from __future__ import annotations
@@ -121,8 +120,7 @@ class ScaledPolynomial(Frozen):
             values = [as_fraction(c) for c in coefficients]
             den = math.lcm(*(v.denominator for v in values))
             row = [v.numerator * (den // v.denominator) for v in values], den
-        # _lattice_values maps a lattice size N to the values on {0..N}; not a field, so eq and hash ignore it
-        self.__dict__.update(basis=basis, row=reduced_row(*row), _lattice_values={})
+        self.__dict__.update(basis=basis, row=reduced_row(*row))
 
     @cached_property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -143,13 +141,11 @@ class ScaledPolynomial(Frozen):
         return Fraction(*values_at(self.basis, self.row, [x])[0])
 
     def lattice_values(self, N: int) -> LatticeRow:
-        """rational_value at x = 0..N as a reduced row, computed once per N and kept on this object."""
-        if N not in self._lattice_values:
-            nums, den = self.row
-            table = lattice_table(self.basis, len(nums) - 1, N)
-            values, common = row_sum([([c * v for v in row], d) for c, (row, d) in zip(nums, table)], N + 1)
-            self._lattice_values[N] = reduced_row(values, den * common)
-        return self._lattice_values[N]
+        """rational_value at x = 0..N as a reduced row, summed over the basis rows of :func:`lattice_table`."""
+        nums, den = self.row
+        table = lattice_table(self.basis, len(nums) - 1, N)
+        values, common = row_sum([([c * v for v in row], d) for c, (row, d) in zip(nums, table)], N + 1)
+        return reduced_row(values, den * common)
 
     def leading_monomial_coefficient(self) -> tuple[int, int]:
         """Top nonzero coefficient times the leading sign of its basis element, (-1)^k for (-x)_k,
@@ -172,7 +168,3 @@ class TypeIVector(Frozen):
 
     def __init__(self, components: tuple[ScaledPolynomial, ...]):
         self.__dict__["components"] = components
-
-    @property
-    def p(self) -> int:
-        return len(self.components)

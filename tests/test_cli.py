@@ -103,6 +103,15 @@ class TestDriver:
             "7a654e52042e3ced27b21a2227e66ad824492d072f4f14ca3ec6be73258c626d"
         )
 
+    def test_hahn_degree_five_digest(self):
+        # golden output past the default grid: |n| <= 5 on lattices up to N = 12; records must not move
+        records = sorted((run_instance(i) for i in iter_instances(["hahn"], 5, 12)), key=lambda r: r["instance"])
+        assert len(records) == 225 and all(r["pass"] for r in records)
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "8f7a580f0d69551cfcb8eaa8a03528b1b8681c590dee2cdfee6c123e865096e5"
+        )
+
     @pytest.mark.parametrize("key, t2_red, t1_red", [
         ("laguerre1|n=2,1", set(), set()),
         ("jacobi-pineiro|n=2,1", set(), set()),
@@ -431,6 +440,16 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload == {"command": "verify", "error": "--jobs must be >= 0, got -3", "kind": "ValueError"}
 
+    @pytest.mark.parametrize("argv", [("--max-total-degree", "0"), ("--max-total-degree", "2", "--jobs", "2")],
+                             ids=["empty-grid", "two-jobs"])
+    def test_malformed_fault_refused_before_the_grid_runs(self, capsys, forks, argv):
+        # the specification is read once, so an empty grid does not hide it and no child is forked to meet it
+        code, out = run_cli(capsys, "verify", *argv, "--inject-fault", "bogus")
+        assert code == 2 and forks[0] == 0
+        assert json.loads(out) == {
+            "command": "verify", "error": "unrecognized fault specification 'bogus'", "kind": "ValueError",
+        }
+
     @pytest.mark.parametrize("fault", ["t1:x:0", "t1:0:y", "t2:x", "t2:1/2"])
     def test_non_integer_fault_index_rejected(self, capsys, fault):
         code, out = run_cli(capsys, "verify", "--max-total-degree", "1", "--max-N", "1", "--inject-fault", fault)
@@ -717,6 +736,19 @@ class TestPlotDataCommand:
         stripped = argv[:argv.index(option)] + argv[argv.index(option) + 2:]
         code, out = run_cli(capsys, "plot-data", *stripped)
         assert code == 0 and len(list(csv.reader(io.StringIO(out)))) > 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1", "--type", "1", "--samples", "1", "--x-max", "1" + "0" * 400),
+        ("--n", "1", "--type", "2", "--samples", "2", "--x-max", "1" + "0" * 400),
+        ("--n", "3", "--type", "1", "--samples", "1", "--x-max", "1" + "0" * 150),
+    ], ids=["type-1-overflow", "type-2-overflow", "type-1-product-inf"])
+    def test_value_beyond_the_double_range_refused(self, capsys, argv):
+        # x = 10**400 and 10**400 / 2 round to no double; at x = 10**150 the rational and x**alpha round,
+        # but their product is inf: one JSON line each, and no partial csv
+        code, out = run_cli(capsys, "plot-data", "--family", "laguerre1", "--alpha", "1/2", *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "ValueError" and payload["error"].endswith("is beyond the double range")
 
     @pytest.mark.parametrize("argv", [
         ("--x-max", "0"),

@@ -163,7 +163,7 @@ def test_empty_product_is_one_object():
 def _warm(value):
     """value with its caches filled, so its __dict__ holds more than its fields."""
     if isinstance(value, ScaledPolynomial):
-        value.lattice_values(4)
+        value.coefficients
     elif isinstance(value, WeightSystem):
         value.weight_table
     return value

@@ -440,8 +440,24 @@ def jacobi_pineiro_mellin_lhs(coefficients, s: Fraction, beta: Fraction, total: 
     return lhs
 
 
+def hahn_lattice_transform(ws, poly, s: Fraction) -> Fraction:
+    """sum_x Q(x) (beta+1)_{N-x}/(N-x)! (s)_x/x! over the lattice, term by term."""
+    return sum((poly.rational_value(x) * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
+                * pochhammer(s, x) / math.factorial(x) for x in range(ws.N + 1)), F(0))
+
+
+def hahn_shared_factor(ws, total: int, s: Fraction) -> Fraction:
+    """(s+beta+|n|+1)_{N-|n|} / (N-|n|)!, the factor of both Hahn Mellin sides that the check cancels."""
+    return pochhammer(s + total + ws.beta + 1, ws.N - total) / math.factorial(ws.N - total)
+
+
 def reference_mellin_sides(ws, n, poly, s: Fraction) -> tuple[Fraction, Fraction]:
-    """Both sides of check_mellin_type2 at s, over Fractions and per point, for every family."""
+    """Both sides of check_mellin_type2 at s, over Fractions and per point, for every family.
+
+    The Hahn sides are the lattice transform and its closed form over their shared factor.  The
+    transform over that factor is a polynomial of degree <= |n| in s (Chu-Vandermonde); where the
+    factor vanishes, it is interpolated from s = 1..|n|+1, where the factor is positive.
+    """
     total = sum(n)
     rhs = F(-1) ** total
     if ws.family is not Family.LAGUERRE_FIRST_KIND:
@@ -451,9 +467,13 @@ def reference_mellin_sides(ws, n, poly, s: Fraction) -> tuple[Fraction, Fraction
     for a, ni in zip(ws.alpha, n):
         rhs *= pochhammer(a + 1 - s, ni)
     if ws.family is Family.HAHN:
-        rhs *= pochhammer(s + total + ws.beta + 1, ws.N - total) / math.factorial(ws.N - total)
-        lhs = sum((poly.rational_value(x) * pochhammer(ws.beta + 1, ws.N - x) / math.factorial(ws.N - x)
-                   * pochhammer(s, x) / math.factorial(x) for x in range(ws.N + 1)), F(0))
+        shared = hahn_shared_factor(ws, total, s)
+        if shared:
+            lhs = hahn_lattice_transform(ws, poly, s) / shared
+        else:
+            reduced = interpolate([(t, hahn_lattice_transform(ws, poly, F(t)) / hahn_shared_factor(ws, total, F(t)))
+                                   for t in range(1, total + 2)])
+            lhs = sum((c * s**k for k, c in enumerate(reduced)), F(0))
     elif ws.family is Family.JACOBI_PINEIRO:
         lhs = jacobi_pineiro_mellin_lhs(poly.coefficients, s, ws.beta, total)
     else:
@@ -662,6 +682,44 @@ class TestMellin:
         poly = families.type2(ws, (1,))
         bumped = ScaledPolynomial(poly.basis, (poly.coefficients[0] + 1, poly.coefficients[1]))
         assert not check_mellin_type2(ws, (1,), bumped, [(1, 7)])
+
+    @given(admissible_systems(family="hahn"))
+    @settings(max_examples=30, deadline=None)
+    def test_cancelled_factor_zeros_match_fraction_route(self, system):
+        ws, n = system
+        total = sum(n)
+        zeros = [(-(ws.beta + total + 1 + m)).as_integer_ratio() for m in range(ws.N - total)]
+        poly = families.type2(ws, n)
+        for fault in [None] + [f"t2:{k}" for k in range(total + 1)]:
+            bumped, _ = apply_fault(poly, None, fault)
+            for s in zeros:
+                lhs, rhs = reference_mellin_sides(ws, n, bumped, F(*s))
+                assert check_mellin_type2(ws, n, bumped, [s]) == (lhs == rhs) == (fault is None), (fault, s)
+
+    def test_empty_point_list_is_a_precondition_error(self):
+        # no transform argument compares nothing: refused, not passed, for any polynomial
+        for ws in (laguerre_ws(1), jacobi_pineiro_ws(1), hahn_ws(1, 3)):
+            poly = families.type2(ws, (1,))
+            for p in (poly, apply_fault(poly, None, "t2:0")[0]):
+                with pytest.raises(PreconditionError, match="at least one transform argument"):
+                    check_mellin_type2(ws, (1,), p, [])
+
+    def test_zeros_of_the_cancelled_factor_are_not_vacuous(self):
+        # at s = -(beta+|n|+1+m), m < N-|n|, the lattice transform and its closed form both vanish for every
+        # polynomial; over their shared factor the clean polynomial passes there and every t2 bump fails
+        ws, n = WeightSystem.hahn((F(1, 2), F(1, 3)), F(1, 4), 5), (1, 1)
+        poly = families.type2(ws, n)
+        zeros = [(-(ws.beta + sum(n) + 1 + m)).as_integer_ratio() for m in range(ws.N - sum(n))]
+        assert zeros == [(-13, 4), (-17, 4), (-21, 4)]
+        for s in zeros:
+            assert hahn_shared_factor(ws, sum(n), F(*s)) == 0
+            lhs, rhs = reference_mellin_sides(ws, n, poly, F(*s))
+            assert lhs == rhs and check_mellin_type2(ws, n, poly, [s])
+            for k in range(sum(n) + 1):
+                bumped, _ = apply_fault(poly, None, f"t2:{k}")
+                assert hahn_lattice_transform(ws, bumped, F(*s)) == 0
+                lhs, rhs = reference_mellin_sides(ws, n, bumped, F(*s))
+                assert lhs != rhs and not check_mellin_type2(ws, n, bumped, [s]), (s, k)
 
 
 class TestDiscreteInversion:
