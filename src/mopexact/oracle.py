@@ -1,33 +1,29 @@
 """Independent ground truth: moment reduction and exact linear solves.
 
 Nothing here looks at the closed-form coefficient formulas.  Weight moments
-come from the classical integral transforms (gamma and beta moments for the
-continuous families, finite lattice sums for Hahn); orthogonality is checked
-by exact summation against them, and the polynomials are reconstructed from
-the defining linear conditions alone.  Agreement between these solvers and
-the generators in :mod:`mopexact.families` is the package's central claim.
+come from the classical integral transforms: gamma and beta moments for the
+continuous families, and for Hahn the lattice sums Chu-Vandermonde closes.
+Orthogonality is checked by exact summation against them, and the polynomials
+are reconstructed from the defining linear conditions alone.  Agreement between
+these solvers and the generators in :mod:`mopexact.families` is the package's
+central claim.
 
 Everything is an integer, an integer pair or an integer row
-(:mod:`mopexact.gammaprod`).  Each polynomial type's defining conditions are
-one integer system over the weight and moment rows (``ws.weight_table``,
-``ws.moment_rows``), built once per weight system and multi-index
-(:func:`_type2_conditions`, :func:`_type1_conditions`): the check multiplies
-the generated row by it, and the solve hands its primitive rows to
-:func:`linalg.bareiss` and reads the numerators over the determinant back
-into a coefficient row (``poly.row``).  The type I rows are the powers x^j,
-j < |n|, the top one normalized to 1, in every family (:func:`_lattice_powers` on
-the Hahn lattice).  Residuals are rational cofactors of
-the weight's moment gamma; an exact zero is the int 0 and the type I
-normalization row a pair, so a passing check builds no Fraction.  A type I
-component's row is read against the canonical scale
-:func:`families.type1_scale`, never built here: the moment gamma times that
-scale is the rational :func:`_moment_scale`.  Every check reads a type II
-polynomial or a type I vector only as :func:`families.type2_row` or
-:func:`families.type1_rows` admits it, so every route refuses the same inputs
-(PreconditionError).  Every Mellin transform argument is an integer pair (a, b),
-b > 0, not necessarily reduced, and the Mellin check reads the admitted row
-alone in every family: Chu-Vandermonde turns the Hahn lattice transform into
-the Jacobi-Pineiro sum over the coefficients, so no lattice value is read.
+(:mod:`mopexact.gammaprod`).  Every condition of both types pairs t_a B_b with
+a weight, t_a from the family's type I basis and B_b from its type II basis, and
+one function builds those pairings (:func:`_pairings`): moment windows for the
+continuous families, one :func:`ratio_row` per row for Hahn, and no lattice
+value.  Each type's conditions are one integer system built from it once per
+weight system and multi-index (:func:`_type2_conditions`, :func:`_type1_conditions`):
+the check multiplies the admitted row (:func:`families.type2_row`,
+:func:`families.type1_rows`) by it, and the solve hands its primitive rows to
+:func:`linalg.bareiss`.  The type I rows are B_j, j < |n|, the top one made monic
+and normalized to 1.  Residuals are rational cofactors of the weight's moment
+gamma; an exact zero is the int 0, so a passing check builds no Fraction.  A type
+I component is read against :func:`families.type1_scale`, never built here: the
+moment gamma times it is the rational :func:`_moment_scale`.  The Mellin check
+reads the admitted row alone in every family: Chu-Vandermonde turns the Hahn
+lattice transform into the Jacobi-Pineiro sum over the coefficients.
 """
 
 from __future__ import annotations
@@ -38,10 +34,10 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_product, row_sum, same
+from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_sum, same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss
-from .polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
+from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
 
@@ -81,29 +77,42 @@ class OrthogonalityReport(Frozen):
         return self.normalization is None or self.normalization[0] == self.normalization[1]
 
 
-def _lattice_powers(ws: WeightSystem, total: int) -> list:
-    """x^j at x = 0..N, j < |n|, kept per weight system and |n|: the Hahn type I rows; type II reads max(n) of them."""
-    return ws.kept(("lattice_powers", total), lambda: lattice_table(Basis.monomial(), total - 1, ws.N))
+def _pairings(ws: WeightSystem, n: MultiIndex, i: int, length: int) -> list:
+    """Weight i's rows a < n_i of <t_a B_b, w_i>, b < length, as integer rows over the weight's moment gamma.
+
+    Type II row (i, j) is row j at length |n|+1 and type I column (i, k) row k at length |n|: t_a is the
+    type I basis and B_b the type II basis of the family.  The continuous families pair x^(a+b), the
+    moment window m_i[a..a+length).  Hahn pairs (x+alpha_i+1)_a (-x)_b: as (alpha_i+1)_x (x+alpha_i+1)_a
+    = (alpha_i+1)_a (c)_x, c = alpha_i+1+a, Chu-Vandermonde sums entry b to (alpha_i+1)_a (c+beta+1)_N / N!
+    times (c)_b (-N)_b / (c+beta+1)_b, and the constant steps from a to a+1 by c (c+beta+1+N) / (c+beta+1).
+    At length |n| the top row (-x)_{|n|-1} is taken times (-1)^(|n|-1), its x^(|n|-1) coefficient, so the
+    type I target stays 1.
+    """
+    if ws.family is not Family.HAHN:
+        nums, den = ws.moment_rows(max(n) + length - 1)[i]
+        return [(nums[a:a + length], den) for a in range(n[i])]
+    (Q, alpha, beta), N, total = ws.integer_parameters, ws.N, total_degree(n)
+    c, top, bottom = alpha[i] + Q, *rising_product(Q, [(alpha[i] + beta + 2 * Q, N)], (), 1, math.factorial(N))
+    sign = (-1) ** (total - 1) if length == total else 1
+    rows = []
+    for _ in range(n[i]):
+        nums, den = ratio_row([c, -N * Q], [c + beta + Q], length, Q)
+        nums[-1] *= sign
+        rows.append(([top * v for v in nums], bottom * den))
+        top, bottom = top * c * (c + beta + (N + 1) * Q), bottom * Q * (c + beta + Q)
+        c += Q
+    return rows
 
 
 def _type2_conditions(ws: WeightSystem, n: MultiIndex, width: int) -> dict:
-    """The type II conditions <x^j B, w_i>, j < n_i, as integer rows (i, j) over basis elements k < width, built once
-    per weight system, multi-index and width.  Hahn pairs falling factorials: entry k is sum_x x^j (-x)_k w_i(x) over
-    w_i's denominator; the continuous families pair monomials: row (i, j) is the moment window m_i[j..j+width)."""
-    def build():
-        if ws.family is not Family.HAHN:
-            moments = ws.moment_rows(max(n) + width - 1)
-            return {(i, j): (moments[i][0][j:j + width], moments[i][1]) for i, m in enumerate(n) for j in range(m)}
-        falling = lattice_table(Basis.falling_factorial(), width - 1, ws.N)
-        powers = _lattice_powers(ws, total_degree(n))
-        weighted = [[tuple(map(operator.mul, row, weight)) for row, _ in falling] for weight, _ in ws.weight_table]
-        return {(i, j): ([sum(map(operator.mul, powers[j][0], row)) for row in weighted[i]], ws.weight_table[i][1])
-                for i, m in enumerate(n) for j in range(m)}
-    return ws.kept(("type2_conditions", n, width), build)
+    """The type II conditions <t_j B, w_i>, j < n_i, as integer rows (i, j) over basis elements k < width
+    (:func:`_pairings`), built once per weight system, multi-index and width."""
+    return ws.kept(("type2_conditions", n, width),
+                   lambda: {(i, j): row for i in range(ws.p) for j, row in enumerate(_pairings(ws, n, i, width))})
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
-    """All conditions <x^j B, w_i> = 0 for j < n_i, exactly: the admitted row paired with each condition row."""
+    """All conditions <t_j B, w_i> = 0 for j < n_i, exactly: the admitted row paired with each condition row."""
     row = families.type2_row(ws, n, poly)
     conditions = _type2_conditions(ws, n, len(row[0]))
     return OrthogonalityReport({key: pair(row, condition) for key, condition in conditions.items()}, None)
@@ -111,23 +120,15 @@ def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolyn
 
 def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[tuple[int, int]]]:
     """The type I system over the unknowns (i, k), k < n_i, built once per weight system and multi-index: an |n| x |n|
-    integer matrix and one scale (top, bottom) per unknown, so that row j, the power x^j, pairs the basis element of
-    unknown (i, k) exactly to entry * top / bottom.  Hahn pairs the lattice power rows with the weighted shifted rising
-    columns, whose denominators are the bottoms; continuous entry (j, (i, k)) is the moment m_i[j+k], its denominator
-    and :func:`_moment_scale` the unknown's."""
+    integer matrix and one scale (top, bottom) per unknown, so that row j pairs the basis element of unknown (i, k)
+    exactly to entry * top / bottom.  Column (i, k) is :func:`_pairings` row k over its content, which joins the
+    row's denominator and :func:`_moment_scale` in the scale."""
     def build():
         total = total_degree(n)
-        unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
-        if ws.family is Family.HAHN:
-            tables = {i: lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p) if n[i]}
-            columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
-            matrix = [[sum(map(operator.mul, nums, column)) for column, _ in columns]
-                      for nums, _ in _lattice_powers(ws, total)]
-            return matrix, [(1, den) for _, den in columns]
-        moments = ws.moment_rows(total + max(n) - 1)
-        weights = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
-        matrix = list(zip(*(moments[i][0][k:k + total] for i, k in unknowns)))
-        return matrix, [(weights[i][0], weights[i][1] * moments[i][1]) for i, _ in unknowns]
+        scales = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
+        columns = [(i, nums, math.gcd(*nums) or 1, den) for i in scales for nums, den in _pairings(ws, n, i, total)]
+        return (list(zip(*([v // g for v in nums] for _, nums, g, _ in columns))),
+                [(scales[i][0] * g, scales[i][1] * den) for i, _, g, den in columns])
     return ws.kept(("type1_conditions", n), build)
 
 
@@ -175,12 +176,10 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     ws.validate_index(n, type_one=True)
     total = total_degree(n)
     matrix, scales = _type1_conditions(ws, n)
-    # each column, then each row over its content; only the last row's reaches the solution
-    contents = [math.gcd(*column) or 1 for column in zip(*matrix)]
-    rows = [[v // g for v, g in zip(row, contents)] for row in matrix]
-    last = math.gcd(*rows[-1]) or 1
-    solved, det = bareiss([primitive(row) for row in rows], [0] * (total - 1) + [1])  # the last condition's target is 1
-    solution = iter((v * bottom, top * g * last) for v, (top, bottom), g in zip(solved, scales, contents))
+    # each row over its content; only the last row's reaches the solution
+    last = math.gcd(*matrix[-1]) or 1
+    solved, det = bareiss([primitive(row) for row in matrix], [0] * (total - 1) + [1])  # the last condition's target is 1
+    solution = iter((v * bottom, top * last) for v, (top, bottom) in zip(solved, scales))
     components = []
     for i in range(ws.p):  # component i's unknowns over their lcm times det (a negative divisor flips its quotient)
         entries = [next(solution) for _ in range(n[i])]

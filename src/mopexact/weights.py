@@ -10,12 +10,14 @@ Hahn weights are normalized so that their lattice values are exact
 rationals: w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!.  The
 gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
-The lattice values (:attr:`WeightSystem.weight_table`) and the continuous
-moments (:meth:`WeightSystem.moment_rows`) are reduced integer rows
+No weight value is tabulated: Chu-Vandermonde sums every Hahn pairing in
+closed form (:mod:`mopexact.oracle`).  The continuous moments
+(:meth:`WeightSystem.moment_rows`) and the factor all Hahn weights share
+(:attr:`WeightSystem.beta_factors`) are reduced integer rows
 (:mod:`mopexact.gammaprod`), built on first use and kept on the weight
-system.  Every Pochhammer argument they and the checks
-build is an integer over the one denominator Q of
-:attr:`WeightSystem.integer_parameters`, formed by integer adds.
+system.  Every Pochhammer argument they and the checks build is an
+integer over the one denominator Q of :attr:`WeightSystem.integer_parameters`,
+formed by integer adds.  N is an int: a bool, a float or a string is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PoleError
-from .gammaprod import Frozen, LatticeRow, as_fraction, ratio_row, reduced_row, row_product
+from .gammaprod import Frozen, LatticeRow, as_fraction, ratio_row, reduced_row
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 
 
@@ -68,8 +70,8 @@ class WeightSystem(Frozen):
             if self.beta is None or self.beta <= -1:
                 raise AdmissibilityError(f"beta = {self.beta} must exceed -1")
         if self.family is Family.HAHN:
-            if self.N is None or self.N < 0:
-                raise AdmissibilityError("Hahn weights need a lattice size N >= 0")
+            if type(self.N) is not int or self.N < 0:
+                raise AdmissibilityError(f"Hahn weights need an integer lattice size N >= 0, not {self.N!r}")
         elif self.N is not None:
             raise AdmissibilityError(f"{self.family.value} weights take no N")
 
@@ -135,15 +137,6 @@ class WeightSystem(Frozen):
         nums, den = reduced_row(*ratio_row([beta + q], [q], self.N + 1, q))
         return nums[::-1], den
 
-    @cached_property
-    def weight_table(self) -> tuple[LatticeRow, ...]:
-        """Rows i of the Hahn lattice weights w_i(x), x = 0..N, built on first use."""
-        if self.family is not Family.HAHN:
-            raise AdmissibilityError("lattice weights exist only for the Hahn family")
-        q, alpha, _ = self.integer_parameters
-        return tuple(reduced_row(*row_product(ratio_row([a + q], [q], self.N + 1, q), self.beta_factors))
-                     for a in alpha)
-
     def kept(self, key, build):
         """build() once per weight system and key, kept on the weight system so it lasts only as long as it."""
         store = self.__dict__.setdefault("_kept", {})
@@ -165,8 +158,3 @@ class WeightSystem(Frozen):
             kept = tuple(reduced_row(*ratio_row([a + q], [a + s for s in shift], length, q)) for a in alpha)
             self.__dict__["_moment_rows"] = kept
         return kept
-
-    def hahn_weight(self, i: int, x: int) -> Fraction:
-        """Exact lattice weight value w_i(x) for the Hahn family."""
-        nums, den = self.weight_table[i]
-        return Fraction(nums[self.check_point(x).numerator], den)

@@ -1,11 +1,12 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from mopexact import BasisKind, GammaProduct, PoleError, WeightSystem, pochhammer, residues
-from mopexact.gammaprod import as_fraction
+from mopexact import AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, WeightSystem, pochhammer, residues
+from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, row_product
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 STANDARD_BETA = Fraction(1, 4)
@@ -67,6 +68,22 @@ def hahn_corner_systems(draw):
     alpha[i] = -Fraction(draw(st.integers(1, (2, 3, 5)[i] - 1)), (2, 3, 5)[i])
     n = tuple(int(j == i) for j in range(p))
     return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
+
+
+@functools.cache
+def weight_table(ws) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Rows i of the Hahn lattice weights w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!, x = 0..N, as reduced
+    integer rows: the lattice definition the oracle's closed-form Hahn pairings are checked against."""
+    if ws.family is not Family.HAHN:
+        raise AdmissibilityError("lattice weights exist only for the Hahn family")
+    q, alpha, _ = ws.integer_parameters
+    return tuple(reduced_row(*row_product(ratio_row([a + q], [q], ws.N + 1, q), ws.beta_factors)) for a in alpha)
+
+
+def hahn_weight(ws, i: int, x) -> Fraction:
+    """The lattice weight value w_i(x), x in {0, ..., N}, as a Fraction."""
+    nums, den = weight_table(ws)[i]
+    return Fraction(nums[ws.check_point(x).numerator], den)
 
 
 def rising_row(a, length: int) -> list[Fraction]:

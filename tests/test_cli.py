@@ -1,16 +1,20 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopexact import WeightSystem, driver, families, oracle, residues
-from mopexact.cli import _gamma_float, build_parser, main
+from mopexact.cli import IDENTITIES, _gamma_float, build_parser, main
 from mopexact.driver import apply_fault, compositions, instance_key, iter_instances, run_instance, weight_system
 from conftest import laguerre_ws
 
@@ -838,3 +842,82 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert exit_.value.code == 0 and err == ""
         assert out.startswith("usage: mopexact verify")
+
+
+# --- the command-line contract over a grammar of every command and option ---------------------------
+
+#: edge values: rationals and integers that are malformed, a zero denominator, empty, huge or out of range
+_EDGE_RATIONALS = ["0", "-1", "-3/4", "2.5", "-0", "1/0", "", "abc", "1" + "0" * 30, "-" + "9" * 25 + "/7", "1/" + "3" * 25]
+_EDGE_INTS = ["-1", "", "x", "1.5", "1/0", "9" * 40]
+
+
+@st.composite
+def cli_arguments(draw) -> list[str]:
+    """An argument list from a grammar of every command and option: a well-formed one, or with edge values, extra
+    and unknown options and unknown names.  Degrees, lattice sizes, grid bounds and counts stay small."""
+    edge = draw(st.booleans())
+
+    def value(valid, edges=()):
+        return draw(st.sampled_from([*valid, *edges] if edge else valid))
+
+    def some(options):  # each optional option with its value, or left out
+        return [token for name, (valid, edges) in options.items() if draw(st.booleans())
+                for token in (name, value(valid, edges))]
+
+    command = value(["coeffs", "eval", "plot-data", "verify", "identity", "table"], ["frobnicate", ""])
+    argv = [command] if command else []
+    if command in ("coeffs", "eval", "plot-data"):
+        family = value(["laguerre1", "jacobi-pineiro", "hahn"], ["", "chebyshev"])
+        p = draw(st.integers(1, 3))
+        argv += ["--family", family]
+        argv += [token for a in ("1/2", "1/3", "1/5")[:p] for token in ("--alpha", value([a], _EDGE_RATIONALS))]
+        argv += [token for _ in range(p) for token in ("--n", value(["0", "1", "2"], _EDGE_INTS))]
+        if family != "laguerre1" or edge:
+            argv += ["--beta", value(["1/4"], _EDGE_RATIONALS)]
+        if family == "hahn" or edge:
+            argv += ["--N", value(["4", "6"], _EDGE_INTS)]
+        argv += some({"--type": (["1", "2"], ["3", ""])})
+        if command == "eval":
+            argv += ["--x", value(["1/2", "1", "3"], _EDGE_RATIONALS)]
+        if command == "plot-data" and (family != "hahn" or edge):
+            argv += some({"--samples": (["3"], _EDGE_INTS)})
+        if command == "plot-data" and (family == "laguerre1" or edge):
+            argv += some({"--x-max": (["5/2"], _EDGE_RATIONALS)})
+    elif command in ("verify", "identity", "table"):
+        argv += ["--max-total-degree", value(["1", "2"], ["0", "-1", "y"]), "--max-N", value(["2", "3"], ["0", "-2", ""])]
+        seed = (["0", "7", "9" * 40], ["-" + "9" * 40, "x", ""])
+        if command == "verify":
+            argv += some({"--family": (["all", "laguerre1", "jacobi-pineiro", "hahn"], ["", "chebyshev"]), "--seed": seed,
+                          "--inject-fault": (["t2:0", "t1:0:0"], ["t2:-1", "t9:9", "t1:a:b", "", "x"]),
+                          "--jobs": (["1"], ["-1", "x"])})
+        elif command == "identity":
+            argv += ["--name", value(list(IDENTITIES), ["", "gauss"]), "--draws", value(["1", "3"], ["-1", "x"])]
+            argv += some({"--seed": seed, "--params": (["1,2,3", "1/2,-1/3,2"], ["1,2", "1/0,1,1", "", "a,b,c"])})
+        else:
+            argv += some({"--family": (["all", "hahn"], ["chebyshev"]), "--type": (["1", "2"], ["3"]),
+                          "--format": (["csv", "json"], ["xml"])})
+    argv += some({"--out": (["FILE"], ["MISSING_DIR", ""])})
+    if edge:
+        argv += some({"--bogus": (["1"], []), "--N": (["2"], _EDGE_INTS), "--name": (["kummer"], [])})
+    return argv
+
+
+class TestCliContract:
+    @given(cli_arguments())
+    @settings(max_examples=150, deadline=None)
+    def test_every_argument_list_exits_0_1_or_2(self, argv):
+        # 0 or 1 from a command that ran, and 1 only from a verify or identity that found a failure;
+        # 2 is one JSON line with its kind; nothing escapes as an exception
+        with tempfile.TemporaryDirectory() as folder:
+            paths = {"FILE": os.path.join(folder, "out.txt"), "MISSING_DIR": os.path.join(folder, "no", "out.txt")}
+            argv = [paths.get(token, token) for token in argv]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert argv[0] in ("verify", "identity"), argv
+        if code == 2:
+            lines = stdout.getvalue().splitlines()
+            assert len(lines) == 1, argv
+            assert json.loads(lines[0])["kind"], argv

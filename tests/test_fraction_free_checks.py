@@ -24,7 +24,7 @@ from mopexact.driver import (
 from mopexact.gammaprod import row_product
 from mopexact.polybasis import Basis, BasisKind, ScaledPolynomial, values_at
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, backward_rows, hahn_corner_systems, pair_values, row_values
+from conftest import admissible_systems, backward_rows, hahn_corner_systems, pair_values, row_values, weight_table
 
 F = Fraction
 
@@ -54,7 +54,7 @@ def type2_residuals(ws, n, poly) -> list[Fraction]:
     """<x^j B, w_i> for j < n_i, summed over Fractions."""
     if ws.family is Family.HAHN:
         values = row_values(*poly.lattice_values(ws.N))
-        return [sum((F(x) ** j * values[x] * row_values(*ws.weight_table[i])[x] for x in range(ws.N + 1)), F(0))
+        return [sum((F(x) ** j * values[x] * row_values(*weight_table(ws)[i])[x] for x in range(ws.N + 1)), F(0))
                 for i in range(ws.p) for j in range(n[i])]
     c = poly.coefficients
     return [sum((ck * m for ck, m in zip(c, moments(ws, i, max(n) + len(c))[j:])), F(0))
@@ -65,7 +65,7 @@ def type1_rows(ws, n, vec) -> list[Fraction]:
     """Rows j < |n| of the type I conditions over Fractions; the last is the normalization."""
     total = total_degree(n)
     if ws.family is Family.HAHN:
-        form = [sum((row_values(*comp.lattice_values(ws.N))[x] * row_values(*ws.weight_table[i])[x]
+        form = [sum((row_values(*comp.lattice_values(ws.N))[x] * row_values(*weight_table(ws)[i])[x]
                      for i, comp in enumerate(vec.components) if comp.coefficients), F(0))
                 for x in range(ws.N + 1)]
         return [sum((v * f for v, f in zip(row, form)), F(0)) for row in backward_rows(ws, total - 1)]

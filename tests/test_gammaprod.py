@@ -165,7 +165,7 @@ def _warm(value):
     if isinstance(value, ScaledPolynomial):
         value.coefficients
     elif isinstance(value, WeightSystem):
-        value.weight_table
+        value.beta_factors
     return value
 
 

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,15 +24,17 @@ from mopexact import (
     oracle_solve_type2,
     pochhammer,
 )
-from mopexact import AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, residues
+from mopexact import (
+    AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, polybasis, residues,
+)
 from mopexact.weights import total_degree
 from mopexact.linalg import solve_linear_system
-from mopexact.driver import _hahn_sample_points, apply_fault, compositions, run_instance
+from mopexact.driver import _hahn_sample_points, apply_fault, compositions
 from mopexact.gammaprod import pair, row_product, row_sum
 from mopexact.polybasis import lattice_table
 from conftest import (
-    admissible_systems, backward_rows, hahn_corner_systems, hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws,
-    prime_offset, rising_row, row_values, scaled_values_equal, times,
+    admissible_systems, backward_rows, element_value, hahn_corner_systems, hahn_weight, hahn_ws, interpolate,
+    jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values, scaled_values_equal, times, weight_table,
 )
 
 F = Fraction
@@ -79,7 +82,7 @@ def scale_reduction(ws, i: int, total: int) -> Fraction:
 
 def hahn_linear_form(ws, vec):
     """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
-    terms = [row_product(comp.lattice_values(ws.N), ws.weight_table[i])
+    terms = [row_product(comp.lattice_values(ws.N), weight_table(ws)[i])
              for i, comp in enumerate(vec.components) if comp.row[0]]
     return row_sum(terms, ws.N + 1)
 
@@ -106,7 +109,7 @@ def moment(ws, i: int, basis: Basis, j: int) -> MomentValue:
     if not 0 <= i < ws.p:
         raise AdmissibilityError(f"weight index {i} out of range")
     if ws.family is Family.HAHN:
-        value = pair(lattice_table(basis, j, ws.N)[j], ws.weight_table[i])
+        value = pair(lattice_table(basis, j, ws.N)[j], weight_table(ws)[i])
         return MomentValue(value, GammaProduct.one())
     if basis.kind is not BasisKind.MONOMIAL:
         raise PreconditionError("continuous families take moments in the monomial basis")
@@ -151,7 +154,7 @@ def hahn_moment_brute(ws, i: int, l: int, j: int) -> Fraction:
         total += (
             pochhammer(Fraction(x) + ws.alpha[i] + 1, l)
             * pochhammer(ws.beta + ws.N - x + 1, j)
-            * ws.hahn_weight(i, x)
+            * hahn_weight(ws, i, x)
         )
     return total
 
@@ -246,7 +249,7 @@ class TestMoments:
     def test_hahn_any_basis_via_lattice_sum(self):
         ws = hahn_ws(2, 5)
         shifted = Basis.shifted_rising(*(ws.alpha[0] + 1).as_integer_ratio())
-        assert pair(integer_row(backward_rows(ws, 2)[2]), ws.weight_table[0]) == hahn_moment_brute(ws, 0, 0, 2)
+        assert pair(integer_row(backward_rows(ws, 2)[2]), weight_table(ws)[0]) == hahn_moment_brute(ws, 0, 0, 2)
         value = moment(ws, 0, shifted, 3)
         assert value.gamma.is_one()
         assert value.rational == hahn_moment_brute(ws, 0, 3, 0)
@@ -262,7 +265,7 @@ class TestIntegerPairing:
         form = hahn_linear_form(ws, families.type1(ws, n))
         backward = [integer_row(row) for row in backward_rows(ws, total)]
         bases = [Basis.monomial(), Basis.falling_factorial()]
-        for i, weight in enumerate(ws.weight_table):
+        for i, weight in enumerate(weight_table(ws)):
             weighted = row_product(values, weight)
             for basis in bases + [Basis.shifted_rising(*(ws.alpha[i] + 1).as_integer_ratio())]:
                 for row in lattice_table(basis, total, ws.N) + backward:
@@ -274,9 +277,37 @@ class TestIntegerPairing:
         ws = hahn_ws(3, 6)
         vec = families.type1(ws, (2, 1, 2))
         expected = [F(0)] * (ws.N + 1)
-        for comp, weight in zip(vec.components, ws.weight_table):
+        for comp, weight in zip(vec.components, weight_table(ws)):
             expected = [e + v * w for e, v, w in zip(expected, entries(comp.lattice_values(ws.N)), entries(weight))]
         assert entries(hahn_linear_form(ws, vec)) == tuple(expected)
+
+
+class TestHahnPairings:
+    @given(st.one_of(admissible_systems(family="hahn"), hahn_corner_systems()))
+    @settings(max_examples=40, deadline=None)
+    def test_conditions_equal_lattice_sums(self, system):
+        # every closed-form condition, constant included, is its Fraction lattice sum over x = 0..N:
+        # type II row (i, j) pairs (x+alpha_i+1)_j (-x)_k and type I column (i, k) with its scale
+        # pairs (x+alpha_i+1)_k (-x)_j, the top row j = |n|-1 times (-1)^(|n|-1)
+        ws, n = system
+        total, falling = sum(n), Basis.falling_factorial()
+
+        def lattice(i, a, b):
+            basis = families.type1_basis(ws, i)
+            return sum((element_value(basis, a, x) * element_value(falling, b, x) * hahn_weight(ws, i, x)
+                        for x in range(ws.N + 1)), F(0))
+
+        conditions = oracle._type2_conditions(ws, n, total + 1)
+        assert list(conditions) == [(i, j) for i in range(ws.p) for j in range(n[i])]
+        for (i, j), row in conditions.items():
+            assert entries(row) == tuple(lattice(i, j, k) for k in range(total + 1)), (i, j)
+        matrix, scales = oracle._type1_conditions(ws, n)
+        unknowns = [(i, k) for i in range(ws.p) for k in range(n[i])]
+        assert len(matrix) == total and len(scales) == len(unknowns)
+        for column, (top, bottom), (i, k) in zip(zip(*matrix, strict=True), scales, unknowns):
+            expected = [lattice(i, k, j) for j in range(total)]
+            expected[-1] *= (-1) ** (total - 1)
+            assert [F(v * top, bottom) for v in column] == expected, (i, k)
 
 
 class TestType2Reports:
@@ -314,20 +345,29 @@ class TestType2Reports:
         assert not report.passed
         assert any(v != 0 for v in report.residuals.values())
 
-    def test_hahn_tables_built_once_per_instance(self, monkeypatch):
-        # the checks and the solves of both types share one monomial table of the weight system
-        built = []
+    def test_hahn_oracle_evaluates_no_lattice(self, monkeypatch):
+        # both checks and both solves of a Hahn instance read closed-form pairings: no lattice table is built and
+        # no polynomial is evaluated on the lattice, at any place lattice_table is bound
+        ws, n = WeightSystem.hahn((F(1, 2), F(1, 3)), F(1, 4), 5), (2, 1)
+        poly, vec = families.type2(ws, n), families.type1(ws, n)
+        calls = []
+        table, values = polybasis.lattice_table, ScaledPolynomial.lattice_values
 
-        def counting(basis, degree, N):
-            built.append((basis, degree))
-            return lattice_table(basis, degree, N)
+        def counting_table(*args):
+            calls.append("lattice_table")
+            return table(*args)
 
-        monkeypatch.setattr(oracle, "lattice_table", counting)
-        record = run_instance({"family": "hahn", "alpha": ["1/2", "1/3"], "beta": "1/4", "n": [2, 1], "N": 5})
-        assert record["pass"]
-        kinds = [basis.kind for basis, _ in built]
-        assert kinds.count(BasisKind.MONOMIAL) == 1
-        assert len(built) == len(set(built))
+        def counting_values(self, N):
+            calls.append("lattice_values")
+            return values(self, N)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mopexact") and getattr(module, "lattice_table", None) is table:
+                monkeypatch.setattr(module, "lattice_table", counting_table)
+        monkeypatch.setattr(ScaledPolynomial, "lattice_values", counting_values)
+        assert check_type2_orthogonality(ws, n, poly).passed and check_type1_orthogonality(ws, n, vec).passed
+        assert oracle_solve_type2(ws, n) == poly and oracle_solve_type1(ws, n) == vec
+        assert calls == []
 
 
 class TestType1Reports:
@@ -357,8 +397,8 @@ class TestType1Reports:
     @given(st.one_of(admissible_systems(family="hahn"), hahn_corner_systems()))
     @settings(max_examples=40, deadline=None)
     def test_power_rows_give_the_backward_verdict_under_faults(self, system):
-        # the power-row report is the Fraction pairing with x^j, its verdict is the
-        # backward rows' verdict, and the residue duality turns red exactly under a fault
+        # the report is the Fraction pairing with (-x)_j, the top row times (-1)^(|n|-1), its verdict
+        # is the backward rows' verdict, and the residue duality turns red exactly under a fault
         ws, n = system
         total = sum(n)
         target = [F(0)] * (total - 1) + [F(-1) ** (total - 1)]
@@ -368,7 +408,8 @@ class TestType1Reports:
             _, faulty = apply_fault(None, vec, fault)
             report = check_type1_orthogonality(ws, n, faulty)
             form = entries(hahn_linear_form(ws, faulty))
-            *rows, normalization = [lattice_sum([F(x) ** j for x in range(ws.N + 1)], form) for j in range(total)]
+            *rows, top = [lattice_sum([pochhammer(F(-x), j) for x in range(ws.N + 1)], form) for j in range(total)]
+            normalization = (-1) ** (total - 1) * top
             assert report.residuals == {(None, j): value for j, value in enumerate(rows)}, fault
             assert F(*report.normalization) == normalization, fault
             assert report.passed == (hahn_backward_pairings(ws, n, faulty) == target) == (fault is None), fault

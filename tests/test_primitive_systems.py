@@ -20,7 +20,7 @@ from mopexact.linalg import solve_linear_system
 from mopexact.gammaprod import pair, row_product
 from mopexact.polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, backward_rows, hahn_corner_systems, row_values
+from conftest import admissible_systems, backward_rows, hahn_corner_systems, row_values, weight_table
 
 F = Fraction
 
@@ -42,7 +42,7 @@ def type1_reference(ws, n) -> TypeIVector:
     rows, rhs = [], []
     if ws.family is Family.HAHN:
         tables = [lattice_table(families.type1_basis(ws, i), n[i] - 1, ws.N) for i in range(ws.p)]
-        columns = [row_product(tables[i][k], ws.weight_table[i]) for i, k in unknowns]
+        columns = [row_product(tables[i][k], weight_table(ws)[i]) for i, k in unknowns]
         for row in backward_rows(ws, total - 1):
             rows.append([sum(map(operator.mul, row, row_values(*column)), F(0)) for column in columns])
         target = F(-1) ** (total - 1)
@@ -74,7 +74,7 @@ def type2_reference(ws, n) -> ScaledPolynomial:
         falling = lattice_table(basis, total, ws.N)
         powers = lattice_table(Basis.monomial(), max(n) - 1, ws.N)
         for i in range(ws.p):
-            weighted = [row_product(row, ws.weight_table[i]) for row in falling]
+            weighted = [row_product(row, weight_table(ws)[i]) for row in falling]
             conditions += ([pair(powers[j], row) for row in weighted] for j in range(n[i]))
     else:
         for (nums, den), ni in zip(ws.moment_rows(max(n) + total), n):

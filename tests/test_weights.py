@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, Family, WeightSystem, pochhammer
-from conftest import STANDARD_ALPHAS, STANDARD_BETA, hahn_ws
+from conftest import STANDARD_ALPHAS, STANDARD_BETA, hahn_weight, hahn_ws, weight_table
 
 
 class TestAdmissibility:
@@ -41,6 +41,12 @@ class TestAdmissibility:
             ws.validate_index((2, 2))
         ws.validate_index((2, 1))
 
+    @pytest.mark.parametrize("N", [2.5, "3", True, False, Fraction(3), None, -1])
+    def test_lattice_size_must_be_a_nonnegative_int(self, N):
+        # a float, a string, a bool or a Fraction is refused, not read as an int or failed on later
+        with pytest.raises(AdmissibilityError):
+            WeightSystem.hahn(["1/2"], "1/3", N)
+
     def test_type_one_needs_positive_total(self):
         ws = hahn_ws(1, 3)
         with pytest.raises(AdmissibilityError):
@@ -51,25 +57,25 @@ class TestHahnWeights:
     def test_rational_values(self):
         ws = hahn_ws(1, 2)
         a, b = STANDARD_ALPHAS[0], STANDARD_BETA
-        assert ws.hahn_weight(0, 0) == pochhammer(b + 1, 2) / 2
-        assert ws.hahn_weight(0, 2) == pochhammer(a + 1, 2) / 2
+        assert hahn_weight(ws, 0, 0) == pochhammer(b + 1, 2) / 2
+        assert hahn_weight(ws, 0, 2) == pochhammer(a + 1, 2) / 2
 
     def test_total_mass_closed_form(self):
         # sum_x w_i(x) = (alpha_i + beta + 2)_N / N!
         for N in range(0, 7):
             ws = hahn_ws(2, N)
             for i in range(2):
-                mass = sum(ws.hahn_weight(i, x) for x in range(N + 1))
+                mass = sum(hahn_weight(ws, i, x) for x in range(N + 1))
                 expected = pochhammer(ws.alpha[i] + ws.beta + 2, N) / math.factorial(N)
                 assert mass == expected
 
     def test_off_lattice_rejected(self):
         ws = hahn_ws(1, 2)
         with pytest.raises(AdmissibilityError):
-            ws.hahn_weight(0, 3)
+            hahn_weight(ws, 0, 3)
         for x in (Fraction(1, 2), -1):
             with pytest.raises(AdmissibilityError):
-                ws.hahn_weight(0, x)
+                hahn_weight(ws, 0, x)
 
     @given(
         alpha=st.lists(st.fractions(Fraction(-9, 10), 4, max_denominator=12), min_size=1, max_size=3),
@@ -83,8 +89,8 @@ class TestHahnWeights:
             ws = WeightSystem.hahn(alpha, beta, N)
         except AdmissibilityError:
             assume(False)
-        assert len(ws.weight_table) == ws.p
-        for a, (nums, den) in zip(ws.alpha, ws.weight_table):
+        assert len(weight_table(ws)) == ws.p
+        for a, (nums, den) in zip(ws.alpha, weight_table(ws)):
             assert all(type(v) is int for v in nums) and den > 0 and math.gcd(den, *nums) == 1
             assert tuple(Fraction(v, den) for v in nums) == tuple(
                 pochhammer(a + 1, x) / math.factorial(x)
@@ -98,4 +104,4 @@ class TestHahnWeights:
 
     def test_weight_table_only_for_hahn(self):
         with pytest.raises(AdmissibilityError):
-            WeightSystem.laguerre(STANDARD_ALPHAS[:1]).weight_table
+            weight_table(WeightSystem.laguerre(STANDARD_ALPHAS[:1]))
