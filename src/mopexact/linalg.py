@@ -1,36 +1,28 @@
-"""Exact dense linear solves, fraction-free (Bareiss 1968).
+"""Exact dense integer elimination, fraction-free (Bareiss 1968).
 
-Every elimination step divides exactly by the previous pivot, and back
-substitution runs in integers against the last pivot, the determinant up to
-the sign of the row swaps.  :func:`bareiss` solves integer systems into
-integer numerators over the determinant and builds no Fraction; the oracle
-reads that pair.  :func:`solve_linear_system` scales rational rows to
-integers and returns Fractions.  The pivots carry the rows' common factors,
-so the oracle hands in primitive rows.  Any nonzero pivot is exact; we take
-the one of smallest magnitude.
+Each step divides exactly by the previous pivot, so the last pivot is the determinant up
+to the sign of the row swaps.  One forward elimination serves :func:`determinant`, the
+verify path's nonsingularity certificate, and :func:`bareiss`, which back-substitutes in
+integers into numerators over the determinant for the oracle's public solves.  The
+pivots carry the rows' common factors, so the oracle hands in primitive rows.  Any
+nonzero pivot is exact; we take the one of smallest magnitude.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .errors import SingularSystemError
 
 
-def _size(matrix, rhs) -> int:
+def _size(matrix, rhs=None) -> int:
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if any(len(row) != n for row in matrix) or (rhs is not None and len(rhs) != n):
         raise ValueError("system must be square with a matching right-hand side")
     return n
 
 
-def bareiss(matrix, rhs) -> tuple[list[int], int]:
-    """Solve A x = b for integer A and b: (numerators, det) with x = numerators / det and det = det(A).
-
-    So the numerators are Cramer's det(A_i), A with column i replaced by b."""
-    n = _size(matrix, rhs)
-    a = [[*row, b] for row, b in zip(matrix, rhs)]
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Triangularize the first n columns of the integer rows a in place, any further ones (a right-hand side)
+    alongside: det of those columns, or SingularSystemError naming the first one with no nonzero pivot."""
     prev, sign = 1, 1
     for col in range(n):
         candidates = [r for r in range(col, n) if a[r][col]]
@@ -46,19 +38,25 @@ def bareiss(matrix, rhs) -> tuple[list[int], int]:
             f = row[col]
             row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], pivot[col + 1:])]
         prev = p
-    # prev is now the determinant of the row-swapped system, so prev * x is integral (Cramer)
+    # prev is now the determinant of the row-swapped system
+    return sign * prev
+
+
+def determinant(matrix) -> int:
+    """det(A) for a square integer matrix A, or SingularSystemError when it is 0: :func:`bareiss`'s elimination."""
+    return _eliminate([list(row) for row in matrix], _size(matrix))
+
+
+def bareiss(matrix, rhs) -> tuple[list[int], int]:
+    """Solve A x = b for integer A and b: (numerators, det) with x = numerators / det and det = det(A),
+    so the numerators are Cramer's det(A_i), A with column i replaced by b."""
+    n = _size(matrix, rhs)
+    a = [[*row, b] for row, b in zip(matrix, rhs)]
+    det = _eliminate(a, n)
+    # det * x is integral (Cramer), and row swaps leave x as it is
     num = [0] * n
     for r in range(n - 1, -1, -1):
         row = a[r]
-        acc = prev * row[n] - sum(row[c] * num[c] for c in range(r + 1, n))
+        acc = det * row[n] - sum(row[c] * num[c] for c in range(r + 1, n))
         num[r] = acc // row[r]
-    return ([-v for v in num], -prev) if sign < 0 else (num, prev)
-
-
-def solve_linear_system(matrix, rhs) -> list[Fraction]:
-    """Solve A x = b exactly for rational A and b: :func:`bareiss` on rows scaled to integers."""
-    _size(matrix, rhs)
-    scales = [math.lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(matrix, rhs)]
-    num, det = bareiss([[v.numerator * (s // v.denominator) for v in row] for row, s in zip(matrix, scales)],
-                       [b.numerator * (s // b.denominator) for b, s in zip(rhs, scales)])
-    return [Fraction(v, det) for v in num]
+    return num, det

@@ -1,29 +1,24 @@
-"""Independent ground truth: moment reduction and exact linear solves.
+"""Independent ground truth: moment reduction, exact conditions and a normality certificate.
 
-Nothing here looks at the closed-form coefficient formulas.  Weight moments
-come from the classical integral transforms: gamma and beta moments for the
-continuous families, and for Hahn the lattice sums Chu-Vandermonde closes.
-Orthogonality is checked by exact summation against them, and the polynomials
-are reconstructed from the defining linear conditions alone.  Agreement between
-these solvers and the generators in :mod:`mopexact.families` is the package's
-central claim.
+Nothing here looks at the closed-form coefficient formulas.  Weight moments come from
+the classical integral transforms: gamma and beta moments for the continuous families,
+and for Hahn the lattice sums Chu-Vandermonde closes.  Orthogonality is checked by exact
+summation against them; its agreement with the generators in :mod:`mopexact.families` is
+the package's central claim.
 
-Everything is an integer, an integer pair or an integer row
-(:mod:`mopexact.gammaprod`).  Every condition of both types pairs t_a B_b with
-a weight, t_a from the family's type I basis and B_b from its type II basis, and
-one function builds those pairings (:func:`_pairings`): moment windows for the
-continuous families, one :func:`ratio_row` per row for Hahn, and no lattice
-value.  Each type's conditions are one integer system built from it once per
-weight system and multi-index (:func:`_type2_conditions`, :func:`_type1_conditions`):
-the check multiplies the admitted row (:func:`families.type2_row`,
-:func:`families.type1_rows`) by it, and the solve hands its primitive rows to
-:func:`linalg.bareiss`.  The type I rows are B_j, j < |n|, the top one made monic
-and normalized to 1.  Residuals are rational cofactors of the weight's moment
-gamma; an exact zero is the int 0, so a passing check builds no Fraction.  A type
-I component is read against :func:`families.type1_scale`, never built here: the
-moment gamma times it is the rational :func:`_moment_scale`.  The Mellin check
-reads the admitted row alone in every family: Chu-Vandermonde turns the Hahn
-lattice transform into the Jacobi-Pineiro sum over the coefficients.
+Everything is an integer, an integer pair or an integer row (:mod:`mopexact.gammaprod`).
+Every condition of both types pairs t_a B_b with a weight, t_a from the family's type I
+basis and B_b from its type II basis, and one function builds those pairings, with no
+lattice value (:func:`_pairings`).  Each type's conditions are one integer system built
+from it once per weight system and multi-index (:func:`_type2_conditions`,
+:func:`_type1_conditions`): the check multiplies the admitted row
+(:func:`families.type2_row`, :func:`families.type1_rows`) by it.  The type I rows are
+B_j, j < |n|, the top one made monic and normalized to 1.  One determinant
+(:func:`normal_index`) certifies that both systems have one solution, so a polynomial
+passes its checks exactly when it is that solution; the public solves reconstruct it
+with :func:`linalg.bareiss`.  Residuals are rational cofactors of the weight's moment
+gamma; an exact zero is the int 0, so a passing check builds no Fraction.  A type I
+component is read against :func:`families.type1_scale`.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
 from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_sum, same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
-from .linalg import bareiss
+from .linalg import bareiss, determinant
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -148,6 +143,14 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     *rows, normalization = [sum(map(operator.mul, entries, row)) for entries in matrix]
     residuals = {(None, j): Fraction(v, common) if v else 0 for j, v in enumerate(rows)}
     return OrthogonalityReport(residuals, (normalization, common))
+
+
+def normal_index(ws: WeightSystem, n: MultiIndex) -> int:
+    """det of the primitive :func:`_type1_conditions` matrix, or SingularSystemError.  Read from the same
+    :func:`_pairings`, it is the type II matrix transposed up to nonzero row and column factors: one nonzero det
+    makes both solutions unique."""
+    ws.validate_index(n, type_one=True)
+    return determinant([primitive(row) for row in _type1_conditions(ws, n)[0]])
 
 
 def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, WeightSystem, pochhammer, residues
 from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, row_product
+from mopexact.linalg import bareiss
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 STANDARD_BETA = Fraction(1, 4)
@@ -27,6 +28,16 @@ def hahn_ws(p: int, N: int) -> WeightSystem:
 def prime_offset(den: int):
     """An integer part in {-1, 0, 1} plus r/den with r coprime to den: above -1, never an integer."""
     return st.builds(lambda whole, r: whole + Fraction(r, den), st.integers(-1, 1), st.integers(1, den - 1))
+
+
+def instance_of(ws, n) -> dict:
+    """The run_instance dict of a weight system and multi-index."""
+    instance = {"family": ws.family.value, "alpha": [str(a) for a in ws.alpha], "n": list(n)}
+    if ws.beta is not None:
+        instance["beta"] = str(ws.beta)
+    if ws.N is not None:
+        instance["N"] = ws.N
+    return instance
 
 
 @st.composite
@@ -155,6 +166,16 @@ def row_values(nums, den: int, factor=1) -> tuple[Fraction, ...]:
 def pair_values(pairs) -> list[Fraction]:
     """A list of integer pairs (numerator, nonzero denominator) read as Fractions."""
     return [Fraction(*pair) for pair in pairs]
+
+
+def solve_linear_system(matrix, rhs) -> list[Fraction]:
+    """Solve A x = b exactly for rational A and b: linalg.bareiss on rows scaled to integers."""
+    if len(rhs) != len(matrix):
+        raise ValueError("system must be square with a matching right-hand side")
+    scales = [math.lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(matrix, rhs)]
+    num, det = bareiss([[v.numerator * (s // v.denominator) for v in row] for row, s in zip(matrix, scales)],
+                       [b.numerator * (s // b.denominator) for b, s in zip(rhs, scales)])
+    return [Fraction(v, det) for v in num]
 
 
 def interpolate(points) -> tuple[Fraction, ...]:

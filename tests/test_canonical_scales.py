@@ -30,20 +30,10 @@ from mopexact import (
 )
 from mopexact.weights import Family
 from conftest import (
-    admissible_systems, hahn_corner_systems, jacobi_pineiro_ws, laguerre_ws, recovered_node_values,
+    admissible_systems, hahn_corner_systems, instance_of, jacobi_pineiro_ws, laguerre_ws, recovered_node_values,
 )
 
 F = Fraction
-
-
-def instance_of(ws, n) -> dict:
-    """The run_instance dict of a weight system and multi-index."""
-    instance = {"family": ws.family.value, "alpha": [str(a) for a in ws.alpha], "n": list(n)}
-    if ws.beta is not None:
-        instance["beta"] = str(ws.beta)
-    if ws.N is not None:
-        instance["N"] = ws.N
-    return instance
 
 
 @pytest.fixture

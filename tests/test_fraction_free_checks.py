@@ -24,18 +24,11 @@ from mopexact.driver import (
 from mopexact.gammaprod import row_product
 from mopexact.polybasis import Basis, BasisKind, ScaledPolynomial, values_at
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, backward_rows, hahn_corner_systems, pair_values, row_values, weight_table
+from conftest import (
+    admissible_systems, backward_rows, hahn_corner_systems, instance_of, pair_values, row_values, weight_table,
+)
 
 F = Fraction
-
-
-def instance_of(ws: WeightSystem, n) -> dict:
-    instance = {"family": ws.family.value, "alpha": [str(a) for a in ws.alpha], "n": list(n)}
-    if ws.beta is not None:
-        instance["beta"] = str(ws.beta)
-    if ws.N is not None:
-        instance["N"] = ws.N
-    return instance
 
 
 def faults(n) -> list:

@@ -6,6 +6,8 @@ fixture counts calls through every binding these modules could use.
 
 The oracle hands the exact solve primitive integer rows, and the solve
 builds no Fraction but its results; the last pivot's height is pinned.
+run_instance solves nothing: one elimination certifies that the index is
+normal, and the orthogonality checks decide both oracle matches.
 """
 
 import math
@@ -14,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 from mopexact import WeightSystem, families, gammaprod, linalg, oracle, residues
-from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points
-from conftest import hahn_ws, jacobi_pineiro_ws, laguerre_ws
+from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, run_instance
+import conftest
+from conftest import hahn_ws, instance_of, jacobi_pineiro_ws, laguerre_ws
 
 
 @pytest.fixture
@@ -83,14 +86,17 @@ def test_series_equivalence_calls_no_pochhammer(ws, pochhammer_calls):
 
 @pytest.fixture
 def fraction_calls(monkeypatch):
-    """The (args) of every Fraction that linalg builds, each still built as a Fraction."""
+    """The (args) of every Fraction that the oracle or the tests' rational solve builds, each still built as a
+    Fraction.  linalg has no Fraction to build."""
+    assert not hasattr(linalg, "Fraction")
     calls = []
 
     def counted(*args):
         calls.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(linalg, "Fraction", counted)
+    for module in (oracle, conftest):
+        monkeypatch.setattr(module, "Fraction", counted)
     return calls
 
 
@@ -109,7 +115,7 @@ def solved_systems(monkeypatch):
 
 
 def test_integer_rows_build_no_fraction_but_the_results(fraction_calls):
-    solution = linalg.solve_linear_system([[2, 1, 0], [4, 3, 1], [0, 5, 7]], [1, 0, -3])
+    solution = conftest.solve_linear_system([[2, 1, 0], [4, 3, 1], [0, 5, 7]], [1, 0, -3])
     assert len(fraction_calls) == len(solution) == 3
     assert all(type(v) is Fraction for v in solution)
 
@@ -152,3 +158,42 @@ def test_final_pivot_stays_small(kind, solved_systems):
     solve(ws, (6, 6, 6))
     [(_, _, det)] = solved_systems  # the last pivot up to the sign of the row swaps
     assert abs(det).bit_length() <= PIVOT_BITS[kind]
+
+
+# --- the verify path certifies, it does not solve ---------------------------------
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The kind of every linalg.bareiss call ("bareiss") and every forward elimination ("eliminate")."""
+    calls = []
+    bareiss, eliminate = linalg.bareiss, linalg._eliminate
+
+    def counted_bareiss(matrix, rhs):
+        calls.append("bareiss")
+        return bareiss(matrix, rhs)
+
+    def counted_eliminate(a, n):
+        calls.append("eliminate")
+        return eliminate(a, n)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    for module in (linalg, oracle):
+        monkeypatch.setattr(module, "bareiss", counted_bareiss)
+    return calls
+
+
+@systems(LAGUERRE, JACOBI_PINEIRO, HAHN)
+def test_run_instance_solves_nothing(ws, eliminations):
+    assert run_instance(instance_of(ws, N))["pass"]
+    assert eliminations == ["eliminate"]
+
+
+@pytest.mark.parametrize("ws, n", [(laguerre_ws(3), (4, 3, 2)), (jacobi_pineiro_ws(3), (4, 4, 4)),
+                                   (hahn_ws(3, 16), (4, 4, 4))], ids=["laguerre", "jacobi-pineiro", "hahn"])
+def test_certified_matches_agree_with_the_solves_at_high_degree(ws, n):
+    assert oracle.oracle_solve_type2(ws, n) == families.type2(ws, n)
+    assert oracle.oracle_solve_type1(ws, n) == families.type1(ws, n)
+    # each key is red exactly under a fault of its own type
+    for fault, type2_match, type1_match in [(None, True, True), ("t2:0", False, True), ("t1:0:0", True, False)]:
+        checks = run_instance(instance_of(ws, n), fault)["checks"]
+        assert (checks["type2_oracle_match"], checks["type1_oracle_match"]) == (type2_match, type1_match), fault

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import SingularSystemError
-from mopexact.linalg import bareiss, solve_linear_system
+from mopexact.linalg import bareiss, determinant
+from conftest import solve_linear_system
 
 F = Fraction
 
@@ -194,6 +197,33 @@ def test_integer_core_names_the_singular_column():
 
 def test_integer_core_empty_system():
     assert bareiss([], []) == ([], 1)
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_determinant_is_bareiss_elimination(system):
+    # the drawn rows over their common denominators: the integer system solve_linear_system hands in
+    matrix, rhs = system
+    scales = [math.lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(matrix, rhs)]
+    matrix = [[int(v * s) for v in row] for row, s in zip(matrix, scales)]
+    rhs = [int(b * s) for b, s in zip(rhs, scales)]
+    try:
+        _, det = bareiss(matrix, rhs)
+    except SingularSystemError as exc:
+        with pytest.raises(SingularSystemError, match=f"^{re.escape(str(exc))}$"):
+            determinant(matrix)
+        assert determinant_reference(matrix) == 0
+        return
+    assert determinant(matrix) == det == determinant_reference(matrix)
+
+
+def test_determinant_of_the_empty_matrix_is_one():
+    assert determinant([]) == 1
+
+
+def test_determinant_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        determinant([[1, 2]])
 
 
 @pytest.mark.parametrize("solve", [bareiss, solve_linear_system])

@@ -28,13 +28,13 @@ from mopexact import (
     AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, polybasis, residues,
 )
 from mopexact.weights import total_degree
-from mopexact.linalg import solve_linear_system
 from mopexact.driver import _hahn_sample_points, apply_fault, compositions
 from mopexact.gammaprod import pair, row_product, row_sum
 from mopexact.polybasis import lattice_table
 from conftest import (
     admissible_systems, backward_rows, element_value, hahn_corner_systems, hahn_weight, hahn_ws, interpolate,
-    jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values, scaled_values_equal, times, weight_table,
+    jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values, scaled_values_equal, solve_linear_system,
+    times, weight_table,
 )
 
 F = Fraction

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, PoleError, PreconditionError, SingularSystemError, WeightSystem
 from mopexact import families, oracle
-from mopexact.linalg import solve_linear_system
 from mopexact.gammaprod import pair, row_product
 from mopexact.polybasis import Basis, ScaledPolynomial, TypeIVector, lattice_table
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, backward_rows, hahn_corner_systems, row_values, weight_table
+from conftest import (
+    admissible_systems, backward_rows, hahn_corner_systems, row_values, solve_linear_system, weight_table,
+)
 
 F = Fraction
 
