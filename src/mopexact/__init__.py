@@ -20,7 +20,6 @@ from .errors import (
 from .families import (
     hahn_jp_coefficient_relation,
     hahn_type1_p2_kdf,
-    hahn_type2_weighted_series,
     type1,
     type2,
 )

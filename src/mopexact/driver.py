@@ -7,9 +7,11 @@ results are JSON-ready, and rationals cross the boundary as "num/den" strings.
 
 The oracle-match checks solve nothing: :func:`oracle.normal_index` certifies that each
 type's conditions have one solution, so the orthogonality checks decide whether the
-generated polynomials are the oracle's.  A fault specification ("t2:IDX" or "t1:I:K")
-perturbs one generated coefficient by +1 before the checks run; the verifier must then
-report a failure, which is how the test suite proves the green path is not vacuous.
+generated polynomials are the oracle's.  No check evaluates a polynomial at sample
+points of x: the residue duality compares coefficient rows, and the Hahn weighted series
+compares Newton coefficients.  A fault specification ("t2:IDX" or "t1:I:K") perturbs one
+generated coefficient by +1 before the checks run; the verifier must then report a
+failure, which is how the test suite proves the green path is not vacuous.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 
 from . import families, oracle, residues
-from .gammaprod import reduced_row, row_product, same
+from .gammaprod import same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .polybasis import ScaledPolynomial, TypeIVector
 from .weights import Family, WeightSystem, total_degree
@@ -28,11 +30,6 @@ from .weights import Family, WeightSystem, total_degree
 #: non-integer, so every grid instance is an admissible system.
 DEFAULT_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 DEFAULT_BETA = Fraction(1, 4)
-
-CONTINUOUS_SAMPLE_POINTS = {
-    Family.LAGUERRE_FIRST_KIND: (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)),
-    Family.JACOBI_PINEIRO: (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(6, 7)),
-}
 
 
 def compositions(max_total: int, max_parts: int = 3) -> list[tuple[int, ...]]:
@@ -124,10 +121,6 @@ def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):
     return poly, TypeIVector(tuple(components))
 
 
-def _hahn_sample_points(N: int) -> list[int]:
-    return sorted({0, 1, min(2, N), max(N - 1, 0), N})
-
-
 def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dict:
     """All exact checks for one grid instance; returns a JSON-ready record."""
     ws = weight_system(instance)
@@ -147,11 +140,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
     checks["type2_oracle_match"] = checks["type2_monic"] and checks["type2_orthogonality"]
     checks["type1_oracle_match"] = checks["type1_orthogonality"]
 
-    if ws.family is Family.HAHN:
-        points = _hahn_sample_points(ws.N)
-    else:
-        points = CONTINUOUS_SAMPLE_POINTS[ws.family]
-    checks["residue_duality"] = residues.check_residue_duality(ws, n, vec, points)
+    checks["residue_duality"] = residues.check_residue_duality(ws, n, vec)
     k_max = max(6, ws.N) if ws.family is Family.HAHN else max(6, total)
     checks["series_equivalence"] = residues.verify_type2_series_equivalence(ws, n, k_max)
 
@@ -167,8 +156,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
 
     if ws.family is Family.HAHN:
         checks["jp_coefficient_relation"] = families.hahn_jp_coefficient_relation(ws, n, poly)
-        checks["weighted_series"] = families.hahn_type2_weighted_series(ws, n) == reduced_row(
-            *row_product(poly.lattice_values(ws.N), ws.beta_factors))  # both rows reduced
+        checks["weighted_series"] = families.hahn_weighted_series_relation(ws, n, poly)
         checks["summation_identity"] = all(oracle.check_hahn_summation_identity(ws, n))
         if ws.p == 2 and min(n) >= 1:  # the double series needs both weights active
             checks["kdf_cross_formula"] = all(  # both rows reduced

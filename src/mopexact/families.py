@@ -11,7 +11,8 @@ Hahn, whose scale is empty.  Every closed-form row, here and in the
 Hahn-only cross checks, is an integer row (:mod:`mopexact.gammaprod`) built
 by its term ratio (:func:`~mopexact.gammaprod.ratio_row`), with parameters
 over the one denominator Q: a polynomial carries it as its row, a cross check
-returns it as a reduced lattice row.  Each prefactor is one
+returns it as a reduced lattice row or reads it against Newton coefficients
+(:func:`~mopexact.gammaprod.newton_row`).  Each prefactor is one
 :func:`~mopexact.gammaprod.rising_product`.
 
 Component i of a type I vector is defined as the zero polynomial whenever
@@ -27,7 +28,7 @@ import itertools
 import math
 
 from .errors import AdmissibilityError, PreconditionError
-from .gammaprod import GammaProduct, LatticeRow, ratio_row, reduced_row, rising, rising_product
+from .gammaprod import GammaProduct, LatticeRow, newton_row, ratio_row, reduced_row, rising, rising_product, row_product, same
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -254,20 +255,24 @@ def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
                        joint_den * left_den * right_den * bottom)
 
 
-def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool = True) -> tuple[tuple[int, int], list[int], int]:
+def _type2_series(ws: WeightSystem, n: MultiIndex, length: int) -> tuple[tuple[int, int], list[int], int]:
     """Prefactor and terms l < length of the type II series, term l as the integer nums[l] over one denominator.
 
     Term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times
-    (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!
-    (with factorials), one :func:`ratio_row`; z is -1
-    for Laguerre and 1 otherwise.  The prefactor, an integer pair, is
+    (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!,
+    one :func:`ratio_row`; z is -1 for Laguerre and 1 otherwise.  The prefactor, an integer pair, is
     (-1)^|n| prod_i (alpha_i+1)_{n_i}, over prod_i (alpha_i+beta+|n|+1)_{n_i}
-    (not for Laguerre), times (beta+1)_N / (N-|n|)! (Hahn).
+    (not for Laguerre), times (beta+1)_N / (N-|n|)! (Hahn).  Built once per weight system,
+    n and length, so the Hahn series equivalence and weighted series read one row.
     """
+    return ws.kept(("type2_series", tuple(n), length), lambda: _build_type2_series(ws, n, length))
+
+
+def _build_type2_series(ws: WeightSystem, n: MultiIndex, length: int) -> tuple[tuple[int, int], list[int], int]:
     total = total_degree(n)
     Q, alpha, beta = ws.integer_parameters
     ups = [a + (ni + 1) * Q for a, ni in zip(alpha, n)]
-    downs = [Q] * factorials + [a + Q for a in alpha]
+    downs = [Q] + [a + Q for a in alpha]
     above, below, bottom = [(a + Q, ni) for a, ni in zip(alpha, n)], [], 1
     if ws.family is not Family.LAGUERRE_FIRST_KIND:
         below = [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)]
@@ -282,23 +287,22 @@ def _type2_series(ws: WeightSystem, n: MultiIndex, length: int, factorials: bool
     return rising_product(Q, above, below, (-1) ** total, bottom), nums, den
 
 
-def hahn_type2_weighted_series(ws: WeightSystem, n: MultiIndex) -> LatticeRow:
-    """Weighted type II lattice values at x = 0..N via their terminating series, as one reduced row.
+def hahn_weighted_series_relation(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:
+    """Hahn type II against its terminating weighted series, compared as Newton coefficients.
 
-    Entry x is the rational r with Q(x) * Gamma(N-x+beta+1)/Gamma(N-x+1)
-    equal to r * Gamma(beta+1); equivalently r = Q(x) * (beta+1)_{N-x} / (N-x)!.
-    It is the prefactor times sum_{l<=x} (-x)_l/l! c_l, where (-x)_l/l! is
-    (-1)^l C(x, l) and c_l = (-beta-|n|)_l/(-beta-N)_l prod_i
-    (alpha_i+n_i+1)_l/(alpha_i+1)_l does not depend on x: prefactor and c_l
-    are built once (:func:`_type2_series` without factorials), c_l as one
-    integer row, so entry x is one signed-binomial integer sum.
+    With r(x) = Q(x) (beta+1)_{N-x} / (N-x)! the generated weighted row on x = 0..N (Q as
+    :func:`type2_row` admits it), the series reads r(x) = prefactor * sum_l (-x)_l term_l, and
+    (-x)_l = (-1)^l l! C(x, l).  Newton's formula r(x) = sum_l C(x, l) Delta^l r(0) then gives
+    Delta^l r(0) = (-1)^l l! prefactor term_l for every l <= N, prefactor and terms those of
+    :func:`_type2_series`.  The differences are one :func:`newton_row`, compared cross-multiplied.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
-    ws.validate_index(n)
-    (top, bottom), series, den = _type2_series(ws, n, ws.N + 1, factorials=False)
-    return reduced_row([top * sum((-1) ** l * math.comb(x, l) * c for l, c in enumerate(series[:x + 1]))
-                        for x in range(ws.N + 1)], den * bottom)
+    type2_row(ws, n, poly)
+    (top, bottom), terms, den = _type2_series(ws, n, ws.N + 1)
+    values, values_den = row_product(poly.lattice_values(ws.N), ws.beta_factors)
+    return same([(d, values_den) for d in newton_row(list(values))],
+                 [((-1) ** l * math.factorial(l) * top * t, bottom * den) for l, t in enumerate(terms)])
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:

@@ -10,9 +10,9 @@ Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term, both routes of a type I
 component as coefficient rows in its basis :func:`families.type1_basis`.
 
-What does not depend on the sample point x or the expansion order k is
-built once per instance, and every rational is an integer pair, never
-reduced, compared cross-multiplied (:mod:`mopexact.gammaprod`).  Both sides
+What does not depend on the expansion order k is built once per instance,
+and every rational is an integer pair, never reduced, compared
+cross-multiplied (:mod:`mopexact.gammaprod`).  Both sides
 of every comparison are read against the same gamma, which is never built
 here: the canonical type I scale of :func:`families.type1_scale`,
 Gamma(beta+1) for the Hahn type II rows, none otherwise.
@@ -90,11 +90,11 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
 
 
 def type1_direct_values(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, x) -> list[Fraction]:
-    """Per weight i, the direct route's share of the type I linear form at x, the rational
-    :func:`check_residue_duality` compares.  Laguerre and Jacobi-Pineiro: A_i(x), which multiplies
-    x**alpha_i and the canonical scale :func:`families.type1_scale`; Hahn: A_i(x) (alpha_i+1)_x, the
-    scale being empty.  The weight factor all components share is left out: e^-x for Laguerre,
-    (1-x)^beta for Jacobi-Pineiro and (beta+1)_{N-x} / (x! (N-x)!) for Hahn."""
+    """Per weight i, the direct route's share of the type I linear form at x, as ``eval --type 1`` prints it.
+    Laguerre and Jacobi-Pineiro: A_i(x), which multiplies x**alpha_i and the canonical scale
+    :func:`families.type1_scale`; Hahn: A_i(x) (alpha_i+1)_x, the scale being empty.  The weight factor all
+    components share is left out: e^-x for Laguerre, (1-x)^beta for Jacobi-Pineiro and
+    (beta+1)_{N-x} / (x! (N-x)!) for Hahn."""
     rows = families.type1_rows(ws, n, vec)
     x = ws.check_point(x)
     Q, alpha, _ = ws.integer_parameters
@@ -106,18 +106,14 @@ def type1_direct_values(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, x) ->
     return values
 
 
-def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, points) -> bool:
-    """Residue route == direct route of the type I linear form at every point, one row per component and route.
+def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> bool:
+    """Residue route == direct route of the type I linear form, one coefficient row per component and route.
 
-    Both are coefficient rows in :func:`families.type1_basis` against the canonical scale: values compare directly."""
+    Both rows are coefficients in :func:`families.type1_basis` against the canonical scale, so they
+    compare entry by entry, cross-multiplied: no point is sampled."""
     rows = families.type1_rows(ws, n, vec)
-    poles = _type1_pole_terms(ws, n)
-    points = [ws.check_point(x) for x in points]
-    if not points:
-        raise PreconditionError("the residue duality needs at least one sample point")
-    bases = [families.type1_basis(ws, i) for i in range(ws.p)]
-    return all(same(values_at(basis, terms, points), values_at(basis, row, points))
-               for basis, terms, row in zip(bases, poles, rows))
+    return all(same([(v, den) for v in terms], [(v, row_den) for v in row])
+               for (terms, den), (row, row_den) in zip(_type1_pole_terms(ws, n), rows))
 
 
 def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
@@ -156,9 +152,8 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    # the series route takes its parameters straight from the weighted expansions (families._type2_series,
-    # whose Hahn terms are the c_l of families.hahn_type2_weighted_series over l!), never from the residue
-    # formulas; a zero denominator factor under a nonzero numerator raises PoleError
+    # the series route takes its parameters straight from the weighted expansions (families._type2_series, one Hahn
+    # row with the weighted series), never from the residue formulas; a pole under a nonzero numerator raises PoleError
     (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)
     return same(_type2_residue_row(ws, n, k_max), [(top * v, bottom * den) for v in nums])  # against one gamma
 

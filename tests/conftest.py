@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from mopexact import AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, WeightSystem, pochhammer, residues
+from mopexact import (
+    AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, WeightSystem, families, pochhammer, residues,
+)
 from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, row_product
 from mopexact.linalg import bareiss
 
@@ -95,6 +97,33 @@ def hahn_weight(ws, i: int, x) -> Fraction:
     """The lattice weight value w_i(x), x in {0, ..., N}, as a Fraction."""
     nums, den = weight_table(ws)[i]
     return Fraction(nums[ws.check_point(x).numerator], den)
+
+
+def hahn_type2_weighted_series(ws, n) -> tuple[tuple[int, ...], int]:
+    """Weighted Hahn type II values r(x) = Q(x) (beta+1)_{N-x} / (N-x)! at x = 0..N through the terminating series,
+    as one reduced row: the prefactor times sum_{l<=x} (-x)_l term_l, with (-x)_l = (-1)^l l! C(x, l) and the terms
+    of families._type2_series.  The reference the verify path's Newton comparison is checked against."""
+    if ws.family is not Family.HAHN:
+        raise AdmissibilityError("weight system is not Hahn")
+    ws.validate_index(n)
+    (top, bottom), terms, den = families._type2_series(ws, n, ws.N + 1)
+    series = [(-1) ** l * math.factorial(l) * t for l, t in enumerate(terms)]
+    return reduced_row([top * sum(math.comb(x, l) * c for l, c in enumerate(series[:x + 1])) for x in range(ws.N + 1)],
+                       den * bottom)
+
+
+#: The points the residue duality once compared values at: five per continuous family, and
+#: 0, 1, 2, N-1 and N on the Hahn lattice.  Row equality implies value equality there, not conversely.
+SAMPLE_POINTS = {
+    Family.LAGUERRE_FIRST_KIND: (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)),
+    Family.JACOBI_PINEIRO: (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(6, 7)),
+}
+
+
+def sample_points(ws) -> list:
+    if ws.family is Family.HAHN:
+        return sorted({0, 1, min(2, ws.N), max(ws.N - 1, 0), ws.N})
+    return list(SAMPLE_POINTS[ws.family])
 
 
 def rising_row(a, length: int) -> list[Fraction]:

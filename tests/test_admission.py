@@ -30,13 +30,13 @@ def verdict(read) -> str:
 
 
 def type1_readers(ws, n, vec) -> dict:
-    points = [0, 1, 2, ws.N] if ws.family is Family.HAHN else [F(1, 2), F(2, 3)]
+    point = 1 if ws.family is Family.HAHN else F(2, 3)
     return {
         "type1_rows": lambda: families.type1_rows(ws, n, vec),
         "check_type1_orthogonality": lambda: oracle.check_type1_orthogonality(ws, n, vec),
-        "check_residue_duality": lambda: residues.check_residue_duality(ws, n, vec, points),
+        "check_residue_duality": lambda: residues.check_residue_duality(ws, n, vec),
         "recovered_nodes": lambda: residues.recovered_nodes(ws, n, vec),
-        "type1_direct_values": lambda: residues.type1_direct_values(ws, n, vec, points[1]),
+        "type1_direct_values": lambda: residues.type1_direct_values(ws, n, vec, point),
     }
 
 
@@ -48,6 +48,7 @@ def type2_readers(ws, n, poly) -> dict:
     }
     if ws.family is Family.HAHN:
         readers["hahn_jp_coefficient_relation"] = lambda: families.hahn_jp_coefficient_relation(ws, n, poly)
+        readers["hahn_weighted_series_relation"] = lambda: families.hahn_weighted_series_relation(ws, n, poly)
     return readers
 
 

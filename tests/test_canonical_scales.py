@@ -54,12 +54,11 @@ def reduce_calls(monkeypatch):
 def test_continuous_type1_checks_reduce_no_gamma(ws, reduce_calls):
     n = (2, 1, 2)
     vec = families.type1(ws, n)
-    points = driver.CONTINUOUS_SAMPLE_POINTS[ws.family]
     del reduce_calls[:]
     assert check_type1_orthogonality(ws, n, vec).passed
     assert all(a.coefficients == b.coefficients
                for a, b in zip(vec.components, oracle.oracle_solve_type1(ws, n).components))
-    assert check_residue_duality(ws, n, vec, points)
+    assert check_residue_duality(ws, n, vec)
     assert residues.verify_type2_series_equivalence(ws, n, 8)
     expected = Fraction(*residues.recovered_constant_closed_form(ws, n))
     assert all(value == expected for _, value in recovered_node_values(ws, n, vec))
@@ -99,7 +98,7 @@ def test_jacobi_pineiro_corner_stays_a_pole():
     for check in (
         lambda: check_type1_orthogonality(ws, (1,), corner),
         lambda: oracle.oracle_solve_type1(ws, (1,)),
-        lambda: check_residue_duality(ws, (1,), corner, [F(1, 2)]),
+        lambda: check_residue_duality(ws, (1,), corner),
         lambda: residues.recovered_nodes(ws, (1,), corner),
     ):
         with pytest.raises(PoleError):

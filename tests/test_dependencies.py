@@ -130,7 +130,7 @@ def test_basis_kind_scanner_sees_every_form():
 
 #: The integer-row kernels: each is defined once, in gammaprod, and every other module calls that one.
 ROW_KERNELS = {"ratio_row", "reduced_row", "row_product", "row_sum", "pair", "primitive", "same", "rising",
-               "rising_product"}
+               "rising_product", "newton_row"}
 
 
 def _defined_functions(tree: ast.AST) -> set[str]:

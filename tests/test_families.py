@@ -3,22 +3,28 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mopexact import (
+    AdmissibilityError,
     Basis,
     BasisKind,
     PreconditionError,
     ScaledPolynomial,
     hahn_jp_coefficient_relation,
     hahn_type1_p2_kdf,
-    hahn_type2_weighted_series,
     pochhammer,
     type1,
     type2,
 )
 from mopexact import families, oracle
+from mopexact.driver import apply_fault
+from mopexact.gammaprod import row_product
 from mopexact.hyper import kdf
-from conftest import admissible_systems, hahn_ws, jacobi_pineiro_ws, laguerre_ws, monomial_coefficients, row_values
+from conftest import (
+    admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, jacobi_pineiro_ws, laguerre_ws,
+    monomial_coefficients, row_values,
+)
 
 F = Fraction
 
@@ -257,6 +263,24 @@ class TestHahnWeightedSeries:
             factors, factor_den = ws.beta_factors
             series = row_values(*hahn_type2_weighted_series(ws, n))
             assert series == tuple(F(v * f, den * factor_den) for v, f in zip(values, factors))
+
+    @given(st.one_of(admissible_systems(family="hahn"), hahn_corner_systems()))
+    @settings(max_examples=60, deadline=None)
+    def test_newton_comparison_matches_the_expanded_values(self, system):
+        # the Newton coefficients of the generated weighted row against the series terms give the verdict of
+        # the series expanded into lattice values, on the generated polynomial and under every single bump
+        ws, n = system
+        poly = type2(ws, n)
+        expanded = row_values(*hahn_type2_weighted_series(ws, n))
+        for fault in [None] + [f"t2:{k}" for k in range(sum(n) + 1)]:
+            bumped, _ = apply_fault(poly, None, fault)
+            verdict = row_values(*row_product(bumped.lattice_values(ws.N), ws.beta_factors)) == expanded
+            assert families.hahn_weighted_series_relation(ws, n, bumped) == verdict == (fault is None), fault
+
+    @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2)], ids=["laguerre", "jacobi-pineiro"])
+    def test_newton_comparison_is_hahn_only(self, ws):
+        with pytest.raises(AdmissibilityError):
+            families.hahn_weighted_series_relation(ws, (1, 1), type2(ws, (1, 1)))
 
 
 class TestHahnJacobiPineiroRelation:

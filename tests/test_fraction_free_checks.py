@@ -4,7 +4,10 @@ Polynomials carry one reduced integer row, the residue route and the Hahn
 cross checks return integer pairs, and every check compares them without a
 Fraction per entry.  The reference below is the Fraction form run_instance
 had: each rewritten comparison reads the same routes as Fractions and
-compares Fraction lists.  Both must give the same record on drawn systems,
+compares Fraction lists.  The residue duality is still read there as values
+at sample points, and the weighted series as values on the lattice, where
+run_instance compares coefficient rows and Newton coefficients.  Both must
+give the same record on drawn systems,
 on the Hahn corner and on systems with idle weights, unperturbed and under
 every single-coefficient fault.
 """
@@ -18,14 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import GammaProduct, WeightSystem, families, oracle, residues
-from mopexact.driver import (
-    CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, instance_key, run_instance, weight_system,
-)
+from mopexact.driver import apply_fault, instance_key, run_instance, weight_system
 from mopexact.gammaprod import row_product
 from mopexact.polybasis import Basis, BasisKind, ScaledPolynomial, values_at
 from mopexact.weights import Family, total_degree
 from conftest import (
-    admissible_systems, backward_rows, hahn_corner_systems, instance_of, pair_values, row_values, weight_table,
+    admissible_systems, backward_rows, hahn_corner_systems, hahn_type2_weighted_series, instance_of, pair_values,
+    row_values, sample_points, weight_table,
 )
 
 F = Fraction
@@ -97,8 +99,7 @@ def reference_checks(instance: dict, fault, seed: int = 0) -> dict:
     checks["type1_oracle_match"] = all(
         a.coefficients == b.coefficients for a, b in zip(vec.components, oracle.oracle_solve_type1(ws, n).components))
 
-    points = _hahn_sample_points(ws.N) if ws.family is Family.HAHN else CONTINUOUS_SAMPLE_POINTS[ws.family]
-    points = [ws.check_point(x) for x in points]
+    points = [ws.check_point(x) for x in sample_points(ws)]  # the values the rows once were compared at
     duality = True
     for i, (terms, comp) in enumerate(zip(residues._type1_pole_terms(ws, n), vec.components)):
         basis = families.type1_basis(ws, i)
@@ -120,7 +121,7 @@ def reference_checks(instance: dict, fault, seed: int = 0) -> dict:
 
     if ws.family is Family.HAHN:
         checks["jp_coefficient_relation"] = jp_relation(ws, n, poly)
-        checks["weighted_series"] = row_values(*families.hahn_type2_weighted_series(ws, n)) == row_values(
+        checks["weighted_series"] = row_values(*hahn_type2_weighted_series(ws, n)) == row_values(
             *row_product(poly.lattice_values(ws.N), ws.beta_factors))
         checks["summation_identity"] = all(oracle.check_hahn_summation_identity(ws, n))
         if ws.p == 2 and min(n) >= 1:

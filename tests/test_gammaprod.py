@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import Basis, GammaProduct, PoleError, ScaledPolynomial, TypeIVector, WeightSystem, pochhammer
-from mopexact.gammaprod import as_fraction, is_nonpositive_integer
+from mopexact.gammaprod import as_fraction, is_nonpositive_integer, newton_row
 from conftest import inverse, reduced_equal, rising_row, times
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
@@ -71,6 +72,14 @@ def test_rising_row_matches_pochhammer(a, length):
     row = rising_row(a, length)
     assert row == [pochhammer(a, j) for j in range(length)]
     assert all(isinstance(v, Fraction) for v in row)
+
+
+@given(st.lists(st.integers(-10**12, 10**12), max_size=24))
+@settings(max_examples=100, deadline=None)
+def test_newton_row_inverts_the_binomial_expansion(coefficients):
+    # values r(x) = sum_l C(x, l) c_l at x = 0..m difference back to c_l, in the list handed in
+    values = [sum(math.comb(x, l) * c for l, c in enumerate(coefficients)) for x in range(len(coefficients))]
+    assert newton_row(values) is values and values == coefficients
 
 
 def gamma_ratio(a, m: int) -> Fraction:

@@ -7,7 +7,8 @@ fixture counts calls through every binding these modules could use.
 The oracle hands the exact solve primitive integer rows, and the solve
 builds no Fraction but its results; the last pivot's height is pinned.
 run_instance solves nothing: one elimination certifies that the index is
-normal, and the orthogonality checks decide both oracle matches.
+normal, and the orthogonality checks decide both oracle matches.  Nor does it
+evaluate a polynomial at a sample point.
 """
 
 import math
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from mopexact import WeightSystem, families, gammaprod, linalg, oracle, residues
-from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, run_instance
+from mopexact import WeightSystem, families, gammaprod, linalg, oracle, polybasis, residues
+from mopexact.driver import iter_instances, run_instance
 import conftest
 from conftest import hahn_ws, instance_of, jacobi_pineiro_ws, laguerre_ws
 
@@ -70,9 +71,8 @@ def test_summation_identity_calls_no_pochhammer(pochhammer_calls):
 @systems(JACOBI_PINEIRO, HAHN)
 def test_residue_duality_calls_no_pochhammer(ws, pochhammer_calls):
     vec = families.type1(ws, N)
-    points = _hahn_sample_points(ws.N) if ws is HAHN else list(CONTINUOUS_SAMPLE_POINTS[ws.family])
     del pochhammer_calls[:]
-    assert residues.check_residue_duality(ws, N, vec, points)
+    assert residues.check_residue_duality(ws, N, vec)
     assert pochhammer_calls == []
 
 
@@ -186,6 +186,23 @@ def eliminations(monkeypatch):
 def test_run_instance_solves_nothing(ws, eliminations):
     assert run_instance(instance_of(ws, N))["pass"]
     assert eliminations == ["eliminate"]
+
+
+@pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])
+def test_run_instance_samples_no_point(family, monkeypatch):
+    # the residue duality compares coefficient rows and the weighted series Newton coefficients:
+    # no check evaluates a polynomial at a sample point
+    calls = []
+    values_at = polybasis.values_at
+
+    def counted(basis, row, points):
+        calls.append(points)
+        return values_at(basis, row, points)
+
+    for module in (polybasis, residues):
+        monkeypatch.setattr(module, "values_at", counted)
+    assert all(run_instance(instance)["pass"] for instance in iter_instances([family], 3, 4))
+    assert calls == []
 
 
 @pytest.mark.parametrize("ws, n", [(laguerre_ws(3), (4, 3, 2)), (jacobi_pineiro_ws(3), (4, 4, 4)),

@@ -28,13 +28,13 @@ from mopexact import (
     AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, polybasis, residues,
 )
 from mopexact.weights import total_degree
-from mopexact.driver import _hahn_sample_points, apply_fault, compositions
+from mopexact.driver import apply_fault, compositions
 from mopexact.gammaprod import pair, row_product, row_sum
 from mopexact.polybasis import lattice_table
 from conftest import (
-    admissible_systems, backward_rows, element_value, hahn_corner_systems, hahn_weight, hahn_ws, interpolate,
-    jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values, scaled_values_equal, solve_linear_system,
-    times, weight_table,
+    admissible_systems, backward_rows, element_value, hahn_corner_systems, hahn_type2_weighted_series, hahn_weight,
+    hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values, scaled_values_equal,
+    solve_linear_system, times, weight_table,
 )
 
 F = Fraction
@@ -403,7 +403,6 @@ class TestType1Reports:
         total = sum(n)
         target = [F(0)] * (total - 1) + [F(-1) ** (total - 1)]
         vec = families.type1(ws, n)
-        points = _hahn_sample_points(ws.N)
         for fault in [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]:
             _, faulty = apply_fault(None, vec, fault)
             report = check_type1_orthogonality(ws, n, faulty)
@@ -413,7 +412,7 @@ class TestType1Reports:
             assert report.residuals == {(None, j): value for j, value in enumerate(rows)}, fault
             assert F(*report.normalization) == normalization, fault
             assert report.passed == (hahn_backward_pairings(ws, n, faulty) == target) == (fault is None), fault
-            assert residues.check_residue_duality(ws, n, faulty, points) == (fault is None), fault
+            assert residues.check_residue_duality(ws, n, faulty) == (fault is None), fault
 
 
 class TestBiorthogonality:
@@ -577,7 +576,7 @@ def test_continuous_checks_refuse_a_non_monomial_basis(ws):
         lambda: check_type2_orthogonality(ws, n, falling),
         lambda: check_mellin_type2(ws, n, falling, [(1, 2)]),
         lambda: check_type1_orthogonality(ws, n, rising),
-        lambda: residues.check_residue_duality(ws, n, rising, [F(1, 2)]),
+        lambda: residues.check_residue_duality(ws, n, rising),
         lambda: residues.type1_direct_values(ws, n, rising, F(1, 2)),
     ):
         with pytest.raises(PreconditionError, match="monomial basis"):
@@ -770,7 +769,7 @@ class TestDiscreteInversion:
 
     def test_weighted_type2_values(self):
         ws = hahn_ws(2, 5)
-        values = list(row_values(*families.hahn_type2_weighted_series(ws, (2, 1))))
+        values = list(row_values(*hahn_type2_weighted_series(ws, (2, 1))))
         assert check_discrete_mellin_inversion(ws, values)
 
     @given(st.integers(0, 8), st.data())

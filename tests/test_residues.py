@@ -10,20 +10,24 @@ from mopexact import (
     AdmissibilityError,
     GammaProduct,
     PreconditionError,
+    ScaledPolynomial,
+    TypeIVector,
     WeightSystem,
     check_residue_duality,
+    check_type1_orthogonality,
     pochhammer,
     recovered_constant_closed_form,
     verify_type2_series_equivalence,
 )
 from mopexact import families, residues
-from mopexact.driver import CONTINUOUS_SAMPLE_POINTS, _hahn_sample_points, apply_fault, compositions
+from mopexact.driver import apply_fault, compositions, run_instance
 from mopexact.gammaprod import as_fraction
 from mopexact.polybasis import values_at
 from mopexact.weights import Family, MultiIndex, total_degree
 from conftest import (
-    admissible_systems, hahn_corner_systems, hahn_ws, interpolation_recover_p, jacobi_pineiro_ws, laguerre_ws,
-    pair_values, recovered_node_values, row_values, scaled_values_equal, series_term, times,
+    admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, instance_of, interpolation_recover_p,
+    jacobi_pineiro_ws, laguerre_ws, pair_values, recovered_node_values, row_values, sample_points,
+    scaled_values_equal, series_term, times,
 )
 
 F = Fraction
@@ -174,12 +178,6 @@ def direct_value(ws: WeightSystem, i: int, comp, x: Fraction) -> Fraction:
     return Fraction(nums[x.numerator], den) * pochhammer(ws.alpha[i] + 1, x.numerator)
 
 
-def sample_points(ws: WeightSystem) -> list:
-    if ws.family is Family.HAHN:
-        return _hahn_sample_points(ws.N)
-    return list(CONTINUOUS_SAMPLE_POINTS[ws.family])
-
-
 class TestPoleEnumeration:
     def test_count_is_total_degree(self):
         for n in compositions(4):
@@ -204,7 +202,7 @@ class TestType1LinearForm:
 
     def test_matches_direct_decomposition_jp(self):
         ws = jacobi_pineiro_ws(2)
-        assert check_residue_duality(ws, (1, 1), families.type1(ws, (1, 1)), [F(1, 2)])
+        assert check_residue_duality(ws, (1, 1), families.type1(ws, (1, 1)))
 
     def test_matches_direct_decomposition_hahn(self):
         ws = hahn_ws(2, 5)
@@ -217,29 +215,34 @@ class TestType1LinearForm:
         for n in compositions(4):
             p, total = len(n), sum(n)
             for ws in (laguerre_ws(p), jacobi_pineiro_ws(p), hahn_ws(p, total + 2)):
-                if ws.family is Family.HAHN:
-                    points = range(ws.N + 1)
-                else:
-                    points = CONTINUOUS_SAMPLE_POINTS[ws.family]
                 vec = families.type1(ws, n)
-                for x in points:
-                    assert check_residue_duality(ws, n, vec, [x]), (ws.family, n, x)
+                assert check_residue_duality(ws, n, vec), (ws.family, n)
 
-
-    @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 4)])
-    def test_no_sample_points_rejected(self, ws):
-        # an empty point list would make any vector, faulted or not, pass
-        _, bumped = apply_fault(None, families.type1(ws, (1, 1)), "t1:0:0")
-        with pytest.raises(PreconditionError):
-            check_residue_duality(ws, (1, 1), bumped, [])
+    @pytest.mark.parametrize("ws, n", [(laguerre_ws(1), (7,)), (jacobi_pineiro_ws(1), (6,))],
+                             ids=["laguerre", "jacobi-pineiro"])
+    def test_rows_see_what_the_sample_points_missed(self, ws, n):
+        # prod (x - p) over the five points the duality once sampled vanishes at every one of them, so adding it
+        # to the vector left every sampled value, and the old verdict, unchanged; the coefficient rows differ
+        vec = families.type1(ws, n)
+        vanishing = [F(1)]
+        for point in sample_points(ws):
+            vanishing = [a - point * b for a, b in zip([F(0), *vanishing], [*vanishing, F(0)])]
+        [comp] = vec.components
+        shifted = TypeIVector((ScaledPolynomial(comp.basis, [c + v for c, v in
+                                                             zip(comp.coefficients, [*vanishing, F(0)])]),))
+        assert [shifted.components[0].rational_value(x) for x in sample_points(ws)] == [
+            comp.rational_value(x) for x in sample_points(ws)]
+        assert check_residue_duality(ws, n, vec)
+        assert not check_residue_duality(ws, n, shifted)
+        assert not check_type1_orthogonality(ws, n, shifted).passed
 
     @pytest.mark.parametrize("ws, x", [
         (hahn_ws(1, 3), F(18, 11)), (hahn_ws(1, 3), 5), (hahn_ws(1, 3), -1), (laguerre_ws(1), -1),
     ])
     def test_both_routes_reject_the_same_points(self, ws, x):
+        # the duality compares rows and reads no point; the direct values refuse a point off the family's domain
         vec = families.type1(ws, (2,))
-        with pytest.raises(AdmissibilityError):
-            check_residue_duality(ws, (2,), vec, [x])
+        assert check_residue_duality(ws, (2,), vec)
         with pytest.raises(AdmissibilityError):
             residues.type1_direct_values(ws, (2,), vec, x)
 
@@ -263,6 +266,22 @@ class TestType2Residues:
 
     def test_series_equivalence_hahn(self):
         assert verify_type2_series_equivalence(hahn_ws(2, 4), (1, 1), 4)
+
+    def test_series_row_is_kept_per_length(self):
+        # one weight system keeps one series row per (n, length): a shorter order reads its own row
+        ws = hahn_ws(2, 6)
+        row = families._type2_series(ws, (1, 1), 7)
+        assert families._type2_series(ws, (1, 1), 7) is row and len(row[1]) == 7
+        assert len(families._type2_series(ws, (1, 1), 3)[1]) == 3
+        assert verify_type2_series_equivalence(ws, (1, 1), 2) and verify_type2_series_equivalence(ws, (1, 1), 6)
+
+    def test_hahn_instance_builds_one_series_row(self, monkeypatch):
+        # the series equivalence and the weighted series read the same row
+        calls = []
+        build = families._build_type2_series
+        monkeypatch.setattr(families, "_build_type2_series", lambda *args: calls.append(args[1:]) or build(*args))
+        assert run_instance(instance_of(hahn_ws(2, 5), (2, 1)))["pass"]
+        assert calls == [((2, 1), 6)]
 
     @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 4)])
     def test_negative_order_rejected(self, ws):
@@ -307,7 +326,7 @@ class TestType2Residues:
                     normalized, leftover = times(residual, beta_unit).reduce()
                     assert leftover.is_one()
                     acc += value * normalized * pochhammer(F(-x), k)
-                assert acc == row_values(*families.hahn_type2_weighted_series(ws, n))[x]
+                assert acc == row_values(*hahn_type2_weighted_series(ws, n))[x]
 
 
 class TestRandomAdmissibleSystems:
@@ -318,12 +337,11 @@ class TestRandomAdmissibleSystems:
     def test_residue_duality_holds_and_breaks_under_a_fault(self, system):
         ws, n = system
         vec = families.type1(ws, n)
-        points = sample_points(ws)
-        assert check_residue_duality(ws, n, vec, points)
+        assert check_residue_duality(ws, n, vec)
         for i, ni in enumerate(n):
             for k in range(ni):
                 _, bumped = apply_fault(None, vec, f"t1:{i}:{k}")
-                assert not check_residue_duality(ws, n, bumped, points), (i, k)
+                assert not check_residue_duality(ws, n, bumped), (i, k)
 
     @given(st.one_of(admissible_systems(), hahn_corner_systems()))
     @settings(max_examples=60, deadline=None)
@@ -350,7 +368,7 @@ class TestRandomAdmissibleSystems:
                 reference_direct = [direct_value(ws, i, comp, x) for x in points]
                 assert (pole_row, direct_row) == (reference_poles, reference_direct), (fault, i)
                 verdict &= reference_poles == reference_direct  # both against the canonical scale
-            assert check_residue_duality(ws, n, faulty, points) == verdict == (fault is None), fault
+            assert check_residue_duality(ws, n, faulty) == verdict == (fault is None), fault
 
     @given(admissible_systems())
     @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from mopexact import AdmissibilityError, PoleError, PreconditionError, WeightSys
 from mopexact import check_type1_orthogonality
 from mopexact.gammaprod import pochhammer, ratio_row
 from mopexact.weights import Family, total_degree
-from conftest import admissible_systems, hahn_corner_systems, rising_row, row_values
+from conftest import admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, rising_row, row_values
 
 F = Fraction
 
@@ -275,7 +275,8 @@ def assert_rows_match(ws, n):
                 assert list(row_values(*families._type1_component_coefficients(ws, n, i))) == type1_component(ws, n, i)
     if ws.family is not Family.HAHN:
         return
-    assert row_values(*families.hahn_type2_weighted_series(ws, n)) == weighted_series(ws, n)
+    assert row_values(*hahn_type2_weighted_series(ws, n)) == weighted_series(ws, n)
+    assert families.hahn_weighted_series_relation(ws, n, poly)
     if ws.p == 2 and min(n) >= 1:
         for i in range(2):
             assert row_values(*families.hahn_type1_p2_kdf(ws, n, i)) == kdf_values(ws, n, i)
