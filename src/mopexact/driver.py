@@ -7,11 +7,11 @@ results are JSON-ready, and rationals cross the boundary as "num/den" strings.
 
 The oracle-match checks solve nothing: :func:`oracle.normal_index` certifies that each
 type's conditions have one solution, so the orthogonality checks decide whether the
-generated polynomials are the oracle's.  No check evaluates a polynomial at sample
-points of x: the residue duality compares coefficient rows, and the Hahn weighted series
-compares Newton coefficients.  A fault specification ("t2:IDX" or "t1:I:K") perturbs one
-generated coefficient by +1 before the checks run; the verifier must then report a
-failure, which is how the test suite proves the green path is not vacuous.
+generated polynomials are the oracle's.  No check evaluates a polynomial at sample points of
+x: the residue duality compares coefficient rows, the Hahn weighted series Newton
+coefficients, and Mellin reads one coefficient row in s.  A fault specification ("t2:IDX" or
+"t1:I:K") perturbs one generated coefficient by +1 before the checks run; the verifier must
+then report a failure, which is how the test suite proves the green path is not vacuous.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ B_j, j < |n|, the top one made monic and normalized to 1.  One determinant
 passes its checks exactly when it is that solution; the public solves reconstruct it
 with :func:`linalg.bareiss`.  Residuals are rational cofactors of the weight's moment
 gamma; an exact zero is the int 0, so a passing check builds no Fraction.  A type I
-component is read against :func:`families.type1_scale`.
+component is read against :func:`families.type1_scale`.  Mellin reads one s-row per polynomial.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import AdmissibilityError, PoleError, PreconditionError
-from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_sum, same
+from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_sum
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss, determinant
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
@@ -199,46 +199,56 @@ def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[tuple[int, int]]
     return [(alpha[i] + k * Q, Q) for i in range(ws.p) for k in range(1, n[i] + 1)]
 
 
+def _mellin_difference(ws: WeightSystem, n: MultiIndex, row) -> list[int]:
+    """The s-row, from s^0 up, of left minus right in :func:`check_mellin_type2`, each side times its scale; kept."""
+    def build():
+        (nums, den), total, (Q, alpha, beta) = row, total_degree(n), ws.integer_parameters
+        shifted = ws.family is not Family.LAGUERRE_FIRST_KIND  # the two families with beta
+        head, bottom = rising_product(Q, [(beta + Q, total)] if shifted else (),
+                                      [(c + beta + (total + 1) * Q, ni) for c, ni in zip(alpha, n) if shifted])
+        if ws.family is Family.HAHN:
+            nums, den = [(-1) ** k * math.perm(ws.N, k) * c for k, c in enumerate(nums)], den * math.perm(ws.N, total)
+        scale = bottom if shifted else Q ** total  # Laguerre: q = 1, T = 1, and only the right side has Q^|n|
+        tail, left, right = [1], [nums[total]], [(-1) ** total * head * den]
+        for up in (c + (m + 1) * Q for c, ni in zip(alpha, n) for m in range(ni)):  # alpha_i+1-s = (up - Qs) / Q
+            right = [up * v - Q * w for v, w in zip(right + [0], [0] + right)]
+        for k in range(total - 1, -1, -1):
+            if shifted:
+                tail = [(beta + (k + 1) * Q) * v + Q * w for v, w in zip(tail + [0], [0] + tail)]
+                left = [Q * (k * v + w) + nums[k] * t for v, w, t in zip(left + [0], [0] + left, tail)]
+            else:
+                left = [k * v + w for v, w in zip(left + [0], [nums[k], *left])]
+        return [v * scale - w for v, w in zip(left, right)]
+    return ws.kept(("mellin_difference", n, row), build)
+
+
 def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, points) -> bool:
-    """Moment-reduced transform of the weighted type II polynomial vs its closed form.
+    """Moment-reduced transform of the weighted type II polynomial vs its closed form, at each argument in points.
 
-    Both sides are compared at every transform argument s = a/b in points, a
-    nonempty list of integer pairs (a, b), b > 0, not necessarily reduced, as
-    rational cofactors of one gamma factor: Gamma(s) for Laguerre, Gamma(s) Gamma(beta+1)
-    / Gamma(s+beta+|n|+1) for Jacobi-Pineiro and Gamma(beta+1) Gamma(s) X for the discrete
-    Hahn kernel, X = (s+beta+|n|+1)_{N-|n|} / (N-|n|)!.  The first failing s returns False.
-
-    Both sides are integer pairs, cross-multiplied; the right one is one :func:`rising_product`
-    over bQ.  The left side sum_k c_k (s)_k [(s+beta+1+k)_{|n|-k} with beta] over the admitted row
-    is nested from k = |n|: with s+beta+1 = u/v and B_k = prod_{k<=m<|n|} (u+mv) (B_k = v = 1 for
-    Laguerre), acc_k = c_k B_k b^(|n|-k) + (a+kb) v acc_(k+1).  For Hahn, Chu-Vandermonde gives
-    sum_x (-x)_k (s)_x/x! (beta+1)_{N-x}/(N-x)! = (-1)^k (s)_k (s+beta+1+k)_{N-k}/(N-k)!: X times the
-    Jacobi-Pineiro term on c_k (-1)^k (N-|n|)!/(N-k)!, that is c_k (-1)^k N!/(N-k)! over N!/(N-|n|)!.
+    points is a nonempty iterable of integer pairs s = a/b, not necessarily reduced, read in order: b <= 0 raises
+    PreconditionError, a pole s = 0, -1, ... PoleError, and the first failing s returns False.  Both sides are rational
+    cofactors of one gamma factor, Gamma(s) for Laguerre, Gamma(s) Gamma(beta+1) / Gamma(s+beta+|n|+1) for
+    Jacobi-Pineiro and Gamma(beta+1) Gamma(s) X for Hahn, X = (s+beta+|n|+1)_{N-|n|} / (N-|n|)!, and polynomials of
+    degree <= |n| in s: s passes when a homogeneous Horner pass over the integer s-row of their difference
+    (:func:`_mellin_difference`) gives 0.  With alpha_i, beta integers over Q, the left side sum_k c_k (s)_k
+    (s+beta+1+k)_{|n|-k} is nested from k = |n|: T_k = T_(k+1) (Qs+beta+(k+1)Q), T_|n| = 1 and acc_k = c_k T_k + (qs+qk)
+    acc_(k+1), q = Q (q = 1, T = 1 for Laguerre); the right side head prod_i (alpha_i+1-s)_{n_i} is head times the
+    factors -Qs+alpha_i+(m+1)Q.  For Hahn, Chu-Vandermonde turns sum_x (-x)_k (s)_x/x! (beta+1)_{N-x}/(N-x)! into (-1)^k
+    (s)_k (s+beta+1+k)_{N-k}/(N-k)!: X times the Jacobi-Pineiro term on c_k (-1)^k N!/(N-k)! over N!/(N-|n|)!.
     """
-    coefficients, den = families.type2_row(ws, n, poly)
+    row, points = families.type2_row(ws, n, poly), list(points)
     if not points:
         raise PreconditionError("the Mellin check needs at least one transform argument")
-    total = total_degree(n)
-    Q, alpha, beta = ws.integer_parameters
-    shifted = ws.family is not Family.LAGUERRE_FIRST_KIND  # the two families with beta
-    head = rising_product(Q, [(beta + Q, total)] if shifted else (),
-                          [(c + beta + (total + 1) * Q, ni) for c, ni in zip(alpha, n) if shifted], (-1) ** total)
-    if ws.family is Family.HAHN:
-        coefficients = [(-1) ** k * math.perm(ws.N, k) * c for k, c in enumerate(coefficients)]
-        den *= math.perm(ws.N, total)
+    difference = _mellin_difference(ws, n, row)
     for a, b in points:
         if b <= 0:
             raise PreconditionError(f"transform argument {a}/{b} needs a positive denominator")
         if a <= 0 and a % b == 0:
             raise PoleError(f"transform argument s = {a // b} sits on a gamma pole")
-        ups = [(c * b - a * Q + Q * b, ni) for c, ni in zip(alpha, n)]  # alpha_i+1-s over bQ
-        u, v = (a * Q + (beta + Q) * b, b * Q) if shifted else (1, 1)
-        factors = [u + m * v for m in range(total)] if shifted else [1] * total
-        acc, tail, power = 0, 1, 1
-        for k in range(total, -1, -1):
-            acc = coefficients[k] * tail * power + (a + k * b) * v * acc
-            tail, power = tail * (factors[k - 1] if k else 1), power * b
-        if not same([(acc, den * (b * v) ** total)], [rising_product(b * Q, ups, (), *head)]):
+        value, power = 0, 1  # b^|n| D(a/b)
+        for c in reversed(difference):
+            value, power = value * a + c * power, power * b
+        if value:
             return False
     return True
 

@@ -8,7 +8,7 @@ The oracle hands the exact solve primitive integer rows, and the solve
 builds no Fraction but its results; the last pivot's height is pinned.
 run_instance solves nothing: one elimination certifies that the index is
 normal, and the orthogonality checks decide both oracle matches.  Nor does it
-evaluate a polynomial at a sample point.
+evaluate a polynomial at a sample point, and both Mellin checks read one s-row.
 """
 
 import math
@@ -203,6 +203,39 @@ def test_run_instance_samples_no_point(family, monkeypatch):
         monkeypatch.setattr(module, "values_at", counted)
     assert all(run_instance(instance)["pass"] for instance in iter_instances([family], 3, 4))
     assert calls == []
+
+
+@pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])
+def test_run_instance_builds_one_mellin_row(family, monkeypatch):
+    # mellin_random and mellin_zeros read one kept s-row: inside the check, the only rising_product is the
+    # head of that row's one build, and no transform argument calls another
+    inside, rows, products = [], [], []
+    check, difference, rising_product = oracle.check_mellin_type2, oracle._mellin_difference, oracle.rising_product
+
+    def counted_check(*args):
+        inside.append(args)
+        try:
+            return check(*args)
+        finally:
+            inside.pop()
+
+    def recorded_difference(*args):
+        rows.append(difference(*args))
+        return rows[-1]
+
+    def counted_product(*args):
+        if inside:
+            products.append(args)
+        return rising_product(*args)
+
+    monkeypatch.setattr(oracle, "check_mellin_type2", counted_check)
+    monkeypatch.setattr(oracle, "_mellin_difference", recorded_difference)
+    monkeypatch.setattr(oracle, "rising_product", counted_product)
+    for instance in iter_instances([family], 3, 4):
+        del rows[:], products[:]
+        assert run_instance(instance)["pass"]
+        assert len(rows) == 2 and rows[0] is rows[1] and not any(rows[0]), instance
+        assert len(products) == 1, instance
 
 
 @pytest.mark.parametrize("ws, n", [(laguerre_ws(3), (4, 3, 2)), (jacobi_pineiro_ws(3), (4, 4, 4)),

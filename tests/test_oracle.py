@@ -737,12 +737,54 @@ class TestMellin:
                 assert check_mellin_type2(ws, n, bumped, [s]) == (lhs == rhs) == (fault is None), (fault, s)
 
     def test_empty_point_list_is_a_precondition_error(self):
-        # no transform argument compares nothing: refused, not passed, for any polynomial
+        # no transform argument compares nothing: refused, not passed, for any polynomial, whether the empty
+        # points come as a list, an exhausted iterator or an empty generator; a nonempty generator reads as its list
         for ws in (laguerre_ws(1), jacobi_pineiro_ws(1), hahn_ws(1, 3)):
             poly = families.type2(ws, (1,))
             for p in (poly, apply_fault(poly, None, "t2:0")[0]):
-                with pytest.raises(PreconditionError, match="at least one transform argument"):
-                    check_mellin_type2(ws, (1,), p, [])
+                for points in ([], iter(()), (s for s in [])):
+                    with pytest.raises(PreconditionError, match="at least one transform argument"):
+                        check_mellin_type2(ws, (1,), p, points)
+                assert check_mellin_type2(ws, (1,), p, (s for s in [(1, 7), (3, 11)])) == (p is poly)
+
+    @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 5)],
+                             ids=["laguerre", "jacobi-pineiro", "hahn"])
+    def test_arguments_are_read_in_order(self, ws):
+        # the first failing argument returns False before a later pole or a later zero denominator is seen;
+        # an earlier one raises
+        n = (1, 1)
+        bumped, _ = apply_fault(families.type2(ws, n), None, "t2:0")
+        failing, pole, undefined = (1, 7), (0, 1), (1, 0)
+        assert not check_mellin_type2(ws, n, bumped, [failing])
+        assert not check_mellin_type2(ws, n, bumped, [failing, pole])
+        with pytest.raises(PoleError):
+            check_mellin_type2(ws, n, bumped, [pole, failing])
+        assert not check_mellin_type2(ws, n, bumped, [failing, undefined])
+        with pytest.raises(PreconditionError, match="positive denominator"):
+            check_mellin_type2(ws, n, bumped, [undefined, failing])
+
+    @given(st.one_of(admissible_systems(), hahn_corner_systems()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_difference_row_vanishes_exactly_on_the_generated_polynomial(self, system, data):
+        # with no transform argument: the s-row of both sides' difference is zero for the generated polynomial
+        # and nonzero under every single bump; read at random arguments, every zero, an unreduced pair and, for
+        # Hahn, the zeros of the cancelled factor, it gives the Fraction route's verdict at each of them
+        ws, n = system
+        total = sum(n)
+        poly = families.type2(ws, n)
+        points = data.draw(st.lists(st.tuples(st.integers(1, 9), st.sampled_from((7, 11, 13))), min_size=1,
+                                    max_size=5))
+        a, b = points[0]
+        points += [(a * 3, b * 3), *oracle.mellin_zero_points(ws, n)]
+        if ws.family is Family.HAHN:
+            points += [(-(ws.beta + total + 1 + m)).as_integer_ratio() for m in range(ws.N - total)]
+        for fault in [None] + [f"t2:{k}" for k in range(total + 1)]:
+            bumped, _ = apply_fault(poly, None, fault)
+            difference = oracle._mellin_difference(ws, n, families.type2_row(ws, n, bumped))
+            assert len(difference) == total + 1 and any(difference) == (fault is not None), fault
+            verdicts = [operator.eq(*reference_mellin_sides(ws, n, bumped, F(*s))) for s in points]
+            assert [check_mellin_type2(ws, n, bumped, [s]) for s in points] == verdicts, fault
+            assert check_mellin_type2(ws, n, bumped, points) == all(verdicts) == (fault is None), fault
 
     def test_zeros_of_the_cancelled_factor_are_not_vacuous(self):
         # at s = -(beta+|n|+1+m), m < N-|n|, the lattice transform and its closed form both vanish for every
