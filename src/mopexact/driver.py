@@ -8,7 +8,7 @@ results are JSON-ready, and rationals cross the boundary as "num/den" strings.
 The oracle-match checks solve nothing: :func:`oracle.normal_index` certifies that each
 type's conditions have one solution, so the orthogonality checks decide whether the
 generated polynomials are the oracle's.  No check evaluates a polynomial at sample points of
-x: the residue duality compares coefficient rows, the Hahn weighted series Newton
+x: the residue duality compares coefficient rows, the Hahn weighted series and KDF form Newton
 coefficients, and Mellin reads one coefficient row in s.  A fault specification ("t2:IDX" or
 "t1:I:K") perturbs one generated coefficient by +1 before the checks run; the verifier must
 then report a failure, which is how the test suite proves the green path is not vacuous.
@@ -159,8 +159,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
         checks["weighted_series"] = families.hahn_weighted_series_relation(ws, n, poly)
         checks["summation_identity"] = all(oracle.check_hahn_summation_identity(ws, n))
         if ws.p == 2 and min(n) >= 1:  # the double series needs both weights active
-            checks["kdf_cross_formula"] = all(  # both rows reduced
-                families.hahn_type1_p2_kdf(ws, n, i) == vec.components[i].lattice_values(ws.N) for i in range(2))
+            checks["kdf_cross_formula"] = families.hahn_kdf_relation(ws, n, vec)
 
     return {
         "instance": instance_key(instance),

@@ -10,10 +10,11 @@ and rational coefficients in the shifted rising basis (x + alpha_i + 1)_l for
 Hahn, whose scale is empty.  Every closed-form row, here and in the
 Hahn-only cross checks, is an integer row (:mod:`mopexact.gammaprod`) built
 by its term ratio (:func:`~mopexact.gammaprod.ratio_row`), with parameters
-over the one denominator Q: a polynomial carries it as its row, a cross check
-returns it as a reduced lattice row or reads it against Newton coefficients
-(:func:`~mopexact.gammaprod.newton_row`).  Each prefactor is one
-:func:`~mopexact.gammaprod.rising_product`.
+over the one denominator Q: a polynomial carries it as its row, and a cross
+check compares it with the admitted row coefficient by coefficient, or as
+Newton coefficients Delta^m at 0 (:func:`~mopexact.gammaprod.newton_row`).
+Each prefactor is one :func:`~mopexact.gammaprod.rising_product`, and the
+type II sum Hahn shares with Jacobi-Pineiro is built once per instance.
 
 Component i of a type I vector is defined as the zero polynomial whenever
 n_i = 0; the closed forms contain (n_i - 1)! and are invoked only for
@@ -41,14 +42,11 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int
         prod_q (-n_q)_{l_q}/l_q!
         * prod_{q<p} (alpha_q + n_q + 1)_{T_{q+1}} / prod_q (alpha_q + 1)_{T_q}
         * [JP, Hahn] prod_q (a_q + beta + S_q + 1)_{T_q} / prod_{q<p} (a_q + beta + S_q + 1)_{T_{q+1}}
-        * [Hahn] (-N)_{|n|} / (-N)_{T_1}
-    attached to degree T_1 of the family basis.  Weight q contributes an
-    integer head row (its factors at T_q) and tail row (at T_{q+1}), and the
-    sum runs from the last weight to the first: acc[T] sums the terms of
-    weights q.. with T_q = T, over the product of the rows' denominators.
-    An idle weight (n_q = 0) has l_q = 0, so T_q = T_{q+1} and its head and
-    tail factors cancel; it is skipped, because (a_q + beta + S_q + 1)_T can
-    vanish there and make the cancellation a 0/0.
+    attached to degree T_1 of the family basis; Hahn shares the Jacobi-Pineiro sum.  Weight q contributes an
+    integer head row (its factors at T_q) and tail row (at T_{q+1}), and the sum runs from the last weight to
+    the first: acc[T] sums the terms of weights q.. with T_q = T, over the product of the rows' denominators.
+    An idle weight (n_q = 0) has l_q = 0, so T_q = T_{q+1} and its head and tail factors cancel; it is
+    skipped, because (a_q + beta + S_q + 1)_T can vanish there and make the cancellation a 0/0.
     """
     Q, alpha, beta = ws.integer_parameters
     total = total_degree(n)
@@ -68,29 +66,31 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int
             for l, b in enumerate(signed_binomials):
                 out[t + l] += b * head[t + l] * value
         acc, den = out, den * head_den * tail_den
-    if ws.family is Family.HAHN:  # (-N)_{|n|} / (-N)_T = prod_{T<=l<|n|} (l - N)
-        acc = [v * math.prod(range(t - ws.N, total - ws.N)) for t, v in enumerate(acc)]
     return acc, den
 
 
-def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
-    """Monic type II polynomial: monomial basis, falling factorials (-x)_k for Hahn.
+def _type2_sum(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int]:
+    """:func:`_type2_coefficients` times prod_q (alpha_q+1)_{n_q} / prod_q (alpha_q+beta+|n|+1)_{n_q} (not for Laguerre),
+    kept once per weight system and n: the Hahn polynomial and :func:`hahn_jp_coefficient_relation` read one row."""
+    def build():
+        (Q, alpha, beta), shifted = ws.integer_parameters, ws.family is not Family.LAGUERRE_FIRST_KIND
+        top, bottom = rising_product(Q, [(a + Q, ni) for a, ni in zip(alpha, n)],
+                                     [(a + beta + (total_degree(n) + 1) * Q, ni) for a, ni in zip(alpha, n) if shifted])
+        nums, den = _type2_coefficients(ws, n)
+        return [top * v for v in nums], den * bottom
+    return ws.kept(("type2_sum", tuple(n)), build)
 
-    The multi-sum of :func:`_type2_coefficients` times (-1)^|n| (not for
-    Hahn) prod_q (alpha_q+1)_{n_q} / prod_q (alpha_q+beta+|n|+1)_{n_q} (not
-    for Laguerre), as one integer row.  The Hahn polynomial is
-    monic in that its leading monomial coefficient is 1.
-    """
+
+def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
+    """Monic type II polynomial: monomial basis, falling factorials (-x)_k for Hahn.  The row of :func:`_type2_sum`
+    times (-1)^|n|, or for Hahn term T times (-N)_{|n|} / (-N)_T: its leading monomial coefficient is 1."""
     ws.validate_index(n)
-    total = total_degree(n)
-    Q, alpha, beta = ws.integer_parameters
-    top, bottom = rising_product(
-        Q, [(a + Q, ni) for a, ni in zip(alpha, n)],
-        [] if ws.family is Family.LAGUERRE_FIRST_KIND else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
-        1 if ws.family is Family.HAHN else (-1) ** total)
-    nums, den = _type2_coefficients(ws, n)
-    basis = Basis.falling_factorial() if ws.family is Family.HAHN else Basis.monomial()
-    return ScaledPolynomial(basis, row=([top * v for v in nums], den * bottom))
+    total, hahn = total_degree(n), ws.family is Family.HAHN
+    nums, den = _type2_sum(ws, n)
+    if hahn:  # (-N)_{|n|} / (-N)_T = prod_{T<=l<|n|} (l - N)
+        nums = [v * math.prod(range(t - ws.N, total - ws.N)) for t, v in enumerate(nums)]
+    return ScaledPolynomial(Basis.falling_factorial() if hahn else Basis.monomial(),
+                            row=(nums, -den if total % 2 and not hahn else den))
 
 
 def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
@@ -211,48 +211,63 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     return TypeIVector(tuple(components))
 
 
-def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
-    """Two-weight Hahn type I component i at x = 0..N via its double-sum representation, as one reduced row.
+def _kdf_series(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[int, int, list[int]]:
+    """Two-weight Hahn type I component i through its double-sum representation: (top, bottom, inner), the
+    component at x being top / bottom * sum_m C(x, m) inner[m], m < n_i.
 
     Only defined for p = 2.  The terminating Kampe de Feriet double series
     (a = alpha_i, a^ = alpha_other, likewise for n)
         sum_{l,m} (1-n_i)_{l+m} (-N)_{l+m} / ((2-|n|)_{l+m} (a^+beta+n^+1)_{l+m}) * (a^-a-n_i+1)_l / l!
                   * (a+beta+|n|)_m (a-a^-n^+1)_m / ((a+1)_m (-N)_m) * (-x)_m / m!
-    is an independent route to the values of the shifted-rising expansion.
-    Only (-x)_m / m! = (-1)^m C(x, m) depends on x, so the inner sums c_m over
-    l (which stops at n_i - 1 - m) are built once from the integer joint,
-    left and right rows (:func:`ratio_row`), and entry x is the prefactor
-    times the integer sum sum_m c_m C(x, m) over their denominators.
+    is an independent route to the shifted-rising expansion.  Only (-x)_m / m! = (-1)^m C(x, m) depends on x,
+    so the inner sums over l < n_i - m are built once from the integer joint, left and right rows
+    (:func:`ratio_row`), over their denominators.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     if ws.p != 2:
         raise PreconditionError("the double-series form exists for p = 2 only")
-    if not isinstance(i, int) or i not in (0, 1):
+    if type(i) is not int or i not in (0, 1):
         raise PreconditionError(f"the double-series form has components 0 and 1, not {i!r}")
     ws.validate_index(n, type_one=True)
     if min(n) < 1:
         raise AdmissibilityError("both component degrees must be >= 1")
-    other = 1 - i
-    Q, alpha, beta = ws.integer_parameters
-    a_i, a_hat = alpha[i], alpha[other]
-    n_i, n_hat = n[i], n[other]
-    N, tot = ws.N, n[0] + n[1]
+    (Q, alpha, beta), N, tot = ws.integer_parameters, ws.N, n[0] + n[1]
+    (a_i, a_hat), (n_i, n_hat) = (alpha[i], alpha[1 - i]), (n[i], n[1 - i])
     top, bottom = rising_product(
         Q, [(a_hat + beta + (n_hat + 1) * Q, tot - 1)],
         [(beta + Q, tot - 1), (a_i + beta + (tot + n_i) * Q, N + 1 - tot), (a_i - a_hat - (n_hat - 1) * Q, tot - 1)],
         (-1) ** (n_i - 1) * math.factorial(N + 1 - tot) * math.factorial(tot - 2),
         math.factorial(n_i - 1) * math.factorial(n_hat - 1))
-
     joint, joint_den = ratio_row([(1 - n_i) * Q, -N * Q], [(2 - tot) * Q, a_hat + beta + (n_hat + 1) * Q], n_i, Q)
     left, left_den = ratio_row([a_hat - a_i - (n_i - 1) * Q], [Q], n_i, Q)
     right, right_den = ratio_row([a_i + beta + tot * Q, a_i - a_hat - (n_hat - 1) * Q], [a_i + Q, -N * Q], n_i, Q)
-    inner = [
-        (-1) ** m * r * sum(joint[l + m] * left[l] for l in range(n_i - m))
-        for m, r in enumerate(right)
-    ]
-    return reduced_row([top * sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(N + 1)],
-                       joint_den * left_den * right_den * bottom)
+    inner = [(-1) ** m * r * sum(joint[l + m] * left[l] for l in range(n_i - m)) for m, r in enumerate(right)]
+    return top, joint_den * left_den * right_den * bottom, inner
+
+
+def hahn_type1_p2_kdf(ws: WeightSystem, n: MultiIndex, i: int) -> LatticeRow:
+    """Two-weight Hahn type I component i at x = 0..N via its double series (:func:`_kdf_series`), one reduced row."""
+    top, bottom, inner = _kdf_series(ws, n, i)
+    return reduced_row([top * sum(math.comb(x, m) * c for m, c in enumerate(inner)) for x in range(ws.N + 1)], bottom)
+
+
+def hahn_kdf_relation(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> bool:
+    """Both components of a two-weight Hahn type I vector against :func:`_kdf_series`, as Newton coefficients.
+
+    Both sides of component i have degree < n_i <= N, so they agree on the lattice exactly when Delta^m at 0
+    does for m < n_i: top * inner[m] / bottom for the series, and for the component, as :func:`type1_rows`
+    admits it, sum_{k>=m} c_k k!/(k-m)! (s+m)_{k-m}, s = alpha_i + 1, as Delta (x+s)_k = k (x+s+1)_{k-1}:
+    one integer Horner pass, s + k = (alpha_i + (k+1)Q) / Q.  No lattice value is built."""
+    series, (Q, alpha, _) = [_kdf_series(ws, n, i) for i in range(2)], ws.integer_parameters
+    for (nums, den), (top, bottom, inner), a in zip(type1_rows(ws, n, vec), series, alpha):
+        for m, c in enumerate(inner):
+            acc, power = 0, 1  # den Q^(n_i-1-m) Delta^m at 0, and Q^(n_i-m)
+            for k in range(len(nums) - 1, m - 1, -1):
+                acc, power = nums[k] * math.perm(k, m) * power + (a + (k + 1) * Q) * acc, power * Q
+            if acc * bottom * Q != top * c * den * power:
+                return False
+    return True
 
 
 def _type2_series(ws: WeightSystem, n: MultiIndex, length: int) -> tuple[tuple[int, int], list[int], int]:
@@ -310,14 +325,12 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
 
     With Q the given Hahn polynomial in (-x)_k and P (same alpha, beta) in
     x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k <= |n|, Q as :func:`type2_row` admits it.
+    P is the row of :func:`_type2_sum`, which both families share, times (-1)^|n|.
     """
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
-    hahn, hahn_den = type2_row(ws_hahn, n, poly)
-    jacobi, jacobi_den = type2(WeightSystem.jacobi_pineiro(ws_hahn.alpha, ws_hahn.beta), n).row
-    total = total_degree(n)
-    N = ws_hahn.N
+    (hahn, hahn_den), (nums, den) = type2_row(ws_hahn, n, poly), _type2_sum(ws_hahn, n)
+    total, N = total_degree(n), ws_hahn.N
     # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied
-    return all(
-        hahn[k] * jacobi_den * math.factorial(N - total) == (-1) ** k * math.factorial(N - k) * jacobi[k] * hahn_den
-        for k in range(total + 1))
+    return all(hahn[k] * den * math.factorial(N - total) == (-1) ** (k + total) * math.factorial(N - k) * v * hahn_den
+               for k, v in enumerate(nums))

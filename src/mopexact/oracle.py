@@ -9,11 +9,11 @@ the package's central claim.
 Everything is an integer, an integer pair or an integer row (:mod:`mopexact.gammaprod`).
 Every condition of both types pairs t_a B_b with a weight, t_a from the family's type I
 basis and B_b from its type II basis, and one function builds those pairings, with no
-lattice value (:func:`_pairings`).  Each type's conditions are one integer system built
-from it once per weight system and multi-index (:func:`_type2_conditions`,
-:func:`_type1_conditions`): the check multiplies the admitted row
-(:func:`families.type2_row`, :func:`families.type1_rows`) by it.  The type I rows are
-B_j, j < |n|, the top one made monic and normalized to 1.  One determinant
+lattice value (:func:`_pairings`), once per weight system, multi-index and weight.  They
+are the type II conditions (:func:`_type2_conditions`), and the type I system
+(:func:`_type1_conditions`) reads their entries b < |n|; each check multiplies the
+admitted row (:func:`families.type2_row`, :func:`families.type1_rows`) by its system.
+The type I rows are B_j, j < |n|, the top one made monic and normalized to 1.  One determinant
 (:func:`normal_index`) certifies that both systems have one solution, so a polynomial
 passes its checks exactly when it is that solution; the public solves reconstruct it
 with :func:`linalg.bareiss`.  Residuals are rational cofactors of the weight's moment
@@ -72,58 +72,55 @@ class OrthogonalityReport(Frozen):
         return self.normalization is None or self.normalization[0] == self.normalization[1]
 
 
-def _pairings(ws: WeightSystem, n: MultiIndex, i: int, length: int) -> list:
-    """Weight i's rows a < n_i of <t_a B_b, w_i>, b < length, as integer rows over the weight's moment gamma.
-
-    Type II row (i, j) is row j at length |n|+1 and type I column (i, k) row k at length |n|: t_a is the
-    type I basis and B_b the type II basis of the family.  The continuous families pair x^(a+b), the
-    moment window m_i[a..a+length).  Hahn pairs (x+alpha_i+1)_a (-x)_b: as (alpha_i+1)_x (x+alpha_i+1)_a
-    = (alpha_i+1)_a (c)_x, c = alpha_i+1+a, Chu-Vandermonde sums entry b to (alpha_i+1)_a (c+beta+1)_N / N!
-    times (c)_b (-N)_b / (c+beta+1)_b, and the constant steps from a to a+1 by c (c+beta+1+N) / (c+beta+1).
-    At length |n| the top row (-x)_{|n|-1} is taken times (-1)^(|n|-1), its x^(|n|-1) coefficient, so the
-    type I target stays 1.
-    """
+def _pairings(ws: WeightSystem, n: MultiIndex, i: int) -> list:
+    """Weight i's rows a < n_i of <t_a B_b, w_i>, b <= |n|, as integer rows over the weight's moment gamma: t_a is
+    the type I basis and B_b the type II basis of the family.  The continuous families pair x^(a+b), the moment
+    window m_i[a..a+|n|].  Hahn pairs (x+alpha_i+1)_a (-x)_b: as (alpha_i+1)_x (x+alpha_i+1)_a = (alpha_i+1)_a (c)_x,
+    c = alpha_i+1+a, Chu-Vandermonde sums entry b to (alpha_i+1)_a (c+beta+1)_N / N! times
+    (c)_b (-N)_b / (c+beta+1)_b, and the constant steps from a to a+1 by c (c+beta+1+N) / (c+beta+1)."""
+    total = total_degree(n)
     if ws.family is not Family.HAHN:
-        nums, den = ws.moment_rows(max(n) + length - 1)[i]
-        return [(nums[a:a + length], den) for a in range(n[i])]
-    (Q, alpha, beta), N, total = ws.integer_parameters, ws.N, total_degree(n)
+        nums, den = ws.moment_rows(max(n) + total)[i]
+        return [(nums[a:a + total + 1], den) for a in range(n[i])]
+    (Q, alpha, beta), N = ws.integer_parameters, ws.N
     c, top, bottom = alpha[i] + Q, *rising_product(Q, [(alpha[i] + beta + 2 * Q, N)], (), 1, math.factorial(N))
-    sign = (-1) ** (total - 1) if length == total else 1
     rows = []
     for _ in range(n[i]):
-        nums, den = ratio_row([c, -N * Q], [c + beta + Q], length, Q)
-        nums[-1] *= sign
+        nums, den = ratio_row([c, -N * Q], [c + beta + Q], total + 1, Q)
         rows.append(([top * v for v in nums], bottom * den))
         top, bottom = top * c * (c + beta + (N + 1) * Q), bottom * Q * (c + beta + Q)
         c += Q
     return rows
 
 
-def _type2_conditions(ws: WeightSystem, n: MultiIndex, width: int) -> dict:
-    """The type II conditions <t_j B, w_i>, j < n_i, as integer rows (i, j) over basis elements k < width
-    (:func:`_pairings`), built once per weight system, multi-index and width."""
-    return ws.kept(("type2_conditions", n, width),
-                   lambda: {(i, j): row for i in range(ws.p) for j, row in enumerate(_pairings(ws, n, i, width))})
+def _type2_conditions(ws: WeightSystem, n: MultiIndex) -> dict:
+    """The type II conditions <t_j B, w_i>, j < n_i, as integer rows (i, j) over basis elements k <= |n|
+    (:func:`_pairings`), built once per weight system and multi-index; :func:`_type1_conditions` reads them too."""
+    return ws.kept(("type2_conditions", n),
+                   lambda: {(i, j): row for i in range(ws.p) for j, row in enumerate(_pairings(ws, n, i))})
 
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
     """All conditions <t_j B, w_i> = 0 for j < n_i, exactly: the admitted row paired with each condition row."""
     row = families.type2_row(ws, n, poly)
-    conditions = _type2_conditions(ws, n, len(row[0]))
-    return OrthogonalityReport({key: pair(row, condition) for key, condition in conditions.items()}, None)
+    return OrthogonalityReport({key: pair(row, condition) for key, condition in _type2_conditions(ws, n).items()}, None)
 
 
 def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[tuple[int, int]]]:
     """The type I system over the unknowns (i, k), k < n_i, built once per weight system and multi-index: an |n| x |n|
     integer matrix and one scale (top, bottom) per unknown, so that row j pairs the basis element of unknown (i, k)
-    exactly to entry * top / bottom.  Column (i, k) is :func:`_pairings` row k over its content, which joins the
-    row's denominator and :func:`_moment_scale` in the scale."""
+    exactly to entry * top / bottom.  Column (i, k) is :func:`_type2_conditions` row (i, k) up to B_{|n|-1} over its
+    content, which joins the row's denominator and :func:`_moment_scale` in the scale.  The Hahn top row (-x)_{|n|-1}
+    is taken times (-1)^(|n|-1), its x^(|n|-1) coefficient, so the type I target stays 1."""
     def build():
         total = total_degree(n)
         scales = {i: _moment_scale(ws, i, total) for i in range(ws.p) if n[i]}
-        columns = [(i, nums, math.gcd(*nums) or 1, den) for i in scales for nums, den in _pairings(ws, n, i, total)]
-        return (list(zip(*([v // g for v in nums] for _, nums, g, _ in columns))),
-                [(scales[i][0] * g, scales[i][1] * den) for i, _, g, den in columns])
+        columns = [(i, nums[:total], den) for (i, _), (nums, den) in _type2_conditions(ws, n).items()]
+        columns = [(i, nums, math.gcd(*nums) or 1, den) for i, nums, den in columns]
+        matrix = list(zip(*([v // g for v in nums] for _, nums, g, _ in columns)))
+        if ws.family is Family.HAHN and total % 2 == 0:  # the top row times (-1)^(|n|-1)
+            matrix[-1] = tuple(-v for v in matrix[-1])
+        return matrix, [(scales[i][0] * g, scales[i][1] * den) for i, _, g, den in columns]
     return ws.kept(("type1_conditions", n), build)
 
 
@@ -164,7 +161,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     total = total_degree(n)
     basis, lead = (Basis.falling_factorial(), (-1) ** total) if ws.family is Family.HAHN else (Basis.monomial(), 1)
     # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
-    rows = [primitive(row) for row, _ in _type2_conditions(ws, n, total + 1).values()]
+    rows = [primitive(row) for row, _ in _type2_conditions(ws, n).values()]
     nums, det = bareiss([row[:total] for row in rows], [-lead * row[total] for row in rows])
     return ScaledPolynomial(basis, row=([*nums, lead * det], det))
 

@@ -112,6 +112,12 @@ def hahn_type2_weighted_series(ws, n) -> tuple[tuple[int, ...], int]:
                        den * bottom)
 
 
+def kdf_lattice_relation(ws, n, vec) -> bool:
+    """The KDF check as lattice rows: each component's double-series values at x = 0..N against its own values
+    there, both reduced rows.  The reference the verify path's Newton comparison is checked against."""
+    return all(families.hahn_type1_p2_kdf(ws, n, i) == vec.components[i].lattice_values(ws.N) for i in range(2))
+
+
 #: The points the residue duality once compared values at: five per continuous family, and
 #: 0, 1, 2, N-1 and N on the Hahn lattice.  Row equality implies value equality there, not conversely.
 SAMPLE_POINTS = {

@@ -116,6 +116,14 @@ class TestDriver:
             "8f7a580f0d69551cfcb8eaa8a03528b1b8681c590dee2cdfee6c123e865096e5"
         )
 
+    def test_degree_eight_digest(self):
+        # golden output of the degree 8 / N 16 grid, all three families in grid order: 1166 records must not move
+        records = [run_instance(i) for i in iter_instances(["laguerre1", "jacobi-pineiro", "hahn"], 8, 16)]
+        assert len(records) == 1166 and all(r["pass"] for r in records)
+        assert hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest() == (
+            "288f51522efdf9a0aad58aa65258e2636b4c20428cda775ff579ca8572b06282"
+        )
+
     @pytest.mark.parametrize("key, t2_red, t1_red", [
         ("laguerre1|n=2,1", set(), set()),
         ("jacobi-pineiro|n=2,1", set(), set()),

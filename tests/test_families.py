@@ -22,11 +22,19 @@ from mopexact.driver import apply_fault
 from mopexact.gammaprod import row_product
 from mopexact.hyper import kdf
 from conftest import (
-    admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, jacobi_pineiro_ws, laguerre_ws,
-    monomial_coefficients, row_values,
+    admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, jacobi_pineiro_ws,
+    kdf_lattice_relation, laguerre_ws, monomial_coefficients, row_values,
 )
 
 F = Fraction
+
+
+def outcome(function, *args):
+    """The value, or the error class, of one call."""
+    try:
+        return function(*args)
+    except (AdmissibilityError, PreconditionError) as exc:
+        return type(exc)
 
 
 def kdf_per_point(ws, n, i, x) -> Fraction:
@@ -205,10 +213,28 @@ class TestHahnDoubleSeries:
         with pytest.raises(PreconditionError):
             hahn_type1_p2_kdf(hahn_ws(1, 3), (1,), 0)
 
-    @pytest.mark.parametrize("i", [2, -1, 1.0])
+    @pytest.mark.parametrize("i", [2, -1, 1.0, True, False])
     def test_component_index_is_0_or_1(self, i):
+        # a bool is refused too, not read as component 1 or 0
         with pytest.raises(PreconditionError, match="components 0 and 1"):
             hahn_type1_p2_kdf(hahn_ws(2, 6), (1, 1), i)
+
+    @given(st.one_of(admissible_systems(max_total=6, family="hahn", p=2).filter(lambda system: min(system[1]) >= 1),
+                     hahn_corner_systems()))
+    @settings(max_examples=60, deadline=None)
+    def test_newton_verdict_equals_lattice_rows(self, system):
+        # the Newton-coefficient check gives the verdict of the lattice-row comparison it replaced, clean and under
+        # every t1 fault, and refuses a corner system (one active weight) with the same error
+        ws, n = system
+        vec = type1(ws, n)
+        for fault in [None] + [f"t1:{i}:{k}" for i, ni in enumerate(n) for k in range(ni)]:
+            _, faulty = apply_fault(None, vec, fault)
+            verdict = outcome(families.hahn_kdf_relation, ws, n, faulty)
+            assert verdict == outcome(kdf_lattice_relation, ws, n, faulty), fault
+            if ws.p == 2 and min(n) >= 1:
+                assert verdict is (fault is None), fault
+            else:
+                assert verdict in (AdmissibilityError, PreconditionError)
 
     def test_matches_general_formula_deeper(self):
         ws = hahn_ws(2, 5)

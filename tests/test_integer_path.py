@@ -9,6 +9,8 @@ builds no Fraction but its results; the last pivot's height is pinned.
 run_instance solves nothing: one elimination certifies that the index is
 normal, and the orthogonality checks decide both oracle matches.  Nor does it
 evaluate a polynomial at a sample point, and both Mellin checks read one s-row.
+A Hahn instance builds one weight system, one nested type II sum and one
+pairing set.
 """
 
 import math
@@ -190,19 +192,66 @@ def test_run_instance_solves_nothing(ws, eliminations):
 
 @pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])
 def test_run_instance_samples_no_point(family, monkeypatch):
-    # the residue duality compares coefficient rows and the weighted series Newton coefficients:
-    # no check evaluates a polynomial at a sample point
-    calls = []
-    values_at = polybasis.values_at
+    # the residue duality compares coefficient rows, the weighted series and the KDF form Newton coefficients:
+    # no check evaluates a polynomial at a sample point, and only the weighted series tabulates one on the lattice
+    calls, tables = [], []
+    values_at, lattice_values = polybasis.values_at, polybasis.ScaledPolynomial.lattice_values
 
     def counted(basis, row, points):
         calls.append(points)
         return values_at(basis, row, points)
 
+    def counted_table(poly, N):
+        tables.append(poly)
+        return lattice_values(poly, N)
+
     for module in (polybasis, residues):
         monkeypatch.setattr(module, "values_at", counted)
-    assert all(run_instance(instance)["pass"] for instance in iter_instances([family], 3, 4))
+    monkeypatch.setattr(polybasis.ScaledPolynomial, "lattice_values", counted_table)
+    for instance in iter_instances([family], 3, 4):
+        del tables[:]
+        assert run_instance(instance)["pass"]
+        assert len(tables) == (1 if family == "hahn" else 0), instance
     assert calls == []
+
+
+def test_hahn_instance_builds_each_row_once(monkeypatch):
+    # one weight system per Hahn instance: the Jacobi-Pineiro bridge reads the nested type II sum the Hahn
+    # polynomial was built from, and both condition systems read one pairing set, n_i ratio_rows per weight
+    systems, sums, pairing_rows, inside = [], [], [], []
+    init, coefficients = WeightSystem.__init__, families._type2_coefficients
+    pairings, ratio_row = oracle._pairings, oracle.ratio_row
+
+    def counted_init(self, *args, **kwargs):
+        systems.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_coefficients(ws, n):
+        sums.append(n)
+        return coefficients(ws, n)
+
+    def counted_pairings(*args):
+        inside.append(args)
+        try:
+            return pairings(*args)
+        finally:
+            inside.pop()
+
+    def counted_ratio_row(*args):
+        if inside:
+            pairing_rows.append(inside[-1][2])
+        return ratio_row(*args)
+
+    monkeypatch.setattr(WeightSystem, "__init__", counted_init)
+    monkeypatch.setattr(families, "_type2_coefficients", counted_coefficients)
+    monkeypatch.setattr(oracle, "_pairings", counted_pairings)
+    monkeypatch.setattr(oracle, "ratio_row", counted_ratio_row)
+    for instance in iter_instances(["hahn"], 4, 6):
+        del systems[:], sums[:], pairing_rows[:]
+        assert run_instance(instance)["pass"]
+        n = tuple(instance["n"])
+        assert len(systems) == 1 and sums == [n], instance
+        assert sorted(pairing_rows) == [i for i, ni in enumerate(n) for _ in range(ni)], instance
 
 
 @pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])

@@ -297,7 +297,7 @@ class TestHahnPairings:
             return sum((element_value(basis, a, x) * element_value(falling, b, x) * hahn_weight(ws, i, x)
                         for x in range(ws.N + 1)), F(0))
 
-        conditions = oracle._type2_conditions(ws, n, total + 1)
+        conditions = oracle._type2_conditions(ws, n)
         assert list(conditions) == [(i, j) for i in range(ws.p) for j in range(n[i])]
         for (i, j), row in conditions.items():
             assert entries(row) == tuple(lattice(i, j, k) for k in range(total + 1)), (i, j)

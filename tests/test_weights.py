@@ -47,6 +47,14 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError):
             WeightSystem.hahn(["1/2"], "1/3", N)
 
+    @pytest.mark.parametrize("n", [(True, 1), (1, False), (2.0, 1), ("2", 1), (1, Fraction(1)), (1, None)])
+    def test_index_entries_must_be_ints(self, n):
+        # a bool, a float, a string or a Fraction entry is refused, not read as an int or failed on later
+        for ws in (hahn_ws(2, 5), WeightSystem.laguerre(STANDARD_ALPHAS[:2])):
+            for type_one in (False, True):
+                with pytest.raises(AdmissibilityError, match="entries of type int"):
+                    ws.validate_index(n, type_one=type_one)
+
     def test_type_one_needs_positive_total(self):
         ws = hahn_ws(1, 3)
         with pytest.raises(AdmissibilityError):
