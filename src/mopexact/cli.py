@@ -228,8 +228,7 @@ def _poly_record(ws: WeightSystem, n, which: int) -> dict:
 
 def cmd_coeffs(args) -> int:
     ws = _weight_system(args)
-    n = tuple(args.n)
-    ws.validate_index(n, type_one=args.type == 1)
+    n = ws.validate_index(args.n, type_one=args.type == 1)
     record = _poly_record(ws, n, args.type)
     _emit_json(_envelope("coeffs", args, [record], passed=1, failed=0), args.out)
     return 0
@@ -237,8 +236,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_eval(args) -> int:
     ws = _weight_system(args)
-    n = tuple(args.n)
-    ws.validate_index(n, type_one=args.type == 1)
+    n = ws.validate_index(args.n, type_one=args.type == 1)
     x = args.x
     if args.type == 2:
         results = [{"x": str(x), "rational": str(families.type2(ws, n).rational_value(x)), "gamma": "1"}]
@@ -498,8 +496,7 @@ def float_eval_type1_form(ws: WeightSystem, n, vec, x: Fraction) -> float:
 
 def cmd_plot_data(args) -> int:
     ws = _weight_system(args)
-    n = tuple(args.n)
-    ws.validate_index(n, type_one=args.type == 1)
+    n = ws.validate_index(args.n, type_one=args.type == 1)
     points = _sample_points(ws, args)
     generated = families.type2(ws, n) if args.type == 2 else families.type1(ws, n)
     rows = []

@@ -12,7 +12,7 @@ Hahn-only cross checks, is an integer row (:mod:`mopexact.gammaprod`) built
 by its term ratio (:func:`~mopexact.gammaprod.ratio_row`), with parameters
 over the one denominator Q: a polynomial carries it as its row, and a cross
 check compares it with the admitted row coefficient by coefficient, or as
-Newton coefficients Delta^m at 0 (:func:`~mopexact.gammaprod.newton_row`).
+Newton coefficients Delta^m at 0 read off the coefficients, never past order |n|.
 Each prefactor is one :func:`~mopexact.gammaprod.rising_product`, and the
 type II sum Hahn shares with Jacobi-Pineiro is built once per instance.
 
@@ -29,7 +29,7 @@ import itertools
 import math
 
 from .errors import AdmissibilityError, PreconditionError
-from .gammaprod import GammaProduct, LatticeRow, newton_row, ratio_row, reduced_row, rising, rising_product, row_product, same
+from .gammaprod import GammaProduct, LatticeRow, ratio_row, reduced_row, rising, rising_product
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
 from .weights import Family, MultiIndex, WeightSystem, total_degree
 
@@ -78,13 +78,13 @@ def _type2_sum(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int]:
                                      [(a + beta + (total_degree(n) + 1) * Q, ni) for a, ni in zip(alpha, n) if shifted])
         nums, den = _type2_coefficients(ws, n)
         return [top * v for v in nums], den * bottom
-    return ws.kept(("type2_sum", tuple(n)), build)
+    return ws.kept(("type2_sum", n), build)
 
 
 def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """Monic type II polynomial: monomial basis, falling factorials (-x)_k for Hahn.  The row of :func:`_type2_sum`
     times (-1)^|n|, or for Hahn term T times (-N)_{|n|} / (-N)_T: its leading monomial coefficient is 1."""
-    ws.validate_index(n)
+    n = ws.validate_index(n)
     total, hahn = total_degree(n), ws.family is Family.HAHN
     nums, den = _type2_sum(ws, n)
     if hahn:  # (-N)_{|n|} / (-N)_T = prod_{T<=l<|n|} (l - N)
@@ -202,7 +202,7 @@ def type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     the gamma scales of :func:`type1_scale`, and in the shifted rising basis
     (x + alpha_i + 1)_k for Hahn, whose scale is empty.
     """
-    ws.validate_index(n, type_one=True)
+    n = ws.validate_index(n, type_one=True)
     factors = _type1_factors(ws, n)
     components = []
     for i in range(ws.p):
@@ -229,7 +229,7 @@ def _kdf_series(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[int, int, list
         raise PreconditionError("the double-series form exists for p = 2 only")
     if type(i) is not int or i not in (0, 1):
         raise PreconditionError(f"the double-series form has components 0 and 1, not {i!r}")
-    ws.validate_index(n, type_one=True)
+    n = ws.validate_index(n, type_one=True)
     if min(n) < 1:
         raise AdmissibilityError("both component degrees must be >= 1")
     (Q, alpha, beta), N, tot = ws.integer_parameters, ws.N, n[0] + n[1]
@@ -270,54 +270,65 @@ def hahn_kdf_relation(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> bool
     return True
 
 
+def _type2_series_factors(ws: WeightSystem, n: MultiIndex) -> tuple[tuple[int, int], int, list[int], list[int]]:
+    """The type II series as (prefactor, z, ups, downs): term 0 is 1 and term l+1 is term l times z prod_u (u+lQ)/Q
+    / prod_d (d+lQ)/Q, so term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times (-beta-|n|)_l (not for
+    Laguerre), over (-beta-N)_l (Hahn) and over l!; z is -1 for Laguerre, else 1.  The prefactor, an integer pair,
+    is (-1)^|n| prod_i (alpha_i+1)_{n_i}, over prod_i (alpha_i+beta+|n|+1)_{n_i} (not for Laguerre), times (beta+1)_N
+    / (N-|n|)! (Hahn).  Kept: :func:`_type2_series` and :func:`mopexact.residues.verify_type2_series_equivalence` read it."""
+    def build():
+        total = total_degree(n)
+        Q, alpha, beta = ws.integer_parameters
+        ups = [a + (ni + 1) * Q for a, ni in zip(alpha, n)]
+        downs = [Q] + [a + Q for a in alpha]
+        above, below, bottom = [(a + Q, ni) for a, ni in zip(alpha, n)], [], 1
+        if ws.family is not Family.LAGUERRE_FIRST_KIND:
+            below = [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)]
+            ups.append(-beta - total * Q)
+        if ws.family is Family.HAHN:
+            above.append((beta + Q, ws.N))
+            bottom = math.factorial(ws.N - total)
+            downs.append(-beta - ws.N * Q)
+        z = -1 if ws.family is Family.LAGUERRE_FIRST_KIND else 1
+        return rising_product(Q, above, below, (-1) ** total, bottom), z, ups, downs
+    return ws.kept(("type2_series_factors", n), build)
+
+
 def _type2_series(ws: WeightSystem, n: MultiIndex, length: int) -> tuple[tuple[int, int], list[int], int]:
-    """Prefactor and terms l < length of the type II series, term l as the integer nums[l] over one denominator.
-
-    Term l is z^l prod_i (alpha_i+n_i+1)_l / (alpha_i+1)_l, times
-    (-beta-|n|)_l (not for Laguerre), over (-beta-N)_l (Hahn) and over l!,
-    one :func:`ratio_row`; z is -1 for Laguerre and 1 otherwise.  The prefactor, an integer pair, is
-    (-1)^|n| prod_i (alpha_i+1)_{n_i}, over prod_i (alpha_i+beta+|n|+1)_{n_i}
-    (not for Laguerre), times (beta+1)_N / (N-|n|)! (Hahn).  Built once per weight system,
-    n and length, so the Hahn series equivalence and weighted series read one row.
-    """
-    return ws.kept(("type2_series", tuple(n), length), lambda: _build_type2_series(ws, n, length))
-
-
-def _build_type2_series(ws: WeightSystem, n: MultiIndex, length: int) -> tuple[tuple[int, int], list[int], int]:
-    total = total_degree(n)
-    Q, alpha, beta = ws.integer_parameters
-    ups = [a + (ni + 1) * Q for a, ni in zip(alpha, n)]
-    downs = [Q] + [a + Q for a in alpha]
-    above, below, bottom = [(a + Q, ni) for a, ni in zip(alpha, n)], [], 1
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
-        below = [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)]
-        ups.append(-beta - total * Q)
-    if ws.family is Family.HAHN:
-        above.append((beta + Q, ws.N))
-        bottom = math.factorial(ws.N - total)
-        downs.append(-beta - ws.N * Q)
-    nums, den = ratio_row(ups, downs, length, Q)
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
-        nums = [-v if l % 2 else v for l, v in enumerate(nums)]
-    return rising_product(Q, above, below, (-1) ** total, bottom), nums, den
+    """Prefactor and terms l < length of the type II series (:func:`_type2_series_factors`), term l as nums[l] over
+    one denominator, one :func:`ratio_row`; kept per weight system, n and length (one |n|+1 row per Hahn instance)."""
+    def build():
+        prefactor, z, ups, downs = _type2_series_factors(ws, n)
+        nums, den = ratio_row(ups, downs, length, ws.integer_parameters[0])
+        return prefactor, [-v if z < 0 and l % 2 else v for l, v in enumerate(nums)], den
+    return ws.kept(("type2_series", n, length), build)
 
 
 def hahn_weighted_series_relation(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:
-    """Hahn type II against its terminating weighted series, compared as Newton coefficients.
+    """Hahn type II against its terminating weighted series, compared as Newton coefficients at l <= |n|.
 
-    With r(x) = Q(x) (beta+1)_{N-x} / (N-x)! the generated weighted row on x = 0..N (Q as
+    With r(x) = P(x) (beta+1)_{N-x} / (N-x)! the weighted polynomial on x = 0..N (P = sum_m c_m (-x)_m as
     :func:`type2_row` admits it), the series reads r(x) = prefactor * sum_l (-x)_l term_l, and
-    (-x)_l = (-1)^l l! C(x, l).  Newton's formula r(x) = sum_l C(x, l) Delta^l r(0) then gives
-    Delta^l r(0) = (-1)^l l! prefactor term_l for every l <= N, prefactor and terms those of
-    :func:`_type2_series`.  The differences are one :func:`newton_row`, compared cross-multiplied.
+    (-x)_l = (-1)^l l! C(x, l): by Newton's formula the identity is Delta^l r(0) = (-1)^l l! prefactor term_l
+    for every l <= N, prefactor and terms those of :func:`_type2_series`.  As Delta^m P(0) = (-1)^m m! c_m and
+    Delta^j (beta+1)_{N-x}/(N-x)! = (-1)^j (beta+1-j)_{N-x}/(N-x)! (Pascal), the discrete Leibniz rule gives
+        Delta^l r(0) = (-1)^l (beta+1)_{N-l} sum_{m<=l} C(l, m) m! c_m (beta+1-l+m)_{l-m} / (N-m)!.
+    Both sides are (-1)^l (beta+|n|+1-l)_{N-|n|}, nonzero for l <= |n| as beta > -1, times a polynomial of
+    degree <= |n| in l: agreement at l = 0..|n| is agreement at every l <= N.  No lattice value is built.
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
-    type2_row(ws, n, poly)
-    (top, bottom), terms, den = _type2_series(ws, n, ws.N + 1)
-    values, values_den = row_product(poly.lattice_values(ws.N), ws.beta_factors)
-    return same([(d, values_den) for d in newton_row(list(values))],
-                 [((-1) ** l * math.factorial(l) * top * t, bottom * den) for l, t in enumerate(terms)])
+    n = ws.validate_index(n)
+    (nums, den), total, N, (Q, _, beta) = type2_row(ws, n, poly), total_degree(n), ws.N, ws.integer_parameters
+    (top, bottom), terms, terms_den = _type2_series(ws, n, total + 1)
+    # over Q^N den N!: Q^(N-l) (beta+1)_{N-l} times the sum of C(l, m) m! nums[m] Q^m N!/(N-m)! Q^(l-m) (beta+1-l+m)_{l-m}
+    weighted = [math.factorial(m) * c * Q**m * math.perm(N, m) for m, c in enumerate(nums)]
+    falling = list(itertools.accumulate(range(total), lambda acc, s: acc * (beta - s * Q), initial=1))  # Q^j (beta+1-j)_j
+    left_den, right_den = bottom * terms_den, Q**N * den * math.factorial(N)
+    heads = itertools.accumulate(range(N - total + 1, N + 1), lambda acc, t: acc * (beta + t * Q),
+                                 initial=rising(beta + Q, Q, N - total)[0])  # Q^(N-l) (beta+1)_{N-l}, l = |n| down to 0
+    return all(head * sum(math.comb(l, m) * weighted[m] * falling[l - m] for m in range(l + 1)) * left_den
+               == math.factorial(l) * top * terms[l] * right_den for l, head in zip(range(total, -1, -1), heads))
 
 
 def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> bool:
@@ -329,6 +340,7 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
     """
     if ws_hahn.family is not Family.HAHN:
         raise AdmissibilityError("weight system is not Hahn")
+    n = ws_hahn.validate_index(n)
     (hahn, hahn_den), (nums, den) = type2_row(ws_hahn, n, poly), _type2_sum(ws_hahn, n)
     total, N = total_degree(n), ws_hahn.N
     # Q[k] (N-|n|)! == (-1)^k (N-k)! P[k], cross-multiplied

@@ -16,15 +16,14 @@ its family, weight and |n|, so the output edge (``coeffs``, ``eval``,
 
 The verify path computes in one format, defined here.  A rational is an
 integer pair (numerator, nonzero denominator) and a sequence of rationals
-(lattice values, moments, series terms) an integer row (:data:`LatticeRow`):
+(moments, pairings, series terms) an integer row (:data:`LatticeRow`):
 integer numerators over one denominator, positive once built.  Only
 :func:`reduced_row` reduces a row, after which equal values mean equal rows;
 other rows and pairs are compared cross-multiplied (:func:`same`).
 Pochhammer parameters are integers over one denominator: :func:`rising` is
 the one kernel (:func:`pochhammer` reduces it to a Fraction),
-:func:`rising_product` multiplies out a prefactor and reduces it once,
-:func:`ratio_row` builds a series row by its term ratio, and :func:`newton_row`
-turns lattice values into their Newton coefficients.  No other module
+:func:`rising_product` multiplies out a prefactor and reduces it once, and
+:func:`ratio_row` builds a series row by its term ratio.  No other module
 defines a row kernel.
 """
 
@@ -137,11 +136,6 @@ def reduced_row(nums, den: int) -> LatticeRow:
     return tuple(v // g for v in nums), den // g
 
 
-def row_product(row: LatticeRow, other: LatticeRow) -> LatticeRow:
-    """Entrywise product of two rows."""
-    return tuple(map(operator.mul, row[0], other[0])), row[1] * other[1]
-
-
 def row_sum(rows, length: int) -> tuple[list[int], int]:
     """Entrywise sum of integer rows over the lcm of their denominators."""
     den = math.lcm(*(d for _, d in rows))
@@ -150,22 +144,11 @@ def row_sum(rows, length: int) -> tuple[list[int], int]:
 
 
 def pair(row: LatticeRow, other: LatticeRow) -> Fraction | int:
-    """A type II residual: the sum of the products of two integer rows' values, lattice or moment rows.
+    """A type II residual: the sum of the products of two integer rows' values, a coefficient and a condition row.
 
     The integer numerators are multiplied and summed, then divided once; an exact zero stays the int 0."""
     total = sum(map(operator.mul, row[0], other[0]))
     return Fraction(total, row[1] * other[1]) if total else 0
-
-
-def newton_row(nums: list[int]) -> list[int]:
-    """Values r(0), ..., r(m) become their forward differences Delta^l r(0), in place, over the same denominator.
-
-    Level l subtracts each entry from the one after it, from the end down to entry l.  Newton's formula
-    r(x) = sum_l C(x, l) Delta^l r(0) inverts it, so two rows agree exactly when their differences do."""
-    for level in range(1, len(nums)):
-        for x in range(len(nums) - 1, level - 1, -1):
-            nums[x] -= nums[x - 1]
-    return nums
 
 
 def primitive(row) -> list[int]:

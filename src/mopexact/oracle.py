@@ -102,6 +102,7 @@ def _type2_conditions(ws: WeightSystem, n: MultiIndex) -> dict:
 
 def check_type2_orthogonality(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> OrthogonalityReport:
     """All conditions <t_j B, w_i> = 0 for j < n_i, exactly: the admitted row paired with each condition row."""
+    n = ws.validate_index(n)
     row = families.type2_row(ws, n, poly)
     return OrthogonalityReport({key: pair(row, condition) for key, condition in _type2_conditions(ws, n).items()}, None)
 
@@ -130,6 +131,7 @@ def check_type1_orthogonality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector)
     The rows are the powers x^j, j < |n|, and the top one is normalized to 1
     in every family.  The vector is read as :func:`families.type1_rows` admits it.
     """
+    n = ws.validate_index(n, type_one=True)
     rows = families.type1_rows(ws, n, vec)
     matrix, scales = _type1_conditions(ws, n)
     # the coefficient of unknown (i, k) times its scale, over one denominator
@@ -146,7 +148,7 @@ def normal_index(ws: WeightSystem, n: MultiIndex) -> int:
     """det of the primitive :func:`_type1_conditions` matrix, or SingularSystemError.  Read from the same
     :func:`_pairings`, it is the type II matrix transposed up to nonzero row and column factors: one nonzero det
     makes both solutions unique."""
-    ws.validate_index(n, type_one=True)
+    n = ws.validate_index(n, type_one=True)
     return determinant([primitive(row) for row in _type1_conditions(ws, n)[0]])
 
 
@@ -157,7 +159,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     the same basis the generators use (monomials, or falling factorials with
     leading coefficient (-1)^|n| for Hahn).
     """
-    ws.validate_index(n)
+    n = ws.validate_index(n)
     total = total_degree(n)
     basis, lead = (Basis.falling_factorial(), (-1) ** total) if ws.family is Family.HAHN else (Basis.monomial(), 1)
     # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
@@ -173,7 +175,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
     canonical per-family basis, against the canonical scale, so the outputs compare
     coefficient-for-coefficient with the generators.
     """
-    ws.validate_index(n, type_one=True)
+    n = ws.validate_index(n, type_one=True)
     total = total_degree(n)
     matrix, scales = _type1_conditions(ws, n)
     # each row over its content; only the last row's reaches the solution
@@ -192,6 +194,7 @@ def oracle_solve_type1(ws: WeightSystem, n: MultiIndex) -> TypeIVector:
 def mellin_zero_points(ws: WeightSystem, n: MultiIndex) -> list[tuple[int, int]]:
     """The |n| transform arguments alpha_i + k, 1 <= k <= n_i, where orthogonality forces the transform to vanish,
     each the integer pair (alpha_i Q + k Q, Q)."""
+    n = ws.validate_index(n)
     Q, alpha, _ = ws.integer_parameters
     return [(alpha[i] + k * Q, Q) for i in range(ws.p) for k in range(1, n[i] + 1)]
 
@@ -233,6 +236,7 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
     factors -Qs+alpha_i+(m+1)Q.  For Hahn, Chu-Vandermonde turns sum_x (-x)_k (s)_x/x! (beta+1)_{N-x}/(N-x)! into (-1)^k
     (s)_k (s+beta+1+k)_{N-k}/(N-k)!: X times the Jacobi-Pineiro term on c_k (-1)^k N!/(N-k)! over N!/(N-|n|)!.
     """
+    n = ws.validate_index(n)
     row, points = families.type2_row(ws, n, poly), list(points)
     if not points:
         raise PreconditionError("the Mellin check needs at least one transform argument")
@@ -268,7 +272,7 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     """
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("the summation identity is Hahn-specific")
-    ws.validate_index(n, type_one=True)
+    n = ws.validate_index(n, type_one=True)
     total = total_degree(n)
     (Q, alpha, beta), N = ws.integer_parameters, ws.N
     active = [i for i in range(ws.p) if n[i]]

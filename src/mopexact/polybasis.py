@@ -1,16 +1,15 @@
 """Polynomial values in the bases the explicit formulas are written in.
 
-Three bases appear: plain monomials x^k, which also give the moment and
-lattice power rows, falling factorials (-x)_k, and shifted rising factorials
+Three bases appear: plain monomials x^k, falling factorials (-x)_k, and shifted rising factorials
 (x + alpha_i + 1)_k, one per weight.  A ScaledPolynomial is a basis and one
 reduced integer coefficient row.  The gamma prefactor of a type I closed
 form depends only on the family, the weight and |n|
 (:func:`mopexact.families.type1_scale`), so it is not stored here; its
 Fraction coefficients are built only when read.
 Every value is computed through the basis's one-step factor
-(:meth:`Basis._step_factor`): nested in integers at rational points
-(:func:`values_at`) and tabulated on the Hahn lattice {0, ..., N} as integer
-rows (:func:`lattice_table`; the row format is :mod:`mopexact.gammaprod`'s).
+(:meth:`Basis._step_factor`), nested in integers at rational points
+(:func:`values_at`).  Only the output edge evaluates a polynomial: no check
+on the verify path tabulates one on the Hahn lattice or samples it at a point.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .gammaprod import Frozen, LatticeRow, as_fraction, reduced_row, row_sum
+from .gammaprod import Frozen, as_fraction, reduced_row
 
 
 class BasisKind(enum.Enum):
@@ -65,21 +64,6 @@ class Basis(Frozen):
             return m, -1, 1
         p, q = self.shift
         return p + m * q, q, q
-
-
-def lattice_table(basis: Basis, degree: int, N: int) -> list[LatticeRow]:
-    """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence.
-
-    Monomial and falling-factorial rows are integers (denominator 1); with
-    shift p/q the shifted-rising rows have denominator q^k.
-    """
-    nums, den = (1,) * (N + 1), 1
-    rows = [(nums, den)]
-    for m in range(degree):
-        const, slope, q = basis._step_factor(m)
-        nums, den = tuple(value * (const + slope * x) for x, value in enumerate(nums)), den * q
-        rows.append((nums, den))
-    return rows
 
 
 def values_at(basis: Basis, row, points) -> list[tuple[int, int]]:
@@ -139,13 +123,6 @@ class ScaledPolynomial(Frozen):
     def rational_value(self, x) -> Fraction:
         """The value at the exact rational x, nested in integers (:func:`values_at`)."""
         return Fraction(*values_at(self.basis, self.row, [x])[0])
-
-    def lattice_values(self, N: int) -> LatticeRow:
-        """rational_value at x = 0..N as a reduced row, summed over the basis rows of :func:`lattice_table`."""
-        nums, den = self.row
-        table = lattice_table(self.basis, len(nums) - 1, N)
-        values, common = row_sum([([c * v for v in row], d) for c, (row, d) in zip(nums, table)], N + 1)
-        return reduced_row(values, den * common)
 
     def leading_monomial_coefficient(self) -> tuple[int, int]:
         """Top nonzero coefficient times the leading sign of its basis element, (-1)^k for (-x)_k,

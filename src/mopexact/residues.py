@@ -8,7 +8,8 @@ type II inverse transforms have simple poles at the nonpositive integers
 (all of them for the continuous families, the lattice window {0,...,N} for
 Hahn).  Summing residues reproduces the direct coefficient formulas, and
 this module certifies that duality term by term, both routes of a type I
-component as coefficient rows in its basis :func:`families.type1_basis`.
+component as coefficient rows in its basis :func:`families.type1_basis`, and
+the type II residues and series by a first entry and a term ratio in k.
 
 What does not depend on the expansion order k is built once per instance,
 and every rational is an integer pair, never reduced, compared
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 
 from . import families
-from .errors import PreconditionError
+from .errors import PoleError, PreconditionError
 from .gammaprod import LatticeRow, ratio_row, rising, rising_product, same
 from .polybasis import TypeIVector, values_at
 from .weights import Family, MultiIndex, WeightSystem, total_degree
@@ -43,7 +44,7 @@ def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[tuple[int, in
     (:meth:`WeightSystem.kept`) for the duality and the recovered nodes."""
     Q, alpha, _ = ws.integer_parameters
     others = [(alpha[j] - alpha[i], n[j]) for j in range(ws.p) if j != i and n[j]]
-    return ws.kept(("pole_weights", tuple(n), i), lambda: [
+    return ws.kept(("pole_weights", n, i), lambda: [
         rising_product(Q, (), [(p - k * Q, m) for p, m in others], (-1) ** k,
                        math.factorial(k) * math.factorial(n[i] - 1 - k)) for k in range(n[i])])
 
@@ -59,7 +60,7 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
     read against, so the two routes compare componentwise.  The terms share one
     denominator: the prefactor's times the pole weights' lcm times Q^(n_i-1) prod_d (d/Q)_{n_i-1}.
     """
-    ws.validate_index(n, type_one=True)
+    n = ws.validate_index(n, type_one=True)
     total = total_degree(n)
     Q, alpha, beta = ws.integer_parameters
 
@@ -116,46 +117,66 @@ def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> 
                for (terms, den), (row, row_den) in zip(_type1_pole_terms(ws, n), rows))
 
 
-def _type2_residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> list[tuple[int, int]]:
-    """Residues of the type II inverse-transform integrand at its poles k = 0..k_max.
-
-    Entry k is a rational, an integer pair, against a gamma product: empty for
-    the continuous families, Gamma(beta+1) for Hahn, whose pole carries
-    Gamma(beta+|n|+1) Gamma(beta+N+1-k) / Gamma(beta+|n|+1-k); against
-    Gamma(beta+1) that is the rational q_k with q_0 = (beta+1)_N and
-    q_{k+1} = q_k (beta+|n|-k) / (beta+N-k).  The scalar (-1)^k/k! [times
-    (beta+|n|+1-k)_k for Jacobi-Pineiro; 1/k! times q_k for Hahn] advances
-    in integers by its one-step ratio; over Q, (alpha_i+1+k)_{n_i} = prod_{l<n_i} (a_i+(k+l+1)Q) / Q^{n_i}."""
-    total = total_degree(n)
+def _type2_residue_factors(ws: WeightSystem, n: MultiIndex) -> tuple[tuple[int, int], list, list]:
+    """Residues of the type II inverse-transform integrand at its poles k = 0, 1, ... as (first, ups, downs): residue
+    k+1 is residue k times prod_u u(k) / prod_d d(k), each factor a pair (c0, c1) standing for c0 + c1 k.  Residue k
+    is (-1)^|n| prod_i (alpha_i+1+k)_{n_i} / k! times (-1)^k (Laguerre), (-1)^k (beta+|n|+1-k)_k / prod_i
+    (alpha_i+beta+|n|+1)_{n_i} (Jacobi-Pineiro), or q_k over that product and (N-|n|)! with q_0 = (beta+1)_N and
+    q_{k+1} = q_k (beta+|n|-k) / (beta+N-k) (Hahn: its pole carries Gamma(beta+|n|+1) Gamma(beta+N+1-k) /
+    Gamma(beta+|n|+1-k), read against Gamma(beta+1))."""
+    total, hahn = total_degree(n), ws.family is Family.HAHN
     Q, alpha, beta = ws.integer_parameters
-    num, den = rising_product(
-        Q, [(beta + Q, ws.N)] if ws.family is Family.HAHN else (),
+    first = rising_product(
+        Q, [(a + Q, ni) for a, ni in zip(alpha, n)] + ([(beta + Q, ws.N)] if hahn else []),
         () if ws.family is Family.LAGUERRE_FIRST_KIND else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
-        (-1) ** total, math.factorial(ws.N - total) if ws.family is Family.HAHN else 1)
-    den *= Q**total
-    values = []
-    for k in range(k_max + 1):
-        values.append((num * math.prod(a + (k + l + 1) * Q for a, ni in zip(alpha, n) for l in range(ni)), den))
-        if ws.family is Family.LAGUERRE_FIRST_KIND:
-            num, den = -num, den * (k + 1)
-        elif ws.family is Family.JACOBI_PINEIRO:
-            num, den = -num * (beta + (total - k) * Q), den * (k + 1) * Q
-        else:
-            num, den = num * (beta + (total - k) * Q), den * (k + 1) * (beta + (ws.N - k) * Q)
-    return values
+        (-1) ** total, math.factorial(ws.N - total) if hahn else 1)
+    ups = [(a + (ni + 1) * Q, Q) for a, ni in zip(alpha, n)] + ([] if hahn else [(-1, 0)])
+    downs = [(a + Q, Q) for a in alpha] + [(1, 1)]  # ... over k+1
+    if ws.family is not Family.LAGUERRE_FIRST_KIND:  # beta+|n|-k, over 1 or over beta+N-k
+        ups.append((beta + total * Q, -Q))
+        downs.append((beta + ws.N * Q, -Q) if hahn else (Q, 0))
+    return first, ups, downs
+
+
+def _first_root(factors, stop: int) -> int:
+    """The least integer k in [0, stop) where a factor c0 + c1 k vanishes, else stop."""
+    roots = (-c0 // c1 if c1 else 0 for c0, c1 in factors if (c1 and c0 % c1 == 0) or not (c0 or c1))
+    return min((k for k in roots if 0 <= k < stop), default=stop)
+
+
+def _primitive_factors(factors) -> tuple[int, list]:
+    """prod factors as its content and its sorted primitive linear factors, each c1 made positive."""
+    gcds = [(math.gcd(c0, c1) if c1 > 0 else -math.gcd(c0, c1)) if c1 else c0 for c0, c1 in factors]
+    return math.prod(gcds), sorted((c0 // g, c1 // g) for (c0, c1), g in zip(factors, gcds) if c1)
 
 
 def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int) -> bool:
-    """Residue route == series route for every expansion order k <= k_max."""
-    ws.validate_index(n)
+    """Residue route == series route for every order k <= k_max by a term-ratio certificate (Petkovsek, Wilf and
+    Zeilberger, A = B, 1996): :func:`_type2_residue_factors` against :func:`families._type2_series_factors`, whose
+    parameters come from the weighted expansions.  A route's row is zero past its first vanishing numerator factor;
+    a denominator factor vanishing before that, below k_max, raises PoleError.  The rows agree when their first
+    entries and ends agree and the cross-multiplied ratios have one content and one sorted list of primitive factors,
+    never expanded: the ratios are then one rational function of k, so the certificate holds at every k."""
+    n = ws.validate_index(n)
     if k_max < 0:
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
     if ws.family is Family.HAHN:
         k_max = min(k_max, ws.N)
-    # the series route takes its parameters straight from the weighted expansions (families._type2_series, one Hahn
-    # row with the weighted series), never from the residue formulas; a pole under a nonzero numerator raises PoleError
-    (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)
-    return same(_type2_residue_row(ws, n, k_max), [(top * v, bottom * den) for v in nums])  # against one gamma
+    Q = ws.integer_parameters[0]
+    (top, bottom), z, ups, downs = families._type2_series_factors(ws, n)  # the ratio z prod (u+kQ)/Q / prod (d+kQ)/Q
+    series = ((top, bottom), [(z, 0), *((u, Q) for u in ups), *[(Q, 0)] * len(downs)],
+              [*((d, Q) for d in downs), *[(Q, 0)] * len(ups)])
+    residue = _type2_residue_factors(ws, n)
+    ends = []
+    for _, numerator, denominator in (residue, series):
+        ends.append(_first_root(numerator, k_max))
+        if _first_root(denominator, ends[-1]) < ends[-1]:
+            raise PoleError("a term-ratio denominator vanishes below k_max")
+    ((first, first_den), res_ups, res_downs), (_, ser_ups, ser_downs) = residue, series
+    if first * bottom != top * first_den:
+        return False
+    return not first or ends[0] == ends[1] and (
+        ends[0] == 0 or _primitive_factors(res_ups + ser_downs) == _primitive_factors(ser_ups + res_downs))
 
 
 def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -169,6 +190,7 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     multiplies it by the one-step ratio of 1/phi.  The nodes are distinct, so
     p is the constant c exactly when every node value is c.
     """
+    n = ws.validate_index(n, type_one=True)
     rows = families.type1_rows(ws, n, form)
     total = total_degree(n)
     Q, alpha, beta = ws.integer_parameters
@@ -193,6 +215,7 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
 def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> tuple[int, int]:
     """Closed form of the constant the recovery must return for the true vectors, as a reduced integer pair:
     (-1)^(|n|-1), times prod_i (alpha_i+beta+|n|)_{n_i} / (beta+1)_{|n|-1} unless Laguerre, times (N+1-|n|)! for Hahn."""
+    n = ws.validate_index(n, type_one=True)
     total = total_degree(n)
     if ws.family is Family.LAGUERRE_FIRST_KIND:
         return (-1) ** (total - 1), 1

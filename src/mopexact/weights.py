@@ -12,8 +12,7 @@ gamma-function denominators of the conventional normalization cancel
 against the type I scales during pairing and never need to be evaluated.
 No weight value is tabulated: Chu-Vandermonde sums every Hahn pairing in
 closed form (:mod:`mopexact.oracle`).  The continuous moments
-(:meth:`WeightSystem.moment_rows`) and the factor all Hahn weights share
-(:attr:`WeightSystem.beta_factors`) are reduced integer rows
+(:meth:`WeightSystem.moment_rows`) are reduced integer rows
 (:mod:`mopexact.gammaprod`), built on first use and kept on the weight
 system.  Every Pochhammer argument they and the checks build is an
 integer over the one denominator Q of :attr:`WeightSystem.integer_parameters`,
@@ -91,11 +90,16 @@ class WeightSystem(Frozen):
     def p(self) -> int:
         return len(self.alpha)
 
-    def validate_index(self, n: MultiIndex, *, type_one: bool = False) -> None:
-        """AdmissibilityError unless n has p nonnegative entries of type int, so no bool (|n| <= N for Hahn, |n| >= 1
-        for type I); PoleError on the Jacobi-Pineiro type I corner alpha_i + beta + |n| = 0, n_i >= 1 (only at |n| = 1,
-        as alpha_i, beta > -1), where the coefficient vanishes against a gamma pole of its scale and exists only as a
-        limit (the Hahn analogue cancels rationally)."""
+    def validate_index(self, n, *, type_one: bool = False) -> MultiIndex:
+        """n as the tuple every public entry point reads, a list too, or AdmissibilityError unless n has p nonnegative
+        entries of type int, so no bool (|n| <= N for Hahn, |n| >= 1 for type I); PoleError on the Jacobi-Pineiro type I
+        corner alpha_i + beta + |n| = 0, n_i >= 1 (only at |n| = 1, as alpha_i, beta > -1), where the coefficient
+        vanishes against a gamma pole of its scale and exists only as a limit (the Hahn analogue cancels rationally).
+        The tuple admitted last per type is kept: the checks of one instance admit it again by one identity test."""
+        slot = "_type1_index" if type_one else "_type2_index"
+        if self.__dict__.get(slot) is n:
+            return n
+        n = tuple(n)
         if len(n) != self.p:
             raise AdmissibilityError(f"multi-index {n} does not match p = {self.p}")
         for v in n:  # a plain loop: cheaper than min(n) alone, and it refuses a bool too
@@ -111,6 +115,8 @@ class WeightSystem(Frozen):
             for i, (a, ni) in enumerate(zip(alpha, n)):
                 if ni and a + beta + q == 0:
                     raise PoleError(f"degenerate type I normalization: alpha_{i} + beta + |n| = 0")
+        self.__dict__[slot] = n
+        return n
 
     def check_point(self, x) -> Fraction | int:
         """x as a type I evaluation point, an int kept and anything else as a Fraction: an integer in [0, N] for
@@ -130,13 +136,6 @@ class WeightSystem(Frozen):
         beta = self.beta or 0
         q = math.lcm(beta.denominator, *(a.denominator for a in self.alpha))
         return q, tuple(a.numerator * (q // a.denominator) for a in self.alpha), beta.numerator * (q // beta.denominator)
-
-    @cached_property
-    def beta_factors(self) -> LatticeRow:
-        """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share."""
-        q, _, beta = self.integer_parameters
-        nums, den = reduced_row(*ratio_row([beta + q], [q], self.N + 1, q))
-        return nums[::-1], den
 
     def kept(self, key, build):
         """build() once per weight system and key, kept on the weight system so it lasts only as long as it."""

@@ -1,15 +1,18 @@
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from mopexact import (
-    AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, WeightSystem, families, pochhammer, residues,
+    AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, PreconditionError, WeightSystem, families,
+    pochhammer, residues,
 )
-from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, row_product
+from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, rising_product, row_sum, same
 from mopexact.linalg import bareiss
+from mopexact.weights import total_degree
 
 STANDARD_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 STANDARD_BETA = Fraction(1, 4)
@@ -73,6 +76,27 @@ def admissible_systems(draw, max_total: int = 4, family: str | None = None, p: i
 
 
 @st.composite
+def integer_parameter_systems(draw, max_total: int = 4, family: str | None = None):
+    """(ws, n) with an integer alpha_0 and an integer beta, both in {0, 1, 2}: the other alpha slots keep their prime
+    denominators (3, 5), so the system stays admissible.  Every (-beta-|n|)_l then ends the type II series and the
+    Hahn residue row in zeros.  n has 1 <= |n| <= max_total, idle weights allowed; Hahn takes N from |n| to |n| + 4."""
+    p = draw(st.integers(1, 3))
+    alpha = (draw(st.integers(0, 2)), *(draw(prime_offset(den)) for den in (3, 5)[:p - 1]))
+    n = []
+    for _ in range(p):
+        n.append(draw(st.integers(0, max_total - sum(n))))
+    if not any(n):
+        n[draw(st.integers(0, p - 1))] = 1
+    n, beta = tuple(n), draw(st.integers(0, 2))
+    family = family or draw(st.sampled_from(["laguerre", "jacobi-pineiro", "hahn"]))
+    if family == "laguerre":
+        return WeightSystem.laguerre(alpha), n
+    if family == "jacobi-pineiro":
+        return WeightSystem.jacobi_pineiro(alpha, beta), n
+    return WeightSystem.hahn(alpha, beta, sum(n) + draw(st.integers(0, 4))), n
+
+
+@st.composite
 def hahn_corner_systems(draw):
     """Hahn systems on the corner alpha_i + beta + |n| = 0: |n| = 1, beta = -1 - alpha_i, other weights idle."""
     p = draw(st.integers(1, 3))
@@ -83,6 +107,96 @@ def hahn_corner_systems(draw):
     return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
 
 
+def row_product(row, other):
+    """Entrywise product of two integer rows."""
+    return tuple(map(operator.mul, row[0], other[0])), row[1] * other[1]
+
+
+def newton_row(nums: list[int]) -> list[int]:
+    """Values r(0), ..., r(m) become their forward differences Delta^l r(0), in place, over the same denominator.
+
+    Level l subtracts each entry from the one after it, from the end down to entry l.  Newton's formula
+    r(x) = sum_l C(x, l) Delta^l r(0) inverts it, so two rows agree exactly when their differences do."""
+    for level in range(1, len(nums)):
+        for x in range(len(nums) - 1, level - 1, -1):
+            nums[x] -= nums[x - 1]
+    return nums
+
+
+def lattice_table(basis, degree: int, N: int):
+    """Rows k = 0..degree of basis_k(x) at x = 0..N, by the one-step recurrence.
+
+    Monomial and falling-factorial rows are integers (denominator 1); with
+    shift p/q the shifted-rising rows have denominator q^k.
+    """
+    nums, den = (1,) * (N + 1), 1
+    rows = [(nums, den)]
+    for m in range(degree):
+        const, slope, q = basis._step_factor(m)
+        nums, den = tuple(value * (const + slope * x) for x, value in enumerate(nums)), den * q
+        rows.append((nums, den))
+    return rows
+
+
+def lattice_values(poly, N: int):
+    """A polynomial's values at x = 0..N as a reduced row, summed over the basis rows of lattice_table."""
+    nums, den = poly.row
+    table = lattice_table(poly.basis, len(nums) - 1, N)
+    values, common = row_sum([([c * v for v in row], d) for c, (row, d) in zip(nums, table)], N + 1)
+    return reduced_row(values, den * common)
+
+
+def beta_factors(ws):
+    """(beta+1)_{N-x} / (N-x)! at x = 0..N, the factor all Hahn weights share, as a reduced row."""
+    q, _, beta = ws.integer_parameters
+    nums, den = reduced_row(*ratio_row([beta + q], [q], ws.N + 1, q))
+    return nums[::-1], den
+
+
+def type2_residue_pairs(ws, n, k_max: int) -> list[tuple[int, int]]:
+    """Residues of the type II inverse-transform integrand at its poles k = 0..k_max, one integer pair each: the row
+    the term-ratio certificate of residues.verify_type2_series_equivalence stands for.
+
+    Entry k is a rational against a gamma product: empty for the continuous families, Gamma(beta+1) for Hahn,
+    whose pole carries Gamma(beta+|n|+1) Gamma(beta+N+1-k) / Gamma(beta+|n|+1-k); against Gamma(beta+1) that is
+    the rational q_k with q_0 = (beta+1)_N and q_{k+1} = q_k (beta+|n|-k) / (beta+N-k).  The scalar (-1)^k/k!
+    [times (beta+|n|+1-k)_k for Jacobi-Pineiro; 1/k! times q_k for Hahn] advances in integers by its one-step
+    ratio; over Q, (alpha_i+1+k)_{n_i} = prod_{l<n_i} (a_i+(k+l+1)Q) / Q^{n_i}."""
+    total = total_degree(n)
+    Q, alpha, beta = ws.integer_parameters
+    num, den = rising_product(
+        Q, [(beta + Q, ws.N)] if ws.family is Family.HAHN else (),
+        () if ws.family is Family.LAGUERRE_FIRST_KIND else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
+        (-1) ** total, math.factorial(ws.N - total) if ws.family is Family.HAHN else 1)
+    den *= Q**total
+    values = []
+    for k in range(k_max + 1):
+        values.append((num * math.prod(a + (k + l + 1) * Q for a, ni in zip(alpha, n) for l in range(ni)), den))
+        if ws.family is Family.LAGUERRE_FIRST_KIND:
+            num, den = -num, den * (k + 1)
+        elif ws.family is Family.JACOBI_PINEIRO:
+            num, den = -num * (beta + (total - k) * Q), den * (k + 1) * Q
+        else:
+            num, den = num * (beta + (total - k) * Q), den * (k + 1) * (beta + (ws.N - k) * Q)
+    return values
+
+
+def hypergeometric_row(first, ups, downs, length: int) -> list[Fraction]:
+    """Terms k < length of a hypergeometric term as Fractions: the first an integer pair, each next the one before
+    times prod ups(k) / prod downs(k), every factor (c0, c1) standing for c0 + c1 k.  Zeros follow the first
+    vanishing numerator; a vanishing denominator before it raises PoleError, as gammaprod.ratio_row does."""
+    row = [Fraction(*first)][:length]
+    for k in range(length - 1):
+        top = math.prod(c0 + c1 * k for c0, c1 in ups)
+        if top == 0:
+            return row + [Fraction(0)] * (length - len(row))
+        bottom = math.prod(c0 + c1 * k for c0, c1 in downs)
+        if bottom == 0:
+            raise PoleError(f"denominator vanishes in term {k + 1}")
+        row.append(row[-1] * top / bottom)
+    return row
+
+
 @functools.cache
 def weight_table(ws) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Rows i of the Hahn lattice weights w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!, x = 0..N, as reduced
@@ -90,7 +204,7 @@ def weight_table(ws) -> tuple[tuple[tuple[int, ...], int], ...]:
     if ws.family is not Family.HAHN:
         raise AdmissibilityError("lattice weights exist only for the Hahn family")
     q, alpha, _ = ws.integer_parameters
-    return tuple(reduced_row(*row_product(ratio_row([a + q], [q], ws.N + 1, q), ws.beta_factors)) for a in alpha)
+    return tuple(reduced_row(*row_product(ratio_row([a + q], [q], ws.N + 1, q), beta_factors(ws))) for a in alpha)
 
 
 def hahn_weight(ws, i: int, x) -> Fraction:
@@ -112,10 +226,34 @@ def hahn_type2_weighted_series(ws, n) -> tuple[tuple[int, ...], int]:
                        den * bottom)
 
 
+def weighted_series_lattice_relation(ws, n, poly) -> bool:
+    """The weighted series check at every order l <= N: the Newton coefficients of the weighted lattice values
+    P(x) (beta+1)_{N-x} / (N-x)!, x = 0..N, against (-1)^l l! prefactor term_l of families._type2_series, both
+    cross-multiplied.  The reference the verify path's comparison at l <= |n| is checked against."""
+    families.type2_row(ws, n, poly)
+    (top, bottom), terms, den = families._type2_series(ws, tuple(n), ws.N + 1)
+    values, values_den = row_product(lattice_values(poly, ws.N), beta_factors(ws))
+    return same([(d, values_den) for d in newton_row(list(values))],
+                [((-1) ** l * math.factorial(l) * top * t, bottom * den) for l, t in enumerate(terms)])
+
+
+def series_rows_relation(ws, n, k_max: int) -> bool:
+    """The type II series equivalence as a row comparison: the residues of type2_residue_pairs against the series
+    terms of families._type2_series at k = 0..k_max (clipped to N for Hahn), cross-multiplied.  The reference the
+    term-ratio certificate of residues.verify_type2_series_equivalence is checked against."""
+    n = ws.validate_index(n)
+    if k_max < 0:
+        raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
+    if ws.family is Family.HAHN:
+        k_max = min(k_max, ws.N)
+    (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)
+    return same(type2_residue_pairs(ws, n, k_max), [(top * v, bottom * den) for v in nums])
+
+
 def kdf_lattice_relation(ws, n, vec) -> bool:
     """The KDF check as lattice rows: each component's double-series values at x = 0..N against its own values
     there, both reduced rows.  The reference the verify path's Newton comparison is checked against."""
-    return all(families.hahn_type1_p2_kdf(ws, n, i) == vec.components[i].lattice_values(ws.N) for i in range(2))
+    return all(families.hahn_type1_p2_kdf(ws, n, i) == lattice_values(vec.components[i], ws.N) for i in range(2))
 
 
 #: The points the residue duality once compared values at: five per continuous family, and

@@ -116,6 +116,17 @@ class TestDriver:
             "8f7a580f0d69551cfcb8eaa8a03528b1b8681c590dee2cdfee6c123e865096e5"
         )
 
+    @pytest.mark.parametrize("fault, digest", [
+        (None, "0d4661ecfebca4617db6c67c54124c8d7cabada9a37382300d1f6fdd57ad7b5e"),
+        ("t2:1", "456db5e896f1a2a682ee45ea09a43b9eec603ad3adc55bafec403eb2453f64c9"),
+    ], ids=["clean", "t2:1"])
+    def test_large_lattice_digest(self, fault, digest):
+        # golden output of the degree 3 / N 48 Hahn grid in grid order, clean and under one type II fault: the
+        # checks whose rows once ran to N must keep all 326 records
+        records = [run_instance(i, fault) for i in iter_instances(["hahn"], 3, 48)]
+        assert len(records) == 326 and all(r["pass"] for r in records) == (fault is None)
+        assert hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest() == digest
+
     def test_degree_eight_digest(self):
         # golden output of the degree 8 / N 16 grid, all three families in grid order: 1166 records must not move
         records = [run_instance(i) for i in iter_instances(["laguerre1", "jacobi-pineiro", "hahn"], 8, 16)]

@@ -18,12 +18,12 @@ from mopexact import (
     type2,
 )
 from mopexact import families, oracle
-from mopexact.driver import apply_fault
-from mopexact.gammaprod import row_product
+from mopexact.driver import apply_fault, iter_instances, weight_system
 from mopexact.hyper import kdf
 from conftest import (
-    admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, jacobi_pineiro_ws,
-    kdf_lattice_relation, laguerre_ws, monomial_coefficients, row_values,
+    admissible_systems, beta_factors, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, integer_parameter_systems,
+    jacobi_pineiro_ws, kdf_lattice_relation, laguerre_ws, lattice_values, monomial_coefficients, row_product, row_values,
+    weighted_series_lattice_relation,
 )
 
 F = Fraction
@@ -285,8 +285,8 @@ class TestHahnWeightedSeries:
     def test_every_lattice_point_matches_direct_values(self):
         for n, N in (((1,), 3), ((2, 1), 5), ((1, 2, 1), 7), ((0, 3), 4)):
             ws = hahn_ws(len(n), N)
-            values, den = type2(ws, n).lattice_values(N)
-            factors, factor_den = ws.beta_factors
+            values, den = lattice_values(type2(ws, n), N)
+            factors, factor_den = beta_factors(ws)
             series = row_values(*hahn_type2_weighted_series(ws, n))
             assert series == tuple(F(v * f, den * factor_den) for v, f in zip(values, factors))
 
@@ -300,8 +300,42 @@ class TestHahnWeightedSeries:
         expanded = row_values(*hahn_type2_weighted_series(ws, n))
         for fault in [None] + [f"t2:{k}" for k in range(sum(n) + 1)]:
             bumped, _ = apply_fault(poly, None, fault)
-            verdict = row_values(*row_product(bumped.lattice_values(ws.N), ws.beta_factors)) == expanded
+            verdict = row_values(*row_product(lattice_values(bumped, ws.N), beta_factors(ws))) == expanded
             assert families.hahn_weighted_series_relation(ws, n, bumped) == verdict == (fault is None), fault
+
+    @staticmethod
+    def assert_orders_up_to_the_degree_decide(ws, n):
+        # the comparison at l <= |n| gives the verdict of all N+1 orders (conftest.weighted_series_lattice_relation),
+        # on the generated polynomial and under every single bump
+        poly = type2(ws, n)
+        for fault in [None] + [f"t2:{k}" for k in range(sum(n) + 1)]:
+            bumped, _ = apply_fault(poly, None, fault)
+            verdict = families.hahn_weighted_series_relation(ws, n, bumped)
+            assert verdict == weighted_series_lattice_relation(ws, n, bumped) == (fault is None), (ws, n, fault)
+
+    def test_orders_up_to_the_degree_decide_the_grid(self):
+        instances = iter_instances(["hahn"], 6, 14)
+        assert len(instances) == 419
+        for instance in instances:
+            self.assert_orders_up_to_the_degree_decide(weight_system(instance), tuple(instance["n"]))
+
+    @given(integer_parameter_systems(family="hahn"))
+    @settings(max_examples=80, deadline=None)
+    def test_orders_up_to_the_degree_decide_integer_parameters(self, system):
+        self.assert_orders_up_to_the_degree_decide(*system)
+
+    @given(st.one_of(admissible_systems(family="hahn", max_total=5), integer_parameter_systems(family="hahn"),
+                     hahn_corner_systems()))
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_is_the_mellin_row_vanishing(self, system):
+        # at s = -l the Mellin identity is the weighted series identity: one verdict, clean and under every bump
+        ws, n = system
+        poly = type2(ws, n)
+        for fault in [None] + [f"t2:{k}" for k in range(sum(n) + 1)]:
+            bumped, _ = apply_fault(poly, None, fault)
+            row = families.type2_row(ws, n, bumped)
+            mellin_row_vanishes = not any(oracle._mellin_difference(ws, n, row))
+            assert families.hahn_weighted_series_relation(ws, n, bumped) == mellin_row_vanishes, fault
 
     @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2)], ids=["laguerre", "jacobi-pineiro"])
     def test_newton_comparison_is_hahn_only(self, ws):

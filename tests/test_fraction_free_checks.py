@@ -22,12 +22,11 @@ from hypothesis import strategies as st
 
 from mopexact import GammaProduct, WeightSystem, families, oracle, residues
 from mopexact.driver import apply_fault, instance_key, run_instance, weight_system
-from mopexact.gammaprod import row_product
 from mopexact.polybasis import Basis, BasisKind, ScaledPolynomial, values_at
 from mopexact.weights import Family, total_degree
 from conftest import (
-    admissible_systems, backward_rows, hahn_corner_systems, hahn_type2_weighted_series, instance_of, pair_values,
-    row_values, sample_points, weight_table,
+    admissible_systems, backward_rows, beta_factors, hahn_corner_systems, hahn_type2_weighted_series, instance_of,
+    lattice_values, pair_values, row_product, row_values, sample_points, type2_residue_pairs, weight_table,
 )
 
 F = Fraction
@@ -48,7 +47,7 @@ def moments(ws, i, length) -> list[Fraction]:
 def type2_residuals(ws, n, poly) -> list[Fraction]:
     """<x^j B, w_i> for j < n_i, summed over Fractions."""
     if ws.family is Family.HAHN:
-        values = row_values(*poly.lattice_values(ws.N))
+        values = row_values(*lattice_values(poly, ws.N))
         return [sum((F(x) ** j * values[x] * row_values(*weight_table(ws)[i])[x] for x in range(ws.N + 1)), F(0))
                 for i in range(ws.p) for j in range(n[i])]
     c = poly.coefficients
@@ -60,7 +59,7 @@ def type1_rows(ws, n, vec) -> list[Fraction]:
     """Rows j < |n| of the type I conditions over Fractions; the last is the normalization."""
     total = total_degree(n)
     if ws.family is Family.HAHN:
-        form = [sum((row_values(*comp.lattice_values(ws.N))[x] * row_values(*weight_table(ws)[i])[x]
+        form = [sum((row_values(*lattice_values(comp, ws.N))[x] * row_values(*weight_table(ws)[i])[x]
                      for i, comp in enumerate(vec.components) if comp.coefficients), F(0))
                 for x in range(ws.N + 1)]
         return [sum((v * f for v, f in zip(row, form)), F(0)) for row in backward_rows(ws, total - 1)]
@@ -107,7 +106,7 @@ def reference_checks(instance: dict, fault, seed: int = 0) -> dict:
     checks["residue_duality"] = duality
     k_max = ws.N if ws.family is Family.HAHN else max(6, total)
     (top, bottom), nums, den = families._type2_series(ws, n, k_max + 1)
-    checks["series_equivalence"] = (pair_values(residues._type2_residue_row(ws, n, k_max))
+    checks["series_equivalence"] = (pair_values(type2_residue_pairs(ws, n, k_max))
                                     == [F(top * v, bottom * den) for v in nums])
     if total >= 2:
         expected = F(*residues.recovered_constant_closed_form(ws, n))
@@ -122,11 +121,11 @@ def reference_checks(instance: dict, fault, seed: int = 0) -> dict:
     if ws.family is Family.HAHN:
         checks["jp_coefficient_relation"] = jp_relation(ws, n, poly)
         checks["weighted_series"] = row_values(*hahn_type2_weighted_series(ws, n)) == row_values(
-            *row_product(poly.lattice_values(ws.N), ws.beta_factors))
+            *row_product(lattice_values(poly, ws.N), beta_factors(ws)))
         checks["summation_identity"] = all(oracle.check_hahn_summation_identity(ws, n))
         if ws.p == 2 and min(n) >= 1:
             checks["kdf_cross_formula"] = all(
-                row_values(*families.hahn_type1_p2_kdf(ws, n, i)) == row_values(*vec.components[i].lattice_values(ws.N))
+                row_values(*families.hahn_type1_p2_kdf(ws, n, i)) == row_values(*lattice_values(vec.components[i], ws.N))
                 for i in range(2))
     return {name: bool(ok) for name, ok in sorted(checks.items())}
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import Basis, GammaProduct, PoleError, ScaledPolynomial, TypeIVector, WeightSystem, pochhammer
-from mopexact.gammaprod import as_fraction, is_nonpositive_integer, newton_row
-from conftest import inverse, reduced_equal, rising_row, times
+from mopexact.gammaprod import as_fraction, is_nonpositive_integer
+from conftest import inverse, newton_row, reduced_equal, rising_row, times
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
 small_ints = st.integers(-6, 8)
@@ -174,7 +174,7 @@ def _warm(value):
     if isinstance(value, ScaledPolynomial):
         value.coefficients
     elif isinstance(value, WeightSystem):
-        value.beta_factors
+        value.integer_parameters
     return value
 
 

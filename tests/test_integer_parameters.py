@@ -22,7 +22,8 @@ from mopexact.driver import apply_fault
 from mopexact.gammaprod import pochhammer, rising, rising_product
 from mopexact.weights import Family, total_degree
 from conftest import (
-    admissible_systems, hahn_corner_systems, monomial_coefficients, pair_values, recovered_node_values, row_values,
+    admissible_systems, hahn_corner_systems, hypergeometric_row, monomial_coefficients, recovered_node_values,
+    row_values,
 )
 
 F = Fraction
@@ -333,7 +334,7 @@ def assert_sites_match(ws, n):
     (top, bottom), nums, den = families._type2_series(ws, n, max(6, total) + 1)
     assert (F(top, bottom), [F(v, den) for v in nums]) == type2_series(ws, n, max(6, total) + 1)
     k_max = min(max(6, total), ws.N) if ws.family is Family.HAHN else max(6, total)
-    assert pair_values(residues._type2_residue_row(ws, n, k_max)) == type2_residue_row(ws, n, k_max)
+    assert hypergeometric_row(*residues._type2_residue_factors(ws, n), k_max + 1) == type2_residue_row(ws, n, k_max)
     points = [s.as_integer_ratio() for s in MELLIN_POINTS] + oracle.mellin_zero_points(ws, n)
     for fault in [None] + [f"t2:{k}" for k in range(total + 1)]:
         faulty, _ = apply_fault(poly, None, fault)

@@ -8,7 +8,8 @@ The oracle hands the exact solve primitive integer rows, and the solve
 builds no Fraction but its results; the last pivot's height is pinned.
 run_instance solves nothing: one elimination certifies that the index is
 normal, and the orthogonality checks decide both oracle matches.  Nor does it
-evaluate a polynomial at a sample point, and both Mellin checks read one s-row.
+evaluate a polynomial at a sample point or on the Hahn lattice, and both Mellin
+checks read one s-row.
 A Hahn instance builds one weight system, one nested type II sum and one
 pairing set.
 """
@@ -192,27 +193,26 @@ def test_run_instance_solves_nothing(ws, eliminations):
 
 @pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])
 def test_run_instance_samples_no_point(family, monkeypatch):
-    # the residue duality compares coefficient rows, the weighted series and the KDF form Newton coefficients:
-    # no check evaluates a polynomial at a sample point, and only the weighted series tabulates one on the lattice
-    calls, tables = [], []
-    values_at, lattice_values = polybasis.values_at, polybasis.ScaledPolynomial.lattice_values
+    # the residue duality compares coefficient rows, the weighted series and the KDF form Newton coefficients
+    # read off the coefficients: no check evaluates a basis element, at a sample point or on the Hahn lattice
+    calls, steps = [], []
+    values_at, step_factor = polybasis.values_at, polybasis.Basis._step_factor
 
     def counted(basis, row, points):
         calls.append(points)
         return values_at(basis, row, points)
 
-    def counted_table(poly, N):
-        tables.append(poly)
-        return lattice_values(poly, N)
+    def counted_step(basis, m):
+        steps.append(m)
+        return step_factor(basis, m)
 
     for module in (polybasis, residues):
         monkeypatch.setattr(module, "values_at", counted)
-    monkeypatch.setattr(polybasis.ScaledPolynomial, "lattice_values", counted_table)
+    monkeypatch.setattr(polybasis.Basis, "_step_factor", counted_step)
     for instance in iter_instances([family], 3, 4):
-        del tables[:]
         assert run_instance(instance)["pass"]
-        assert len(tables) == (1 if family == "hahn" else 0), instance
-    assert calls == []
+    assert calls == [] and steps == []
+    assert not hasattr(polybasis.ScaledPolynomial, "lattice_values")  # lattice values are a conftest reference
 
 
 def test_hahn_instance_builds_each_row_once(monkeypatch):

@@ -25,16 +25,15 @@ from mopexact import (
     pochhammer,
 )
 from mopexact import (
-    AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, polybasis, residues,
+    AdmissibilityError, Family, GammaProduct, PoleError, WeightSystem, families, oracle, residues,
 )
 from mopexact.weights import total_degree
 from mopexact.driver import apply_fault, compositions
-from mopexact.gammaprod import pair, row_product, row_sum
-from mopexact.polybasis import lattice_table
+from mopexact.gammaprod import pair, row_sum
 from conftest import (
     admissible_systems, backward_rows, element_value, hahn_corner_systems, hahn_type2_weighted_series, hahn_weight,
-    hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, prime_offset, rising_row, row_values, scaled_values_equal,
-    solve_linear_system, times, weight_table,
+    hahn_ws, interpolate, jacobi_pineiro_ws, laguerre_ws, lattice_table, lattice_values, prime_offset, rising_row,
+    row_product, row_values, scaled_values_equal, solve_linear_system, times, weight_table,
 )
 
 F = Fraction
@@ -82,7 +81,7 @@ def scale_reduction(ws, i: int, total: int) -> Fraction:
 
 def hahn_linear_form(ws, vec):
     """Values of sum_i A_i(x) * w_i(x) at x = 0..N over one denominator; the canonical Hahn scales are empty."""
-    terms = [row_product(comp.lattice_values(ws.N), weight_table(ws)[i])
+    terms = [row_product(lattice_values(comp, ws.N), weight_table(ws)[i])
              for i, comp in enumerate(vec.components) if comp.row[0]]
     return row_sum(terms, ws.N + 1)
 
@@ -134,7 +133,7 @@ def check_biorthogonality(ws, n, m, poly, vec) -> bool:
     else:
         raise PreconditionError(f"pairing of n = {n} with m = {m} is not determined")
     if ws.family is Family.HAHN:
-        return pair(poly.lattice_values(ws.N), hahn_linear_form(ws, vec)) == expected
+        return pair(lattice_values(poly, ws.N), hahn_linear_form(ws, vec)) == expected
     total = Fraction(0)
     width = max(len(comp.coefficients) for comp in vec.components)
     moments = moment_fractions(ws, width + len(poly.coefficients) - 1)
@@ -261,7 +260,7 @@ class TestIntegerPairing:
     def test_pair_equals_fraction_sum(self, system):
         ws, n = system
         total = sum(n)
-        values = families.type2(ws, n).lattice_values(ws.N)
+        values = lattice_values(families.type2(ws, n), ws.N)
         form = hahn_linear_form(ws, families.type1(ws, n))
         backward = [integer_row(row) for row in backward_rows(ws, total)]
         bases = [Basis.monomial(), Basis.falling_factorial()]
@@ -278,7 +277,7 @@ class TestIntegerPairing:
         vec = families.type1(ws, (2, 1, 2))
         expected = [F(0)] * (ws.N + 1)
         for comp, weight in zip(vec.components, weight_table(ws)):
-            expected = [e + v * w for e, v, w in zip(expected, entries(comp.lattice_values(ws.N)), entries(weight))]
+            expected = [e + v * w for e, v, w in zip(expected, entries(lattice_values(comp, ws.N)), entries(weight))]
         assert entries(hahn_linear_form(ws, vec)) == tuple(expected)
 
 
@@ -346,28 +345,18 @@ class TestType2Reports:
         assert any(v != 0 for v in report.residuals.values())
 
     def test_hahn_oracle_evaluates_no_lattice(self, monkeypatch):
-        # both checks and both solves of a Hahn instance read closed-form pairings: no lattice table is built and
-        # no polynomial is evaluated on the lattice, at any place lattice_table is bound
+        # both checks and both solves of a Hahn instance read closed-form pairings: no module of the package binds a
+        # lattice table (it is a test reference), and no basis element is evaluated, on the lattice or elsewhere
         ws, n = WeightSystem.hahn((F(1, 2), F(1, 3)), F(1, 4), 5), (2, 1)
         poly, vec = families.type2(ws, n), families.type1(ws, n)
-        calls = []
-        table, values = polybasis.lattice_table, ScaledPolynomial.lattice_values
-
-        def counting_table(*args):
-            calls.append("lattice_table")
-            return table(*args)
-
-        def counting_values(self, N):
-            calls.append("lattice_values")
-            return values(self, N)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("mopexact") and getattr(module, "lattice_table", None) is table:
-                monkeypatch.setattr(module, "lattice_table", counting_table)
-        monkeypatch.setattr(ScaledPolynomial, "lattice_values", counting_values)
+        assert [name for name, module in list(sys.modules.items())
+                if name.startswith("mopexact") and hasattr(module, "lattice_table")] == []
+        assert not hasattr(ScaledPolynomial, "lattice_values")
+        steps, step_factor = [], Basis._step_factor
+        monkeypatch.setattr(Basis, "_step_factor", lambda basis, m: steps.append(m) or step_factor(basis, m))
         assert check_type2_orthogonality(ws, n, poly).passed and check_type1_orthogonality(ws, n, vec).passed
         assert oracle_solve_type2(ws, n) == poly and oracle_solve_type1(ws, n) == vec
-        assert calls == []
+        assert steps == []
 
 
 class TestType1Reports:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mopexact import Basis, ScaledPolynomial, pochhammer
 from mopexact.gammaprod import ratio_row
-from mopexact.polybasis import lattice_table, values_at
-from conftest import element_monomial_coefficients, element_value, monomial_coefficients
+from mopexact.polybasis import values_at
+from conftest import element_monomial_coefficients, element_value, lattice_table, lattice_values, monomial_coefficients
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
 
@@ -50,7 +50,7 @@ def test_lattice_table_matches_element_value(basis, degree, N):
 @settings(max_examples=150, deadline=None)
 def test_lattice_values_match_rational_value(basis, coeffs, N):
     poly = ScaledPolynomial(basis, tuple(coeffs))
-    nums, den = poly.lattice_values(N)
+    nums, den = lattice_values(poly, N)
     assert all(type(v) is int for v in nums) and den > 0 and math.gcd(den, *nums) == 1
     assert tuple(Fraction(v, den) for v in nums) == tuple(poly.rational_value(x) for x in range(N + 1))
 
@@ -61,9 +61,9 @@ def test_integer_rows_at_a_single_lattice_point(basis):
     for k, (nums, den) in enumerate(lattice_table(basis, 4, 0)):
         assert len(nums) == 1 and Fraction(nums[0], den) == element_value(basis, k, 0)
     poly = ScaledPolynomial(basis, (Fraction(2, 3), Fraction(-1, 5), Fraction(7)))
-    nums, den = poly.lattice_values(0)
+    nums, den = lattice_values(poly, 0)
     assert len(nums) == 1 and Fraction(nums[0], den) == poly.rational_value(0)
-    assert ScaledPolynomial(basis, ()).lattice_values(0) == ((0,), 1)
+    assert lattice_values(ScaledPolynomial(basis, ()), 0) == ((0,), 1)
 
 
 @given(a=st.one_of(rationals, st.fractions(-20, 20, max_denominator=60)), length=st.integers(0, 12))

@@ -20,14 +20,14 @@ from mopexact import (
     verify_type2_series_equivalence,
 )
 from mopexact import families, residues
-from mopexact.driver import apply_fault, compositions, run_instance
+from mopexact.driver import apply_fault, compositions, iter_instances, run_instance, weight_system
 from mopexact.gammaprod import as_fraction
 from mopexact.polybasis import values_at
 from mopexact.weights import Family, MultiIndex, total_degree
 from conftest import (
     admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, instance_of, interpolation_recover_p,
-    jacobi_pineiro_ws, laguerre_ws, pair_values, recovered_node_values, row_values, sample_points,
-    scaled_values_equal, series_term, times,
+    hypergeometric_row, integer_parameter_systems, jacobi_pineiro_ws, laguerre_ws, lattice_values, pair_values,
+    recovered_node_values, row_values, sample_points, scaled_values_equal, series_rows_relation, series_term, times,
 )
 
 F = Fraction
@@ -154,8 +154,9 @@ def row_gamma(ws: WeightSystem) -> GammaProduct:
 
 
 def residue_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
-    """residues._type2_residue_row with its integer pairs read as Fractions, and its gamma."""
-    return pair_values(residues._type2_residue_row(ws, n, k_max)), row_gamma(ws)
+    """The residues k <= k_max of residues._type2_residue_factors (first entry and term ratio) as Fractions, and
+    their gamma."""
+    return hypergeometric_row(*residues._type2_residue_factors(ws, n), k_max + 1), row_gamma(ws)
 
 
 def series_row(ws: WeightSystem, n: MultiIndex, k_max: int) -> tuple[list[Fraction], GammaProduct]:
@@ -174,7 +175,7 @@ def direct_value(ws: WeightSystem, i: int, comp, x: Fraction) -> Fraction:
     """Component i of the direct route at x: A_i(x), times (alpha_i+1)_x for Hahn."""
     if ws.family is not Family.HAHN:
         return comp.rational_value(x)
-    nums, den = comp.lattice_values(ws.N)
+    nums, den = lattice_values(comp, ws.N)
     return Fraction(nums[x.numerator], den) * pochhammer(ws.alpha[i] + 1, x.numerator)
 
 
@@ -276,12 +277,15 @@ class TestType2Residues:
         assert verify_type2_series_equivalence(ws, (1, 1), 2) and verify_type2_series_equivalence(ws, (1, 1), 6)
 
     def test_hahn_instance_builds_one_series_row(self, monkeypatch):
-        # the series equivalence and the weighted series read the same row
-        calls = []
-        build = families._build_type2_series
-        monkeypatch.setattr(families, "_build_type2_series", lambda *args: calls.append(args[1:]) or build(*args))
+        # the weighted series reads one row of |n|+1 terms, and it and the series certificate read one factor list
+        calls, factor_lists = [], []
+        series, factors = families._type2_series, families._type2_series_factors
+        monkeypatch.setattr(families, "_type2_series", lambda *args: calls.append(args[1:]) or series(*args))
+        monkeypatch.setattr(families, "_type2_series_factors",
+                            lambda ws, n: factor_lists.append(factors(ws, n)) or factor_lists[-1])
         assert run_instance(instance_of(hahn_ws(2, 5), (2, 1)))["pass"]
-        assert calls == [((2, 1), 6)]
+        assert calls == [((2, 1), 4)]
+        assert len(factor_lists) == 2 and factor_lists[0] is factor_lists[1]
 
     @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 4)])
     def test_negative_order_rejected(self, ws):
@@ -382,6 +386,55 @@ class TestRandomAdmissibleSystems:
             assert scaled_values_equal(residue[k], r_gamma, value, gamma), k
             assert (series[k], s_gamma) == reference_series_coefficient(ws, n, k), k
         assert verify_type2_series_equivalence(ws, n, k_max)
+
+
+class TestTermRatioCertificate:
+    """The series equivalence is certified by a first entry and a term ratio; the row comparison it replaced is
+    conftest.series_rows_relation."""
+
+    @staticmethod
+    def assert_certificate_equals_the_rows(ws, n):
+        for k_max in sorted({0, 1, sum(n), max(6, sum(n)), ws.N or 0, max(6, ws.N or 0)}):
+            assert verify_type2_series_equivalence(ws, n, k_max) == series_rows_relation(ws, n, k_max) is True, k_max
+
+    def test_certificate_equals_the_rows_on_the_grids(self):
+        for instance in iter_instances(["hahn"], 6, 14) + iter_instances(["laguerre1", "jacobi-pineiro"], 6, 0):
+            self.assert_certificate_equals_the_rows(weight_system(instance), tuple(instance["n"]))
+
+    @given(st.one_of(integer_parameter_systems(), admissible_systems(), hahn_corner_systems()))
+    @settings(max_examples=80, deadline=None)
+    def test_certificate_equals_the_rows_on_drawn_systems(self, system):
+        self.assert_certificate_equals_the_rows(*system)
+
+    @pytest.mark.parametrize("ws, n", [(laguerre_ws(2), (1, 2)), (jacobi_pineiro_ws(3), (2, 1, 1)), (hahn_ws(2, 6), (2, 1))],
+                             ids=["laguerre", "jacobi-pineiro", "hahn"])
+    def test_a_mutated_factor_turns_the_certificate_red(self, ws, n, monkeypatch):
+        # one route with its first entry or one factor moved by one, or its sign flipped: its rows differ from the other
+        # route's at some k <= k_max, and the certificate is red
+        k_max = 6
+        prefactor, z, ups, downs = families._type2_series_factors(ws, n)
+        first, res_ups, res_downs = residues._type2_residue_factors(ws, n)
+
+        def bumped(values, i):  # entry i moved by one: a parameter over Q, or the constant of a linear factor
+            return [(v + 1 if isinstance(v, int) else (v[0] + 1, v[1])) if j == i else v for j, v in enumerate(values)]
+
+        series = [((prefactor[0] + 1, prefactor[1]), z, ups, downs), (prefactor, -z, ups, downs)]
+        series += [(prefactor, z, bumped(ups, i), downs) for i in range(len(ups))]
+        series += [(prefactor, z, ups, bumped(downs, i)) for i in range(len(downs))]
+        residue = [((first[0] + 1, first[1]), res_ups, res_downs), (first, [*res_ups, (-1, 0)], res_downs)]
+        residue += [(first, bumped(res_ups, i), res_downs) for i in range(len(res_ups))]
+        residue += [(first, res_ups, bumped(res_downs, i)) for i in range(len(res_downs))]
+        mutants = [(families, "_type2_series_factors", m) for m in series]
+        mutants += [(residues, "_type2_residue_factors", m) for m in residue]
+        for module, name, mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, lambda ws, n: mutant)
+                fresh = WeightSystem(ws.family, ws.alpha, ws.beta, ws.N)  # nothing kept from another mutant
+                (top, bottom), nums, den = families._type2_series(fresh, n, k_max + 1)
+                series_values = [F(top * v, bottom * den) for v in nums]
+                residue_values = hypergeometric_row(*residues._type2_residue_factors(ws, n), k_max + 1)
+                assert series_values != residue_values, (name, mutant)
+                assert not verify_type2_series_equivalence(ws, n, k_max), (name, mutant)
 
 
 class TestInterpolationRecovery:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mopexact import AdmissibilityError, Family, WeightSystem, pochhammer
-from conftest import STANDARD_ALPHAS, STANDARD_BETA, hahn_weight, hahn_ws, weight_table
+from conftest import STANDARD_ALPHAS, STANDARD_BETA, beta_factors, hahn_weight, hahn_ws, weight_table
 
 
 class TestAdmissibility:
@@ -105,7 +105,7 @@ class TestHahnWeights:
                 * pochhammer(beta + 1, N - x) / math.factorial(N - x)
                 for x in range(N + 1)
             )
-        nums, den = ws.beta_factors
+        nums, den = beta_factors(ws)
         assert tuple(Fraction(v, den) for v in nums) == tuple(
             pochhammer(beta + 1, N - x) / math.factorial(N - x) for x in range(N + 1)
         )
