@@ -124,7 +124,7 @@ def apply_fault(poly: ScaledPolynomial, vec: TypeIVector, fault: str | None):
 
 def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dict:
     """All exact checks for one grid instance; returns a JSON-ready record."""
-    ws = weight_system(instance)
+    ws, key = weight_system(instance), instance_key(instance)
     n = tuple(instance["n"])
     total = total_degree(n)
     checks: dict[str, bool] = {}
@@ -150,7 +150,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
         values = [value for _, value in residues.recovered_nodes(ws, n, vec)]
         checks["recovered_constant"] = same(values, [residues.recovered_constant_closed_form(ws, n)] * len(values))
 
-    rng = random.Random(f"{seed}:{instance_key(instance)}:mellin")
+    rng = random.Random(f"{seed}:{key}:mellin")
     samples = [(rng.randint(1, 9), rng.choice((7, 11, 13))) for _ in range(5)]
     checks["mellin_random"] = oracle.check_mellin_type2(ws, n, poly, samples)
     checks["mellin_zeros"] = oracle.check_mellin_type2(ws, n, poly, oracle.mellin_zero_points(ws, n))
@@ -163,7 +163,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
             checks["kdf_cross_formula"] = families.hahn_kdf_relation(ws, n, vec)
 
     return {
-        "instance": instance_key(instance),
+        "instance": key,
         "checks": {name: bool(ok) for name, ok in sorted(checks.items())},
         "pass": all(checks.values()),
     }

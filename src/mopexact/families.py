@@ -14,7 +14,9 @@ over the one denominator Q: a polynomial carries it as its row, and a cross
 check compares it with the admitted row coefficient by coefficient, or as
 Newton coefficients Delta^m at 0 read off the coefficients, never past order |n|.
 Each prefactor is one :func:`~mopexact.gammaprod.rising_product`, and the
-type II sum Hahn shares with Jacobi-Pineiro is built once per instance.
+type II sum Hahn shares with Jacobi-Pineiro is built once per instance.  The
+admissions :func:`type2_row` and :func:`type1_rows` keep the object they admitted
+last, with its n and row(s), as :meth:`WeightSystem.validate_index` keeps n.
 
 Component i of a type I vector is defined as the zero polynomial whenever
 n_i = 0; the closed forms contain (n_i - 1)! and are invoked only for
@@ -118,11 +120,25 @@ def type1_basis(ws: WeightSystem, i: int) -> Basis:
     return Basis.monomial()
 
 
+def _admitted(ws: WeightSystem, slot: str, obj, n: MultiIndex, admit):
+    """admit(ws, n, obj), kept with obj and n as :meth:`WeightSystem.validate_index` keeps n: the same object again
+    costs one identity test, an equal but distinct one (a fault's bumped copy) is admitted afresh, a refused one not kept."""
+    kept = ws.__dict__.get(slot)
+    if kept is not None and kept[0] is obj and kept[1] is n:
+        return kept[2]
+    rows = admit(ws, n, obj)
+    ws.__dict__[slot] = obj, n, rows
+    return rows
+
+
 def type2_row(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> LatticeRow:
     """The one admission of a type II polynomial for (ws, n): nonzero, of degree at most |n| and in the family basis,
     falling factorials (-x)_k for Hahn and monomials otherwise, or PreconditionError.  Its row, as exactly |n|+1 numerators.
     """
-    ws.validate_index(n)
+    return _admitted(ws, "_type2_row", poly, ws.validate_index(n), _admit_type2)
+
+
+def _admit_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> LatticeRow:
     hahn, total, (nums, den) = ws.family is Family.HAHN, total_degree(n), poly.row
     if poly.basis.kind is not (BasisKind.FALLING_FACTORIAL if hahn else BasisKind.MONOMIAL):
         raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis" if hahn
@@ -132,11 +148,14 @@ def type2_row(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> Lattic
     return poly.row if len(nums) == total + 1 else ((*nums, *[0] * total)[:total + 1], den)
 
 
-def type1_rows(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> list[LatticeRow]:
+def type1_rows(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> tuple[LatticeRow, ...]:
     """The one admission of a type I vector for (ws, n): one component per weight, component i of degree below n_i
     (zero when n_i = 0) and, unless zero, in :func:`type1_basis`, or PreconditionError.  Row i has exactly n_i numerators.
     """
-    ws.validate_index(n, type_one=True)
+    return _admitted(ws, "_type1_rows", vec, ws.validate_index(n, type_one=True), _admit_type1)
+
+
+def _admit_type1(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> tuple[LatticeRow, ...]:
     if len(vec.components) != ws.p:
         raise PreconditionError(f"a type I vector has one component per weight, p = {ws.p}, not {len(vec.components)}")
     # each basis as (kind, shift), once per weight system: compared field by field, about 15x cheaper than ==
@@ -150,7 +169,7 @@ def type1_rows(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> list[Lattic
             raise PreconditionError(f"Hahn type I component {i} lives in the shifted rising basis (x + alpha_{i} + 1)_k"
                                     if ws.family is Family.HAHN else "continuous type I components live in the monomial basis")
         rows.append(comp.row if len(nums) == m else ((*nums, *[0] * m)[:m], den))
-    return rows
+    return tuple(rows)
 
 
 def _type1_factors(ws: WeightSystem, n: MultiIndex) -> tuple[list, list]:

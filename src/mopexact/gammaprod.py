@@ -23,8 +23,8 @@ other rows and pairs are compared cross-multiplied (:func:`same`).
 Pochhammer parameters are integers over one denominator: :func:`rising` is
 the one kernel (:func:`pochhammer` reduces it to a Fraction),
 :func:`rising_product` multiplies out a prefactor and reduces it once, and
-:func:`ratio_row` builds a series row by its term ratio.  No other module
-defines a row kernel.
+:func:`ratio_row` builds a series row by its term ratio, each multiplying
+its factors in place.  No other module defines a row kernel.
 """
 
 from __future__ import annotations
@@ -82,12 +82,13 @@ def rising_product(q: int, ups=(), downs=(), top: int = 1, bottom: int = 1) -> t
     """top/bottom * prod (p/q)_n over the (p, n) pairs of ups / the same over downs, all over one q.
 
     Multiplied out in integers and reduced once to (numerator, positive denominator);
-    a vanishing divisor raises PoleError."""
+    a vanishing divisor raises PoleError.  A factor with n >= 0 multiplies in the
+    integers of :func:`rising` in place; only n < 0 calls it."""
     for p, n in ups:
-        num, den = rising(p, q, n)
+        num, den = (math.prod(range(p, p + n * q, q)), q**n) if n >= 0 else rising(p, q, n)
         top, bottom = top * num, bottom * den
     for p, n in downs:
-        num, den = rising(p, q, n)
+        num, den = (math.prod(range(p, p + n * q, q)), q**n) if n >= 0 else rising(p, q, n)
         top, bottom = top * den, bottom * num
     if bottom == 0:
         raise PoleError("a Pochhammer divisor vanishes")
@@ -107,8 +108,8 @@ def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
     denominator factor under a nonzero numerator raises PoleError.
     """
     extra = len(downs) - len(ups)
-    up_q, down_q = q ** max(extra, 0), q ** max(-extra, 0)
-    nums, bottoms = [1], []
+    up_q, down_q = (q**extra, 1) if extra > 0 else (1, q**-extra)
+    nums, bottoms, num = [1], [], 1
     for k in range(length - 1):
         top = up_q
         for p in ups:
@@ -120,13 +121,14 @@ def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
             bottom *= p + k * q
         if bottom == 0:
             raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
-        nums.append(nums[-1] * top)
+        num *= top
+        nums.append(num)
         bottoms.append(bottom)
     den = 1
     for k in range(len(bottoms) - 1, -1, -1):
         den *= bottoms[k]
         nums[k] *= den
-    nums = nums[:length] + [0] * (length - len(nums))
+    nums = nums if len(nums) == length else nums[:length] + [0] * (length - len(nums))  # a zero factor, or length 0
     return ([-v for v in nums], -den) if den < 0 else (nums, den)
 
 

@@ -241,11 +241,14 @@ def check_mellin_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial, 
     if not points:
         raise PreconditionError("the Mellin check needs at least one transform argument")
     difference = _mellin_difference(ws, n, row)
+    zero = not any(difference)  # every point passes: each is validated, none evaluated
     for a, b in points:
         if b <= 0:
             raise PreconditionError(f"transform argument {a}/{b} needs a positive denominator")
         if a <= 0 and a % b == 0:
             raise PoleError(f"transform argument s = {a // b} sits on a gamma pole")
+        if zero:
+            continue
         value, power = 0, 1  # b^|n| D(a/b)
         for c in reversed(difference):
             value, power = value * a + c * power, power * b

@@ -50,7 +50,7 @@ class WeightSystem(Frozen):
 
     def __init__(self, family: Family, alpha, beta=None, N: int | None = None):
         self.__dict__.update(family=family, alpha=tuple(map(as_fraction, alpha)),
-                             beta=None if beta is None else as_fraction(beta), N=N)
+                             beta=None if beta is None else as_fraction(beta), N=N, _kept={})
         if not self.alpha:
             raise AdmissibilityError("need at least one weight")
         for a in self.alpha:
@@ -138,8 +138,8 @@ class WeightSystem(Frozen):
         return q, tuple(a.numerator * (q // a.denominator) for a in self.alpha), beta.numerator * (q // beta.denominator)
 
     def kept(self, key, build):
-        """build() once per weight system and key, kept on the weight system so it lasts only as long as it."""
-        store = self.__dict__.setdefault("_kept", {})
+        """build() once per weight system and key, kept in its store, so it lasts only as long as the weight system."""
+        store = self.__dict__["_kept"]
         if key not in store:
             store[key] = build()
         return store[key]

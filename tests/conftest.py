@@ -10,7 +10,7 @@ from mopexact import (
     AdmissibilityError, BasisKind, Family, GammaProduct, PoleError, PreconditionError, WeightSystem, families,
     pochhammer, residues,
 )
-from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, rising_product, row_sum, same
+from mopexact.gammaprod import as_fraction, ratio_row, reduced_row, rising, rising_product, row_sum, same
 from mopexact.linalg import bareiss
 from mopexact.weights import total_degree
 
@@ -43,6 +43,18 @@ def instance_of(ws, n) -> dict:
     if ws.N is not None:
         instance["N"] = ws.N
     return instance
+
+
+@pytest.fixture
+def admissions(monkeypatch):
+    """The (type, n) of every full admission, one that misses the object families.type2_row or type1_rows kept."""
+    calls = []
+    for kind in ("type2", "type1"):
+        def counted(ws, n, obj, kind=kind, admit=getattr(families, f"_admit_{kind}")):
+            calls.append((kind, n))
+            return admit(ws, n, obj)
+        monkeypatch.setattr(families, f"_admit_{kind}", counted)
+    return calls
 
 
 @st.composite
@@ -105,6 +117,47 @@ def hahn_corner_systems(draw):
     alpha[i] = -Fraction(draw(st.integers(1, (2, 3, 5)[i] - 1)), (2, 3, 5)[i])
     n = tuple(int(j == i) for j in range(p))
     return WeightSystem.hahn(tuple(alpha), -1 - alpha[i], draw(st.integers(1, 4))), n
+
+
+def rising_product_reference(q: int, ups=(), downs=(), top: int = 1, bottom: int = 1) -> tuple[int, int]:
+    """gammaprod.rising_product in its plain form: one rising call per factor, then one reduction."""
+    for p, n in ups:
+        num, den = rising(p, q, n)
+        top, bottom = top * num, bottom * den
+    for p, n in downs:
+        num, den = rising(p, q, n)
+        top, bottom = top * den, bottom * num
+    if bottom == 0:
+        raise PoleError("a Pochhammer divisor vanishes")
+    g = math.gcd(top, bottom)
+    return (top // g, bottom // g) if bottom > 0 else (-top // g, -bottom // g)
+
+
+def ratio_row_reference(ups, downs, length: int, q: int) -> tuple[list[int], int]:
+    """gammaprod.ratio_row in its plain form: q powers through max, each numerator from the entry before, and the
+    row cut or padded to length by slicing."""
+    extra = len(downs) - len(ups)
+    up_q, down_q = q ** max(extra, 0), q ** max(-extra, 0)
+    nums, bottoms = [1], []
+    for k in range(length - 1):
+        top = up_q
+        for p in ups:
+            top *= p + k * q
+        if top == 0:
+            break
+        bottom = down_q
+        for p in downs:
+            bottom *= p + k * q
+        if bottom == 0:
+            raise PoleError(f"denominator pochhammer vanishes in term {k + 1}")
+        nums.append(nums[-1] * top)
+        bottoms.append(bottom)
+    den = 1
+    for k in range(len(bottoms) - 1, -1, -1):
+        den *= bottoms[k]
+        nums[k] *= den
+    nums = nums[:length] + [0] * (length - len(nums))
+    return ([-v for v in nums], -den) if den < 0 else (nums, den)
 
 
 def row_product(row, other):

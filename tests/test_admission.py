@@ -4,7 +4,9 @@ The explicit formulas, the moment conditions and the residue sums are three
 routes to the same type I vectors and type II polynomials, so a reader of
 either type must accept exactly what the others accept.  Each input below
 goes to every reader of its type; all of them accept it, or all of them
-raise PreconditionError, and which one is fixed by the table.
+raise PreconditionError, and which one is fixed by the table.  The last
+admission of each type is kept on the weight system, so the checks of one
+instance admit each object once; the tests at the end pin what is kept.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ import pytest
 from mopexact import (
     AdmissibilityError, Basis, PreconditionError, ScaledPolynomial, TypeIVector, families, oracle, residues,
 )
+from mopexact.driver import apply_fault
 from mopexact.weights import Family, WeightSystem
 
 F = Fraction
@@ -198,3 +201,68 @@ def test_a_bad_multi_index_is_refused_everywhere(ws):
                 continue
             taken.append(name)
         assert taken == [], bad
+
+
+# --- each object admitted once: the admission kept on the weight system ------------------------------------
+
+
+@pytest.mark.parametrize("ws", SYSTEMS, ids=[ws.family.value for ws in SYSTEMS])
+def test_the_same_object_gives_the_same_rows_back(ws, admissions):
+    # a short row is padded afresh by a full admission, so getting the same object back shows it was kept
+    poly, vec = families.type2(ws, N), families.type1(ws, N)
+    short = ScaledPolynomial(poly.basis, row=(poly.row[0][:-1], poly.row[1]))
+    row, rows = families.type2_row(ws, N, short), families.type1_rows(ws, N, vec)
+    assert families.type2_row(ws, N, short) is row and families.type1_rows(ws, N, vec) is rows
+    assert type(rows) is tuple  # kept rows no caller can change
+    assert oracle.check_type1_orthogonality(ws, N, vec).passed and residues.check_residue_duality(ws, N, vec)
+    assert admissions == [("type2", N), ("type1", N)]
+
+
+@pytest.mark.parametrize("ws", SYSTEMS, ids=[ws.family.value for ws in SYSTEMS])
+def test_an_equal_or_bumped_object_is_admitted_afresh(ws, admissions):
+    poly, vec = families.type2(ws, N), families.type1(ws, N)
+    twin, twin_vec = ScaledPolynomial(poly.basis, row=poly.row), TypeIVector(vec.components)
+    assert twin == poly and twin is not poly and twin_vec == vec and twin_vec is not vec
+    bumped, bumped_vec = apply_fault(poly, vec, "t2:0")[0], apply_fault(poly, vec, "t1:0:0")[1]
+    assert [oracle.check_type2_orthogonality(ws, N, p).passed for p in (poly, twin, bumped, poly)] == [
+        True, True, False, True]
+    assert [oracle.check_type1_orthogonality(ws, N, v).passed for v in (vec, twin_vec, bumped_vec, vec)] == [
+        True, True, False, True]
+    assert admissions == [("type2", N)] * 4 + [("type1", N)] * 4
+
+
+@pytest.mark.parametrize("ws", SYSTEMS, ids=[ws.family.value for ws in SYSTEMS])
+def test_a_refused_object_is_refused_again(ws, admissions):
+    # a refused object is never kept: it raises on every call, and the admission kept before it stays
+    poly, vec = families.type2(ws, N), families.type1(ws, N)
+    high = ScaledPolynomial(poly.basis, row=([*poly.row[0], 1], poly.row[1]))
+    nums, den = vec.components[1].row
+    high_vec = replaced(vec, 1, ScaledPolynomial(vec.components[1].basis, row=([*nums, 1], den)))
+    row = families.type2_row(ws, N, poly)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="degree"):
+            families.type2_row(ws, N, high)
+        with pytest.raises(PreconditionError, match="degree"):
+            families.type1_rows(ws, N, high_vec)
+    assert families.type2_row(ws, N, poly) is row
+    assert admissions == [("type2", N)] + [("type2", N), ("type1", N)] * 2
+
+
+@pytest.mark.parametrize("ws", SYSTEMS, ids=[ws.family.value for ws in SYSTEMS])
+def test_interleaved_multi_indices_get_their_own_rows(ws, admissions):
+    other = (1, 1)
+    polys = {n: families.type2(ws, n) for n in (N, other)}
+    vecs = {n: families.type1(ws, n) for n in (N, other)}
+    for n in (N, other, N, other):
+        assert families.type2_row(ws, n, polys[n]) is polys[n].row
+        assert oracle.check_type2_orthogonality(ws, n, polys[n]).passed
+        assert oracle.check_type1_orthogonality(ws, n, vecs[n]).passed
+        assert [len(nums) for nums, _ in families.type1_rows(ws, n, vecs[n])] == list(n)
+    assert admissions == [(kind, n) for n in (N, other, N, other) for kind in ("type2", "type1")]
+    # the object just admitted for one index is read afresh for another: |n| = 2 refuses (2, 1)'s cubic, and
+    # n = (1, 1) its type I component of degree 1
+    families.type2_row(ws, N, polys[N]), families.type1_rows(ws, N, vecs[N])
+    with pytest.raises(PreconditionError, match="degree"):
+        families.type2_row(ws, other, polys[N])
+    with pytest.raises(PreconditionError, match="degree"):
+        families.type1_rows(ws, other, vecs[N])

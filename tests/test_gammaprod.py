@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopexact import Basis, GammaProduct, PoleError, ScaledPolynomial, TypeIVector, WeightSystem, pochhammer
-from mopexact.gammaprod import as_fraction, is_nonpositive_integer
-from conftest import inverse, newton_row, reduced_equal, rising_row, times
+from mopexact.gammaprod import as_fraction, is_nonpositive_integer, ratio_row, rising_product
+from conftest import (
+    inverse, newton_row, ratio_row_reference, reduced_equal, rising_product_reference, rising_row, times,
+)
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
 small_ints = st.integers(-6, 8)
@@ -80,6 +82,51 @@ def test_newton_row_inverts_the_binomial_expansion(coefficients):
     # values r(x) = sum_l C(x, l) c_l at x = 0..m difference back to c_l, in the list handed in
     values = [sum(math.comb(x, l) * c for l, c in enumerate(coefficients)) for x in range(len(coefficients))]
     assert newton_row(values) is values and values == coefficients
+
+
+def kernel_outcome(kernel, *args):
+    """What a row kernel gives: its result with the type of its first field, or the message of its PoleError."""
+    try:
+        result = kernel(*args)
+    except PoleError as error:
+        return "PoleError", str(error)
+    return result, type(result[0])
+
+
+@st.composite
+def ratio_rows(draw):
+    """ratio_row arguments: parameters m q + r over q, r = 0 often, so a factor vanishes in mid-row, on either side."""
+    q = draw(st.sampled_from([1, 2, 3, 6]))
+    parameter = st.builds(lambda m, r: m * q + r, st.integers(-6, 6), st.sampled_from([0, 0, *range(1, q)]))
+    return (draw(st.lists(parameter, max_size=3)), draw(st.lists(parameter, max_size=3)), draw(st.integers(0, 8)), q)
+
+
+@given(ratio_rows())
+@example(([3], [2], 0, 2))  # length 0: an empty row, not the leading 1
+@example(([3], [2], 1, 2))  # length 1: the leading 1 alone
+@example(([-4, 3], [1], 6, 2))  # a zero numerator factor at k = 2 (-4 + 2k) ends the row with zeros
+@example(([1], [-2], 5, 2))  # a zero denominator factor at k = 1: PoleError
+@example(([-2], [-4], 5, 2))  # the numerator vanishes first (k = 1), so the later zero denominator is never reached
+@example(([], [-3, -5], 4, 2))  # negative denominator factors: the row is turned over a positive denominator
+@settings(max_examples=400, deadline=None)
+def test_ratio_row_matches_the_reference(args):
+    assert kernel_outcome(ratio_row, *args) == kernel_outcome(ratio_row_reference, *args)
+
+
+pairs = st.lists(st.tuples(st.integers(-12, 12), st.integers(-4, 6)), max_size=3)
+
+
+@given(st.sampled_from([1, 2, 3, 5]), pairs, pairs, st.integers(-30, 30), st.integers(-30, 30))
+@example(2, [(3, -2)], [(5, -3)], 1, 1)  # negative n on both sides
+@example(2, [(2, -1)], [], 1, 1)  # (p/q)_{-1} with p = q: a zero divisor, PoleError
+@example(2, [], [(2, -1)], 1, 1)  # the same factor below: the product is 0
+@example(3, [(-6, 4)], [(1, 2)], 5, 7)  # a zero factor in the chain of an up
+@example(3, [(1, 2)], [(-3, 2)], 5, 7)  # a zero factor in the chain of a down: PoleError
+@example(1, [], [], 4, 0)  # a zero bottom
+@settings(max_examples=400, deadline=None)
+def test_rising_product_matches_the_reference(q, ups, downs, top, bottom):
+    args = q, ups, downs, top, bottom
+    assert kernel_outcome(rising_product, *args) == kernel_outcome(rising_product_reference, *args)
 
 
 def gamma_ratio(a, m: int) -> Fraction:

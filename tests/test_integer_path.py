@@ -11,7 +11,8 @@ normal, and the orthogonality checks decide both oracle matches.  Nor does it
 evaluate a polynomial at a sample point or on the Hahn lattice, and both Mellin
 checks read one s-row.
 A Hahn instance builds one weight system, one nested type II sum and one
-pairing set.
+pairing set, and every instance admits its type II polynomial and its type I
+vector once.
 """
 
 import math
@@ -252,6 +253,18 @@ def test_hahn_instance_builds_each_row_once(monkeypatch):
         n = tuple(instance["n"])
         assert len(systems) == 1 and sums == [n], instance
         assert sorted(pairing_rows) == [i for i, ni in enumerate(n) for _ in range(ni)], instance
+
+
+@pytest.mark.parametrize("fault", [None, "t2:0"], ids=["clean", "t2:0"])
+@pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])
+def test_run_instance_admits_each_object_once(family, fault, admissions):
+    # every check reads the rows kept by the first admission of its type: one full type II and one full type I
+    # admission per instance, of the generated objects or of the bumped copy a fault makes
+    for instance in iter_instances([family], 3, 4):
+        del admissions[:]
+        assert run_instance(instance, fault)["pass"] == (fault is None)
+        n = tuple(instance["n"])
+        assert admissions == [("type2", n), ("type1", n)], instance
 
 
 @pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])

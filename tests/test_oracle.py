@@ -738,6 +738,23 @@ class TestMellin:
 
     @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 5)],
                              ids=["laguerre", "jacobi-pineiro", "hahn"])
+    def test_a_zero_row_still_validates_every_argument(self, ws):
+        # on a passing polynomial the difference row is zero and no argument is evaluated, yet each one is
+        # validated in order: a later zero denominator or pole raises, and no argument at all is refused
+        n = (1, 1)
+        poly = families.type2(ws, n)
+        assert not any(oracle._mellin_difference(ws, n, families.type2_row(ws, n, poly)))
+        assert check_mellin_type2(ws, n, poly, [(1, 7), (3, 11)])
+        with pytest.raises(PreconditionError, match="positive denominator"):
+            check_mellin_type2(ws, n, poly, [(1, 7), (3, 0)])
+        with pytest.raises(PoleError):
+            check_mellin_type2(ws, n, poly, [(1, 7), (-2, 1)])
+        for points in ([], iter(()), (s for s in [])):
+            with pytest.raises(PreconditionError, match="at least one transform argument"):
+                check_mellin_type2(ws, n, poly, points)
+
+    @pytest.mark.parametrize("ws", [laguerre_ws(2), jacobi_pineiro_ws(2), hahn_ws(2, 5)],
+                             ids=["laguerre", "jacobi-pineiro", "hahn"])
     def test_arguments_are_read_in_order(self, ws):
         # the first failing argument returns False before a later pole or a later zero denominator is seen;
         # an earlier one raises
