@@ -17,6 +17,7 @@ then report a failure, which is how the test suite proves the green path is not 
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from . import families, oracle, residues
 from .gammaprod import same
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .polybasis import ScaledPolynomial, TypeIVector
-from .weights import Family, WeightSystem, total_degree
+from .weights import HAHN, JACOBI_PINEIRO, LAGUERRE, Family, WeightSystem, total_degree
 
 #: Small-denominator exponents keeping pairwise and beta-shifted differences
 #: non-integer, so every grid instance is an admissible system.
@@ -54,11 +55,11 @@ def iter_instances(family_names, max_total_degree: int, max_N: int) -> list[dict
                 "alpha": [str(a) for a in DEFAULT_ALPHAS[:p]],
                 "n": list(n),
             }
-            if family is Family.LAGUERRE_FIRST_KIND:
+            if family is LAGUERRE:
                 instances.append(base)
                 continue
             base["beta"] = str(DEFAULT_BETA)
-            if family is Family.JACOBI_PINEIRO:
+            if family is JACOBI_PINEIRO:
                 instances.append(base)
                 continue
             for N in range(sum(n), max_N + 1):
@@ -75,14 +76,19 @@ def instance_key(instance: dict) -> str:
     return "|".join(parts)
 
 
+#: Fraction(text), parsed once per distinct exponent and process: a grid repeats a few exponent strings
+#: hundreds of times.  Bounded, so a long run over drawn exponents keeps at most this many; errors are not kept.
+_exponent = functools.lru_cache(maxsize=1024, typed=True)(Fraction)
+
+
 def weight_system(instance: dict) -> WeightSystem:
     family = Family(instance["family"])
-    alpha = tuple(Fraction(a) for a in instance["alpha"])
-    if family is Family.LAGUERRE_FIRST_KIND:
+    alpha = tuple(map(_exponent, instance["alpha"]))
+    if family is LAGUERRE:
         return WeightSystem.laguerre(alpha)
-    if family is Family.JACOBI_PINEIRO:
-        return WeightSystem.jacobi_pineiro(alpha, Fraction(instance["beta"]))
-    return WeightSystem.hahn(alpha, Fraction(instance["beta"]), int(instance["N"]))
+    if family is JACOBI_PINEIRO:
+        return WeightSystem.jacobi_pineiro(alpha, _exponent(instance["beta"]))
+    return WeightSystem.hahn(alpha, _exponent(instance["beta"]), int(instance["N"]))
 
 
 def _bumped(poly: ScaledPolynomial, index: int) -> ScaledPolynomial:
@@ -142,7 +148,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
     checks["type1_oracle_match"] = checks["type1_orthogonality"]
 
     checks["residue_duality"] = residues.check_residue_duality(ws, n, vec)
-    k_max = max(6, ws.N) if ws.family is Family.HAHN else max(6, total)
+    k_max = max(6, ws.N) if ws.family is HAHN else max(6, total)
     checks["series_equivalence"] = residues.verify_type2_series_equivalence(ws, n, k_max)
 
     if total >= 2:
@@ -155,7 +161,7 @@ def run_instance(instance: dict, fault: str | None = None, seed: int = 0) -> dic
     checks["mellin_random"] = oracle.check_mellin_type2(ws, n, poly, samples)
     checks["mellin_zeros"] = oracle.check_mellin_type2(ws, n, poly, oracle.mellin_zero_points(ws, n))
 
-    if ws.family is Family.HAHN:
+    if ws.family is HAHN:
         checks["jp_coefficient_relation"] = families.hahn_jp_coefficient_relation(ws, n, poly)
         checks["weighted_series"] = families.hahn_weighted_series_relation(ws, n, poly)
         checks["summation_identity"] = all(oracle.check_hahn_summation_identity(ws, n))

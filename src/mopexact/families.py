@@ -33,7 +33,7 @@ import math
 from .errors import AdmissibilityError, PreconditionError
 from .gammaprod import GammaProduct, LatticeRow, ratio_row, reduced_row, rising, rising_product
 from .polybasis import Basis, BasisKind, ScaledPolynomial, TypeIVector
-from .weights import Family, MultiIndex, WeightSystem, total_degree
+from .weights import HAHN, JACOBI_PINEIRO, LAGUERRE, MultiIndex, WeightSystem, total_degree
 
 
 def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int]:
@@ -58,7 +58,7 @@ def _type2_coefficients(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int
         if n[q] == 0:
             continue
         rest = total - prefix[q]
-        shifted = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[q] + beta + (prefix[q] + 1) * Q]
+        shifted = [] if ws.family is LAGUERRE else [alpha[q] + beta + (prefix[q] + 1) * Q]
         head, head_den = ratio_row(shifted, [alpha[q] + Q], rest + n[q] + 1, Q)
         tail, tail_den = ratio_row([alpha[q] + (n[q] + 1) * Q], shifted, rest + 1, Q)
         signed_binomials = [(-1) ** l * math.comb(n[q], l) for l in range(n[q] + 1)]
@@ -75,7 +75,7 @@ def _type2_sum(ws: WeightSystem, n: MultiIndex) -> tuple[list[int], int]:
     """:func:`_type2_coefficients` times prod_q (alpha_q+1)_{n_q} / prod_q (alpha_q+beta+|n|+1)_{n_q} (not for Laguerre),
     kept once per weight system and n: the Hahn polynomial and :func:`hahn_jp_coefficient_relation` read one row."""
     def build():
-        (Q, alpha, beta), shifted = ws.integer_parameters, ws.family is not Family.LAGUERRE_FIRST_KIND
+        (Q, alpha, beta), shifted = ws.integer_parameters, ws.family is not LAGUERRE
         top, bottom = rising_product(Q, [(a + Q, ni) for a, ni in zip(alpha, n)],
                                      [(a + beta + (total_degree(n) + 1) * Q, ni) for a, ni in zip(alpha, n) if shifted])
         nums, den = _type2_coefficients(ws, n)
@@ -87,7 +87,7 @@ def type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """Monic type II polynomial: monomial basis, falling factorials (-x)_k for Hahn.  The row of :func:`_type2_sum`
     times (-1)^|n|, or for Hahn term T times (-N)_{|n|} / (-N)_T: its leading monomial coefficient is 1."""
     n = ws.validate_index(n)
-    total, hahn = total_degree(n), ws.family is Family.HAHN
+    total, hahn = total_degree(n), ws.family is HAHN
     nums, den = _type2_sum(ws, n)
     if hahn:  # (-N)_{|n|} / (-N)_T = prod_{T<=l<|n|} (l - N)
         nums = [v * math.prod(range(t - ws.N, total - ws.N)) for t, v in enumerate(nums)]
@@ -104,17 +104,17 @@ def type1_scale(ws: WeightSystem, i: int, total: int) -> GammaProduct:
     for Jacobi-Pineiro, and the empty product for Hahn (whose normalized
     weights are already rational on the lattice).  Only the output edge builds it.
     """
-    if ws.family is Family.HAHN:
+    if ws.family is HAHN:
         return GammaProduct.one()
     factors = [(ws.alpha[i] + 1, -1)]
-    if ws.family is Family.JACOBI_PINEIRO:
+    if ws.family is JACOBI_PINEIRO:
         factors += [(ws.alpha[i] + ws.beta + total, 1), (ws.beta + total, -1)]
     return GammaProduct.from_factors(factors)
 
 
 def type1_basis(ws: WeightSystem, i: int) -> Basis:
     """Basis of type I component i, built once per weight system and weight."""
-    if ws.family is Family.HAHN:
+    if ws.family is HAHN:
         Q, alpha, _ = ws.integer_parameters
         return ws.kept(("type1_basis", i), lambda: Basis.shifted_rising(alpha[i] + Q, Q))
     return Basis.monomial()
@@ -139,7 +139,7 @@ def type2_row(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> Lattic
 
 
 def _admit_type2(ws: WeightSystem, n: MultiIndex, poly: ScaledPolynomial) -> LatticeRow:
-    hahn, total, (nums, den) = ws.family is Family.HAHN, total_degree(n), poly.row
+    hahn, total, (nums, den) = ws.family is HAHN, total_degree(n), poly.row
     if poly.basis.kind is not (BasisKind.FALLING_FACTORIAL if hahn else BasisKind.MONOMIAL):
         raise PreconditionError("Hahn type II polynomials live in the falling-factorial basis" if hahn
                                 else "continuous type II polynomials live in the monomial basis")
@@ -167,7 +167,7 @@ def _admit_type1(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> tuple[Lat
             raise PreconditionError(f"component {i} has degree {comp.degree}, above n_i - 1 = {m - 1}")
         if any(nums) and (comp.basis.kind, comp.basis.shift) != shape:
             raise PreconditionError(f"Hahn type I component {i} lives in the shifted rising basis (x + alpha_{i} + 1)_k"
-                                    if ws.family is Family.HAHN else "continuous type I components live in the monomial basis")
+                                    if ws.family is HAHN else "continuous type I components live in the monomial basis")
         rows.append(comp.row if len(nums) == m else ((*nums, *[0] * m)[:m], den))
     return tuple(rows)
 
@@ -200,12 +200,12 @@ def _type1_component_coefficients(ws: WeightSystem, n: MultiIndex, i: int, facto
     ups = [(1 - n[i]) * Q, *(alpha[i] - alpha[j] - (n[j] - 1) * Q for j in others)]
     downs = [Q, alpha[i] + Q, *(alpha[i] - alpha[j] + Q for j in others)]
     picked, lattice = [], []
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:
+    if ws.family is not LAGUERRE:
         ups.append(alpha[i] + beta + total * Q)
-        picked = [shifted[j] for j in (others if ws.family is Family.HAHN else range(ws.p))]
+        picked = [shifted[j] for j in (others if ws.family is HAHN else range(ws.p))]
     top = (-1) ** (total - 1) * math.prod(v for v, _ in picked) * math.prod(d for _, d in gaps[i])
     bottom = math.factorial(n[i] - 1) * math.prod(d for _, d in picked) * math.prod(v for v, _ in gaps[i])
-    if ws.family is Family.HAHN:
+    if ws.family is HAHN:
         top *= math.factorial(ws.N + 1 - total)
         lattice = [(beta + Q, total - 1), (alpha[i] + beta + (total + n[i]) * Q, ws.N + 2 - total - n[i])]
         downs.append(alpha[i] + beta + (ws.N + 2) * Q)
@@ -242,7 +242,7 @@ def _kdf_series(ws: WeightSystem, n: MultiIndex, i: int) -> tuple[int, int, list
     so the inner sums over l < n_i - m are built once from the integer joint, left and right rows
     (:func:`ratio_row`), over their denominators.
     """
-    if ws.family is not Family.HAHN:
+    if ws.family is not HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     if ws.p != 2:
         raise PreconditionError("the double-series form exists for p = 2 only")
@@ -301,14 +301,14 @@ def _type2_series_factors(ws: WeightSystem, n: MultiIndex) -> tuple[tuple[int, i
         ups = [a + (ni + 1) * Q for a, ni in zip(alpha, n)]
         downs = [Q] + [a + Q for a in alpha]
         above, below, bottom = [(a + Q, ni) for a, ni in zip(alpha, n)], [], 1
-        if ws.family is not Family.LAGUERRE_FIRST_KIND:
+        if ws.family is not LAGUERRE:
             below = [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)]
             ups.append(-beta - total * Q)
-        if ws.family is Family.HAHN:
+        if ws.family is HAHN:
             above.append((beta + Q, ws.N))
             bottom = math.factorial(ws.N - total)
             downs.append(-beta - ws.N * Q)
-        z = -1 if ws.family is Family.LAGUERRE_FIRST_KIND else 1
+        z = -1 if ws.family is LAGUERRE else 1
         return rising_product(Q, above, below, (-1) ** total, bottom), z, ups, downs
     return ws.kept(("type2_series_factors", n), build)
 
@@ -335,7 +335,7 @@ def hahn_weighted_series_relation(ws: WeightSystem, n: MultiIndex, poly: ScaledP
     Both sides are (-1)^l (beta+|n|+1-l)_{N-|n|}, nonzero for l <= |n| as beta > -1, times a polynomial of
     degree <= |n| in l: agreement at l = 0..|n| is agreement at every l <= N.  No lattice value is built.
     """
-    if ws.family is not Family.HAHN:
+    if ws.family is not HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     n = ws.validate_index(n)
     (nums, den), total, N, (Q, _, beta) = type2_row(ws, n, poly), total_degree(n), ws.N, ws.integer_parameters
@@ -357,7 +357,7 @@ def hahn_jp_coefficient_relation(ws_hahn: WeightSystem, n: MultiIndex, poly: Sca
     x^k, checks Q[k] == (-1)^k (N-k)!/(N-|n|)! P[k] for every k <= |n|, Q as :func:`type2_row` admits it.
     P is the row of :func:`_type2_sum`, which both families share, times (-1)^|n|.
     """
-    if ws_hahn.family is not Family.HAHN:
+    if ws_hahn.family is not HAHN:
         raise AdmissibilityError("weight system is not Hahn")
     n = ws_hahn.validate_index(n)
     (hahn, hahn_den), (nums, den) = type2_row(ws_hahn, n, poly), _type2_sum(ws_hahn, n)

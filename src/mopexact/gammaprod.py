@@ -107,6 +107,8 @@ def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
     factor ends the row with zeros over the denominator reached there; a zero
     denominator factor under a nonzero numerator raises PoleError.
     """
+    if length < 2:  # no term ratio to take
+        return [1] * length, 1
     extra = len(downs) - len(ups)
     up_q, down_q = (q**extra, 1) if extra > 0 else (1, q**-extra)
     nums, bottoms, num = [1], [], 1
@@ -128,7 +130,7 @@ def ratio_row(ups, downs, length: int, q: int) -> tuple[list[int], int]:
     for k in range(len(bottoms) - 1, -1, -1):
         den *= bottoms[k]
         nums[k] *= den
-    nums = nums if len(nums) == length else nums[:length] + [0] * (length - len(nums))  # a zero factor, or length 0
+    nums = nums if len(nums) == length else nums + [0] * (length - len(nums))  # a zero factor ended the row
     return ([-v for v in nums], -den) if den < 0 else (nums, den)
 
 

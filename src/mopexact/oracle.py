@@ -33,7 +33,7 @@ from .gammaprod import Frozen, pair, primitive, ratio_row, rising_product, row_s
 from .gammaprod import pochhammer  # noqa: F401  (perfbench traces this binding)
 from .linalg import bareiss, determinant
 from .polybasis import Basis, ScaledPolynomial, TypeIVector
-from .weights import Family, MultiIndex, WeightSystem, total_degree
+from .weights import HAHN, JACOBI_PINEIRO, LAGUERRE, MultiIndex, WeightSystem, total_degree
 
 
 def _moment_scale(ws: WeightSystem, i: int, total: int) -> tuple[int, int]:
@@ -44,7 +44,7 @@ def _moment_scale(ws: WeightSystem, i: int, total: int) -> tuple[int, int]:
     that is 1 and (alpha_i+beta+2)_{|n|-2} / (beta+1)_{|n|-1}, which is 1/(alpha_i+beta+1)
     at |n| = 1 and a pole (PoleError) on the corner alpha_i+beta+|n| = 0.  Hahn weights are rational.
     """
-    if ws.family is not Family.JACOBI_PINEIRO:
+    if ws.family is not JACOBI_PINEIRO:
         return 1, 1
     Q, alpha, beta = ws.integer_parameters
     return rising_product(Q, [(alpha[i] + beta + 2 * Q, total - 2)], [(beta + Q, total - 1)])
@@ -79,7 +79,7 @@ def _pairings(ws: WeightSystem, n: MultiIndex, i: int) -> list:
     c = alpha_i+1+a, Chu-Vandermonde sums entry b to (alpha_i+1)_a (c+beta+1)_N / N! times
     (c)_b (-N)_b / (c+beta+1)_b, and the constant steps from a to a+1 by c (c+beta+1+N) / (c+beta+1)."""
     total = total_degree(n)
-    if ws.family is not Family.HAHN:
+    if ws.family is not HAHN:
         nums, den = ws.moment_rows(max(n) + total)[i]
         return [(nums[a:a + total + 1], den) for a in range(n[i])]
     (Q, alpha, beta), N = ws.integer_parameters, ws.N
@@ -119,7 +119,7 @@ def _type1_conditions(ws: WeightSystem, n: MultiIndex) -> tuple[list, list[tuple
         columns = [(i, nums[:total], den) for (i, _), (nums, den) in _type2_conditions(ws, n).items()]
         columns = [(i, nums, math.gcd(*nums) or 1, den) for i, nums, den in columns]
         matrix = list(zip(*([v // g for v in nums] for _, nums, g, _ in columns)))
-        if ws.family is Family.HAHN and total % 2 == 0:  # the top row times (-1)^(|n|-1)
+        if ws.family is HAHN and total % 2 == 0:  # the top row times (-1)^(|n|-1)
             matrix[-1] = tuple(-v for v in matrix[-1])
         return matrix, [(scales[i][0] * g, scales[i][1] * den) for i, _, g, den in columns]
     return ws.kept(("type1_conditions", n), build)
@@ -161,7 +161,7 @@ def oracle_solve_type2(ws: WeightSystem, n: MultiIndex) -> ScaledPolynomial:
     """
     n = ws.validate_index(n)
     total = total_degree(n)
-    basis, lead = (Basis.falling_factorial(), (-1) ** total) if ws.family is Family.HAHN else (Basis.monomial(), 1)
+    basis, lead = (Basis.falling_factorial(), (-1) ** total) if ws.family is HAHN else (Basis.monomial(), 1)
     # condition j pairs basis elements 0..|n|; over its content: no cost at |n| <= 8, faster solves beyond
     rows = [primitive(row) for row, _ in _type2_conditions(ws, n).values()]
     nums, det = bareiss([row[:total] for row in rows], [-lead * row[total] for row in rows])
@@ -203,10 +203,10 @@ def _mellin_difference(ws: WeightSystem, n: MultiIndex, row) -> list[int]:
     """The s-row, from s^0 up, of left minus right in :func:`check_mellin_type2`, each side times its scale; kept."""
     def build():
         (nums, den), total, (Q, alpha, beta) = row, total_degree(n), ws.integer_parameters
-        shifted = ws.family is not Family.LAGUERRE_FIRST_KIND  # the two families with beta
+        shifted = ws.family is not LAGUERRE  # the two families with beta
         head, bottom = rising_product(Q, [(beta + Q, total)] if shifted else (),
                                       [(c + beta + (total + 1) * Q, ni) for c, ni in zip(alpha, n) if shifted])
-        if ws.family is Family.HAHN:
+        if ws.family is HAHN:
             nums, den = [(-1) ** k * math.perm(ws.N, k) * c for k, c in enumerate(nums)], den * math.perm(ws.N, total)
         scale = bottom if shifted else Q ** total  # Laguerre: q = 1, T = 1, and only the right side has Q^|n|
         tail, left, right = [1], [nums[total]], [(-1) ** total * head * den]
@@ -273,7 +273,7 @@ def check_hahn_summation_identity(ws: WeightSystem, n: MultiIndex) -> list[bool]
     F and (A)_s / (B)_s are integer rows built once per weight, each constant is
     one :func:`rising_product`, and rows meet their targets cross-multiplied.
     """
-    if ws.family is not Family.HAHN:
+    if ws.family is not HAHN:
         raise AdmissibilityError("the summation identity is Hahn-specific")
     n = ws.validate_index(n, type_one=True)
     total = total_degree(n)

@@ -31,22 +31,28 @@ from fractions import Fraction
 
 from . import families
 from .errors import PoleError, PreconditionError
-from .gammaprod import LatticeRow, ratio_row, rising, rising_product, same
+from .gammaprod import LatticeRow, ratio_row, rising, rising_product
 from .polybasis import TypeIVector, values_at
-from .weights import Family, MultiIndex, WeightSystem, total_degree
+from .weights import HAHN, JACOBI_PINEIRO, LAGUERRE, MultiIndex, WeightSystem, total_degree
 
 
 def _pole_weights(ws: WeightSystem, n: MultiIndex, i: int) -> list[tuple[int, int]]:
-    """Residue denominators (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}) for every k < n_i.
+    """Residue denominators (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j}) for every k < n_i, reduced pairs.
 
-    Each weight is one :func:`rising_product`, a reduced integer pair; a Pochhammer that vanishes
-    would make two poles collide and raises PoleError.  Built once per weight system, n and i
-    (:meth:`WeightSystem.kept`) for the duality and the recovered nodes."""
-    Q, alpha, _ = ws.integer_parameters
-    others = [(alpha[j] - alpha[i], n[j]) for j in range(ws.p) if j != i and n[j]]
-    return ws.kept(("pole_weights", n, i), lambda: [
-        rising_product(Q, (), [(p - k * Q, m) for p, m in others], (-1) ** k,
-                       math.factorial(k) * math.factorial(n[i] - 1 - k)) for k in range(n[i])])
+    One running product: weight 0 is one :func:`rising_product` and weight k+1 is weight k times -(n_i-1-k)
+    prod_j (a_j-a_i+n_j-1-k) / ((k+1) prod_j (a_j-a_i-k-1)), reduced by its gcd.  A Pochhammer that vanishes would
+    make two poles collide and raises PoleError.  Kept per weight system, n and i for the duality and the recovered nodes."""
+    def build():
+        Q, alpha, _ = ws.integer_parameters
+        others = [(alpha[j] - alpha[i], n[j]) for j in range(ws.p) if j != i and n[j]]
+        weights = [rising_product(Q, (), others, 1, math.factorial(n[i] - 1))] if n[i] else []
+        for k in range(n[i] - 1):
+            (top, bottom), up, down = weights[-1], k + 1 - n[i], k + 1
+            for p, m in others:  # ((p - kQ)/Q)_m over ((p - (k+1)Q)/Q)_m
+                up, down = up * (p + (m - 1 - k) * Q), down * (p - (k + 1) * Q)
+            weights.append(rising_product(Q, (), (), top * up, bottom * down))  # reduced, PoleError on a zero divisor
+        return weights
+    return ws.kept(("pole_weights", n, i), build)
 
 
 def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
@@ -70,9 +76,9 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
     components = []
     for i in range(ws.p):
         picked, lattice, top = [], [], (-1) ** (total - 1)
-        if ws.family is Family.JACOBI_PINEIRO:
+        if ws.family is JACOBI_PINEIRO:
             picked = shifted
-        elif ws.family is Family.HAHN:
+        elif ws.family is HAHN:
             # (a)_{n_i} Gamma(a+k) / Gamma(a+k+N+2-|n|), a = alpha_i+beta+|n|: the tail is (a+n_i)_{N+2-|n|-n_i}
             # times the k-th down factor, so the vanishing boundary a = 0 cancels exactly
             picked = shifted[:i] + shifted[i + 1:]
@@ -81,8 +87,8 @@ def _type1_pole_terms(ws: WeightSystem, n: MultiIndex) -> list[LatticeRow]:
         top, bottom = rising_product(Q, (), lattice, top * math.prod(v for v, _ in picked),
                                      math.prod(d for _, d in picked))
         # term k carries (up/Q)_k / prod_d (d/Q)_k, with no up factor (alpha_i+beta+|n|)_k for Laguerre
-        ups = [] if ws.family is Family.LAGUERRE_FIRST_KIND else [alpha[i] + beta + total * Q]
-        downs = [alpha[i] + Q] + ([alpha[i] + beta + (ws.N + 2) * Q] if ws.family is Family.HAHN else [])
+        ups = [] if ws.family is LAGUERRE else [alpha[i] + beta + total * Q]
+        downs = [alpha[i] + Q] + ([alpha[i] + beta + (ws.N + 2) * Q] if ws.family is HAHN else [])
         weights, (ratios, ratios_den) = _pole_weights(ws, n, i), ratio_row(ups, downs, n[i], Q)
         common = math.lcm(*(w_den for _, w_den in weights))
         components.append(([w * (common // w_den) * top * v for (w, w_den), v in zip(weights, ratios)],
@@ -102,7 +108,7 @@ def type1_direct_values(ws: WeightSystem, n: MultiIndex, vec: TypeIVector, x) ->
     values = []
     for i, row in enumerate(rows):
         [(num, den)] = values_at(families.type1_basis(ws, i), row, [x])
-        top, bottom = rising(alpha[i] + Q, Q, x.numerator) if ws.family is Family.HAHN else (1, 1)  # (alpha_i+1)_x
+        top, bottom = rising(alpha[i] + Q, Q, x.numerator) if ws.family is HAHN else (1, 1)  # (alpha_i+1)_x
         values.append(Fraction(num * top, den * bottom))
     return values
 
@@ -113,7 +119,7 @@ def check_residue_duality(ws: WeightSystem, n: MultiIndex, vec: TypeIVector) -> 
     Both rows are coefficients in :func:`families.type1_basis` against the canonical scale, so they
     compare entry by entry, cross-multiplied: no point is sampled."""
     rows = families.type1_rows(ws, n, vec)
-    return all(same([(v, den) for v in terms], [(v, row_den) for v in row])
+    return all(len(terms) == len(row) and all(v * row_den == w * den for v, w in zip(terms, row))
                for (terms, den), (row, row_den) in zip(_type1_pole_terms(ws, n), rows))
 
 
@@ -124,15 +130,15 @@ def _type2_residue_factors(ws: WeightSystem, n: MultiIndex) -> tuple[tuple[int, 
     (alpha_i+beta+|n|+1)_{n_i} (Jacobi-Pineiro), or q_k over that product and (N-|n|)! with q_0 = (beta+1)_N and
     q_{k+1} = q_k (beta+|n|-k) / (beta+N-k) (Hahn: its pole carries Gamma(beta+|n|+1) Gamma(beta+N+1-k) /
     Gamma(beta+|n|+1-k), read against Gamma(beta+1))."""
-    total, hahn = total_degree(n), ws.family is Family.HAHN
+    total, hahn = total_degree(n), ws.family is HAHN
     Q, alpha, beta = ws.integer_parameters
     first = rising_product(
         Q, [(a + Q, ni) for a, ni in zip(alpha, n)] + ([(beta + Q, ws.N)] if hahn else []),
-        () if ws.family is Family.LAGUERRE_FIRST_KIND else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
+        () if ws.family is LAGUERRE else [(a + beta + (total + 1) * Q, ni) for a, ni in zip(alpha, n)],
         (-1) ** total, math.factorial(ws.N - total) if hahn else 1)
     ups = [(a + (ni + 1) * Q, Q) for a, ni in zip(alpha, n)] + ([] if hahn else [(-1, 0)])
     downs = [(a + Q, Q) for a in alpha] + [(1, 1)]  # ... over k+1
-    if ws.family is not Family.LAGUERRE_FIRST_KIND:  # beta+|n|-k, over 1 or over beta+N-k
+    if ws.family is not LAGUERRE:  # beta+|n|-k, over 1 or over beta+N-k
         ups.append((beta + total * Q, -Q))
         downs.append((beta + ws.N * Q, -Q) if hahn else (Q, 0))
     return first, ups, downs
@@ -160,7 +166,7 @@ def verify_type2_series_equivalence(ws: WeightSystem, n: MultiIndex, k_max: int)
     n = ws.validate_index(n)
     if k_max < 0:
         raise PreconditionError(f"expansion order k_max = {k_max} must be nonnegative")
-    if ws.family is Family.HAHN:
+    if ws.family is HAHN:
         k_max = min(k_max, ws.N)
     Q = ws.integer_parameters[0]
     (top, bottom), z, ups, downs = families._type2_series_factors(ws, n)  # the ratio z prod (u+kQ)/Q / prod (d+kQ)/Q
@@ -197,17 +203,17 @@ def recovered_nodes(ws: WeightSystem, n: MultiIndex, form: TypeIVector) -> list[
     nodes = []
     for i, (coefficients, den) in enumerate(rows):
         top, bottom = 1, 1  # 1/phi(alpha_i) times the canonical scale, over Q
-        if ws.family is Family.JACOBI_PINEIRO:
+        if ws.family is JACOBI_PINEIRO:
             top, bottom = rising_product(Q, (), [(beta + Q, total - 1)])
-        elif ws.family is Family.HAHN:
+        elif ws.family is HAHN:
             top, bottom = rising_product(Q, [(alpha[i] + beta + total * Q, ws.N + 2 - total)])
         for k, (coefficient, (weight, weight_den)) in enumerate(zip(coefficients, _pole_weights(ws, n, i))):
             t = alpha[i] + k * Q
             if k:  # 1/phi(t) over 1/phi(s), s = t-1: t/Q, t/(s+beta+|n|) or t (s+beta+N+2) / (Q (s+beta+|n|))
                 s = t - Q
-                top *= t * (s + beta + (ws.N + 2) * Q) if ws.family is Family.HAHN else t
-                bottom *= Q if ws.family is Family.LAGUERRE_FIRST_KIND else (s + beta + total * Q) * (
-                    Q if ws.family is Family.HAHN else 1)
+                top *= t * (s + beta + (ws.N + 2) * Q) if ws.family is HAHN else t
+                bottom *= Q if ws.family is LAGUERRE else (s + beta + total * Q) * (
+                    Q if ws.family is HAHN else 1)
             nodes.append(((t, Q), (coefficient * top * weight_den, den * bottom * weight)))
     return nodes
 
@@ -217,8 +223,8 @@ def recovered_constant_closed_form(ws: WeightSystem, n: MultiIndex) -> tuple[int
     (-1)^(|n|-1), times prod_i (alpha_i+beta+|n|)_{n_i} / (beta+1)_{|n|-1} unless Laguerre, times (N+1-|n|)! for Hahn."""
     n = ws.validate_index(n, type_one=True)
     total = total_degree(n)
-    if ws.family is Family.LAGUERRE_FIRST_KIND:
+    if ws.family is LAGUERRE:
         return (-1) ** (total - 1), 1
     Q, alpha, beta = ws.integer_parameters
-    top = (-1) ** (total - 1) * (math.factorial(ws.N - total + 1) if ws.family is Family.HAHN else 1)
+    top = (-1) ** (total - 1) * (math.factorial(ws.N - total + 1) if ws.family is HAHN else 1)
     return rising_product(Q, [(a + beta + total * Q, ni) for a, ni in zip(alpha, n)], [(beta + Q, total - 1)], top)

@@ -160,6 +160,15 @@ def ratio_row_reference(ups, downs, length: int, q: int) -> tuple[list[int], int
     return ([-v for v in nums], -den) if den < 0 else (nums, den)
 
 
+def pole_weights_reference(ws, n, i: int) -> list[tuple[int, int]]:
+    """residues._pole_weights in its per-pole form: one rising_product for each k < n_i, the reduced pairs of
+    (-1)^k / (k! (n_i-1-k)! prod_{j!=i} (a_j-a_i-k)_{n_j})."""
+    Q, alpha, _ = ws.integer_parameters
+    others = [(alpha[j] - alpha[i], n[j]) for j in range(ws.p) if j != i and n[j]]
+    return [rising_product(Q, (), [(p - k * Q, m) for p, m in others], (-1) ** k,
+                           math.factorial(k) * math.factorial(n[i] - 1 - k)) for k in range(n[i])]
+
+
 def row_product(row, other):
     """Entrywise product of two integer rows."""
     return tuple(map(operator.mul, row[0], other[0])), row[1] * other[1]

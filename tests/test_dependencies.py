@@ -192,3 +192,36 @@ def test_names_loaded_on_first_use_resolve_in_a_fresh_process():
     assert code == 0 and json.loads(out)["summary"] == {"pass": 3, "fail": 0, "vacuous": False}
     code, out = report["table"]
     assert code == 0 and out.startswith("instance,type,weight,basis,k,coefficient\nlaguerre1|n=1,2,,monomial,")
+
+
+#: The verify modules whose functions name a family by the module names weights binds once (LAGUERRE,
+#: JACOBI_PINEIRO, HAHN).  EnumType defines __getattr__, so in Python 3.11 a read of Family.HAHN takes the slow
+#: generic attribute path, about 110 ns against about 20 ns for a module global, and an instance makes hundreds.
+FAMILY_NAME_READERS = ("driver", "families", "oracle", "residues", "weights")
+
+
+def _family_member_reads(tree: ast.AST) -> set[str]:
+    """The Family.<name> attribute reads inside function bodies, lambdas included, as 'function: Family.name'."""
+    reads = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(function, "name", "lambda")
+            reads.update(f"{name}: Family.{node.attr}" for node in ast.walk(function) if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name) and node.value.id == "Family")
+    return reads
+
+
+def test_functions_read_no_family_member_as_an_attribute():
+    reads = {name: _family_member_reads(ast.parse((PACKAGE / f"{name}.py").read_text()))
+             for name in FAMILY_NAME_READERS}
+    assert {name: sorted(found) for name, found in reads.items() if found} == {}
+
+
+def test_family_member_scanner_sees_every_form():
+    source = ("HAHN = Family.HAHN\nclass W:\n    def f(self):\n        return self.family is Family.HAHN\n"
+              "def g():\n    def h():\n        return Family.LAGUERRE_FIRST_KIND.value\n"
+              "    return lambda: Family.JACOBI_PINEIRO\n")
+    assert _family_member_reads(ast.parse(source)) == {"f: Family.HAHN", "g: Family.LAGUERRE_FIRST_KIND",
+                                                       "h: Family.LAGUERRE_FIRST_KIND", "g: Family.JACOBI_PINEIRO",
+                                                       "lambda: Family.JACOBI_PINEIRO"}
+    assert _family_member_reads(ast.parse("def f(name):\n    return Family(name) is HAHN")) == set()

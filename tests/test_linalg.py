@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopexact import SingularSystemError
-from mopexact.linalg import bareiss, determinant
+from mopexact.linalg import _eliminate, bareiss, determinant
 from conftest import solve_linear_system
 
 F = Fraction
@@ -187,6 +187,17 @@ def test_integer_core_matches_fraction_gauss(system):
 def test_integer_core_pivot_swap_makes_det_negative():
     # det [[0, 2], [3, 1]] = -6 and x = (1, 2); the numerators are Cramer's det(A_i)
     assert bareiss([[0, 2], [3, 1]], [4, 5]) == ([-6, -12], -6)
+
+
+def test_pivot_is_the_first_candidate_of_smallest_magnitude():
+    # column 0: the first nonzero candidate is 6 (row 1), the smallest -2 (row 2) ahead of 2 (row 3)
+    matrix = [[0, 1, 3, 2], [6, 4, 1, 1], [-2, 5, 7, 3], [2, 1, 1, 9]]
+    a = [list(row) for row in matrix]
+    det = _eliminate(a, 4)
+    assert a[0] == matrix[2]
+    assert det == determinant_reference(matrix) == determinant(matrix)
+    # column 1 then holds the minors -38 (row 1), -2 (row 0) and -12 (row 3) in that order: row 0's comes second
+    assert a[1][:2] == [0, -2]
 
 
 def test_integer_core_names_the_singular_column():

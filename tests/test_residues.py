@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopexact import (
@@ -27,7 +27,8 @@ from mopexact.weights import Family, MultiIndex, total_degree
 from conftest import (
     admissible_systems, hahn_corner_systems, hahn_type2_weighted_series, hahn_ws, instance_of, interpolation_recover_p,
     hypergeometric_row, integer_parameter_systems, jacobi_pineiro_ws, laguerre_ws, lattice_values, pair_values,
-    recovered_node_values, row_values, sample_points, scaled_values_equal, series_rows_relation, series_term, times,
+    pole_weights_reference, recovered_node_values, row_values, sample_points, scaled_values_equal, series_rows_relation,
+    series_term, times,
 )
 
 F = Fraction
@@ -373,6 +374,17 @@ class TestRandomAdmissibleSystems:
                 assert (pole_row, direct_row) == (reference_poles, reference_direct), (fault, i)
                 verdict &= reference_poles == reference_direct  # both against the canonical scale
             assert check_residue_duality(ws, n, faulty) == verdict == (fault is None), fault
+
+    @given(st.one_of(admissible_systems(max_total=7), hahn_corner_systems()))
+    @example((laguerre_ws(3), (3, 0, 4)))
+    @example((jacobi_pineiro_ws(3), (0, 5, 2)))
+    @example((hahn_ws(3, 9), (4, 3, 0)))
+    @settings(max_examples=80, deadline=None)
+    def test_running_pole_weights_are_the_per_pole_products(self, system):
+        # each weight from the one before, reduced by its gcd: the same pairs as one rising_product per pole
+        ws, n = system
+        for i in range(ws.p):
+            assert residues._pole_weights(ws, n, i) == pole_weights_reference(ws, n, i), i
 
     @given(admissible_systems())
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mopexact import AdmissibilityError, Family, WeightSystem, pochhammer
+from mopexact import AdmissibilityError, Family, WeightSystem, driver, pochhammer, weights
 from conftest import STANDARD_ALPHAS, STANDARD_BETA, beta_factors, hahn_weight, hahn_ws, weight_table
 
 
@@ -59,6 +60,66 @@ class TestAdmissibility:
         ws = hahn_ws(1, 3)
         with pytest.raises(AdmissibilityError):
             ws.validate_index((0,), type_one=True)
+
+
+class TestExponentParsing:
+    """driver.weight_system parses each exponent string once per process; the Fractions, the weight systems and
+    the errors are those of Fraction(text), and admissibility compares numerators with denominators."""
+
+    TEXTS = ["1/2", "-6/7", "13/9", " 5/11 ", "0.25", "-0", "7", "2e-1", "-999999/1000000"]
+
+    @staticmethod
+    def instance(family, alpha, beta="1/4"):
+        instance = {"family": family, "alpha": alpha, "n": [1] * len(alpha)}
+        if family != "laguerre1":
+            instance["beta"] = beta
+        if family == "hahn":
+            instance["N"] = 5
+        return instance
+
+    @pytest.mark.parametrize("family", ["laguerre1", "jacobi-pineiro", "hahn"])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_same_weight_system_as_fraction_parsing(self, family, text):
+        for _ in range(2):  # parsed, then read from the cache
+            ws = driver.weight_system(self.instance(family, [text, "1/3"], beta=text))
+            beta = None if family == "laguerre1" else Fraction(text)
+            N = 5 if family == "hahn" else None
+            expected = WeightSystem(Family(family), (Fraction(text), Fraction(1, 3)), beta, N)
+            assert ws == expected and ws.alpha == expected.alpha and ws.beta == expected.beta
+            assert all(type(a) is Fraction for a in ws.alpha)
+
+    @pytest.mark.parametrize("text", ["1/0", "x", "", "1/2/3", "--1", "1 /2"])
+    @pytest.mark.parametrize("slot", ["alpha", "beta"])
+    def test_bad_strings_raise_what_fraction_raises(self, text, slot):
+        with pytest.raises(Exception) as expected:
+            Fraction(text)
+        alpha, beta = ([text], "1/4") if slot == "alpha" else (["1/2"], text)
+        instance = self.instance("jacobi-pineiro", alpha, beta)
+        for _ in range(2):  # an error is not kept: the second call raises it again
+            with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+                driver.weight_system(instance)
+
+    @pytest.mark.parametrize("text", ["-1", "-2/2", "-1.0", "-7/6", "-1000001/1000000"])
+    def test_alpha_and_beta_at_or_below_minus_one_are_refused(self, text):
+        with pytest.raises(AdmissibilityError, match="alpha .* must exceed -1"):
+            driver.weight_system(self.instance("laguerre1", [text]))
+        with pytest.raises(AdmissibilityError, match="beta .* must exceed -1"):
+            driver.weight_system(self.instance("jacobi-pineiro", ["1/2"], beta=text))
+
+    @pytest.mark.parametrize("text", ["-6/7", "-999999/1000000", "-1/2", "0"])
+    def test_alpha_and_beta_above_minus_one_are_accepted(self, text):
+        assert driver.weight_system(self.instance("laguerre1", [text])).alpha == (Fraction(text),)
+        assert driver.weight_system(self.instance("hahn", ["1/2"], beta=text)).beta == Fraction(text)
+
+    def test_the_cache_stays_bounded(self):
+        bound = driver._exponent.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 50):
+            driver.weight_system(self.instance("laguerre1", [f"{k}/{2 * k + 1}"]))
+        assert driver._exponent.cache_info().currsize <= bound
+
+    def test_family_names_are_the_members(self):
+        assert (weights.LAGUERRE, weights.JACOBI_PINEIRO, weights.HAHN) == tuple(Family)
 
 
 class TestHahnWeights:
